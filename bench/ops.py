@@ -79,22 +79,22 @@ def _label_block(seed: int, block: int) -> list[dict]:
     A jacobi op costs about five bessel ops, so this keeps both families'
     costs in view while the median op lies inside the bessel cluster rather
     than in the gap between the two.  The first bessel label, the centre of
-    the evolve grid, takes each of eight radius strata three times.
+    the evolve grid, takes one of 24 radius strata in each op: whether the
+    grid reaches the density_static cancellation region depends mostly on
+    that radius, so the block's share of such ops barely varies.
     """
     rng = _rng(seed, block, 1)
     drawn = [p for _ in range(6) for p in _param_block(rng)]
     params = [p for p in drawn if p[0] == "bessel"] + [p for p in drawn[:16] if p[0] == "jacobi"]
     params = [params[k] for k in rng.permutation(len(params))]
-    centre = iter(np.tile(rng.permutation(8), 3))
+    centres = iter(_strata(rng, sum(p[0] == "bessel" for p in params), 0.0, 20.0))
     ops = []
     for family, m, nu in params:
         if family == "jacobi":
-            radii = 1.0 - 10.0 ** -_strata(rng, GRAM_LABELS, 0.1, 2.0)
+            radii = np.sort(1.0 - 10.0 ** -_strata(rng, GRAM_LABELS, 0.1, 2.0))
         else:
-            radii = _strata(rng, GRAM_LABELS, 0.0, 20.0)
-        radii = np.sort(radii)
-        k = 2 * int(next(centre)) + int(rng.integers(2)) if family == "bessel" else 0
-        radii = np.concatenate(([radii[k]], np.delete(radii, k)))
+            radii = np.concatenate(([next(centres)],
+                                    np.sort(_strata(rng, GRAM_LABELS - 1, 0.0, 20.0))))
         angles = rng.uniform(0.0, 2.0 * math.pi, GRAM_LABELS)
         op = {
             "family": family, "m": m, "nu": nu,

@@ -24,10 +24,11 @@ every public library function and reports the per-layer metrics, then
 replays those ops untraced for the tracing overhead.
 
 Every op is checked after the timed loop (see oracle.py).  A failed op is
-written to the ledger in .bench_out/ with its inputs and the check that
-failed, and is attributed to a known defect of the library or marked
-unexpected; an unexpected failure, or report-sweep artifacts that differ
-between two runs of the same ops, makes the result incorrect.  The last
+written to the ledger with its inputs, the check that failed and the error
+it measured, and is attributed to a known defect of the library (known.py)
+or marked unexpected; an unexpected failure, or report-sweep artifacts that
+differ between two runs of the same ops, makes the result incorrect.
+Reports, ledgers and spans go to --out (default .bench_out/).  The last
 line of stdout is the JSON result.
 """
 
@@ -53,7 +54,7 @@ from ops import WORKLOADS, make_ops  # noqa: E402
 
 WORKER = os.path.join(BENCH, "worker.py")
 OUT = os.path.join(ROOT, ".bench_out")
-SETUP_PROBES = 6  # extra fresh processes timed for setup_s
+SETUP_PROBES = 10  # extra fresh processes timed for setup_s
 REPLAY_SHARE = 0.25  # share of the timed loop replayed for the determinism check
 DEADLINE_S = 170.0
 THREAD_PINS = {
@@ -91,12 +92,12 @@ def _environment(versions: dict) -> dict:
 
 
 class Runner:
-    def __init__(self, workload: str, seed: int, seconds: float) -> None:
+    def __init__(self, workload: str, seed: int, seconds: float, out: str) -> None:
         self.workload, self.seed, self.seconds = workload, seed, seconds
         self.deadline = time.monotonic() + DEADLINE_S
-        self.work = os.path.join(OUT, f"work-{workload}-{seed}-{os.getpid()}")
+        self.work = os.path.join(out, f"work-{workload}-{seed}-{os.getpid()}")
         self.env = {**os.environ, **THREAD_PINS}
-        self.spans = os.path.join(OUT, f"{workload}-seed{seed}-trace1.spans.npz")
+        self.spans = os.path.join(out, f"{workload}-seed{seed}-trace1.spans.npz")
         self.n = 0
 
     def child(self, mode: str, trace: int = 0, count: int = 0) -> dict:
@@ -131,9 +132,9 @@ def tally(workload: str, seed: int, res: dict) -> tuple[list[dict], int, int]:
     for f in res["failures"]:
         op = op_list[f["op"]]
         ledger.append({"workload": workload, "op": f["op"], "inputs": op, "check": f["check"],
-                       "error": f["detail"],
-                       "known_defect": classify(workload, op, f["check"], f["detail"])
-                       or "unexpected"})
+                       "error": f["detail"], "values": f["values"],
+                       "known_defect": classify(workload, op, f["check"], f["values"],
+                                                f["detail"]) or "unexpected"})
     failed = len({row["op"] for row in ledger})
     unexpected = sum(row["known_defect"] == "unexpected" for row in ledger)
     return ledger, failed, unexpected
@@ -158,10 +159,10 @@ def _percentiles(d: list[float]) -> tuple[float, float]:
     return statistics.median(d), dec[8]
 
 
-def measure(workload: str, seed: int, seconds: float, trace: int):
+def measure(workload: str, seed: int, seconds: float, trace: int, out: str):
     """(result line, report) for one benchmark run."""
     spec = _spec()
-    runner = Runner(workload, seed, seconds)
+    runner = Runner(workload, seed, seconds, out)
     os.makedirs(runner.work, exist_ok=True)
     try:
         if trace:
@@ -265,22 +266,21 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--out", default=OUT, help="directory for reports, ledgers and spans")
     a = ap.parse_args(argv)
-    # exit through Python so a running worker is killed and waited for
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     if not os.path.isfile(os.path.join(ROOT, "src", "ghcs", "__init__.py")):
         print(f"error: no ghcs sources under {ROOT}/src", file=sys.stderr)
         return 2
     if a.seconds <= 0:
         print("error: --seconds must be positive", file=sys.stderr)
         return 2
-    os.makedirs(OUT, exist_ok=True)
+    os.makedirs(a.out, exist_ok=True)
     try:
-        line, report = measure(a.workload, a.seed, a.seconds, a.trace)
+        line, report = measure(a.workload, a.seed, a.seconds, a.trace, a.out)
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    stem = os.path.join(OUT, f"{a.workload}-seed{a.seed}-trace{a.trace}")
+    stem = os.path.join(a.out, f"{a.workload}-seed{a.seed}-trace{a.trace}")
     with open(stem + ".json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
     with open(stem + ".ledger.jsonl", "w", encoding="utf-8") as fh:
@@ -292,4 +292,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # exit through Python so a running worker is killed and waited for
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     sys.exit(main())

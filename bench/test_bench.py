@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import time
 
@@ -17,6 +16,7 @@ import pytest
 BENCH = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, BENCH)
 
+import known  # noqa: E402
 import oracle  # noqa: E402
 import ops  # noqa: E402
 import run  # noqa: E402
@@ -81,7 +81,7 @@ def test_self_times_sum_to_the_traced_op_wall_time(tmp_path):
         is_op = a["name"] == tracer.names.index(OP_SPAN)
         op_total = float((a["end"] - a["start"])[is_op].sum())
         assert tracer.self_times().sum() == pytest.approx(op_total, rel=1e-9)
-        assert 0.5 * wall <= op_total <= wall
+        assert op_total <= wall
         assert (tracer.self_times() >= -1e-9).all()
     # spans nest: states.state runs under states.overlap, reached through the
     # name kernel imported directly; the wrappers come off afterwards
@@ -130,8 +130,8 @@ def test_a_perturbed_artifact_value_is_caught_and_counted(tmp_path):
         fh.writelines(lines)
 
     fails = worker.check("report-sweep", seed, i, op_list[i], args[i], out, str(tmp_path))
-    assert [name for name, _ in fails] == ["expect"]
-    res["failures"] = [{"op": i, "check": n, "detail": d} for n, d in fails]
+    assert [name for name, _, _ in fails] == ["expect"]
+    res["failures"] = [{"op": i, "check": n, "detail": d, "values": v} for n, d, v in fails]
     ledger, failed, unexpected = run.tally("report-sweep", seed, res)
     assert failed == 1 and unexpected == 1
     assert ledger[0]["inputs"] == op_list[i] and ledger[0]["known_defect"] == "unexpected"
@@ -142,8 +142,9 @@ def test_known_defects_are_attributed_not_hidden():
     near_one = next(k for k, op in enumerate(op_list)
                     if op["family"] == "jacobi" and op["x"] > 0.999)
     bessel = next(k for k, op in enumerate(op_list) if op["family"] == "bessel")
+    detail = "ConvergenceError: number_moment series did not converge"
     res = {"durations": [0.0] * 64,
-           "failures": [{"op": k, "check": "exception", "detail": "ConvergenceError: budget"}
+           "failures": [{"op": k, "check": "exception", "detail": detail, "values": {}}
                         for k in (near_one, bessel)]}
     ledger, failed, unexpected = run.tally("moment-scan", 1, res)
     assert failed == 2 and unexpected == 1
@@ -151,18 +152,127 @@ def test_known_defects_are_attributed_not_hidden():
     assert kinds == {near_one: "jacobi-number-moment-budget", bessel: "unexpected"}
 
 
-def test_the_command_prints_a_result_line_last():
-    root = os.path.dirname(BENCH)
-    proc = subprocess.run(
-        [sys.executable, os.path.join(BENCH, "run.py"), "--workload", "moment-scan",
-         "--seed", "3", "--seconds", "0.5", "--trace", "0"],
-        cwd=root, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    line = json.loads(proc.stdout.strip().splitlines()[-1])
+def _gram_op(seed=6):
+    """The first jacobi label-batch op at this seed, its labels and its outcome."""
+    op = next(op for op in ops.make_ops("label-batch", seed, 32) if op["family"] == "jacobi")
+    labels = ops.prepare("label-batch", [op], "")[0]
+    value = ops.execute("label-batch", op, labels).value
+    return op, labels, value
+
+
+def _classes(workload, op, fails):
+    return [known.classify(workload, op, n, v, d) for n, d, v in fails]
+
+
+def test_known_defects_are_bounded_by_size_and_region():
+    op, labels, (gram, eig, rows) = _gram_op()
+    top = max(range(len(labels)), key=lambda i: abs(labels[i]))
+    assert abs(labels[top]) > known.JACOBI_LONG_RADIUS
+    # the seed code's own errors in the top row are the truncation defect
+    fails = oracle.check_gram(op, labels, (gram, eig, rows), np.random.default_rng(0))
+    assert fails and set(_classes("label-batch", op, fails)) == {"overlap-shorter-truncation"}
+
+    # the same entries wrong by more than the truncation can make them are not
+    bad = gram.copy()
+    j = (top + 1) % len(labels)
+    bad[top, j] += 10 * known.TRUNCATION_BOUND
+    bad[j, top] = np.conj(bad[top, j])
+    fails = oracle.check_gram(op, labels, (bad, eig, rows), np.random.default_rng(0))
+    assert None in _classes("label-batch", op, fails)
+
+    # nor is any error between labels that both get the shortest truncation,
+    # and checking goes on past the failures in the top row
+    k = len(labels)
+    rest = [(i, j) for i in range(k) for j in range(i + 1, k) if top not in (i, j)]
+    short = {i for i in range(k) if abs(labels[i]) < known.JACOBI_LONG_RADIUS}
+    for rng_seed in range(100):
+        sampled = [rest[p] for p in oracle._sample(np.random.default_rng(rng_seed), len(rest),
+                                                    oracle.SAMPLES["gram"])]
+        clean = [(i, j) for i, j in sampled if {i, j} <= short]
+        if clean:
+            break
+    i, j = clean[0]
+    bad = gram.copy()
+    bad[i, j] += 1e-9
+    bad[j, i] = np.conj(bad[i, j])
+    fails = oracle.check_gram(op, labels, (bad, eig, rows), np.random.default_rng(rng_seed))
+    entry = [f for f in fails if f"entry ({i},{j})" in f[1]]
+    assert len(entry) == 1 and len(fails) > 1
+    assert _classes("label-batch", op, entry) == [None]
+
+    # idempotence: only jacobi m = 0 near nu = 0.5, only up to 2e-6
+    jac = {"family": "jacobi", "m": 0, "nu": 0.47}
+    assert known.classify("report-sweep", jac, "idempotence", {"residual": 1.3e-6}, "")
+    assert not known.classify("report-sweep", jac, "idempotence", {"residual": 1e-4}, "")
+    assert not known.classify("report-sweep", {**jac, "m": 1}, "idempotence",
+                              {"residual": 1.3e-6}, "")
+    assert not known.classify("report-sweep", jac, "hermiticity", {"residual": 1e-11}, "")
+
+    # density: only where the cancellation factor explains the error
+    bes = {"family": "bessel", "m": 1, "nu": 1.0}
+    assert known.classify("label-batch", bes, "density_static",
+                          {"rel_error": 1e-7, "cancellation": 1e10}, "")
+    assert not known.classify("label-batch", bes, "density_static",
+                              {"rel_error": 1e-7, "cancellation": 1e3}, "")
+
+
+def test_a_failed_verify_is_attributed_by_its_report(tmp_path):
+    path = tmp_path / "verify.json"
+    kernel = {"passed": False, "hermiticity_worst": 1e-14, "diagonal_worst": 0.0,
+              "idempotence_worst": 1.3e-6, "gram_min_eigenvalue": 0.1}
+    report = {"results": {
+        "failed_checks": ["kernel"],
+        "checks": {
+            "identity_moments": {"passed": True, "worst_rel_error": 1e-12, "tol": 1e-8,
+                                 "diagnosis": None},
+            "kernel": kernel,
+            "quantization": {"passed": True, "report": {"symbols": {
+                "n": {"max_rel_quadrature_vs_h_ratio": 1e-12}}}},
+            "thermal": {"passed": True, "finite_difference_rel_error": 1e-9},
+        },
+    }}
+    path.write_text(json.dumps(report))
+    op = {"cmd": "verify", "family": "jacobi", "m": 0, "nu": 0.47}
+    fails = oracle.check_failed_verify(str(path), "exit 1: FAIL: kernel")
+    assert [n for n, _, _ in fails] == ["idempotence"]
+    assert _classes("report-sweep", op, fails) == ["jacobi-rule-idempotence"]
+
+    # a failure the report does not reproduce is an unexpected exit
+    kernel["idempotence_worst"] = 1e-9
+    path.write_text(json.dumps(report))
+    fails = oracle.check_failed_verify(str(path), "exit 1: FAIL: kernel")
+    assert [n for n, _, _ in fails] == ["exit"]
+    assert _classes("report-sweep", op, fails) == [None]
+
+
+def test_scaling_keeps_a_real_slowdown():
+    """Ops that do twice the work give half the scaled ops per second."""
+    op_list = [op for op in ops.make_ops("label-batch", 8, 64) if op["family"] == "bessel"][:16]
+    args = ops.prepare("label-batch", op_list, "")
+    worker.timed_loop("label-batch", op_list, args, None)  # first calls fill caches
+
+    def twice(workload, op, arg):
+        ops.execute(workload, op, arg)
+        return ops.execute(workload, op, arg)
+
+    rates = {}
+    for name, execute in (("once", ops.execute), ("twice", twice), ("again", ops.execute)):
+        loop = worker.timed_loop("label-batch", op_list, args, None, execute=execute)
+        rates[name] = len(op_list) / sum(loop["scaled"])
+    base = (rates["once"] + rates["again"]) / 2
+    assert rates["twice"] / base == pytest.approx(0.5, rel=0.3)
+
+
+def test_the_command_prints_a_result_line_last(tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(run, "SETUP_PROBES", 1)
+    argv = ["--workload", "moment-scan", "--seed", "3", "--seconds", "0.5", "--trace", "0",
+            "--out", str(tmp_path)]
+    assert run.main(argv) == 0
+    line = json.loads(capfd.readouterr().out.strip().splitlines()[-1])
     assert set(line) == {"correct", "attempted", "failed", "metrics"}
     assert line["correct"] is True and line["attempted"] >= 1
-    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+    with open(os.path.join(os.path.dirname(BENCH), "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     assert set(line["metrics"]) == {m["name"] for m in spec["end_to_end"]}
     assert all(m["value"] > 0 for m in line["metrics"].values())
+    assert (tmp_path / "moment-scan-seed3-trace0.ledger.jsonl").exists()
