@@ -27,9 +27,22 @@ NU_RANGE = (0.1, 2.5)
 REPORT_COMMANDS = ("verify", "kernel", "quantize", "expect", "thermal", "evolve", "weight")
 GRAM_LABELS = 16
 MOMENT_BLOCK = 64
-# ops per block; a timed loop ends on a block boundary, so every run sees
-# whole strata
+# ops per block; a run is whole blocks, so it sees whole strata
 BLOCK = {"report-sweep": 4 * 7 + 4 * 6, "label-batch": 32, "moment-scan": MOMENT_BLOCK}
+# ops per second of measuring.  A run is a fixed number of ops, the whole
+# blocks nearest to --seconds at this rate, so one seed gives the same ops,
+# and the same failed ops, however fast the host happens to be; a faster
+# library ends sooner.  At the seed code's speed on a shared two-vCPU host a
+# run's loop takes 1 to 1.3 times --seconds: the rates are set above the
+# wall-clock rates so that op_p90_s and ok_ratio, which rest on the few
+# slowest or failing ops, are steady from seed to seed.
+NOMINAL_RATE = {"report-sweep": 12, "label-batch": 11, "moment-scan": 130}
+
+
+def op_count(workload: str, seconds: float) -> int:
+    """Ops in a run of `seconds`: whole blocks, at least one."""
+    block = BLOCK[workload]
+    return block * max(1, round(seconds * NOMINAL_RATE[workload] / block))
 
 
 def _rng(seed: int, block: int, stream: int) -> np.random.Generator:

@@ -15,8 +15,10 @@ returns; BLAS/OpenMP pools pinned to one thread):
 
 --trace 0 reports the end-to-end metrics of BENCHMARK.json: set-up time
 (median of several fresh processes), ops per second, latency percentiles,
-the share of ops that passed every check, and peak RSS.  A run ends on the
-first block boundary (ops.BLOCK) after --seconds.  Times are scaled to a
+the share of ops that passed every check, and peak RSS.  A run is a fixed
+number of ops, the whole blocks (ops.BLOCK) nearest to --seconds at a nominal
+rate per workload (ops.op_count), so one seed always gives the same ops and
+the same failed ops.  Times are scaled to a
 reference speed measured inside the same process (see worker.py), because
 a shared host's speed can drift by a third within seconds; the unscaled
 figures are kept in the report file.  --trace 1 runs the same ops with spans around
@@ -50,12 +52,11 @@ ROOT = os.path.dirname(BENCH)
 sys.path.insert(0, BENCH)
 
 from known import classify  # noqa: E402
-from ops import WORKLOADS, make_ops  # noqa: E402
+from ops import BLOCK, WORKLOADS, make_ops, op_count  # noqa: E402
 
 WORKER = os.path.join(BENCH, "worker.py")
 OUT = os.path.join(ROOT, ".bench_out")
-SETUP_PROBES = 10  # extra fresh processes timed for setup_s
-REPLAY_SHARE = 0.25  # share of the timed loop replayed for the determinism check
+SETUP_PROBES = 6  # extra fresh processes timed for setup_s
 DEADLINE_S = 170.0
 THREAD_PINS = {
     name: "1" for name in (
@@ -92,8 +93,8 @@ def _environment(versions: dict) -> dict:
 
 
 class Runner:
-    def __init__(self, workload: str, seed: int, seconds: float, out: str) -> None:
-        self.workload, self.seed, self.seconds = workload, seed, seconds
+    def __init__(self, workload: str, seed: int, out: str) -> None:
+        self.workload, self.seed = workload, seed
         self.deadline = time.monotonic() + DEADLINE_S
         self.work = os.path.join(out, f"work-{workload}-{seed}-{os.getpid()}")
         self.env = {**os.environ, **THREAD_PINS}
@@ -106,7 +107,7 @@ class Runner:
         workdir = os.path.join(self.work, f"p{self.n}")
         result = os.path.join(self.work, f"p{self.n}.json")
         cmd = [sys.executable, WORKER, "--workload", self.workload,
-               "--seed", str(self.seed), "--mode", mode, "--seconds", str(self.seconds),
+               "--seed", str(self.seed), "--mode", mode,
                "--count", str(count), "--trace", str(trace),
                "--workdir", workdir, "--result", result,
                "--spans", self.spans]
@@ -162,25 +163,22 @@ def _percentiles(d: list[float]) -> tuple[float, float]:
 def measure(workload: str, seed: int, seconds: float, trace: int, out: str):
     """(result line, report) for one benchmark run."""
     spec = _spec()
-    runner = Runner(workload, seed, seconds, out)
+    runner = Runner(workload, seed, out)
+    count = op_count(workload, seconds)
     os.makedirs(runner.work, exist_ok=True)
     try:
         if trace:
-            main = runner.child("run", trace=1)
-            base = runner.child("replay", count=len(main["durations"]))
+            main = runner.child("run", trace=1, count=count)
+            base = runner.child("replay", count=count)
         else:
-            setups = [_scaled_setup(runner.child("probe")) for _ in range(SETUP_PROBES)]
-            main = runner.child("run")
+            setups = [_scaled_setup(runner.child("probe", count=count))
+                      for _ in range(SETUP_PROBES)]
+            main = runner.child("run", count=count)
             setups.append(_scaled_setup(main))
             base = None
             if workload == "report-sweep":
-                count, spent = 0, 0.0
-                for d in main["durations"]:
-                    if spent >= REPLAY_SHARE * main["loop_s"] and count >= 7:
-                        break
-                    spent += d
-                    count += 1
-                base = runner.child("replay", count=count)
+                # the first block's artifacts, made again in a fresh process
+                base = runner.child("replay", count=BLOCK[workload])
     finally:
         shutil.rmtree(runner.work, ignore_errors=True)
 

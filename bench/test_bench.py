@@ -263,14 +263,29 @@ def test_scaling_keeps_a_real_slowdown():
     assert rates["twice"] / base == pytest.approx(0.5, rel=0.3)
 
 
+@pytest.mark.parametrize("workload", ops.WORKLOADS)
+def test_a_run_is_a_fixed_number_of_whole_blocks(workload):
+    block = ops.BLOCK[workload]
+    for seconds in (0.01, 1, 20, 60):
+        count = ops.op_count(workload, seconds)
+        assert count >= block and count % block == 0
+        assert abs(count - seconds * ops.NOMINAL_RATE[workload]) <= block / 2 or count == block
+
+
 def test_the_command_prints_a_result_line_last(tmp_path, monkeypatch, capfd):
     monkeypatch.setattr(run, "SETUP_PROBES", 1)
     argv = ["--workload", "moment-scan", "--seed", "3", "--seconds", "0.5", "--trace", "0",
             "--out", str(tmp_path)]
-    assert run.main(argv) == 0
-    line = json.loads(capfd.readouterr().out.strip().splitlines()[-1])
+    lines = []
+    for _ in range(2):
+        assert run.main(argv) == 0
+        lines.append(json.loads(capfd.readouterr().out.strip().splitlines()[-1]))
+    line = lines[0]
     assert set(line) == {"correct", "attempted", "failed", "metrics"}
-    assert line["correct"] is True and line["attempted"] >= 1
+    assert line["correct"] is True and line["attempted"] == ops.op_count("moment-scan", 0.5)
+    # the same seed runs the same ops and fails the same ones (near x = 1)
+    assert line["failed"] > 0
+    assert (lines[1]["attempted"], lines[1]["failed"]) == (line["attempted"], line["failed"])
     with open(os.path.join(os.path.dirname(BENCH), "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     assert set(line["metrics"]) == {m["name"] for m in spec["end_to_end"]}

@@ -2,9 +2,10 @@
 
 Started by run.py, never by hand.  Modes:
 
-  probe   set up and stop; reports the set-up time only
-  run     run ops until --seconds have passed (traced with --trace 1)
-  replay  run exactly the first --count ops, untraced
+  probe   set up (imports and the first --count ops' inputs) and stop;
+          reports the set-up time only
+  run     run the first --count ops and check them (traced with --trace 1)
+  replay  run the first --count ops untraced, without checks
 
 The result goes to --result as JSON.  Timing covers only the op loop;
 checks against the oracles run after it.
@@ -31,9 +32,6 @@ import oracle  # noqa: E402
 import ops  # noqa: E402
 from spans import OP_SPAN, Tracer, layer_metrics  # noqa: E402
 
-# op-list length per second of measuring: about ten times the seed code's
-# rate, so a faster library still finds inputs waiting
-RATE_CAP = {"report-sweep": 120, "label-batch": 60, "moment-scan": 1000}
 MOMENT_CHECK_SHARE = 0.25
 
 # On a shared host the CPU speed can drift by a third within seconds, which no
@@ -159,20 +157,17 @@ def check(workload: str, seed: int, i: int, op: dict, arg, outcome, workdir: str
     return []
 
 
-def timed_loop(workload: str, op_list: list[dict], args: list, seconds: float | None,
+def timed_loop(workload: str, op_list: list[dict], args: list,
                tracer: Tracer | None = None, execute=ops.execute) -> dict:
-    """Run ops back to back: all of them, or whole blocks until `seconds` have
-    passed.  Returns the outcomes, op durations, op times scaled to the
-    reference speed, the reference times and the loop's wall time."""
-    block = ops.BLOCK[workload]
+    """Run all ops back to back.  Returns the outcomes, op durations, op
+    times scaled to the reference speed, the reference times and the loop's
+    wall time."""
     task = REFERENCE[workload]
     starts, durations, outcomes, ref_at, ref_s = [], [], [], [], []
     clock = time.perf_counter
     loop_start = next_ref = clock()
     for i, op in enumerate(op_list):
         now = clock()
-        if seconds is not None and i % block == 0 and now - loop_start >= seconds:
-            break
         if now >= next_ref:
             ref_at.append(now)
             ref_s.append(time_reference(task))
@@ -202,7 +197,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=ops.WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--mode", required=True, choices=("probe", "run", "replay"))
-    ap.add_argument("--seconds", type=float, default=0.0)
     ap.add_argument("--count", type=int, default=0)
     ap.add_argument("--trace", type=int, default=0)
     ap.add_argument("--spawned", type=float, required=True,
@@ -213,12 +207,7 @@ def main(argv=None) -> int:
     a = ap.parse_args(argv)
 
     import_library()
-    block = ops.BLOCK[a.workload]
-    if a.mode == "replay":
-        count = a.count
-    else:
-        count = block * (int(a.seconds * RATE_CAP[a.workload]) // block + 1)
-    op_list = ops.make_ops(a.workload, a.seed, count)
+    op_list = ops.make_ops(a.workload, a.seed, a.count)
     os.makedirs(a.workdir, exist_ok=True)
     args = ops.prepare(a.workload, op_list, a.workdir)
     # set-up is the same imports and input generation in every workload, so
@@ -234,8 +223,7 @@ def main(argv=None) -> int:
     tracer = Tracer() if a.trace else None
     if tracer:
         tracer.install()
-    loop = timed_loop(a.workload, op_list, args, a.seconds if a.mode == "run" else None,
-                      tracer)
+    loop = timed_loop(a.workload, op_list, args, tracer)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     if tracer:
         tracer.uninstall()
