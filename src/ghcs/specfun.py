@@ -136,10 +136,13 @@ def _log_gamma_right(z: complex) -> complex:
 
 
 def log_gamma(x):
-    """Principal-branch log of Gamma(x) for real or complex x.
+    """A logarithm of Gamma(x) for real or complex x: exp of it is Gamma(x).
 
     Real positive x returns a float; a negative real or complex argument
     returns a complex value.  Non-positive integers are poles and raise.
+    On the real axis the value is the principal log.  For complex x with
+    Re x < 0.5 the reflection formula is used, and its value may differ
+    from the principal branch by 2*pi*i*k (|k| = 4 at Re x = -7.3).
     """
     if isinstance(x, complex):
         z = x
@@ -171,14 +174,6 @@ def log_gamma(x):
     if x > 0 or not gamma_negative:
         return lg
     return complex(lg, math.pi)
-
-
-def real_gamma(x: float) -> float:
-    """Gamma(x) for real non-pole x, sign included."""
-    lg = log_gamma(x)
-    if isinstance(lg, complex):
-        return -math.exp(lg.real)
-    return math.exp(lg)
 
 
 # ---------------------------------------------------------------------------

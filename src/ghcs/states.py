@@ -15,8 +15,10 @@ every modulus but is kept in the amplitudes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,16 +167,27 @@ def coeff_h(params: FamilyParams, n: int) -> float:
 
 
 def _log_h_array(params: FamilyParams, n_max: int) -> np.ndarray:
+    """Read-only log h_n for n = 0..n_max, a prefix of a cached table."""
+    size = 1 << max(int(n_max) - 1, 0).bit_length()  # next power of two >= n_max
+    return _log_h_table(params, size)[: n_max + 1]
+
+
+@lru_cache(maxsize=32)
+def _log_h_table(params: FamilyParams, n_max: int) -> np.ndarray:
+    # math.lgamma elementwise: scipy's gammaln differs in the last bits
+    # and would change every downstream value
     lg = np.zeros(n_max + 1)
-    if n_max == 0:
-        return lg
     n = np.arange(1, n_max + 1, dtype=float)
-    lgamma = np.vectorize(math.lgamma)
-    lg[1:] = 0.5 * (lgamma(n + 1.0) + lgamma(params.b + n) - math.lgamma(params.b))
+    lg[1:] = 0.5 * (_lgamma(n + 1.0) + _lgamma(params.b + n) - math.lgamma(params.b))
     if params.family is Family.JACOBI:
         shift = params.coeff_shift
-        lg[1:] -= lgamma(shift + n) - math.lgamma(shift)
+        lg[1:] -= _lgamma(shift + n) - math.lgamma(shift)
+    lg.flags.writeable = False
     return lg
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x), dtype=float, count=len(x))
 
 
 def normalization(params: FamilyParams, x: float,
@@ -242,8 +255,10 @@ def state(params: FamilyParams, z: complex, n_max: int | None = None) -> FockVec
     With n_max omitted the truncation starts at 128 and doubles until the
     discarded l2 mass is certified below 1e-12.  An explicit n_max that
     leaves more than 1e-10 in the tail raises, reporting the order that
-    would have sufficed.
+    would have sufficed.  An explicit n_max must be a non-negative integer.
     """
+    if n_max is not None and not (isinstance(n_max, numbers.Integral) and n_max >= 0):
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     z = params.require_label(z)
     if n_max is None:
         n = _N_MAX_DEFAULT

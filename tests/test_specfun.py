@@ -1,5 +1,6 @@
 """Scalar kernel tests: reference values, identities, independent oracles."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -57,6 +58,17 @@ class TestLogGamma:
             z = complex(1.25, float(t))
             ref = mp.loggamma(mp.mpc(z))
             assert abs(complex(mp.exp(ref - log_gamma(z))) - 1.0) < 1e-12
+
+    def test_reflection_exp_exact_off_principal_branch(self):
+        # left of Re z = 0.5 the value is a log of Gamma, not always the
+        # principal one: exp matches Gamma, the offset is a 2 pi i multiple
+        for t in (-10.0, -1.0, 0.4, 2.0, 10.0):
+            z = complex(-7.3, t)
+            got = log_gamma(z)
+            ref = complex(mp.gamma(mp.mpc(z)))
+            assert abs(cmath.exp(got) / ref - 1.0) < 1e-13
+            k = (got - complex(mp.loggamma(mp.mpc(z)))) / (2j * math.pi)
+            assert abs(k - round(k.real)) < 1e-12
 
     def test_negative_real_principal_branch(self):
         # Gamma(-1.5) > 0 so the principal log is real

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from ghcs import specfun
+from ghcs.kernel import gram_matrix
 from ghcs.states import (
     Family,
     FamilyParams,
     FockVector,
+    PochhammerVariant,
+    _log_h_array,
+    _log_h_table,
     coeff_h,
     coefficient_sign,
     energy_level,
@@ -157,6 +161,11 @@ class TestState:
         with pytest.raises(ValueError, match="larger n_max"):
             state(bessel_params, 3.0, n_max=4)
 
+    @pytest.mark.parametrize("n_max", [-1, -5, 2.5])
+    def test_explicit_n_max_must_be_non_negative_integer(self, jacobi_params, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            state(jacobi_params, 0.3, n_max=n_max)
+
     def test_label_outside_domain(self, jacobi_params):
         with pytest.raises(ValueError):
             state(jacobi_params, 1.2)
@@ -217,41 +226,81 @@ class TestLabelDistance:
 
 class TestPochhammerVariant:
     def test_two_nu_divisor(self):
-        from ghcs.states import PochhammerVariant
-
         p = FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU)
         # divisor (m + 2 nu + 1)_2 = (3)_2 = 12
         assert rel_err(coeff_h(p, 2), math.sqrt(24.0) / 12.0) < 1e-14
 
     def test_two_nu_normalization_closed_form(self):
         # sum (3)_n x^n / n! = (1 - x)^{-3} when the divisor equals (b)_n
-        from ghcs.states import PochhammerVariant
-
         p = FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU)
         for x in (0.1, 0.4, 0.7):
             assert rel_err(normalization(p, x), (1.0 - x) ** -3.0) < 1e-12
 
     def test_bessel_ignores_variant(self):
-        from ghcs.states import PochhammerVariant
-
         a = FamilyParams(1, 0.5, Family.BESSEL)
         b = FamilyParams(1, 0.5, Family.BESSEL, PochhammerVariant.TWO_NU)
         assert coeff_h(a, 5) == coeff_h(b, 5)
 
     def test_measure_guards_variant(self):
         from ghcs.measure import radial_rule
-        from ghcs.states import PochhammerVariant
 
         p = FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU)
         with pytest.raises(ValueError, match="canonical"):
             radial_rule(p)
 
 
+def _log_h_reference(params, n_max):
+    # uncached scalar evaluation, same operations in the same order
+    out = [0.0]
+    for k in range(1, n_max + 1):
+        v = 0.5 * (math.lgamma(k + 1.0) + math.lgamma(params.b + k) - math.lgamma(params.b))
+        if params.family is Family.JACOBI:
+            v -= math.lgamma(params.coeff_shift + k) - math.lgamma(params.coeff_shift)
+        out.append(v)
+    return np.array(out)
+
+
+class TestLogHCache:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("variant", list(PochhammerVariant))
+    def test_bit_identical_to_reference(self, family, variant):
+        params = FamilyParams(2, 0.7, family, variant)
+        for n in (0, 1, 127, 128, 129, 1000, 16384):
+            got = _log_h_array(params, n)
+            assert got.shape == (n + 1,)
+            assert np.array_equal(got, _log_h_reference(params, n)), n
+
+    def test_read_only(self, jacobi_params):
+        lg = _log_h_array(jacobi_params, 100)
+        with pytest.raises(ValueError):
+            lg[1] = 0.0
+        assert not _log_h_table(jacobi_params, 128).flags.writeable
+
+    def test_tables_keyed_by_family_and_variant(self):
+        bessel = _log_h_array(FamilyParams(1, 0.5, Family.BESSEL), 64)
+        canonical = _log_h_array(FamilyParams(1, 0.5, Family.JACOBI), 64)
+        two_nu = _log_h_array(
+            FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU), 64
+        )
+        assert not np.array_equal(bessel, canonical)
+        assert not np.array_equal(canonical, two_nu)
+
+    def test_gram_matrix_misses_once_per_table_size(self):
+        params = FamilyParams(1, 0.83, Family.JACOBI)
+        radii = 1.0 - 10.0 ** -np.linspace(0.1, 2.0, 16)  # up to |z| = 0.99
+        labels = [r * np.exp(1j * t) for r, t in zip(radii, np.linspace(0, 6, 16))]
+        top = max(state(params, z).n_max for z in labels)
+        sizes = int(math.log2(top // 128)) + 1  # 128, 256, ..., top
+        _log_h_table.cache_clear()
+        gram_matrix(params, labels)
+        info = _log_h_table.cache_info()
+        assert info.misses <= sizes
+        assert info.hits >= 2 * 16 * 17 // 2 - info.misses
+
+
 class TestResolvedStateConsistency:
     def test_reconstructed_normalization(self, bessel_params, jacobi_params):
         # the unnormalized coefficient mass reproduces N(|z|^2)
-        from ghcs.states import _log_h_array
-
         for params, z in ((bessel_params, 1.1 + 0.4j), (jacobi_params, 0.5 - 0.3j)):
             v = state(params, z)
             n = np.arange(v.n_max + 1, dtype=float)
