@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .states import (
 )
 
 __all__ = [
-    "KernelSample",
     "kernel",
     "check_idempotence",
     "analytic_repr",
@@ -37,22 +35,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelSample:
-    z1: complex
-    z2: complex
-    value: complex
-
-
 def kernel(params: FamilyParams, z1: complex, z2: complex) -> complex:
     """K(z1, z2) = <z1 | z2>; hermitian, K(z, z) = 1."""
     return overlap(params, z1, z2)
-
-
-def kernel_sample(params: FamilyParams, z1: complex, z2: complex) -> KernelSample:
-    """Kernel value bundled with its labels (value = conj of the swap)."""
-    return KernelSample(z1=complex(z1), z2=complex(z2),
-                        value=kernel(params, z1, z2))
 
 
 def _series_length(params: FamilyParams, mag: float) -> int:

@@ -7,37 +7,36 @@ radial density omega(x):
     int x^n omega(x) dx = h_n^2          n = 0, 1, 2, ...
 
 The bessel-family density has the closed form
-2 x^{(b-1)/2} K_{b-1}(2 sqrt x) / Gamma(b) on (0, inf); the jacobi-family
-density lives on (0, 1) and is the Mellin-Barnes G-function value scaled
-by the reflected constant Gamma(a+1)^2 / Gamma(b).  Moment targets are
-always taken from the state coefficients h_n; gamma products serve as the
-independent oracle in the tests, never as the main path.
+2 x^{(b-1)/2} K_{b-1}(2 sqrt x) / Gamma(b) on (0, inf).  The jacobi-family
+density lives on (0, 1): the paper writes it as the Meijer G-function
+G^{2,0}_{2,2}(x | a,a; 0,2a-1) scaled by Gamma(a+1)^2 / Gamma(b), and with
+parameter excess 1 that G-function is the Gauss function
+2F1(1-a, 1-a; 1; 1-x) there and zero for x >= 1.  Both are evaluated with
+`scipy.special` on whole arrays.  Moment targets are always taken from
+the state coefficients h_n; gamma products serve as the independent
+oracle in the tests, never as the main path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import hyp2f1, kv, kve, roots_jacobi, roots_legendre
 
 from . import specfun
-from .specfun import ContourSpec, default_contour, meijer_g_canonical
-from .states import Family, FamilyParams, coeff_h, log_coeff_h, normalization
+from .states import Family, FamilyParams, _log_h_array, normalization
 
 __all__ = [
     "QuadratureRule",
-    "RadialMeasure",
     "MomentReport",
     "IdentityCertificate",
     "WeightCurve",
     "density",
     "radial_rule",
-    "radial_measure",
     "verify_identity",
     "figure1_scan",
     "default_figure_curves",
@@ -99,17 +98,6 @@ class QuadratureRule:
 
 
 @dataclass(frozen=True)
-class RadialMeasure:
-    """Density, support, quadrature rule and moment targets for one family."""
-
-    params: FamilyParams
-    support: tuple[float, float]
-    density: Callable[[np.ndarray], np.ndarray]
-    rule: QuadratureRule
-    target_moments: np.ndarray
-
-
-@dataclass(frozen=True)
 class MomentReport:
     order: int
     computed: float
@@ -165,44 +153,45 @@ def _require_canonical(params: FamilyParams) -> None:
         )
 
 
-def _jacobi_density_constant(params: FamilyParams) -> float:
-    # Gamma(a+1)^2 / Gamma(b): the reflected form of the gamma constants in
-    # front of the G-function, finite for every nu > 0.
-    return math.exp(
-        2.0 * specfun.log_gamma(params.a + 1.0) - specfun.log_gamma(params.b)
-    )
+def _jacobi_density(params: FamilyParams, x: np.ndarray) -> np.ndarray:
+    # Gamma(a+1)^2 / Gamma(b) G^{2,0}_{2,2}(x | a,a; 0,2a-1) on 0 < x < 1;
+    # the reflected constant is finite for every nu > 0
+    a = params.a
+    const = math.exp(2.0 * math.lgamma(a + 1.0) - math.lgamma(params.b))
+    return const * hyp2f1(1.0 - a, 1.0 - a, 1.0, 1.0 - x)
 
 
-def density(params: FamilyParams, x, contour: ContourSpec | None = None):
+def density(params: FamilyParams, x):
     """Normalized weight density omega(x); n-th moment equals h_n^2.
 
     Scalar in, scalar out; array in, array out.  Outside the support the
     jacobi-family density is identically zero.
+
+    The jacobi density is evaluated at 1 - x, and forming 1 - x rounds away
+    the digits of x below 1.1e-16.  Near x = 0, where the density behaves
+    like x^{b-1}, that limits its relative accuracy for b < 1 to at most
+    about (1 - b) 1.1e-16 / x: for m = 0 and 0.05 <= nu <= 0.5 the measured
+    error is 2.6e-11 at x = 1e-6 but 2.0e-5 at x = 1e-12.  The smallest
+    node of a default jacobi rule is 1.0e-6 (at b = 0.1).
     """
     _require_canonical(params)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
         raise ValueError("density argument must be non-negative")
     b = params.b
+    out = np.zeros_like(xs)
     if params.family is Family.BESSEL:
-        out = np.zeros_like(xs)
         pos = xs > 0.0
-        lc = math.log(2.0) - specfun.log_gamma(b)
         xp = xs[pos]
-        kv = np.array([specfun.bessel_k(b - 1.0, 2.0 * math.sqrt(v)) for v in xp])
-        out[pos] = np.exp(lc + 0.5 * (b - 1.0) * np.log(xp)) * kv
+        t = 2.0 * np.sqrt(xp)
+        lc = math.log(2.0) - math.lgamma(b)
+        out[pos] = np.exp(lc + 0.5 * (b - 1.0) * np.log(xp) - t) * kve(b - 1.0, t)
         # x = 0 endpoint: finite limit 1/(b-1) for b > 1, else singular
         if np.any(~pos):
             out[~pos] = 1.0 / (b - 1.0) if b > 1.0 else math.inf
     else:
-        out = np.zeros_like(xs)
         inside = (xs > 0.0) & (xs < 1.0)
-        if np.any(inside):
-            xi = xs[inside]
-            if contour is None:
-                contour = default_contour(params.m, params.nu, x_min=float(xi.min()))
-            g = meijer_g_canonical(xi, params.m, params.nu, contour)
-            out[inside] = _jacobi_density_constant(params) * np.asarray(g)
+        out[inside] = _jacobi_density(params, xs[inside])
         if np.any(xs == 0.0):
             # x -> 0 limit a^2/(b-1) for b > 1, integrably singular below
             lim = params.a**2 / (b - 1.0) if b > 1.0 else math.inf
@@ -226,7 +215,7 @@ def _gauss_genlaguerre(n: int, alpha: float):
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
     nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    mu0 = math.exp(specfun.log_gamma(alpha + 1.0))
+    mu0 = math.exp(math.lgamma(alpha + 1.0))
     t = nodes
     p_prev = np.zeros_like(t)
     p_cur = np.full_like(t, 1.0 / math.sqrt(mu0))
@@ -248,8 +237,7 @@ def _gauss_genlaguerre(n: int, alpha: float):
     return nodes, weights
 
 
-def radial_rule(params: FamilyParams, n_nodes: int | None = None,
-                contour: ContourSpec | None = None) -> QuadratureRule:
+def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureRule:
     """Quadrature rule for integrals against the family density.
 
     bessel: substitute x = t^2/4, then generalized Gauss-Laguerre in t
@@ -265,16 +253,13 @@ def radial_rule(params: FamilyParams, n_nodes: int | None = None,
     b = params.b
     if params.family is Family.BESSEL:
         n = n_nodes or _DEFAULT_NODES_BESSEL
-        logc = (1.0 - b) * math.log(2.0) - specfun.log_gamma(b)
+        logc = (1.0 - b) * math.log(2.0) - math.lgamma(b)
         if b > 1.5:
             # t^b K_{b-1}(t) ~ t x analytic(t^2) at the origin, so a single
             # generalized Gauss-Laguerre weight t e^{-t} absorbs it.
             t, w = _gauss_genlaguerre(n, 1.0)
-            v = np.zeros(n)
-            for i in range(n):
-                kt = specfun.bessel_k(b - 1.0, t[i], scaled=True)
-                lv = logc + (b - 1.0) * math.log(t[i]) + math.log(kt)
-                v[i] = w[i] * math.exp(lv) if lv > -700.0 else 0.0
+            lv = logc + (b - 1.0) * np.log(t) + np.log(kve(b - 1.0, t))
+            v = np.where(lv > -700.0, w * np.exp(lv), 0.0)
             return QuadratureRule(nodes=0.25 * t * t, weights=v)
         # For b <= 1.5 the origin carries two incommensurate branches
         # (t and t^{2b-1}, plus a log at b = 1) that no single Laguerre
@@ -291,63 +276,28 @@ def radial_rule(params: FamilyParams, n_nodes: int | None = None,
         jac = cut * 0.25 * math.pi * np.cosh(u) / np.cosh(0.5 * math.pi * sh) ** 2
         keep = (t_de > 1e-280) & (t_de < cut * (1.0 - 1e-16))
         t_de, jac = t_de[keep], jac[keep]
-        w_de = np.array(
-            [
-                h * jac[i] * math.exp(logc + b * math.log(t_de[i]))
-                * specfun.bessel_k(b - 1.0, t_de[i])
-                for i in range(len(t_de))
-            ]
-        )
+        w_de = h * jac * np.exp(logc + b * np.log(t_de)) * kv(b - 1.0, t_de)
         un, uw = _gauss_genlaguerre(n_tail, 0.0)
         t_tl = cut + un
-        w_tl = np.array(
-            [
-                uw[i]
-                * math.exp(logc + b * math.log(t_tl[i]) - cut)
-                * specfun.bessel_k(b - 1.0, t_tl[i], scaled=True)
-                for i in range(n_tail)
-            ]
-        )
+        w_tl = uw * np.exp(logc + b * np.log(t_tl) - cut) * kve(b - 1.0, t_tl)
         t_all = np.concatenate([t_de, t_tl])
         w_all = np.concatenate([w_de, w_tl])
         return QuadratureRule(nodes=0.25 * t_all * t_all, weights=w_all)
     n = n_nodes or _DEFAULT_NODES_JACOBI
-    const = _jacobi_density_constant(params)
     if b < 1.0:
         u, w = roots_jacobi(n, 0.0, b - 1.0)
         x = 0.5 * (u + 1.0)
-        if contour is None:
-            contour = default_contour(params.m, params.nu, x_min=float(x.min()))
-        g = meijer_g_canonical(x, params.m, params.nu, contour)
-        v = w * 2.0 ** (-b) * const * np.asarray(g) * x ** (1.0 - b)
+        v = w * 2.0 ** (-b) * _jacobi_density(params, x) * x ** (1.0 - b)
     else:
         u, w = roots_legendre(n)
         x = 0.5 * (u + 1.0)
-        if contour is None:
-            contour = default_contour(params.m, params.nu, x_min=float(x.min()))
-        g = meijer_g_canonical(x, params.m, params.nu, contour)
-        v = 0.5 * w * const * np.asarray(g)
+        v = 0.5 * w * _jacobi_density(params, x)
     return QuadratureRule(nodes=x, weights=v)
 
 
 def target_moments(params: FamilyParams, n_check: int) -> np.ndarray:
     """h_n^2 for n = 0..n_check, straight from the state coefficients."""
-    return np.array(
-        [math.exp(2.0 * log_coeff_h(params, n)) for n in range(n_check + 1)]
-    )
-
-
-def radial_measure(params: FamilyParams, n_nodes: int | None = None,
-                   n_check: int = 20) -> RadialMeasure:
-    rule = radial_rule(params, n_nodes)
-    support = (0.0, math.inf) if params.family is Family.BESSEL else (0.0, 1.0)
-    return RadialMeasure(
-        params=params,
-        support=support,
-        density=lambda x: density(params, x),
-        rule=rule,
-        target_moments=target_moments(params, n_check),
-    )
+    return np.exp(2.0 * _log_h_array(params, n_check))
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +381,14 @@ class WeightCurve:
         return "canonical"
 
 
-def weight_function(curve: WeightCurve, x: float,
-                    contour: ContourSpec | None = None) -> float:
+def weight_function(curve: WeightCurve, x: float) -> float:
     """W(x) for one curve; zero outside the jacobi support."""
     p = curve.params
     if x < 0.0:
         raise ValueError("weight argument must be non-negative")
-    if x == 0.0:
-        x = 0.0  # handled by the density endpoint conventions below
     if p.family is Family.JACOBI and x >= 1.0:
         return 0.0
-    om = density(p, x, contour) if x > 0.0 else density(p, x)
+    om = density(p, x)
     if not math.isfinite(om):
         return math.inf
     if curve.variant == "literal" and p.family is Family.JACOBI:
@@ -457,15 +404,8 @@ def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
     rows = []
     xs = [float(x) for x in x_grid]
     for curve in curves:
-        contour = None
-        if curve.params.family is Family.JACOBI:
-            positive = [x for x in xs if 0.0 < x < 1.0]
-            if positive:
-                contour = default_contour(
-                    curve.params.m, curve.params.nu, x_min=min(positive)
-                )
         for x in xs:
-            w = weight_function(curve, x, contour)
+            w = weight_function(curve, x)
             rows.append((x, w, curve.params.m, curve.params.nu, curve.variant_tag))
     return rows
 

@@ -37,7 +37,6 @@ __all__ = [
     "overlap",
     "label_distance",
     "energy_level",
-    "energy_product",
 ]
 
 
@@ -147,15 +146,10 @@ def coefficient_sign(params: FamilyParams, n: int) -> int:
 
 
 def log_coeff_h(params: FamilyParams, n: int) -> float:
-    """log h_n, always formed in log space to dodge overflow."""
+    """log h_n, read from the family's cached table (log space dodges overflow)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return 0.0
-    lg = 0.5 * (specfun.log_pochhammer(1.0, n) + specfun.log_pochhammer(params.b, n))
-    if params.family is Family.JACOBI:
-        lg -= specfun.log_pochhammer(params.coeff_shift, n)
-    return lg
+    return float(_log_h_array(params, n)[n])
 
 
 def coeff_h(params: FamilyParams, n: int) -> float:
@@ -322,11 +316,3 @@ def label_distance(params: FamilyParams, z1: complex, z2: complex) -> float:
 def energy_level(params: FamilyParams, n: int) -> float:
     """e_n = n (n + 2m + 2nu - 1), the n-th level above the ground state."""
     return n * (n + params.b - 1.0)
-
-
-def energy_product(params: FamilyParams, n: int) -> float:
-    """prod_{k<=n} e_k = n! (2m+2nu)_n (empty product at n = 0)."""
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= energy_level(params, k)
-    return out

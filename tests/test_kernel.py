@@ -175,13 +175,3 @@ class TestInnerProduct:
             direct = complex(np.vdot(f1.coeffs, f2.coeffs))
             integ = inner_product_integral(params, f1, f2, rule)
             assert abs(direct - integ) < 1e-8
-
-
-class TestKernelSample:
-    def test_hermitian_pair(self, bessel_params):
-        from ghcs.kernel import kernel_sample
-
-        s12 = kernel_sample(bessel_params, 0.3, 0.2 + 0.4j)
-        s21 = kernel_sample(bessel_params, 0.2 + 0.4j, 0.3)
-        assert abs(s12.value.conjugate() - s21.value) < 1e-13
-        assert s12.z1 == 0.3 and s12.z2 == 0.2 + 0.4j

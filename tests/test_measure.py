@@ -13,7 +13,6 @@ from ghcs.measure import (
     default_figure_curves,
     density,
     figure1_scan,
-    radial_measure,
     radial_rule,
     target_moments,
     verify_identity,
@@ -110,6 +109,12 @@ class TestVerifyIdentity:
             cert = verify_identity(FamilyParams(m, nu, Family.BESSEL), 20, 1e-8)
             assert cert.passed, (m, nu, cert.worst)
 
+    def test_jacobi_parameter_sweep_large_b(self):
+        # large b: 27, 40, 51 and 61
+        for m, nu in ((3, 10.5), (3, 17.0), (3, 22.5), (3, 27.5)):
+            cert = verify_identity(FamilyParams(m, nu, Family.JACOBI), 20, 1e-12)
+            assert cert.passed, (m, nu, cert.worst)
+
     def test_rejects_small_n_check(self, bessel_params):
         with pytest.raises(ValueError):
             verify_identity(bessel_params, n_check=4)
@@ -120,13 +125,6 @@ class TestVerifyIdentity:
         )
         assert not cert.passed
         assert cert.diagnosis == "quadrature_insufficient"
-
-    def test_measure_bundle(self, bessel_params):
-        meas = radial_measure(bessel_params, n_check=10)
-        assert meas.support == (0.0, math.inf)
-        assert rel_err(meas.target_moments[1], 3.0) < 1e-14
-        dens = meas.density(np.array([0.5, 2.0]))
-        assert np.all(dens > 0.0)
 
 
 class TestSupport:

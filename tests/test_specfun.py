@@ -1,107 +1,22 @@
-"""Scalar kernel tests: reference values, identities, independent oracles."""
+"""Special functions against independent oracles: the certified series, the
+log-gamma and Pochhammer values behind h_n, and the closed forms behind the
+weight densities."""
 
-import cmath
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import iv
 
 from ghcs import specfun
-from ghcs.specfun import (
-    ContourSpec,
-    SeriesControl,
-    bessel_i,
-    bessel_k,
-    default_contour,
-    hyp_0f1,
-    hyp_2f1,
-    log_gamma,
-    meijer_g_2022,
-    meijer_g_canonical,
-    pochhammer,
-)
-from ghcs.states import FamilyParams, Family
+from ghcs.measure import density
+from ghcs.specfun import SeriesControl, hyp_0f1, hyp_2f1
+from ghcs.states import Family, FamilyParams, coeff_h, coefficient_sign, log_coeff_h
 
 from conftest import rel_err
 
 mp.mp.dps = 40
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_half(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert rel_err(log_gamma(0.5), 0.5723649429247001) < 1e-13
-
-    def test_factorial(self):
-        assert rel_err(log_gamma(5.0), math.log(24.0)) < 1e-13
-
-    def test_pole(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-3)
-
-    def test_real_sweep(self):
-        # relative where |log Gamma| >= 1, absolute near its zeros
-        for x in np.linspace(0.5, 50.0, 400):
-            ref = float(mp.loggamma(mp.mpf(float(x))))
-            err = abs(log_gamma(float(x)) - ref) / max(abs(ref), 1.0)
-            assert err < 1e-13, x
-
-    def test_complex_line(self):
-        # exp-compare removes any 2 pi i convention difference
-        for t in np.linspace(-50.0, 50.0, 41):
-            z = complex(1.25, float(t))
-            ref = mp.loggamma(mp.mpc(z))
-            assert abs(complex(mp.exp(ref - log_gamma(z))) - 1.0) < 1e-12
-
-    def test_reflection_exp_exact_off_principal_branch(self):
-        # left of Re z = 0.5 the value is a log of Gamma, not always the
-        # principal one: exp matches Gamma, the offset is a 2 pi i multiple
-        for t in (-10.0, -1.0, 0.4, 2.0, 10.0):
-            z = complex(-7.3, t)
-            got = log_gamma(z)
-            ref = complex(mp.gamma(mp.mpc(z)))
-            assert abs(cmath.exp(got) / ref - 1.0) < 1e-13
-            k = (got - complex(mp.loggamma(mp.mpc(z)))) / (2j * math.pi)
-            assert abs(k - round(k.real)) < 1e-12
-
-    def test_negative_real_principal_branch(self):
-        # Gamma(-1.5) > 0 so the principal log is real
-        got = log_gamma(-1.5)
-        assert isinstance(got, float)
-        assert rel_err(got, float(mp.log(mp.gamma(mp.mpf(-1.5))))) < 1e-12
-        # Gamma(-0.5) < 0 so the principal log picks up i pi
-        got = log_gamma(-0.5)
-        assert got.imag == pytest.approx(math.pi)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.7, 0) == 1.0
-
-    def test_negative_argument(self):
-        assert pochhammer(-3.5, 2) == pytest.approx(8.75, rel=1e-15)
-
-    def test_reflection_pair(self):
-        assert pochhammer(2.5, 2) == pytest.approx(8.75, rel=1e-15)
-
-    def test_reflection_identity(self):
-        # (-m-n-nu)_n = (-1)^n (m+nu+1)_n
-        for m in range(0, 21, 4):
-            for n in range(0, 21, 3):
-                for nu in (0.3, 0.5, 1.7):
-                    lhs = pochhammer(-m - n - nu, n)
-                    rhs = (-1.0) ** n * pochhammer(m + nu + 1.0, n)
-                    assert rel_err(lhs, rhs) < 1e-13
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
 
 
 class TestHypSeries:
@@ -113,7 +28,7 @@ class TestHypSeries:
         for b in (2.0, 3.4, 7.0):
             for x in np.logspace(-3, math.log10(30.0), 20):
                 lhs = hyp_0f1(b, float(x))
-                rhs = math.exp(log_gamma(b)) * x ** ((1.0 - b) / 2.0) * bessel_i(
+                rhs = math.exp(math.lgamma(b)) * x ** ((1.0 - b) / 2.0) * iv(
                     b - 1.0, 2.0 * math.sqrt(x)
                 )
                 assert rel_err(lhs, rhs) < 1e-10
@@ -152,13 +67,10 @@ class TestHypSeries:
     def test_2f1_direct_series_oracle(self):
         a = b = 2.5
         c, x = 5.0, 0.3
-        total = 0.0
+        total = mp.mpf(0)
         for n in range(80):
-            total += (
-                pochhammer(a, n) * pochhammer(b, n) * x**n
-                / (pochhammer(c, n) * math.factorial(n))
-            )
-        assert rel_err(hyp_2f1(a, b, c, x), total) < 1e-13
+            total += mp.rf(a, n) * mp.rf(b, n) * mp.mpf(x) ** n / (mp.rf(c, n) * mp.factorial(n))
+        assert rel_err(hyp_2f1(a, b, c, x), float(total)) < 1e-13
 
     def test_2f1_domain(self):
         with pytest.raises(ValueError):
@@ -167,111 +79,160 @@ class TestHypSeries:
             hyp_2f1(1.0, 1.0, -1.0, 0.5)
 
 
+class TestLogGamma:
+    """Log-gamma as the library uses it: math.lgamma sums in the log h_n table."""
+
+    def test_real_sweep(self):
+        # error relative to the largest log-gamma term, which the jacobi
+        # difference of near-equal terms cancels down to O(log n)
+        for family in (Family.BESSEL, Family.JACOBI):
+            for m, nu in ((0, 0.05), (0, 0.5), (1, 0.5), (3, 2.7), (7, 13.25)):
+                p = FamilyParams(m, nu, family)
+                b = 2 * m + 2 * mp.mpf(nu)
+                for n in (0, 1, 2, 5, 17, 100, 999, 4000, 16384):
+                    ref = (mp.loggamma(n + 1) + mp.loggamma(b + n) - mp.loggamma(b)) / 2
+                    if family is Family.JACOBI:
+                        s = m + mp.mpf(nu) + 1
+                        ref -= mp.loggamma(s + n) - mp.loggamma(s)
+                    scale = max(1.0, float(mp.loggamma(b + n)))
+                    assert abs(log_coeff_h(p, n) - float(ref)) / scale < 1e-14, (p, n)
+
+
+class TestPochhammer:
+    """The defining jacobi coefficient (-m-n-nu)_n: the amplitudes keep its
+    sign, and h_n = sqrt(n! (b)_n) / |(-m-n-nu)_n|."""
+
+    def test_reflection_identity(self):
+        # (-m-n-nu)_n = (-1)^n (m+nu+1)_n
+        for m in range(0, 21, 4):
+            for n in range(0, 21, 3):
+                for nu in (0.3, 0.5, 1.7):
+                    p = FamilyParams(m, nu, Family.JACOBI)
+                    lhs = mp.rf(-m - n - mp.mpf(nu), n)
+                    assert coefficient_sign(p, n) == mp.sign(lhs)
+                    rhs = mp.sqrt(mp.factorial(n) * mp.rf(2 * m + 2 * mp.mpf(nu), n)) / coeff_h(p, n)
+                    assert rel_err(float(abs(lhs)), float(rhs)) < 1e-13
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            log_coeff_h(FamilyParams(1, 0.5, Family.JACOBI), -1)
+
+
+def _bessel_density_ref(b, x):
+    # 2 x^{(b-1)/2} K_{b-1}(2 sqrt x) / Gamma(b), in high precision
+    x = mp.mpf(x)
+    return float(2 * x ** ((b - 1) / 2) * mp.besselk(b - 1, 2 * mp.sqrt(x)) / mp.gamma(b))
+
+
+def _bessel_params(b):
+    return FamilyParams(0, b / 2.0, Family.BESSEL)
+
+
 class TestBessel:
-    def test_i_at_zero(self):
-        assert bessel_i(0.0, 0.0) == 1.0
-        assert bessel_i(2.0, 0.0) == 0.0
+    """Modified Bessel functions as the library evaluates them: K inside the
+    bessel weight density (scipy's kv/kve), I through the 0F1 series."""
 
     def test_i_reference(self):
-        # ascending-series reference value
-        assert rel_err(bessel_i(1.0, 2.0), 1.5906368546373291) < 1e-12
-
-    def test_k_half_integer(self):
-        # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
-        assert rel_err(bessel_k(0.5, 1.0), math.sqrt(math.pi / 2.0) * math.exp(-1.0)) < 1e-12
-
-    def test_sweep_against_reference(self):
-        for order in (0.0, 0.5, 1.0, 3.7, 12.3, 20.0):
-            for x in (1e-3, 0.5, 1.9, 2.1, 10.0, 50.0):
-                assert rel_err(bessel_i(order, x), float(mp.besseli(order, x))) < 1e-10
-                assert rel_err(bessel_k(order, x), float(mp.besselk(order, x))) < 1e-10
-
-    def test_k_integer_order_limit(self):
-        # the small-x branch passes through the mu -> 0 limit here
-        for order in (0.0, 1.0, 2.0, 6.0):
-            for x in (0.05, 1.0, 1.99):
-                assert rel_err(bessel_k(order, x), float(mp.besselk(order, x))) < 1e-11
-
-    def test_k_scaled(self):
-        got = bessel_k(2.0, 300.0, scaled=True)
-        ref = float(mp.besselk(2, 300) * mp.exp(300))
-        assert rel_err(got, ref) < 1e-10
+        # 0F1(2; 1) = I_1(2)
+        assert rel_err(hyp_0f1(2.0, 1.0), 1.5906368546373291) < 1e-12
 
     def test_i_negative_fractional_order(self):
-        # needed by the 0F1 identity when b < 1
-        assert rel_err(bessel_i(-0.4, 0.3), float(mp.besseli(-0.4, 0.3))) < 1e-12
+        # the 0F1 identity at b = 0.6 < 1 needs I of order -0.4
+        b, x = 0.6, 0.0225
+        ref = mp.gamma(b) * mp.mpf(x) ** ((1 - b) / 2) * mp.besseli(b - 1, 2 * mp.sqrt(x))
+        assert rel_err(hyp_0f1(b, x), float(ref)) < 1e-12
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bessel_i(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            bessel_k(1.0, 0.0)
+    def test_k_half_integer(self):
+        # b = 3/2: K_{1/2}(t) = sqrt(pi/(2t)) e^{-t}, so omega(x) = 2 e^{-2 sqrt x}
+        p = _bessel_params(1.5)
+        for x in (1e-8, 0.3, 1.0, 12.0, 400.0):
+            assert rel_err(density(p, x), 2.0 * math.exp(-2.0 * math.sqrt(x))) < 1e-13
+
+    def test_sweep_against_reference(self):
+        # orders b - 1 from -0.8 to 20, x from 1e-12 out to 1e4 (2 sqrt x = 200)
+        xs = np.logspace(-12.0, 4.0, 33)
+        for b in (0.2, 0.7, 1.0, 1.5, 2.0, 4.7, 13.3, 21.0):
+            got = density(_bessel_params(b), xs)
+            for x, g in zip(xs, got):
+                assert rel_err(g, _bessel_density_ref(b, x)) < 1e-12, (b, x)
+
+    def test_k_integer_order_limit(self):
+        # integer orders, b = 1 being the logarithmic case at the origin
+        for order in (0, 1, 2, 6):
+            b = order + 1.0
+            for t in (0.05, 1.0, 1.99):
+                x = 0.25 * t * t
+                assert rel_err(density(_bessel_params(b), x), _bessel_density_ref(b, x)) < 1e-12
+
+    def test_k_scaled(self):
+        # deep in the exponential tail, where K alone is ~1e-131
+        x = 22500.0  # 2 sqrt x = 300
+        assert rel_err(density(_bessel_params(3.0), x), _bessel_density_ref(3.0, x)) < 1e-12
+
+
+def _jacobi_constant(p):
+    return math.exp(2.0 * math.lgamma(p.a + 1.0) - math.lgamma(p.b))
 
 
 class TestMeijerG:
+    """The jacobi weight density, Gamma(a+1)^2 / Gamma(b) times
+    G^{2,0}_{2,2}(x | a,a; 0,2a-1), as `measure.density` evaluates it."""
+
     def test_gauss_reduction_oracle(self, jacobi_params):
-        # independent closed form on (0,1): 2F1(1-a, 1-a; 1; 1-x)
-        m, nu = jacobi_params.m, jacobi_params.nu
-        a = m + nu
+        # the library's own 2F1 series at 1 - x, an implementation
+        # independent of scipy's hyp2f1
+        a = jacobi_params.a
         for x in (0.01, 0.1, 0.35, 0.7, 0.95):
-            got = meijer_g_canonical(x, m, nu)
-            ref = hyp_2f1(1.0 - a, 1.0 - a, 1.0, 1.0 - x)
-            assert rel_err(got, ref) < 1e-8
+            ref = _jacobi_constant(jacobi_params) * hyp_2f1(1.0 - a, 1.0 - a, 1.0, 1.0 - x)
+            assert rel_err(density(jacobi_params, x), ref) < 1e-12
 
     def test_reference_evaluator(self):
-        for (m, nu) in ((0, 0.3), (2, 0.7), (3, 1.2)):
-            a = m + nu
-            for x in (0.05, 0.4, 0.9):
-                got = meijer_g_canonical(x, m, nu)
-                ref = float(
-                    mp.meijerg([[], [a, a]], [[0, 2 * a - 1], []], x)
-                )
-                assert rel_err(got, ref) < 1e-8
+        # mpmath's Meijer G over x in [1e-6, 1 - 1e-6]
+        xs = np.concatenate([np.logspace(-6.0, -1.0, 6), [0.3, 0.6], 1.0 - np.logspace(-1.0, -6.0, 6)])
+        for m, nu in ((0, 0.1), (0, 0.5), (1, 0.3), (2, 0.7), (3, 1.2), (3, 2.5)):
+            p = FamilyParams(m, nu, Family.JACOBI)
+            a = p.a
+            got = density(p, xs)
+            for x, g in zip(xs, got):
+                g_ref = mp.meijerg([[], [a, a]], [[0, 2 * a - 1], []], mp.mpf(float(x)))
+                ref = float(mp.gamma(a + 1) ** 2 / mp.gamma(2 * a) * g_ref)
+                assert rel_err(g, ref) < 1e-10, (m, nu, x)
 
     def test_vanishes_outside_unit_interval(self, jacobi_params):
-        spec = default_contour(1, 0.5)
+        a = jacobi_params.a
         for x in (1.5, 2.0, 10.0):
-            assert abs(meijer_g_2022(x, jacobi_params, spec)) < 1e-10
+            assert mp.meijerg([[], [a, a]], [[0, 2 * a - 1], []], x) == 0
+            assert density(jacobi_params, x) == 0.0
+        assert density(jacobi_params, 1.0) == 0.0
 
     def test_mellin_consistency(self, jacobi_params):
-        # integer moments of the scaled G reproduce the full gamma product
+        # integer moments reproduce the gamma product of the paper's Mellin
+        # transform, [Gamma(1-a-s)]^2 Gamma(s) Gamma(b+s-1), once its
+        # (pi / sin(pi nu))^2 prefactor and the density constant are applied
         m, nu = jacobi_params.m, jacobi_params.nu
+        a, b = jacobi_params.a, jacobi_params.b
         u, lw = np.polynomial.legendre.leggauss(320)
         x = 0.5 * (u + 1.0)
         w = 0.5 * lw
-        vals = np.asarray(meijer_g_2022(x, jacobi_params))
+        vals = density(jacobi_params, x)
+        scale = (mp.sin(mp.pi * nu) / mp.pi) ** 2 * mp.gamma(a + 1) ** 2 / mp.gamma(b)
         for s in range(1, 9):
             got = float(np.dot(w * vals, x ** (s - 1.0)))
             ref = float(
-                mp.gamma(1 - nu - m - s) ** 2 * mp.gamma(s) * mp.gamma(2 * m + 2 * nu + s - 1)
+                scale * mp.gamma(1 - nu - m - s) ** 2 * mp.gamma(s) * mp.gamma(2 * m + 2 * nu + s - 1)
             )
-            assert rel_err(got, ref) < 1e-6
+            assert rel_err(got, ref) < 1e-10
 
     def test_total_mass_is_s1_gamma_product(self, jacobi_params):
-        # int_0^1 G dx equals the gamma product at s = 1
+        # the s = 1 gamma product: unit mass
         m, nu = jacobi_params.m, jacobi_params.nu
+        a, b = jacobi_params.a, jacobi_params.b
         u = np.polynomial.legendre.leggauss(240)
         x = 0.5 * (u[0] + 1.0)
         w = 0.5 * u[1]
-        vals = np.array(meijer_g_canonical(x, m, nu)) * (
-            math.pi / math.sin(math.pi * nu)
-        ) ** 2
-        got = float(np.dot(w, vals))
-        ref = float(mp.gamma(-m - nu) ** 2 * mp.gamma(2 * m + 2 * nu))
-        assert rel_err(got, ref) < 1e-6
-
-    def test_contour_admissibility(self):
-        bad = ContourSpec(real_shift=0.1, half_height=40.0, node_count=501)
-        with pytest.raises(ValueError, match="separate"):
-            meijer_g_canonical(0.5, 0, 0.3, bad)  # needs real_shift > 1 - b = 0.4
-
-    def test_contourspec_validation(self):
-        with pytest.raises(ValueError):
-            ContourSpec(real_shift=1.0, half_height=-1.0, node_count=100)
-        with pytest.raises(ValueError):
-            ContourSpec(real_shift=1.0, half_height=10.0, node_count=1)
-
-    def test_literal_scaling_singular_at_integer_nu(self):
-        p = FamilyParams(1, 1.0, Family.JACOBI)
-        with pytest.raises(ValueError, match="integer nu"):
-            meijer_g_2022(0.5, p)
+        got = float(np.dot(w, density(jacobi_params, x)))
+        ref = float(
+            (mp.sin(mp.pi * nu) / mp.pi) ** 2 * mp.gamma(a + 1) ** 2 / mp.gamma(b)
+            * mp.gamma(-m - nu) ** 2 * mp.gamma(2 * m + 2 * nu)
+        )
+        assert rel_err(got, ref) < 1e-10

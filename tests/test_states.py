@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import iv
 
 from ghcs import specfun
 from ghcs.kernel import gram_matrix
@@ -18,7 +19,6 @@ from ghcs.states import (
     coeff_h,
     coefficient_sign,
     energy_level,
-    energy_product,
     label_distance,
     log_coeff_h,
     normalization,
@@ -82,13 +82,14 @@ class TestCoefficients:
         assert [coefficient_sign(jacobi_params, n) for n in range(4)] == [1, -1, 1, -1]
 
     def test_eigenvalue_bookkeeping(self, bessel_params):
-        # e_n = n(2m + n + 2nu - 1); prod e_k = n! (2m+2nu)_n exactly for small n
+        # e_n = n(2m + n + 2nu - 1); prod e_k = n! (2m+2nu)_n = h_n^2 (bessel)
         p = bessel_params
         assert energy_level(p, 0) == 0.0
         for n in range(1, 9):
             assert energy_level(p, n) == n * (n + 2)  # b = 3
-            exact = math.factorial(n) * specfun.pochhammer(3.0, n)
-            assert energy_product(p, n) == pytest.approx(exact, rel=1e-14)
+            product = math.prod(energy_level(p, k) for k in range(1, n + 1))
+            assert product == math.factorial(n) * math.factorial(n + 2) / 2
+            assert coeff_h(p, n) ** 2 == pytest.approx(product, rel=1e-14)
 
     def test_levels_increasing(self):
         p = FamilyParams(0, 0.6)  # 2m+2nu = 1.2 > 1
@@ -104,7 +105,7 @@ class TestNormalization:
     def test_bessel_closed_form(self, bessel_params):
         # Gamma(3) 4^{-1} I_2(4) 4^{1/2} ... i.e. Gamma(b) x^{(1-b)/2} I_{b-1}(2 sqrt x)
         x = 4.0
-        ref = 2.0 * x ** (-1.0) * specfun.bessel_i(2.0, 2.0 * math.sqrt(x))
+        ref = 2.0 * x ** (-1.0) * iv(2.0, 2.0 * math.sqrt(x))
         assert rel_err(normalization(bessel_params, x), ref) < 1e-10
 
     def test_jacobi_closed_form(self, jacobi_params):
