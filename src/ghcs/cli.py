@@ -378,7 +378,7 @@ def cmd_expect(cfg: RunConfig) -> int:
     for x in grid:
         n1 = thermal.number_moment(params, float(x), 1)
         n2 = thermal.number_moment(params, float(x), 2)
-        g2 = thermal.g2_in_state(params, float(x), cfg.g2_convention)
+        g2 = thermal._g2(n1, n2, cfg.g2_convention)
         q = n1 * (g2 - 1.0)
         rows.append((float(x), n1, n2, g2, q))
     _write_csv(cfg.out, cfg, "x,N_mean,N2_mean,g2,mandel_q", rows)

@@ -195,9 +195,9 @@ def normalization(params: FamilyParams, x: float,
     return float(value.real) if isinstance(value, complex) else float(value)
 
 
-def _norm_series(params: FamilyParams, w, ctl: SeriesControl = DEFAULT_SERIES):
-    # sum w^n / h_n^2 for complex w with |w| < radius^2 (the overlap kernel
-    # evaluates this at cross products of labels)
+def _norm_arg(params: FamilyParams, w):
+    """w as a float or complex inside the normalization domain |w| < radius^2
+    (real w also >= 0), else ValueError."""
     if isinstance(w, complex):
         mag = abs(w)
     else:
@@ -210,6 +210,13 @@ def _norm_series(params: FamilyParams, w, ctl: SeriesControl = DEFAULT_SERIES):
             f"argument magnitude {mag:g} outside the normalization domain "
             f"[0, {params.radius**2:g}) of the {params.family.value} family"
         )
+    return w
+
+
+def _norm_series(params: FamilyParams, w, ctl: SeriesControl = DEFAULT_SERIES):
+    # sum w^n / h_n^2 for complex w with |w| < radius^2 (the overlap kernel
+    # evaluates this at cross products of labels)
+    w = _norm_arg(params, w)
     b = params.b
     if params.family is Family.BESSEL:
         ratio = lambda k: w / ((k + 1.0) * (b + k))  # noqa: E731

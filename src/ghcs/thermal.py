@@ -23,7 +23,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .measure import MomentReport, QuadratureRule, radial_rule, target_moments
 from .specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
-from .states import Family, FamilyParams, normalization
+from .states import Family, FamilyParams, _norm_arg, normalization
 
 __all__ = [
     "ThermalState",
@@ -117,12 +117,7 @@ def oracle_thermal_stats(beta: float, mu: float,
     """
     n1 = boltzmann_moment(beta, mu, 1)
     n2 = boltzmann_moment(beta, mu, 2)
-    if g2_convention == "as_written":
-        g2 = (n2 - n1) / n2
-    elif g2_convention == "conventional":
-        g2 = (n2 - n1) / (n1 * n1)
-    else:
-        raise ValueError("g2_convention must be 'as_written' or 'conventional'")
+    g2 = _g2(n1, n2, g2_convention)
     q = n1 * (g2 - 1.0)
     return {"N_mean": n1, "N2_mean": n2, "g2": g2, "Q": q, "Z": partition(beta, mu)}
 
@@ -158,40 +153,104 @@ def cs_thermal_expectation(params: FamilyParams, x: float, eps: float,
     return normalization(params, scaled, ctl) / normalization(params, x, ctl)
 
 
+# The number-moment series is summed in numpy chunks: the first holds this
+# many terms and each next one twice as many, so a short series costs one
+# chunk and a long one a few.
+_MOMENT_CHUNK = 64
+
+
 def number_moment(params: FamilyParams, x: float, s: int,
                   ctl: SeriesControl = DEFAULT_SERIES) -> float:
-    """<N^s> in the state with |z|^2 = x, by the coefficient series."""
-    if s < 0:
+    """<N^s> = sum_n n^s t_n / sum_n t_n in the state with |z|^2 = x, where
+    t_n = x^n / h_n^2 is summed through its ratio recurrence.
+
+    The series is summed in numpy chunks of 64, 128, 256, ... terms, never
+    past `ctl.max_terms`.  Within a chunk the ratios are formed elementwise
+    as a term-by-term loop would form them, `np.multiply.accumulate` chains
+    them from the carried term, and `np.add.accumulate` builds the partial
+    sums from the carried sums; both accumulates are sequential, so every
+    term and partial sum is the loop's own value.  The one exception is the
+    jacobi factor (shift + n)^2, which numpy squares where Python's `**`
+    calls libm `pow`; the two differ in the last bit for about one ratio
+    in a thousand.  Between chunks, once the denominator sum reaches 2, the
+    carried term and sums are scaled by the power of two that brings it
+    into [1/2, 1); the scaling is exact and cancels in the ratio, so the
+    large-x bessel series, whose terms pass the float range, keep the
+    loop's values.
+
+    Stopping rule and budget: the summation ends after two consecutive
+    contributions n^s t_n <= ctl.rel_tol * max(numerator sum,
+    ctl.abs_floor), the "previous one was small" state carried across
+    chunk boundaries, and raises ConvergenceError("number_moment series
+    did not converge") when ctl.max_terms terms did not reach it.  A series
+    whose contributions pass the float range even after rescaling (n^s
+    itself does for large s) raises OverflowError.
+
+    x must lie in the normalization domain [0, radius^2) and s must be a
+    non-negative integer; otherwise ValueError.
+    """
+    if not isinstance(s, (int, np.integer)) or s < 0:
         raise ValueError("s must be a non-negative integer")
+    x = _norm_arg(params, float(x))
     if x == 0.0:
         return 1.0 if s == 0 else 0.0
     b = params.b
+    jacobi = params.family is Family.JACOBI
     shift = params.coeff_shift
     term = 1.0  # x^n / h_n^2 at n = 0
     den = term
-    num = 0.0
-    small = 0
-    for n in range(ctl.max_terms):
-        ratio = x / ((n + 1.0) * (b + n))
-        if params.family is Family.JACOBI:
-            ratio *= (shift + n) ** 2
-        term *= ratio
-        den += term
-        contrib = float(n + 1) ** s * term
-        num += contrib
-        if contrib <= ctl.rel_tol * max(num, ctl.abs_floor):
-            small += 1
-            if small >= 2:
-                return num / den
-        else:
-            small = 0
+    num = term if s == 0 else 0.0  # the n = 0 contribution 0^s t_0
+    small = False
+    start, size = 0, _MOMENT_CHUNK
+    # overflow is caught below by the finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < ctl.max_terms:
+            e = math.frexp(den)[1]
+            if e > 1:
+                term, den, num = (math.ldexp(v, -e) for v in (term, den, num))
+            stop = min(start + size, ctl.max_terms)
+            n = np.arange(start, stop, dtype=float)
+            n1 = np.arange(start + 1, stop + 1, dtype=float)
+            ratio = x / (n1 * (b + n))
+            if jacobi:
+                ratio *= (shift + n) ** 2
+            ratio[0] *= term
+            terms = np.multiply.accumulate(ratio, out=ratio)
+            contrib = n1**s * terms
+            dens = terms.copy()
+            dens[0] += den
+            np.add.accumulate(dens, out=dens)
+            nums = contrib.copy()
+            nums[0] += num
+            np.add.accumulate(nums, out=nums)
+            if not (math.isfinite(dens[-1]) and math.isfinite(nums[-1])):
+                # keep the finite prefix; the next chunk starts rescaled
+                cut = int(np.argmin(np.isfinite(dens) & np.isfinite(nums)))
+                if cut == 0:
+                    raise OverflowError(
+                        f"number_moment: the <N^{s}> series at x = {x:g} "
+                        "overflows the float range"
+                    )
+                terms, contrib = terms[:cut], contrib[:cut]
+                dens, nums = dens[:cut], nums[:cut]
+            # small[i + 1]: contribution i is small; small[0] is carried over
+            small = np.concatenate(
+                ([small], contrib <= ctl.rel_tol * np.maximum(nums, ctl.abs_floor))
+            )
+            pairs = small[1:] & small[:-1]
+            k = int(pairs.argmax())
+            if pairs[k]:
+                return float(nums[k] / dens[k])
+            small = bool(small[-1])
+            term, den, num = float(terms[-1]), float(dens[-1]), float(nums[-1])
+            start += len(terms)
+            size = 2 * len(terms)
     raise ConvergenceError("number_moment series did not converge")
 
 
-def g2_in_state(params: FamilyParams, x: float,
-                g2_convention: str = "as_written") -> float:
-    n1 = number_moment(params, x, 1)
-    n2 = number_moment(params, x, 2)
+def _g2(n1: float, n2: float, g2_convention: str) -> float:
+    """g2 from <N> and <N^2>: 'as_written' divides <N^2> - <N> by <N^2>,
+    'conventional' by <N>^2."""
     if g2_convention == "as_written":
         return (n2 - n1) / n2
     if g2_convention == "conventional":
@@ -199,9 +258,15 @@ def g2_in_state(params: FamilyParams, x: float,
     raise ValueError("g2_convention must be 'as_written' or 'conventional'")
 
 
+def g2_in_state(params: FamilyParams, x: float,
+                g2_convention: str = "as_written") -> float:
+    return _g2(number_moment(params, x, 1), number_moment(params, x, 2), g2_convention)
+
+
 def mandel_q_in_state(params: FamilyParams, x: float,
                       g2_convention: str = "as_written") -> float:
-    return number_moment(params, x, 1) * (g2_in_state(params, x, g2_convention) - 1.0)
+    n1 = number_moment(params, x, 1)
+    return n1 * (_g2(n1, number_moment(params, x, 2), g2_convention) - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from ghcs import cli, thermal
 from ghcs.measure import radial_rule
+from ghcs.specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 from ghcs.states import Family, FamilyParams
 from ghcs.thermal import (
     boltzmann_moment,
@@ -146,6 +149,145 @@ class TestInStateExpectations:
         assert g2_in_state(bessel_params, x) == pytest.approx((n2 - n1) / n2)
         q = mandel_q_in_state(bessel_params, x)
         assert q == pytest.approx(n1 * ((n2 - n1) / n2 - 1.0))
+
+
+def loop_number_moment(params, x, s, ctl=DEFAULT_SERIES):
+    """Reference: the term-by-term loop `number_moment` used to be, as
+    (<N^s>, index of the last summed term).  Its s = 0 numerator leaves
+    out the n = 0 term, so it is compared for s >= 1 only."""
+    b = params.b
+    shift = params.coeff_shift
+    term = 1.0
+    den = term
+    num = 0.0
+    small = 0
+    for n in range(ctl.max_terms):
+        ratio = x / ((n + 1.0) * (b + n))
+        if params.family is Family.JACOBI:
+            ratio *= (shift + n) ** 2
+        term *= ratio
+        den += term
+        contrib = float(n + 1) ** s * term
+        num += contrib
+        if contrib <= ctl.rel_tol * max(num, ctl.abs_floor):
+            small += 1
+            if small >= 2:
+                return num / den, n
+        else:
+            small = 0
+    raise ConvergenceError("number_moment series did not converge")
+
+
+def mp_number_moments(b, x):
+    """(<N>, <N^2>) for the bessel family from N(x) = 0F1(; b; x):
+    x N'/N and (x N' + x^2 N'')/N."""
+    with mp.workdps(40):
+        b, x = mp.mpf(b), mp.mpf(x)
+        f0 = mp.hyp0f1(b, x)
+        f1 = mp.hyp0f1(b + 1, x) / b
+        f2 = mp.hyp0f1(b + 2, x) / (b * (b + 1))
+        return float(x * f1 / f0), float((x * f1 + x * x * f2) / f0)
+
+
+class TestNumberMomentSeries:
+    """The chunked summation against the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("family, xs", [
+        (Family.JACOBI, (1e-3, 0.3, 0.7, 0.95, 0.99, 0.997)),
+        (Family.BESSEL, (1e-3, 0.5, 5.0, 120.0, 1e4)),
+    ])
+    def test_agrees_with_scalar_loop(self, family, xs):
+        worst = 0.0
+        for m in range(4):
+            for nu in (0.1, 0.5, 1.3, 2.5):
+                params = FamilyParams(m, nu, family)
+                for x in xs:
+                    for s in (1, 2, 3):
+                        ref, _ = loop_number_moment(params, x, s)
+                        worst = max(worst, rel_err(number_moment(params, x, s), ref))
+        assert worst <= 1e-15
+
+    def test_zeroth_moment_is_one(self, bessel_params, jacobi_params):
+        # the scalar loop left the n = 0 term out of the s = 0 numerator
+        # and returned 1 - 1/N(x)
+        for params, x in ((bessel_params, 3.0), (jacobi_params, 0.5),
+                          (jacobi_params, 0.99)):
+            assert number_moment(params, x, 0) == 1.0
+
+    @pytest.mark.parametrize("x, last",
+                             [(0.5253376688344171, 64), (0.813431715857929, 192)])
+    def test_stop_straddling_a_chunk_boundary(self, jacobi_params, x, last):
+        # the loop's last two small contributions sit on either side of a
+        # chunk boundary; with no term to spare, the chunked sum stops in
+        # budget only through the flag it carries across the boundary
+        value, n = loop_number_moment(jacobi_params, x, 1)
+        assert n == last
+        ctl = SeriesControl(max_terms=last + 1)
+        assert rel_err(number_moment(jacobi_params, x, 1, ctl), value) <= 1e-15
+
+    @pytest.mark.parametrize("max_terms", [1, 2, 63, 64, 65, 66, 191, 192, 193, 194])
+    def test_budget_at_chunk_boundaries(self, jacobi_params, max_terms):
+        ctl = SeriesControl(max_terms=max_terms)
+        for x in (0.05, 0.5253376688344171, 0.7, 0.813431715857929):
+            for s in (1, 2):
+                try:
+                    ref, _ = loop_number_moment(jacobi_params, x, s, ctl)
+                except ConvergenceError:
+                    with pytest.raises(ConvergenceError):
+                        number_moment(jacobi_params, x, s, ctl)
+                else:
+                    assert rel_err(number_moment(jacobi_params, x, s, ctl), ref) <= 1e-15
+
+    def test_budget_error_text(self, jacobi_params):
+        # matched verbatim by the benchmark's known-defect rule
+        with pytest.raises(ConvergenceError) as exc:
+            number_moment(jacobi_params, 0.9, 1, SeriesControl(max_terms=100))
+        assert str(exc.value) == "number_moment series did not converge"
+        with pytest.raises(ConvergenceError) as exc:
+            number_moment(jacobi_params, 0.9995, 1)
+        assert str(exc.value) == "number_moment series did not converge"
+
+    @pytest.mark.parametrize("x", [1.5, 1.0, -0.5, math.nan])
+    def test_jacobi_argument_outside_domain(self, jacobi_params, x):
+        with pytest.raises(ValueError, match="normalization"):
+            number_moment(jacobi_params, x, 1)
+
+    @pytest.mark.parametrize("x", [-1.0, math.inf])
+    def test_bessel_argument_outside_domain(self, bessel_params, x):
+        with pytest.raises(ValueError, match="normalization"):
+            number_moment(bessel_params, x, 1)
+
+    @pytest.mark.parametrize("s", [1.5, -1, 2.0])
+    def test_order_must_be_a_nonnegative_integer(self, jacobi_params, s):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            number_moment(jacobi_params, 0.5, s)
+
+    @pytest.mark.parametrize("x", [1.5e5, 1e6, 1e8])
+    def test_large_bessel_argument_matches_mpmath(self, bessel_params, x):
+        # the terms pass the float range here; the series is rescaled
+        n1, n2 = mp_number_moments(bessel_params.b, x)
+        assert rel_err(number_moment(bessel_params, x, 1), n1) <= 1e-13
+        assert rel_err(number_moment(bessel_params, x, 2), n2) <= 1e-13
+
+    def test_moment_beyond_float_range_raises(self, bessel_params):
+        # <N^200> at x = 1e4 is about 100^200
+        with pytest.raises(OverflowError, match="overflows"):
+            number_moment(bessel_params, 1e4, 200)
+
+    def test_in_state_statistics_sum_each_moment_once(self, monkeypatch, tmp_path,
+                                                      bessel_params):
+        calls = []
+        series = thermal.number_moment
+        monkeypatch.setattr(thermal, "number_moment",
+                            lambda *a, **k: calls.append(a[2]) or series(*a, **k))
+        thermal.mandel_q_in_state(bessel_params, 1.5)
+        assert sorted(calls) == [1, 2]
+        calls.clear()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x_count=3\n")
+        out = tmp_path / "expect.csv"
+        assert cli.main(["expect", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(calls) == [1, 1, 1, 2, 2, 2]
 
 
 class TestPFunction:
