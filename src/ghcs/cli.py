@@ -6,9 +6,10 @@ timestamps, fixed 17-significant-digit scientific notation, LF endings).
 
 Exit codes separate failure classes: 0 when every oracle-level check
 passes, 1 when one fails (the failing check is named), 2 for a rejected
-configuration.  Disagreement between the weighted-integral results and
-the closed forms quoted in the literature is reported as data, never as
-a failure.
+configuration, 3 when a series budget ran out (the error is printed as
+one line).  Disagreement between the weighted-integral results and the
+closed forms quoted in the literature is reported as data, never as a
+failure.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__, dynamics, kernel, measure, quantize, thermal
+from .specfun import ConvergenceError
 from .states import Family, FamilyParams, PochhammerVariant
 
 _FLOAT_KEYS = {
@@ -287,9 +289,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         thermal.cs_thermal_expectation(params, x, h)
         - thermal.cs_thermal_expectation(params, x, -h)
     ) / (2.0 * h)
-    fd_err = abs(fd - thermal.number_moment(params, x, 1)) / max(
-        thermal.number_moment(params, x, 1), 1e-300
-    )
+    n1 = thermal.number_moment(params, x, 1)
+    fd_err = abs(fd - n1) / max(n1, 1e-300)
     thermal_pass = variance_ok and monotone_ok and fd_err <= 1e-5
     checks["thermal"] = {
         "passed": thermal_pass,
@@ -478,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"series budget ran out: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ from .states import (
     FamilyParams,
     FockVector,
     coefficient_sign,
+    normalization,
     overlap,
     _log_h_array,
-    _norm_series,
 )
 
 __all__ = [
@@ -93,10 +93,8 @@ def check_idempotence(params: FamilyParams, z1: complex, z2: complex,
         log_w_pow = n * math.log(abs(w))
         phases = np.exp(1j * n * cmath.phase(w))
     terms = np.exp(log_w_pow - 2.0 * log_h2 + log_mu_hat) * phases
-    log_norm = 0.5 * (
-        math.log(_norm_series(params, abs(z1) ** 2).real if abs(z1) > 0 else 1.0)
-        + math.log(_norm_series(params, abs(z2) ** 2).real if abs(z2) > 0 else 1.0)
-    )
+    n1, n2 = normalization(params, np.array([abs(z1) ** 2, abs(z2) ** 2]))
+    log_norm = 0.5 * (math.log(n1) + math.log(n2))
     lhs = complex(np.sum(terms)) * math.exp(-log_norm)
     rhs = kernel(params, z1, z2)
     return abs(lhs - rhs)

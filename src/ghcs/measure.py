@@ -381,32 +381,54 @@ class WeightCurve:
         return "canonical"
 
 
-def weight_function(curve: WeightCurve, x: float) -> float:
-    """W(x) for one curve; zero outside the jacobi support."""
+def _weights(curve: WeightCurve, xs: np.ndarray) -> np.ndarray:
+    # W = N omega on a float array: one density call and one N call
     p = curve.params
-    if x < 0.0:
+    if np.any(xs < 0.0):
         raise ValueError("weight argument must be non-negative")
-    if p.family is Family.JACOBI and x >= 1.0:
-        return 0.0
-    om = density(p, x)
-    if not math.isfinite(om):
-        return math.inf
+    om = density(p, xs)
+    w = np.full(xs.shape, math.inf)
+    finite = np.isfinite(om)
+    if p.family is Family.JACOBI:
+        w[xs >= 1.0] = 0.0
+        finite &= xs < 1.0
+    x = xs[finite]
     if curve.variant == "literal" and p.family is Family.JACOBI:
         c = p.a + curve.literal_n  # = m + n + nu
-        nval = specfun.hyp_2f1(-c, -c, p.b, x) if x > 0.0 else 1.0
+        nval = specfun.hyp_2f1(-c, -c, p.b, x)
     else:
-        nval = normalization(p, x) if x > 0.0 else 1.0
-    return nval * om
+        nval = normalization(p, x)
+    w[finite] = nval * om[finite]
+    return w
+
+
+def weight_function(curve: WeightCurve, x: float) -> float:
+    """W(x) for one curve: the one-point case of `figure1_scan`.
+
+    Zero for jacobi x >= 1, inf where the density is not finite, and N = 1
+    at x = 0; x < 0 raises ValueError.
+    """
+    return float(_weights(curve, np.array([float(x)]))[0])
 
 
 def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
-    """Rows (x, W, m, nu, variant_tag) in deterministic curve-major order."""
+    """Rows (x, W, m, nu, variant_tag) in deterministic curve-major order.
+
+    Each curve W(x) = N(x) omega(x) is evaluated on the whole grid: one
+    array `density` call and one array `normalization` (or, for literal
+    jacobi curves, `specfun.hyp_2f1`) call on the points where omega is
+    finite and x lies in the support.  The series are summed in numpy
+    chunks with the term-by-term values and stopping rule, so every W is
+    the per-point value bit for bit.  W is zero for jacobi x >= 1 and inf
+    where omega is not finite; x < 0 raises ValueError, and a series that
+    exhausts its budget raises ConvergenceError naming the first x.
+    """
+    xs = np.asarray(x_grid, dtype=float).ravel()
+    x_list = xs.tolist()
     rows = []
-    xs = [float(x) for x in x_grid]
     for curve in curves:
-        for x in xs:
-            w = weight_function(curve, x)
-            rows.append((x, w, curve.params.m, curve.params.nu, curve.variant_tag))
+        m, nu, tag = curve.params.m, curve.params.nu, curve.variant_tag
+        rows.extend((x, w, m, nu, tag) for x, w in zip(x_list, _weights(curve, xs).tolist()))
     return rows
 
 

@@ -184,46 +184,61 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x), dtype=float, count=len(x))
 
 
-def normalization(params: FamilyParams, x: float,
-                  ctl: SeriesControl = DEFAULT_SERIES) -> float:
-    """N(x) = sum_n x^n / h_n^2 for x = |z|^2 inside the family domain.
+def normalization(params: FamilyParams, x, ctl: SeriesControl = DEFAULT_SERIES):
+    """N(x) = sum_n x^n / h_n^2 for real x = |z|^2 in the family domain
+    [0, radius^2); scalar in, float out; array in, array out.
 
-    Summed through the h-ratio recurrence; agrees with 0F1(b; x) for the
-    bessel family and 2F1(a+1, a+1; b; x) for the jacobi family.
+    Summed through the h-ratio recurrence by `specfun._sum_ratio_array`,
+    in numpy chunks of 64, 128, 256, ... terms with the term-by-term
+    values, stopping rule and `ctl` budget, per element.  Agrees with
+    0F1(b; x) for the bessel family and 2F1(a+1, a+1; b; x) for the jacobi
+    family.  An x outside the domain raises ValueError.
     """
-    value = _norm_series(params, x, ctl)
-    return float(value.real) if isinstance(value, complex) else float(value)
-
-
-def _norm_arg(params: FamilyParams, w):
-    """w as a float or complex inside the normalization domain |w| < radius^2
-    (real w also >= 0), else ValueError."""
-    if isinstance(w, complex):
-        mag = abs(w)
+    xs = np.asarray(x, dtype=float)
+    bad = ~((xs >= 0.0) & (xs < params.radius**2))
+    if bad.any():
+        _norm_arg(params, xs[bad].flat[0])  # raises, naming the value
+    b = params.b
+    if params.family is Family.BESSEL:
+        ratio = lambda k, w: w / ((k + 1.0) * (b + k))  # noqa: E731
     else:
-        w = float(w)
-        if w < 0.0:
-            raise ValueError("normalization argument must be >= 0")
-        mag = w
-    if not mag < params.radius**2:
+        shift = params.coeff_shift
+        ratio = lambda k, w: w * _shift_squares(shift, k) / ((k + 1.0) * (b + k))  # noqa: E731
+    return specfun._sum_ratio_array(
+        f"{params.family.value} normalization", xs, ratio, ctl
+    )
+
+
+def _shift_squares(shift: float, k: np.ndarray) -> np.ndarray:
+    """(shift + k)^2 for a chunk of term indices k, computed once per chunk.
+
+    Python's float ** calls libm pow, which differs from numpy's square in
+    the last bit for about one base in a thousand; keeping pow keeps the
+    ratios of the term-by-term recurrence.  The chunk boundaries are fixed,
+    so a figure's few shifts hit the cache on every later call."""
+    return _shift_square_chunk(shift, int(k[0]), int(k[-1]) + 1)
+
+
+@lru_cache(maxsize=256)
+def _shift_square_chunk(shift: float, start: int, stop: int) -> np.ndarray:
+    sq = np.fromiter(((shift + k) ** 2 for k in range(start, stop)), dtype=float,
+                     count=stop - start)
+    sq.flags.writeable = False
+    return sq
+
+
+def _norm_arg(params: FamilyParams, w: float) -> float:
+    """w as a float inside the normalization domain [0, radius^2), else
+    ValueError."""
+    w = float(w)
+    if w < 0.0:
+        raise ValueError("normalization argument must be >= 0")
+    if not w < params.radius**2:
         raise ValueError(
-            f"argument magnitude {mag:g} outside the normalization domain "
+            f"argument magnitude {w:g} outside the normalization domain "
             f"[0, {params.radius**2:g}) of the {params.family.value} family"
         )
     return w
-
-
-def _norm_series(params: FamilyParams, w, ctl: SeriesControl = DEFAULT_SERIES):
-    # sum w^n / h_n^2 for complex w with |w| < radius^2 (the overlap kernel
-    # evaluates this at cross products of labels)
-    w = _norm_arg(params, w)
-    b = params.b
-    if params.family is Family.BESSEL:
-        ratio = lambda k: w / ((k + 1.0) * (b + k))  # noqa: E731
-    else:
-        shift = params.coeff_shift
-        ratio = lambda k: w * (shift + k) ** 2 / ((k + 1.0) * (b + k))  # noqa: E731
-    return specfun._sum_ratio_series(1.0 * (w * 0 + 1), ratio, ctl)
 
 
 _N_MAX_DEFAULT = 128

@@ -1,10 +1,18 @@
 """Command-line surface: determinism, config handling, exit codes."""
 
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ghcs
 from ghcs.cli import main, resolve_config, _build_parser
+
+SRC = os.path.dirname(os.path.dirname(ghcs.__file__))
 
 
 def run(argv):
@@ -93,6 +101,24 @@ class TestWeight:
         _, header, rows = read_data_rows(out)
         assert header == "x,W,m,nu,variant"
         assert rows == []
+
+
+    def test_series_budget_exit_code(self, tmp_path):
+        # the canonical jacobi N(x) needs more than the 20000-term budget at
+        # x = 0.999: exit 3 with one stderr line, no traceback
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("x_max=0.999\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghcs.cli", "weight", "--family", "jacobi",
+             "--config", str(cfg_file), "--out", str(tmp_path / "w.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "series budget ran out: jacobi normalization series did not converge "
+            "within 20000 terms at x = 0.999\n"
+        )
 
 
 class TestVerify:
@@ -191,3 +217,20 @@ class TestVariantFlag:
     def test_bad_variant_value_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run(["verify", "--variant-pochhammer", "bogus"])
+
+
+class TestArtifactHashes:
+    def test_one_line_per_command_and_family(self, tmp_path, capsys):
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "tools", "artifact_hashes.py")
+        spec = importlib.util.spec_from_file_location("artifact_hashes", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.main([str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 13  # 7 commands x 2 families, evolve bessel only
+        for line in lines:
+            cmd, family, digest = line.split()
+            ext = "csv" if cmd in ("weight", "expect", "evolve", "thermal") else "json"
+            data = (tmp_path / f"{cmd}-{family}.{ext}").read_bytes()
+            assert digest == hashlib.sha256(data).hexdigest()

@@ -184,6 +184,100 @@ class TestFigureScan:
             assert rel_err(t[n], gamma_product_moment(bessel_params, n)) < 1e-12
 
 
+def _frozen_weight(curve, x):
+    """The per-point W(x) loop that figure1_scan replaced, kept as its
+    oracle: a scalar density call and the term-by-term series."""
+    p = curve.params
+    if p.family is Family.JACOBI and x >= 1.0:
+        return 0.0
+    om = density(p, x)
+    if not math.isfinite(om):
+        return math.inf
+    if x == 0.0:
+        return 1.0 * om
+    b = p.b
+    if curve.variant == "literal" and p.family is Family.JACOBI:
+        c = p.a + curve.literal_n
+        ratio = lambda k: (-c + k) * (-c + k) * x / ((b + k) * (k + 1.0))  # noqa: E731
+    elif p.family is Family.BESSEL:
+        ratio = lambda k: x / ((k + 1.0) * (b + k))  # noqa: E731
+    else:
+        shift = p.coeff_shift
+        ratio = lambda k: x * (shift + k) ** 2 / ((k + 1.0) * (b + k))  # noqa: E731
+    return specfun._sum_ratio_series(1.0, ratio, specfun.DEFAULT_SERIES) * om
+
+
+def _cli_curves(family):
+    # the curves `ghcs weight` draws: the caption curves plus one canonical
+    # curve per distinct (m, nu)
+    curves = default_figure_curves(family)
+    for key in dict.fromkeys((c.params.m, c.params.nu) for c in list(curves)):
+        curves.append(WeightCurve(FamilyParams(*key, family)))
+    return curves
+
+
+class TestFigureScanOracle:
+    """figure1_scan on whole grids against the frozen per-point loop."""
+
+    @pytest.mark.parametrize("family", [Family.JACOBI, Family.BESSEL])
+    def test_bit_identical_to_per_point_loop(self, family):
+        curves = _cli_curves(family)
+        # bessel curves are canonical and literal alike (no 2F1 there)
+        curves += [WeightCurve(FamilyParams(m, nu, family), "literal", n)
+                   for m, nu, n in ((0, 0.05, 0), (0, 0.3, 1), (3, 2.45, 3))]
+        curves += [WeightCurve(FamilyParams(m, nu, family))
+                   for m, nu in ((0, 0.05), (0, 0.3), (3, 2.45))]
+        if family is Family.JACOBI:
+            grid = np.concatenate((np.linspace(0.0, 1.2, 121), [1e-9, 0.99, 0.995]))
+        else:
+            grid = np.concatenate((np.linspace(0.0, 50.0, 101), [1e-9, 0.99, 1.0, 1.2]))
+        rows = figure1_scan(curves, grid)
+        assert len(rows) == len(curves) * len(grid)
+        got = np.array([r[1] for r in rows])
+        ref = np.array([_frozen_weight(c, float(x)) for c in curves for x in grid])
+        assert np.array_equal(got, ref)
+        # the grid reaches the singular x = 0 branch (b < 1) and, for
+        # jacobi, the zero past the support
+        assert np.isinf(ref).any()
+        assert (ref == 0.0).any() == (family is Family.JACOBI)
+        assert [r[0] for r in rows[: len(grid)]] == grid.tolist()
+
+    def test_weight_function_is_the_one_point_scan(self, jacobi_params):
+        for curve in _cli_curves(Family.JACOBI):
+            for x in (0.0, 1e-9, 0.37, 0.99, 1.0, 1.2):
+                w = weight_function(curve, x)
+                assert type(w) is float
+                assert w == figure1_scan([curve], [x])[0][1] == _frozen_weight(curve, x)
+
+    def test_row_types_and_empty_grid(self):
+        curves = default_figure_curves()
+        assert figure1_scan(curves, []) == []
+        assert figure1_scan(curves, np.array([])) == []
+        x, w, m, nu, tag = figure1_scan(curves[:1], np.array([0.5]))[0]
+        assert type(x) is float and type(w) is float
+        assert (m, nu, tag) == (1, 0.3, "literal-n2")
+
+    def test_semantics_at_the_edges(self):
+        jac = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI))
+        assert weight_function(jac, 1.0) == 0.0 and weight_function(jac, 7.0) == 0.0
+        # N = 1 at x = 0, so W is the density's limit there
+        assert weight_function(jac, 0.0) == density(jac.params, 0.0)
+        singular = WeightCurve(FamilyParams(0, 0.3, Family.BESSEL))
+        assert weight_function(singular, 0.0) == math.inf
+
+    def test_negative_x_rejected(self):
+        curve = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI))
+        with pytest.raises(ValueError):
+            weight_function(curve, -0.1)
+        with pytest.raises(ValueError):
+            figure1_scan([curve], [0.2, -1e-12])
+
+    def test_budget_error_names_first_x(self):
+        curve = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI))
+        with pytest.raises(specfun.ConvergenceError, match="at x = 0.999$"):
+            figure1_scan([curve], [0.5, 0.999, 0.9995])
+
+
 class TestDensityEndpoint:
     def test_jacobi_zero_limit(self, jacobi_params):
         # x -> 0 limit is a^2/(b-1) for b > 1

@@ -12,7 +12,14 @@ from scipy.special import iv
 from ghcs import specfun
 from ghcs.measure import density
 from ghcs.specfun import SeriesControl, hyp_0f1, hyp_2f1
-from ghcs.states import Family, FamilyParams, coeff_h, coefficient_sign, log_coeff_h
+from ghcs.states import (
+    Family,
+    FamilyParams,
+    coeff_h,
+    coefficient_sign,
+    log_coeff_h,
+    normalization,
+)
 
 from conftest import rel_err
 
@@ -77,6 +84,157 @@ class TestHypSeries:
             hyp_2f1(1.0, 1.0, 2.0, 1.0)
         with pytest.raises(ValueError):
             hyp_2f1(1.0, 1.0, -1.0, 0.5)
+
+
+# Term-by-term references for the array summation: `_sum_ratio_series` on
+# Python floats, with the ratios in the same association.
+def _loop_norm(params, x, ctl=specfun.DEFAULT_SERIES):
+    b = params.b
+    if params.family is Family.BESSEL:
+        ratio = lambda k: x / ((k + 1.0) * (b + k))  # noqa: E731
+    else:
+        shift = params.coeff_shift
+        ratio = lambda k: x * (shift + k) ** 2 / ((k + 1.0) * (b + k))  # noqa: E731
+    return specfun._sum_ratio_series(1.0, ratio, ctl)
+
+
+def _loop_2f1(a, b, c, x, ctl=specfun.DEFAULT_SERIES):
+    return specfun._sum_ratio_series(
+        1.0, lambda k: (a + k) * (b + k) * x / ((c + k) * (k + 1.0)), ctl
+    )
+
+
+_NORM_PARAMS = [
+    FamilyParams(m, nu, family)
+    for family in (Family.BESSEL, Family.JACOBI)
+    for m, nu in ((0, 0.05), (0, 0.7), (1, 0.5), (2, 0.7), (3, 2.45))
+]
+# (a, b, c): the literal figure-caption parameters -(m+n+nu) and the
+# reflected jacobi-density ones 1-a, 1-a; 1
+_2F1_PARAMS = [(-3.5, -3.5, 3.0), (-3.7, -3.7, 5.4), (-2.3, -2.3, 2.6),
+               (0.3, 0.3, 1.0), (-1.2, -1.2, 1.0), (2.5, 2.5, 5.0)]
+
+
+def _norm_grid(params):
+    if params.family is Family.BESSEL:
+        return np.concatenate((np.linspace(0.0, 50.0, 101), [1e-9, 0.4, 400.0, 3000.0]))
+    # near x = 1 the series runs past k = 678, where libm pow and numpy's
+    # square of shift + k first differ for m = 0, nu = 0.05; at these three
+    # x that last bit reaches the sum
+    return np.concatenate((np.linspace(0.0, 0.98, 99), [1e-9, 0.99, 0.995],
+                           [0.9967939698492463, 0.9970351758793969, 0.9975175879396985]))
+
+
+class TestArraySeries:
+    """normalization and hyp_2f1 on whole arrays against the term-by-term
+    loop `_sum_ratio_series`: bit for bit, and the same raise or value at
+    every budget, across the 64/128/256 chunk boundaries."""
+
+    @pytest.mark.parametrize("params", _NORM_PARAMS, ids=lambda p: f"{p.family.value}-m{p.m}-nu{p.nu}")
+    def test_normalization_bit_identical(self, params):
+        xs = _norm_grid(params)
+        got = normalization(params, xs)
+        ref = np.array([_loop_norm(params, float(x)) for x in xs])
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("abc", _2F1_PARAMS)
+    def test_2f1_bit_identical(self, abc):
+        xs = np.concatenate((np.linspace(-0.95, 0.995, 140), [1e-9, -1e-9]))
+        got = hyp_2f1(*abc, xs)
+        ref = np.array([_loop_2f1(*abc, float(x)) for x in xs])
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("max_terms", [1, 63, 64, 65, 191, 192, 193])
+    def test_budget_matches_loop(self, max_terms):
+        ctl = SeriesControl(max_terms=max_terms)
+        cases = [
+            (lambda x: normalization(FamilyParams(1, 0.5, Family.JACOBI), x, ctl),
+             lambda x: _loop_norm(FamilyParams(1, 0.5, Family.JACOBI), x, ctl),
+             np.linspace(0.05, 0.95, 37)),
+            (lambda x: normalization(FamilyParams(0, 0.3, Family.BESSEL), x, ctl),
+             lambda x: _loop_norm(FamilyParams(0, 0.3, Family.BESSEL), x, ctl),
+             np.geomspace(1e-3, 3e4, 37)),
+            (lambda x: hyp_2f1(-3.7, -3.7, 5.4, x, ctl),
+             lambda x: _loop_2f1(-3.7, -3.7, 5.4, x, ctl),
+             np.linspace(-0.97, 0.97, 36)),  # no x = 0: see the zero test
+        ]
+        for array_fn, loop_fn, xs in cases:
+            refs = []
+            for x in xs.tolist():
+                try:
+                    refs.append(loop_fn(x))
+                except specfun.ConvergenceError:
+                    refs.append(None)
+                try:
+                    got = array_fn(x)
+                except specfun.ConvergenceError as exc:
+                    assert refs[-1] is None, (max_terms, x)
+                    assert f"within {max_terms} terms at x = {x!r}" in str(exc)
+                else:
+                    assert got == refs[-1], (max_terms, x)
+            failed = [x for x, r in zip(xs.tolist(), refs) if r is None]
+            if failed:
+                # the whole-array call names the first x that ran out
+                with pytest.raises(specfun.ConvergenceError, match=f"at x = {failed[0]!r}$"):
+                    array_fn(xs)
+            else:
+                assert np.array_equal(array_fn(xs), np.array(refs))
+
+    def test_budget_cases_cover_both_outcomes(self):
+        # the budget test above sees converging and exhausted series at the
+        # chunk boundaries, not only one of the two
+        ctl = SeriesControl(max_terms=64)
+        xs = np.linspace(0.05, 0.95, 37)
+        p = FamilyParams(1, 0.5, Family.JACOBI)
+        outcomes = set()
+        for x in xs.tolist():
+            try:
+                _loop_norm(p, x, ctl)
+                outcomes.add("value")
+            except specfun.ConvergenceError:
+                outcomes.add("raise")
+        assert outcomes == {"value", "raise"}
+
+    def test_zero_is_one_without_summing(self):
+        ctl = SeriesControl(max_terms=1)
+        assert hyp_2f1(1.3, 0.4, 2.0, 0.0, ctl) == 1.0
+        assert normalization(FamilyParams(1, 0.5, Family.JACOBI), 0.0, ctl) == 1.0
+
+    def test_scalar_and_array_contract(self):
+        p = FamilyParams(1, 0.5, Family.JACOBI)
+        for fn in (lambda x: normalization(p, x), lambda x: hyp_2f1(-3.5, -3.5, 3.0, x)):
+            assert type(fn(0.4)) is float
+            assert type(fn(np.float64(0.4))) is float
+            assert type(fn(np.array(0.4))) is float
+            grid = np.array([[0.1, 0.2], [0.3, 0.4]])
+            out = fn(grid)
+            assert isinstance(out, np.ndarray) and out.shape == (2, 2)
+            assert out[1, 1] == fn(0.4)
+            empty = fn(np.array([]))
+            assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    def test_domain_errors(self):
+        pj = FamilyParams(1, 0.5, Family.JACOBI)
+        pb = FamilyParams(1, 0.5, Family.BESSEL)
+        with pytest.raises(ValueError, match=">= 0"):
+            normalization(pb, np.array([0.5, -0.1]))
+        with pytest.raises(ValueError, match="normalization domain"):
+            normalization(pj, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="normalization domain"):
+            normalization(pj, np.array([np.nan]))
+        with pytest.raises(ValueError, match=r"\|x\| < 1"):
+            hyp_2f1(1.0, 1.0, 2.0, np.array([0.5, -1.0]))
+
+    def test_budget_error_names_series_x_and_budget(self):
+        p = FamilyParams(1, 0.5, Family.JACOBI)
+        with pytest.raises(specfun.ConvergenceError) as exc:
+            normalization(p, np.array([0.2, 0.999, 0.9995]))
+        assert str(exc.value) == (
+            "jacobi normalization series did not converge within 20000 terms "
+            "at x = 0.999"
+        )
+        with pytest.raises(specfun.ConvergenceError, match=r"^2F1\(-3.5, -3.5; 3.0; x\) "):
+            hyp_2f1(-3.5, -3.5, 3.0, 0.9, SeriesControl(max_terms=5))
 
 
 class TestLogGamma:
