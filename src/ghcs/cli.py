@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -423,7 +424,10 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing never changes the parser, and building
+    # it (7 subparsers) costs about 30 times as much as one parse
     parser = argparse.ArgumentParser(
         prog="ghcs",
         description=(

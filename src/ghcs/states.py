@@ -265,6 +265,9 @@ def _unnormalized_tail(params: FamilyParams, mag: float, n_max: int,
     return last_sq * r2 / (1.0 - r2)
 
 
+_STATE_CACHE_SIZE = 32
+
+
 def state(params: FamilyParams, z: complex, n_max: int | None = None) -> FockVector:
     """Normalized truncated coherent state at label z.
 
@@ -272,10 +275,30 @@ def state(params: FamilyParams, z: complex, n_max: int | None = None) -> FockVec
     discarded l2 mass is certified below 1e-12.  An explicit n_max that
     leaves more than 1e-10 in the tail raises, reporting the order that
     would have sufficed.  An explicit n_max must be a non-negative integer.
+
+    The 32 most recently used states are kept, so a label is built once
+    however many overlaps read it.  The cache key is the exact bits of the
+    label: (params, z.real, z.imag, the sign of each part, n_max), so
+    -0.0 and 0.0, which compare equal but give atan2 phases of -pi and pi,
+    are different keys.  The returned coeffs are read-only and shared
+    between callers.  Errors are not cached.  At the n_max cap of 32768
+    the cache holds at most 32 x 32769 x 16 B, about 17 MB.
     """
     if n_max is not None and not (isinstance(n_max, numbers.Integral) and n_max >= 0):
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     z = params.require_label(z)
+    return _cached_state(
+        params, z.real, z.imag, math.copysign(1.0, z.real),
+        math.copysign(1.0, z.imag), None if n_max is None else int(n_max),
+    )
+
+
+@lru_cache(maxsize=_STATE_CACHE_SIZE)
+def _cached_state(params: FamilyParams, re: float, im: float, re_sign: float,
+                  im_sign: float, n_max: int | None) -> FockVector:
+    # re_sign and im_sign only split the keys of -0.0 and 0.0; the parts
+    # themselves carry their signs into z
+    z = complex(re, im)
     if n_max is None:
         n = _N_MAX_DEFAULT
         while True:
@@ -305,6 +328,7 @@ def _build_state(params: FamilyParams, z: complex, n_max: int) -> FockVector:
     if mag == 0.0:
         coeffs = np.zeros(n_max + 1, dtype=complex)
         coeffs[0] = 1.0
+        coeffs.flags.writeable = False
         return FockVector(coeffs=coeffs, n_max=n_max, tail_bound=0.0)
     log_mod = n * math.log(mag) - log_h
     phase = np.exp(1j * n * math.atan2(z.imag, z.real))
@@ -317,6 +341,7 @@ def _build_state(params: FamilyParams, z: complex, n_max: int) -> FockVector:
     tail_unnorm = _unnormalized_tail(params, mag, n_max, mods[-1] ** 2)
     total = norm_sq_unnorm + tail_unnorm
     coeffs = unnorm / math.sqrt(total)
+    coeffs.flags.writeable = False
     return FockVector(coeffs=coeffs, n_max=n_max, tail_bound=tail_unnorm / total)
 
 

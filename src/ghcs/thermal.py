@@ -250,12 +250,18 @@ def number_moment(params: FamilyParams, x: float, s: int,
 
 def _g2(n1: float, n2: float, g2_convention: str) -> float:
     """g2 from <N> and <N^2>: 'as_written' divides <N^2> - <N> by <N^2>,
-    'conventional' by <N>^2."""
+    'conventional' by <N>^2.  In the vacuum state (x = 0) <N> = <N^2> = 0
+    and g2 is 0/0: ValueError."""
     if g2_convention == "as_written":
-        return (n2 - n1) / n2
-    if g2_convention == "conventional":
-        return (n2 - n1) / (n1 * n1)
-    raise ValueError("g2_convention must be 'as_written' or 'conventional'")
+        den = n2
+    elif g2_convention == "conventional":
+        den = n1 * n1
+    else:
+        raise ValueError("g2_convention must be 'as_written' or 'conventional'")
+    if den == 0.0:
+        raise ValueError("g2 is undefined in the vacuum state (x = 0), "
+                         "where <N> = <N^2> = 0")
+    return (n2 - n1) / den
 
 
 def g2_in_state(params: FamilyParams, x: float,

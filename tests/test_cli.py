@@ -121,6 +121,41 @@ class TestWeight:
         )
 
 
+class TestExpect:
+    def test_vacuum_grid_point_is_a_rejected_config(self, tmp_path):
+        # g2 is 0/0 at x = 0: exit 2 with one stderr line, no traceback
+        cfg_file = tmp_path / "e.cfg"
+        cfg_file.write_text("x_min=0.0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghcs.cli", "expect", "--config", str(cfg_file),
+             "--out", str(tmp_path / "e.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "config rejected: g2 is undefined in the vacuum state (x = 0), "
+            "where <N> = <N^2> = 0\n"
+        )
+
+
+class TestParser:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_reuse_keeps_parses_independent(self):
+        ns = _build_parser().parse_args(["weight", "--m", "3"])
+        assert ns.m == 3
+        ns = _build_parser().parse_args(["verify"])
+        assert ns.cmd == "verify" and ns.m is None
+
+    def test_usage_error_still_exits_2(self, capsys):
+        for argv in (["nope"], ["weight", "--m", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+
 class TestVerify:
     def test_default_passes(self, tmp_path):
         out = tmp_path / "v.json"

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from ghcs import specfun
+from ghcs import specfun, states
 from ghcs.kernel import gram_matrix
 from ghcs.states import (
     Family,
     FamilyParams,
     FockVector,
     PochhammerVariant,
+    _build_state,
+    _cached_state,
     _log_h_array,
     _log_h_table,
     coeff_h,
@@ -286,17 +288,114 @@ class TestLogHCache:
         assert not np.array_equal(bessel, canonical)
         assert not np.array_equal(canonical, two_nu)
 
-    def test_gram_matrix_misses_once_per_table_size(self):
+    def test_gram_matrix_misses_once_per_table_size(self, monkeypatch):
         params = FamilyParams(1, 0.83, Family.JACOBI)
         radii = 1.0 - 10.0 ** -np.linspace(0.1, 2.0, 16)  # up to |z| = 0.99
         labels = [r * np.exp(1j * t) for r, t in zip(radii, np.linspace(0, 6, 16))]
         top = max(state(params, z).n_max for z in labels)
         sizes = int(math.log2(top // 128)) + 1  # 128, 256, ..., top
+        builds = []
+        counting = lambda *a: builds.append(a) or _build_state(*a)  # noqa: E731
+        monkeypatch.setattr(states, "_build_state", counting)
+        _cached_state.cache_clear()
         _log_h_table.cache_clear()
         gram_matrix(params, labels)
         info = _log_h_table.cache_info()
         assert info.misses <= sizes
-        assert info.hits >= 2 * 16 * 17 // 2 - info.misses
+        # every state build reads the table once, so the table is shared by
+        # all of them
+        assert info.hits + info.misses == len(builds) > 16
+
+
+def _uncached_state(params, z, n_max=None):
+    """Reference: `state` as it was before the cache, building every time."""
+    z = complex(z)
+    if n_max is not None:
+        return _build_state(params, z, n_max)
+    n = 128
+    while True:
+        vec = _build_state(params, z, n)
+        if vec.tail_bound < 1e-12:
+            return vec
+        n *= 2
+
+
+_BESSEL = FamilyParams(1, 0.5, Family.BESSEL)
+_JACOBI = FamilyParams(1, 0.5, Family.JACOBI)
+
+
+class TestStateCache:
+    @pytest.mark.parametrize("params", [_BESSEL, _JACOBI], ids=["bessel", "jacobi"])
+    @pytest.mark.parametrize("z", [
+        complex(-0.7, 0.0), complex(-0.7, -0.0), complex(0.0, -0.7),
+        complex(-0.0, -0.7), 0.0, 0.9 * np.exp(2.0j), 0.99 * np.exp(-1.0j),
+    ])
+    def test_bit_identical_to_uncached_build(self, params, z):
+        _cached_state.cache_clear()
+        ref = _uncached_state(params, z)
+        for _ in range(2):  # the miss, then the hit
+            got = state(params, z)
+            assert got.n_max == ref.n_max
+            assert got.tail_bound == ref.tail_bound
+            assert np.array_equal(got.coeffs, ref.coeffs)
+
+    @pytest.mark.parametrize("params", [_BESSEL, _JACOBI], ids=["bessel", "jacobi"])
+    @pytest.mark.parametrize("pair", [
+        (complex(-0.7, 0.0), complex(-0.7, -0.0)),
+        (complex(0.0, -0.7), complex(-0.0, -0.7)),
+    ], ids=["real-axis", "imaginary-axis"])
+    def test_signed_zeros_are_separate_keys(self, params, pair):
+        # the labels compare equal, but atan2 gives them different phases;
+        # each must get its own build whichever is asked for first
+        for order in (pair, pair[::-1]):
+            _cached_state.cache_clear()
+            for z in order:
+                assert np.array_equal(state(params, z).coeffs,
+                                      _uncached_state(params, z).coeffs)
+            assert _cached_state.cache_info().misses == 2
+
+    def test_signed_zero_states_differ(self):
+        # the case the bit-exact key exists for
+        a = state(_BESSEL, complex(-0.7, 0.0)).coeffs
+        b = state(_BESSEL, complex(-0.7, -0.0)).coeffs
+        assert not np.array_equal(a, b)
+
+    def test_explicit_n_max_is_its_own_key(self):
+        _cached_state.cache_clear()
+        z = 0.8 + 0.1j
+        for n_max in (60, 200):
+            got = state(_JACOBI, z, n_max=n_max)
+            assert got.n_max == n_max
+            assert np.array_equal(got.coeffs, _uncached_state(_JACOBI, z, n_max).coeffs)
+        assert state(_JACOBI, z).n_max == _uncached_state(_JACOBI, z).n_max
+
+    def test_coeffs_are_read_only(self):
+        for z in (0.0, 0.3 + 0.2j):
+            v = state(_JACOBI, z)
+            with pytest.raises(ValueError):
+                v.coeffs[0] = 2.0
+
+    def test_errors_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="larger n_max"):
+                state(_BESSEL, 3.0, n_max=4)
+            with pytest.raises(ValueError):
+                state(_JACOBI, 1.2)
+
+    def test_cache_is_bounded(self):
+        _cached_state.cache_clear()
+        for k in range(100):
+            state(_BESSEL, 0.01 * k + 0.5j)
+        assert _cached_state.cache_info().currsize <= 32
+
+    def test_gram_matrix_builds_each_label_once(self):
+        labels = [0.9 * r * np.exp(1j * t)
+                  for r, t in zip(np.linspace(0.1, 1.0, 16), np.linspace(0, 6, 16))]
+        _cached_state.cache_clear()
+        gram_matrix(_JACOBI, labels)
+        info = _cached_state.cache_info()
+        assert info.misses == 16
+        assert info.hits == 2 * 16 * 17 // 2 - 16
 
 
 class TestResolvedStateConsistency:

@@ -150,6 +150,15 @@ class TestInStateExpectations:
         q = mandel_q_in_state(bessel_params, x)
         assert q == pytest.approx(n1 * ((n2 - n1) / n2 - 1.0))
 
+    @pytest.mark.parametrize("convention", ["as_written", "conventional"])
+    def test_g2_undefined_in_vacuum(self, bessel_params, jacobi_params, convention):
+        # <N> = <N^2> = 0 at x = 0, so g2 is 0/0
+        for params in (bessel_params, jacobi_params):
+            with pytest.raises(ValueError, match="vacuum"):
+                g2_in_state(params, 0.0, convention)
+            with pytest.raises(ValueError, match="vacuum"):
+                mandel_q_in_state(params, 0.0, convention)
+
 
 def loop_number_moment(params, x, s, ctl=DEFAULT_SERIES):
     """Reference: the term-by-term loop `number_moment` used to be, as
