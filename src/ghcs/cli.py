@@ -153,14 +153,19 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 # Deterministic writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.16e}"
-    return str(value)
+def _row_template(row) -> str:
+    """The str.format template of every row of one CSV, picked from the
+    cell types of its first row: floats in 17-significant-digit scientific
+    notation, integers in decimal, anything else through str."""
+    specs = []
+    for value in row:
+        if isinstance(value, (float, np.floating)):
+            specs.append("{:.16e}")
+        elif isinstance(value, (int, np.integer)):
+            specs.append("{:d}")
+        else:
+            specs.append("{}")
+    return ",".join(specs)
 
 
 def _config_preamble(cfg: RunConfig) -> list[str]:
@@ -170,8 +175,9 @@ def _config_preamble(cfg: RunConfig) -> list[str]:
 
 def _write_csv(path: str, cfg: RunConfig, header: str, rows) -> None:
     lines = _config_preamble(cfg) + [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if rows:
+        template = _row_template(rows[0])
+        lines.extend(template.format(*row) for row in rows)
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -218,6 +224,15 @@ def cmd_weight(cfg: RunConfig) -> int:
     return 0
 
 
+def _idempotence_pairs(scale: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The idempotence sample: z1 = re + i im on a count x count grid over
+    [-0.45 scale, 0.45 scale]^2, paired with z2 = (im - i re) / 2."""
+    grid = np.linspace(-0.45 * scale, 0.45 * scale, count).tolist()
+    z1 = [complex(re, im) for re in grid for im in grid]
+    z2 = [complex(im * 0.5, -re * 0.5) for re in grid for im in grid]
+    return np.array(z1), np.array(z2)
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     params = cfg.params()
     checks: dict = {}
@@ -242,15 +257,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         k21 = kernel.kernel(params, z2, z1)
         herm_worst = max(herm_worst, abs(k12.conjugate() - k21))
         diag_worst = max(diag_worst, abs(kernel.kernel(params, z1, z1) - 1.0))
-    idem_worst = 0.0
-    grid = np.linspace(-0.45 * scale, 0.45 * scale, 3)
-    for re in grid:
-        for im in grid:
-            z1 = complex(re, im)
-            z2 = complex(im * 0.5, -re * 0.5)
-            idem_worst = max(
-                idem_worst, kernel.check_idempotence(params, z1, z2, rule)
-            )
+    z1s, z2s = _idempotence_pairs(scale, 3)
+    idem_worst = float(np.max(kernel.check_idempotence(params, z1s, z2s, rule)))
     labels = [complex(*rng.uniform(-0.4 * scale, 0.4 * scale, 2)) for _ in range(6)]
     gram_min = float(np.linalg.eigvalsh(kernel.gram_matrix(params, labels)).min())
     kernel_pass = (
@@ -323,7 +331,6 @@ def cmd_kernel(cfg: RunConfig) -> int:
     rule = measure.radial_rule(params, cfg.resolved_nodes())
     scale = 1.5 if params.family is Family.BESSEL else 0.6
     rng = np.random.default_rng(cfg.seed)
-    samples = []
     herm_worst = 0.0
     for _ in range(200):
         z1 = complex(*rng.uniform(-0.45 * scale, 0.45 * scale, 2))
@@ -332,20 +339,12 @@ def cmd_kernel(cfg: RunConfig) -> int:
         herm_worst = max(
             herm_worst, abs(k12.conjugate() - kernel.kernel(params, z2, z1))
         )
-    grid = np.linspace(-0.45 * scale, 0.45 * scale, 5)
-    for re in grid:
-        for im in grid:
-            z1 = complex(re, im)
-            z2 = complex(im * 0.5, -re * 0.5)
-            samples.append(
-                {
-                    "z1": [z1.real, z1.imag],
-                    "z2": [z2.real, z2.imag],
-                    "idempotence_residual": kernel.check_idempotence(
-                        params, z1, z2, rule
-                    ),
-                }
-            )
+    z1s, z2s = _idempotence_pairs(scale, 5)
+    residuals = kernel.check_idempotence(params, z1s, z2s, rule)
+    samples = [
+        {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag], "idempotence_residual": r}
+        for z1, z2, r in zip(z1s.tolist(), z2s.tolist(), residuals.tolist())
+    ]
     labels = [complex(*rng.uniform(-0.4 * scale, 0.4 * scale, 2)) for _ in range(6)]
     gram_min = float(np.linalg.eigvalsh(kernel.gram_matrix(params, labels)).min())
     payload = {

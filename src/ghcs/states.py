@@ -36,7 +36,6 @@ __all__ = [
     "state",
     "overlap",
     "label_distance",
-    "energy_level",
 ]
 
 
@@ -321,22 +320,30 @@ def _cached_state(params: FamilyParams, re: float, im: float, re_sign: float,
     return vec
 
 
-def _build_state(params: FamilyParams, z: complex, n_max: int) -> FockVector:
+def _series_terms(params: FamilyParams, z: complex,
+                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalized coefficients s_n z^n / h_n for n = 0..n_max, and
+    their moduli |z|^n / h_n (the unit vector e_0 at z = 0)."""
     mag = abs(z)
-    n = np.arange(n_max + 1, dtype=float)
-    log_h = _log_h_array(params, n_max)
     if mag == 0.0:
-        coeffs = np.zeros(n_max + 1, dtype=complex)
-        coeffs[0] = 1.0
-        coeffs.flags.writeable = False
-        return FockVector(coeffs=coeffs, n_max=n_max, tail_bound=0.0)
-    log_mod = n * math.log(mag) - log_h
+        mods = np.zeros(n_max + 1)
+        mods[0] = 1.0
+        return mods.astype(complex), mods
+    n = np.arange(n_max + 1, dtype=float)
+    mods = np.exp(n * math.log(mag) - _log_h_array(params, n_max))
     phase = np.exp(1j * n * math.atan2(z.imag, z.real))
-    mods = np.exp(log_mod)
     signs = np.ones(n_max + 1)
     if params.family is Family.JACOBI:
         signs[1::2] = -1.0
-    unnorm = signs * mods * phase
+    return signs * mods * phase, mods
+
+
+def _build_state(params: FamilyParams, z: complex, n_max: int) -> FockVector:
+    unnorm, mods = _series_terms(params, z, n_max)
+    mag = abs(z)
+    if mag == 0.0:
+        unnorm.flags.writeable = False
+        return FockVector(coeffs=unnorm, n_max=n_max, tail_bound=0.0)
     norm_sq_unnorm = float(np.dot(mods, mods))
     tail_unnorm = _unnormalized_tail(params, mag, n_max, mods[-1] ** 2)
     total = norm_sq_unnorm + tail_unnorm
@@ -358,8 +365,3 @@ def label_distance(params: FamilyParams, z1: complex, z2: complex) -> float:
     """Hilbert-space distance sqrt(2 [1 - Re <z1|z2>]) between labels."""
     ov = overlap(params, z1, z2)
     return math.sqrt(max(0.0, 2.0 * (1.0 - ov.real)))
-
-
-def energy_level(params: FamilyParams, n: int) -> float:
-    """e_n = n (n + 2m + 2nu - 1), the n-th level above the ground state."""
-    return n * (n + params.b - 1.0)

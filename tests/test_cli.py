@@ -7,9 +7,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ghcs
+import ghcs.kernel
 from ghcs.cli import main, resolve_config, _build_parser
 
 SRC = os.path.dirname(os.path.dirname(ghcs.__file__))
@@ -237,6 +239,19 @@ class TestOtherCommands:
         doc = json.loads(out.read_text())
         assert doc["results"]["hermiticity_worst"] < 1e-12
         assert doc["results"]["gram_min_eigenvalue"] >= -1e-9
+
+    @pytest.mark.parametrize("cmd, pairs", [("verify", 9), ("kernel", 25)])
+    def test_one_idempotence_call_per_run(self, tmp_path, monkeypatch, cmd, pairs):
+        calls = []
+        inner = ghcs.kernel.check_idempotence
+
+        def counted(params, z1, z2, rule=None):
+            calls.append(np.size(z1))
+            return inner(params, z1, z2, rule)
+
+        monkeypatch.setattr(ghcs.kernel, "check_idempotence", counted)
+        assert run([cmd, "--out", str(tmp_path / "out.json")]) == 0
+        assert calls == [pairs]
 
 
 class TestVariantFlag:

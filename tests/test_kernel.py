@@ -12,8 +12,15 @@ from ghcs.kernel import (
     inner_product_integral,
     kernel,
 )
-from ghcs.measure import radial_rule
-from ghcs.states import Family, FamilyParams, FockVector, normalization, state
+from ghcs.measure import QuadratureRule, radial_rule
+from ghcs.states import (
+    Family,
+    FamilyParams,
+    FockVector,
+    PochhammerVariant,
+    normalization,
+    state,
+)
 
 from conftest import rel_err
 
@@ -75,6 +82,47 @@ class TestIdempotence:
                     worst = max(worst, check_idempotence(params, z1, z2, rule))
             assert worst <= 1e-6
 
+    def test_residual_reads_the_rule_weights(self, bessel_rule, jacobi_rule):
+        # every moment off by a factor 1 + eps: the residual is eps |K|
+        eps = 1e-6
+        for params, rule in (
+            (FamilyParams(1, 0.5, Family.BESSEL), bessel_rule),
+            (FamilyParams(1, 0.5, Family.JACOBI), jacobi_rule),
+        ):
+            scaled = QuadratureRule(nodes=rule.nodes, weights=rule.weights * (1.0 + eps))
+            for z1, z2 in ((0.3, 0.2 + 0.4j), (-0.4j, 0.5), (0.0, 0.45 - 0.1j)):
+                got = check_idempotence(params, z1, z2, scaled)
+                ref = eps * abs(kernel(params, z1, z2))
+                assert rel_err(got, ref) < 1e-7
+
+    def test_label_arrays_match_scalar_calls(self, bessel_rule, jacobi_rule):
+        for params, rule, scale in (
+            (FamilyParams(0, 0.1, Family.BESSEL), radial_rule(FamilyParams(0, 0.1)), 1.5),
+            (FamilyParams(1, 0.5, Family.BESSEL), bessel_rule, 3.0),
+            (FamilyParams(1, 0.5, Family.JACOBI), jacobi_rule, 0.95),
+        ):
+            re = np.linspace(-scale / 2, scale / 2, 4)
+            z1 = re[:, None] + 1j * re[None, ::-1]
+            z2 = np.array([0.1 - 0.2j, -0.0 + 0.3j, 0.4, -0.3 - 0.0j])
+            got = check_idempotence(params, z1, z2, rule)
+            assert got.shape == (4, 4)
+            ref = [[check_idempotence(params, a, b, rule) for a, b in zip(row, z2)]
+                   for row in z1]
+            assert np.array_equal(got, np.array(ref))
+            one = check_idempotence(params, z1[1, 2], z2[2], rule)
+            assert type(one) is float and one == got[1, 2]
+            assert check_idempotence(params, np.array([]), 0.3, rule).shape == (0,)
+
+    def test_pairs_near_the_jacobi_boundary(self, jacobi_params, jacobi_rule):
+        # |z1 z2| >= 0.9: the states' own truncation, up to n_max = 4096
+        z1 = np.array([0.95, 0.99, 0.995j, -0.97 + 0.2j])
+        z2 = np.array([0.95, 0.99, -0.99j, 0.96])
+        assert np.all(check_idempotence(jacobi_params, z1, z2, jacobi_rule) < 1e-10)
+
+    def test_label_outside_domain_rejected(self, jacobi_params, jacobi_rule):
+        with pytest.raises(ValueError, match="outside the open domain"):
+            check_idempotence(jacobi_params, np.array([0.2, 1.0]), 0.1, jacobi_rule)
+
     def test_residual_shrinks_with_node_count(self, jacobi_params):
         # convergence study: more nodes, not larger residual
         z1, z2 = 0.3, 0.2 + 0.4j
@@ -126,6 +174,22 @@ class TestAnalyticRepr:
         f = FockVector(coeffs=np.ones(4) / 2.0, n_max=3, tail_bound=0.0)
         with pytest.raises(ValueError, match="diverges"):
             analytic_repr(jacobi_params, f, 1.1)
+
+    def test_coherent_state_representative(self):
+        # f(z) = sum c_n(w) s_n z^n / h_n = N(w z) / sqrt(N(w^2)) for real w, z
+        for params, pairs in (
+            (FamilyParams(1, 0.5, Family.BESSEL), ((0.7, 1.3), (2.0, 0.4), (-1.1, -0.9))),
+            (FamilyParams(0, 0.3, Family.BESSEL), ((1.5, 1.5), (0.2, 3.0))),
+            (FamilyParams(1, 0.5, Family.JACOBI), ((0.6, 0.5), (0.9, 0.8), (-0.5, -0.7))),
+            (FamilyParams(2, 1.3, Family.JACOBI), ((0.3, 0.95), (0.85, 0.85))),
+            (FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU),
+             ((0.6, 0.5), (0.9, 0.8), (-0.5, -0.7))),
+        ):
+            for w, z in pairs:
+                got = analytic_repr(params, state(params, w), z)
+                ref = normalization(params, w * z) / math.sqrt(normalization(params, w * w))
+                assert abs(got.imag) < 1e-15 * ref
+                assert rel_err(got.real, ref) < 1e-13
 
     def test_reproducing_property(self, rng):
         # reconstructing the coefficients through the weighted integral

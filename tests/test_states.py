@@ -8,6 +8,7 @@ import pytest
 from scipy.special import iv
 
 from ghcs import specfun, states
+from ghcs.dynamics import Spectrum
 from ghcs.kernel import gram_matrix
 from ghcs.states import (
     Family,
@@ -20,7 +21,6 @@ from ghcs.states import (
     _log_h_table,
     coeff_h,
     coefficient_sign,
-    energy_level,
     label_distance,
     log_coeff_h,
     normalization,
@@ -86,16 +86,17 @@ class TestCoefficients:
     def test_eigenvalue_bookkeeping(self, bessel_params):
         # e_n = n(2m + n + 2nu - 1); prod e_k = n! (2m+2nu)_n = h_n^2 (bessel)
         p = bessel_params
-        assert energy_level(p, 0) == 0.0
+        sp = Spectrum(p)
+        assert sp.level(0) == 0.0
         for n in range(1, 9):
-            assert energy_level(p, n) == n * (n + 2)  # b = 3
-            product = math.prod(energy_level(p, k) for k in range(1, n + 1))
+            assert sp.level(n) == n * (n + 2)  # b = 3
+            product = math.prod(sp.level(k) for k in range(1, n + 1))
             assert product == math.factorial(n) * math.factorial(n + 2) / 2
             assert coeff_h(p, n) ** 2 == pytest.approx(product, rel=1e-14)
 
     def test_levels_increasing(self):
         p = FamilyParams(0, 0.6)  # 2m+2nu = 1.2 > 1
-        lv = [energy_level(p, n) for n in range(20)]
+        lv = [Spectrum(p).level(n) for n in range(20)]
         assert all(b > a for a, b in zip(lv, lv[1:]))
 
 
