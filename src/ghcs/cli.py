@@ -27,16 +27,6 @@ from . import __version__, dynamics, kernel, measure, quantize, thermal
 from .specfun import ConvergenceError
 from .states import Family, FamilyParams, PochhammerVariant
 
-_FLOAT_KEYS = {
-    "nu", "tol", "x_min", "x_max", "beta_min", "beta_max", "z0_re", "z0_im",
-    "t_max", "r_max", "x",
-}
-_INT_KEYS = {
-    "m", "n_max", "nodes", "x_count", "beta_count", "t_count", "r_count",
-    "theta_count", "n_check", "literal_n", "seed",
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     family: str = "bessel"
@@ -99,6 +89,9 @@ class RunConfig:
 
 
 def _parse_config_file(path: str) -> dict:
+    """key=value lines, each value converted to the type of its RunConfig
+    field's default; an unknown key raises ValueError."""
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -109,42 +102,20 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"config line without '=': {line!r}")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            else:
-                out[key] = value
+            if key not in types:
+                raise ValueError(f"unknown config key {key!r}")
+            out[key] = types[key](value.strip())
     return out
 
 
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(ns, "config", None):
-        file_values = _parse_config_file(ns.config)
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_values) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **file_values)
-    overrides = {}
-    mapping = {
-        "family": "family",
-        "m": "m",
-        "nu": "nu",
-        "nmax": "n_max",
-        "nodes": "nodes",
-        "tol": "tol",
-        "out": "out",
-        "variant_pochhammer": "variant_pochhammer",
-        "g2_convention": "g2_convention",
-    }
-    for flag, field_name in mapping.items():
-        value = getattr(ns, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, **_parse_config_file(ns.config))
+    # every flag the parser defines overrides its field (--nmax sets n_max)
+    cfg = replace(cfg, **{"n_max" if flag == "nmax" else flag: value
+                          for flag, value in vars(ns).items()
+                          if value is not None and flag not in ("cmd", "config")})
     cfg.validate()
     return cfg
 
@@ -390,6 +361,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     params = cfg.params()
     if params.family is not Family.BESSEL:
         raise ValueError("evolve uses the bessel-family closed form")
+    if cfg.r_count < 1:
+        raise ValueError("r_count must be positive")
     z0 = complex(cfg.z0_re, cfg.z0_im)
     t_max = cfg.t_max or 2.0 * math.pi / dynamics.rotation_frequency(params)
     t_values = np.linspace(0.0, t_max, max(cfg.t_count, 1))

@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import specfun
-from .states import Family, FamilyParams, FockVector, overlap, state
+from .states import Family, FamilyParams, FockVector, _auto_state, state
 
 __all__ = [
     "Spectrum",
@@ -62,41 +63,72 @@ def _require_bessel(params: FamilyParams, what: str) -> None:
         raise ValueError(f"{what} uses the bessel-family closed form")
 
 
-def density_static(params: FamilyParams, z0: complex, z: complex) -> float:
-    """Probability density |<z | z0>|^2 from the hypergeometric closed form.
+def _labels(params: FamilyParams, z) -> np.ndarray:
+    zs = np.asarray(z, dtype=complex)
+    for w in zs[~(np.abs(zs) < params.radius)].flat[:1]:
+        params.require_label(w)  # raises, naming the label
+    return zs
 
-    Evaluated through the entire 0F1 kernel at the cross product of
-    labels, which equals the modified-Bessel expression with every branch
-    factor cancelled.
+
+def density_static(params: FamilyParams, z0, z):
+    """Probability density |<z | z0>|^2 = |0F1(b; w)|^2 / (N(|z|^2) N(|z0|^2))
+    at w = conj(z) z0, N(x) = 0F1(b; x); z0 and z broadcast (scalars in,
+    float out; arrays in, array out).
+
+    0F1(b; w) = Gamma(b) w^{(1-b)/2} I_{b-1}(2 sqrt w) (DLMF 10.39.9), in
+    log space with `scipy.special.ive`, does not cancel as the series does
+    at large complex w.  Where I_{b-1} is 0 or below the float range (w = 0,
+    or b above about 36 with small |w|), |w| is far below b^2 / 4 and the
+    series itself (`specfun._hyp_0f1_series`) is summed.  The denominators
+    are the certified `specfun.hyp_0f1`; an N past the float range (|z|^2
+    above about 1.2e5) raises OverflowError naming the label.
     """
     _require_bessel(params, "density_static")
-    z0 = params.require_label(z0)
-    z = params.require_label(z)
-    b = params.b
-    num = specfun.hyp_0f1(b, complex(z).conjugate() * complex(z0))
-    den1 = specfun.hyp_0f1(b, abs(z) ** 2)
-    den2 = specfun.hyp_0f1(b, abs(z0) ** 2)
-    return float(abs(num) ** 2 / (den1 * den2))
+    z0, z, b = _labels(params, z0), _labels(params, z), params.b
+    n_z, n_z0 = (specfun.hyp_0f1(b, np.abs(v) ** 2) for v in (z, z0))
+    ok = np.isfinite(n_z) & np.isfinite(n_z0)
+    if not ok.all():
+        at = [complex(np.broadcast_to(v, ok.shape).flat[np.argmin(ok)]) for v in (z0, z)]
+        raise OverflowError("density_static: N(|z|^2) N(|z0|^2) leaves the float "
+                            f"range at z0 = {at[0]!r}, z = {at[1]!r}")
+    w = np.conj(z) * z0
+    s = np.sqrt(w)
+    bessel = np.abs(special.ive(b - 1.0, 2.0 * s))
+    low = (w == 0.0) | (bessel < np.finfo(float).tiny)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_num = np.where(low, 0.0, math.lgamma(b) + (1.0 - b) * np.log(np.abs(s))
+                           + np.log(bessel) + 2.0 * np.abs(s.real))
+    log_num[low] = np.log(np.abs(specfun._hyp_0f1_series(b, w[low])))
+    rho = np.exp(2.0 * log_num - np.log(n_z) - np.log(n_z0))
+    return float(rho) if rho.ndim == 0 else rho
 
 
-def density_evolved(params: FamilyParams, z0: complex, z: complex,
-                    t: float) -> tuple[float, float]:
-    """(rho_formula, rho_raw) at time t.
+def density_evolved(params: FamilyParams, z0: complex, z, t):
+    """(rho_formula, rho_raw) at times t for labels z: scalars z and t in,
+    floats out; otherwise arrays of shape t.shape + z.shape.
 
     rho_formula evaluates the closed form with the rotated label
     z0(t) = z0 exp(-i (2m+2nu-1) t), i.e. the density in the rotated
     basis; rho_raw is |<z| e^{-iHt} |z0>|^2 with the full phases, whose
     extra exp(-i n^2 t) factors the rotated basis absorbs.  The two agree
-    at t = 0 and generally differ for t != 0.
+    at t = 0 and generally differ for t != 0.  z0's state is evolved once
+    per t and each label's state is built once per call.
     """
     _require_bessel(params, "density_evolved")
-    z0_t = complex(z0) * cmath.exp(-1j * rotation_frequency(params) * t)
-    rho_formula = density_static(params, z0_t, z)
-    v0 = evolve(params, state(params, z0), t)
-    vz = state(params, z)
-    n = min(v0.n_max, vz.n_max) + 1
-    rho_raw = float(abs(np.vdot(vz.coeffs[:n], v0.coeffs[:n])) ** 2)
-    return rho_formula, rho_raw
+    zs, ts = _labels(params, z), np.asarray(t, dtype=float)
+    shape, v = ts.shape + zs.shape, state(params, z0)
+    z0_t = complex(z0) * np.exp(-1j * rotation_frequency(params) * ts)
+    rho_formula = density_static(params, z0_t.reshape(ts.shape + (1,) * zs.ndim), zs)
+    v0s = [evolve(params, v, tk) for tk in ts.ravel().tolist()]
+    # a grid label is read once per t, from this loop, so its state is built
+    # once per call and kept out of the state cache, whose entries are the
+    # labels read again across calls (z0, a Gram's labels)
+    rho_raw = np.array([
+        [abs(np.vdot(u.coeffs[:n], v0.coeffs[:n])) ** 2
+         for v0 in v0s for n in [min(v0.n_max, u.n_max) + 1]]
+        for u in (_auto_state(params, w) for w in zs.ravel().tolist())
+    ]).reshape(zs.size, ts.size).T.reshape(shape)
+    return (rho_formula, rho_raw) if shape else (float(rho_formula), float(rho_raw))
 
 
 def rotation_property(params: FamilyParams, z: complex, t: float) -> float:
@@ -120,12 +152,11 @@ def rotation_property(params: FamilyParams, z: complex, t: float) -> float:
 
 def polar_density_rows(params: FamilyParams, z0: complex, t_values,
                        r_values, theta_values):
-    """Rows (r, theta, t, rho_formula, rho_raw) over the polar grid."""
-    rows = []
-    for t in t_values:
-        for r in r_values:
-            for th in theta_values:
-                z = r * cmath.exp(1j * th)
-                rho_f, rho_r = density_evolved(params, z0, z, t)
-                rows.append((float(r), float(th), float(t), rho_f, rho_r))
-    return rows
+    """Rows (r, theta, t, rho_formula, rho_raw) over the polar grid, t
+    outermost and theta innermost, from one `density_evolved` call."""
+    grid = [(r, th) for r in r_values for th in theta_values]
+    z = np.array([r * cmath.exp(1j * th) for r, th in grid], dtype=complex)
+    rho_f, rho_r = density_evolved(params, z0, z, np.asarray(t_values, dtype=float))
+    return [(float(r), float(th), float(t), f, raw)
+            for t, fs, raws in zip(t_values, rho_f.tolist(), rho_r.tolist())
+            for (r, th), f, raw in zip(grid, fs, raws)]

@@ -18,7 +18,6 @@ diag((-1)^n) and cancels from every modulus).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -210,7 +209,7 @@ def ladder_closed_form(params: FamilyParams, which: LadderKind | str, n_max: int
     root_up = np.sqrt((n + 1.0) * (b + n))  # sqrt((n+1)(2m+2nu+n)) at row n
     if source is Provenance.H_RATIO:
         if params.family is Family.JACOBI:
-            up = root_up / (a + 1.0 + n)
+            up = root_up / (params.coeff_shift + n)
         else:
             up = root_up
         if which is LadderKind.A_Z:
@@ -222,7 +221,7 @@ def ladder_closed_form(params: FamilyParams, which: LadderKind | str, n_max: int
             nn = np.arange(n_max + 1, dtype=float)
             diag = (nn + 1.0) * (b + nn)
             if params.family is Family.JACOBI:
-                diag = diag / (a + 1.0 + nn) ** 2
+                diag = diag / (params.coeff_shift + nn) ** 2
             bands = {0: diag}
     else:
         # Published forms: the ladder factors -(m+nu+n+1) multiplying the

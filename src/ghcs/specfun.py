@@ -2,15 +2,16 @@
 
 The 0F1 and 2F1 ascending series are summed under an explicit
 `SeriesControl` budget and raise `ConvergenceError` when it runs out,
-instead of returning an uncertified value.  0F1 takes complex arguments
-and is summed term by term.  2F1 and the state normalization take a real
-scalar or a whole float array and share one array summation
-(`_sum_ratio_array`) that reproduces the term-by-term values and stopping
-rule element by element.  The bessel phase-space density is a ratio of
-0F1 values, and the literal figure-caption weights use 2F1.  Log-gamma,
-the modified Bessel functions and the Gauss-function closed form of the
-jacobi weight density come from `math` and `scipy.special`.  All
-functions are pure and safe to call concurrently.
+instead of returning an uncertified value.  Both take a real scalar or a
+whole float array and, like the jacobi normalization, are summed by one
+array summation (`_sum_ratio_array`) that reproduces the term-by-term
+recurrence's values and stopping rule element by element.  0F1 is the
+bessel normalization; complex 0F1 arguments (the phase-space density) go
+through the modified Bessel closed form in `dynamics`, or through the same
+series (`_hyp_0f1_series`) where that form underflows.  The figure-caption
+weights use 2F1.  Log-gamma, the modified Bessel functions and the jacobi
+weight density's Gauss-function form come from `math` and
+`scipy.special`.  All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -63,31 +64,6 @@ class SeriesControl:
 DEFAULT_SERIES = SeriesControl()
 
 
-def _sum_ratio_series(first_term, ratio, ctl: SeriesControl):
-    """Sum t0 + t1 + ... where t_{k+1} = t_k * ratio(k).
-
-    Stops only after two consecutive terms fall below rel_tol relative
-    to the running sum, so an accidental zero of an alternating term
-    cannot end the summation early.
-    """
-    term = first_term
-    total = term
-    small = 0
-    for k in range(ctl.max_terms):
-        term = term * ratio(k)
-        total += term
-        if abs(term) <= ctl.rel_tol * max(abs(total), ctl.abs_floor):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"series did not converge within {ctl.max_terms} terms "
-        f"(last |term| = {abs(term):.3e})"
-    )
-
-
 # The array series are summed in numpy chunks: the first holds this many
 # terms and each next one twice as many, so a short series costs one chunk
 # and a long one a few.
@@ -97,16 +73,17 @@ _CHUNK = 64
 def _sum_ratio_array(name: str, x, ratio: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      ctl: SeriesControl):
     """Sum t0 + t1 + ... with t0 = 1 and t_{k+1} = t_k * ratio(k, x) for
-    every element of the real scalar or float array `x`.
+    every element of the scalar or array `x`, real or complex.
 
     `ratio(k, xs)` gets the float term indices of a chunk as a row and the
-    unfinished elements as a column, and returns their ratios as a matrix
-    formed with `_sum_ratio_series`'s association.  The terms are summed in
-    chunks of 64, 128, 256, ... indices, never past `ctl.max_terms`:
-    `np.multiply.accumulate` chains each row of ratios from the carried
-    term and `np.add.accumulate` builds the partial sums from the carried
-    sum.  Both accumulates are sequential, so every term and partial sum
-    is the term-by-term loop's own value.
+    unfinished elements as a column, and returns their ratios as a matrix,
+    each formed with the operations of the scalar recurrence it stands
+    for.  The terms are summed in chunks of 64, 128, 256, ... indices,
+    never past `ctl.max_terms`: `np.multiply.accumulate` chains each row
+    of ratios from the carried term and `np.add.accumulate` builds the
+    partial sums from the carried sum.  Both accumulates are sequential,
+    so every term and partial sum is the term-by-term loop's own value
+    (for complex x up to the last bit of numpy's complex division).
 
     Stopping rule, per element and unchanged from the loop: an element is
     done after two consecutive |t| <= rel_tol * max(|sum|, abs_floor), the
@@ -115,9 +92,9 @@ def _sum_ratio_array(name: str, x, ratio: Callable[[np.ndarray, np.ndarray], np.
     If an element exhausts the budget, ConvergenceError names the series,
     the first such x and the budget.
 
-    Scalar in, float out; array in, array of the same shape out.
+    Scalar in, Python scalar out; array in, array of the same shape out.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     flat = xs.ravel()
     out = np.ones_like(flat)  # every term after t0 vanishes at x = 0
     live = np.flatnonzero(flat)
@@ -132,7 +109,7 @@ def _sum_ratio_array(name: str, x, ratio: Callable[[np.ndarray, np.ndarray], np.
                 terms[:, 0] *= term
             np.multiply.accumulate(terms, axis=1, out=terms)
             # sums[:, j + 1] is the partial sum through terms[:, j]
-            sums = np.empty((live.size, stop - start + 1))
+            sums = np.empty((live.size, stop - start + 1), dtype=flat.dtype)
             sums[:, 0] = total
             sums[:, 1:] = terms
             np.add.accumulate(sums, axis=1, out=sums)
@@ -159,10 +136,10 @@ def _sum_ratio_array(name: str, x, ratio: Callable[[np.ndarray, np.ndarray], np.
     if live.size:
         raise ConvergenceError(
             f"{name} series did not converge within {ctl.max_terms} terms "
-            f"at x = {float(flat[live[0]])!r}"
+            f"at x = {flat[live[0]].item()!r}"
         )
     if xs.ndim == 0:
-        return float(out[0])
+        return out[0].item()
     return out.reshape(xs.shape)
 
 
@@ -176,18 +153,27 @@ def _check_not_nonpositive_int(value: float, name: str) -> None:
 
 
 def hyp_0f1(b: float, x, ctl: SeriesControl = DEFAULT_SERIES):
-    """0F1(; b; x) by its ascending series.
+    """0F1(; b; x) by its ascending series on x >= 0, for a real scalar or
+    a float array x (scalar in, float out; array in, array out).
 
-    `x` may be complex (used for kernel evaluations at cross products of
-    labels); real arguments must be non-negative.
+    Summed by `_sum_ratio_array` with the ratio x / ((k+1)(b+k)): every
+    term is positive, so the sum carries no cancellation.  A complex or
+    negative x raises ValueError.
     """
     _check_not_nonpositive_int(b, "0F1 parameter b")
-    if not isinstance(x, complex):
-        if x < 0.0:
-            raise ValueError("hyp_0f1 requires x >= 0 for real arguments")
-        if x == 0.0:
-            return 1.0
-    return _sum_ratio_series(1.0 * (x * 0 + 1), lambda k: x / ((k + 1.0) * (b + k)), ctl)
+    if np.iscomplexobj(x):
+        raise ValueError("hyp_0f1 takes real arguments")
+    xs = np.asarray(x, dtype=float)
+    bad = ~(xs >= 0.0)
+    if bad.any():
+        raise ValueError(f"hyp_0f1 requires x >= 0 (got {xs[bad].flat[0]})")
+    return _hyp_0f1_series(b, xs, ctl)
+
+
+def _hyp_0f1_series(b: float, x, ctl: SeriesControl = DEFAULT_SERIES):
+    """The 0F1 series of `hyp_0f1` without its domain checks, so x may be
+    complex; it cancels unless |x| stays well below b^2 / 4."""
+    return _sum_ratio_array(f"0F1({b!r}; x)", x, lambda k, w: w / ((k + 1.0) * (b + k)), ctl)
 
 
 def hyp_2f1(a: float, b: float, c: float, x, ctl: SeriesControl = DEFAULT_SERIES):

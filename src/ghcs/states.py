@@ -187,11 +187,10 @@ def normalization(params: FamilyParams, x, ctl: SeriesControl = DEFAULT_SERIES):
     """N(x) = sum_n x^n / h_n^2 for real x = |z|^2 in the family domain
     [0, radius^2); scalar in, float out; array in, array out.
 
-    Summed through the h-ratio recurrence by `specfun._sum_ratio_array`,
-    in numpy chunks of 64, 128, 256, ... terms with the term-by-term
-    values, stopping rule and `ctl` budget, per element.  Agrees with
-    0F1(b; x) for the bessel family and 2F1(a+1, a+1; b; x) for the jacobi
-    family.  An x outside the domain raises ValueError.
+    The bessel N is `specfun.hyp_0f1(b, x)`; the jacobi N (2F1(a+1, a+1;
+    b; x)) is summed through the h-ratio recurrence.  Both go through
+    `specfun._sum_ratio_array`: the term-by-term values, stopping rule and
+    `ctl` budget, per element.  An x outside the domain raises ValueError.
     """
     xs = np.asarray(x, dtype=float)
     bad = ~((xs >= 0.0) & (xs < params.radius**2))
@@ -199,12 +198,11 @@ def normalization(params: FamilyParams, x, ctl: SeriesControl = DEFAULT_SERIES):
         _norm_arg(params, xs[bad].flat[0])  # raises, naming the value
     b = params.b
     if params.family is Family.BESSEL:
-        ratio = lambda k, w: w / ((k + 1.0) * (b + k))  # noqa: E731
-    else:
-        shift = params.coeff_shift
-        ratio = lambda k, w: w * _shift_squares(shift, k) / ((k + 1.0) * (b + k))  # noqa: E731
+        return specfun.hyp_0f1(b, xs, ctl)
+    shift = params.coeff_shift
     return specfun._sum_ratio_array(
-        f"{params.family.value} normalization", xs, ratio, ctl
+        "jacobi normalization", xs,
+        lambda k, w: w * _shift_squares(shift, k) / ((k + 1.0) * (b + k)), ctl,
     )
 
 
@@ -299,17 +297,7 @@ def _cached_state(params: FamilyParams, re: float, im: float, re_sign: float,
     # themselves carry their signs into z
     z = complex(re, im)
     if n_max is None:
-        n = _N_MAX_DEFAULT
-        while True:
-            vec = _build_state(params, z, n)
-            if vec.tail_bound < _TAIL_TARGET:
-                return vec
-            n *= 2
-            if n > _N_MAX_CAP:
-                raise specfun.ConvergenceError(
-                    f"state truncation stalled below tail {_TAIL_TARGET:g} "
-                    f"at n_max = {_N_MAX_CAP}"
-                )
+        return _auto_state(params, z)
     vec = _build_state(params, z, n_max)
     if vec.tail_bound > _TAIL_REQUIRED:
         auto = state(params, z, None)
@@ -318,6 +306,22 @@ def _cached_state(params: FamilyParams, re: float, im: float, re_sign: float,
             f"larger n_max required (n_max = {auto.n_max} suffices)"
         )
     return vec
+
+
+def _auto_state(params: FamilyParams, z: complex) -> FockVector:
+    """`state` with n_max omitted, uncached: 128 terms, doubled until the
+    tail bound is below 1e-12."""
+    n = _N_MAX_DEFAULT
+    while True:
+        vec = _build_state(params, z, n)
+        if vec.tail_bound < _TAIL_TARGET:
+            return vec
+        n *= 2
+        if n > _N_MAX_CAP:
+            raise specfun.ConvergenceError(
+                f"state truncation stalled below tail {_TAIL_TARGET:g} "
+                f"at n_max = {_N_MAX_CAP}"
+            )
 
 
 def _series_terms(params: FamilyParams, z: complex,

@@ -1,5 +1,6 @@
 """Command-line surface: determinism, config handling, exit codes."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -12,7 +13,7 @@ import pytest
 
 import ghcs
 import ghcs.kernel
-from ghcs.cli import main, resolve_config, _build_parser
+from ghcs.cli import RunConfig, main, resolve_config, _build_parser
 
 SRC = os.path.dirname(os.path.dirname(ghcs.__file__))
 
@@ -53,6 +54,34 @@ class TestConfig:
         ns = _build_parser().parse_args(["verify", "--config", str(cfg_file)])
         with pytest.raises(ValueError):
             resolve_config(ns)
+
+    def test_every_field_round_trips_through_the_file(self, tmp_path):
+        # each value differs from the default, and "2" for a float field
+        # must come back as 2.0, not as the text or an int
+        values = {
+            "family": "jacobi", "m": 2, "nu": 2.0, "n_max": 7, "nodes": 90,
+            "tol": 1e-9, "out": "o.csv", "variant_pochhammer": "two-nu",
+            "g2_convention": "conventional", "n_check": 5, "literal_n": 3,
+            "x": 0.25, "x_min": 0.1, "x_max": 0.9, "x_count": 11,
+            "beta_min": 0.5, "beta_max": 3.0, "beta_count": 4, "z0_re": -1.5,
+            "z0_im": 0.75, "t_max": 2.5, "t_count": 5, "r_max": 3.0,
+            "r_count": 6, "theta_count": 7, "seed": 99,
+        }
+        assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
+        cfg_file = tmp_path / "all.cfg"
+        cfg_file.write_text("".join(
+            f"{k.replace('_', '-') if k == 'n_max' else k} = {v}\n"
+            for k, v in values.items()))
+        cfg = resolve_config(_build_parser().parse_args(["verify", "--config", str(cfg_file)]))
+        for name, value in values.items():
+            got = getattr(cfg, name)
+            assert got == value and type(got) is type(getattr(RunConfig(), name)), name
+
+    def test_bad_value_for_a_field_type_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("m=1.5\n")
+        assert run(["verify", "--config", str(cfg_file)]) == 2
+        assert "config rejected" in capsys.readouterr().err
 
     def test_invalid_nu_rejected_before_compute(self, capsys):
         assert run(["verify", "--nu", "-0.5"]) == 2
@@ -206,6 +235,27 @@ class TestOtherCommands:
         for cells in t0_rows:
             assert abs(float(cells[3]) - float(cells[4])) < 1e-9
         assert all(0.0 <= float(r.split(",")[3]) <= 1.0 + 1e-12 for r in rows)
+
+    def test_evolve_zero_radii_rejected(self, tmp_path):
+        cfg_file = tmp_path / "r0.cfg"
+        cfg_file.write_text("r_count=0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghcs.cli", "evolve", "--config", str(cfg_file),
+             "--out", str(tmp_path / "e.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "config rejected: r_count must be positive\n"
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_evolve_empty_angle_grid_gives_header_only(self, tmp_path):
+        cfg_file = tmp_path / "th0.cfg"
+        cfg_file.write_text("theta_count=0\n")
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--config", str(cfg_file), "--out", str(out)]) == 0
+        _, header, rows = read_data_rows(out)
+        assert header == "r,theta,t,rho_formula,rho_raw"
+        assert rows == []
 
     def test_thermal_header(self, tmp_path):
         out = tmp_path / "t.csv"

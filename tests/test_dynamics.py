@@ -3,9 +3,12 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
+from ghcs import dynamics
 from ghcs.dynamics import (
     Spectrum,
     density_evolved,
@@ -15,9 +18,26 @@ from ghcs.dynamics import (
     rotation_frequency,
     rotation_property,
 )
-from ghcs.states import Family, FamilyParams, overlap, state
+from ghcs.states import (
+    Family, FamilyParams, _auto_state, _cached_state, normalization, overlap, state,
+)
 
 from conftest import rel_err
+
+
+mp.mp.dps = 40
+
+# (z0, z): opposite labels, orthogonal ones, a zero label and mixed radii
+_MP_PAIRS = [(20.0, -20.0), (20.0, 20j), (-13 + 15j, 13 - 15j), (0.5, -0.5),
+             (7.5 - 2j, -6 + 3j), (1e-3j, -19.9), (19.0 + 6j, 0.0), (3.0, 3.0),
+             (-14.1 + 14.1j, 9.0 - 9.0j), (12j, -12j), (0.3 + 0.4j, 18 - 5j)]
+
+
+def _mp_density(p, z0, z):
+    b = 2 * p.m + 2 * mp.mpf(p.nu)
+    num = abs(mp.hyp0f1(b, mp.mpc(z).conjugate() * mp.mpc(z0))) ** 2
+    return float(num / (mp.hyp0f1(b, abs(mp.mpc(z)) ** 2)
+                        * mp.hyp0f1(b, abs(mp.mpc(z0)) ** 2)))
 
 
 class TestSpectrum:
@@ -78,8 +98,120 @@ class TestDensityStatic:
         with pytest.raises(ValueError, match="bessel"):
             density_static(jacobi_params, 0.2, 0.1)
 
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("nu", [0.1, 0.9, 1.7, 2.5])
+    def test_matches_mpmath_out_to_radius_20(self, m, nu):
+        # opposite labels are where the direct series of 0F1(b; conj(z) z0)
+        # cancelled: 1.5e4 times too large at |z| = |z0| = 20
+        p = FamilyParams(m, nu, Family.BESSEL)
+        for z0, z in _MP_PAIRS:
+            ref = _mp_density(p, z0, z)
+            assert rel_err(density_static(p, z0, z), ref) < 1e-12, (z0, z)
+
+    def test_large_labels_match_mpmath(self, bessel_params):
+        # |z|^2 = 9e4, where a complex series overflows Python's complex
+        # arithmetic; the value is about 3.2e-146
+        ref = _mp_density(bessel_params, 270.0, 300j)
+        assert rel_err(density_static(bessel_params, 270.0, 300j), ref) < 1e-12
+
+    def test_normalization_out_of_float_range_raises(self, bessel_params):
+        # N(400^2) is about e^800: no float, so no density (a plain ratio of
+        # the two overflowed values would be nan)
+        message = r"N\(\|z\|\^2\) N\(\|z0\|\^2\) leaves the float range at z0 = "
+        with pytest.raises(OverflowError, match=message + r"\(400\+0j\), z = \(400\+0j\)$"):
+            density_static(bessel_params, 400.0, 400.0)
+        with pytest.raises(OverflowError, match=message + r"400j, z = \(0.5\+0j\)$"):
+            density_static(bessel_params, 400j, np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("m, nu", [(1, 0.5), (0, 0.5), (0, 0.1)])
+    def test_exactly_one_at_zero_cross_label(self, m, nu):
+        # b = 1 and b < 1 included, where I_{b-1}(0) is 1 and infinite
+        p = FamilyParams(m, nu, Family.BESSEL)
+        assert density_static(p, 0.0, 0.0) == 1.0
+        rho = density_static(p, 0.0, np.array([1e-300, 0.5j]))
+        assert rho[0] == 1.0
+        assert rho[1] == 1.0 / normalization(p, 0.25)
+
+    def test_tiny_cross_label_rounds_to_one(self):
+        # I_{b-1}(2 sqrt w) underflows long before 0F1(b; w) leaves 1
+        p = FamilyParams(5, 0.5, Family.BESSEL)
+        assert density_static(p, 1e-160, 1e-160j) == 1.0
+
+    @pytest.mark.parametrize("m, z0, z", [
+        (40, 1e-4, 1e-4), (20, 1e-7j, -3e-7), (100, 1.5 + 1j, -1 + 1.2j),
+        (100, 2.0, -2.0), (60, 0.03 - 0.02j, 0.1j), (300, 5.0 + 3j, -4.0 + 1j),
+    ])
+    def test_underflowing_bessel_matches_mpmath(self, m, z0, z):
+        # large b and small |w|: I_{b-1}(2 sqrt w) is below the float range
+        # while the density is near 1, so the ascending series is summed
+        p = FamilyParams(m, 0.5, Family.BESSEL)
+        w = complex(z).conjugate() * z0
+        assert abs(special.ive(p.b - 1.0, 2.0 * cmath.sqrt(w))) < np.finfo(float).tiny
+        assert rel_err(density_static(p, z0, z), _mp_density(p, z0, z)) < 1e-12
+        row = density_static(p, z0, np.array([z, 0.5 * z, 3.0]))
+        assert row[0] == density_static(p, z0, z)
+        assert rel_err(row[2], _mp_density(p, z0, 3.0)) < 1e-12
+
+    def test_label_arrays_match_scalar_calls(self):
+        for p in (FamilyParams(1, 0.5, Family.BESSEL), FamilyParams(0, 0.1, Family.BESSEL)):
+            z = np.array([[0.3 + 0.1j, -2.0, 0.0], [15j, -0.0 - 7j, 19.0 - 3.0j]])
+            z0 = np.array([0.5, -12.0 + 1j, 0.0])
+            got = density_static(p, z0, z)
+            assert got.shape == (2, 3)
+            ref = [[density_static(p, complex(a), complex(b)) for a, b in zip(z0, row)]
+                   for row in z]
+            assert np.array_equal(got, np.array(ref))
+            assert type(density_static(p, 0.5, 0.3j)) is float
+            assert density_static(p, 0.5, np.array([])).shape == (0,)
+
+    def test_label_outside_domain_rejected(self, bessel_params):
+        with pytest.raises(ValueError, match="outside the open domain"):
+            density_static(bessel_params, 0.5, np.array([0.1, np.inf]))
+
 
 class TestDensityEvolved:
+    def test_raw_density_bypasses_the_state_cache(self, bessel_params):
+        # a 40-label grid read through the 32-entry cache would evict z0;
+        # the states built for it are the cached ones, to the bit
+        z = 3.0 * np.exp(1j * np.linspace(0.0, 6.0, 40))
+        _cached_state.cache_clear()
+        _, rho_raw = density_evolved(bessel_params, 0.5 - 1j, z, 0.7)
+        assert _cached_state.cache_info().currsize == 1
+        v0 = evolve(bessel_params, state(bessel_params, 0.5 - 1j), 0.7)
+        for w, raw in zip(z, rho_raw):
+            v = state(bessel_params, w)
+            n = min(v0.n_max, v.n_max) + 1
+            assert raw == abs(np.vdot(v.coeffs[:n], v0.coeffs[:n])) ** 2
+
+    def test_label_arrays_match_scalar_calls(self, bessel_params):
+        z = np.array([0.3j, -1.5 + 0.2j, 4.0, 0.0])
+        for t in (0.0, 0.7):
+            rho_f, rho_r = density_evolved(bessel_params, 0.5 - 1j, z, t)
+            ref = [density_evolved(bessel_params, 0.5 - 1j, complex(w), t) for w in z]
+            assert np.array_equal(rho_f, [f for f, _ in ref])
+            assert np.array_equal(rho_r, [r for _, r in ref])
+        one = density_evolved(bessel_params, 0.5, 0.3j, 0.7)
+        assert all(type(v) is float for v in one)
+
+    def test_time_arrays_match_one_call_per_time(self, bessel_params):
+        z, ts = np.array([[0.3j, -1.5 + 0.2j], [4.0, 0.0]]), np.array([0.0, 0.7, 2.5])
+        rho_f, rho_r = density_evolved(bessel_params, 0.5 - 1j, z, ts)
+        assert rho_f.shape == rho_r.shape == (3, 2, 2)
+        for k, t in enumerate(ts.tolist()):
+            ref_f, ref_r = density_evolved(bessel_params, 0.5 - 1j, z, t)
+            assert np.array_equal(rho_f[k], ref_f) and np.array_equal(rho_r[k], ref_r)
+        for shape, t in (((0, 2), []), ((3, 0), ts)):
+            out = density_evolved(bessel_params, 0.5, z.ravel()[:shape[-1]], t)
+            assert out[0].shape == out[1].shape == shape
+
+    def test_each_label_is_built_once_per_call(self, bessel_params, monkeypatch):
+        built = []
+        monkeypatch.setattr(dynamics, "_auto_state",
+                            lambda p, w: built.append(w) or _auto_state(p, w))
+        z = np.array([0.3j, -1.5 + 0.2j, 4.0])
+        density_evolved(bessel_params, 0.5, z, np.linspace(0.0, 1.0, 4))
+        assert built == z.tolist()
+
     def test_t0_equals_static(self, bessel_params):
         rho_f, rho_r = density_evolved(bessel_params, 0.5, 0.3j, 0.0)
         ref = density_static(bessel_params, 0.5, 0.3j)
@@ -127,6 +259,20 @@ class TestRotationProperty:
 
 
 class TestPolarRows:
+    def test_rows_match_pointwise_density(self, bessel_params):
+        t_values, r_values, theta_values = [0.0, 0.3, 1.1], [0.25, 0.5, 2.0], [0.0, 1.0, math.pi]
+        rows = polar_density_rows(bessel_params, 0.5 + 0.5j, t_values, r_values, theta_values)
+        expect = [(r, th, t) for t in t_values for r in r_values for th in theta_values]
+        assert [row[:3] for row in rows] == expect
+        for r, th, t, rho_f, rho_r in rows:
+            z = r * cmath.exp(1j * th)
+            assert (rho_f, rho_r) == density_evolved(bessel_params, 0.5 + 0.5j, z, t)
+
+    def test_empty_grids_give_no_rows(self, bessel_params):
+        assert polar_density_rows(bessel_params, 0.5, [0.0, 1.0], [], [0.0, 1.0]) == []
+        assert polar_density_rows(bessel_params, 0.5, [0.0, 1.0], [0.5], []) == []
+        assert polar_density_rows(bessel_params, 0.5, [], [0.5], [0.0]) == []
+
     def test_shape_and_ranges(self, bessel_params):
         rows = polar_density_rows(
             bessel_params, 0.5, [0.0, 0.3], [0.25, 0.5], [0.0, math.pi]

@@ -1,6 +1,7 @@
 """Reproducing-kernel properties and the analytic representation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,18 @@ class TestIdempotence:
         z1 = np.array([0.95, 0.99, 0.995j, -0.97 + 0.2j])
         z2 = np.array([0.95, 0.99, -0.99j, 0.96])
         assert np.all(check_idempotence(jacobi_params, z1, z2, jacobi_rule) < 1e-10)
+
+    def test_memory_does_not_grow_with_the_truncation(self, jacobi_params, jacobi_rule):
+        # z1 = z2 = 0.995 needs n_max = 4096: 4097 moment orders x 320 nodes,
+        # which a dense log-sum-exp holds in three 10.5 MB matrices
+        tracemalloc.start()
+        try:
+            check_idempotence(jacobi_params, 0.995, 0.995, jacobi_rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state(jacobi_params, 0.995).n_max == 4096
+        assert peak < 6e6
 
     def test_label_outside_domain_rejected(self, jacobi_params, jacobi_rule):
         with pytest.raises(ValueError, match="outside the open domain"):

@@ -20,7 +20,7 @@ from ghcs.measure import (
 )
 from ghcs.states import Family, FamilyParams
 
-from conftest import rel_err
+from conftest import _sum_ratio_series, rel_err
 
 mp.mp.dps = 40
 
@@ -86,6 +86,18 @@ class TestRule:
         got = bessel_rule.log_moments([64.0])[0]
         ref = float(mp.log(mp.factorial(64) * mp.rf(3, 64)))
         assert abs(got - ref) < 1e-9 * abs(ref)
+
+
+    def test_log_moments_blocks_match_one_dense_sum(self, bessel_rule, jacobi_rule):
+        # the log-sum-exp over the whole (orders x nodes) matrix, bit for bit,
+        # across the 256-order block boundaries
+        for rule in (bessel_rule, jacobi_rule):
+            e = np.concatenate((np.arange(600.0), [0.5, 1e4]))
+            g = e[:, None] * np.log(rule.nodes)[None, :] + np.log(rule.weights)[None, :]
+            top = np.max(g, axis=1)
+            ref = top + np.log(np.sum(np.exp(g - top[:, None]), axis=1))
+            assert np.array_equal(rule.log_moments(e), ref)
+            assert rule.log_moments([]).shape == (0,)
 
 
 class TestVerifyIdentity:
@@ -204,7 +216,7 @@ def _frozen_weight(curve, x):
     else:
         shift = p.coeff_shift
         ratio = lambda k: x * (shift + k) ** 2 / ((k + 1.0) * (b + k))  # noqa: E731
-    return specfun._sum_ratio_series(1.0, ratio, specfun.DEFAULT_SERIES) * om
+    return _sum_ratio_series(1.0, ratio, specfun.DEFAULT_SERIES) * om
 
 
 def _cli_curves(family):

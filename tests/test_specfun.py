@@ -21,7 +21,7 @@ from ghcs.states import (
     normalization,
 )
 
-from conftest import rel_err
+from conftest import _sum_ratio_series, rel_err
 
 mp.mp.dps = 40
 
@@ -59,6 +59,12 @@ class TestHypSeries:
         with pytest.raises(ValueError):
             hyp_0f1(2.0, -1.0)
 
+    def test_0f1_rejects_complex(self):
+        # complex arguments belong to the Bessel closed form in dynamics
+        for x in (0.5 + 0.5j, 2.0 + 0j, np.array([0.1, 0.2j])):
+            with pytest.raises(ValueError, match="real"):
+                hyp_0f1(2.0, x)
+
     def test_0f1_nonconvergence(self):
         with pytest.raises(specfun.ConvergenceError):
             hyp_0f1(2.0, 50.0, SeriesControl(max_terms=3, rel_tol=1e-15))
@@ -95,11 +101,15 @@ def _loop_norm(params, x, ctl=specfun.DEFAULT_SERIES):
     else:
         shift = params.coeff_shift
         ratio = lambda k: x * (shift + k) ** 2 / ((k + 1.0) * (b + k))  # noqa: E731
-    return specfun._sum_ratio_series(1.0, ratio, ctl)
+    return _sum_ratio_series(1.0, ratio, ctl)
+
+
+def _loop_0f1(b, x, ctl=specfun.DEFAULT_SERIES):
+    return _sum_ratio_series(1.0, lambda k: x / ((k + 1.0) * (b + k)), ctl)
 
 
 def _loop_2f1(a, b, c, x, ctl=specfun.DEFAULT_SERIES):
-    return specfun._sum_ratio_series(
+    return _sum_ratio_series(
         1.0, lambda k: (a + k) * (b + k) * x / ((c + k) * (k + 1.0)), ctl
     )
 
@@ -126,7 +136,7 @@ def _norm_grid(params):
 
 
 class TestArraySeries:
-    """normalization and hyp_2f1 on whole arrays against the term-by-term
+    """normalization, hyp_0f1 and hyp_2f1 on whole arrays against the term-by-term
     loop `_sum_ratio_series`: bit for bit, and the same raise or value at
     every budget, across the 64/128/256 chunk boundaries."""
 
@@ -136,6 +146,24 @@ class TestArraySeries:
         got = normalization(params, xs)
         ref = np.array([_loop_norm(params, float(x)) for x in xs])
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("b", [0.1, 0.6, 1.0, 3.0, 5.4, 10.9])
+    def test_0f1_bit_identical(self, b):
+        xs = np.concatenate((np.linspace(0.0, 50.0, 101), [1e-9, 0.4, 400.0, 3000.0, 9e4]))
+        got = hyp_0f1(b, xs)
+        ref = np.array([_loop_0f1(b, float(x)) for x in xs])
+        assert np.array_equal(got, ref)
+        assert type(hyp_0f1(b, 0.4)) is float and hyp_0f1(b, 0.4) == ref[-4]
+
+    @pytest.mark.parametrize("b", [41.0, 81.0, 201.0])
+    def test_complex_0f1_series_matches_the_loop(self, b):
+        # the density sums this series where I_{b-1}(2 sqrt w) underflows;
+        # numpy's complex division may round a ratio apart from Python's
+        xs = np.array([1e-8 + 0j, -3e-6j, 0.5 - 2.0j, -3.0 + 0.1j, 0.0, 1e-300j])
+        got = specfun._hyp_0f1_series(b, xs)
+        ref = np.array([_loop_0f1(b, complex(x)) for x in xs])
+        assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
+        assert type(specfun._hyp_0f1_series(b, 0.5 - 2.0j)) is complex
 
     @pytest.mark.parametrize("abc", _2F1_PARAMS)
     def test_2f1_bit_identical(self, abc):
