@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, dynamics, kernel, measure, quantize, thermal
 from .specfun import ConvergenceError
-from .states import Family, FamilyParams, PochhammerVariant
+from .states import Family, FamilyParams, PochhammerVariant, state_matrix
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -204,6 +204,30 @@ def _idempotence_pairs(scale: float, count: int) -> tuple[np.ndarray, np.ndarray
     return np.array(z1), np.array(z2)
 
 
+def _kernel_sample(params: FamilyParams, rng: np.random.Generator, scale: float,
+                   count: int) -> tuple[float, float]:
+    """(hermiticity_worst, diagonal_worst) over `count` random label pairs:
+    the largest |conj(K(z1, z2)) - K(z2, z1)| and |K(z1, z1) - 1|.
+
+    The labels are the rng's next 4 count uniforms on [-0.45 scale,
+    0.45 scale], pair by pair as re z1, im z1, re z2, im z2.  Each label's
+    state is built once by `states.state_matrix`, and each kernel value is
+    the `states.overlap` sum over the pair's common truncation, so the worst
+    cases are those of `kernel.kernel` bit for bit.
+    """
+    draws = rng.uniform(-0.45 * scale, 0.45 * scale, (count, 4)).tolist()
+    m1 = state_matrix(params, [complex(a, b) for a, b, _, _ in draws])
+    m2 = state_matrix(params, [complex(c, d) for _, _, c, d in draws])
+    herm_worst = diag_worst = 0.0
+    for c1, c2, n1, n2 in zip(m1.coeffs, m2.coeffs, m1.n_max.tolist(), m2.n_max.tolist()):
+        n = min(n1, n2) + 1
+        k12 = complex(np.vdot(c1[:n], c2[:n]))
+        k21 = complex(np.vdot(c2[:n], c1[:n]))
+        herm_worst = max(herm_worst, abs(k12.conjugate() - k21))
+        diag_worst = max(diag_worst, abs(complex(np.vdot(c1[: n1 + 1], c1[: n1 + 1])) - 1.0))
+    return herm_worst, diag_worst
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     params = cfg.params()
     checks: dict = {}
@@ -219,15 +243,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     scale = 1.5 if params.family is Family.BESSEL else 0.6
     rng = np.random.default_rng(cfg.seed)
-    herm_worst = 0.0
-    diag_worst = 0.0
-    for _ in range(50):
-        z1 = complex(*rng.uniform(-0.45 * scale, 0.45 * scale, 2))
-        z2 = complex(*rng.uniform(-0.45 * scale, 0.45 * scale, 2))
-        k12 = kernel.kernel(params, z1, z2)
-        k21 = kernel.kernel(params, z2, z1)
-        herm_worst = max(herm_worst, abs(k12.conjugate() - k21))
-        diag_worst = max(diag_worst, abs(kernel.kernel(params, z1, z1) - 1.0))
+    herm_worst, diag_worst = _kernel_sample(params, rng, scale, 50)
     z1s, z2s = _idempotence_pairs(scale, 3)
     idem_worst = float(np.max(kernel.check_idempotence(params, z1s, z2s, rule)))
     labels = [complex(*rng.uniform(-0.4 * scale, 0.4 * scale, 2)) for _ in range(6)]
@@ -302,14 +318,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
     rule = measure.radial_rule(params, cfg.resolved_nodes())
     scale = 1.5 if params.family is Family.BESSEL else 0.6
     rng = np.random.default_rng(cfg.seed)
-    herm_worst = 0.0
-    for _ in range(200):
-        z1 = complex(*rng.uniform(-0.45 * scale, 0.45 * scale, 2))
-        z2 = complex(*rng.uniform(-0.45 * scale, 0.45 * scale, 2))
-        k12 = kernel.kernel(params, z1, z2)
-        herm_worst = max(
-            herm_worst, abs(k12.conjugate() - kernel.kernel(params, z2, z1))
-        )
+    herm_worst, _ = _kernel_sample(params, rng, scale, 200)
     z1s, z2s = _idempotence_pairs(scale, 5)
     residuals = kernel.check_idempotence(params, z1s, z2s, rule)
     samples = [

@@ -89,7 +89,7 @@ def analytic_repr(params: FamilyParams, fock: FockVector, z: complex) -> complex
             f"analytic representation diverges at |z| = {abs(z):g} >= 1 "
             "for the jacobi family"
         )
-    terms, _ = _series_terms(params, z, fock.n_max)
+    terms = _series_terms(params, z, fock.n_max)
     return complex(np.sum(fock.coeffs * terms))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
 
 _DEFAULT_NODES_BESSEL = 240
 _DEFAULT_NODES_JACOBI = 320
+_RULE_CACHE_SIZE = 8
 _MOMENT_ROWS = 256  # exponents per log_moments block: 0.66 MB arrays at 320 nodes
 
 
@@ -68,8 +70,9 @@ class QuadratureRule:
         if np.any(weights < 0.0):
             raise ValueError("rule weights must be non-negative")
         keep = weights > 0.0
-        object.__setattr__(self, "nodes", nodes[keep])
-        object.__setattr__(self, "weights", weights[keep])
+        for name, values in (("nodes", nodes[keep]), ("weights", weights[keep])):
+            values.flags.writeable = False  # rules are shared by the rule cache
+            object.__setattr__(self, name, values)
 
     @property
     def n_nodes(self) -> int:
@@ -233,7 +236,16 @@ def _gauss_genlaguerre(n: int, alpha: float):
 
 
 def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureRule:
-    """Quadrature rule for integrals against the family density.
+    """Quadrature rule for integrals against the family density, with
+    n_nodes nodes before underflowed weights are dropped (omitted or 0: 240
+    for bessel, 320 for jacobi).
+
+    The 8 most recently used rules are kept, keyed on (params, n_nodes)
+    after the default is resolved, so omitting n_nodes and passing the
+    default give the same rule object.  A rule's arrays are read-only and
+    shared between callers.  A rule holds two arrays of about n_nodes
+    floats, so the cache holds about 8 x 2 x n_nodes x 8 B: 41 kB at the
+    jacobi default of 320.
 
     bessel: substitute x = t^2/4, then generalized Gauss-Laguerre in t
     with the linear weight t e^{-t} matching the small-t behaviour of
@@ -245,9 +257,14 @@ def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureR
     a Gauss-Jacobi weight.
     """
     _require_canonical(params)
+    default = _DEFAULT_NODES_BESSEL if params.family is Family.BESSEL else _DEFAULT_NODES_JACOBI
+    return _cached_rule(params, n_nodes or default)
+
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _cached_rule(params: FamilyParams, n: int) -> QuadratureRule:
     b = params.b
     if params.family is Family.BESSEL:
-        n = n_nodes or _DEFAULT_NODES_BESSEL
         logc = (1.0 - b) * math.log(2.0) - math.lgamma(b)
         if b > 1.5:
             # t^b K_{b-1}(t) ~ t x analytic(t^2) at the origin, so a single
@@ -278,7 +295,6 @@ def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureR
         t_all = np.concatenate([t_de, t_tl])
         w_all = np.concatenate([w_de, w_tl])
         return QuadratureRule(nodes=0.25 * t_all * t_all, weights=w_all)
-    n = n_nodes or _DEFAULT_NODES_JACOBI
     if b < 1.0:
         u, w = roots_jacobi(n, 0.0, b - 1.0)
         x = 0.5 * (u + 1.0)

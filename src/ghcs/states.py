@@ -19,6 +19,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,8 @@ __all__ = [
     "coefficient_sign",
     "normalization",
     "state",
+    "StateMatrix",
+    "state_matrix",
     "overlap",
     "label_distance",
 ]
@@ -77,6 +80,16 @@ class FamilyParams:
         object.__setattr__(self, "variant", PochhammerVariant(self.variant))
         if self.b <= 0.0:
             raise ValueError("2m + 2nu must be positive")
+        # hashed once, as every state and table cache lookup hashes the params;
+        # from ints, floats and bools, whose hashes do not vary between
+        # processes, so an unpickled copy keeps a valid one
+        object.__setattr__(self, "_hash", hash((
+            self.m, self.nu, self.family is Family.JACOBI,
+            self.variant is PochhammerVariant.TWO_NU,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def coeff_shift(self) -> float:
@@ -160,22 +173,42 @@ def coeff_h(params: FamilyParams, n: int) -> float:
 
 
 def _log_h_array(params: FamilyParams, n_max: int) -> np.ndarray:
-    """Read-only log h_n for n = 0..n_max, a prefix of a cached table."""
-    size = 1 << max(int(n_max) - 1, 0).bit_length()  # next power of two >= n_max
-    return _log_h_table(params, size)[: n_max + 1]
+    """Read-only log h_n for n = 0..n_max, a prefix of the params' table."""
+    return _log_h_table(params, n_max)[: n_max + 1]
+
+
+def _log_h_table(params: FamilyParams, n_max: int) -> np.ndarray:
+    """The params' read-only table of log h_n, grown to the next power of two
+    >= n_max if it is shorter.  Growing computes only the new entries, so
+    each entry is computed once per params whatever order sizes are read in.
+    The 32 most recent params keep their tables; at the n_max cap of 32768
+    that is at most 32 x 32769 x 8 B, about 8.4 MB."""
+    store = _log_h_store(params)
+    if len(store[0]) <= n_max:
+        size = 1 << max(int(n_max) - 1, 0).bit_length()  # next power of two >= n_max
+        table = np.concatenate([store[0], _log_h_entries(params, len(store[0]), size)])
+        table.flags.writeable = False
+        store[0] = table
+    return store[0]
 
 
 @lru_cache(maxsize=32)
-def _log_h_table(params: FamilyParams, n_max: int) -> np.ndarray:
+def _log_h_store(params: FamilyParams) -> list[np.ndarray]:
+    # one slot holding the params' table, which starts as log h_0 = 0
+    lg = np.zeros(1)
+    lg.flags.writeable = False
+    return [lg]
+
+
+def _log_h_entries(params: FamilyParams, start: int, stop: int) -> np.ndarray:
+    """log h_n for n = start..stop (start >= 1)."""
     # math.lgamma elementwise: scipy's gammaln differs in the last bits
     # and would change every downstream value
-    lg = np.zeros(n_max + 1)
-    n = np.arange(1, n_max + 1, dtype=float)
-    lg[1:] = 0.5 * (_lgamma(n + 1.0) + _lgamma(params.b + n) - math.lgamma(params.b))
+    n = np.arange(start, stop + 1, dtype=float)
+    lg = 0.5 * (_lgamma(n + 1.0) + _lgamma(params.b + n) - math.lgamma(params.b))
     if params.family is Family.JACOBI:
         shift = params.coeff_shift
-        lg[1:] -= _lgamma(shift + n) - math.lgamma(shift)
-    lg.flags.writeable = False
+        lg -= _lgamma(shift + n) - math.lgamma(shift)
     return lg
 
 
@@ -244,18 +277,14 @@ _TAIL_TARGET = 1e-12
 _TAIL_REQUIRED = 1e-10
 
 
-def _tail_ratio(params: FamilyParams, mag: float, n: int) -> float:
-    # |c_{n+1}/c_n| at index n; decreasing in n for both families
-    r = mag / math.sqrt((n + 1.0) * (params.b + n))
-    if params.family is Family.JACOBI:
-        r *= params.coeff_shift + n
-    return r
-
-
 def _unnormalized_tail(params: FamilyParams, mag: float, n_max: int,
                        last_sq: float) -> float:
-    # geometric majorant on sum_{n > n_max} |z^n / h_n|^2
-    rho = _tail_ratio(params, mag, n_max + 1)
+    # geometric majorant on sum_{n > n_max} |z^n / h_n|^2, from the ratio
+    # |c_{n+1}/c_n| at n = n_max + 1, which is decreasing in n for both families
+    n = n_max + 1
+    rho = mag / math.sqrt((n + 1.0) * (params.b + n))
+    if params.family is Family.JACOBI:
+        rho *= params.coeff_shift + n
     if rho >= 1.0:
         return math.inf
     r2 = rho * rho
@@ -265,13 +294,32 @@ def _unnormalized_tail(params: FamilyParams, mag: float, n_max: int,
 _STATE_CACHE_SIZE = 32
 
 
-def state(params: FamilyParams, z: complex, n_max: int | None = None) -> FockVector:
-    """Normalized truncated coherent state at label z.
+class StateMatrix(NamedTuple):
+    """Coherent states as the rows of one array: row i holds label i's
+    state in its first n_max[i] + 1 entries and zeros after them, and
+    tail_bound[i] is the certified l2 mass its truncation discards.  The
+    coefficients are read-only."""
 
-    With n_max omitted the truncation starts at 128 and doubles until the
-    discarded l2 mass is certified below 1e-12.  An explicit n_max that
-    leaves more than 1e-10 in the tail raises, reporting the order that
-    would have sufficed.  An explicit n_max must be a non-negative integer.
+    coeffs: np.ndarray
+    n_max: np.ndarray
+    tail_bound: np.ndarray
+
+
+def _require_n_max(n_max) -> int | None:
+    if n_max is not None and not (isinstance(n_max, numbers.Integral) and n_max >= 0):
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    return None if n_max is None else int(n_max)
+
+
+def state(params: FamilyParams, z: complex, n_max: int | None = None) -> FockVector:
+    """Normalized truncated coherent state at label z: the one-label case
+    of `state_matrix`.
+
+    With n_max omitted the truncation is the first of 128, 256, ... at
+    which the discarded l2 mass is certified below 1e-12.  An explicit
+    n_max that leaves more than 1e-10 in the tail raises, reporting the
+    order that would have sufficed.  An explicit n_max must be a
+    non-negative integer.
 
     The 32 most recently used states are kept, so a label is built once
     however many overlaps read it.  The cache key is the exact bits of the
@@ -281,12 +329,12 @@ def state(params: FamilyParams, z: complex, n_max: int | None = None) -> FockVec
     between callers.  Errors are not cached.  At the n_max cap of 32768
     the cache holds at most 32 x 32769 x 16 B, about 17 MB.
     """
-    if n_max is not None and not (isinstance(n_max, numbers.Integral) and n_max >= 0):
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    if n_max is not None:
+        n_max = _require_n_max(n_max)
     z = params.require_label(z)
     return _cached_state(
         params, z.real, z.imag, math.copysign(1.0, z.real),
-        math.copysign(1.0, z.imag), None if n_max is None else int(n_max),
+        math.copysign(1.0, z.imag), n_max,
     )
 
 
@@ -296,64 +344,177 @@ def _cached_state(params: FamilyParams, re: float, im: float, re_sign: float,
     # re_sign and im_sign only split the keys of -0.0 and 0.0; the parts
     # themselves carry their signs into z
     z = complex(re, im)
-    if n_max is None:
-        return _auto_state(params, z)
     vec = _build_state(params, z, n_max)
-    if vec.tail_bound > _TAIL_REQUIRED:
-        auto = state(params, z, None)
-        raise ValueError(
-            f"truncation error {vec.tail_bound:.2e} exceeds {_TAIL_REQUIRED:g}; "
-            f"larger n_max required (n_max = {auto.n_max} suffices)"
-        )
+    if n_max is not None:
+        _require_tail(params, [z], [vec.tail_bound])
     return vec
 
 
-def _auto_state(params: FamilyParams, z: complex) -> FockVector:
-    """`state` with n_max omitted, uncached: 128 terms, doubled until the
-    tail bound is below 1e-12."""
-    n = _N_MAX_DEFAULT
-    while True:
-        vec = _build_state(params, z, n)
-        if vec.tail_bound < _TAIL_TARGET:
-            return vec
-        n *= 2
-        if n > _N_MAX_CAP:
-            raise specfun.ConvergenceError(
-                f"state truncation stalled below tail {_TAIL_TARGET:g} "
-                f"at n_max = {_N_MAX_CAP}"
+def state_matrix(params: FamilyParams, labels, n_max: int | None = None) -> StateMatrix:
+    """The states of many labels, each built once: row i equals
+    `state(params, labels[i], n_max)` bit for bit, with the same n_max and
+    tail_bound.  Nothing is cached.
+
+    With n_max omitted each label's truncation is picked before any
+    coefficient or phase is formed: the moduli |z|^n / h_n are extended
+    128, 256, ... terms at a time, each size judged by the tail certificate
+    on the moduli so far, and only the size taken gets its phases and
+    normalization.  A label whose tail stays above 1e-12 at the cap of 32768
+    terms raises ConvergenceError naming the family, m, nu and |z|.  An
+    explicit n_max applies to every row, with `state`'s tail check.
+    """
+    n_max = _require_n_max(n_max)
+    zs = [params.require_label(z) for z in labels]
+    coeffs, sizes, tails = _build_rows(params, zs, n_max)
+    if n_max is not None:
+        _require_tail(params, zs, tails)
+    return StateMatrix(coeffs, np.array(sizes, dtype=int), np.array(tails))
+
+
+def _require_tail(params: FamilyParams, zs: list[complex], tails: list[float]) -> None:
+    # an explicit n_max must leave at most 1e-10 in every tail
+    for z, tail in zip(zs, tails):
+        if tail > _TAIL_REQUIRED:
+            raise ValueError(
+                f"truncation error {tail:.2e} exceeds {_TAIL_REQUIRED:g}; "
+                f"larger n_max required (n_max = {_auto_state(params, z).n_max} suffices)"
             )
 
 
-def _series_terms(params: FamilyParams, z: complex,
-                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unnormalized coefficients s_n z^n / h_n for n = 0..n_max, and
-    their moduli |z|^n / h_n (the unit vector e_0 at z = 0)."""
-    mag = abs(z)
-    if mag == 0.0:
-        mods = np.zeros(n_max + 1)
-        mods[0] = 1.0
-        return mods.astype(complex), mods
-    n = np.arange(n_max + 1, dtype=float)
-    mods = np.exp(n * math.log(mag) - _log_h_array(params, n_max))
-    phase = np.exp(1j * n * math.atan2(z.imag, z.real))
-    signs = np.ones(n_max + 1)
+def _auto_state(params: FamilyParams, z: complex) -> FockVector:
+    """`state` with n_max omitted, uncached."""
+    return _build_state(params, complex(z), None)
+
+
+def _build_state(params: FamilyParams, z: complex, n_max: int | None) -> FockVector:
+    """The state at label z, uncached, with its tail unchecked: the one-row
+    case of `_build_rows`."""
+    coeffs, sizes, tails = _build_rows(params, [z], n_max)
+    return FockVector(coeffs=coeffs[0], n_max=sizes[0], tail_bound=tails[0])
+
+
+def _build_rows(params: FamilyParams, zs: list[complex], n_max: int | None):
+    """(coeffs, n_max list, tail_bound list) of `state_matrix` on validated
+    labels, without the explicit-n_max tail check.
+
+    The per-label scalars |z|, log|z| and arg z come from Python's `abs`,
+    `math.log` and `math.atan2` (numpy's differ in the last bit), and each
+    row's norm is one `np.dot`, so every row is the single-label build's
+    value bit for bit.
+    """
+    n = _N_MAX_DEFAULT if n_max is None else n_max
+    sizes, tails = [n] * len(zs), [0.0] * len(zs)
+    live = [i for i, z in enumerate(zs) if z]
+    blocks = []
+    if len(live) < len(zs):  # z = 0: e_0, exactly normalized with no tail
+        vacua = [i for i, z in enumerate(zs) if not z]
+        e0 = np.zeros((len(vacua), n + 1), dtype=complex)
+        e0[:, 0] = 1.0
+        blocks.append((vacua, e0))
+    logs = [math.log(abs(zs[i])) for i in live]
+    mods = _moduli(params, logs, 0, n)
+    while live:
+        keep, rest, norms = [], [], []
+        for j, i in enumerate(live):
+            row = mods[j]
+            tail = _unnormalized_tail(params, abs(zs[i]), n, row[-1] ** 2)
+            total = float(np.dot(row, row)) + tail
+            # a diverging majorant certifies nothing: the bound is the whole mass
+            bound = tail / total if tail < math.inf else 1.0
+            if n_max is None and not bound < _TAIL_TARGET:
+                rest.append(j)
+                continue
+            keep.append(j)
+            norms.append(math.sqrt(total))
+            sizes[i], tails[i] = n, bound
+        if keep:
+            picked = [live[j] for j in keep] if rest else live
+            theta = [math.atan2(zs[i].imag, zs[i].real) for i in picked]
+            rows = _terms(params, mods[keep] if rest else mods, theta, n)
+            rows /= _column(norms)
+            blocks.append((picked, rows))
+        if not rest:
+            break
+        if 2 * n > _N_MAX_CAP:
+            raise specfun.ConvergenceError(
+                f"state truncation stalled above tail {_TAIL_TARGET:g} at the "
+                f"n_max cap of {_N_MAX_CAP}: {params.family.value} m = {params.m}, "
+                f"nu = {params.nu:g}, |z| = {abs(zs[live[rest[0]]])!r}"
+            )
+        live, logs = [live[j] for j in rest], [logs[j] for j in rest]
+        mods = np.concatenate([mods[rest], _moduli(params, logs, n + 1, 2 * n)], axis=1)
+        n *= 2
+    if len(blocks) == 1:  # one size: the rows are the labels in order
+        out = blocks[0][1]
+    else:
+        out = np.zeros((len(zs), max(sizes, default=0) + 1), dtype=complex)
+        for picked, rows in blocks:
+            out[picked, : rows.shape[1]] = rows
+    out.flags.writeable = False
+    return out, sizes, tails
+
+
+def _moduli(params: FamilyParams, logs: list[float], start: int, stop: int) -> np.ndarray:
+    """|z|^n / h_n for n = start..stop, one row per log|z| in `logs`."""
+    x = _index_row(stop)[:, start:] * _column(logs)
+    x -= _log_h_table(params, stop)[None, start : stop + 1]
+    return np.exp(x, out=x)
+
+
+def _terms(params: FamilyParams, mods: np.ndarray, theta: list[float],
+           n_max: int) -> np.ndarray:
+    """The unnormalized coefficients s_n z^n / h_n, n = 0..n_max, from the
+    moduli rows and each label's arg z in `theta` (a new array)."""
+    terms = _imag_index_row(n_max) * _column(theta)
+    np.exp(terms, out=terms)
     if params.family is Family.JACOBI:
-        signs[1::2] = -1.0
-    return signs * mods * phase, mods
+        mods = _jacobi_sign_row(n_max) * mods
+    # the moduli stay the first factor: numpy's complex multiply fuses a
+    # multiply-add, so swapping the operands flips the sign of underflowed zeros
+    return np.multiply(mods, terms, out=terms)
 
 
-def _build_state(params: FamilyParams, z: complex, n_max: int) -> FockVector:
-    unnorm, mods = _series_terms(params, z, n_max)
-    mag = abs(z)
-    if mag == 0.0:
-        unnorm.flags.writeable = False
-        return FockVector(coeffs=unnorm, n_max=n_max, tail_bound=0.0)
-    norm_sq_unnorm = float(np.dot(mods, mods))
-    tail_unnorm = _unnormalized_tail(params, mag, n_max, mods[-1] ** 2)
-    total = norm_sq_unnorm + tail_unnorm
-    coeffs = unnorm / math.sqrt(total)
-    coeffs.flags.writeable = False
-    return FockVector(coeffs=coeffs, n_max=n_max, tail_bound=tail_unnorm / total)
+def _column(values: list[float]):
+    """Per-row values as a column against the n axis; one row's value as a
+    scalar, which numpy applies to the (1, n) rows without its broadcasting
+    set-up (the values are the same)."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+@lru_cache(maxsize=16)
+def _index_row(n_max: int) -> np.ndarray:
+    # [[0.0, 1.0, ..., n_max]], shared read-only
+    n = np.arange(n_max + 1, dtype=float)[None, :]
+    n.flags.writeable = False
+    return n
+
+
+@lru_cache(maxsize=16)
+def _imag_index_row(n_max: int) -> np.ndarray:
+    # 1j * n, the phase exponents before the factor arg z
+    n = 1j * _index_row(n_max)
+    n.flags.writeable = False
+    return n
+
+
+@lru_cache(maxsize=16)
+def _jacobi_sign_row(n_max: int) -> np.ndarray:
+    # the jacobi amplitudes' (-1)^n as a row, shared read-only
+    signs = np.ones((1, n_max + 1))
+    signs[:, 1::2] = -1.0
+    signs.flags.writeable = False
+    return signs
+
+
+def _series_terms(params: FamilyParams, z: complex, n_max: int) -> np.ndarray:
+    """The unnormalized coefficients s_n z^n / h_n for n = 0..n_max at one
+    label (the unit vector e_0 at z = 0)."""
+    if not z:
+        e0 = np.zeros(n_max + 1, dtype=complex)
+        e0[0] = 1.0
+        return e0
+    mods = _moduli(params, [math.log(abs(z))], 0, n_max)
+    return _terms(params, mods, [math.atan2(z.imag, z.real)], n_max)[0]
 
 
 def overlap(params: FamilyParams, z1: complex, z2: complex,

@@ -160,7 +160,7 @@ _MOMENT_CHUNK = 64
 
 
 def number_moment(params: FamilyParams, x: float, s: int,
-                  ctl: SeriesControl = DEFAULT_SERIES) -> float:
+                  ctl: SeriesControl = DEFAULT_SERIES, *, falling: bool = False) -> float:
     """<N^s> = sum_n n^s t_n / sum_n t_n in the state with |z|^2 = x, where
     t_n = x^n / h_n^2 is summed through its ratio recurrence.
 
@@ -186,22 +186,62 @@ def number_moment(params: FamilyParams, x: float, s: int,
     whose contributions pass the float range even after rescaling (n^s
     itself does for large s) raises OverflowError.
 
+    falling=True gives the falling factorial moment per x^s instead,
+    <N (N-1) ... (N-s+1)> / x^s = N^(s)(x) / N(x) (the s-th derivative of
+    the normalization over itself), which tends to s! / h_s^2 as x -> 0.
+    The recurrence then carries t_n / x^s from n = s on, so the numerator
+    terms stay of order 1 however small x is (at x = 1e-170 the moment
+    itself would underflow); the denominator terms are those times x^s.
+    The same chunks, stopping rule and budget apply, from n = s.
+
     x must lie in the normalization domain [0, radius^2) and s must be a
     non-negative integer; otherwise ValueError.
     """
     if not isinstance(s, (int, np.integer)) or s < 0:
         raise ValueError("s must be a non-negative integer")
     x = _norm_arg(params, float(x))
-    if x == 0.0:
+    if x == 0.0 and not falling:
         return 1.0 if s == 0 else 0.0
+    return _moment_ratio(params, x, s, falling, ctl)
+
+
+def _falling_power(k, k_less_1, s: int):
+    # k (k - 1) ... (k - s + 1); k - 1 is passed in, as the chunks have it,
+    # so s = 2 costs one multiply
+    if s == 0:
+        return 1.0
+    out = k if s == 1 else k * k_less_1
+    for j in range(2, s):
+        out = out * (k - j)
+    return out
+
+
+def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
+                  ctl: SeriesControl) -> float:
+    """sum_n w(n) t_n / x^p over sum_n t_n, t_n = x^n / h_n^2, summed in
+    chunks as `number_moment` describes: w(n) = n^s and p = 0, or with
+    `falling` w(n) = n (n-1) ... (n-s+1) and p = s.
+
+    The recurrence carries u_n = t_n / x^min(n, p): the first p steps, whose
+    ratios lack their factor x, are taken before the chunks (w vanishes
+    there), so the numerator is summed at order 1 however small x is, and
+    each denominator term is u_n x^min(n, p).  With p = 0 that is t_n
+    itself and every value is the term-by-term loop's.
+    """
     b = params.b
     jacobi = params.family is Family.JACOBI
     shift = params.coeff_shift
-    term = 1.0  # x^n / h_n^2 at n = 0
-    den = term
-    num = term if s == 0 else 0.0  # the n = 0 contribution 0^s t_0
+    p = s if falling else 0
+    xp = x**p
+    term, den = 1.0, 0.0  # u_0, and the sum of t_n below p
+    for k in range(p):
+        den += term * x**k
+        term *= ((shift + k) ** 2 if jacobi else 1.0) / ((k + 1.0) * (b + k))
+    den += term * xp  # t_p
+    # the index-p contribution
+    num = (_falling_power(float(p), p - 1.0, s) if falling else 0.0**s) * term
     small = False
-    start, size = 0, _MOMENT_CHUNK
+    start, size = p, _MOMENT_CHUNK
     # overflow is caught below by the finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
         while start < ctl.max_terms:
@@ -216,8 +256,8 @@ def number_moment(params: FamilyParams, x: float, s: int,
                 ratio *= (shift + n) ** 2
             ratio[0] *= term
             terms = np.multiply.accumulate(ratio, out=ratio)
-            contrib = n1**s * terms
-            dens = terms.copy()
+            contrib = (_falling_power(n1, n, s) if falling else n1**s) * terms
+            dens = terms * xp if p else terms.copy()
             dens[0] += den
             np.add.accumulate(dens, out=dens)
             nums = contrib.copy()
@@ -227,8 +267,9 @@ def number_moment(params: FamilyParams, x: float, s: int,
                 # keep the finite prefix; the next chunk starts rescaled
                 cut = int(np.argmin(np.isfinite(dens) & np.isfinite(nums)))
                 if cut == 0:
+                    what = f"<N^({s})> / x^{s}" if falling else f"<N^{s}>"
                     raise OverflowError(
-                        f"number_moment: the <N^{s}> series at x = {x:g} "
+                        f"number_moment: the {what} series at x = {x:g} "
                         "overflows the float range"
                     )
                 terms, contrib = terms[:cut], contrib[:cut]
@@ -264,15 +305,42 @@ def _g2(n1: float, n2: float, g2_convention: str) -> float:
     return (n2 - n1) / den
 
 
+def _state_g2(params: FamilyParams, x: float, g2_convention: str) -> tuple[float, float]:
+    """(<N>, g2) in the state with |z|^2 = x, from two series: <N>/x and
+    the factorial moment <N(N-1)>/x^2, each summed at order 1 however
+    small x is.  g2 is <N(N-1)>/<N>^2 ('conventional') or <N(N-1)>/<N^2>
+    ('as_written'), so nothing cancels: <N^2> - <N> from separately summed
+    moments loses every digit once <N(N-1)>/<N> (x / (b + 1) for bessel at
+    small x) is below 1e-16, and <N>^2 underflows below x of about 1e-162.
+    ValueError in the vacuum state (x = 0), where g2 is 0/0."""
+    if g2_convention not in ("as_written", "conventional"):
+        raise ValueError("g2_convention must be 'as_written' or 'conventional'")
+    x = float(x)
+    if x == 0.0:
+        raise ValueError("g2 is undefined in the vacuum state (x = 0), "
+                         "where <N> = <N^2> = 0")
+    mean = number_moment(params, x, 1, falling=True)  # <N> / x; checks the domain
+    fact = number_moment(params, x, 2, falling=True)  # <N(N-1)> / x^2
+    if g2_convention == "conventional":
+        return x * mean, fact / mean / mean
+    return x * mean, fact * x / (fact * x + mean)
+
+
 def g2_in_state(params: FamilyParams, x: float,
                 g2_convention: str = "as_written") -> float:
-    return _g2(number_moment(params, x, 1), number_moment(params, x, 2), g2_convention)
+    """Second-order correlation in the state with |z|^2 = x:
+    <N(N-1)>/<N^2> ('as_written') or <N(N-1)>/<N>^2 ('conventional'), from
+    the series of <N>/x and <N(N-1)>/x^2, so it keeps its digits down to the
+    smallest x.  ValueError at x = 0, where it is 0/0."""
+    return _state_g2(params, x, g2_convention)[1]
 
 
 def mandel_q_in_state(params: FamilyParams, x: float,
                       g2_convention: str = "as_written") -> float:
-    n1 = number_moment(params, x, 1)
-    return n1 * (_g2(n1, number_moment(params, x, 2), g2_convention) - 1.0)
+    """Mandel Q = <N> (g2 - 1) in the state with |z|^2 = x, g2 as in
+    `g2_in_state`."""
+    n1, g2 = _state_g2(params, x, g2_convention)
+    return n1 * (g2 - 1.0)
 
 
 # ---------------------------------------------------------------------------

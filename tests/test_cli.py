@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 
 import ghcs
 import ghcs.kernel
+import ghcs.measure
+import ghcs.states
 from ghcs.cli import RunConfig, main, resolve_config, _build_parser
 
 SRC = os.path.dirname(os.path.dirname(ghcs.__file__))
@@ -302,6 +305,41 @@ class TestOtherCommands:
         monkeypatch.setattr(ghcs.kernel, "check_idempotence", counted)
         assert run([cmd, "--out", str(tmp_path / "out.json")]) == 0
         assert calls == [pairs]
+
+
+class TestWorkCounts:
+    """Deterministic work counts in place of timings: the report path builds
+    each label's state once and each (params, nodes) rule once."""
+
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    @pytest.mark.parametrize("nodes", [[], ["--nodes", "200"]], ids=["default", "200"])
+    def test_verify_kernel_quantize_build_once(self, tmp_path, monkeypatch, family, nodes):
+        built = []
+        build = ghcs.states._build_rows
+
+        def counted(params, zs, n_max):
+            built.append([(z.real, z.imag, math.copysign(1.0, z.real),
+                           math.copysign(1.0, z.imag)) for z in zs])
+            return build(params, zs, n_max)
+
+        monkeypatch.setattr(ghcs.states, "_build_rows", counted)
+        ghcs.measure._cached_rule.cache_clear()
+        for cmd, sampled in (("verify", 50), ("kernel", 200), ("quantize", 0)):
+            built.clear()
+            ghcs.states._cached_state.cache_clear()
+            argv = [cmd, "--family", family, "--m", "2", "--nu", "0.61", *nodes]
+            assert run([*argv, "--out", str(tmp_path / f"{cmd}.json")]) == 0
+            # the sampler builds its 2 x sampled labels in two calls, every
+            # other label is one state-cache miss, and no label is built
+            # twice (at a second truncation or outside the cache)
+            assert [len(b) for b in built if len(b) > 1] == [sampled] * 2 * (sampled > 0)
+            assert (sum(len(b) == 1 for b in built)
+                    == ghcs.states._cached_state.cache_info().misses)
+            keys = [key for b in built for key in b]
+            assert len(keys) == len(set(keys))
+        # verify, kernel and quantize share one rule
+        assert ghcs.measure._cached_rule.cache_info().misses == 1
+        assert ghcs.measure._cached_rule.cache_info().hits == 2
 
 
 class TestVariantFlag:

@@ -9,6 +9,7 @@ import pytest
 from ghcs import specfun
 from ghcs.measure import (
     QuadratureRule,
+    _cached_rule,
     WeightCurve,
     default_figure_curves,
     density,
@@ -98,6 +99,37 @@ class TestRule:
             ref = top + np.log(np.sum(np.exp(g - top[:, None]), axis=1))
             assert np.array_equal(rule.log_moments(e), ref)
             assert rule.log_moments([]).shape == (0,)
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("family, default", [(Family.BESSEL, 240), (Family.JACOBI, 320)])
+    def test_default_nodes_resolve_to_one_rule(self, family, default):
+        params = FamilyParams(1, 0.5, family)
+        rule = radial_rule(params)
+        assert radial_rule(params, default) is rule
+        assert radial_rule(params, 0) is rule
+        assert radial_rule(params, default + 8) is not rule
+
+    def test_rules_equal_fresh_builds(self):
+        params = FamilyParams(2, 0.7, Family.JACOBI)
+        cached = radial_rule(params, 90)
+        _cached_rule.cache_clear()
+        fresh = radial_rule(params, 90)
+        assert fresh is not cached
+        assert np.array_equal(fresh.nodes, cached.nodes)
+        assert np.array_equal(fresh.weights, cached.weights)
+
+    def test_arrays_are_read_only(self, bessel_rule, jacobi_rule):
+        for rule in (bessel_rule, jacobi_rule):
+            for values in (rule.nodes, rule.weights):
+                with pytest.raises(ValueError):
+                    values[0] = 1.0
+
+    def test_cache_is_bounded(self):
+        params = FamilyParams(0, 0.4, Family.BESSEL)
+        for n in range(60, 80):
+            radial_rule(params, n)
+        assert _cached_rule.cache_info().currsize <= 8
 
 
 class TestVerifyIdentity:

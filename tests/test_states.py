@@ -15,9 +15,12 @@ from ghcs.states import (
     FamilyParams,
     FockVector,
     PochhammerVariant,
+    _build_rows,
     _build_state,
     _cached_state,
     _log_h_array,
+    _log_h_entries,
+    _log_h_store,
     _log_h_table,
     coeff_h,
     coefficient_sign,
@@ -26,6 +29,7 @@ from ghcs.states import (
     normalization,
     overlap,
     state,
+    state_matrix,
 )
 
 from conftest import rel_err
@@ -294,18 +298,22 @@ class TestLogHCache:
         radii = 1.0 - 10.0 ** -np.linspace(0.1, 2.0, 16)  # up to |z| = 0.99
         labels = [r * np.exp(1j * t) for r, t in zip(radii, np.linspace(0, 6, 16))]
         top = max(state(params, z).n_max for z in labels)
-        sizes = int(math.log2(top // 128)) + 1  # 128, 256, ..., top
-        builds = []
-        counting = lambda *a: builds.append(a) or _build_state(*a)  # noqa: E731
-        monkeypatch.setattr(states, "_build_state", counting)
+        assert top >= 1024  # the labels need several table sizes
+        rows, entries = [], []
+        monkeypatch.setattr(states, "_build_rows", lambda p, zs, n: (
+            rows.append(len(zs)) or _build_rows(p, zs, n)))
+        monkeypatch.setattr(states, "_log_h_entries", lambda p, a, b: (
+            entries.append((a, b)) or _log_h_entries(p, a, b)))
         _cached_state.cache_clear()
-        _log_h_table.cache_clear()
+        _log_h_store.cache_clear()
         gram_matrix(params, labels)
-        info = _log_h_table.cache_info()
-        assert info.misses <= sizes
-        # every state build reads the table once, so the table is shared by
-        # all of them
-        assert info.hits + info.misses == len(builds) > 16
+        # one coefficient build per label, with no rebuild at a larger size
+        assert rows == [1] * 16
+        # one table for the params, grown to the largest size read, every
+        # entry computed once
+        assert _log_h_store.cache_info().misses == 1
+        assert entries[-1][1] == top
+        assert sum(b - a + 1 for a, b in entries) == top
 
 
 def _uncached_state(params, z, n_max=None):
@@ -409,3 +417,126 @@ class TestResolvedStateConsistency:
             recon = float(np.sum(mods2)) / (1.0 - v.tail_bound)
             ref = normalization(params, abs(z) ** 2)
             assert rel_err(recon, ref) < 1e-12
+
+
+def _reference_rows(params, z, n_max=None):
+    """Reference: the single-label build `state` made before `state_matrix`,
+    with its own 1-d arithmetic, doubling n_max from 128 until the tail is
+    below 1e-12.  Returns (coeffs, n_max, tail_bound)."""
+    z = complex(z)
+    n = 128 if n_max is None else n_max
+    while True:
+        mag = abs(z)
+        if mag == 0.0:
+            mods = np.zeros(n + 1)
+            mods[0] = 1.0
+            return mods.astype(complex), n, 0.0
+        k = np.arange(n + 1, dtype=float)
+        mods = np.exp(k * math.log(mag) - _log_h_array(params, n))
+        phase = np.exp(1j * k * math.atan2(z.imag, z.real))
+        signs = np.ones(n + 1)
+        if params.family is Family.JACOBI:
+            signs[1::2] = -1.0
+        rho = mag / math.sqrt((n + 2.0) * (params.b + (n + 1)))
+        if params.family is Family.JACOBI:
+            rho *= params.coeff_shift + (n + 1)
+        r2 = rho * rho
+        tail = math.inf if rho >= 1.0 else mods[-1] ** 2 * r2 / (1.0 - r2)
+        total = float(np.dot(mods, mods)) + tail
+        if n_max is not None or tail / total < 1e-12:
+            return signs * mods * phase / math.sqrt(total), n, tail / total
+        n *= 2
+
+
+def _labels(params, count, seed):
+    """Random labels over the family's disc (bessel |z| <= 30, jacobi up to
+    0.9999), plus z = 0 and the signed zeros."""
+    rng = np.random.default_rng(seed)
+    if params.family is Family.BESSEL:
+        radii = 30.0 * rng.uniform(size=count) ** 0.5
+    else:
+        radii = np.concatenate([0.999 * rng.uniform(size=count - 8),
+                                1.0 - 10.0 ** -rng.uniform(1.0, 4.0, 8)])
+    angles = rng.uniform(-math.pi, math.pi, len(radii))
+    return [complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, angles)] + [
+        0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+        complex(-0.7, 0.0), complex(-0.7, -0.0), complex(0.0, -0.7), complex(-0.0, -0.7),
+    ]
+
+
+_ALL_PARAMS = [FamilyParams(m, nu, family, variant)
+               for family in Family for variant in PochhammerVariant
+               for m, nu in ((0, 0.3), (2, 1.7))]
+
+
+class TestStateMatrix:
+    @pytest.mark.parametrize("params", _ALL_PARAMS, ids=str)
+    def test_rows_are_the_single_label_states(self, params):
+        labels = _labels(params, 60, 5)
+        # near |z| = 0.9999 some jacobi labels need more than the 32768-term
+        # cap: state and state_matrix both raise for them
+        stalled = []
+        for z in labels:
+            try:
+                state(params, z)
+            except specfun.ConvergenceError:
+                stalled.append(z)
+        if stalled:
+            with pytest.raises(specfun.ConvergenceError, match="n_max cap of 32768"):
+                state_matrix(params, labels)
+            labels = [z for z in labels if z not in stalled]
+        mat = state_matrix(params, labels)
+        assert mat.coeffs.shape == (len(labels), int(mat.n_max.max()) + 1)
+        assert not mat.coeffs.flags.writeable
+        _cached_state.cache_clear()
+        for i, z in enumerate(labels):
+            v = state(params, z)
+            n = v.n_max
+            assert mat.n_max[i] == n and mat.tail_bound[i] == v.tail_bound
+            assert np.array_equal(mat.coeffs[i, : n + 1], v.coeffs)
+            assert not mat.coeffs[i, n + 1:].any()
+            # bit for bit, signed zeros included, against the 1-d arithmetic
+            ref, ref_n, ref_tail = _reference_rows(params, z)
+            assert (n, v.tail_bound) == (ref_n, ref_tail)
+            assert v.coeffs.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("params", _ALL_PARAMS[::2], ids=str)
+    def test_explicit_n_max(self, params):
+        labels = [0j, 0.05 - 0.02j, complex(-0.1, -0.0)]
+        mat = state_matrix(params, labels, n_max=40)
+        assert mat.coeffs.shape == (3, 41) and (mat.n_max == 40).all()
+        for i, z in enumerate(labels):
+            ref, _, ref_tail = _reference_rows(params, z, 40)
+            assert mat.coeffs[i].tobytes() == ref.tobytes()
+            assert mat.tail_bound[i] == ref_tail
+            assert np.array_equal(state(params, z, n_max=40).coeffs, mat.coeffs[i])
+        with pytest.raises(ValueError, match="larger n_max required"):
+            state_matrix(params, [0.01, 0.95], n_max=4)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            state_matrix(params, labels, n_max=-1)
+
+    def test_explicit_n_max_below_a_diverging_tail_raises(self):
+        # at |z| = 0.95 the jacobi ratio bound is above 1 at n = 5: the
+        # tail is not certified at all, so n_max = 4 is rejected
+        with pytest.raises(ValueError, match="truncation error 1.00e\\+00 exceeds"):
+            state(_JACOBI, 0.95, n_max=4)
+        assert _build_state(_JACOBI, 0.95, 4).tail_bound == 1.0
+
+    def test_labels_outside_the_domain_raise(self):
+        with pytest.raises(ValueError, match="outside the open domain"):
+            state_matrix(_JACOBI, [0.5, 1.0])
+
+    def test_no_labels(self):
+        mat = state_matrix(_BESSEL, [])
+        assert mat.coeffs.shape[0] == 0 and mat.n_max.size == 0
+
+    def test_stalled_truncation_names_family_parameters_and_cap(self):
+        params = FamilyParams(0, 0.3, Family.JACOBI)
+        for build in (lambda: state(params, 0.99999),
+                      lambda: state_matrix(params, [0.5, 0.99999])):
+            with pytest.raises(specfun.ConvergenceError) as exc:
+                build()
+            msg = str(exc.value)
+            assert msg.startswith("state truncation stalled")
+            for part in ("jacobi", "m = 0", "nu = 0.3", "|z| = 0.99999", "32768"):
+                assert part in msg, part

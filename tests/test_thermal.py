@@ -9,7 +9,7 @@ import pytest
 from ghcs import cli, thermal
 from ghcs.measure import radial_rule
 from ghcs.specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
-from ghcs.states import Family, FamilyParams
+from ghcs.states import Family, FamilyParams, coeff_h
 from ghcs.thermal import (
     boltzmann_moment,
     closed_form_thermal_stats,
@@ -297,6 +297,71 @@ class TestNumberMomentSeries:
         out = tmp_path / "expect.csv"
         assert cli.main(["expect", "--config", str(cfg), "--out", str(out)]) == 0
         assert sorted(calls) == [1, 1, 1, 2, 2, 2]
+
+
+def mp_state_g2(params, x, convention):
+    """(<N>, g2) from the derivatives of N(x): 0F1(; b; x) for bessel,
+    2F1(a+1, a+1; b; x) for jacobi, where <N> = x N'/N and
+    <N(N-1)> = x^2 N''/N."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        if params.family is Family.BESSEL:
+            b = mp.mpf(params.b)
+            f0, f1, f2 = (mp.hyp0f1(b + k, x) / mp.rf(b, k) for k in range(3))
+        else:
+            a, b = mp.mpf(params.a), mp.mpf(params.b)
+            f0, f1, f2 = (mp.rf(a + 1, k) ** 2 / mp.rf(b, k)
+                          * mp.hyp2f1(a + 1 + k, a + 1 + k, b + k, x) for k in range(3))
+        mean, fact = f1 / f0, f2 / f0  # <N>/x and <N(N-1)>/x^2
+        if convention == "conventional":
+            g2 = fact / mean**2
+        else:
+            g2 = fact * x / (fact * x + mean)
+        return float(x * mean), float(g2)
+
+
+class TestStateG2:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("convention", ["as_written", "conventional"])
+    def test_small_x_against_mpmath(self, family, convention):
+        # <N^2> - <N> cancels below x ~ 1e-16 and <N>^2 underflows below
+        # x ~ 1e-162; the factorial moment is summed directly instead
+        for m, nu in ((1, 0.5), (0, 0.3), (3, 2.1)):
+            params = FamilyParams(m, nu, family)
+            for x in 10.0 ** -np.arange(10, 171, 10):
+                n1, g2 = mp_state_g2(params, x, convention)
+                assert rel_err(g2_in_state(params, x, convention), g2) < 1e-13
+                q = mandel_q_in_state(params, x, convention)
+                assert rel_err(q, n1 * (g2 - 1.0)) < 1e-13
+
+    def test_conventional_limit(self, bessel_params):
+        # g2 -> b / (b + 1) = 0.75 as x -> 0 at b = 3
+        for x in (1e-150, 1e-170):
+            assert g2_in_state(bessel_params, x, "conventional") == pytest.approx(0.75, rel=1e-15)
+
+    @pytest.mark.parametrize("family, xs", [
+        (Family.JACOBI, (0.05, 0.5, 0.9, 0.99)),
+        (Family.BESSEL, (0.5, 5.0, 120.0, 3000.0)),
+    ])
+    @pytest.mark.parametrize("convention", ["as_written", "conventional"])
+    def test_against_mpmath(self, family, xs, convention):
+        for m, nu in ((1, 0.5), (0, 0.3), (2, 1.7)):
+            params = FamilyParams(m, nu, family)
+            for x in xs:
+                n1, g2 = mp_state_g2(params, x, convention)
+                assert rel_err(g2_in_state(params, x, convention), g2) < 1e-12
+                assert rel_err(mandel_q_in_state(params, x, convention), n1 * (g2 - 1.0)) < 1e-11
+
+    def test_falling_moments_at_zero(self, bessel_params, jacobi_params):
+        # <N(N-1)...(N-s+1)> / x^s -> s! / h_s^2
+        for params in (bessel_params, jacobi_params):
+            for s in range(4):
+                ref = math.factorial(s) / coeff_h(params, s) ** 2
+                assert rel_err(number_moment(params, 0.0, s, falling=True), ref) < 1e-14
+
+    def test_bad_convention(self, bessel_params):
+        with pytest.raises(ValueError, match="g2_convention"):
+            g2_in_state(bessel_params, 0.5, "other")
 
 
 class TestPFunction:
