@@ -6,10 +6,10 @@ timestamps, fixed 17-significant-digit scientific notation, LF endings).
 
 Exit codes separate failure classes: 0 when every oracle-level check
 passes, 1 when one fails (the failing check is named), 2 for a rejected
-configuration, 3 when a series budget ran out (the error is printed as
-one line).  Disagreement between the weighted-integral results and the
-closed forms quoted in the literature is reported as data, never as a
-failure.
+configuration, 3 when a series budget ran out or a value left the float
+range (the error is printed as one line).  Disagreement between the
+weighted-integral results and the closed forms quoted in the literature
+is reported as data, never as a failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, dynamics, kernel, measure, quantize, thermal
 from .specfun import ConvergenceError
-from .states import Family, FamilyParams, PochhammerVariant, state_matrix
+from .states import Family, FamilyParams, PochhammerVariant, _pair_overlap, state_matrix
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -195,37 +195,38 @@ def cmd_weight(cfg: RunConfig) -> int:
     return 0
 
 
-def _idempotence_pairs(scale: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The idempotence sample: z1 = re + i im on a count x count grid over
-    [-0.45 scale, 0.45 scale]^2, paired with z2 = (im - i re) / 2."""
-    grid = np.linspace(-0.45 * scale, 0.45 * scale, count).tolist()
-    z1 = [complex(re, im) for re in grid for im in grid]
-    z2 = [complex(im * 0.5, -re * 0.5) for re in grid for im in grid]
-    return np.array(z1), np.array(z2)
+def _kernel_checks(params: FamilyParams, rule: measure.QuadratureRule, seed: int,
+                   samples: int, grid: int):
+    """The reproducing-kernel checks `verify` and `kernel` share, as
+    (hermiticity worst, diagonal worst, z1, z2, idempotence residuals, Gram
+    minimum eigenvalue), on labels scaled by 1.5 (bessel) or 0.6 (jacobi).
 
-
-def _kernel_sample(params: FamilyParams, rng: np.random.Generator, scale: float,
-                   count: int) -> tuple[float, float]:
-    """(hermiticity_worst, diagonal_worst) over `count` random label pairs:
-    the largest |conj(K(z1, z2)) - K(z2, z1)| and |K(z1, z1) - 1|.
-
-    The labels are the rng's next 4 count uniforms on [-0.45 scale,
-    0.45 scale], pair by pair as re z1, im z1, re z2, im z2.  Each label's
-    state is built once by `states.state_matrix`, and each kernel value is
-    the `states.overlap` sum over the pair's common truncation, so the worst
-    cases are those of `kernel.kernel` bit for bit.
+    The seed's first 4 samples uniforms on [-0.45 scale, 0.45 scale] are
+    `samples` pairs (re z1, im z1, re z2, im z2), each side's states one
+    `states.state_matrix` call, so the worst |conj K(z1, z2) - K(z2, z1)|
+    and |K(z1, z1) - 1| are those of `kernel.kernel` bit for bit.  The
+    idempotence pairs are z1 = re + i im on a grid x grid mesh of that
+    square and z2 = (im - i re) / 2; the Gram labels are the next 6 draws
+    on [-0.4 scale, 0.4 scale]^2.
     """
-    draws = rng.uniform(-0.45 * scale, 0.45 * scale, (count, 4)).tolist()
+    scale = 1.5 if params.family is Family.BESSEL else 0.6
+    rng = np.random.default_rng(seed)
+    draws = rng.uniform(-0.45 * scale, 0.45 * scale, (samples, 4)).tolist()
     m1 = state_matrix(params, [complex(a, b) for a, b, _, _ in draws])
     m2 = state_matrix(params, [complex(c, d) for _, _, c, d in draws])
     herm_worst = diag_worst = 0.0
     for c1, c2, n1, n2 in zip(m1.coeffs, m2.coeffs, m1.n_max.tolist(), m2.n_max.tolist()):
-        n = min(n1, n2) + 1
-        k12 = complex(np.vdot(c1[:n], c2[:n]))
-        k21 = complex(np.vdot(c2[:n], c1[:n]))
+        k12 = complex(_pair_overlap(c1, n1, c2, n2))
+        k21 = complex(_pair_overlap(c2, n2, c1, n1))
         herm_worst = max(herm_worst, abs(k12.conjugate() - k21))
-        diag_worst = max(diag_worst, abs(complex(np.vdot(c1[: n1 + 1], c1[: n1 + 1])) - 1.0))
-    return herm_worst, diag_worst
+        diag_worst = max(diag_worst, abs(complex(_pair_overlap(c1, n1, c1, n1)) - 1.0))
+    mesh = np.linspace(-0.45 * scale, 0.45 * scale, grid).tolist()
+    z1 = np.array([complex(re, im) for re in mesh for im in mesh])
+    z2 = np.array([complex(im * 0.5, -re * 0.5) for re in mesh for im in mesh])
+    residuals = kernel.check_idempotence(params, z1, z2, rule)
+    labels = [complex(*rng.uniform(-0.4 * scale, 0.4 * scale, 2)) for _ in range(6)]
+    gram_min = float(np.linalg.eigvalsh(kernel.gram_matrix(params, labels)).min())
+    return herm_worst, diag_worst, z1, z2, residuals, gram_min
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -241,13 +242,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not cert.passed:
         failed.append(f"identity_moments ({cert.diagnosis})")
 
-    scale = 1.5 if params.family is Family.BESSEL else 0.6
-    rng = np.random.default_rng(cfg.seed)
-    herm_worst, diag_worst = _kernel_sample(params, rng, scale, 50)
-    z1s, z2s = _idempotence_pairs(scale, 3)
-    idem_worst = float(np.max(kernel.check_idempotence(params, z1s, z2s, rule)))
-    labels = [complex(*rng.uniform(-0.4 * scale, 0.4 * scale, 2)) for _ in range(6)]
-    gram_min = float(np.linalg.eigvalsh(kernel.gram_matrix(params, labels)).min())
+    herm_worst, diag_worst, _, _, residuals, gram_min = _kernel_checks(
+        params, rule, cfg.seed, 50, 3)
+    idem_worst = float(np.max(residuals))
     kernel_pass = (
         herm_worst <= 1e-12
         and diag_worst <= 1e-10
@@ -316,17 +313,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_kernel(cfg: RunConfig) -> int:
     params = cfg.params()
     rule = measure.radial_rule(params, cfg.resolved_nodes())
-    scale = 1.5 if params.family is Family.BESSEL else 0.6
-    rng = np.random.default_rng(cfg.seed)
-    herm_worst, _ = _kernel_sample(params, rng, scale, 200)
-    z1s, z2s = _idempotence_pairs(scale, 5)
-    residuals = kernel.check_idempotence(params, z1s, z2s, rule)
+    herm_worst, _, z1s, z2s, residuals, gram_min = _kernel_checks(
+        params, rule, cfg.seed, 200, 5)
     samples = [
         {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag], "idempotence_residual": r}
         for z1, z2, r in zip(z1s.tolist(), z2s.tolist(), residuals.tolist())
     ]
-    labels = [complex(*rng.uniform(-0.4 * scale, 0.4 * scale, 2)) for _ in range(6)]
-    gram_min = float(np.linalg.eigvalsh(kernel.gram_matrix(params, labels)).min())
     payload = {
         "hermiticity_worst": herm_worst,
         "gram_min_eigenvalue": gram_min,
@@ -355,13 +347,8 @@ def cmd_expect(cfg: RunConfig) -> int:
     params = cfg.params()
     x_max = cfg.x_max if params.family is Family.BESSEL else min(cfg.x_max, 0.98)
     grid = np.linspace(cfg.x_min, x_max, cfg.x_count) if cfg.x_count > 0 else []
-    rows = []
-    for x in grid:
-        n1 = thermal.number_moment(params, float(x), 1)
-        n2 = thermal.number_moment(params, float(x), 2)
-        g2 = thermal._g2(n1, n2, cfg.g2_convention)
-        q = n1 * (g2 - 1.0)
-        rows.append((float(x), n1, n2, g2, q))
+    rows = [(float(x), *thermal.in_state_stats(params, float(x), cfg.g2_convention))
+            for x in grid]
     _write_csv(cfg.out, cfg, "x,N_mean,N2_mean,g2,mandel_q", rows)
     return 0
 
@@ -466,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ConvergenceError as exc:
         print(f"series budget ran out: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"float range exceeded: {exc}", file=sys.stderr)
         return 3
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .states import Family, FamilyParams, FockVector, _auto_state, state
+from .states import Family, FamilyParams, FockVector, _pair_overlap, state, state_matrix
 
 __all__ = [
     "Spectrum",
@@ -111,8 +111,9 @@ def density_evolved(params: FamilyParams, z0: complex, z, t):
     z0(t) = z0 exp(-i (2m+2nu-1) t), i.e. the density in the rotated
     basis; rho_raw is |<z| e^{-iHt} |z0>|^2 with the full phases, whose
     extra exp(-i n^2 t) factors the rotated basis absorbs.  The two agree
-    at t = 0 and generally differ for t != 0.  z0's state is evolved once
-    per t and each label's state is built once per call.
+    at t = 0 and generally differ for t != 0.  z0's state (`states.state`)
+    is evolved once per t, and the grid's states come from one
+    `states.state_matrix` call, which keeps them out of the state cache.
     """
     _require_bessel(params, "density_evolved")
     zs, ts = _labels(params, z), np.asarray(t, dtype=float)
@@ -120,13 +121,10 @@ def density_evolved(params: FamilyParams, z0: complex, z, t):
     z0_t = complex(z0) * np.exp(-1j * rotation_frequency(params) * ts)
     rho_formula = density_static(params, z0_t.reshape(ts.shape + (1,) * zs.ndim), zs)
     v0s = [evolve(params, v, tk) for tk in ts.ravel().tolist()]
-    # a grid label is read once per t, from this loop, so its state is built
-    # once per call and kept out of the state cache, whose entries are the
-    # labels read again across calls (z0, a Gram's labels)
+    grid = state_matrix(params, zs.ravel().tolist())
     rho_raw = np.array([
-        [abs(np.vdot(u.coeffs[:n], v0.coeffs[:n])) ** 2
-         for v0 in v0s for n in [min(v0.n_max, u.n_max) + 1]]
-        for u in (_auto_state(params, w) for w in zs.ravel().tolist())
+        [abs(_pair_overlap(c, n, v0.coeffs, v0.n_max)) ** 2 for v0 in v0s]
+        for c, n in zip(grid.coeffs, grid.n_max.tolist())
     ]).reshape(zs.size, ts.size).T.reshape(shape)
     return (rho_formula, rho_raw) if shape else (float(rho_formula), float(rho_raw))
 

@@ -1,7 +1,7 @@
 """Reproducing-kernel checks and the analytic representation.
 
 The kernel is the overlap K(z1, z2) = <z1 | z2> of the certified states
-that `states.state` builds, c_n(z) = s_n z^n / (h_n sqrt N(|z|^2)).  Its
+that `states` builds, c_n(z) = s_n z^n / (h_n sqrt N(|z|^2)).  Its
 idempotence under the weighted label integral reduces, after the angular
 integral kills every off-diagonal mode, to the radial moments: with mu_n
 the rule's n-th moment and n* the pair's common truncation, the residual
@@ -23,8 +23,9 @@ from .states import (
     FamilyParams,
     FockVector,
     overlap,
-    state,
+    state_matrix,
     _log_h_array,
+    _pair_overlap,
     _series_terms,
 )
 
@@ -57,20 +58,21 @@ def check_idempotence(params: FamilyParams, z1, z2,
     The angular integral is done exactly by mode matching (only equal
     modes survive) and the radial one by the rule's moments, so the
     residual is |sum_n conj(c_n(z1)) c_n(z2) (mu_n / h_n^2 - 1)| over the
-    pair's common truncation, on the states `states.state` certifies.
-    z1 and z2 broadcast against each other: scalars in, float out; arrays
-    in, array out.
+    pair's common truncation.  z1 and z2 broadcast against each other
+    (scalars in, float out; arrays in, array out); the states of each side
+    come from one `states.state_matrix` call, bit for bit those of
+    `states.state`.
     """
     z1s, z2s = np.broadcast_arrays(np.asarray(z1, dtype=complex),
                                    np.asarray(z2, dtype=complex))
-    pairs = [(state(params, a), state(params, b)) for a, b in zip(z1s.flat, z2s.flat)]
+    m1, m2 = (state_matrix(params, zs.ravel().tolist()) for zs in (z1s, z2s))
     if rule is None:
         rule = radial_rule(params)
-    lengths = [min(v1.n_max, v2.n_max) + 1 for v1, v2 in pairs]
-    defect = np.expm1(_log_moment_ratio(params, rule, max(lengths, default=1) - 1))
+    top = max(m1.coeffs.shape[1], m2.coeffs.shape[1]) - 1
+    defect = np.expm1(_log_moment_ratio(params, rule, top))
     out = np.array([
-        abs(np.vdot(v1.coeffs[:n], v2.coeffs[:n] * defect[:n]))
-        for (v1, v2), n in zip(pairs, lengths)
+        abs(_pair_overlap(c1, n1, c2, n2, defect))
+        for c1, n1, c2, n2 in zip(m1.coeffs, m1.n_max.tolist(), m2.coeffs, m2.n_max.tolist())
     ]).reshape(z1s.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -100,12 +102,10 @@ def inner_product_integral(params: FamilyParams, fock1: FockVector,
     analytic representatives; matches the direct Fock inner product."""
     if rule is None:
         rule = radial_rule(params)
-    n = min(fock1.n_max, fock2.n_max)
     # s_n^2 mu_n / h_n^2 = 1 exactly; quadrature supplies mu_hat instead
-    weights = np.exp(_log_moment_ratio(params, rule, n))
-    c1 = fock1.coeffs[: n + 1]
-    c2 = fock2.coeffs[: n + 1]
-    return complex(np.sum(np.conjugate(c1) * c2 * weights))
+    weights = np.exp(_log_moment_ratio(params, rule, max(fock1.n_max, fock2.n_max)))
+    return complex(_pair_overlap(fock1.coeffs, fock1.n_max, fock2.coeffs, fock2.n_max,
+                                 weights))
 
 
 def gram_matrix(params: FamilyParams, labels) -> np.ndarray:

@@ -327,6 +327,9 @@ def verify_identity(params: FamilyParams, n_check: int = 20,
     Checks int x^n omega dx against h_n^2 for n = 0..n_check.  On failure
     the rule is rebuilt with more nodes: a moment that moves under
     refinement indicts the quadrature, a stable one indicts the identity.
+    A row whose relative error is not finite (the target or the moment
+    left the float range) fails the certificate as its worst row, with
+    diagnosis "float_overflow" and no refinement.
     """
     if n_check < 8:
         raise ValueError("n_check must be at least 8")
@@ -342,10 +345,13 @@ def verify_identity(params: FamilyParams, n_check: int = 20,
                      rel_error=float(rel[n]))
         for n in range(n_check + 1)
     )
-    worst = max(reports, key=lambda r: r.rel_error)
+    overflowed = np.flatnonzero(~np.isfinite(rel))
+    worst = reports[int(overflowed[0]) if overflowed.size else int(np.argmax(rel))]
     passed = bool(worst.rel_error <= tol)
     diagnosis = None
-    if not passed:
+    if overflowed.size:
+        diagnosis = "float_overflow"
+    elif not passed:
         finer = radial_rule(params, int(rule.n_nodes * 1.6) + 8)
         refined = float(finer.moments([worst.order])[0])
         drift = abs(refined - worst.computed) / abs(worst.target)

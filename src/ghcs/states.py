@@ -322,12 +322,13 @@ def state(params: FamilyParams, z: complex, n_max: int | None = None) -> FockVec
     non-negative integer.
 
     The 32 most recently used states are kept, so a label is built once
-    however many overlaps read it.  The cache key is the exact bits of the
-    label: (params, z.real, z.imag, the sign of each part, n_max), so
-    -0.0 and 0.0, which compare equal but give atan2 phases of -pi and pi,
-    are different keys.  The returned coeffs are read-only and shared
-    between callers.  Errors are not cached.  At the n_max cap of 32768
-    the cache holds at most 32 x 32769 x 16 B, about 17 MB.
+    however many overlaps read it (readers of many labels at once use
+    `state_matrix`, which bypasses the cache).  The cache key is the exact
+    bits of the label: (params, z.real, z.imag, the sign of each part,
+    n_max), so -0.0 and 0.0, which compare equal but give atan2 phases of
+    -pi and pi, are different keys.  The returned coeffs are read-only and
+    shared between callers.  Errors are not cached.  At the n_max cap of
+    32768 the cache holds at most 32 x 32769 x 16 B, about 17 MB.
     """
     if n_max is not None:
         n_max = _require_n_max(n_max)
@@ -344,10 +345,10 @@ def _cached_state(params: FamilyParams, re: float, im: float, re_sign: float,
     # re_sign and im_sign only split the keys of -0.0 and 0.0; the parts
     # themselves carry their signs into z
     z = complex(re, im)
-    vec = _build_state(params, z, n_max)
+    coeffs, sizes, tails = _build_rows(params, [z], n_max)
     if n_max is not None:
-        _require_tail(params, [z], [vec.tail_bound])
-    return vec
+        _require_tail(params, [z], tails)
+    return FockVector(coeffs=coeffs[0], n_max=sizes[0], tail_bound=tails[0])
 
 
 def state_matrix(params: FamilyParams, labels, n_max: int | None = None) -> StateMatrix:
@@ -360,8 +361,10 @@ def state_matrix(params: FamilyParams, labels, n_max: int | None = None) -> Stat
     128, 256, ... terms at a time, each size judged by the tail certificate
     on the moduli so far, and only the size taken gets its phases and
     normalization.  A label whose tail stays above 1e-12 at the cap of 32768
-    terms raises ConvergenceError naming the family, m, nu and |z|.  An
-    explicit n_max applies to every row, with `state`'s tail check.
+    terms raises ConvergenceError, and one whose norm leaves the float range
+    (bessel, from about |z| = 362 at m = 1, nu = 0.5) raises OverflowError;
+    both name the family, m, nu and |z|.  An explicit n_max applies to every
+    row, with `state`'s tail check.
     """
     n_max = _require_n_max(n_max)
     zs = [params.require_label(z) for z in labels]
@@ -377,20 +380,9 @@ def _require_tail(params: FamilyParams, zs: list[complex], tails: list[float]) -
         if tail > _TAIL_REQUIRED:
             raise ValueError(
                 f"truncation error {tail:.2e} exceeds {_TAIL_REQUIRED:g}; "
-                f"larger n_max required (n_max = {_auto_state(params, z).n_max} suffices)"
+                f"larger n_max required "
+                f"(n_max = {_build_rows(params, [z], None)[1][0]} suffices)"
             )
-
-
-def _auto_state(params: FamilyParams, z: complex) -> FockVector:
-    """`state` with n_max omitted, uncached."""
-    return _build_state(params, complex(z), None)
-
-
-def _build_state(params: FamilyParams, z: complex, n_max: int | None) -> FockVector:
-    """The state at label z, uncached, with its tail unchecked: the one-row
-    case of `_build_rows`."""
-    coeffs, sizes, tails = _build_rows(params, [z], n_max)
-    return FockVector(coeffs=coeffs[0], n_max=sizes[0], tail_bound=tails[0])
 
 
 def _build_rows(params: FamilyParams, zs: list[complex], n_max: int | None):
@@ -400,7 +392,8 @@ def _build_rows(params: FamilyParams, zs: list[complex], n_max: int | None):
     The per-label scalars |z|, log|z| and arg z come from Python's `abs`,
     `math.log` and `math.atan2` (numpy's differ in the last bit), and each
     row's norm is one `np.dot`, so every row is the single-label build's
-    value bit for bit.
+    value bit for bit.  A norm past the float range raises OverflowError
+    naming the family, m, nu and |z|.
     """
     n = _N_MAX_DEFAULT if n_max is None else n_max
     sizes, tails = [n] * len(zs), [0.0] * len(zs)
@@ -417,8 +410,15 @@ def _build_rows(params: FamilyParams, zs: list[complex], n_max: int | None):
         keep, rest, norms = [], [], []
         for j, i in enumerate(live):
             row = mods[j]
+            mass = float(np.dot(row, row))  # numpy warns of an overflow; it raises below
+            if not math.isfinite(mass):
+                raise OverflowError(
+                    f"state norm leaves the float range at n_max = {n}: "
+                    f"{params.family.value} m = {params.m}, nu = {params.nu:g}, "
+                    f"|z| = {abs(zs[i])!r}"
+                )
             tail = _unnormalized_tail(params, abs(zs[i]), n, row[-1] ** 2)
-            total = float(np.dot(row, row)) + tail
+            total = mass + tail
             # a diverging majorant certifies nothing: the bound is the whole mass
             bound = tail / total if tail < math.inf else 1.0
             if n_max is None and not bound < _TAIL_TARGET:
@@ -517,13 +517,23 @@ def _series_terms(params: FamilyParams, z: complex, n_max: int) -> np.ndarray:
     return _terms(params, mods, [math.atan2(z.imag, z.real)], n_max)[0]
 
 
+def _pair_overlap(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int,
+                  weights: np.ndarray | None = None) -> np.complex128:
+    """sum_n conj(c1_n) c2_n w_n over the pair's common truncation
+    n <= min(n1, n2), as one `np.vdot`; w_n = 1 when `weights` is None.
+    Every reader of two truncated states sums them here.  The result stays
+    a numpy scalar: numpy's complex abs differs from Python's in the last
+    bit."""
+    n = min(n1, n2) + 1
+    return np.vdot(c1[:n], c2[:n] if weights is None else c2[:n] * weights[:n])
+
+
 def overlap(params: FamilyParams, z1: complex, z2: complex,
             n_max: int | None = None) -> complex:
     """<z1 | z2> by the coefficient series."""
     v1 = state(params, z1, n_max)
     v2 = state(params, z2, n_max)
-    n = min(v1.n_max, v2.n_max) + 1
-    return complex(np.vdot(v1.coeffs[:n], v2.coeffs[:n]))
+    return complex(_pair_overlap(v1.coeffs, v1.n_max, v2.coeffs, v2.n_max))
 
 
 def label_distance(params: FamilyParams, z1: complex, z2: complex) -> float:

@@ -35,6 +35,7 @@ __all__ = [
     "closed_form_thermal_stats",
     "cs_thermal_expectation",
     "number_moment",
+    "in_state_stats",
     "g2_in_state",
     "mandel_q_in_state",
     "moment_matched_candidate",
@@ -305,11 +306,13 @@ def _g2(n1: float, n2: float, g2_convention: str) -> float:
     return (n2 - n1) / den
 
 
-def _state_g2(params: FamilyParams, x: float, g2_convention: str) -> tuple[float, float]:
-    """(<N>, g2) in the state with |z|^2 = x, from two series: <N>/x and
-    the factorial moment <N(N-1)>/x^2, each summed at order 1 however
-    small x is.  g2 is <N(N-1)>/<N>^2 ('conventional') or <N(N-1)>/<N^2>
-    ('as_written'), so nothing cancels: <N^2> - <N> from separately summed
+def in_state_stats(params: FamilyParams, x: float,
+                   g2_convention: str = "as_written") -> tuple[float, float, float, float]:
+    """(<N>, <N^2>, g2, Q) in the state with |z|^2 = x, from two series:
+    <N>/x and the factorial moment <N(N-1)>/x^2, each summed at order 1
+    however small x is.  <N^2> = <N> + x^2 <N(N-1)>/x^2, g2 is
+    <N(N-1)>/<N>^2 ('conventional') or <N(N-1)>/<N^2> ('as_written') and
+    Q = <N> (g2 - 1), so nothing cancels: <N^2> - <N> from separately summed
     moments loses every digit once <N(N-1)>/<N> (x / (b + 1) for bessel at
     small x) is below 1e-16, and <N>^2 underflows below x of about 1e-162.
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
@@ -321,26 +324,24 @@ def _state_g2(params: FamilyParams, x: float, g2_convention: str) -> tuple[float
                          "where <N> = <N^2> = 0")
     mean = number_moment(params, x, 1, falling=True)  # <N> / x; checks the domain
     fact = number_moment(params, x, 2, falling=True)  # <N(N-1)> / x^2
-    if g2_convention == "conventional":
-        return x * mean, fact / mean / mean
-    return x * mean, fact * x / (fact * x + mean)
+    g2 = fact / mean / mean if g2_convention == "conventional" else fact * x / (fact * x + mean)
+    n1 = x * mean
+    return n1, n1 + x * x * fact, g2, n1 * (g2 - 1.0)
 
 
 def g2_in_state(params: FamilyParams, x: float,
                 g2_convention: str = "as_written") -> float:
-    """Second-order correlation in the state with |z|^2 = x:
-    <N(N-1)>/<N^2> ('as_written') or <N(N-1)>/<N>^2 ('conventional'), from
-    the series of <N>/x and <N(N-1)>/x^2, so it keeps its digits down to the
-    smallest x.  ValueError at x = 0, where it is 0/0."""
-    return _state_g2(params, x, g2_convention)[1]
+    """Second-order correlation in the state with |z|^2 = x, as
+    `in_state_stats` gives it; it keeps its digits down to the smallest x.
+    ValueError at x = 0, where it is 0/0."""
+    return in_state_stats(params, x, g2_convention)[2]
 
 
 def mandel_q_in_state(params: FamilyParams, x: float,
                       g2_convention: str = "as_written") -> float:
-    """Mandel Q = <N> (g2 - 1) in the state with |z|^2 = x, g2 as in
-    `g2_in_state`."""
-    n1, g2 = _state_g2(params, x, g2_convention)
-    return n1 * (g2 - 1.0)
+    """Mandel Q = <N> (g2 - 1) in the state with |z|^2 = x, as
+    `in_state_stats` gives it."""
+    return in_state_stats(params, x, g2_convention)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,33 @@ class TestWeight:
         )
 
 
+class TestFloatRange:
+    def test_float_range_exit_code(self, tmp_path):
+        # bessel N(|z|^2) overflows near |z| = 346: exit 3 with one stderr
+        # line, no traceback (exit 1 is kept for a failed check)
+        cfg_file = tmp_path / "e.cfg"
+        cfg_file.write_text("r_max=400\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghcs.cli", "evolve", "--config", str(cfg_file),
+             "--out", str(tmp_path / "e.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("float range exceeded: ")
+        assert proc.stderr.count("\n") == 1 and "400" in proc.stderr
+
+    def test_overflowed_identity_rows_fail_verify(self, tmp_path, capsys):
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text("n_check=200\n")
+        out = tmp_path / "v.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["verify", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert "FAIL: identity_moments (float_overflow)" in capsys.readouterr().err
+        cert = json.loads(out.read_text())["results"]["checks"]["identity_moments"]
+        assert cert["passed"] is False and cert["worst_order"] == 98
+
+
 class TestExpect:
     def test_vacuum_grid_point_is_a_rejected_config(self, tmp_path):
         # g2 is 0/0 at x = 0: exit 2 with one stderr line, no traceback
@@ -324,19 +351,24 @@ class TestWorkCounts:
 
         monkeypatch.setattr(ghcs.states, "_build_rows", counted)
         ghcs.measure._cached_rule.cache_clear()
-        for cmd, sampled in (("verify", 50), ("kernel", 200), ("quantize", 0)):
+        for cmd, batches in (("verify", [50, 50, 9, 9]), ("kernel", [200, 200, 25, 25]),
+                             ("quantize", [])):
             built.clear()
             ghcs.states._cached_state.cache_clear()
             argv = [cmd, "--family", family, "--m", "2", "--nu", "0.61", *nodes]
             assert run([*argv, "--out", str(tmp_path / f"{cmd}.json")]) == 0
-            # the sampler builds its 2 x sampled labels in two calls, every
-            # other label is one state-cache miss, and no label is built
-            # twice (at a second truncation or outside the cache)
-            assert [len(b) for b in built if len(b) > 1] == [sampled] * 2 * (sampled > 0)
-            assert (sum(len(b) == 1 for b in built)
-                    == ghcs.states._cached_state.cache_info().misses)
-            keys = [key for b in built for key in b]
-            assert len(keys) == len(set(keys))
+            # the sampler builds its two label lists in two calls and the
+            # idempotence check its pairs' two sides in two more, every
+            # other label is one state-cache miss, no build holds a label
+            # twice, and no cache miss rebuilds a label already built (at a
+            # second truncation or in a batch); the idempotence grid's two
+            # sides share a few labels, each built once per side
+            assert [len(b) for b in built if len(b) > 1] == batches
+            singles = [b[0] for b in built if len(b) == 1]
+            assert len(singles) == ghcs.states._cached_state.cache_info().misses
+            assert all(len(set(b)) == len(b) for b in built)
+            batched = {key for b in built if len(b) > 1 for key in b}
+            assert len(set(singles)) == len(singles) and batched.isdisjoint(singles)
         # verify, kernel and quantize share one rule
         assert ghcs.measure._cached_rule.cache_info().misses == 1
         assert ghcs.measure._cached_rule.cache_info().hits == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from ghcs import dynamics
+from ghcs import states
 from ghcs.dynamics import (
     Spectrum,
     density_evolved,
@@ -19,7 +19,7 @@ from ghcs.dynamics import (
     rotation_property,
 )
 from ghcs.states import (
-    Family, FamilyParams, _auto_state, _cached_state, normalization, overlap, state,
+    Family, FamilyParams, _cached_state, normalization, overlap, state,
 )
 
 from conftest import rel_err
@@ -183,6 +183,23 @@ class TestDensityEvolved:
             n = min(v0.n_max, v.n_max) + 1
             assert raw == abs(np.vdot(v.coeffs[:n], v0.coeffs[:n])) ** 2
 
+    def test_raw_density_equals_the_per_pair_reference(self, bessel_params):
+        # grid labels whose truncations lie below, at and above z0's
+        z0, ts = 96.0 + 1.0j, np.array([0.0, 0.4, 1.3])
+        z = np.array([[0.0, -0.0 - 0.2j, 80.0, 90.0], [95.0 - 0.5j, 97.0 + 2.0j, 110.0, 200.0]])
+        _, rho_raw = density_evolved(bessel_params, z0, z, ts)
+        v0 = state(bessel_params, z0)
+        ref = np.empty(ts.shape + z.shape)
+        for k, t in enumerate(ts.tolist()):
+            v0t = evolve(bessel_params, v0, t)
+            for idx, w in np.ndenumerate(z):
+                v = state(bessel_params, w)
+                n = min(v.n_max, v0t.n_max) + 1
+                ref[(k,) + idx] = abs(np.vdot(v.coeffs[:n], v0t.coeffs[:n])) ** 2
+        assert np.array_equal(rho_raw, ref)
+        assert {state(bessel_params, w).n_max for w in z.flat} == {128, 256, 512}
+        assert v0.n_max == 256
+
     def test_label_arrays_match_scalar_calls(self, bessel_params):
         z = np.array([0.3j, -1.5 + 0.2j, 4.0, 0.0])
         for t in (0.0, 0.7):
@@ -206,11 +223,14 @@ class TestDensityEvolved:
 
     def test_each_label_is_built_once_per_call(self, bessel_params, monkeypatch):
         built = []
-        monkeypatch.setattr(dynamics, "_auto_state",
-                            lambda p, w: built.append(w) or _auto_state(p, w))
+        build = states._build_rows
+        monkeypatch.setattr(states, "_build_rows",
+                            lambda p, zs, n: built.append(list(zs)) or build(p, zs, n))
         z = np.array([0.3j, -1.5 + 0.2j, 4.0])
+        _cached_state.cache_clear()
         density_evolved(bessel_params, 0.5, z, np.linspace(0.0, 1.0, 4))
-        assert built == z.tolist()
+        # z0 once, through the state cache, and the grid in one batch
+        assert built == [[0.5], z.tolist()]
 
     def test_t0_equals_static(self, bessel_params):
         rho_f, rho_r = density_evolved(bessel_params, 0.5, 0.3j, 0.0)

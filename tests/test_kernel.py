@@ -21,6 +21,7 @@ from ghcs.states import (
     PochhammerVariant,
     normalization,
     state,
+    _log_h_array,
 )
 
 from conftest import rel_err
@@ -146,6 +147,35 @@ class TestIdempotence:
             jacobi_params, z1, z2, radial_rule(jacobi_params, 200)
         )
         assert fine <= coarse
+
+
+def _per_pair_idempotence(params, z1, z2, rule):
+    # the residual from two `state` reads, summed over the pair's common
+    # truncation with the moments up to that order only
+    v1, v2 = state(params, z1), state(params, z2)
+    n = min(v1.n_max, v2.n_max) + 1
+    log_ratio = rule.log_moments(np.arange(n, dtype=float)) - 2.0 * _log_h_array(params, n - 1)
+    return abs(np.vdot(v1.coeffs[:n], v2.coeffs[:n] * np.expm1(log_ratio)))
+
+
+class TestIdempotenceBatches:
+    @pytest.mark.parametrize("family, z1, z2", [
+        # n_max 128, 256 and 512, equal in the first two pairs only
+        (Family.BESSEL, [0.0, 0.4 - 0.3j, 90.0, 6.0j, 200.0j],
+         [0.1j, -0.0 - 0.2j, 0.3, 110.0, -150.0]),
+        # one side past |z| = 0.85 (n_max 256 to 2048), the other below
+        # (n_max 128): the two truncations differ in every pair
+        (Family.JACOBI, [0.9, -0.9j, 0.6 + 0.7j, 0.95 * np.exp(2.0j), 0.99, 0.1],
+         [0.2 - 0.1j, 0.3, -0.4j, 0.0, 0.5 + 0.1j, -0.97]),
+    ])
+    def test_residuals_equal_the_per_pair_reference(self, family, z1, z2):
+        params = FamilyParams(1, 0.5, family)
+        rule = radial_rule(params)
+        got = check_idempotence(params, np.array(z1), np.array(z2), rule)
+        ref = [_per_pair_idempotence(params, a, b, rule) for a, b in zip(z1, z2)]
+        assert np.array_equal(got, np.array(ref))
+        differ = [state(params, a).n_max != state(params, b).n_max for a, b in zip(z1, z2)]
+        assert differ == [family is Family.JACOBI] * 2 + [True] * (len(z1) - 2)
 
 
 class TestGram:

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ghcs import specfun
+from ghcs import measure, specfun
 from ghcs.measure import (
     QuadratureRule,
     _cached_rule,
@@ -169,6 +169,27 @@ class TestVerifyIdentity:
         )
         assert not cert.passed
         assert cert.diagnosis == "quadrature_insufficient"
+
+
+class TestVerifyIdentityOverflow:
+    def test_non_finite_rows_fail_as_the_worst(self, bessel_params, monkeypatch):
+        # h_n^2 leaves the float range from n = 98 at m = 1, nu = 0.5: those
+        # rows' relative errors are NaN, and the first of them is the worst
+        rule = radial_rule(bessel_params)
+        monkeypatch.setattr(measure, "radial_rule", lambda *a: pytest.fail("refined"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = verify_identity(bessel_params, n_check=200, rule=rule)
+        assert not cert.passed
+        assert cert.diagnosis == "float_overflow"
+        assert cert.worst.order == 98 and math.isnan(cert.worst.rel_error)
+        assert all(math.isfinite(r.rel_error) for r in cert.reports[:98])
+        assert cert.as_dict()["worst_order"] == 98
+
+    def test_finite_rows_keep_their_worst(self, jacobi_params):
+        cert = verify_identity(jacobi_params, 12, tol=1e-14, rule=radial_rule(jacobi_params, 50))
+        assert cert.worst.rel_error == max(r.rel_error for r in cert.reports)
+        assert cert.worst == next(r for r in cert.reports
+                                  if r.rel_error == cert.worst.rel_error)
 
 
 class TestSupport:

@@ -16,7 +16,6 @@ from ghcs.states import (
     FockVector,
     PochhammerVariant,
     _build_rows,
-    _build_state,
     _cached_state,
     _log_h_array,
     _log_h_entries,
@@ -319,11 +318,16 @@ class TestLogHCache:
 def _uncached_state(params, z, n_max=None):
     """Reference: `state` as it was before the cache, building every time."""
     z = complex(z)
+
+    def build(n):
+        coeffs, sizes, tails = _build_rows(params, [z], n)
+        return FockVector(coeffs=coeffs[0], n_max=sizes[0], tail_bound=tails[0])
+
     if n_max is not None:
-        return _build_state(params, z, n_max)
+        return build(n_max)
     n = 128
     while True:
-        vec = _build_state(params, z, n)
+        vec = build(n)
         if vec.tail_bound < 1e-12:
             return vec
         n *= 2
@@ -520,7 +524,7 @@ class TestStateMatrix:
         # tail is not certified at all, so n_max = 4 is rejected
         with pytest.raises(ValueError, match="truncation error 1.00e\\+00 exceeds"):
             state(_JACOBI, 0.95, n_max=4)
-        assert _build_state(_JACOBI, 0.95, 4).tail_bound == 1.0
+        assert _build_rows(_JACOBI, [0.95], 4)[2] == [1.0]
 
     def test_labels_outside_the_domain_raise(self):
         with pytest.raises(ValueError, match="outside the open domain"):
@@ -540,3 +544,20 @@ class TestStateMatrix:
             assert msg.startswith("state truncation stalled")
             for part in ("jacobi", "m = 0", "nu = 0.3", "|z| = 0.99999", "32768"):
                 assert part in msg, part
+
+    @pytest.mark.parametrize("r", [362.7, 400.0, 1000.0])
+    def test_norm_past_the_float_range_raises(self, r):
+        # the unnormalized mass overflows: no state of norm 0 or NaN
+        for build in (lambda: state(_BESSEL, r),
+                      lambda: state(_BESSEL, -r * 1j, n_max=512 if r < 1000 else 128),
+                      lambda: state_matrix(_BESSEL, [0.5, r])):
+            with pytest.raises(OverflowError) as exc:
+                build()
+            msg = str(exc.value)
+            assert msg.startswith("state norm leaves the float range")
+            for part in ("bessel", "m = 1", "nu = 0.5", f"|z| = {r!r}"):
+                assert part in msg, part
+
+    def test_norm_just_inside_the_float_range(self):
+        v = state(_BESSEL, 362.3)
+        assert v.n_max == 512 and abs(v.norm_sq - 1.0) < 1e-12

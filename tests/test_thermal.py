@@ -364,6 +364,62 @@ class TestStateG2:
             g2_in_state(bessel_params, 0.5, "other")
 
 
+def mp_state_stats(params, x, convention):
+    """(<N>, <N^2>, g2, Q) at 40 digits, from the derivatives of N(x) as in
+    `mp_state_g2`, with <N^2> = <N> + <N(N-1)>."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        if params.family is Family.BESSEL:
+            b = mp.mpf(params.b)
+            f0, f1, f2 = (mp.hyp0f1(b + k, x) / mp.rf(b, k) for k in range(3))
+        else:
+            a, b = mp.mpf(params.a), mp.mpf(params.b)
+            f0, f1, f2 = (mp.rf(a + 1, k) ** 2 / mp.rf(b, k)
+                          * mp.hyp2f1(a + 1 + k, a + 1 + k, b + k, x) for k in range(3))
+        n1, fall = x * f1 / f0, x * x * f2 / f0  # <N> and <N(N-1)>
+        n2 = n1 + fall
+        g2 = fall / n1**2 if convention == "conventional" else fall / n2
+        return tuple(float(v) for v in (n1, n2, g2, n1 * (g2 - 1)))
+
+
+class TestInStateStats:
+    @pytest.mark.parametrize("family, xs", [
+        (Family.JACOBI, (1e-150, 1e-8, 0.05, 0.5, 0.9, 0.98)),
+        (Family.BESSEL, (1e-150, 1e-8, 0.5, 5.0, 120.0, 3000.0)),
+    ])
+    @pytest.mark.parametrize("convention", ["as_written", "conventional"])
+    def test_against_mpmath(self, family, xs, convention):
+        for m, nu in ((1, 0.5), (0, 0.3), (2, 1.7)):
+            params = FamilyParams(m, nu, family)
+            for x in xs:
+                got = thermal.in_state_stats(params, x, convention)
+                ref = mp_state_stats(params, x, convention)
+                for g, r, tol in zip(got, ref, (1e-13, 1e-13, 1e-12, 1e-11)):
+                    assert rel_err(g, r) < tol, (m, nu, x)
+                assert got[2] == g2_in_state(params, x, convention)
+                assert got[3] == mandel_q_in_state(params, x, convention)
+
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    def test_expect_at_tiny_x(self, tmp_path, family):
+        # <N^2> - <N> from two separate series cancels to 0 here: every
+        # column must be mpmath's, and bessel g2 the limit b / (b + 1) = 0.75
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x_min=1e-150\nx_max=1e-150\nx_count=1\n"
+                       "g2_convention=conventional\n")
+        out = tmp_path / "expect.csv"
+        assert cli.main(["expect", "--family", family, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert body[0] == "x,N_mean,N2_mean,g2,mandel_q" and len(body) == 2
+        x, *cols = (float(v) for v in body[1].split(","))
+        assert x == 1e-150
+        ref = mp_state_stats(FamilyParams(1, 0.5, Family(family)), x, "conventional")
+        for g, r in zip(cols, ref):
+            assert rel_err(g, r) < 1e-14
+        if family == "bessel":
+            assert cols[2] == pytest.approx(0.75, rel=1e-14)
+
+
 class TestPFunction:
     @pytest.mark.parametrize("family", [Family.JACOBI, Family.BESSEL])
     def test_moment_matched_candidate_passes(self, family):
