@@ -20,7 +20,7 @@ oracle in the tests, never as the main path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -29,7 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import hyp2f1, kv, kve, roots_jacobi, roots_legendre
 
 from . import specfun
-from .states import Family, FamilyParams, _log_h_array, normalization
+from .states import Family, FamilyParams, _grown, _log_h_array, normalization
 
 __all__ = [
     "QuadratureRule",
@@ -47,6 +47,7 @@ __all__ = [
 _DEFAULT_NODES_BESSEL = 240
 _DEFAULT_NODES_JACOBI = 320
 _RULE_CACHE_SIZE = 8
+_BASE_CACHE_SIZE = 8
 _MOMENT_ROWS = 256  # exponents per log_moments block: 0.66 MB arrays at 320 nodes
 
 
@@ -61,6 +62,9 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
+    # log mu_n for n = 0, 1, ..., grown by `_integer_log_moments`
+    _log_mu: np.ndarray = field(default_factory=lambda: np.empty(0), init=False,
+                                repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -93,6 +97,18 @@ class QuadratureRule:
     def moments(self, exponents: Sequence[float]) -> np.ndarray:
         """int x^e omega(x) dx for each exponent e."""
         return np.exp(self.log_moments(exponents))
+
+    def _integer_log_moments(self, n_max: int) -> np.ndarray:
+        """Read-only `log_moments` of the orders 0..n_max, a prefix of the
+        rule's own table.  The table grows to the next power of two >= n_max
+        when it is shorter, computing only the new orders; `log_moments`
+        sums each order on its own, so every prefix is its value bit for
+        bit.  At the state truncation cap of 32768 the table is 256 kB."""
+        if len(self._log_mu) <= n_max:
+            object.__setattr__(self, "_log_mu", _grown(
+                self._log_mu, n_max,
+                lambda start, stop: self.log_moments(np.arange(start, stop + 1, dtype=float))))
+        return self._log_mu[: n_max + 1]
 
 
 @dataclass(frozen=True)
@@ -203,7 +219,10 @@ def density(params: FamilyParams, x):
 # Quadrature rules
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=_BASE_CACHE_SIZE)
 def _gauss_genlaguerre(n: int, alpha: float):
+    """Read-only (nodes, weights) of the n-point generalized Gauss-Laguerre
+    rule for t^alpha e^{-t} on (0, inf), shared by every params."""
     # Nodes from the tridiagonal Jacobi-matrix eigenvalues; weights from
     # Christoffel sums w_i = 1 / sum_k p_k(t_i)^2 over the orthonormal
     # recurrence, which keeps relative accuracy even for the far-tail
@@ -232,7 +251,20 @@ def _gauss_genlaguerre(n: int, alpha: float):
             log_scale += np.where(big, math.log(1e120), 0.0)
         ssum += p_cur**2
     weights = np.exp(-(np.log(ssum) + 2.0 * log_scale))
-    return nodes, weights
+    return _read_only(nodes, weights)
+
+
+@lru_cache(maxsize=_BASE_CACHE_SIZE)
+def _gauss_legendre(n: int):
+    """Read-only (nodes, weights) of the n-point Gauss-Legendre rule on
+    (-1, 1), shared by every params."""
+    return _read_only(*roots_legendre(n))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureRule:
@@ -245,7 +277,16 @@ def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureR
     default give the same rule object.  A rule's arrays are read-only and
     shared between callers.  A rule holds two arrays of about n_nodes
     floats, so the cache holds about 8 x 2 x n_nodes x 8 B: 41 kB at the
-    jacobi default of 320.
+    jacobi default of 320, plus each rule's integer log-moment table (at
+    most 256 kB, grown by the orders its readers ask for).
+
+    The parameter-free base rules are kept apart: the 8 most recent
+    Gauss-Laguerre rules, keyed on node count and alpha (t e^{-t} for
+    bessel b > 1.5, e^{-t} for the bessel b <= 1.5 tail), and the 8 most
+    recent Gauss-Legendre rules (jacobi b >= 1), keyed on node count; each
+    is two read-only arrays of n floats.  A new (params, n_nodes) then
+    costs only its density factors, except the Gauss-Jacobi nodes of
+    jacobi b < 1, whose weight depends on b.
 
     bessel: substitute x = t^2/4, then generalized Gauss-Laguerre in t
     with the linear weight t e^{-t} matching the small-t behaviour of
@@ -300,7 +341,7 @@ def _cached_rule(params: FamilyParams, n: int) -> QuadratureRule:
         x = 0.5 * (u + 1.0)
         v = w * 2.0 ** (-b) * _jacobi_density(params, x) * x ** (1.0 - b)
     else:
-        u, w = roots_legendre(n)
+        u, w = _gauss_legendre(n)
         x = 0.5 * (u + 1.0)
         v = 0.5 * w * _jacobi_density(params, x)
     return QuadratureRule(nodes=x, weights=v)
@@ -337,9 +378,11 @@ def verify_identity(params: FamilyParams, n_check: int = 20,
         tol = default_identity_tol(params)
     if rule is None:
         rule = radial_rule(params)
-    targets = target_moments(params, n_check)
-    computed = rule.moments(np.arange(n_check + 1, dtype=float))
-    rel = np.abs(computed - targets) / np.abs(targets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a row past the float range fails below as "float_overflow"
+        targets = target_moments(params, n_check)
+        computed = np.exp(rule._integer_log_moments(n_check))
+        rel = np.abs(computed - targets) / np.abs(targets)
     reports = tuple(
         MomentReport(order=n, computed=float(computed[n]), target=float(targets[n]),
                      rel_error=float(rel[n]))
@@ -398,23 +441,21 @@ class WeightCurve:
         return "canonical"
 
 
-def _weights(curve: WeightCurve, xs: np.ndarray) -> np.ndarray:
-    # W = N omega on a float array: one density call and one N call
-    p = curve.params
-    if np.any(xs < 0.0):
-        raise ValueError("weight argument must be non-negative")
-    om = density(p, xs)
+def _weights(params: FamilyParams, literal_n: int | None, xs: np.ndarray,
+             om: np.ndarray) -> np.ndarray:
+    # W = N omega on a float array, from the density values om at xs: one
+    # N call on the points where omega is finite and x in the support
     w = np.full(xs.shape, math.inf)
     finite = np.isfinite(om)
-    if p.family is Family.JACOBI:
+    if params.family is Family.JACOBI:
         w[xs >= 1.0] = 0.0
         finite &= xs < 1.0
     x = xs[finite]
-    if curve.variant == "literal" and p.family is Family.JACOBI:
-        c = p.a + curve.literal_n  # = m + n + nu
-        nval = specfun.hyp_2f1(-c, -c, p.b, x)
+    if literal_n is None:
+        nval = normalization(params, x)
     else:
-        nval = normalization(p, x)
+        c = params.a + literal_n  # = m + n + nu
+        nval = specfun.hyp_2f1(-c, -c, params.b, x)
     w[finite] = nval * om[finite]
     return w
 
@@ -425,27 +466,41 @@ def weight_function(curve: WeightCurve, x: float) -> float:
     Zero for jacobi x >= 1, inf where the density is not finite, and N = 1
     at x = 0; x < 0 raises ValueError.
     """
-    return float(_weights(curve, np.array([float(x)]))[0])
+    return figure1_scan([curve], [float(x)])[0][1]
 
 
 def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
     """Rows (x, W, m, nu, variant_tag) in deterministic curve-major order.
 
-    Each curve W(x) = N(x) omega(x) is evaluated on the whole grid: one
-    array `density` call and one array `normalization` (or, for literal
-    jacobi curves, `specfun.hyp_2f1`) call on the points where omega is
-    finite and x lies in the support.  The series are summed in numpy
-    chunks with the term-by-term values and stopping rule, so every W is
-    the per-point value bit for bit.  W is zero for jacobi x >= 1 and inf
+    W(x) = N(x) omega(x) is evaluated on the whole grid, and each distinct
+    value once: one array `density` call per distinct params, and one
+    array `normalization` (or, for literal jacobi curves, `specfun.hyp_2f1`)
+    call per distinct (params, N), on the points where omega is finite and
+    x lies in the support.  N is the literal n's 2F1 for a literal jacobi
+    curve and the canonical N otherwise, so a bessel literal curve shares
+    its canonical curve's values.  The series are summed in numpy chunks
+    with the term-by-term values and stopping rule, so every W is the
+    per-point value bit for bit.  W is zero for jacobi x >= 1 and inf
     where omega is not finite; x < 0 raises ValueError, and a series that
     exhausts its budget raises ConvergenceError naming the first x.
     """
     xs = np.asarray(x_grid, dtype=float).ravel()
+    if curves and np.any(xs < 0.0):
+        raise ValueError("weight argument must be non-negative")
     x_list = xs.tolist()
+    omegas: dict[FamilyParams, np.ndarray] = {}
+    values: dict[tuple, list[float]] = {}
     rows = []
     for curve in curves:
-        m, nu, tag = curve.params.m, curve.params.nu, curve.variant_tag
-        rows.extend((x, w, m, nu, tag) for x, w in zip(x_list, _weights(curve, xs).tolist()))
+        p = curve.params
+        literal = curve.variant == "literal" and p.family is Family.JACOBI
+        key = (p, curve.literal_n if literal else None)
+        if key not in values:
+            if p not in omegas:
+                omegas[p] = density(p, xs)
+            values[key] = _weights(*key, xs, omegas[p]).tolist()
+        m, nu, tag = p.m, p.nu, curve.variant_tag
+        rows.extend((x, w, m, nu, tag) for x, w in zip(x_list, values[key]))
     return rows
 
 

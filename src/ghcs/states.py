@@ -185,11 +185,18 @@ def _log_h_table(params: FamilyParams, n_max: int) -> np.ndarray:
     that is at most 32 x 32769 x 8 B, about 8.4 MB."""
     store = _log_h_store(params)
     if len(store[0]) <= n_max:
-        size = 1 << max(int(n_max) - 1, 0).bit_length()  # next power of two >= n_max
-        table = np.concatenate([store[0], _log_h_entries(params, len(store[0]), size)])
-        table.flags.writeable = False
-        store[0] = table
+        store[0] = _grown(store[0], n_max, lambda start, stop: _log_h_entries(params, start, stop))
     return store[0]
+
+
+def _grown(table: np.ndarray, n_max: int, entries) -> np.ndarray:
+    """A read-only copy of `table` (shorter than n_max + 1) grown to the next
+    power of two >= n_max, its new indices start..stop computed by
+    entries(start, stop)."""
+    size = 1 << max(int(n_max) - 1, 0).bit_length()  # next power of two >= n_max
+    out = np.concatenate([table, entries(len(table), size)])
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -517,15 +524,34 @@ def _series_terms(params: FamilyParams, z: complex, n_max: int) -> np.ndarray:
     return _terms(params, mods, [math.atan2(z.imag, z.real)], n_max)[0]
 
 
-def _pair_overlap(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int,
-                  weights: np.ndarray | None = None) -> np.complex128:
+def _pair_overlap(c1: np.ndarray, n1, c2: np.ndarray, n2,
+                  weights: np.ndarray | None = None):
     """sum_n conj(c1_n) c2_n w_n over the pair's common truncation
-    n <= min(n1, n2), as one `np.vdot`; w_n = 1 when `weights` is None.
-    Every reader of two truncated states sums them here.  The result stays
-    a numpy scalar: numpy's complex abs differs from Python's in the last
-    bit."""
-    n = min(n1, n2) + 1
-    return np.vdot(c1[:n], c2[:n] if weights is None else c2[:n] * weights[:n])
+    n <= min(n1, n2); w_n = 1 when `weights` is None.  Every reader of two
+    truncated states sums them here.
+
+    One pair (1-D c1, c2 and int n1, n2) is one `np.vdot`, and the result
+    stays a numpy scalar.  Two stacks of rows (2-D c1, c2 and per-row
+    truncations n1, n2) give one numpy complex per row pair: the rows that
+    share a common truncation are summed by one `np.vecdot`, which equals
+    the per-row `np.vdot` bit for bit and, unlike a stacked `matmul`, needs
+    no conjugated copy; when every row shares it, the rows are read in
+    place.  Take moduli with the scalar `abs` on each element
+    (`.tolist()`): numpy's array `abs` differs from it in the last bit for
+    about a third of the values.
+    """
+    if c1.ndim == 1:
+        n = min(n1, n2) + 1
+        return np.vdot(c1[:n], c2[:n] if weights is None else c2[:n] * weights[:n])
+    common = np.minimum(n1, n2) + 1
+    out = np.empty(len(common), dtype=complex)
+    for n in np.unique(common).tolist():
+        rows = np.flatnonzero(common == n)
+        if len(rows) == len(common):
+            rows = slice(None)
+        b = c2[rows, :n] if weights is None else c2[rows, :n] * weights[:n]
+        out[rows] = np.vecdot(c1[rows, :n], b)
+    return out
 
 
 def overlap(params: FamilyParams, z1: complex, z2: complex,

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import ghcs
 import ghcs.kernel
 import ghcs.measure
 import ghcs.states
-from ghcs.cli import RunConfig, main, resolve_config, _build_parser
+from ghcs.cli import RunConfig, main, resolve_config, _build_parser, _write_csv
 
 SRC = os.path.dirname(os.path.dirname(ghcs.__file__))
 
@@ -100,6 +101,39 @@ class TestConfig:
         assert "family=" in joined
 
 
+def _format_rows(rows):
+    """The rows as the str.format template wrote them, types picked from
+    the first row: the oracle of `_write_csv`."""
+    specs = ["{:.16e}" if isinstance(v, (float, np.floating))
+             else "{:d}" if isinstance(v, (int, np.integer)) else "{}" for v in rows[0]]
+    return [",".join(specs).format(*row) for row in rows]
+
+
+class TestCsvWriter:
+    def test_same_bytes_as_the_str_format_template(self, tmp_path):
+        floats = [0.0, -0.0, 1.0, -1.0, math.pi, -math.e * 1e-300, 5e-324, 1.7976931348623157e308,
+                  math.nan, -math.nan, math.inf, -math.inf, 0.1, 1e16, 123456789.123456789,
+                  np.float64(2.5), np.float64(-0.0), np.float64(math.nan), np.float32(0.1),
+                  np.float64(-math.inf)]
+        ints = [0, -1, 7, 2**70, np.int64(-5), np.int32(3), np.uint8(255), True]
+        rows = [(f, i, "literal-n2", f) for f, i in zip(floats, ints * 3)]
+        rows.append((3, 4, "x", -2))  # float columns that receive ints
+        rows.append([np.float64(1.5), np.int64(2), "jacobi", 0])
+        out = tmp_path / "rows.csv"
+        _write_csv(str(out), RunConfig(), "a,b,c,d", rows)
+        lines = out.read_text().splitlines()
+        got = lines[lines.index("a,b,c,d") + 1:]
+        assert got == _format_rows(rows)
+        assert got[1] == "-0.0000000000000000e+00,-1,literal-n2,-0.0000000000000000e+00"
+        assert got[8] == "nan,0,literal-n2,nan" and got[11] == "-inf,%d,literal-n2,-inf" % 2**70
+        assert got[-2] == "3.0000000000000000e+00,4,x,-2.0000000000000000e+00"
+
+    def test_header_only_without_rows(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        _write_csv(str(out), RunConfig(), "a,b", [])
+        assert out.read_text().splitlines()[-1] == "a,b"
+
+
 class TestWeight:
     def test_deterministic_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -172,12 +206,14 @@ class TestFloatRange:
         assert proc.stderr.count("\n") == 1 and "400" in proc.stderr
 
     def test_overflowed_identity_rows_fail_verify(self, tmp_path, capsys):
+        # with every warning an error: stderr holds the FAIL line alone
         cfg_file = tmp_path / "v.cfg"
         cfg_file.write_text("n_check=200\n")
         out = tmp_path / "v.json"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run(["verify", "--config", str(cfg_file), "--out", str(out)]) == 1
-        assert "FAIL: identity_moments (float_overflow)" in capsys.readouterr().err
+        assert capsys.readouterr().err == "FAIL: identity_moments (float_overflow)\n"
         cert = json.loads(out.read_text())["results"]["checks"]["identity_moments"]
         assert cert["passed"] is False and cert["worst_order"] == 98
 
@@ -389,13 +425,19 @@ class TestVariantFlag:
             run(["verify", "--variant-pochhammer", "bogus"])
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 class TestArtifactHashes:
     def test_one_line_per_command_and_family(self, tmp_path, capsys):
-        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                            "tools", "artifact_hashes.py")
-        spec = importlib.util.spec_from_file_location("artifact_hashes", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
+        tool = _load_tool("artifact_hashes")
         assert tool.main([str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 13  # 7 commands x 2 families, evolve bessel only
@@ -404,3 +446,32 @@ class TestArtifactHashes:
             ext = "csv" if cmd in ("weight", "expect", "evolve", "thermal") else "json"
             data = (tmp_path / f"{cmd}-{family}.{ext}").read_bytes()
             assert digest == hashlib.sha256(data).hexdigest()
+
+
+class TestAbTool:
+    def test_report_counts_wins_in_each_metric_direction(self, capsys):
+        tool = _load_tool("ab")
+        spec = [{"name": "ops_per_s", "better": "higher"}, {"name": "op_p50_s", "better": "lower"}]
+
+        def result(ops, p50):
+            return {"metrics": {"ops_per_s": {"value": ops}, "op_p50_s": {"value": p50}},
+                    "attempted": 10, "failed": 1, "correct": True}
+
+        # B/A ratios 1.1, 0.9, 1.2 and 0.5, 1.0, 1.5; a tie counts for neither
+        tool.report("w", spec, [(1, result(100.0, 2.0), result(110.0, 1.0)),
+                                (2, result(100.0, 2.0), result(90.0, 2.0)),
+                                (3, result(100.0, 2.0), result(120.0, 3.0))])
+        lines = capsys.readouterr().out.splitlines()
+        ops = next(ln for ln in lines if ln.split()[:1] == ["ops_per_s"]).split()
+        p50 = next(ln for ln in lines if ln.split()[:1] == ["op_p50_s"]).split()
+        assert ops[-3:] == ["1.1000", "2/3", "0.00%"]
+        assert p50[-3:] == ["1.0000", "1/3", "0.00%"]
+        assert "seed 3: attempted 10/10, failed 1/1, correct True/True" in lines[-1]
+
+    @pytest.mark.skipif(not os.path.isdir(os.path.join(ROOT, ".git")), reason="not a git checkout")
+    def test_export_writes_the_committed_tree(self, tmp_path):
+        tool = _load_tool("ab")
+        sha = tool.export("HEAD", str(tmp_path / "tree"))
+        assert len(sha) == 40
+        for part in (("src", "ghcs", "__init__.py"), ("bench", "run.py"), ("BENCHMARK.json",)):
+            assert os.path.isfile(os.path.join(tmp_path, "tree", *part)), part

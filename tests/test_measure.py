@@ -1,6 +1,7 @@
 """Weight density, quadrature rules and the moment certificate."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,8 @@ from ghcs import measure, specfun
 from ghcs.measure import (
     QuadratureRule,
     _cached_rule,
+    _gauss_genlaguerre,
+    _gauss_legendre,
     WeightCurve,
     default_figure_curves,
     density,
@@ -100,6 +103,17 @@ class TestRule:
             assert np.array_equal(rule.log_moments(e), ref)
             assert rule.log_moments([]).shape == (0,)
 
+    def test_integer_log_moments_are_prefixes_of_one_table(self):
+        rule = radial_rule(FamilyParams(1, 0.5, Family.BESSEL), 100)
+        ref = rule.log_moments(np.arange(600.0))
+        for n_max in (20, 0, 33, 20, 300, 599):
+            got = rule._integer_log_moments(n_max)
+            assert np.array_equal(got, ref[: n_max + 1])
+            assert not got.flags.writeable
+        # grown to the next power of two >= 599, computing only new orders
+        assert len(rule._log_mu) == 1025
+        assert np.array_equal(rule._log_mu[:600], ref)
+
 
 class TestRuleCache:
     @pytest.mark.parametrize("family, default", [(Family.BESSEL, 240), (Family.JACOBI, 320)])
@@ -110,14 +124,36 @@ class TestRuleCache:
         assert radial_rule(params, 0) is rule
         assert radial_rule(params, default + 8) is not rule
 
-    def test_rules_equal_fresh_builds(self):
-        params = FamilyParams(2, 0.7, Family.JACOBI)
+    @pytest.mark.parametrize("params", [
+        FamilyParams(2, 0.7, Family.JACOBI),   # b = 5.4: Gauss-Legendre
+        FamilyParams(0, 0.3, Family.JACOBI),   # b = 0.6: Gauss-Jacobi, not cached
+        FamilyParams(2, 0.7, Family.BESSEL),   # b = 5.4: Laguerre t e^{-t}
+        FamilyParams(0, 0.6, Family.BESSEL),   # b = 1.2: tanh-sinh + Laguerre tail
+    ], ids=["jacobi-legendre", "jacobi-gauss-jacobi", "bessel-laguerre", "bessel-tanh-sinh"])
+    def test_rules_equal_fresh_builds(self, params):
+        # a rule over cached base tables, a rule built after clearing both
+        # caches, and a rule of other params in between that shares the
+        # base tables: nodes and weights are the same bit for bit
         cached = radial_rule(params, 90)
-        _cached_rule.cache_clear()
+        radial_rule(FamilyParams(params.m + 1, params.nu, params.family), 90)
+        for cache in (_cached_rule, _gauss_genlaguerre, _gauss_legendre):
+            cache.cache_clear()
         fresh = radial_rule(params, 90)
         assert fresh is not cached
         assert np.array_equal(fresh.nodes, cached.nodes)
         assert np.array_equal(fresh.weights, cached.weights)
+
+    def test_base_tables_are_shared_and_read_only(self):
+        for build in (lambda: _gauss_genlaguerre(70, 1.0), lambda: _gauss_genlaguerre(70, 0.0),
+                      lambda: _gauss_legendre(70)):
+            first = build()
+            assert build() is first
+            for values in first:
+                assert values.shape == (70,)
+                with pytest.raises(ValueError):
+                    values[0] = 1.0
+        assert _gauss_genlaguerre.cache_info().maxsize == 8
+        assert _gauss_legendre.cache_info().maxsize == 8
 
     def test_arrays_are_read_only(self, bessel_rule, jacobi_rule):
         for rule in (bessel_rule, jacobi_rule):
@@ -174,10 +210,12 @@ class TestVerifyIdentity:
 class TestVerifyIdentityOverflow:
     def test_non_finite_rows_fail_as_the_worst(self, bessel_params, monkeypatch):
         # h_n^2 leaves the float range from n = 98 at m = 1, nu = 0.5: those
-        # rows' relative errors are NaN, and the first of them is the worst
+        # rows' relative errors are NaN, and the first of them is the worst;
+        # the overflow is expected there, so numpy warns of nothing
         rule = radial_rule(bessel_params)
         monkeypatch.setattr(measure, "radial_rule", lambda *a: pytest.fail("refined"))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cert = verify_identity(bessel_params, n_check=200, rule=rule)
         assert not cert.passed
         assert cert.diagnosis == "float_overflow"
@@ -306,6 +344,28 @@ class TestFigureScanOracle:
         assert np.isinf(ref).any()
         assert (ref == 0.0).any() == (family is Family.JACOBI)
         assert [r[0] for r in rows[: len(grid)]] == grid.tolist()
+
+    @pytest.mark.parametrize("family, series", [(Family.JACOBI, 17), (Family.BESSEL, 7)])
+    def test_each_distinct_density_and_series_once(self, family, series, monkeypatch):
+        # the 19 curves of `ghcs weight` hold 7 distinct params; jacobi adds
+        # 10 distinct literal n's to the 7 canonical N, while a bessel
+        # literal curve is its canonical curve
+        calls = {"density": [], "series": []}
+
+        def counted(name, fn):
+            def call(params, *args):
+                calls[name].append(params)
+                return fn(params, *args)
+            return call
+
+        monkeypatch.setattr(measure, "density", counted("density", measure.density))
+        monkeypatch.setattr(measure, "normalization", counted("series", measure.normalization))
+        monkeypatch.setattr(specfun, "hyp_2f1", counted("series", specfun.hyp_2f1))
+        curves = _cli_curves(family)
+        rows = figure1_scan(curves, np.linspace(0.02, 0.98, 9))
+        assert len(curves) == 19 and len(rows) == 19 * 9
+        assert len(calls["density"]) == len(set(calls["density"])) == 7
+        assert len(calls["series"]) == series
 
     def test_weight_function_is_the_one_point_scan(self, jacobi_params):
         for curve in _cli_curves(Family.JACOBI):

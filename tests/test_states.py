@@ -17,6 +17,7 @@ from ghcs.states import (
     PochhammerVariant,
     _build_rows,
     _cached_state,
+    _pair_overlap,
     _log_h_array,
     _log_h_entries,
     _log_h_store,
@@ -211,6 +212,50 @@ class TestOverlap:
                 z1 = complex(*rng.uniform(-scale / 2, scale / 2, 2))
                 z2 = complex(*rng.uniform(-scale / 2, scale / 2, 2))
                 assert abs(overlap(params, z1, z2)) <= 1.0 + 1e-12
+
+
+class TestStackedPairOverlap:
+    """`_pair_overlap` on two stacks of rows against one `np.vdot` per pair."""
+
+    @pytest.mark.parametrize("params, radii", [
+        (FamilyParams(1, 0.5, Family.BESSEL), (0.0, 0.3, 2.0, 30.0, 100.0, 130.0)),
+        (FamilyParams(1, 0.5, Family.JACOBI), (0.0, 0.2, 0.6, 0.85, 0.9, 0.95)),
+    ], ids=["bessel", "jacobi"])
+    def test_bit_identical_to_per_pair_vdot(self, params, radii):
+        # short labels mixed with labels past the first doubling, so common
+        # truncations of 128 and 256 meet in one stack, on both sides
+        rng = np.random.default_rng(11)
+        side = [r * complex(math.cos(t), math.sin(t))
+                for r in radii for t in rng.uniform(-math.pi, math.pi, 3)]
+        m1 = state_matrix(params, side)
+        m2 = state_matrix(params, side[1:] + side[:1])
+        assert {128, 256} <= set(np.minimum(m1.n_max, m2.n_max).tolist())
+        weights = np.expm1(rng.uniform(-1e-3, 1e-3, m1.coeffs.shape[1]))
+        for w in (None, weights):
+            got = _pair_overlap(m1.coeffs, m1.n_max, m2.coeffs, m2.n_max, w)
+            ref = np.array([
+                _pair_overlap(c1, n1, c2, n2, w)
+                for c1, n1, c2, n2 in zip(m1.coeffs, m1.n_max.tolist(),
+                                          m2.coeffs, m2.n_max.tolist())
+            ])
+            n = np.minimum(m1.n_max, m2.n_max) + 1
+            vdot = np.array([
+                np.vdot(c1[:k], c2[:k] if w is None else c2[:k] * w[:k])
+                for c1, c2, k in zip(m1.coeffs, m2.coeffs, n.tolist())
+            ])
+            assert got.dtype == complex and got.shape == (len(side),)
+            assert np.array_equal(got, ref) and np.array_equal(got, vdot)
+
+    def test_one_pair_stays_a_numpy_scalar(self, bessel_params):
+        v1, v2 = state(bessel_params, 0.4), state(bessel_params, 0.3j)
+        got = _pair_overlap(v1.coeffs, v1.n_max, v2.coeffs, v2.n_max)
+        assert type(got) is np.complex128
+        assert got == np.vdot(v1.coeffs, v2.coeffs)
+
+    def test_empty_stacks(self, jacobi_params):
+        empty = state_matrix(jacobi_params, [])
+        got = _pair_overlap(empty.coeffs, empty.n_max, empty.coeffs, empty.n_max)
+        assert got.shape == (0,)
 
 
 class TestLabelDistance:
