@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measure import QuadratureRule, radial_rule
+from .measure import QuadratureRule, _log_moment_ratio, radial_rule
 from .states import (
     Family,
     FamilyParams,
     FockVector,
     overlap,
     state_matrix,
-    _log_h_array,
     _pair_overlap,
     _series_terms,
 )
@@ -41,13 +40,6 @@ __all__ = [
 def kernel(params: FamilyParams, z1: complex, z2: complex) -> complex:
     """K(z1, z2) = <z1 | z2>; hermitian, K(z, z) = 1."""
     return overlap(params, z1, z2)
-
-
-def _log_moment_ratio(params: FamilyParams, rule: QuadratureRule,
-                      n_max: int) -> np.ndarray:
-    """log(mu_n / h_n^2) for n = 0..n_max: zero where the rule reproduces
-    the resolution of identity exactly."""
-    return rule._integer_log_moments(n_max) - 2.0 * _log_h_array(params, n_max)
 
 
 def check_idempotence(params: FamilyParams, z1, z2,

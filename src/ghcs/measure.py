@@ -347,14 +347,39 @@ def _cached_rule(params: FamilyParams, n: int) -> QuadratureRule:
     return QuadratureRule(nodes=x, weights=v)
 
 
+# ---------------------------------------------------------------------------
+# Moment conditions and the resolution-of-identity certificate
+# ---------------------------------------------------------------------------
+
 def target_moments(params: FamilyParams, n_check: int) -> np.ndarray:
     """h_n^2 for n = 0..n_check, straight from the state coefficients."""
     return np.exp(2.0 * _log_h_array(params, n_check))
 
 
-# ---------------------------------------------------------------------------
-# Resolution-of-identity certificate
-# ---------------------------------------------------------------------------
+def _log_moment_ratio(params: FamilyParams, rule: QuadratureRule,
+                      n_max: int) -> np.ndarray:
+    """log(mu_n / h_n^2) for n = 0..n_max from the rule's integer table:
+    zero where the rule reproduces the resolution of identity exactly."""
+    return rule._integer_log_moments(n_max) - 2.0 * _log_h_array(params, n_max)
+
+
+def _log_moments(rule: QuadratureRule, exponents: np.ndarray) -> np.ndarray:
+    """`rule.log_moments(exponents)`, read from the rule's integer table when
+    every exponent is a whole number."""
+    e = np.asarray(exponents, dtype=float)
+    if np.all(e == np.floor(e)):
+        return rule._integer_log_moments(int(e.max()))[e.astype(int)]
+    return rule.log_moments(e)
+
+
+def _moment_rows(params: FamilyParams, rule: QuadratureRule, n_max: int) -> np.ndarray:
+    """w_i x_i^n / h_n^2 for n = 0..n_max (rows) over the nodes, formed as
+    exp(n log x_i + log w_i - 2 log h_n) so that it stays finite where x^n
+    or h_n^2 alone overflow."""
+    n = np.arange(n_max + 1, dtype=float)[:, None]
+    return np.exp(n * np.log(rule.nodes) + np.log(rule.weights)
+                  - 2.0 * _log_h_array(params, n_max)[:, None])
+
 
 def default_identity_tol(params: FamilyParams) -> float:
     return 1e-8 if params.family is Family.BESSEL else 1e-5
@@ -365,12 +390,13 @@ def verify_identity(params: FamilyParams, n_check: int = 20,
                     rule: QuadratureRule | None = None) -> IdentityCertificate:
     """Moment certificate for the resolution of identity.
 
-    Checks int x^n omega dx against h_n^2 for n = 0..n_check.  On failure
+    Checks int x^n omega dx against h_n^2 for n = 0..n_check, as
+    |expm1(log mu_n - 2 log h_n)| so that rows past the float range stay
+    finite (their `computed` and `target` columns read inf).  On failure
     the rule is rebuilt with more nodes: a moment that moves under
     refinement indicts the quadrature, a stable one indicts the identity.
-    A row whose relative error is not finite (the target or the moment
-    left the float range) fails the certificate as its worst row, with
-    diagnosis "float_overflow" and no refinement.
+    A row whose relative error is not finite fails the certificate as its
+    worst row, with diagnosis "float_overflow" and no refinement.
     """
     if n_check < 8:
         raise ValueError("n_check must be at least 8")
@@ -378,11 +404,12 @@ def verify_identity(params: FamilyParams, n_check: int = 20,
         tol = default_identity_tol(params)
     if rule is None:
         rule = radial_rule(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a row past the float range fails below as "float_overflow"
+    log_ratio = _log_moment_ratio(params, rule, n_check)
+    rel = np.abs(np.expm1(log_ratio))
+    with np.errstate(over="ignore"):
+        # report columns only: past the float range they read inf
         targets = target_moments(params, n_check)
         computed = np.exp(rule._integer_log_moments(n_check))
-        rel = np.abs(computed - targets) / np.abs(targets)
     reports = tuple(
         MomentReport(order=n, computed=float(computed[n]), target=float(targets[n]),
                      rel_error=float(rel[n]))
@@ -395,9 +422,10 @@ def verify_identity(params: FamilyParams, n_check: int = 20,
     if overflowed.size:
         diagnosis = "float_overflow"
     elif not passed:
+        n = worst.order
         finer = radial_rule(params, int(rule.n_nodes * 1.6) + 8)
-        refined = float(finer.moments([worst.order])[0])
-        drift = abs(refined - worst.computed) / abs(worst.target)
+        drift = abs(math.expm1(_log_moment_ratio(params, finer, n)[n])
+                    - math.expm1(log_ratio[n]))
         if drift > 0.25 * worst.rel_error:
             diagnosis = "quadrature_insufficient"
         else:

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .measure import QuadratureRule, radial_rule
+from .measure import QuadratureRule, _log_moments, radial_rule
 from .states import Family, FamilyParams, _log_h_array
 
 __all__ = [
@@ -105,9 +105,8 @@ class OperatorMatrix:
         if self._dense_cache is None:
             d = np.zeros((self.n_max + 1, self.n_max + 1))
             for o, vals in self.bands.items():
-                start = max(0, -o)
-                for i, v in enumerate(vals):
-                    d[start + i, start + i + o] = v
+                rows = np.arange(len(vals)) + max(0, -o)
+                d[rows, rows + o] = vals
             self._dense_cache = d
         return self._dense_cache
 
@@ -166,7 +165,7 @@ def quantize_symbol(params: FamilyParams, symbol: Symbol, n_max: int,
         raise ValueError(
             f"symbol {symbol.tag} is not integrable against the measure"
         )
-    log_mu = rule.log_moments(exps)
+    log_mu = _log_moments(rule, exps)
     log_h = _log_h_array(params, n_max + abs(p))
     vals = np.exp(log_mu - log_h[rows] - log_h[rows + p])
     op = OperatorMatrix(

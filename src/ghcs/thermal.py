@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .measure import MomentReport, QuadratureRule, radial_rule, target_moments
+from .measure import MomentReport, QuadratureRule, _moment_rows, density, radial_rule
 from .specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 from .states import Family, FamilyParams, _norm_arg, normalization
 
@@ -244,7 +244,7 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     small = False
     start, size = p, _MOMENT_CHUNK
     # overflow is caught below by the finiteness checks
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while start < ctl.max_terms:
             e = math.frexp(den)[1]
             if e > 1:
@@ -257,7 +257,11 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                 ratio *= (shift + n) ** 2
             ratio[0] *= term
             terms = np.multiply.accumulate(ratio, out=ratio)
-            contrib = (_falling_power(n1, n, s) if falling else n1**s) * terms
+            if not falling and s * math.log2(stop) > 1000.0:
+                # n^s alone may overflow where n^s t_n does not
+                contrib = np.exp(s * np.log(n1) + np.log(terms))
+            else:
+                contrib = (_falling_power(n1, n, s) if falling else n1**s) * terms
             dens = terms * xp if p else terms.copy()
             dens[0] += den
             np.add.accumulate(dens, out=dens)
@@ -377,18 +381,8 @@ def moment_matched_candidate(params: FamilyParams, beta: float, mu: float,
         rule = radial_rule(params)
     ts = thermal_state(beta, mu)
     u = _basis_map(params)
-    x = rule.nodes
-    w = rule.weights
-    h2 = target_moments(params, n_check)
-    deg = n_check
-    tmat = np.stack([_cheb.chebval(u(x), np.eye(deg + 1)[j]) for j in range(deg + 1)])
-    a_mat = np.empty((n_check + 1, deg + 1))
-    for n in range(n_check + 1):
-        row_weight = w * x**n / h2[n]
-        a_mat[n] = tmat @ row_weight
-    rhs = np.array(
-        [math.exp(-beta * _energy(n, mu)) / ts.partition for n in range(n_check + 1)]
-    )
+    a_mat = _moment_rows(params, rule, n_check) @ _cheb.chebvander(u(rule.nodes), n_check)
+    rhs = np.exp(-beta * _energy(np.arange(n_check + 1.0), mu)) / ts.partition
     coef = np.linalg.solve(a_mat, rhs)
     for _ in range(2):
         resid = rhs - a_mat @ coef
@@ -407,43 +401,32 @@ def derivative_series_candidate(params: FamilyParams, beta: float, mu: float,
 
     P_K(x) = e^{beta mu} sum_{k<=K} beta^k/k! (d/da)^{2k}
              [e^a omega(e^a x) / omega(x)] at a = beta (mu + 1),
-    with the a-derivatives taken from a local Chebyshev fit.  High
+    with the a-derivatives taken from a local Chebyshev fit at each x.  High
     derivatives of numerical data are badly conditioned; this candidate
     exists to be reported against the moment conditions, not asserted.
+    Where omega(x) underflows, deep in the tail where the weight is
+    negligible, the candidate reads zero.
     """
-    from .measure import density
-
     a0 = beta * (mu + 1.0)
     deg = 2 * k_max + 6
+    cheb = np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))  # fit nodes on [-1, 1]
 
     def evaluate(xx: np.ndarray) -> np.ndarray:
         xx = np.atleast_1d(np.asarray(xx, dtype=float))
-        out = np.empty_like(xx)
-        for i, xv in enumerate(xx):
-            r = fit_radius
-            if params.family is Family.JACOBI:
-                r = min(r, 0.5 * max(1e-3, -math.log(xv) - a0))
-            pts = a0 + r * np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
-            om0 = density(params, xv)
-            if not (om0 > 0.0 and math.isfinite(om0)):
-                # density underflow deep in the tail: the weight there is
-                # negligible, report a zero candidate value
-                out[i] = 0.0
-                continue
-            vals = np.array(
-                [math.exp(av) * density(params, math.exp(av) * xv) / om0 for av in pts]
-            )
-            cf = _cheb.chebfit((pts - a0) / r, vals, deg)
-            total = 0.0
-            fact = 1.0
-            dk = cf
-            for k in range(k_max + 1):
-                if k > 0:
-                    fact *= k
-                    dk = _cheb.chebder(dk, 2) / (r * r)
-                total += beta**k / fact * _cheb.chebval(0.0, dk)
-            out[i] = math.exp(beta * mu) * total
-        return out if out.size > 1 else out
+        r = np.full(xx.shape, fit_radius)
+        if params.family is Family.JACOBI:
+            r = np.minimum(r, 0.5 * np.maximum(1e-3, -np.log(xx) - a0))
+        scale = np.exp(a0 + r * cheb[:, None])  # e^a on the (fit nodes x points) grid
+        om = density(params, np.vstack([xx, scale * xx]))
+        ok = (om[0] > 0.0) & np.isfinite(om[0])
+        cf = _cheb.chebfit(cheb, scale[:, ok] * om[1:, ok] / om[0, ok], deg)
+        total = _cheb.chebval(0.0, cf)
+        for k in range(1, k_max + 1):
+            cf = _cheb.chebder(cf, 2) / (r[ok] * r[ok])
+            total += beta**k / math.factorial(k) * _cheb.chebval(0.0, cf)
+        out = np.zeros_like(xx)
+        out[ok] = math.exp(beta * mu) * total
+        return out
 
     return PFunctionCandidate(
         evaluate=evaluate, label=f"derivative_series_k{k_max}", k_max=k_max
@@ -459,25 +442,19 @@ def verify_p_function(params: FamilyParams, beta: float, mu: float,
     h_n^2 e^{-beta E_n}/Z, with the n-independent constant fixed by the
     n = 0 row.
     """
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
     if rule is None:
         rule = radial_rule(params)
-    ts = thermal_state(beta, mu)
     pv = np.asarray(candidate.evaluate(rule.nodes), dtype=float)
     if not np.all(np.isfinite(pv)):
         raise ConvergenceError("candidate evaluation failed on the rule nodes")
-    h2 = target_moments(params, n_check)
-    reports = []
-    weighted = rule.weights * pv
-    r0 = float(np.dot(weighted, np.ones_like(rule.nodes))) / h2[0]
-    const = r0 * ts.partition
-    for n in range(n_check + 1):
-        rn = float(np.dot(weighted, rule.nodes**n)) / h2[n]
-        tn = const * math.exp(-beta * _energy(n, mu)) / ts.partition
-        rel = abs(rn - tn) / abs(tn)
-        reports.append(
-            MomentReport(order=n, computed=rn, target=tn, rel_error=rel)
-        )
-    return reports
+    computed = _moment_rows(params, rule, n_check) @ pv
+    targets = computed[0] * np.exp(-beta * _energy(np.arange(n_check + 1.0), mu))
+    rel = np.abs(computed - targets) / np.abs(targets)
+    return [MomentReport(order=n, computed=c, target=t, rel_error=e)
+            for n, (c, t, e) in enumerate(zip(computed.tolist(), targets.tolist(),
+                                               rel.tolist()))]
 
 
 def p_function_passes(reports: Sequence[MomentReport], tol: float = 1e-8) -> bool:

@@ -22,21 +22,22 @@ from ghcs.measure import (
     verify_identity,
     weight_function,
 )
-from ghcs.states import Family, FamilyParams
+from ghcs.states import Family, FamilyParams, _log_h_array
 
 from conftest import _sum_ratio_series, rel_err
 
 mp.mp.dps = 40
 
 
-def gamma_product_moment(params, n):
-    """Independent oracle: the n-th moment as a pure gamma product."""
+def gamma_product_moment(params, n, exact=False):
+    """Independent oracle: the n-th moment as a pure gamma product, as a
+    float or (exact) an mpmath number, which holds it past the float range."""
     m, nu = params.m, mp.mpf(params.nu)
     b = 2 * m + 2 * nu
     mom = mp.factorial(n) * mp.rf(b, n)
     if params.family is Family.JACOBI:
         mom /= mp.rf(m + nu + 1, n) ** 2
-    return float(mom)
+    return mom if exact else float(mom)
 
 
 class TestDensity:
@@ -208,20 +209,54 @@ class TestVerifyIdentity:
 
 
 class TestVerifyIdentityOverflow:
-    def test_non_finite_rows_fail_as_the_worst(self, bessel_params, monkeypatch):
-        # h_n^2 leaves the float range from n = 98 at m = 1, nu = 0.5: those
-        # rows' relative errors are NaN, and the first of them is the worst;
-        # the overflow is expected there, so numpy warns of nothing
+    def test_rows_past_the_float_range_stay_finite(self, bessel_params, monkeypatch):
+        # h_n^2 and mu_n leave the float range from n = 98 at m = 1, nu = 0.5;
+        # the comparison in logs keeps every row finite, and numpy warns of
+        # nothing
         rule = radial_rule(bessel_params)
         monkeypatch.setattr(measure, "radial_rule", lambda *a: pytest.fail("refined"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cert = verify_identity(bessel_params, n_check=200, rule=rule)
+        assert cert.passed and cert.diagnosis is None
+        assert all(math.isfinite(r.rel_error) for r in cert.reports)
+        assert cert.worst.rel_error < 1e-12
+        # the report columns stay mu_n and h_n^2 themselves
+        assert cert.reports[97].target < math.inf
+        assert cert.reports[98].target == math.inf == cert.reports[98].computed
+
+    @pytest.mark.parametrize("family, n_check", [(Family.BESSEL, 200), (Family.JACOBI, 60)])
+    def test_rel_error_is_the_log_ratio_defect(self, family, n_check):
+        params = FamilyParams(1, 0.5, family)
+        rule = radial_rule(params)
+        cert = verify_identity(params, n_check, rule=rule)
+        log_mu = rule.log_moments(np.arange(n_check + 1.0))
+        defect = np.abs(np.expm1(log_mu - 2.0 * _log_h_array(params, n_check)))
+        assert [r.rel_error for r in cert.reports] == defect.tolist()
+        # |mu_n / h_n^2 - 1| with h_n^2 the gamma product, in mpmath; the
+        # float log h_n carries an absolute error of about eps |log h_n|
+        for r in cert.reports:
+            moment = mp.exp(mp.mpf(float(log_mu[r.order])))
+            ref = abs(moment / gamma_product_moment(params, r.order, exact=True) - 1)
+            assert abs(r.rel_error - float(ref)) <= 1e-12
+
+    def test_non_finite_rows_fail_as_the_worst(self, bessel_params, monkeypatch):
+        rule = radial_rule(bessel_params)
+        ratio = measure._log_moment_ratio
+
+        def broken(params, rule, n_max):
+            out = ratio(params, rule, n_max).copy()
+            out[[14, 17]] = (math.inf, math.nan)
+            return out
+
+        monkeypatch.setattr(measure, "_log_moment_ratio", broken)
+        monkeypatch.setattr(measure, "radial_rule", lambda *a: pytest.fail("refined"))
+        cert = verify_identity(bessel_params, n_check=20, rule=rule)
         assert not cert.passed
         assert cert.diagnosis == "float_overflow"
-        assert cert.worst.order == 98 and math.isnan(cert.worst.rel_error)
-        assert all(math.isfinite(r.rel_error) for r in cert.reports[:98])
-        assert cert.as_dict()["worst_order"] == 98
+        assert cert.worst.order == 14 and cert.worst.rel_error == math.inf
+        assert math.isnan(cert.reports[17].rel_error)
+        assert cert.as_dict()["worst_order"] == 14
 
     def test_finite_rows_keep_their_worst(self, jacobi_params):
         cert = verify_identity(jacobi_params, 12, tol=1e-14, rule=radial_rule(jacobi_params, 50))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ghcs.measure import QuadratureRule, radial_rule
 from ghcs.quantize import (
     LadderKind,
     OperatorMatrix,
@@ -16,7 +17,7 @@ from ghcs.quantize import (
     ladder_closed_form,
     quantize_symbol,
 )
-from ghcs.states import Family, FamilyParams, coeff_h, log_coeff_h
+from ghcs.states import Family, FamilyParams, _log_h_array, coeff_h, log_coeff_h
 
 from conftest import rel_err
 
@@ -74,6 +75,29 @@ class TestQuantizeSymbol:
         with pytest.raises(ValueError):
             quantize_symbol(bessel_params, Symbol.angular_harmonic(5, 5.0), 3,
                             bessel_rule)
+
+    def test_ladder_symbols_read_the_integer_moment_table(self, monkeypatch):
+        # z, zbar and |z|^2 need the integer orders 1..n_max + 1 only: once
+        # the rule's table holds them no log-moment is formed, and each band
+        # is the one summed afresh bit for bit
+        params = FamilyParams(2, 0.61, Family.JACOBI)
+        rule = radial_rule(params, 97)
+        n_max = 40
+        rule._integer_log_moments(n_max + 1)
+        log_h = _log_h_array(params, n_max + 1)
+        fresh = {}
+        for symbol in (Symbol.z(), Symbol.zbar(), Symbol.absz2()):
+            p = symbol.harmonic
+            rows = np.arange(max(0, -p), n_max + 1 - max(0, p))
+            log_mu = rule.log_moments(rows + 0.5 * (p + symbol.radial_power))
+            fresh[symbol.tag] = np.exp(log_mu - log_h[rows] - log_h[rows + p])
+        calls = []
+        monkeypatch.setattr(QuadratureRule, "log_moments",
+                            lambda *a: calls.append(a) or pytest.fail("summed afresh"))
+        for symbol in (Symbol.z(), Symbol.zbar(), Symbol.absz2()):
+            op = quantize_symbol(params, symbol, n_max, rule)
+            assert np.array_equal(op.band(symbol.harmonic), fresh[symbol.tag])
+        assert calls == []
 
     def test_hermitian_for_real_symbol(self, jacobi_params, jacobi_rule):
         op = quantize_symbol(jacobi_params, Symbol.radial(3.0), 16, jacobi_rule)

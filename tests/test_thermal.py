@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from ghcs import cli, thermal
-from ghcs.measure import radial_rule
+from ghcs.measure import density, radial_rule
 from ghcs.specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 from ghcs.states import Family, FamilyParams, coeff_h
 from ghcs.thermal import (
+    PFunctionCandidate,
     boltzmann_moment,
     closed_form_thermal_stats,
     cs_thermal_expectation,
@@ -198,6 +199,43 @@ def mp_number_moments(b, x):
         return float(x * f1 / f0), float((x * f1 + x * x * f2) / f0)
 
 
+def loop_derivative_series(params, beta, mu, k_max, x, fit_radius=0.4):
+    """The published truncated derivative series for P at one x, the
+    per-point loop `derivative_series_candidate` replaced, kept as its
+    reference: one scalar density call per fit node."""
+    a0 = beta * (mu + 1.0)
+    deg = 2 * k_max + 6
+    r = fit_radius
+    if params.family is Family.JACOBI:
+        r = min(r, 0.5 * max(1e-3, -math.log(x) - a0))
+    pts = a0 + r * np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
+    om0 = density(params, x)
+    if not (om0 > 0.0 and math.isfinite(om0)):
+        return 0.0
+    vals = np.array([math.exp(a) * density(params, math.exp(a) * x) / om0 for a in pts])
+    dk = np.polynomial.chebyshev.chebfit((pts - a0) / r, vals, deg)
+    total, fact = 0.0, 1.0
+    for k in range(k_max + 1):
+        if k > 0:
+            fact *= k
+            dk = np.polynomial.chebyshev.chebder(dk, 2) / (r * r)
+        total += beta**k / fact * np.polynomial.chebyshev.chebval(0.0, dk)
+    return math.exp(beta * mu) * total
+
+
+def mp_series_moment(b, x, s):
+    """<N^s> for the bessel family as sum_n n^s t_n / sum_n t_n with
+    t_n = x^n / (n! (b)_n), summed in mpmath far past its peak."""
+    with mp.workdps(40):
+        b, x = mp.mpf(b), mp.mpf(x)
+        term, num, den = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+        for n in range(4000):
+            num += mp.mpf(n) ** s * term
+            den += term
+            term *= x / ((n + 1) * (b + n))
+        return float(num / den)
+
+
 class TestNumberMomentSeries:
     """The chunked summation against the scalar loop it replaced."""
 
@@ -278,10 +316,18 @@ class TestNumberMomentSeries:
         assert rel_err(number_moment(bessel_params, x, 1), n1) <= 1e-13
         assert rel_err(number_moment(bessel_params, x, 2), n2) <= 1e-13
 
-    def test_moment_beyond_float_range_raises(self, bessel_params):
-        # <N^200> at x = 1e4 is about 100^200
+    @pytest.mark.parametrize("x, s", [(9000.0, 140), (9000.0, 145), (1e4, 135)])
+    def test_high_order_where_n_to_the_s_overflows(self, bessel_params, x, s):
+        # the moment is representable (1.8e292, 1.4e303, 8.2e283), but n^s
+        # alone passes the float range in the series tail
+        ref = mp_series_moment(bessel_params.b, x, s)
+        assert rel_err(number_moment(bessel_params, x, s), ref) <= 1e-12
+
+    @pytest.mark.parametrize("x, s", [(9000.0, 150), (1e4, 200)])
+    def test_moment_beyond_float_range_raises(self, bessel_params, x, s):
+        # <N^150> at x = 9000 is 1.2e314 and <N^200> at x = 1e4 about 100^200
         with pytest.raises(OverflowError, match="overflows"):
-            number_moment(bessel_params, 1e4, 200)
+            number_moment(bessel_params, x, s)
 
     def test_in_state_statistics_sum_each_moment_once(self, monkeypatch, tmp_path,
                                                       bessel_params):
@@ -457,9 +503,28 @@ class TestPFunction:
             errs[k_max] = max(r.rel_error for r in reports)
         assert all(math.isfinite(v) for v in errs.values())
 
-    def test_failing_candidate_fails(self, jacobi_params):
-        from ghcs.thermal import PFunctionCandidate
+    @pytest.mark.parametrize("k_max", [0, 1, 2])
+    def test_derivative_series_matches_per_point_fits(self, bessel_params, k_max):
+        # past x of about 1.7e3, e^a omega(e^a x) / omega(x) spans too many
+        # decades over the fit window for a degree-6 fit: there both the
+        # per-point and the array fit are noise, and omega's weight is nil
+        beta, mu = 0.05, bessel_params.mu
+        nodes = radial_rule(bessel_params).nodes
+        xs = np.concatenate([nodes[nodes < 1e3], [0.0, 1e-3, 1e6]])
+        got = derivative_series_candidate(bessel_params, beta, mu, k_max).evaluate(xs)
+        ref = [loop_derivative_series(bessel_params, beta, mu, k_max, x) for x in xs]
+        assert got[-1] == 0.0 == ref[-1]  # omega underflows at x = 1e6
+        assert np.allclose(got, ref, rtol=1e-9, atol=0.0)
 
+    def test_flat_candidate_moments_stay_finite(self, bessel_params):
+        # h_n^2 and x^n overflow from n = 98 and n = 61 here; the rows
+        # int x^n omega dx / h_n^2 are all 1
+        flat = PFunctionCandidate(evaluate=lambda x: np.ones_like(x), label="flat")
+        reports = verify_p_function(bessel_params, 0.02, bessel_params.mu, flat, 150)
+        assert len(reports) == 151
+        assert max(abs(r.computed - 1.0) for r in reports) < 1e-12
+
+    def test_failing_candidate_fails(self, jacobi_params):
         bad = PFunctionCandidate(evaluate=lambda x: np.ones_like(x), label="flat")
         reports = verify_p_function(jacobi_params, 0.5, 1.0, bad, 8)
         assert not p_function_passes(reports, 1e-8)
