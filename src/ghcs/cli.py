@@ -163,7 +163,7 @@ def _write_csv(path: str, cfg: RunConfig, header: str, rows) -> None:
 
 def _write_json(path: str, cfg: RunConfig, payload: dict) -> None:
     doc = {"config": cfg.as_echo(), "results": payload}
-    text = json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -129,23 +129,29 @@ class IdentityCertificate:
     n_nodes: int
 
     def as_dict(self) -> dict:
+        """The certificate as strict JSON: a value past the float range (the
+        `computed` and `target` columns from h_n^2 > 1.8e308) is None."""
         return {
             "passed": self.passed,
             "tol": self.tol,
             "n_nodes": self.n_nodes,
             "worst_order": self.worst.order,
-            "worst_rel_error": self.worst.rel_error,
+            "worst_rel_error": _finite_or_none(self.worst.rel_error),
             "diagnosis": self.diagnosis,
             "moments": [
                 {
                     "order": r.order,
-                    "computed": r.computed,
-                    "target": r.target,
-                    "rel_error": r.rel_error,
+                    "computed": _finite_or_none(r.computed),
+                    "target": _finite_or_none(r.target),
+                    "rel_error": _finite_or_none(r.rel_error),
                 }
                 for r in self.reports
             ],
         }
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 # ---------------------------------------------------------------------------

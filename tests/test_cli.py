@@ -215,10 +215,19 @@ class TestFloatRange:
             warnings.simplefilter("error")
             assert run(["verify", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        cert = json.loads(out.read_text())["results"]["checks"]["identity_moments"]
+
+        def strict(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=strict)
+        cert = doc["results"]["checks"]["identity_moments"]
         assert cert["passed"] is True and cert["diagnosis"] is None
         assert len(cert["moments"]) == 201
         assert all(math.isfinite(r["rel_error"]) for r in cert["moments"])
+        # computed and target are null exactly where h_n^2 leaves the float range
+        past = [r["order"] for r in cert["moments"] if r["target"] is None]
+        assert past == list(range(98, 201))
+        assert all(r["computed"] is None for r in cert["moments"] if r["order"] in past)
 
 
 class TestExpect:
@@ -497,6 +506,27 @@ class TestAbTool:
         assert ops[-3:] == ["1.1000", "2/3", "0.00%"]
         assert p50[-3:] == ["1.0000", "1/3", "0.00%"]
         assert "seed 3: attempted 10/10, failed 1/1, correct True/True" in lines[-1]
+
+    def test_runs_every_declared_workload_by_default(self, monkeypatch, capsys):
+        tool = _load_tool("ab")
+        names = ["report-sweep", "label-batch", "moment-scan"]
+        runs = []
+
+        def export(rev, dest):
+            os.makedirs(dest)
+            with open(os.path.join(dest, "BENCHMARK.json"), "w") as fh:
+                json.dump({"end_to_end": [], "workloads": [{"name": n} for n in names]}, fh)
+            return rev
+
+        monkeypatch.setattr(tool, "export", export)
+        monkeypatch.setattr(tool, "bench", lambda tree, workload, seed, seconds, out: (
+            runs.append((workload, seed)) or {"attempted": 1, "failed": 0, "correct": True}))
+        monkeypatch.setattr(tool, "hashes", lambda tree, outdir, extra: {})
+        assert tool.main(["A", "B", "--seeds", "1"]) == 0
+        assert runs == [(n, 1) for n in names for _ in "AB"]
+        runs.clear()
+        assert tool.main(["A", "B", "--seeds", "1", "--workloads", "moment-scan"]) == 0
+        assert runs == [("moment-scan", 1)] * 2
 
     @pytest.mark.skipif(not os.path.isdir(os.path.join(ROOT, ".git")), reason="not a git checkout")
     def test_export_writes_the_committed_tree(self, tmp_path):

@@ -1,5 +1,6 @@
 """Weight density, quadrature rules and the moment certificate."""
 
+import json
 import math
 import warnings
 
@@ -256,7 +257,11 @@ class TestVerifyIdentityOverflow:
         assert cert.diagnosis == "float_overflow"
         assert cert.worst.order == 14 and cert.worst.rel_error == math.inf
         assert math.isnan(cert.reports[17].rel_error)
-        assert cert.as_dict()["worst_order"] == 14
+        doc = cert.as_dict()
+        assert doc["worst_order"] == 14 and doc["worst_rel_error"] is None
+        assert doc["moments"][14]["rel_error"] is None
+        assert doc["moments"][17]["rel_error"] is None
+        json.dumps(doc, allow_nan=False)  # strict JSON
 
     def test_finite_rows_keep_their_worst(self, jacobi_params):
         cert = verify_identity(jacobi_params, 12, tol=1e-14, rule=radial_rule(jacobi_params, 50))
@@ -341,7 +346,7 @@ def _frozen_weight(curve, x):
         ratio = lambda k: x / ((k + 1.0) * (b + k))  # noqa: E731
     else:
         shift = p.coeff_shift
-        ratio = lambda k: x * (shift + k) ** 2 / ((k + 1.0) * (b + k))  # noqa: E731
+        ratio = lambda k: x * ((shift + k) * (shift + k)) / ((k + 1.0) * (b + k))  # noqa: E731
     return _sum_ratio_series(1.0, ratio, specfun.DEFAULT_SERIES) * om
 
 

@@ -100,7 +100,7 @@ def _loop_norm(params, x, ctl=specfun.DEFAULT_SERIES):
         ratio = lambda k: x / ((k + 1.0) * (b + k))  # noqa: E731
     else:
         shift = params.coeff_shift
-        ratio = lambda k: x * (shift + k) ** 2 / ((k + 1.0) * (b + k))  # noqa: E731
+        ratio = lambda k: x * ((shift + k) * (shift + k)) / ((k + 1.0) * (b + k))  # noqa: E731
     return _sum_ratio_series(1.0, ratio, ctl)
 
 

@@ -302,13 +302,26 @@ class TestPochhammerVariant:
 
 
 def _log_h_reference(params, n_max):
-    # uncached scalar evaluation, same operations in the same order
-    out = [0.0]
-    for k in range(1, n_max + 1):
-        v = 0.5 * (math.lgamma(k + 1.0) + math.lgamma(params.b + k) - math.lgamma(params.b))
-        if params.family is Family.JACOBI:
-            v -= math.lgamma(params.coeff_shift + k) - math.lgamma(params.coeff_shift)
-        out.append(v)
+    """Uncached scalar evaluation, the same operations in the same order:
+    bessel's log-gamma sum per order; jacobi's steps log1p(delta_k) / 2
+    (numpy's log1p on the whole array, as the table takes it) summed one by
+    one with each addition's TwoSum error summed beside them."""
+    if params.family is Family.BESSEL:
+        return np.array([0.0] + [
+            0.5 * (math.lgamma(k + 1.0) + math.lgamma(params.b + k) - math.lgamma(params.b))
+            for k in range(1, n_max + 1)
+        ])
+    s = params.coeff_shift
+    c = s - 1.0
+    deltas = [(k * (params.b + 1.0 - 2.0 * s) - c * c) / ((c + k) * (c + k))
+              for k in range(1, n_max + 1)]
+    out, total, comp = [0.0], 0.0, 0.0
+    for step in (0.5 * np.log1p(np.array(deltas))).tolist():
+        new = total + step
+        back = new - total
+        comp += (total - (new - back)) + (step - back)
+        total = new
+        out.append(total + comp)
     return np.array(out)
 
 
@@ -321,6 +334,34 @@ class TestLogHCache:
             got = _log_h_array(params, n)
             assert got.shape == (n + 1,)
             assert np.array_equal(got, _log_h_reference(params, n)), n
+
+    @pytest.mark.parametrize("variant", list(PochhammerVariant))
+    def test_grown_equals_built_at_once(self, variant):
+        params = FamilyParams(3, 7.3, Family.JACOBI, variant)
+        _log_h_store.cache_clear()
+        for n in (1, 3, 100, *(128 << k for k in range(9))):
+            _log_h_array(params, n)
+        grown = _log_h_table(params, 32768)
+        _log_h_store.cache_clear()
+        at_once = _log_h_table(params, 32768)
+        assert len(grown) == 32769
+        assert np.array_equal(grown, at_once)
+
+    @pytest.mark.parametrize("variant", list(PochhammerVariant))
+    def test_jacobi_table_against_mpmath(self, variant):
+        # log h_n = [lgG(n+1) + lgG(b+n) - lgG(b)] / 2 - [lgG(s+n) - lgG(s)]
+        # at the float b and s, to n = 32768, where that form in float64 cancels
+        # terms of up to 3e5 and was off by 1.4e-10
+        orders = sorted({*np.geomspace(1, 32768, 40).astype(int).tolist(), 32767})
+        for m in (0, 1, 3, 6):
+            for nu in (0.1, 0.5, 1.3, 7.3):
+                params = FamilyParams(m, nu, Family.JACOBI, variant)
+                table = _log_h_array(params, 32768)
+                b, s = mp.mpf(params.b), mp.mpf(params.coeff_shift)
+                for n in orders:
+                    ref = ((mp.loggamma(n + 1) + mp.loggamma(b + n) - mp.loggamma(b)) / 2
+                           - (mp.loggamma(s + n) - mp.loggamma(s)))
+                    assert abs(table[n] - float(ref)) <= 1e-12, (m, nu, n)
 
     def test_read_only(self, jacobi_params):
         lg = _log_h_array(jacobi_params, 100)
@@ -346,8 +387,8 @@ class TestLogHCache:
         rows, entries = [], []
         monkeypatch.setattr(states, "_build_rows", lambda p, zs, n: (
             rows.append(len(zs)) or _build_rows(p, zs, n)))
-        monkeypatch.setattr(states, "_log_h_entries", lambda p, a, b: (
-            entries.append((a, b)) or _log_h_entries(p, a, b)))
+        monkeypatch.setattr(states, "_log_h_entries", lambda p, a, b, carry: (
+            entries.append((a, b)) or _log_h_entries(p, a, b, carry)))
         _cached_state.cache_clear()
         _log_h_store.cache_clear()
         gram_matrix(params, labels)

@@ -2,6 +2,9 @@
 
     python3 tools/ab.py REV_A REV_B --seeds 2 3 4 5 6 --seconds 20
 
+runs every workload that B's BENCHMARK.json declares (`--workloads`
+picks some), as a change is judged on all of them.
+
 Each revision is exported with `git archive` into a temporary directory,
 so both run their own `bench/run.py` and `src/` from the committed files
 (uncommitted edits are not measured), and nothing is registered in the
@@ -95,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev_a")
     ap.add_argument("rev_b")
-    ap.add_argument("--workloads", nargs="+", default=["report-sweep"])
+    ap.add_argument("--workloads", nargs="+", default=None,
+                    help="default: every workload of B's BENCHMARK.json")
     ap.add_argument("--seeds", nargs="+", type=int, default=[2, 3, 4, 5, 6])
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--hash-config", action="append", default=[],
@@ -106,12 +110,14 @@ def main(argv: list[str] | None = None) -> int:
         for side, rev in (("A", a.rev_a), ("B", a.rev_b)):
             print(f"{side}: {rev} = {export(rev, trees[side])}")
         with open(os.path.join(trees["B"], "BENCHMARK.json"), encoding="utf-8") as fh:
-            spec = json.load(fh)["end_to_end"]
+            doc = json.load(fh)
+        spec = doc["end_to_end"]
+        workloads = a.workloads or [w["name"] for w in doc["workloads"]]
         out = os.path.join(tmp, "bench_out")
-        results: dict[str, list] = {w: [] for w in a.workloads}
+        results: dict[str, list] = {w: [] for w in workloads}
         k = 0
         for seed in a.seeds:
-            for workload in a.workloads:
+            for workload in workloads:
                 order = ("A", "B") if k % 2 == 0 else ("B", "A")
                 k += 1
                 got = {}
