@@ -71,6 +71,8 @@ class RunConfig:
             raise ValueError("variant-pochhammer must be canonical or two-nu")
         if self.g2_convention not in ("as_written", "conventional"):
             raise ValueError("g2-convention must be as_written or conventional")
+        if not (0.0 < self.beta_min < math.inf and 0.0 < self.beta_max < math.inf):
+            raise ValueError("beta_min and beta_max must be finite and positive")
 
     def params(self) -> FamilyParams:
         return FamilyParams(
@@ -276,10 +278,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     mu = params.mu
     betas = np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_count)
-    means = [thermal.boltzmann_moment(b, mu, 1) for b in betas]
-    sq = [thermal.boltzmann_moment(b, mu, 2) for b in betas]
-    variance_ok = all(s - m * m >= -1e-12 for s, m in zip(sq, means))
-    monotone_ok = all(means[i + 1] <= means[i] + 1e-12 for i in range(len(means) - 1))
+    grid = thermal._oracle_columns(betas, mu)
+    means, sq = grid["N_mean"], grid["N2_mean"]
+    variance_ok = bool(np.all(sq - means * means >= -1e-12))
+    monotone_ok = bool(np.all(means[1:] <= means[:-1] + 1e-12))
     x = cfg.x if params.family is Family.BESSEL else min(cfg.x, 0.8)
     h = 1e-4
     fd = (

@@ -1,10 +1,11 @@
 """Thermal observables: partition sums, Boltzmann averages, P-function.
 
 Ground truth for every thermal average is the direct Boltzmann sum over
-the spectrum E_n = n (n + mu + 1); the closed-form expressions quoted in
-the source literature (mean occupation 1 + 2 e^{beta(2-mu)} and its
-companions) are evaluated and tabulated alongside, never asserted, since
-they do not reproduce the direct sums.
+the spectrum E_n = n (n + mu + 1): one table gives Z, <N> and <N(N-1)>
+for a whole beta grid under one certified tail bound, and <N^2>, g2 and Q
+follow from them without cancellation.  The literature's closed forms
+(mean occupation 1 + 2 e^{beta(2-mu)} and its companions) are tabulated
+alongside, never asserted, since they do not reproduce the direct sums.
 
 The diagonal P-representation is handled through its defining moment
 conditions: a candidate P is accepted when its omega-weighted moments
@@ -45,7 +46,7 @@ __all__ = [
     "thermal_scan_rows",
 ]
 
-_TAIL_REL = 1e-14
+_TAIL_REL = 1e-17  # every Boltzmann sum's certified relative tail is below this
 
 
 def _energy(n: float, mu: float) -> float:
@@ -54,7 +55,8 @@ def _energy(n: float, mu: float) -> float:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Truncated partition data with a certified geometric tail bound."""
+    """Z summed over n <= n_cut, and the certified bound on the relative
+    tail the cut drops from each Boltzmann sum (for Z, the tail itself)."""
 
     beta: float
     mu: float
@@ -63,64 +65,97 @@ class ThermalState:
     tail_bound: float
 
 
-def thermal_state(beta: float, mu: float, tail_rel: float = _TAIL_REL) -> ThermalState:
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    total = 1.0  # n = 0 term
-    n = 0
-    while True:
-        n += 1
-        term = math.exp(-beta * _energy(n, mu))
-        total += term
-        # remaining terms are dominated by the geometric series with ratio
-        # exp(-beta (E_{n+2} - E_{n+1})) starting at exp(-beta E_{n+1})
-        head = math.exp(-beta * _energy(n + 1, mu))
-        gap = _energy(n + 2, mu) - _energy(n + 1, mu)
-        tail = head / (1.0 - math.exp(-beta * gap))
-        if tail <= tail_rel * total:
-            return ThermalState(
-                beta=beta, mu=mu, n_cut=n, partition=total, tail_bound=tail
-            )
-        if n > 10_000_000:
-            raise ConvergenceError("partition sum failed to converge")
+def _majorant(betas, mu: float, k: np.ndarray):
+    """(head, slack) per beta (rows) and first dropped order k >= 3: each
+    dropped tail is at most head / slack of its sum's first term.  With
+    t_k = k (k-1) e^{-beta (E_k - E_2)}, the terms of the n (n-1) sum, and
+    their falling ratio r_k = (k+1)/(k-1) e^{-beta (2k + mu + 2)}, head =
+    t_k / 2 and slack = 1 - r_k; the other sums' terms are smaller, and
+    both fall with beta."""
+    t = k * (k - 1.0) * np.exp(-np.multiply.outer(betas, (k - 2.0) * (k + mu + 3.0)))
+    r = (k + 1.0) / (k - 1.0) * np.exp(-np.multiply.outer(betas, 2.0 * k + mu + 2.0))
+    return 0.5 * t, 1.0 - r
+
+
+def _boltzmann(betas, mu: float):
+    """(Z, <N>, rho, g2c, tail bound, n_cut) over a beta grid from the row
+    sums of one matrix V_n = e^{-beta (E_n - E_2)}, n >= 2: as E_1 = mu + 2,
+    E_2 = 2 mu + 6, Z = 1 + e^{-beta E_1} + e^{-beta E_2} sum V_n and
+    <N> = e^{-beta E_1} A / Z with A = 1 + e^{-beta (mu + 4)} sum n V_n;
+    for B = sum n (n-1) V_n, rho = <N(N-1)>/<N> = e^{-beta (mu + 4)} B / A
+    and g2c = <N(N-1)>/<N>^2 = Z e^{-2 beta} B / A^2 keep their digits where
+    <N(N-1)> underflows.  Each row stops at its own n_cut and is summed
+    from its smallest term up, so a grid gives each beta its single-beta
+    values bit for bit."""
+    betas = np.asarray(betas, dtype=float).reshape(-1)
+    if not ((betas > 0.0) & (betas < np.inf)).all() or not -2.0 < mu < math.inf:
+        raise ValueError("beta must be finite and positive, mu finite and above -2")
+    for size in 2 ** np.arange(4, 21):  # the smallest beta's cut
+        head, slack = _majorant(betas.min(initial=np.inf), mu, np.arange(3.0, size + 3.0))
+        if (ok := head <= _TAIL_REL * slack).any():
+            break
+    else:
+        raise ConvergenceError(f"Boltzmann sums need over 2^20 terms at beta = {betas.min():g}")
+    n = np.arange(2.0, ok.argmax() + 3.0)
+    step, blocks = max(1, (1 << 16) // n.size), []  # rows per block of the matrix
+    for b in np.split(betas, range(step, betas.size, step)):
+        head, slack = _majorant(b, mu, n + 1.0)
+        rows, first = np.arange(b.size), (head <= _TAIL_REL * slack).argmax(axis=1)
+        v = np.exp(-np.multiply.outer(b, (n - 2.0) * (n + mu + 3.0)))
+        v[n > n[first][:, None]] = 0.0
+        sums = np.cumsum(np.stack([v, n * v, n * (n - 1.0) * v], 1)[..., ::-1], axis=2)[..., -1]
+        blocks.append(np.column_stack([sums, head[rows, first] / slack[rows, first], n[first]]))
+    s0, s1, s2, tail, cut = np.concatenate(blocks).T
+    w1, w4 = np.exp(-betas * (mu + 2.0)), np.exp(-betas * (mu + 4.0))
+    z, a = 1.0 + w1 + np.exp(-betas * (2.0 * mu + 6.0)) * s0, 1.0 + w4 * s1
+    g2c = z * np.exp(-2.0 * betas) * s2 / (a * a)
+    return z, w1 * a / z, w4 * s2 / a, g2c, tail, cut.astype(int)
+
+
+def _number_stats(n1, rho, g2c, g2_convention: str):
+    """(<N^2>, g2, Q) from <N>, rho = <N(N-1)>/<N> and g2c = <N(N-1)>/<N>^2:
+    <N^2> = <N> (1 + rho), g2 = g2c ('conventional') or <N(N-1)>/<N^2> =
+    rho / (1 + rho) ('as_written'), Q = <N> (g2 - 1), which cancels only
+    for the conventional g2 near 1 (as_written g2 - 1 = -1 / (1 + rho))."""
+    if g2_convention not in ("as_written", "conventional"):
+        raise ValueError("g2_convention must be 'as_written' or 'conventional'")
+    if g2_convention == "conventional":
+        return n1 * (1.0 + rho), g2c, n1 * (g2c - 1.0)
+    return n1 * (1.0 + rho), rho / (1.0 + rho), -n1 / (1.0 + rho)
+
+
+def _oracle_columns(betas, mu: float, g2_convention: str = "as_written") -> dict:
+    """`oracle_thermal_stats` over a beta grid, each value an array."""
+    z, n1, rho, g2c, _, _ = _boltzmann(betas, mu)
+    return dict(zip(("N_mean", "N2_mean", "g2", "Q", "Z"),
+                    (n1, *_number_stats(n1, rho, g2c, g2_convention), z)))
+
+
+def thermal_state(beta: float, mu: float) -> ThermalState:
+    z, *_, tail, cut = _boltzmann(beta, mu)
+    return ThermalState(beta, mu, int(cut[0]), float(z[0]), float(tail[0]))
 
 
 def partition(beta: float, mu: float) -> float:
-    """Z(beta) = sum_n exp(-beta n (n + mu + 1)), tail below 1e-14 of Z."""
+    """Z(beta) = sum_n exp(-beta n (n + mu + 1)), tail below 1e-17 of Z."""
     return thermal_state(beta, mu).partition
 
 
 def boltzmann_moment(beta: float, mu: float, s: int) -> float:
-    """<N^s> = sum_n n^s exp(-beta E_n) / Z by direct summation."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if s < 0:
-        raise ValueError("s must be a non-negative integer")
-    ts = thermal_state(beta, mu)
-    num = 1.0 if s == 0 else 0.0  # n = 0 term (0^0 = 1)
-    n = 0
-    while True:
-        n += 1
-        term = float(n) ** s * math.exp(-beta * _energy(n, mu))
-        num += term
-        if term < 1e-17 * max(num, 1e-300) and n > ts.n_cut:
-            break
-    return num / ts.partition
+    """<N^s> = sum_n n^s exp(-beta E_n) / Z for s = 0, 1 or 2, the orders
+    the thermal layer reads; ValueError for any other s."""
+    if not isinstance(s, (int, np.integer)) or s not in (0, 1, 2):
+        raise ValueError("s must be 0, 1 or 2")
+    o = oracle_thermal_stats(beta, mu)
+    return (1.0, o["N_mean"], o["N2_mean"])[s]
 
 
 def oracle_thermal_stats(beta: float, mu: float,
                          g2_convention: str = "as_written") -> dict:
     """Boltzmann-sum moments with the second-order correlation and the
-    Mandel parameter.
-
-    g2_convention 'as_written' divides <N^2> - <N> by <N^2>, following
-    the published definition; 'conventional' divides by <N>^2.
-    """
-    n1 = boltzmann_moment(beta, mu, 1)
-    n2 = boltzmann_moment(beta, mu, 2)
-    g2 = _g2(n1, n2, g2_convention)
-    q = n1 * (g2 - 1.0)
-    return {"N_mean": n1, "N2_mean": n2, "g2": g2, "Q": q, "Z": partition(beta, mu)}
+    Mandel parameter: g2_convention 'as_written' gives <N(N-1)>/<N^2>, the
+    published (<N^2> - <N>)/<N^2>, and 'conventional' <N(N-1)>/<N>^2."""
+    return {k: float(v[0]) for k, v in _oracle_columns(beta, mu, g2_convention).items()}
 
 
 def closed_form_thermal_stats(beta: float, mu: float) -> dict:
@@ -137,6 +172,16 @@ def closed_form_thermal_stats(beta: float, mu: float) -> dict:
     g2 = 2.0 * ea / (1.0 + 2.0 * ea) ** 2
     q = -(1.0 + 4.0 * ea * ea / (1.0 + 2.0 * ea))
     return {"N_mean": n1, "N2_mean": n2, "g2": g2, "Q": q}
+
+
+def thermal_scan_rows(beta_grid: Sequence[float], mu: float,
+                      g2_convention: str = "as_written"):
+    """Rows matching the thermal CSV header: oracle sums next to the
+    literature closed forms, differences left to the reader."""
+    o = _oracle_columns(beta_grid, mu, g2_convention)
+    cols = (o[k].tolist() for k in ("Z", "N_mean", "N2_mean", "g2", "Q"))
+    return [(beta, float(mu), *oracle, *closed_form_thermal_stats(beta, mu).values())
+            for beta, *oracle in zip(np.asarray(beta_grid, dtype=float).tolist(), *cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -294,50 +339,26 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     raise ConvergenceError("number_moment series did not converge")
 
 
-def _g2(n1: float, n2: float, g2_convention: str) -> float:
-    """g2 from <N> and <N^2>: 'as_written' divides <N^2> - <N> by <N^2>,
-    'conventional' by <N>^2.  In the vacuum state (x = 0) <N> = <N^2> = 0
-    and g2 is 0/0: ValueError."""
-    if g2_convention == "as_written":
-        den = n2
-    elif g2_convention == "conventional":
-        den = n1 * n1
-    else:
-        raise ValueError("g2_convention must be 'as_written' or 'conventional'")
-    if den == 0.0:
-        raise ValueError("g2 is undefined in the vacuum state (x = 0), "
-                         "where <N> = <N^2> = 0")
-    return (n2 - n1) / den
-
-
 def in_state_stats(params: FamilyParams, x: float,
                    g2_convention: str = "as_written") -> tuple[float, float, float, float]:
-    """(<N>, <N^2>, g2, Q) in the state with |z|^2 = x, from two series:
-    <N>/x and the factorial moment <N(N-1)>/x^2, each summed at order 1
-    however small x is.  <N^2> = <N> + x^2 <N(N-1)>/x^2, g2 is
-    <N(N-1)>/<N>^2 ('conventional') or <N(N-1)>/<N^2> ('as_written') and
-    Q = <N> (g2 - 1), so nothing cancels: <N^2> - <N> from separately summed
-    moments loses every digit once <N(N-1)>/<N> (x / (b + 1) for bessel at
-    small x) is below 1e-16, and <N>^2 underflows below x of about 1e-162.
-    ValueError in the vacuum state (x = 0), where g2 is 0/0."""
-    if g2_convention not in ("as_written", "conventional"):
-        raise ValueError("g2_convention must be 'as_written' or 'conventional'")
+    """(<N>, <N^2>, g2, Q) in the state with |z|^2 = x from <N>/x and the
+    factorial moment <N(N-1)>/x^2, each summed at order 1 however small x
+    is, through `_number_stats`: nothing cancels.  ValueError in the vacuum
+    state (x = 0), where g2 is 0/0."""
     x = float(x)
     if x == 0.0:
         raise ValueError("g2 is undefined in the vacuum state (x = 0), "
                          "where <N> = <N^2> = 0")
     mean = number_moment(params, x, 1, falling=True)  # <N> / x; checks the domain
     fact = number_moment(params, x, 2, falling=True)  # <N(N-1)> / x^2
-    g2 = fact / mean / mean if g2_convention == "conventional" else fact * x / (fact * x + mean)
     n1 = x * mean
-    return n1, n1 + x * x * fact, g2, n1 * (g2 - 1.0)
+    return (n1, *_number_stats(n1, x * fact / mean, fact / mean / mean, g2_convention))
 
 
 def g2_in_state(params: FamilyParams, x: float,
                 g2_convention: str = "as_written") -> float:
     """Second-order correlation in the state with |z|^2 = x, as
-    `in_state_stats` gives it; it keeps its digits down to the smallest x.
-    ValueError at x = 0, where it is 0/0."""
+    `in_state_stats` gives it; ValueError at x = 0, where it is 0/0."""
     return in_state_stats(params, x, g2_convention)[2]
 
 
@@ -379,14 +400,12 @@ def moment_matched_candidate(params: FamilyParams, beta: float, mu: float,
     """
     if rule is None:
         rule = radial_rule(params)
-    ts = thermal_state(beta, mu)
     u = _basis_map(params)
     a_mat = _moment_rows(params, rule, n_check) @ _cheb.chebvander(u(rule.nodes), n_check)
-    rhs = np.exp(-beta * _energy(np.arange(n_check + 1.0), mu)) / ts.partition
+    rhs = np.exp(-beta * _energy(np.arange(n_check + 1.0), mu)) / partition(beta, mu)
     coef = np.linalg.solve(a_mat, rhs)
     for _ in range(2):
-        resid = rhs - a_mat @ coef
-        coef = coef + np.linalg.solve(a_mat, resid)
+        coef = coef + np.linalg.solve(a_mat, rhs - a_mat @ coef)
 
     def evaluate(xx: np.ndarray) -> np.ndarray:
         return _cheb.chebval(u(np.asarray(xx, dtype=float)), coef)
@@ -459,25 +478,3 @@ def verify_p_function(params: FamilyParams, beta: float, mu: float,
 
 def p_function_passes(reports: Sequence[MomentReport], tol: float = 1e-8) -> bool:
     return all(r.rel_error <= tol for r in reports)
-
-
-# ---------------------------------------------------------------------------
-# Scan table
-# ---------------------------------------------------------------------------
-
-def thermal_scan_rows(beta_grid: Sequence[float], mu: float,
-                      g2_convention: str = "as_written"):
-    """Rows matching the thermal CSV header: oracle sums next to the
-    literature closed forms, differences left to the reader."""
-    rows = []
-    for beta in beta_grid:
-        o = oracle_thermal_stats(beta, mu, g2_convention)
-        c = closed_form_thermal_stats(beta, mu)
-        rows.append(
-            (
-                float(beta), float(mu), o["Z"],
-                o["N_mean"], o["N2_mean"], o["g2"], o["Q"],
-                c["N_mean"], c["N2_mean"], c["g2"], c["Q"],
-            )
-        )
-    return rows

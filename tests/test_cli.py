@@ -17,6 +17,7 @@ import ghcs
 import ghcs.kernel
 import ghcs.measure
 import ghcs.states
+import ghcs.thermal
 from ghcs.cli import RunConfig, main, resolve_config, _build_parser, _write_csv
 
 SRC = os.path.dirname(os.path.dirname(ghcs.__file__))
@@ -90,6 +91,21 @@ class TestConfig:
     def test_invalid_nu_rejected_before_compute(self, capsys):
         assert run(["verify", "--nu", "-0.5"]) == 2
         assert "config rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["beta_min=nan", "beta_max=inf", "beta_min=0",
+                                      "beta_max=-1"])
+    @pytest.mark.parametrize("cmd", ["thermal", "verify"])
+    def test_bad_beta_rejected_before_compute(self, tmp_path, capsys, monkeypatch, cmd, line):
+        # beta_min=nan used to run the partition loop 10^7 times and exit 3
+        # naming an exhausted series budget
+        monkeypatch.setattr(ghcs.thermal, "_boltzmann", None)  # never reached
+        cfg_file = tmp_path / "beta.cfg"
+        cfg_file.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run([cmd, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config rejected: beta_min and beta_max must be finite and positive\n")
+        assert not out.exists()
 
     def test_echo_contains_version_and_config(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -453,11 +469,20 @@ class TestArtifactHashes:
         assert tool.main([str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 13  # 7 commands x 2 families, evolve bessel only
+
+        def strict(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
         for line in lines:
             cmd, family, digest = line.split()
             ext = "csv" if cmd in ("weight", "expect", "evolve", "thermal") else "json"
             data = (tmp_path / f"{cmd}-{family}.{ext}").read_bytes()
             assert digest == hashlib.sha256(data).hexdigest()
+            if ext == "json":
+                json.loads(data, parse_constant=strict)
+        # a second run in a fresh directory writes the same 13 artifacts
+        assert tool.main([str(tmp_path / "again")]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 class TestArtifactDiff:

@@ -1,5 +1,6 @@
 """Partition sums, thermal averages, P-function moment verification."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -48,11 +49,12 @@ class TestPartition:
         assert ts.tail_bound <= 1e-14 * ts.partition
         assert ts.partition >= 1.0
 
-    def test_rejects_nonpositive_beta(self):
+    @pytest.mark.parametrize("beta, mu", [(0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0),
+                                          (math.inf, 2.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_nonpositive_beta(self, beta, mu):
+        # a non-finite beta or mu is rejected before any summation too
         with pytest.raises(ValueError):
-            partition(0.0, 2.0)
-        with pytest.raises(ValueError):
-            partition(-1.0, 2.0)
+            partition(beta, mu)
 
     def test_monotone_decreasing_in_beta(self):
         betas = np.linspace(0.2, 2.0, 10)
@@ -79,6 +81,92 @@ class TestBoltzmannMoments:
         betas = np.linspace(0.2, 2.0, 10)
         means = [boltzmann_moment(float(b), 2.0, 1) for b in betas]
         assert all(b <= a for a, b in zip(means, means[1:]))
+
+    @pytest.mark.parametrize("s", [1.5, 3, -1, 1.0])
+    def test_only_orders_up_to_two(self, s):
+        with pytest.raises(ValueError, match="s must be 0, 1 or 2"):
+            boltzmann_moment(1.0, 1.0, s)
+
+
+@functools.lru_cache(maxsize=None)
+def mp_boltzmann(beta, mu):
+    """(Z, <N>, <N(N-1)>) at 60 digits by direct summation over n < 400,
+    whose dropped tail is below e^{-8000} for beta >= 0.05."""
+    with mp.workdps(60):
+        beta, mu = mp.mpf(beta), mp.mpf(mu)
+        w = [mp.exp(-beta * n * (n + mu + 1)) for n in range(400)]
+        z = mp.fsum(w)
+        return z, mp.fsum(n * t for n, t in enumerate(w)) / z, \
+            mp.fsum(n * (n - 1) * t for n, t in enumerate(w)) / z
+
+
+def mp_thermal_stats(beta, mu, convention):
+    """(Z, <N>, <N^2>, g2, Q) from `mp_boltzmann`, as floats."""
+    z, n1, fall = mp_boltzmann(float(beta), float(mu))
+    with mp.workdps(60):
+        g2 = fall / n1**2 if convention == "conventional" else fall / (n1 + fall)
+        return tuple(float(v) for v in (z, n1, n1 + fall, g2, n1 * (g2 - 1)))
+
+
+def q_tolerance(g2, convention):
+    """1e-13 relative, times g2 / |g2 - 1| for the conventional Q: Q =
+    <N> (g2 - 1) crosses zero where the conventional g2 crosses 1 (near
+    beta = 0.3 at every mu here), so there its relative error is g2's
+    rounding error magnified by that factor, in any double arithmetic."""
+    if convention == "conventional":
+        return 1e-13 * max(1.0, g2 / abs(g2 - 1.0))
+    return 1e-13
+
+
+class TestBoltzmannAgainstMpmath:
+    @pytest.mark.parametrize("convention", ["as_written", "conventional"])
+    @pytest.mark.parametrize("mu", [0.1, 1.0, 3.5])
+    def test_g2_and_q(self, mu, convention):
+        # g2 used to come from <N^2> - <N>, off by 4.8e-6 at beta = 5, mu = 1
+        # and 0.0 from beta = 8; rho and g2c keep their digits to beta = 60
+        betas = np.geomspace(0.05, 60.0, 61)
+        rows = thermal_scan_rows(betas, mu, convention)
+        for beta, row in zip(betas, rows):
+            _, _, _, g2, q = mp_thermal_stats(beta, mu, convention)
+            assert g2 > 0.0 and rel_err(row[5], g2) <= 1e-13, beta
+            assert rel_err(row[6], q) <= q_tolerance(g2, convention), beta
+
+    def test_default_grid(self):
+        # the ghcs thermal defaults: beta in [0.2, 2] (10 points), mu = 2 nu = 1
+        betas = np.linspace(0.2, 2.0, 10)
+        for beta, row in zip(betas, thermal_scan_rows(betas, 1.0)):
+            ref = mp_thermal_stats(beta, 1.0, "as_written")
+            for got, want in zip(row[2:5], ref[:3]):
+                assert rel_err(got, want) <= 2e-15, beta
+
+    @pytest.mark.parametrize("convention", ["as_written", "conventional"])
+    def test_scan_rows_are_the_single_beta_rows(self, convention):
+        # one grid call gives every beta its single-beta values bit for bit,
+        # whatever the other betas: each row stops at its own cut
+        for mu in (0.1, 1.0, 3.5):
+            for betas in (np.linspace(0.2, 2.0, 10), np.geomspace(0.01, 80.0, 41)[::-1]):
+                rows = thermal_scan_rows(betas, mu, convention)
+                for beta, row in zip(betas.tolist(), rows):
+                    o = oracle_thermal_stats(beta, mu, convention)
+                    c = closed_form_thermal_stats(beta, mu)
+                    assert row == (beta, mu, o["Z"], o["N_mean"], o["N2_mean"], o["g2"],
+                                   o["Q"], c["N_mean"], c["N2_mean"], c["g2"], c["Q"])
+
+    @pytest.mark.parametrize("convention", ["as_written", "conventional"])
+    def test_cli_thermal_to_beta_20(self, tmp_path, convention):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"beta_max=20\ng2_convention={convention}\n")
+        out = tmp_path / "thermal.csv"
+        assert cli.main(["thermal", "--config", str(cfg), "--out", str(out)]) == 0
+        body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+        assert len(body) == 10
+        for line in body:
+            beta, mu, *cols = (float(v) for v in line.split(",")[:7])
+            ref = mp_thermal_stats(beta, mu, convention)
+            assert cols[3] > 0.0
+            for got, want in zip(cols[:4], ref[:4]):
+                assert rel_err(got, want) <= 1e-13, (beta, got, want)
+            assert rel_err(cols[4], ref[4]) <= q_tolerance(ref[3], convention)
 
 
 class TestClosedForms:
