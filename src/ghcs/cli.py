@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, dynamics, kernel, measure, quantize, thermal
 from .specfun import ConvergenceError
-from .states import Family, FamilyParams, PochhammerVariant, _pair_overlap, state_matrix
+from .states import Family, FamilyParams, _pair_overlap, state_matrix
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -36,10 +36,8 @@ class RunConfig:
     nodes: int = 0  # 0 = family default
     tol: float = 0.0  # 0 = family default
     out: str = ""
-    variant_pochhammer: str = "canonical"
     g2_convention: str = "as_written"
     n_check: int = 0  # 0 = family default
-    literal_n: int = 2
     x: float = 0.5
     x_min: float = 0.02
     x_max: float = 0.98
@@ -57,6 +55,9 @@ class RunConfig:
     seed: int = 12345
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.family not in ("bessel", "jacobi"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.m < 0:
@@ -67,18 +68,13 @@ class RunConfig:
             raise ValueError("nmax must be positive")
         if self.nodes < 0 or self.tol < 0.0:
             raise ValueError("nodes and tol must be positive when given")
-        if self.variant_pochhammer not in ("canonical", "two-nu"):
-            raise ValueError("variant-pochhammer must be canonical or two-nu")
         if self.g2_convention not in ("as_written", "conventional"):
             raise ValueError("g2-convention must be as_written or conventional")
-        if not (0.0 < self.beta_min < math.inf and 0.0 < self.beta_max < math.inf):
-            raise ValueError("beta_min and beta_max must be finite and positive")
+        if not (self.beta_min > 0.0 and self.beta_max > 0.0):
+            raise ValueError("beta_min and beta_max must be positive")
 
     def params(self) -> FamilyParams:
-        return FamilyParams(
-            self.m, self.nu, Family(self.family),
-            PochhammerVariant(self.variant_pochhammer),
-        )
+        return FamilyParams(self.m, self.nu, Family(self.family))
 
     def resolved_nodes(self) -> int | None:
         return self.nodes or None
@@ -281,7 +277,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     grid = thermal._oracle_columns(betas, mu)
     means, sq = grid["N_mean"], grid["N2_mean"]
     variance_ok = bool(np.all(sq - means * means >= -1e-12))
-    monotone_ok = bool(np.all(means[1:] <= means[:-1] + 1e-12))
+    rising = means[np.argsort(betas, kind="stable")]  # <N> in order of increasing beta
+    monotone_ok = bool(np.all(rising[1:] <= rising[:-1] + 1e-12))
     x = cfg.x if params.family is Family.BESSEL else min(cfg.x, 0.8)
     h = 1e-4
     fd = (
@@ -427,12 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument(
-            "--variant-pochhammer",
-            dest="variant_pochhammer",
-            choices=["canonical", "two-nu"],
-            default=None,
-        )
         p.add_argument(
             "--g2-convention",
             dest="g2_convention",

@@ -37,9 +37,6 @@ class Spectrum:
 
     params: FamilyParams
 
-    def level(self, n: int) -> float:
-        return float(n) * (float(n) + self.params.b - 1.0)
-
     def levels(self, n_max: int) -> np.ndarray:
         n = np.arange(n_max + 1, dtype=float)
         return n * (n + self.params.b - 1.0)

@@ -41,7 +41,6 @@ __all__ = [
     "verify_identity",
     "figure1_scan",
     "default_figure_curves",
-    "weight_function",
 ]
 
 _DEFAULT_NODES_BESSEL = 240
@@ -93,10 +92,6 @@ class QuadratureRule:
             top = np.max(g, axis=1)
             out[i:i + _MOMENT_ROWS] = top + np.log(np.sum(np.exp(g - top[:, None]), axis=1))
         return out
-
-    def moments(self, exponents: Sequence[float]) -> np.ndarray:
-        """int x^e omega(x) dx for each exponent e."""
-        return np.exp(self.log_moments(exponents))
 
     def _integer_log_moments(self, n_max: int) -> np.ndarray:
         """Read-only `log_moments` of the orders 0..n_max, a prefix of the
@@ -158,21 +153,6 @@ def _finite_or_none(value: float) -> float | None:
 # Density
 # ---------------------------------------------------------------------------
 
-def _require_canonical(params: FamilyParams) -> None:
-    # the bessel family has no defining Pochhammer, so the variant is moot
-    from .states import PochhammerVariant
-
-    if (
-        params.family is Family.JACOBI
-        and params.variant is not PochhammerVariant.CANONICAL
-    ):
-        raise ValueError(
-            "the weight density and its moment machinery are derived for "
-            "the canonical coefficient convention; the two-nu variant is "
-            "limited to state-level operations"
-        )
-
-
 def _jacobi_density(params: FamilyParams, x: np.ndarray) -> np.ndarray:
     # Gamma(a+1)^2 / Gamma(b) G^{2,0}_{2,2}(x | a,a; 0,2a-1) on 0 < x < 1;
     # the reflected constant is finite for every nu > 0
@@ -194,7 +174,6 @@ def density(params: FamilyParams, x):
     error is 2.6e-11 at x = 1e-6 but 2.0e-5 at x = 1e-12.  The smallest
     node of a default jacobi rule is 1.0e-6 (at b = 0.1).
     """
-    _require_canonical(params)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
         raise ValueError("density argument must be non-negative")
@@ -303,7 +282,6 @@ def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureR
     exponent x^{b-1} read off the rightmost Mellin pole is absorbed into
     a Gauss-Jacobi weight.
     """
-    _require_canonical(params)
     default = _DEFAULT_NODES_BESSEL if params.family is Family.BESSEL else _DEFAULT_NODES_JACOBI
     return _cached_rule(params, n_nodes or default)
 
@@ -492,15 +470,6 @@ def _weights(params: FamilyParams, literal_n: int | None, xs: np.ndarray,
         nval = specfun.hyp_2f1(-c, -c, params.b, x)
     w[finite] = nval * om[finite]
     return w
-
-
-def weight_function(curve: WeightCurve, x: float) -> float:
-    """W(x) for one curve: the one-point case of `figure1_scan`.
-
-    Zero for jacobi x >= 1, inf where the density is not finite, and N = 1
-    at x = 0; x < 0 raises ValueError.
-    """
-    return figure1_scan([curve], [float(x)])[0][1]
 
 
 def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):

@@ -8,7 +8,8 @@ a = m + nu and b = 2m + 2nu, the number-basis coefficient denominators are
 
 and the states are |z> = N(|z|^2)^{-1/2} sum_n s_n z^n / h_n |n>, with
 s_n = 1 (bessel) or (-1)^n (jacobi).  The alternating jacobi sign comes
-from the defining coefficient (-m-n-nu)_n = (-1)^n (a+1)_n; it cancels in
+from the defining coefficient (-m-n-nu)_n = (-1)^n (a+1)_n, the one the
+weight density, kernel and quantization are derived for; it cancels in
 every modulus but is kept in the amplitudes.
 """
 
@@ -32,13 +33,11 @@ __all__ = [
     "FockVector",
     "coeff_h",
     "log_coeff_h",
-    "coefficient_sign",
     "normalization",
     "state",
     "StateMatrix",
     "state_matrix",
     "overlap",
-    "label_distance",
 ]
 
 
@@ -47,28 +46,14 @@ class Family(str, Enum):
     JACOBI = "jacobi"
 
 
-class PochhammerVariant(str, Enum):
-    """Which defining coefficient the jacobi-family states use.
-
-    The construction is stated twice in the source material with two
-    different shifts, (-m-n-nu)_n and (-(m+n)-2nu)_n; every downstream
-    formula uses the first, so it is canonical here, and the second is
-    kept available for experimentation.  The bessel family carries no
-    such coefficient and ignores the setting.
-    """
-
-    CANONICAL = "canonical"
-    TWO_NU = "two-nu"
-
-
 @dataclass(frozen=True)
 class FamilyParams:
-    """Model parameters (m, nu) plus the family selector."""
+    """Model parameters (m, nu) plus the family selector; a jacobi h_n
+    divides by (m+nu+1)_n, from the coefficient (-m-n-nu)_n."""
 
     m: int
     nu: float
     family: Family = Family.BESSEL
-    variant: PochhammerVariant = PochhammerVariant.CANONICAL
 
     def __post_init__(self) -> None:
         if self.m < 0 or self.m != int(self.m):
@@ -77,25 +62,19 @@ class FamilyParams:
         if not (self.nu > 0.0):
             raise ValueError("nu must be positive")
         object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(self, "variant", PochhammerVariant(self.variant))
         if self.b <= 0.0:
             raise ValueError("2m + 2nu must be positive")
         # hashed once, as every state and table cache lookup hashes the params;
         # from ints, floats and bools, whose hashes do not vary between
         # processes, so an unpickled copy keeps a valid one
-        object.__setattr__(self, "_hash", hash((
-            self.m, self.nu, self.family is Family.JACOBI,
-            self.variant is PochhammerVariant.TWO_NU,
-        )))
+        object.__setattr__(self, "_hash", hash((self.m, self.nu, self.family is Family.JACOBI)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def coeff_shift(self) -> float:
-        """First argument of the rising factorial dividing h_n (jacobi)."""
-        if self.variant is PochhammerVariant.TWO_NU:
-            return self.m + 2.0 * self.nu + 1.0
+        """m + nu + 1, the first argument of the jacobi h_n's rising factorial."""
         return self.m + self.nu + 1.0
 
     @property
@@ -148,13 +127,6 @@ class FockVector:
     @property
     def norm_sq(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)
-
-
-def coefficient_sign(params: FamilyParams, n: int) -> int:
-    """Sign of the defining Pochhammer coefficient (-m-n-nu)_n."""
-    if params.family is Family.JACOBI and n % 2 == 1:
-        return -1
-    return 1
 
 
 def log_coeff_h(params: FamilyParams, n: int) -> float:
@@ -575,8 +547,3 @@ def overlap(params: FamilyParams, z1: complex, z2: complex,
     v2 = state(params, z2, n_max)
     return complex(_pair_overlap(v1.coeffs, v1.n_max, v2.coeffs, v2.n_max))
 
-
-def label_distance(params: FamilyParams, z1: complex, z2: complex) -> float:
-    """Hilbert-space distance sqrt(2 [1 - Re <z1|z2>]) between labels."""
-    ov = overlap(params, z1, z2)
-    return math.sqrt(max(0.0, 2.0 * (1.0 - ov.real)))

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _TAIL_REL = 1e-17  # every Boltzmann sum's certified relative tail is below this
+_FIT_RADIUS = 0.4  # half-width in a of the derivative series' Chebyshev fit
 
 
 def _energy(n: float, mu: float) -> float:
@@ -414,8 +415,7 @@ def moment_matched_candidate(params: FamilyParams, beta: float, mu: float,
 
 
 def derivative_series_candidate(params: FamilyParams, beta: float, mu: float,
-                                k_max: int,
-                                fit_radius: float = 0.4) -> PFunctionCandidate:
+                                k_max: int) -> PFunctionCandidate:
     """The published truncated derivative series for P.
 
     P_K(x) = e^{beta mu} sum_{k<=K} beta^k/k! (d/da)^{2k}
@@ -432,7 +432,7 @@ def derivative_series_candidate(params: FamilyParams, beta: float, mu: float,
 
     def evaluate(xx: np.ndarray) -> np.ndarray:
         xx = np.atleast_1d(np.asarray(xx, dtype=float))
-        r = np.full(xx.shape, fit_radius)
+        r = np.full(xx.shape, _FIT_RADIUS)
         if params.family is Family.JACOBI:
             r = np.minimum(r, 0.5 * np.maximum(1e-3, -np.log(xx) - a0))
         scale = np.exp(a0 + r * cheb[:, None])  # e^a on the (fit nodes x points) grid

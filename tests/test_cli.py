@@ -53,20 +53,25 @@ class TestConfig:
         assert cfg.m == 2
         assert cfg.nu == 0.9  # flag wins over file
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # literal_n and variant_pochhammer were settings no command needed
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("no_such_key=1\n")
-        ns = _build_parser().parse_args(["verify", "--config", str(cfg_file)])
-        with pytest.raises(ValueError):
-            resolve_config(ns)
+        for key in ("no_such_key", "literal_n", "variant_pochhammer"):
+            cfg_file.write_text(f"{key}=2\n")
+            ns = _build_parser().parse_args(["verify", "--config", str(cfg_file)])
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                resolve_config(ns)
+            assert run(["weight", "--config", str(cfg_file), "--out", str(tmp_path / "w.csv")]) == 2
+            assert capsys.readouterr().err == f"config rejected: unknown config key {key!r}\n"
+        assert not (tmp_path / "w.csv").exists()
 
     def test_every_field_round_trips_through_the_file(self, tmp_path):
         # each value differs from the default, and "2" for a float field
         # must come back as 2.0, not as the text or an int
         values = {
             "family": "jacobi", "m": 2, "nu": 2.0, "n_max": 7, "nodes": 90,
-            "tol": 1e-9, "out": "o.csv", "variant_pochhammer": "two-nu",
-            "g2_convention": "conventional", "n_check": 5, "literal_n": 3,
+            "tol": 1e-9, "out": "o.csv",
+            "g2_convention": "conventional", "n_check": 5,
             "x": 0.25, "x_min": 0.1, "x_max": 0.9, "x_count": 11,
             "beta_min": 0.5, "beta_max": 3.0, "beta_count": 4, "z0_re": -1.5,
             "z0_im": 0.75, "t_max": 2.5, "t_count": 5, "r_max": 3.0,
@@ -93,18 +98,22 @@ class TestConfig:
         assert "config rejected" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["beta_min=nan", "beta_max=inf", "beta_min=0",
-                                      "beta_max=-1"])
-    @pytest.mark.parametrize("cmd", ["thermal", "verify"])
+                                      "beta_max=-1", "t_max=inf", "r_max=nan",
+                                      "z0_re=nan", "z0_im=-inf", "tol=nan", "x_min=nan",
+                                      "x=inf", "nu=nan"])
+    @pytest.mark.parametrize("cmd", ["thermal", "verify", "evolve", "weight"])
     def test_bad_beta_rejected_before_compute(self, tmp_path, capsys, monkeypatch, cmd, line):
-        # beta_min=nan used to run the partition loop 10^7 times and exit 3
-        # naming an exhausted series budget
+        # every float field is checked by name before any command runs, so
+        # no command computes on a bad value or blames a later step for it
         monkeypatch.setattr(ghcs.thermal, "_boltzmann", None)  # never reached
-        cfg_file = tmp_path / "beta.cfg"
+        cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(line + "\n")
         out = tmp_path / "out"
         assert run([cmd, "--config", str(cfg_file), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "config rejected: beta_min and beta_max must be finite and positive\n")
+        key, value = line.split("=")
+        expected = (f"{key} must be finite, got {float(value)!r}" if not math.isfinite(float(value))
+                    else "beta_min and beta_max must be positive")
+        assert capsys.readouterr().err == f"config rejected: {expected}\n"
         assert not out.exists()
 
     def test_echo_contains_version_and_config(self, tmp_path):
@@ -280,6 +289,14 @@ class TestParser:
                 main(argv)
             assert exc.value.code == 2
 
+    def test_nine_flags_per_subcommand(self):
+        flags = {"--family", "--m", "--nu", "--nmax", "--nodes", "--tol", "--out",
+                 "--g2-convention", "--config"}
+        sub = next(a for a in _build_parser()._actions if a.dest == "cmd")
+        for name, parser in sub.choices.items():
+            got = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            assert got == flags, name
+
 
 class TestVerify:
     def test_default_passes(self, tmp_path):
@@ -305,6 +322,17 @@ class TestVerify:
         assert doc["results"]["passed"] is False
         assert "quadrature_insufficient" in str(doc["results"]["failed_checks"])
         assert "FAIL" in capsys.readouterr().err
+
+    def test_descending_beta_grid_passes(self, tmp_path):
+        # beta_min = 3 > beta_max = 2 lists the grid backwards; <N> is
+        # compared in order of increasing beta, where it falls
+        cfg_file = tmp_path / "beta.cfg"
+        cfg_file.write_text("beta_min=3.0\n")
+        out = tmp_path / "v.json"
+        assert run(["verify", "--family", "jacobi", "--config", str(cfg_file),
+                    "--out", str(out)]) == 0
+        thermal = json.loads(out.read_text())["results"]["checks"]["thermal"]
+        assert thermal["mean_monotone_in_beta"] is True and thermal["passed"] is True
 
     def test_discrepancies_are_not_failures(self, tmp_path):
         # the closed-form deviation for the jacobi family is informational
@@ -439,18 +467,15 @@ class TestWorkCounts:
 
 
 class TestVariantFlag:
-    def test_two_nu_expect_runs(self, tmp_path):
-        out = tmp_path / "x.csv"
-        assert run(["expect", "--family", "jacobi",
-                    "--variant-pochhammer", "two-nu", "--out", str(out)]) == 0
-
-    def test_two_nu_rejected_by_measure_commands(self):
-        assert run(["verify", "--family", "jacobi",
-                    "--variant-pochhammer", "two-nu"]) == 2
+    """Jacobi states use the one coefficient (-m-n-nu)_n: the flag that
+    chose another is gone, so it is a usage error whatever its value."""
 
     def test_bad_variant_value_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            run(["verify", "--variant-pochhammer", "bogus"])
+        for value in ("bogus", "canonical", "two-nu"):
+            with pytest.raises(SystemExit) as exc:
+                run(["expect", "--family", "jacobi", "--variant-pochhammer", value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --variant-pochhammer" in capsys.readouterr().err
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -506,10 +531,30 @@ class TestArtifactDiff:
             "v.json: 1 numbers changed, max abs 2e-16, max rel 2",
             "  $.passed: True -> False",
             "w.csv: 1 numbers changed, max abs 0.5, max rel 0.25",
-            "  line 1: '# m=1' -> '# m=2'",
-            "  line 4 cell 3: 'c' -> 'l'",
+            "  preamble m: '1' -> '2'",
+            "  data line 3 cell 3: 'c' -> 'l'",
         ]
         assert tool.main([str(a), str(a)]) == 0
+
+    def test_data_lines_align_after_the_preamble(self, tmp_path, capsys):
+        # the same data under a preamble one line shorter: no number changes
+        tool = _load_tool("artifact_diff")
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        data = "x,W\n0.5,2.0\n1.0,4.0\n"
+        (a / "w.csv").write_text("# literal_n=2\n# m=1\n# note\n" + data)
+        (b / "w.csv").write_text("# m=1\n# note\n" + data)
+        assert tool.main([str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "w.csv: 0 numbers changed, max abs 0, max rel 0",
+            "  preamble literal_n: '2' -> None",
+        ]
+        (b / "w.csv").write_text("# literal_n=2\n# m=1\n" + data)
+        assert tool.main([str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "w.csv: 0 numbers changed, max abs 0, max rel 0",
+            "  preamble # note: '# note' -> None",
+        ]
 
 
 class TestAbTool:

@@ -42,7 +42,7 @@ def _mp_density(p, z0, z):
 
 class TestSpectrum:
     def test_ground_state(self, bessel_params):
-        assert Spectrum(bessel_params).level(0) == 0.0
+        assert Spectrum(bessel_params).levels(0).tolist() == [0.0]
 
     def test_strictly_increasing(self, bessel_params):
         lv = Spectrum(bessel_params).levels(30)
@@ -50,9 +50,8 @@ class TestSpectrum:
 
     def test_level_formula(self, bessel_params):
         # e_n = n (n + 2m + 2nu - 1), b = 3
-        sp = Spectrum(bessel_params)
-        for n in range(8):
-            assert sp.level(n) == n * (n + 2)
+        lv = Spectrum(bessel_params).levels(7).tolist()
+        assert lv == [n * (n + 2) for n in range(8)]
 
 
 class TestEvolve:

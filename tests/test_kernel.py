@@ -18,7 +18,6 @@ from ghcs.states import (
     Family,
     FamilyParams,
     FockVector,
-    PochhammerVariant,
     normalization,
     state,
     _log_h_array,
@@ -225,8 +224,6 @@ class TestAnalyticRepr:
             (FamilyParams(0, 0.3, Family.BESSEL), ((1.5, 1.5), (0.2, 3.0))),
             (FamilyParams(1, 0.5, Family.JACOBI), ((0.6, 0.5), (0.9, 0.8), (-0.5, -0.7))),
             (FamilyParams(2, 1.3, Family.JACOBI), ((0.3, 0.95), (0.85, 0.85))),
-            (FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU),
-             ((0.6, 0.5), (0.9, 0.8), (-0.5, -0.7))),
         ):
             for w, z in pairs:
                 got = analytic_repr(params, state(params, w), z)

@@ -21,7 +21,6 @@ from ghcs.measure import (
     radial_rule,
     target_moments,
     verify_identity,
-    weight_function,
 )
 from ghcs.states import Family, FamilyParams, _log_h_array
 
@@ -43,11 +42,11 @@ def gamma_product_moment(params, n, exact=False):
 
 class TestDensity:
     def test_bessel_total_mass(self, bessel_params, bessel_rule):
-        assert rel_err(bessel_rule.moments([0.0])[0], 1.0) < 1e-12
+        assert rel_err(math.exp(bessel_rule.log_moments([0.0])[0]), 1.0) < 1e-12
 
     def test_bessel_first_moment(self, bessel_params, bessel_rule):
         # K-Bessel moment identity: int x omega dx = 1! (3)_1 = 3
-        assert rel_err(bessel_rule.moments([1.0])[0], 3.0) < 1e-12
+        assert rel_err(math.exp(bessel_rule.log_moments([1.0])[0]), 3.0) < 1e-12
 
     def test_bessel_density_closed_form(self, bessel_params):
         # omega(x) = 2 x^{(b-1)/2} K_{b-1}(2 sqrt x) / Gamma(b)
@@ -57,12 +56,12 @@ class TestDensity:
 
     def test_jacobi_first_moment(self, jacobi_params, jacobi_rule):
         # 1! (3)_1 / ((2.5)_1)^2 = 3 / 6.25
-        assert rel_err(jacobi_rule.moments([1.0])[0], 3.0 / 6.25) < 1e-10
+        assert rel_err(math.exp(jacobi_rule.log_moments([1.0])[0]), 3.0 / 6.25) < 1e-10
 
     def test_jacobi_third_moment_gamma_products(self, jacobi_params, jacobi_rule):
         # 3! (3)_3 / ((2.5)_3)^2
         ref = 6.0 * 60.0 / (2.5 * 3.5 * 4.5) ** 2
-        assert rel_err(jacobi_rule.moments([3.0])[0], ref) < 1e-10
+        assert rel_err(math.exp(jacobi_rule.log_moments([3.0])[0]), ref) < 1e-10
 
     def test_jacobi_density_positive_inside(self, jacobi_params):
         xs = np.linspace(0.02, 0.98, 25)
@@ -295,7 +294,7 @@ class TestFigureScan:
     def test_bessel_weight_decays_past_mode(self):
         curve = WeightCurve(FamilyParams(2, 0.7, Family.BESSEL))
         xs = np.linspace(0.5, 60.0, 120)
-        w = [weight_function(curve, float(x)) for x in xs]
+        w = [row[1] for row in figure1_scan([curve], xs)]
         peak = int(np.argmax(w))
         tail = np.array(w[peak:])
         assert np.all(np.diff(tail) <= 1e-12)
@@ -311,15 +310,14 @@ class TestFigureScan:
         x = 0.4
         c = WeightCurve(jacobi_params, "literal", 2)
         ref = specfun.hyp_2f1(-3.5, -3.5, 3.0, x) * density(jacobi_params, x)
-        assert rel_err(weight_function(c, x), ref) < 1e-12
+        assert rel_err(figure1_scan([c], [x])[0][1], ref) < 1e-12
 
     def test_zero_at_and_past_support_edge(self, jacobi_params):
         c = WeightCurve(jacobi_params, "canonical")
-        assert weight_function(c, 1.0) == 0.0
-        assert weight_function(c, 1.7) == 0.0
+        assert [row[1] for row in figure1_scan([c], [1.0, 1.7])] == [0.0, 0.0]
 
     def test_small_x_column_finite_for_b_above_one(self, jacobi_params):
-        assert math.isfinite(weight_function(WeightCurve(jacobi_params), 1e-4))
+        assert math.isfinite(figure1_scan([WeightCurve(jacobi_params)], [1e-4])[0][1])
 
     def test_target_moments_match_h(self, bessel_params):
         t = target_moments(bessel_params, 5)
@@ -407,12 +405,14 @@ class TestFigureScanOracle:
         assert len(calls["density"]) == len(set(calls["density"])) == 7
         assert len(calls["series"]) == series
 
-    def test_weight_function_is_the_one_point_scan(self, jacobi_params):
+    def test_one_point_scans_are_the_grid_values(self):
+        grid = [0.0, 1e-9, 0.37, 0.99, 1.0, 1.2]
         for curve in _cli_curves(Family.JACOBI):
-            for x in (0.0, 1e-9, 0.37, 0.99, 1.0, 1.2):
-                w = weight_function(curve, x)
-                assert type(w) is float
-                assert w == figure1_scan([curve], [x])[0][1] == _frozen_weight(curve, x)
+            on_grid = [row[1] for row in figure1_scan([curve], grid)]
+            for x, w in zip(grid, on_grid):
+                one = figure1_scan([curve], [x])[0][1]
+                assert type(one) is float
+                assert one == w == _frozen_weight(curve, x)
 
     def test_row_types_and_empty_grid(self):
         curves = default_figure_curves()
@@ -424,16 +424,16 @@ class TestFigureScanOracle:
 
     def test_semantics_at_the_edges(self):
         jac = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI))
-        assert weight_function(jac, 1.0) == 0.0 and weight_function(jac, 7.0) == 0.0
         # N = 1 at x = 0, so W is the density's limit there
-        assert weight_function(jac, 0.0) == density(jac.params, 0.0)
+        assert [row[1] for row in figure1_scan([jac], [1.0, 7.0, 0.0])] == [
+            0.0, 0.0, density(jac.params, 0.0)]
         singular = WeightCurve(FamilyParams(0, 0.3, Family.BESSEL))
-        assert weight_function(singular, 0.0) == math.inf
+        assert figure1_scan([singular], [0.0])[0][1] == math.inf
 
     def test_negative_x_rejected(self):
         curve = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI))
         with pytest.raises(ValueError):
-            weight_function(curve, -0.1)
+            figure1_scan([curve], [-0.1])
         with pytest.raises(ValueError):
             figure1_scan([curve], [0.2, -1e-12])
 

@@ -111,12 +111,11 @@ class TestClosedForms:
         op = ladder_closed_form(jacobi_params, "z", 8, Provenance.H_RATIO)
         assert rel_err(op.band(1)[0], math.sqrt(3.0) / 2.5) < 1e-14
 
-    @pytest.mark.parametrize("variant", ["canonical", "two-nu"])
-    def test_h_ratio_bands_are_log_h_steps(self, variant):
+    def test_h_ratio_bands_are_log_h_steps(self):
         # the up band is h_{n+1}/h_n and the |z|^2 diagonal its square, for
-        # the family's own h_n: two-nu divides by (m + 2nu + 1)_n
+        # the family's own h_n
         for family in (Family.BESSEL, Family.JACOBI):
-            p = FamilyParams(1, 0.5, family, variant)
+            p = FamilyParams(1, 0.5, family)
             n_max = 24
             step = np.exp(np.diff([log_coeff_h(p, n) for n in range(n_max + 2)]))
             up = ladder_closed_form(p, "z", n_max, Provenance.H_RATIO).band(1)
@@ -125,9 +124,6 @@ class TestClosedForms:
             assert np.allclose(up, step[:-1], rtol=1e-13, atol=0.0)
             assert np.array_equal(down, up)
             assert np.allclose(diag, step**2, rtol=1e-13, atol=0.0)
-        two_nu = FamilyParams(1, 0.5, Family.JACOBI, "two-nu")
-        h1_h0 = ladder_closed_form(two_nu, "z", 4, Provenance.H_RATIO).band(1)[0]
-        assert rel_err(h1_h0, math.sqrt(3.0) / 3.0) < 1e-14
 
     def test_literature_jacobi_example(self, jacobi_params):
         # (-1 - 0 - 1 - 0.5) sqrt(1 * 3) = -2.5 sqrt(3) at n = 0

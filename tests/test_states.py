@@ -14,7 +14,6 @@ from ghcs.states import (
     Family,
     FamilyParams,
     FockVector,
-    PochhammerVariant,
     _build_rows,
     _cached_state,
     _pair_overlap,
@@ -23,8 +22,6 @@ from ghcs.states import (
     _log_h_store,
     _log_h_table,
     coeff_h,
-    coefficient_sign,
-    label_distance,
     log_coeff_h,
     normalization,
     overlap,
@@ -84,24 +81,25 @@ class TestCoefficients:
             coeff_h(bessel_params, 200)
 
     def test_signs(self, bessel_params, jacobi_params):
-        assert [coefficient_sign(bessel_params, n) for n in range(4)] == [1, 1, 1, 1]
-        assert [coefficient_sign(jacobi_params, n) for n in range(4)] == [1, -1, 1, -1]
+        # the amplitudes at a positive real label carry the family sign s_n
+        assert np.sign(state(bessel_params, 0.5).coeffs[:4].real).tolist() == [1, 1, 1, 1]
+        assert np.sign(state(jacobi_params, 0.5).coeffs[:4].real).tolist() == [1, -1, 1, -1]
 
     def test_eigenvalue_bookkeeping(self, bessel_params):
         # e_n = n(2m + n + 2nu - 1); prod e_k = n! (2m+2nu)_n = h_n^2 (bessel)
         p = bessel_params
-        sp = Spectrum(p)
-        assert sp.level(0) == 0.0
+        lv = Spectrum(p).levels(8).tolist()
+        assert lv[0] == 0.0
         for n in range(1, 9):
-            assert sp.level(n) == n * (n + 2)  # b = 3
-            product = math.prod(sp.level(k) for k in range(1, n + 1))
+            assert lv[n] == n * (n + 2)  # b = 3
+            product = math.prod(lv[1 : n + 1])
             assert product == math.factorial(n) * math.factorial(n + 2) / 2
             assert coeff_h(p, n) ** 2 == pytest.approx(product, rel=1e-14)
 
     def test_levels_increasing(self):
         p = FamilyParams(0, 0.6)  # 2m+2nu = 1.2 > 1
-        lv = [Spectrum(p).level(n) for n in range(20)]
-        assert all(b > a for a, b in zip(lv, lv[1:]))
+        lv = Spectrum(p).levels(19)
+        assert np.all(np.diff(lv) > 0.0)
 
 
 class TestNormalization:
@@ -155,7 +153,7 @@ class TestState:
             v = state(params, z)
             for n in range(6):
                 got = v.coeffs[n + 1] / v.coeffs[n]
-                sign = coefficient_sign(params, n + 1) * coefficient_sign(params, n)
+                sign = -1.0 if params.family is Family.JACOBI else 1.0  # s_{n+1} / s_n
                 ref = sign * z * coeff_h(params, n) / coeff_h(params, n + 1)
                 assert abs(got - ref) < 1e-12
 
@@ -258,49 +256,6 @@ class TestStackedPairOverlap:
         assert got.shape == (0,)
 
 
-class TestLabelDistance:
-    def test_zero_at_equal_labels(self, bessel_params):
-        assert label_distance(bessel_params, 0.4j, 0.4j) < 1e-7
-
-    def test_symmetry(self, bessel_params):
-        d12 = label_distance(bessel_params, 0.3, 0.1 + 0.2j)
-        d21 = label_distance(bessel_params, 0.1 + 0.2j, 0.3)
-        assert d12 == pytest.approx(d21, abs=1e-14)
-
-    def test_lipschitz_scan(self, bessel_params, rng):
-        # distance(z, z + delta) <= C |delta| for small delta
-        for _ in range(20):
-            z = complex(*rng.uniform(-1.0, 1.0, 2))
-            delta = complex(*rng.uniform(-1e-3, 1e-3, 2))
-            d = label_distance(bessel_params, z, z + delta)
-            assert d <= 10.0 * abs(delta) + 1e-12
-
-
-class TestPochhammerVariant:
-    def test_two_nu_divisor(self):
-        p = FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU)
-        # divisor (m + 2 nu + 1)_2 = (3)_2 = 12
-        assert rel_err(coeff_h(p, 2), math.sqrt(24.0) / 12.0) < 1e-14
-
-    def test_two_nu_normalization_closed_form(self):
-        # sum (3)_n x^n / n! = (1 - x)^{-3} when the divisor equals (b)_n
-        p = FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU)
-        for x in (0.1, 0.4, 0.7):
-            assert rel_err(normalization(p, x), (1.0 - x) ** -3.0) < 1e-12
-
-    def test_bessel_ignores_variant(self):
-        a = FamilyParams(1, 0.5, Family.BESSEL)
-        b = FamilyParams(1, 0.5, Family.BESSEL, PochhammerVariant.TWO_NU)
-        assert coeff_h(a, 5) == coeff_h(b, 5)
-
-    def test_measure_guards_variant(self):
-        from ghcs.measure import radial_rule
-
-        p = FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU)
-        with pytest.raises(ValueError, match="canonical"):
-            radial_rule(p)
-
-
 def _log_h_reference(params, n_max):
     """Uncached scalar evaluation, the same operations in the same order:
     bessel's log-gamma sum per order; jacobi's steps log1p(delta_k) / 2
@@ -327,17 +282,15 @@ def _log_h_reference(params, n_max):
 
 class TestLogHCache:
     @pytest.mark.parametrize("family", list(Family))
-    @pytest.mark.parametrize("variant", list(PochhammerVariant))
-    def test_bit_identical_to_reference(self, family, variant):
-        params = FamilyParams(2, 0.7, family, variant)
+    def test_bit_identical_to_reference(self, family):
+        params = FamilyParams(2, 0.7, family)
         for n in (0, 1, 127, 128, 129, 1000, 16384):
             got = _log_h_array(params, n)
             assert got.shape == (n + 1,)
             assert np.array_equal(got, _log_h_reference(params, n)), n
 
-    @pytest.mark.parametrize("variant", list(PochhammerVariant))
-    def test_grown_equals_built_at_once(self, variant):
-        params = FamilyParams(3, 7.3, Family.JACOBI, variant)
+    def test_grown_equals_built_at_once(self):
+        params = FamilyParams(3, 7.3, Family.JACOBI)
         _log_h_store.cache_clear()
         for n in (1, 3, 100, *(128 << k for k in range(9))):
             _log_h_array(params, n)
@@ -347,15 +300,14 @@ class TestLogHCache:
         assert len(grown) == 32769
         assert np.array_equal(grown, at_once)
 
-    @pytest.mark.parametrize("variant", list(PochhammerVariant))
-    def test_jacobi_table_against_mpmath(self, variant):
+    def test_jacobi_table_against_mpmath(self):
         # log h_n = [lgG(n+1) + lgG(b+n) - lgG(b)] / 2 - [lgG(s+n) - lgG(s)]
         # at the float b and s, to n = 32768, where that form in float64 cancels
         # terms of up to 3e5 and was off by 1.4e-10
         orders = sorted({*np.geomspace(1, 32768, 40).astype(int).tolist(), 32767})
         for m in (0, 1, 3, 6):
             for nu in (0.1, 0.5, 1.3, 7.3):
-                params = FamilyParams(m, nu, Family.JACOBI, variant)
+                params = FamilyParams(m, nu, Family.JACOBI)
                 table = _log_h_array(params, 32768)
                 b, s = mp.mpf(params.b), mp.mpf(params.coeff_shift)
                 for n in orders:
@@ -369,14 +321,10 @@ class TestLogHCache:
             lg[1] = 0.0
         assert not _log_h_table(jacobi_params, 128).flags.writeable
 
-    def test_tables_keyed_by_family_and_variant(self):
+    def test_tables_keyed_by_family(self):
         bessel = _log_h_array(FamilyParams(1, 0.5, Family.BESSEL), 64)
-        canonical = _log_h_array(FamilyParams(1, 0.5, Family.JACOBI), 64)
-        two_nu = _log_h_array(
-            FamilyParams(1, 0.5, Family.JACOBI, PochhammerVariant.TWO_NU), 64
-        )
-        assert not np.array_equal(bessel, canonical)
-        assert not np.array_equal(canonical, two_nu)
+        jacobi = _log_h_array(FamilyParams(1, 0.5, Family.JACOBI), 64)
+        assert not np.array_equal(bessel, jacobi)
 
     def test_gram_matrix_misses_once_per_table_size(self, monkeypatch):
         params = FamilyParams(1, 0.83, Family.JACOBI)
@@ -554,9 +502,8 @@ def _labels(params, count, seed):
     ]
 
 
-_ALL_PARAMS = [FamilyParams(m, nu, family, variant)
-               for family in Family for variant in PochhammerVariant
-               for m, nu in ((0, 0.3), (2, 1.7))]
+_ALL_PARAMS = [FamilyParams(m, nu, family)
+               for family in Family for m, nu in ((0, 0.3), (2, 1.7))]
 
 
 class TestStateMatrix:

@@ -7,10 +7,14 @@ writes them) it prints one line: `identical`, `only in A`/`only in B`, or
 the count of changed numbers with their largest absolute and relative
 change (relative to the value in A).  Numbers are the cells of a CSV that
 parse as floats and the numbers of a JSON document, compared at the same
-row and column or the same key path.  Every other difference (text cells,
-comment lines, JSON strings, booleans, nulls, keys, lengths) is listed
-under its file as `  where: A -> B`.  The exit code is 0 when every file
-is identical and 1 otherwise.
+data line and column or the same key path.  A CSV's data lines are those
+after its leading `#` preamble, counted from 1 at the header, so a
+preamble that gains or loses a line moves no data line.  The preamble's
+`# key=value` lines are compared by key (any other comment line by its
+text) and listed as `  preamble key: A -> B`, None for a missing side.
+Every other difference (text cells, JSON strings, booleans, nulls, keys,
+lengths) is listed under its file as `  where: A -> B`.  The exit code is
+0 when every file is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -53,18 +57,34 @@ def _float(cell: str) -> float | None:
         return None
 
 
+def _preamble(text: str) -> tuple[dict, list[str]]:
+    """(the leading `#` lines as {key: value}, the data lines after them);
+    a comment line that is not `key=value` is keyed by its own text."""
+    lines = text.splitlines()
+    n = 0
+    while n < len(lines) and lines[n].startswith("#"):
+        n += 1
+    keyed = {}
+    for line in lines[:n]:
+        key, sep, value = line[1:].strip().partition("=")
+        keyed[key if sep else line] = value if sep else line
+    return keyed, lines[n:]
+
+
 def _csv(diff: Diff, a: str, b: str) -> None:
-    lines_a, lines_b = a.splitlines(), b.splitlines()
-    diff.text("line count", len(lines_a), len(lines_b))
+    (pre_a, lines_a), (pre_b, lines_b) = _preamble(a), _preamble(b)
+    for key in dict.fromkeys([*pre_a, *pre_b]):
+        diff.text(f"preamble {key}", pre_a.get(key), pre_b.get(key))
+    diff.text("data line count", len(lines_a), len(lines_b))
     for i, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
         cells_a, cells_b = la.split(","), lb.split(",")
         if la.startswith("#") or len(cells_a) != len(cells_b):
-            diff.text(f"line {i}", la, lb)
+            diff.text(f"data line {i}", la, lb)
             continue
         for j, (ca, cb) in enumerate(zip(cells_a, cells_b), start=1):
             fa, fb = _float(ca), _float(cb)
             if fa is None or fb is None:
-                diff.text(f"line {i} cell {j}", ca, cb)
+                diff.text(f"data line {i} cell {j}", ca, cb)
             else:
                 diff.number(fa, fb)
 
