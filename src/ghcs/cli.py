@@ -33,8 +33,8 @@ class RunConfig:
     m: int = 1
     nu: float = 0.5
     n_max: int = 32
-    nodes: int = 0  # 0 = family default
-    tol: float = 0.0  # 0 = family default
+    nodes: int = 0  # 0 = the rule's default
+    tol: float = 0.0  # 0 = the identity certificate's default
     out: str = ""
     g2_convention: str = "as_written"
     n_check: int = 0  # 0 = family default
@@ -232,12 +232,14 @@ def _kernel_checks(params: FamilyParams, rule: measure.QuadratureRule, seed: int
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.beta_count < 2:  # the thermal checks would compare nothing
+        raise ValueError(f"beta_count must be at least 2 for verify, got {cfg.beta_count}")
     params = cfg.params()
     checks: dict = {}
     failed: list[str] = []
 
     n_check = cfg.n_check or (20 if params.family is Family.BESSEL else 12)
-    tol = cfg.tol or measure.default_identity_tol(params)
+    tol = cfg.tol or measure.IDENTITY_TOL
     rule = measure.radial_rule(params, cfg.resolved_nodes())
     cert = measure.verify_identity(params, n_check, tol, rule)
     checks["identity_moments"] = cert.as_dict()

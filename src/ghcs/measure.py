@@ -12,8 +12,10 @@ density lives on (0, 1): the paper writes it as the Meijer G-function
 G^{2,0}_{2,2}(x | a,a; 0,2a-1) scaled by Gamma(a+1)^2 / Gamma(b), and with
 parameter excess 1 that G-function is the Gauss function
 2F1(1-a, 1-a; 1; 1-x) there and zero for x >= 1.  Both are evaluated with
-`scipy.special` on whole arrays.  Moment targets are always taken from
-the state coefficients h_n; gamma products serve as the independent
+`scipy.special` on whole arrays.  One tanh-sinh rule on (0, 1), whose
+window reaches the smallest normal float, absorbs the x^{b-1} and x^0
+branches at either family's origin.  Moment targets are always taken
+from the state coefficients h_n; gamma products serve as the independent
 oracle in the tests, never as the main path.
 """
 
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import hyp2f1, kv, kve, roots_jacobi, roots_legendre
+from scipy.special import gamma, hyp2f1, kv, kve, rgamma
 
 from . import specfun
 from .states import Family, FamilyParams, _grown, _log_h_array, normalization
@@ -43,11 +45,14 @@ __all__ = [
     "default_figure_curves",
 ]
 
-_DEFAULT_NODES_BESSEL = 240
-_DEFAULT_NODES_JACOBI = 320
+_DEFAULT_NODES = 240
+IDENTITY_TOL = 1e-8  # the certificate's default tolerance, both families
 _RULE_CACHE_SIZE = 8
 _BASE_CACHE_SIZE = 8
-_MOMENT_ROWS = 256  # exponents per log_moments block: 0.66 MB arrays at 320 nodes
+_MOMENT_ROWS = 256  # exponents per log_moments block: 0.49 MB arrays at 240 nodes
+# tanh-sinh window |t| <= T with pi sinh T = -log(smallest normal float), so
+# that x and 1 - x at the window's ends stay normal floats
+_TANH_SINH_T = math.asinh(-math.log(np.finfo(float).tiny) / math.pi)
 
 
 @dataclass(frozen=True)
@@ -153,12 +158,22 @@ def _finite_or_none(value: float) -> float | None:
 # Density
 # ---------------------------------------------------------------------------
 
-def _jacobi_density(params: FamilyParams, x: np.ndarray) -> np.ndarray:
-    # Gamma(a+1)^2 / Gamma(b) G^{2,0}_{2,2}(x | a,a; 0,2a-1) on 0 < x < 1;
-    # the reflected constant is finite for every nu > 0
-    a = params.a
-    const = math.exp(2.0 * math.lgamma(a + 1.0) - math.lgamma(params.b))
-    return const * hyp2f1(1.0 - a, 1.0 - a, 1.0, 1.0 - x)
+def _jacobi_density(params: FamilyParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Gamma(a+1)^2 / Gamma(b) G^{2,0}_{2,2}(x | a,a; 0,2a-1) on 0 < x < 1,
+    # from x and y = 1 - x, each formed directly; the reflected constant is
+    # finite for every nu > 0
+    a, b = params.a, params.b
+    const = math.exp(2.0 * math.lgamma(a + 1.0) - math.lgamma(b))
+    near = (x < 0.5) & (b < 1.0)
+    out = np.empty_like(x)
+    out[~near] = hyp2f1(1.0 - a, 1.0 - a, 1.0, y[~near])
+    # b < 1 near the origin: the x^{b-1} and x^0 branches in x itself
+    # (DLMF 15.8.4), so the digits of x below 1.1e-16 are not rounded away
+    xn = x[near]
+    out[near] = (gamma(b - 1.0) * rgamma(a) ** 2 * hyp2f1(1.0 - a, 1.0 - a, 2.0 - b, xn)
+                 + gamma(1.0 - b) * rgamma(1.0 - a) ** 2 * xn ** (b - 1.0)
+                 * hyp2f1(a, a, b, xn))
+    return const * out
 
 
 def density(params: FamilyParams, x):
@@ -167,12 +182,13 @@ def density(params: FamilyParams, x):
     Scalar in, scalar out; array in, array out.  Outside the support the
     jacobi-family density is identically zero.
 
-    The jacobi density is evaluated at 1 - x, and forming 1 - x rounds away
-    the digits of x below 1.1e-16.  Near x = 0, where the density behaves
-    like x^{b-1}, that limits its relative accuracy for b < 1 to at most
-    about (1 - b) 1.1e-16 / x: for m = 0 and 0.05 <= nu <= 0.5 the measured
-    error is 2.6e-11 at x = 1e-6 but 2.0e-5 at x = 1e-12.  The smallest
-    node of a default jacobi rule is 1.0e-6 (at b = 0.1).
+    The jacobi density is 2F1(1-a, 1-a; 1; 1-x), except for b < 1 and
+    x < 1/2, where it is the connection formula's two Gauss functions of
+    x itself (DLMF 15.8.4): against mpmath it holds to 1.9e-14 relative
+    down to x = 1e-300 (m = 0, nu = 0.05).  For b >= 1 forming 1 - x
+    still rounds away the digits of x below 1.1e-16 (at x = 1e-12: 4.4e-11
+    relative for m = 0, nu = 0.7, and 7.3e-7 at b = 1); the radial rule
+    passes its exact 1 - x instead.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
@@ -190,7 +206,7 @@ def density(params: FamilyParams, x):
             out[~pos] = 1.0 / (b - 1.0) if b > 1.0 else math.inf
     else:
         inside = (xs > 0.0) & (xs < 1.0)
-        out[inside] = _jacobi_density(params, xs[inside])
+        out[inside] = _jacobi_density(params, xs[inside], 1.0 - xs[inside])
         if np.any(xs == 0.0):
             # x -> 0 limit a^2/(b-1) for b > 1, integrably singular below
             lim = params.a**2 / (b - 1.0) if b > 1.0 else math.inf
@@ -240,10 +256,19 @@ def _gauss_genlaguerre(n: int, alpha: float):
 
 
 @lru_cache(maxsize=_BASE_CACHE_SIZE)
-def _gauss_legendre(n: int):
-    """Read-only (nodes, weights) of the n-point Gauss-Legendre rule on
-    (-1, 1), shared by every params."""
-    return _read_only(*roots_legendre(n))
+def _tanh_sinh(n: int):
+    """Read-only (x, 1 - x, weights) of the n-point tanh-sinh rule on (0, 1),
+    shared by every params: n equal steps t over |t| <= T, with
+    x = 1 / (1 + e^{-pi sinh t}) and 1 - x = 1 / (1 + e^{pi sinh t}) each
+    formed directly, and weights h pi cosh t x (1 - x) (Takahasi-Mori
+    1974).  T is where x reaches the smallest normal float, so the rule
+    reaches an integrable x^{b-1} endpoint as far as floats allow."""
+    t = np.linspace(-_TANH_SINH_T, _TANH_SINH_T, n)
+    s = math.pi * np.sinh(t)
+    x = 1.0 / (1.0 + np.exp(-s))
+    y = 1.0 / (1.0 + np.exp(s))
+    w = (2.0 * _TANH_SINH_T / (n - 1)) * math.pi * np.cosh(t) * x * y
+    return _read_only(x, y, w)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -254,81 +279,66 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureRule:
     """Quadrature rule for integrals against the family density, with
-    n_nodes nodes before underflowed weights are dropped (omitted or 0: 240
-    for bessel, 320 for jacobi).
+    n_nodes nodes (omitted or 0: 240) before the nodes whose weight
+    underflows or is not finite are dropped.
 
     The 8 most recently used rules are kept, keyed on (params, n_nodes)
     after the default is resolved, so omitting n_nodes and passing the
     default give the same rule object.  A rule's arrays are read-only and
     shared between callers.  A rule holds two arrays of about n_nodes
-    floats, so the cache holds about 8 x 2 x n_nodes x 8 B: 41 kB at the
-    jacobi default of 320, plus each rule's integer log-moment table (at
-    most 256 kB, grown by the orders its readers ask for).
+    floats, so the cache holds about 8 x 2 x n_nodes x 8 B: 31 kB at the
+    default of 240, plus each rule's integer log-moment table (at most
+    256 kB, grown by the orders its readers ask for).
 
     The parameter-free base rules are kept apart: the 8 most recent
     Gauss-Laguerre rules, keyed on node count and alpha (t e^{-t} for
     bessel b > 1.5, e^{-t} for the bessel b <= 1.5 tail), and the 8 most
-    recent Gauss-Legendre rules (jacobi b >= 1), keyed on node count; each
-    is two read-only arrays of n floats.  A new (params, n_nodes) then
-    costs only its density factors, except the Gauss-Jacobi nodes of
-    jacobi b < 1, whose weight depends on b.
+    recent tanh-sinh rules on (0, 1), keyed on node count; each is a few
+    read-only arrays of n floats.  A new (params, n_nodes) then costs only
+    its density factors.
 
-    bessel: substitute x = t^2/4, then generalized Gauss-Laguerre in t
-    with the linear weight t e^{-t} matching the small-t behaviour of
+    bessel: substitute x = t^2/4.  For b > 1.5, generalized Gauss-Laguerre
+    in t with the linear weight t e^{-t} matching the small-t behaviour of
     t^b K_{b-1}(t); the remaining factor rides in the weights through the
-    exponentially scaled K.
+    exponentially scaled K.  For b <= 1.5 the origin carries two branches,
+    t and t^{2b-1} (a log at b = 1): tanh-sinh with n // 4 nodes (made odd)
+    on 0 < t < 1 and a shifted Gauss-Laguerre tail with the rest.
 
-    jacobi: Gauss-Legendre on (0,1) for b >= 1; for b < 1 the endpoint
-    exponent x^{b-1} read off the rightmost Mellin pole is absorbed into
-    a Gauss-Jacobi weight.
+    jacobi: tanh-sinh on (0, 1) with the density as weight factor, for
+    every b: its nodes cluster at both ends as a double exponential, which
+    absorbs the x^{b-1} and x^0 branches at the origin alike.
     """
-    default = _DEFAULT_NODES_BESSEL if params.family is Family.BESSEL else _DEFAULT_NODES_JACOBI
-    return _cached_rule(params, n_nodes or default)
+    return _cached_rule(params, n_nodes or _DEFAULT_NODES)
 
 
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _cached_rule(params: FamilyParams, n: int) -> QuadratureRule:
     b = params.b
-    if params.family is Family.BESSEL:
-        logc = (1.0 - b) * math.log(2.0) - math.lgamma(b)
-        if b > 1.5:
-            # t^b K_{b-1}(t) ~ t x analytic(t^2) at the origin, so a single
-            # generalized Gauss-Laguerre weight t e^{-t} absorbs it.
-            t, w = _gauss_genlaguerre(n, 1.0)
-            lv = logc + (b - 1.0) * np.log(t) + np.log(kve(b - 1.0, t))
-            v = np.where(lv > -700.0, w * np.exp(lv), 0.0)
-            return QuadratureRule(nodes=0.25 * t * t, weights=v)
-        # For b <= 1.5 the origin carries two incommensurate branches
-        # (t and t^{2b-1}, plus a log at b = 1) that no single Laguerre
-        # weight absorbs; tanh-sinh handles the finite piece and a
-        # shifted Laguerre rule the exponential tail.
-        n_de = max(40, int(0.45 * n)) | 1
-        n_tail = max(60, n - n_de)
-        cut = 1.0
-        half = n_de // 2
-        h = 7.0 / n_de
-        u = np.arange(-half, half + 1) * h
-        sh = np.sinh(u)
-        t_de = cut * 0.5 * (1.0 + np.tanh(0.5 * math.pi * sh))
-        jac = cut * 0.25 * math.pi * np.cosh(u) / np.cosh(0.5 * math.pi * sh) ** 2
-        keep = (t_de > 1e-280) & (t_de < cut * (1.0 - 1e-16))
-        t_de, jac = t_de[keep], jac[keep]
-        w_de = h * jac * np.exp(logc + b * np.log(t_de)) * kv(b - 1.0, t_de)
-        un, uw = _gauss_genlaguerre(n_tail, 0.0)
-        t_tl = cut + un
-        w_tl = uw * np.exp(logc + b * np.log(t_tl) - cut) * kve(b - 1.0, t_tl)
-        t_all = np.concatenate([t_de, t_tl])
-        w_all = np.concatenate([w_de, w_tl])
-        return QuadratureRule(nodes=0.25 * t_all * t_all, weights=w_all)
-    if b < 1.0:
-        u, w = roots_jacobi(n, 0.0, b - 1.0)
-        x = 0.5 * (u + 1.0)
-        v = w * 2.0 ** (-b) * _jacobi_density(params, x) * x ** (1.0 - b)
-    else:
-        u, w = _gauss_legendre(n)
-        x = 0.5 * (u + 1.0)
-        v = 0.5 * w * _jacobi_density(params, x)
-    return QuadratureRule(nodes=x, weights=v)
+    if params.family is Family.JACOBI:
+        x, y, w = _tanh_sinh(n)
+        v = w * _jacobi_density(params, x, y)
+        # at b = 1 the density's log end is infinite where y rounds to 1
+        keep = np.isfinite(v)
+        return QuadratureRule(nodes=x[keep], weights=v[keep])
+    logc = (1.0 - b) * math.log(2.0) - math.lgamma(b)
+    if b > 1.5:
+        # t^b K_{b-1}(t) ~ t x analytic(t^2) at the origin, so a single
+        # generalized Gauss-Laguerre weight t e^{-t} absorbs it.
+        t, w = _gauss_genlaguerre(n, 1.0)
+        lv = logc + (b - 1.0) * np.log(t) + np.log(kve(b - 1.0, t))
+        v = np.where(lv > -700.0, w * np.exp(lv), 0.0)
+        return QuadratureRule(nodes=0.25 * t * t, weights=v)
+    # b <= 1.5: the origin's t and t^{2b-1} branches on tanh-sinh, the tail on Laguerre
+    n_de = (n // 4) | 1
+    t_de, _, w = _tanh_sinh(n_de)
+    keep = 0.25 * t_de * t_de > 0.0  # t^2/4 underflows at the smallest nodes
+    t_de = t_de[keep]
+    w_de = w[keep] * np.exp(logc + b * np.log(t_de)) * kv(b - 1.0, t_de)
+    un, uw = _gauss_genlaguerre(n - n_de, 0.0)
+    t_tl = 1.0 + un
+    w_tl = uw * np.exp(logc + b * np.log(t_tl) - 1.0) * kve(b - 1.0, t_tl)
+    t_all = np.concatenate([t_de, t_tl])
+    return QuadratureRule(nodes=0.25 * t_all * t_all, weights=np.concatenate([w_de, w_tl]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +375,8 @@ def _moment_rows(params: FamilyParams, rule: QuadratureRule, n_max: int) -> np.n
                   - 2.0 * _log_h_array(params, n_max)[:, None])
 
 
-def default_identity_tol(params: FamilyParams) -> float:
-    return 1e-8 if params.family is Family.BESSEL else 1e-5
-
-
 def verify_identity(params: FamilyParams, n_check: int = 20,
-                    tol: float | None = None,
+                    tol: float = IDENTITY_TOL,
                     rule: QuadratureRule | None = None) -> IdentityCertificate:
     """Moment certificate for the resolution of identity.
 
@@ -384,8 +390,6 @@ def verify_identity(params: FamilyParams, n_check: int = 20,
     """
     if n_check < 8:
         raise ValueError("n_check must be at least 8")
-    if tol is None:
-        tol = default_identity_tol(params)
     if rule is None:
         rule = radial_rule(params)
     log_ratio = _log_moment_ratio(params, rule, n_check)

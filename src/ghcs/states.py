@@ -403,7 +403,8 @@ def _build_rows(params: FamilyParams, zs: list[complex], n_max: int | None):
         keep, rest, norms = [], [], []
         for j, i in enumerate(live):
             row = mods[j]
-            mass = float(np.dot(row, row))  # numpy warns of an overflow; it raises below
+            with np.errstate(over="ignore"):  # an overflow raises below
+                mass = float(np.dot(row, row))
             if not math.isfinite(mass):
                 raise OverflowError(
                     f"state norm leaves the float range at n_max = {n}: "

@@ -230,6 +230,17 @@ class TestFloatRange:
         assert proc.stderr.startswith("float range exceeded: ")
         assert proc.stderr.count("\n") == 1 and "400" in proc.stderr
 
+    def test_state_norm_overflow_raises_only_its_typed_error(self, tmp_path, capsys):
+        # numpy must not warn before the OverflowError: under -W error a
+        # warning would turn exit 3 into a traceback and exit 1
+        cfg_file = tmp_path / "e.cfg"
+        cfg_file.write_text("z0_re=400.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--family", "bessel", "--config", str(cfg_file),
+                        "--out", str(tmp_path / "e.csv")]) == 3
+        assert capsys.readouterr().err.startswith("float range exceeded: ")
+
     def test_identity_rows_past_the_float_range_pass_verify(self, tmp_path, capsys):
         # h_n^2 overflows from n = 98: with every warning an error, verify
         # passes, stderr is empty and every rel_error is finite
@@ -333,6 +344,18 @@ class TestVerify:
                     "--out", str(out)]) == 0
         thermal = json.loads(out.read_text())["results"]["checks"]["thermal"]
         assert thermal["mean_monotone_in_beta"] is True and thermal["passed"] is True
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_short_beta_grid_rejected(self, tmp_path, capsys, count):
+        # an empty grid passes every thermal check vacuously, and one beta
+        # leaves the monotonicity check nothing to compare
+        cfg_file = tmp_path / "beta.cfg"
+        cfg_file.write_text(f"beta_count={count}\n")
+        out = tmp_path / "v.json"
+        assert run(["verify", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config rejected: beta_count must be at least 2 for verify, got {count}\n")
+        assert not out.exists()
 
     def test_discrepancies_are_not_failures(self, tmp_path):
         # the closed-form deviation for the jacobi family is informational

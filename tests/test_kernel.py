@@ -121,8 +121,8 @@ class TestIdempotence:
         assert np.all(check_idempotence(jacobi_params, z1, z2, jacobi_rule) < 1e-10)
 
     def test_memory_does_not_grow_with_the_truncation(self, jacobi_params, jacobi_rule):
-        # z1 = z2 = 0.995 needs n_max = 4096: 4097 moment orders x 320 nodes,
-        # which a dense log-sum-exp holds in three 10.5 MB matrices
+        # z1 = z2 = 0.995 needs n_max = 4096: 4097 moment orders x 240 nodes,
+        # which a dense log-sum-exp holds in three 7.9 MB matrices
         tracemalloc.start()
         try:
             check_idempotence(jacobi_params, 0.995, 0.995, jacobi_rule)

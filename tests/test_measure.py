@@ -7,13 +7,15 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from ghcs import measure, specfun
+from ghcs.kernel import check_idempotence
 from ghcs.measure import (
     QuadratureRule,
     _cached_rule,
     _gauss_genlaguerre,
-    _gauss_legendre,
+    _tanh_sinh,
     WeightCurve,
     default_figure_curves,
     density,
@@ -117,7 +119,7 @@ class TestRule:
 
 
 class TestRuleCache:
-    @pytest.mark.parametrize("family, default", [(Family.BESSEL, 240), (Family.JACOBI, 320)])
+    @pytest.mark.parametrize("family, default", [(Family.BESSEL, 240), (Family.JACOBI, 240)])
     def test_default_nodes_resolve_to_one_rule(self, family, default):
         params = FamilyParams(1, 0.5, family)
         rule = radial_rule(params)
@@ -126,18 +128,18 @@ class TestRuleCache:
         assert radial_rule(params, default + 8) is not rule
 
     @pytest.mark.parametrize("params", [
-        FamilyParams(2, 0.7, Family.JACOBI),   # b = 5.4: Gauss-Legendre
-        FamilyParams(0, 0.3, Family.JACOBI),   # b = 0.6: Gauss-Jacobi, not cached
+        FamilyParams(2, 0.7, Family.JACOBI),   # b = 5.4: tanh-sinh, 2F1 in 1 - x
+        FamilyParams(0, 0.3, Family.JACOBI),   # b = 0.6: tanh-sinh, 2F1s in x near 0
         FamilyParams(2, 0.7, Family.BESSEL),   # b = 5.4: Laguerre t e^{-t}
         FamilyParams(0, 0.6, Family.BESSEL),   # b = 1.2: tanh-sinh + Laguerre tail
-    ], ids=["jacobi-legendre", "jacobi-gauss-jacobi", "bessel-laguerre", "bessel-tanh-sinh"])
+    ], ids=["jacobi-b-above-one", "jacobi-b-below-one", "bessel-laguerre", "bessel-tanh-sinh"])
     def test_rules_equal_fresh_builds(self, params):
         # a rule over cached base tables, a rule built after clearing both
         # caches, and a rule of other params in between that shares the
         # base tables: nodes and weights are the same bit for bit
         cached = radial_rule(params, 90)
         radial_rule(FamilyParams(params.m + 1, params.nu, params.family), 90)
-        for cache in (_cached_rule, _gauss_genlaguerre, _gauss_legendre):
+        for cache in (_cached_rule, _gauss_genlaguerre, _tanh_sinh):
             cache.cache_clear()
         fresh = radial_rule(params, 90)
         assert fresh is not cached
@@ -146,7 +148,7 @@ class TestRuleCache:
 
     def test_base_tables_are_shared_and_read_only(self):
         for build in (lambda: _gauss_genlaguerre(70, 1.0), lambda: _gauss_genlaguerre(70, 0.0),
-                      lambda: _gauss_legendre(70)):
+                      lambda: _tanh_sinh(70)):
             first = build()
             assert build() is first
             for values in first:
@@ -154,7 +156,7 @@ class TestRuleCache:
                 with pytest.raises(ValueError):
                     values[0] = 1.0
         assert _gauss_genlaguerre.cache_info().maxsize == 8
-        assert _gauss_legendre.cache_info().maxsize == 8
+        assert _tanh_sinh.cache_info().maxsize == 8
 
     def test_arrays_are_read_only(self, bessel_rule, jacobi_rule):
         for rule in (bessel_rule, jacobi_rule):
@@ -167,6 +169,75 @@ class TestRuleCache:
         for n in range(60, 80):
             radial_rule(params, n)
         assert _cached_rule.cache_info().currsize <= 8
+
+
+def gamma_product_log_moments(params, n_max):
+    """The oracle's log moments for n = 0..n_max from float log-gammas,
+    whose absolute error (about eps |log mu_n|) stays below 1e-12 here."""
+    n = np.arange(n_max + 1.0)
+    b = params.b
+    out = gammaln(n + 1.0) + gammaln(b + n) - gammaln(b)
+    if params.family is Family.JACOBI:
+        s = params.m + params.nu + 1.0
+        out -= 2.0 * (gammaln(s + n) - gammaln(s))
+    return out
+
+
+def rule_moment_error(params, n_max):
+    rule = radial_rule(params)
+    return np.abs(np.expm1(rule._integer_log_moments(n_max)
+                           - gamma_product_log_moments(params, n_max)))
+
+
+# nu on a 49-point grid over [0.1, 2.5], plus the points around b = 1 at m = 0
+RULE_NU_GRID = [*np.linspace(0.1, 2.5, 49).tolist(), 0.499, 0.5, 0.501, 0.502]
+
+
+class TestTanhSinhRule:
+    """One tanh-sinh rule for both singular origins: the jacobi rule for
+    every b and the bessel b <= 1.5 branch."""
+
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.486])  # b = 0.1, 0.6, 0.972
+    def test_jacobi_density_near_the_origin_against_mpmath(self, nu):
+        params = FamilyParams(0, nu, Family.JACOBI)
+        xs = [1e-300, 1e-12, 1e-6, 0.3, 0.7]
+        got = density(params, np.array(xs))
+        with mp.workdps(50):
+            a, b = mp.mpf(nu), 2 * mp.mpf(nu)
+            const = mp.gamma(a + 1) ** 2 / mp.gamma(b)
+            for x, value in zip(xs, got):
+                ref = const * mp.meijerg([[], [a, a]], [[0, b - 1], []], mp.mpf(x))
+                assert abs(value / ref - 1) <= 1e-13, x
+
+    def test_jacobi_rule_moments_against_gamma_products(self):
+        worst = max(rule_moment_error(FamilyParams(m, nu, Family.JACOBI), 600).max()
+                    for m in range(4) for nu in RULE_NU_GRID)
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.7, 0.75])  # m = 0: b <= 1.5
+    def test_bessel_small_b_moments_reach_order_280(self, nu):
+        assert rule_moment_error(FamilyParams(0, nu, Family.BESSEL), 280).max() <= 1e-8
+
+    @pytest.mark.parametrize("family, nu, r", [
+        (Family.JACOBI, 0.43, 0.5), (Family.JACOBI, 0.486, 0.5), (Family.JACOBI, 0.5, 0.5),
+        (Family.JACOBI, 0.514, 0.5), (Family.BESSEL, 0.05, 0.7), (Family.BESSEL, 0.1, 0.7),
+    ])
+    def test_idempotence_at_small_b(self, family, nu, r):
+        params = FamilyParams(0, nu, family)
+        z2 = r * complex(math.cos(0.3), math.sin(0.3))
+        assert check_idempotence(params, r, z2, radial_rule(params)) <= 1e-11
+
+    def test_small_b_bessel_certificate_passes(self):
+        cert = verify_identity(FamilyParams(0, 0.05, Family.BESSEL), 20)
+        assert cert.passed and cert.diagnosis is None and cert.tol == 1e-8
+
+    def test_table_reaches_the_smallest_normal_float(self):
+        x, y, w = _tanh_sinh(241)
+        tiny = np.finfo(float).tiny
+        assert x.min() >= tiny and y.min() >= tiny
+        assert np.all(np.abs(x + y - 1.0) <= 2.3e-16)  # a rounding error in each
+        assert np.all(w > 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-15
 
 
 class TestVerifyIdentity:
