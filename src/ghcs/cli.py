@@ -72,6 +72,10 @@ class RunConfig:
             raise ValueError("g2-convention must be as_written or conventional")
         if not (self.beta_min > 0.0 and self.beta_max > 0.0):
             raise ValueError("beta_min and beta_max must be positive")
+        if self.x_count < 0:
+            raise ValueError(f"x_count must be non-negative, got {self.x_count}")
+        if self.x_min > self.x_max:
+            raise ValueError(f"x_min = {self.x_min!r} is above x_max = {self.x_max!r}")
 
     def params(self) -> FamilyParams:
         return FamilyParams(self.m, self.nu, Family(self.family))
@@ -188,11 +192,7 @@ def cmd_weight(cfg: RunConfig) -> int:
         if key not in seen:
             seen.add(key)
             curves.append(measure.WeightCurve(c.params, "canonical"))
-    if cfg.x_count > 0:
-        grid = np.linspace(cfg.x_min, cfg.x_max, cfg.x_count)
-    else:
-        grid = np.array([])
-    rows = measure.figure1_scan(curves, grid)
+    rows = measure.figure1_scan(curves, np.linspace(cfg.x_min, cfg.x_max, cfg.x_count))
     _write_csv(cfg.out, cfg, "x,W,m,nu,variant", rows)
     return 0
 
@@ -205,12 +205,14 @@ def _kernel_checks(params: FamilyParams, rule: measure.QuadratureRule, seed: int
 
     The seed's first 4 samples uniforms on [-0.45 scale, 0.45 scale] are
     `samples` pairs (re z1, im z1, re z2, im z2), each side's states one
-    `states.state_matrix` call and each kernel column one stacked
-    `states._pair_overlap` call, so the worst |conj K(z1, z2) - K(z2, z1)|
-    and |K(z1, z1) - 1| are those of `kernel.kernel` bit for bit.  The
-    idempotence pairs are z1 = re + i im on a grid x grid mesh of that
-    square and z2 = (im - i re) / 2; the Gram labels are the next 6 draws
-    on [-0.4 scale, 0.4 scale]^2.
+    `states.state_matrix` call (every label's truncation, norm and tail
+    bound judged row-wise over the side's labels at once) and each kernel
+    column one stacked `states._pair_overlap` call, so the worst
+    |conj K(z1, z2) - K(z2, z1)| and |K(z1, z1) - 1| are those of
+    `kernel.kernel` bit for bit.  The idempotence pairs are z1 = re + i im
+    on a grid x grid mesh of that square and z2 = (im - i re) / 2, whose
+    two sides are two more `state_matrix` calls; the Gram labels are the
+    next 6 draws on [-0.4 scale, 0.4 scale]^2.
     """
     scale = 1.5 if params.family is Family.BESSEL else 0.6
     rng = np.random.default_rng(seed)
@@ -348,12 +350,24 @@ def cmd_quantize(cfg: RunConfig) -> int:
     return 0
 
 
+# jacobi `expect` grids stop here, short of the x -> 1 end where the
+# moment series outgrow their budget
+_JACOBI_EXPECT_CAP = 0.98
+
+
 def cmd_expect(cfg: RunConfig) -> int:
+    """In-state (<N>, <N^2>, g2, Q) over the x grid, each moment summed
+    over the whole grid in one `thermal.in_state_stats` call."""
     params = cfg.params()
-    x_max = cfg.x_max if params.family is Family.BESSEL else min(cfg.x_max, 0.98)
-    grid = np.linspace(cfg.x_min, x_max, cfg.x_count) if cfg.x_count > 0 else []
-    rows = [(float(x), *thermal.in_state_stats(params, float(x), cfg.g2_convention))
-            for x in grid]
+    x_max = cfg.x_max
+    if params.family is Family.JACOBI:
+        if cfg.x_min > _JACOBI_EXPECT_CAP:
+            raise ValueError(f"x_min = {cfg.x_min!r} is above the jacobi expect cap "
+                             f"x <= {_JACOBI_EXPECT_CAP}")
+        x_max = min(x_max, _JACOBI_EXPECT_CAP)
+    grid = np.linspace(cfg.x_min, x_max, cfg.x_count)
+    stats = thermal.in_state_stats(params, grid, cfg.g2_convention)
+    rows = list(zip(grid.tolist(), *(column.tolist() for column in stats)))
     _write_csv(cfg.out, cfg, "x,N_mean,N2_mean,g2,mandel_q", rows)
     return 0
 

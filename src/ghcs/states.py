@@ -270,20 +270,6 @@ _TAIL_TARGET = 1e-12
 _TAIL_REQUIRED = 1e-10
 
 
-def _unnormalized_tail(params: FamilyParams, mag: float, n_max: int,
-                       last_sq: float) -> float:
-    # geometric majorant on sum_{n > n_max} |z^n / h_n|^2, from the ratio
-    # |c_{n+1}/c_n| at n = n_max + 1, which is decreasing in n for both families
-    n = n_max + 1
-    rho = mag / math.sqrt((n + 1.0) * (params.b + n))
-    if params.family is Family.JACOBI:
-        rho *= params.coeff_shift + n
-    if rho >= 1.0:
-        return math.inf
-    r2 = rho * rho
-    return last_sq * r2 / (1.0 - r2)
-
-
 _STATE_CACHE_SIZE = 32
 
 
@@ -352,12 +338,14 @@ def state_matrix(params: FamilyParams, labels, n_max: int | None = None) -> Stat
     With n_max omitted each label's truncation is picked before any
     coefficient or phase is formed: the moduli |z|^n / h_n are extended
     128, 256, ... terms at a time, each size judged by the tail certificate
-    on the moduli so far, and only the size taken gets its phases and
-    normalization.  A label whose tail stays above 1e-12 at the cap of 32768
-    terms raises ConvergenceError, and one whose norm leaves the float range
-    (bessel, from about |z| = 362 at m = 1, nu = 0.5) raises OverflowError;
-    both name the family, m, nu and |z|.  An explicit n_max applies to every
-    row, with `state`'s tail check.
+    on the moduli so far, for all the labels still open at once (their
+    masses, tail majorants and norms are array expressions over the rows),
+    and only the size taken gets its phases and normalization.  A label
+    whose tail stays above 1e-12 at the cap of 32768 terms raises
+    ConvergenceError, and one whose norm leaves the float range (bessel,
+    from about |z| = 362 at m = 1, nu = 0.5) raises OverflowError; both name
+    the family, m, nu and |z|.  An explicit n_max applies to every row, with
+    `state`'s tail check.
     """
     n_max = _require_n_max(n_max)
     zs = [params.require_label(z) for z in labels]
@@ -383,10 +371,14 @@ def _build_rows(params: FamilyParams, zs: list[complex], n_max: int | None):
     labels, without the explicit-n_max tail check.
 
     The per-label scalars |z|, log|z| and arg z come from Python's `abs`,
-    `math.log` and `math.atan2` (numpy's differ in the last bit), and each
-    row's norm is one `np.dot`, so every row is the single-label build's
-    value bit for bit.  A norm past the float range raises OverflowError
-    naming the family, m, nu and |z|.
+    `math.log` and `math.atan2` (numpy's differ in the last bit).  Each
+    size is judged on all the rows still open at once: their masses are
+    one `np.vecdot`, their tail bounds and norms one array expression
+    (`_tail_bounds`), and the rows kept get their phases and normalization
+    as one matrix; a single row's values are scalars, which numpy handles
+    without its array set-up.  Every row is the single-label build's value
+    bit for bit.  A modulus or norm past the float range raises
+    OverflowError naming the family, m, nu and the first such |z|.
     """
     n = _N_MAX_DEFAULT if n_max is None else n_max
     sizes, tails = [n] * len(zs), [0.0] * len(zs)
@@ -397,47 +389,51 @@ def _build_rows(params: FamilyParams, zs: list[complex], n_max: int | None):
         e0 = np.zeros((len(vacua), n + 1), dtype=complex)
         e0[:, 0] = 1.0
         blocks.append((vacua, e0))
-    logs = [math.log(abs(zs[i])) for i in live]
-    mods = _moduli(params, logs, 0, n)
-    while live:
-        keep, rest, norms = [], [], []
-        for j, i in enumerate(live):
-            row = mods[j]
-            with np.errstate(over="ignore"):  # an overflow raises below
-                mass = float(np.dot(row, row))
-            if not math.isfinite(mass):
+    mags = [abs(zs[i]) for i in live]
+    # a modulus or mass past the float range is inf, and raises below; a
+    # diverging majorant's tail is inf too (see `_tail_bounds`)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mods = _moduli(params, [math.log(r) for r in mags], 0, n)
+        while live:
+            # one row as a 1-d row, whose mass and last modulus (.T[-1])
+            # are then scalars
+            open_mods = mods[0] if len(live) == 1 else mods
+            mass = np.vecdot(open_mods, open_mods)
+            share, norm = _tail_bounds(params, _per_row(mags), open_mods.T[-1], mass, n)
+            masses, shares = _as_list(mass), _as_list(share)
+            if not max(masses) < math.inf:
                 raise OverflowError(
                     f"state norm leaves the float range at n_max = {n}: "
                     f"{params.family.value} m = {params.m}, nu = {params.nu:g}, "
-                    f"|z| = {abs(zs[i])!r}"
+                    f"|z| = {mags[masses.index(math.inf)]!r}"
                 )
-            tail = _unnormalized_tail(params, abs(zs[i]), n, row[-1] ** 2)
-            total = mass + tail
-            # a diverging majorant certifies nothing: the bound is the whole mass
-            bound = tail / total if tail < math.inf else 1.0
-            if n_max is None and not bound < _TAIL_TARGET:
-                rest.append(j)
-                continue
-            keep.append(j)
-            norms.append(math.sqrt(total))
-            sizes[i], tails[i] = n, bound
-        if keep:
-            picked = [live[j] for j in keep] if rest else live
-            theta = [math.atan2(zs[i].imag, zs[i].real) for i in picked]
-            rows = _terms(params, mods[keep] if rest else mods, theta, n)
-            rows /= _column(norms)
-            blocks.append((picked, rows))
-        if not rest:
-            break
-        if 2 * n > _N_MAX_CAP:
-            raise specfun.ConvergenceError(
-                f"state truncation stalled above tail {_TAIL_TARGET:g} at the "
-                f"n_max cap of {_N_MAX_CAP}: {params.family.value} m = {params.m}, "
-                f"nu = {params.nu:g}, |z| = {abs(zs[live[rest[0]]])!r}"
-            )
-        live, logs = [live[j] for j in rest], [logs[j] for j in rest]
-        mods = np.concatenate([mods[rest], _moduli(params, logs, n + 1, 2 * n)], axis=1)
-        n *= 2
+            keep, rest = [], []
+            for j, t in enumerate(shares):
+                if n_max is None and not t < _TAIL_TARGET:
+                    rest.append(j)
+                    continue
+                keep.append(j)
+                # a diverging majorant's share inf / inf is nan: the bound
+                # is the whole mass
+                sizes[live[j]], tails[live[j]] = n, t if t < 1.0 else 1.0
+            if keep:
+                picked = [live[j] for j in keep] if rest else live
+                theta = [math.atan2(zs[i].imag, zs[i].real) for i in picked]
+                rows = _terms(params, mods[keep] if rest else mods, theta, n)
+                rows /= norm if len(live) == 1 else norm[keep][:, None]
+                blocks.append((picked, rows))
+            if not rest:
+                break
+            if 2 * n > _N_MAX_CAP:
+                raise specfun.ConvergenceError(
+                    f"state truncation stalled above tail {_TAIL_TARGET:g} at the "
+                    f"n_max cap of {_N_MAX_CAP}: {params.family.value} m = {params.m}, "
+                    f"nu = {params.nu:g}, |z| = {mags[rest[0]]!r}"
+                )
+            live, mags = [live[j] for j in rest], [mags[j] for j in rest]
+            more = _moduli(params, [math.log(r) for r in mags], n + 1, 2 * n)
+            mods = np.concatenate([mods[rest], more], axis=1)
+            n *= 2
     if len(blocks) == 1:  # one size: the rows are the labels in order
         out = blocks[0][1]
     else:
@@ -446,6 +442,37 @@ def _build_rows(params: FamilyParams, zs: list[complex], n_max: int | None):
             out[picked, : rows.shape[1]] = rows
     out.flags.writeable = False
     return out, sizes, tails
+
+
+def _tail_bounds(params: FamilyParams, mag, last, mass, n: int):
+    """(tail share, norm) of rows truncated at n, from |z|, the last modulus
+    |z|^n / h_n and the mass sum_{k <= n} |z^k / h_k|^2 of each: scalars
+    or arrays alike.
+
+    The tail sum_{k > n} |z^k / h_k|^2 has the geometric majorant
+    last^2 r^2 / (1 - r^2), with r the ratio |c_{k+1} / c_k| at k = n + 1,
+    which is decreasing in k for both families.  The share is the tail's
+    part of mass + tail, and the norm the square root of that sum.  A
+    diverging majorant (r >= 1) certifies nothing: its tail and norm are
+    inf and its share inf / inf, nan.
+    """
+    k = n + 1.0
+    rho = mag / math.sqrt((k + 1.0) * (params.b + k))
+    if params.family is Family.JACOBI:
+        rho = rho * (params.coeff_shift + k)
+    r2 = rho * rho
+    # last^2 by libm pow, as a single row's scalar `** 2`: numpy squares an
+    # array, which differs in the last bit for about one value in a thousand;
+    # the divisor 1 - r^2 is made 0.0 where r >= 1, so that tail is inf
+    last2 = last**2 if isinstance(last, float) else np.float_power(last, 2.0)
+    tail = last2 * r2 / (abs(1.0 - r2) * (rho < 1.0))
+    total = mass + tail
+    return tail / total, np.sqrt(total)
+
+
+def _as_list(values) -> list:
+    """Per-row values, numpy scalar or array, as a list of Python scalars."""
+    return values.tolist() if values.ndim else [values.item()]
 
 
 def _moduli(params: FamilyParams, logs: list[float], start: int, stop: int) -> np.ndarray:
@@ -473,6 +500,12 @@ def _column(values: list[float]):
     scalar, which numpy applies to the (1, n) rows without its broadcasting
     set-up (the values are the same)."""
     return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _per_row(values: list[float]):
+    """Per-row values as an array; one row's value as a scalar, as
+    `_column` gives it."""
+    return values[0] if len(values) == 1 else np.array(values)
 
 
 @lru_cache(maxsize=16)

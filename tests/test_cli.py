@@ -283,6 +283,71 @@ class TestExpect:
             "where <N> = <N^2> = 0\n"
         )
 
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    def test_rows_are_the_per_x_values(self, tmp_path, family):
+        # one whole-grid pass per moment writes each point's scalar values
+        out = tmp_path / "e.csv"
+        assert run(["expect", "--family", family, "--out", str(out)]) == 0
+        _, _, rows = read_data_rows(out)
+        params = RunConfig(family=family).params()
+        grid = np.linspace(0.02, 0.98, 49).tolist()
+        assert len(rows) == len(grid)
+        for row, x in zip(rows, grid):
+            ref = (x, *ghcs.thermal.in_state_stats(params, x))
+            assert row == ",".join("%.16e" % v for v in ref)
+
+    def test_jacobi_grid_above_the_cap_rejected(self, tmp_path, capsys):
+        # the 0.98 cap would turn x_min = 0.99, x_max = 0.995 into a
+        # descending grid past the cap
+        cfg_file = tmp_path / "e.cfg"
+        cfg_file.write_text("x_min=0.99\nx_max=0.995\n")
+        out = tmp_path / "e.csv"
+        assert run(["expect", "--family", "jacobi", "--config", str(cfg_file),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config rejected: x_min = 0.99 is above the jacobi expect cap")
+        assert "0.98" in err and not out.exists()
+        # bessel has no cap
+        assert run(["expect", "--family", "bessel", "--config", str(cfg_file),
+                    "--out", str(out)]) == 0
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("cmd", ["weight", "expect", "verify"])
+    def test_descending_x_grid_rejected(self, tmp_path, capsys, cmd):
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("x_min=0.9\nx_max=0.1\n")
+        out = tmp_path / "out"
+        assert run([cmd, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config rejected: x_min = 0.9 is above x_max = 0.1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["weight", "expect"])
+    def test_negative_point_count_rejected(self, tmp_path, capsys, cmd):
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("x_count=-4\n")
+        out = tmp_path / "out.csv"
+        assert run([cmd, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config rejected: x_count must be non-negative, got -4\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    def test_single_point_and_empty_grids_still_written(self, tmp_path, family):
+        for text, count in (("x_min=0.5\nx_max=0.5\nx_count=1\n", 1), ("x_count=0\n", 0)):
+            cfg_file = tmp_path / "g.cfg"
+            cfg_file.write_text(text)
+            for cmd in ("weight", "expect"):
+                out = tmp_path / f"{cmd}.csv"
+                assert run([cmd, "--family", family, "--config", str(cfg_file),
+                            "--out", str(out)]) == 0
+                _, _, rows = read_data_rows(out)
+                xs = {row.split(",")[0] for row in rows}
+                assert xs == ({"5.0000000000000000e-01"} if count else set())
+                if cmd == "expect":
+                    assert len(rows) == count
+
 
 class TestParser:
     def test_built_once(self):

@@ -1,6 +1,7 @@
 """State construction, normalization, overlaps, label continuity."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -551,6 +552,55 @@ class TestStateMatrix:
             state_matrix(params, [0.01, 0.95], n_max=4)
         with pytest.raises(ValueError, match="non-negative integer"):
             state_matrix(params, labels, n_max=-1)
+
+    @pytest.mark.parametrize("family, radii", [
+        (Family.BESSEL, (0.5, 40.0, 150.0, 250.0, 340.0)),  # n_max 128 .. 512
+        (Family.JACOBI, (0.3, 0.9, 0.97, 0.99, 0.997)),     # n_max 128 .. 8192
+    ])
+    def test_row_wise_sizes_equal_one_label_builds(self, family, radii):
+        # the masses, tail bounds and norms of all open rows are judged
+        # together; each row must still be its one-label build, whatever
+        # size it stops at and whichever rows share the call
+        params = FamilyParams(1, 0.5, family)
+        angles = np.linspace(-3.0, 3.0, len(radii))
+        labels = [complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, angles)]
+        labels += [0j, complex(-0.0, 0.0), complex(-radii[1], -0.0), labels[2]]
+        labels = labels[::2] + labels[1::2]
+        mat = state_matrix(params, labels)
+        assert len(set(mat.n_max.tolist())) >= 3
+        for n_max in (None, 300, 1500):
+            coeffs, sizes, tails = _build_rows(params, labels, n_max)
+            for i, z in enumerate(labels):
+                one, (n,), (tail,) = _build_rows(params, [z], n_max)
+                assert (sizes[i], tails[i]) == (n, tail)
+                assert coeffs[i, : n + 1].tobytes() == one[0].tobytes()
+                assert not coeffs[i, n + 1:].any()
+                if n_max is None:
+                    assert (mat.n_max[i], mat.tail_bound[i]) == (n, tail)
+
+    def test_errors_name_the_first_offending_label(self):
+        # the first row, in label order, whose norm overflows at the size
+        # where one first does, as a one-label build of it would say
+        for labels, r in (([0.5, 1000.0, 2000.0], 1000.0), ([0.5, 2000.0, 1000.0], 2000.0)):
+            with pytest.raises(OverflowError) as exc:
+                state_matrix(_BESSEL, labels)
+            with pytest.raises(OverflowError) as one:
+                state(_BESSEL, r)
+            assert str(exc.value) == str(one.value) and f"|z| = {r!r}" in str(exc.value)
+        params = FamilyParams(0, 0.3, Family.JACOBI)
+        for labels, r in (([0.5, 0.99999, 0.999995], 0.99999), ([0.999995, 0.5, 0.99999], 0.999995)):
+            with pytest.raises(specfun.ConvergenceError, match=f"\\|z\\| = {r!r}$"):
+                state_matrix(params, labels)
+
+    def test_moduli_past_the_float_range_raise_only_the_overflow_error(self):
+        # |z|^n / h_n itself overflows at |z| = 1000, n = 512: numpy must not
+        # warn first, which -W error would turn into a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: state(_BESSEL, 1000.0, n_max=512),
+                          lambda: state_matrix(_BESSEL, [0.5, 1000.0j], n_max=512)):
+                with pytest.raises(OverflowError, match=r"\|z\| = 1000\.0"):
+                    build()
 
     def test_explicit_n_max_below_a_diverging_tail_raises(self):
         # at |z| = 0.95 the jacobi ratio bound is above 1 at n = 5: the

@@ -422,15 +422,17 @@ class TestNumberMomentSeries:
         calls = []
         series = thermal.number_moment
         monkeypatch.setattr(thermal, "number_moment",
-                            lambda *a, **k: calls.append(a[2]) or series(*a, **k))
+                            lambda *a, **k: calls.append((a[2], np.size(a[1])))
+                            or series(*a, **k))
         thermal.mandel_q_in_state(bessel_params, 1.5)
-        assert sorted(calls) == [1, 2]
+        assert sorted(calls) == [(1, 1), (2, 1)]
         calls.clear()
         cfg = tmp_path / "run.cfg"
         cfg.write_text("x_count=3\n")
         out = tmp_path / "expect.csv"
         assert cli.main(["expect", "--config", str(cfg), "--out", str(out)]) == 0
-        assert sorted(calls) == [1, 1, 1, 2, 2, 2]
+        # one array call per moment for the whole grid
+        assert sorted(calls) == [(1, 3), (2, 3)]
 
 
 def mp_state_g2(params, x, convention):
@@ -552,6 +554,117 @@ class TestInStateStats:
             assert rel_err(g, r) < 1e-14
         if family == "bessel":
             assert cols[2] == pytest.approx(0.75, rel=1e-14)
+
+
+def scalar_moments(params, xs, s, ctl=DEFAULT_SERIES, falling=False):
+    """Reference: `number_moment` one x at a time."""
+    return np.array([number_moment(params, float(x), s, ctl, falling=falling) for x in xs])
+
+
+_GRIDS = {
+    # x = 0 entries, the x -> 0 underflow region, the expect grid, the
+    # long series near x = 1 and, for bessel, series cut short by overflow
+    Family.JACOBI: np.concatenate([[0.0, 1e-300, 1e-150, 0.0], np.linspace(0.02, 0.98, 49),
+                                   1.0 - np.geomspace(0.3, 2e-3, 12)]),
+    Family.BESSEL: np.concatenate([[0.0, 1e-300, 1e-150, 0.0], np.linspace(0.02, 0.98, 49),
+                                   np.geomspace(2.0, 1e8, 15)]),
+}
+
+
+class TestMomentArrays:
+    """Array x is summed in one pass, row by row; every element is the
+    scalar call's value bit for bit, and errors are the first failing x's."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("falling", [False, True])
+    def test_arrays_equal_the_scalar_calls(self, family, falling):
+        for m, nu in ((1, 0.5), (0, 0.3), (3, 2.1)):
+            params = FamilyParams(m, nu, family)
+            xs = _GRIDS[family]
+            for s in (0, 1, 2):
+                got = number_moment(params, xs, s, falling=falling)
+                assert got.shape == xs.shape
+                assert got.tobytes() == scalar_moments(params, xs, s, falling=falling).tobytes()
+
+    def test_shape_is_kept_and_scalars_stay_floats(self, jacobi_params):
+        xs = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+        got = number_moment(jacobi_params, xs, 1)
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == [number_moment(jacobi_params, x, 1) for x in xs.ravel()]
+        assert type(number_moment(jacobi_params, 0.5, 1)) is float
+        assert type(number_moment(jacobi_params, np.float64(0.5), 1)) is float
+        assert number_moment(jacobi_params, np.array([]), 2).shape == (0,)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("convention", ["as_written", "conventional"])
+    def test_in_state_stats_arrays(self, family, convention):
+        for m, nu in ((1, 0.5), (2, 1.7)):
+            params = FamilyParams(m, nu, family)
+            xs = _GRIDS[family][_GRIDS[family] > 0.0]
+            got = thermal.in_state_stats(params, xs, convention)
+            ref = np.array([thermal.in_state_stats(params, float(x), convention) for x in xs])
+            for k in range(4):
+                assert got[k].tobytes() == ref[:, k].tobytes()
+            assert g2_in_state(params, xs, convention).tobytes() == ref[:, 2].tobytes()
+            assert mandel_q_in_state(params, xs, convention).tobytes() == ref[:, 3].tobytes()
+
+    def test_vacuum_entry_rejected(self, bessel_params):
+        with pytest.raises(ValueError, match="vacuum"):
+            thermal.in_state_stats(bessel_params, np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("max_terms", [63, 64, 65, 191, 192, 193, 194])
+    def test_budget_at_chunk_boundaries(self, jacobi_params, max_terms):
+        # rows stop, carry their flag over a boundary or run out of budget
+        # at different chunks of the same pass
+        ctl = SeriesControl(max_terms=max_terms)
+        xs = np.array([0.05, 0.5253376688344171, 0.7, 0.813431715857929, 0.3])
+        for s in (1, 2):
+            for falling in (False, True):
+                refs = []
+                for x in xs:
+                    try:
+                        refs.append(number_moment(jacobi_params, x, s, ctl, falling=falling))
+                    except ConvergenceError:
+                        refs.append(None)
+                for part in (xs, xs[::-1], xs[[refs[i] is not None for i in range(len(xs))]]):
+                    expect = [refs[list(xs).index(x)] for x in part]
+                    if None in expect:
+                        with pytest.raises(ConvergenceError) as exc:
+                            number_moment(jacobi_params, part, s, ctl, falling=falling)
+                        assert str(exc.value) == "number_moment series did not converge"
+                    else:
+                        got = number_moment(jacobi_params, part, s, ctl, falling=falling)
+                        assert got.tolist() == expect
+
+    def test_budget_error_text(self, jacobi_params):
+        # matched verbatim by the benchmark's known-defect rule
+        with pytest.raises(ConvergenceError) as exc:
+            number_moment(jacobi_params, np.array([0.3, 0.9995, 0.5]), 1)
+        assert str(exc.value) == "number_moment series did not converge"
+
+    def test_overflow_names_the_first_failing_x(self, bessel_params):
+        # <N^150> passes the float range at x = 1e4 and 9000, not at 5000
+        xs = np.array([5000.0, 1e4, 9000.0])
+        with pytest.raises(OverflowError, match=r"<N\^150> series at x = 10000 overflows"):
+            number_moment(bessel_params, xs, 150)
+        with pytest.raises(OverflowError, match=r"at x = 9000 overflows"):
+            number_moment(bessel_params, xs[[0, 2, 1]], 150)
+        assert number_moment(bessel_params, xs[:1], 150)[0] == number_moment(
+            bessel_params, 5000.0, 150)
+
+    def test_first_failing_x_decides_between_error_kinds(self, bessel_params):
+        # in 150 terms <N^150> at x = 5000 runs out of budget, and at 1e4 overflows
+        ctl = SeriesControl(max_terms=150)
+        with pytest.raises(ConvergenceError):
+            number_moment(bessel_params, np.array([5000.0, 1e4]), 150, ctl)
+        with pytest.raises(OverflowError, match="x = 10000"):
+            number_moment(bessel_params, np.array([1e4, 5000.0]), 150, ctl)
+
+    def test_domain_error_names_the_first_bad_x(self, jacobi_params):
+        with pytest.raises(ValueError, match="argument magnitude 1.5 outside"):
+            number_moment(jacobi_params, np.array([0.5, 1.5, 2.0]), 1)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            number_moment(jacobi_params, np.array([0.5, -1.0, 2.0]), 1)
 
 
 class TestPFunction:
