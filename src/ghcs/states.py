@@ -234,7 +234,9 @@ def normalization(params: FamilyParams, x, ctl: SeriesControl = DEFAULT_SERIES):
     The bessel N is `specfun.hyp_0f1(b, x)`; the jacobi N (2F1(a+1, a+1;
     b; x)) is summed through the h-ratio recurrence.  Both go through
     `specfun._sum_ratio_array`: the term-by-term values, stopping rule and
-    `ctl` budget, per element.  An x outside the domain raises ValueError.
+    `ctl` budget, per element.  An x outside the domain raises ValueError;
+    an N past the float range (bessel x above about 1.3e5) raises
+    OverflowError naming the family and the first such x.
     """
     xs = np.asarray(x, dtype=float)
     bad = ~((xs >= 0.0) & (xs < params.radius**2))
@@ -242,12 +244,18 @@ def normalization(params: FamilyParams, x, ctl: SeriesControl = DEFAULT_SERIES):
         _norm_arg(params, xs[bad].flat[0])  # raises, naming the value
     b = params.b
     if params.family is Family.BESSEL:
-        return specfun.hyp_0f1(b, xs, ctl)
-    shift = params.coeff_shift
-    return specfun._sum_ratio_array(
-        "jacobi normalization", xs,
-        lambda k, w: w * np.square(shift + k) / ((k + 1.0) * (b + k)), ctl,
-    )
+        out = specfun.hyp_0f1(b, xs, ctl)
+    else:
+        shift = params.coeff_shift
+        out = specfun._sum_ratio_array(
+            "jacobi normalization", xs,
+            lambda k, w: w * np.square(shift + k) / ((k + 1.0) * (b + k)), ctl,
+        )
+    inf = ~np.isfinite(out)
+    if inf.any():
+        raise OverflowError(f"the {params.family.value} normalization passes the float "
+                            f"range at x = {float(xs[inf].flat[0])!r}")
+    return out
 
 
 def _norm_arg(params: FamilyParams, w: float) -> float:

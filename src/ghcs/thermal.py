@@ -224,21 +224,27 @@ def number_moment(params: FamilyParams, x, s: int,
     carried term and sums are scaled by the power of two that brings it
     into [1/2, 1); the scaling is exact and cancels in the ratio, so the
     large-x bessel series, whose terms pass the float range, keep the
-    loop's values.  An array of x is summed in one pass over the chunks
-    (`_moment_ratios`), each x a row of the chunk's matrices with its own
-    carried term, sums, scaling and flag, leaving once it stops, so every
-    element is the scalar call's value bit for bit.  A scalar x keeps the
-    one-row routine (`_moment_ratio`): on one row the matrix bookkeeping
-    cost the in-state moment workload about a tenth of its throughput.
+    loop's values.  A chunk whose sums leave the float range before that
+    rescale is summed again at half its length.  As the carried values are
+    only ever scaled by exact powers of two, and n^s is taken in factors
+    that do not depend on the chunk, where a chunk starts or ends changes
+    no bit.  An array of x is summed in one pass over the chunks
+    (`_moment_ratios`): the x still summing are the rows of each chunk's
+    matrices, on one chunk schedule, each with its own carried term, sums,
+    scaling and flag, leaving once it stops, so every element is the
+    scalar call's value bit for bit.  A scalar x keeps the one-row routine
+    (`_moment_ratio`): on one row the matrix bookkeeping cost the in-state
+    moment workload about a tenth of its throughput.
 
     Stopping rule and budget: the summation ends after two consecutive
     contributions n^s t_n <= ctl.rel_tol * max(numerator sum,
     ctl.abs_floor), the "previous one was small" state carried across
     chunk boundaries, and raises ConvergenceError("number_moment series
     did not converge") when ctl.max_terms terms did not reach it.  A series
-    whose contributions pass the float range even after rescaling (n^s
-    itself does for large s) raises OverflowError naming x.  An array
-    raises the error of its first failing x.
+    whose sums still leave the float range in a one-term chunk (n^s t_n
+    does for large s, and with `falling` x^s past the float range) raises
+    OverflowError naming x.  An array raises the error of its first
+    failing x.
 
     falling=True gives the falling factorial moment per x^s instead,
     <N (N-1) ... (N-s+1)> / x^s = N^(s)(x) / N(x) (the s-th derivative of
@@ -269,6 +275,21 @@ def number_moment(params: FamilyParams, x, s: int,
     return out
 
 
+def _weighted(terms, n1, n, s: int, falling: bool, max_terms: int):
+    """The contributions w(n1) t_n1 of a chunk's terms at indices n1 = n + 1:
+    w is the falling power with `falling`, else n1^s.  n1^s alone may pass
+    the float range where n1^s t_n1 does not, so it multiplies in as
+    factors n1^k, k the largest with n1^k < 2^1000 at every index within
+    the budget; each contribution is then the same whichever chunk holds
+    it.  Below k, n1^s is one factor."""
+    if falling:
+        return _falling_power(n1, n, s) * terms
+    k = int(1000.0 // math.log2(max_terms + 1.0))
+    for _ in range(s // k):
+        terms = terms * n1**k
+    return terms * n1 ** (s % k)
+
+
 def _falling_power(k, k_less_1, s: int):
     # k (k - 1) ... (k - s + 1); k - 1 is passed in, as the chunks have it,
     # so s = 2 costs one multiply
@@ -278,6 +299,12 @@ def _falling_power(k, k_less_1, s: int):
     for j in range(2, s):
         out = out * (k - j)
     return out
+
+
+def _overflow(s: int, falling: bool, x: float) -> OverflowError:
+    what = f"<N^({s})> / x^{s}" if falling else f"<N^{s}>"
+    return OverflowError(f"number_moment: the {what} series at x = {x:g} "
+                         "overflows the float range")
 
 
 def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
@@ -296,17 +323,20 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     jacobi = params.family is Family.JACOBI
     shift = params.coeff_shift
     p = s if falling else 0
-    xp = x**p
-    term, den = 1.0, 0.0  # u_0, and the sum of t_n below p
-    for k in range(p):
-        den += term * x**k
-        term *= ((shift + k) ** 2 if jacobi else 1.0) / ((k + 1.0) * (b + k))
+    try:
+        xp = x**p
+        term, den = 1.0, 0.0  # u_0, and the sum of t_n below p
+        for k in range(p):
+            den += term * x**k
+            term *= ((shift + k) ** 2 if jacobi else 1.0) / ((k + 1.0) * (b + k))
+    except OverflowError:  # x^p passes the float range, as every t_n past p does
+        raise _overflow(s, falling, x) from None
     den += term * xp  # t_p
     # the index-p contribution
     num = (_falling_power(float(p), p - 1.0, s) if falling else 0.0**s) * term
     small = False
     start, size = p, _MOMENT_CHUNK
-    # overflow is caught below by the finiteness checks
+    # overflow is caught below by the finiteness check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while start < ctl.max_terms:
             e = math.frexp(den)[1]
@@ -320,11 +350,7 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                 ratio *= (shift + n) ** 2
             ratio[0] *= term
             terms = np.multiply.accumulate(ratio, out=ratio)
-            if not falling and s * math.log2(stop) > 1000.0:
-                # n^s alone may overflow where n^s t_n does not
-                contrib = np.exp(s * np.log(n1) + np.log(terms))
-            else:
-                contrib = (_falling_power(n1, n, s) if falling else n1**s) * terms
+            contrib = _weighted(terms, n1, n, s, falling, ctl.max_terms)
             dens = terms * xp if p else terms.copy()
             dens[0] += den
             np.add.accumulate(dens, out=dens)
@@ -332,16 +358,10 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
             nums[0] += num
             np.add.accumulate(nums, out=nums)
             if not (math.isfinite(dens[-1]) and math.isfinite(nums[-1])):
-                # keep the finite prefix; the next chunk starts rescaled
-                cut = int(np.argmin(np.isfinite(dens) & np.isfinite(nums)))
-                if cut == 0:
-                    what = f"<N^({s})> / x^{s}" if falling else f"<N^{s}>"
-                    raise OverflowError(
-                        f"number_moment: the {what} series at x = {x:g} "
-                        "overflows the float range"
-                    )
-                terms, contrib = terms[:cut], contrib[:cut]
-                dens, nums = dens[:cut], nums[:cut]
+                if stop - start == 1:
+                    raise _overflow(s, falling, x)
+                size = (stop - start) // 2  # sum it again; the next rescale comes sooner
+                continue
             # small[i + 1]: contribution i is small; small[0] is carried over
             small = np.concatenate(
                 ([small], contrib <= ctl.rel_tol * np.maximum(nums, ctl.abs_floor))
@@ -352,8 +372,7 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                 return float(nums[k] / dens[k])
             small = bool(small[-1])
             term, den, num = float(terms[-1]), float(dens[-1]), float(nums[-1])
-            start += len(terms)
-            size = 2 * len(terms)
+            start, size = stop, 2 * (stop - start)
     raise ConvergenceError("number_moment series did not converge")
 
 
@@ -363,129 +382,71 @@ def _moment_ratios(params: FamilyParams, xs: np.ndarray, s: int, falling: bool,
     element is the scalar routine's value bit for bit, and once every x is
     summed the error of the first x whose series failed is raised.
 
-    The x still summing form a group whose chunk is one matrix per
-    quantity, with a row per x: the same ratios, accumulates, stopping
-    rule and budget, each row carrying its own term, sums, power-of-two
-    scaling and "previous was small" flag.  The whole group goes on while
-    no row changes; otherwise `_settle_rows` retires the rows that stopped
-    and requeues the others, so a row whose sums left the float range
-    inside a chunk goes on, as the scalar routine does, from its last
-    finite index.  x^k is libm `pow` (`np.float_power`), as the scalar
-    routine's `x**k`; numpy's `**` would square, which differs in the last
-    bit for about one value in a thousand.
+    The x still summing are the live rows of each chunk's matrices, all
+    on one chunk schedule: the same ratios, accumulates, rescaling,
+    stopping rule, retry and budget as the scalar routine, each row
+    carrying its own term, sums, power-of-two scaling and "previous was
+    small" flag, and leaving once it stops or overflows in a one-term
+    chunk.  x^k is libm `pow` (`np.float_power`), as the scalar routine's
+    `x**k`; numpy's `**` would square, which differs in the last bit for
+    about one value in a thousand.
     """
     b, shift = params.b, params.coeff_shift
     jacobi = params.family is Family.JACOBI
     p = s if falling else 0
-    u = [1.0]  # u_k = t_k / x^k for k <= p, the same for every x
-    for k in range(p):
-        u.append(u[-1] * (((shift + k) ** 2 if jacobi else 1.0) / ((k + 1.0) * (b + k))))
-    out = np.empty(len(xs))
-    failures: dict = {}
-    groups = [(np.arange(len(xs)), p, _MOMENT_CHUNK, None)] if len(xs) else []
-    # overflow is caught by the finiteness checks in `_settle_rows`
+    live, out = np.arange(len(xs)), np.empty(len(xs))
+    over, small = np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
+    # overflow is caught below by the finiteness check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while groups:
-            rows, start, size, carry = groups.pop()
-            x = xs[rows]
-            xp = np.float_power(x, p)
-            if carry is None:
-                den = 0.0  # the sum of t_n below p, then with t_p
-                for k in range(p):
-                    den = den + u[k] * np.float_power(x, k)
-                den = den + u[p] * xp
-                # the index-p contribution
-                num = (_falling_power(float(p), p - 1.0, s) if falling else 0.0**s) * u[p]
-                carry = u[p], den, num, False
-            term, den, num, small = carry
-            x, xp = x[:, None], xp[:, None]  # columns against the index axis
-            while start < ctl.max_terms:
-                term, den, num = _rescaled_rows(term, den, num)
-                stop = min(start + size, ctl.max_terms)
-                n = np.arange(start, stop, dtype=float)
-                n1 = np.arange(start + 1, stop + 1, dtype=float)
-                ratio = x / (n1 * (b + n))
-                if jacobi:
-                    ratio *= (shift + n) ** 2
-                ratio[:, 0] *= term
-                terms = np.multiply.accumulate(ratio, axis=1, out=ratio)
-                if not falling and s * math.log2(stop) > 1000.0:
-                    # n^s alone may overflow where n^s t_n does not
-                    contrib = np.exp(s * np.log(n1) + np.log(terms))
-                else:
-                    contrib = (_falling_power(n1, n, s) if falling else n1**s) * terms
-                dens = terms * xp if p else terms.copy()
-                dens[:, 0] += den
-                np.add.accumulate(dens, axis=1, out=dens)
-                nums = contrib.copy()
-                nums[:, 0] += num
-                np.add.accumulate(nums, axis=1, out=nums)
-                # small[:, j + 1]: contribution j is small; small[:, 0] is carried over
-                small = np.concatenate(
-                    (np.broadcast_to(small, (len(rows),))[:, None],
-                     contrib <= ctl.rel_tol * np.maximum(nums, ctl.abs_floor)), axis=1)
-                chunk = start, terms, dens, nums, small
-                carry = _settle_rows(rows, xs, s, falling, chunk, out, failures, groups)
-                if carry is None:
-                    break
-                term, den, num, small = carry
-                start, size = stop, 2 * len(n)
-            else:
-                failures.update((i, (ConvergenceError, "number_moment series did not converge"))
-                                for i in rows.tolist())
-    if failures:  # kept as (type, text): an error held here would keep this frame alive
-        kind, text = failures[min(failures)]
-        raise kind(text)
+        xps = np.float_power(xs, p)
+        term, den = 1.0, 0.0  # u_0, and the sum of t_n below p
+        for k in range(p):
+            den = den + term * np.float_power(xs, k)
+            term *= ((shift + k) ** 2 if jacobi else 1.0) / ((k + 1.0) * (b + k))
+        den = den + term * xps  # t_p
+        # the index-p contribution
+        num = (_falling_power(float(p), p - 1.0, s) if falling else 0.0**s) * term
+        start, size = p, _MOMENT_CHUNK
+        while live.size and start < ctl.max_terms:
+            e = np.frexp(den)[1]
+            e[e <= 1] = 0
+            term, den, num = (np.ldexp(v, -e) for v in (term, den, num))
+            stop = min(start + size, ctl.max_terms)
+            n = np.arange(start, stop, dtype=float)
+            n1 = np.arange(start + 1, stop + 1, dtype=float)
+            ratio = xs[live, None] / (n1 * (b + n))
+            if jacobi:
+                ratio *= (shift + n) ** 2
+            ratio[:, 0] *= term
+            terms = np.multiply.accumulate(ratio, axis=1, out=ratio)
+            contrib = _weighted(terms, n1, n, s, falling, ctl.max_terms)
+            dens = terms * xps[live, None] if p else terms.copy()
+            dens[:, 0] += den
+            np.add.accumulate(dens, axis=1, out=dens)
+            nums = contrib.copy()
+            nums[:, 0] += num
+            np.add.accumulate(nums, axis=1, out=nums)
+            bad = ~(np.isfinite(dens[:, -1]) & np.isfinite(nums[:, -1]))
+            if bad.any():
+                if stop - start > 1:
+                    size = (stop - start) // 2  # sum it again; the next rescale comes sooner
+                    continue
+                over[live[bad]] = True
+            # tiny[:, j + 1]: contribution j is small; tiny[:, 0] is carried over
+            tiny = np.column_stack(
+                (small, contrib <= ctl.rel_tol * np.maximum(nums, ctl.abs_floor)))
+            pairs = tiny[:, 1:] & tiny[:, :-1]
+            first, done = pairs.argmax(axis=1), pairs.any(axis=1) & ~bad
+            out[live[done]] = nums[done, first[done]] / dens[done, first[done]]
+            left = ~(done | bad)
+            live = live[left]
+            term, den, num, small = terms[left, -1], dens[left, -1], nums[left, -1], tiny[left, -1]
+            start, size = stop, 2 * (stop - start)
+    if over.any() or live.size:  # rows still live ran out of budget
+        i = min(np.flatnonzero(over)[:1].tolist() + live[:1].tolist())
+        raise (_overflow(s, falling, xs[i]) if over[i]
+               else ConvergenceError("number_moment series did not converge"))
     return out
-
-
-def _rescaled_rows(term, den, num):
-    """Each row's term, den and num scaled, exactly, by the power of two
-    that brings its den into [1/2, 1) where den >= 2 (a scalar is the same
-    for every row)."""
-    e = np.frexp(den)[1]
-    if (e > 1).any():
-        e = np.where(e > 1, -e, 0)
-        term, den, num = (np.ldexp(v, e) for v in (term, den, num))
-    return term, den, num
-
-
-def _settle_rows(rows, xs, s, falling, chunk, out, failures: dict, groups: list):
-    """The carry of a group of rows after a chunk, when every row goes on
-    from the chunk's end; otherwise None, the rows that go on queued in
-    `groups` as groups of their own.
-
-    Rows whose sums left the float range are cut at their last finite
-    index, and a row cut at 0 fails with OverflowError.  A row that stopped,
-    on two small contributions in a row, writes its ratio into `out`; a row
-    cut short that did not goes on from its cut, with the other rows cut
-    there.
-    """
-    start, terms, dens, nums, small = chunk
-    size = terms.shape[1]
-    cut = np.full(len(rows), size)
-    bad = np.flatnonzero(~(np.isfinite(dens[:, -1]) & np.isfinite(nums[:, -1])))
-    if bad.size:
-        cut[bad] = np.argmin(np.isfinite(dens[bad]) & np.isfinite(nums[bad]), axis=1)
-        small[bad] &= np.arange(size + 1) <= cut[bad, None]
-    pairs = small[:, 1:] & small[:, :-1]
-    first = pairs.argmax(axis=1)
-    done = pairs[np.arange(len(rows)), first]
-    if done.any():
-        out[rows[done]] = nums[done, first[done]] / dens[done, first[done]]
-    what = f"<N^({s})> / x^{s}" if falling else f"<N^{s}>"
-    failures.update((rows[j], (OverflowError, f"number_moment: the {what} series at "
-                               f"x = {xs[rows[j]]:g} overflows the float range"))
-                    for j in np.flatnonzero(~done & (cut == 0)).tolist())
-    going = ~done & (cut > 0)
-    if going.all() and not bad.size:
-        return terms[:, -1], dens[:, -1], nums[:, -1], small[:, -1]
-    for c in np.unique(cut[going]).tolist():
-        part = going & (cut == c)
-        groups.append((rows[part], start + c, 2 * c,
-                       (terms[part, c - 1], dens[part, c - 1], nums[part, c - 1],
-                        small[part, c])))
-    return None
 
 
 def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):

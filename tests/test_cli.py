@@ -241,6 +241,22 @@ class TestFloatRange:
                         "--out", str(tmp_path / "e.csv")]) == 3
         assert capsys.readouterr().err.startswith("float range exceeded: ")
 
+    @pytest.mark.parametrize("cmd, lines, x", [
+        ("verify", "x=2e5\n", "200020.00100003334"),
+        ("weight", "x_min=1e5\nx_max=1e6\nx_count=3\n", "550000.0"),
+    ])
+    def test_normalization_past_the_float_range(self, tmp_path, capsys, cmd, lines, x):
+        # bessel N(x) passes the float range near x = 1.3e5: exit 3 naming
+        # the family and the first such x, not a NaN in the artifact
+        cfg_file = tmp_path / "n.cfg"
+        cfg_file.write_text(lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([cmd, "--family", "bessel", "--config", str(cfg_file),
+                        "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            f"float range exceeded: the bessel normalization passes the float range at x = {x}\n")
+
     def test_identity_rows_past_the_float_range_pass_verify(self, tmp_path, capsys):
         # h_n^2 overflows from n = 98: with every warning an error, verify
         # passes, stderr is empty and every rel_error is finite

@@ -660,6 +660,41 @@ class TestMomentArrays:
         with pytest.raises(OverflowError, match="x = 10000"):
             number_moment(bessel_params, np.array([1e4, 5000.0]), 150, ctl)
 
+    @pytest.mark.parametrize("x, s, falling", [(1e155, 2, True), (1e200, 3, True),
+                                               (9000.0, 150, False)])
+    def test_overflow_text_is_the_same_for_both_shapes(self, bessel_params, x, s, falling):
+        # x^s passes the float range in the first two, <N^150> in the last
+        with pytest.raises(OverflowError) as scalar:
+            number_moment(bessel_params, x, s, falling=falling)
+        with pytest.raises(OverflowError) as array:
+            number_moment(bessel_params, np.array([x]), s, falling=falling)
+        assert str(scalar.value) == str(array.value)
+        assert str(scalar.value).startswith("number_moment: the <N^")
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_chunk_boundaries_change_no_bit(self, monkeypatch, family, chunk):
+        # the carried term and sums are only scaled by exact powers of two,
+        # so where a chunk starts or ends, or is summed again after an
+        # overflow (bessel x from about 1.3e5 at 1000), changes no value
+        params = FamilyParams(1, 0.5, family)
+        xs = _GRIDS[family]
+        cases = [(s, falling) for s in (0, 1, 2) for falling in (False, True)]
+        ref = {c: number_moment(params, xs, *c[:1], falling=c[1]).tobytes() for c in cases}
+        one = {c: scalar_moments(params, xs, c[0], falling=c[1]).tobytes() for c in cases}
+        monkeypatch.setattr(thermal, "_MOMENT_CHUNK", chunk)
+        for s, falling in cases:
+            assert number_moment(params, xs, s, falling=falling).tobytes() == ref[s, falling]
+            assert scalar_moments(params, xs, s, falling=falling).tobytes() == one[s, falling]
+
+    def test_high_orders_keep_array_and_scalar_equal(self, bessel_params):
+        # n^s is taken in factors below 2^1000 here; each large row's
+        # overflow retries change the other rows' chunks, not their values
+        for xs, s in (([9000.0, 1.1e5, 2.5e5, 300.0], 110), ([3.8e5, 5.8e5], 105),
+                      ([8.8e5, 2e6, 1e3], 95)):
+            assert number_moment(bessel_params, np.array(xs), s).tobytes() == scalar_moments(
+                bessel_params, xs, s).tobytes()
+
     def test_domain_error_names_the_first_bad_x(self, jacobi_params):
         with pytest.raises(ValueError, match="argument magnitude 1.5 outside"):
             number_moment(jacobi_params, np.array([0.5, 1.5, 2.0]), 1)
