@@ -323,14 +323,14 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     jacobi = params.family is Family.JACOBI
     shift = params.coeff_shift
     p = s if falling else 0
+    term, den = 1.0, 0.0  # u_0, and the sum of t_n below p
     try:
         xp = x**p
-        term, den = 1.0, 0.0  # u_0, and the sum of t_n below p
         for k in range(p):
             den += term * x**k
             term *= ((shift + k) ** 2 if jacobi else 1.0) / ((k + 1.0) * (b + k))
-    except OverflowError:  # x^p passes the float range, as every t_n past p does
-        raise _overflow(s, falling, x) from None
+    except OverflowError:  # x^p passes the float range: so does every chunk
+        xp = den = math.inf
     den += term * xp  # t_p
     # the index-p contribution
     num = (_falling_power(float(p), p - 1.0, s) if falling else 0.0**s) * term

@@ -660,16 +660,24 @@ class TestMomentArrays:
         with pytest.raises(OverflowError, match="x = 10000"):
             number_moment(bessel_params, np.array([1e4, 5000.0]), 150, ctl)
 
-    @pytest.mark.parametrize("x, s, falling", [(1e155, 2, True), (1e200, 3, True),
-                                               (9000.0, 150, False)])
-    def test_overflow_text_is_the_same_for_both_shapes(self, bessel_params, x, s, falling):
-        # x^s passes the float range in the first two, <N^150> in the last
-        with pytest.raises(OverflowError) as scalar:
-            number_moment(bessel_params, x, s, falling=falling)
-        with pytest.raises(OverflowError) as array:
-            number_moment(bessel_params, np.array([x]), s, falling=falling)
-        assert str(scalar.value) == str(array.value)
-        assert str(scalar.value).startswith("number_moment: the <N^")
+    @pytest.mark.parametrize("x, s, falling, max_terms, kind, text", [
+        (1e155, 2, True, 20000, OverflowError, "number_moment: the <N^(2)> / x^2 "
+         "series at x = 1e+155 overflows the float range"),
+        (1e200, 3, True, 20000, OverflowError, "number_moment: the <N^(3)> / x^3 "
+         "series at x = 1e+200 overflows the float range"),
+        (9000.0, 150, False, 20000, OverflowError, "number_moment: the <N^150> "
+         "series at x = 9000 overflows the float range"),
+        (1e155, 2, True, 2, ConvergenceError, "number_moment series did not converge"),
+    ])
+    def test_errors_are_the_same_for_both_shapes(self, bessel_params, x, s, falling,
+                                                 max_terms, kind, text):
+        # x^s passes the float range in the first two, <N^150> in the third;
+        # in the last the budget runs out before the first chunk
+        ctl = SeriesControl(max_terms=max_terms)
+        for arg in (x, np.array([x])):
+            with pytest.raises(kind) as exc:
+                number_moment(bessel_params, arg, s, ctl, falling=falling)
+            assert str(exc.value) == text
 
     @pytest.mark.parametrize("chunk", [7, 1000])
     @pytest.mark.parametrize("family", list(Family))
@@ -680,12 +688,15 @@ class TestMomentArrays:
         params = FamilyParams(1, 0.5, family)
         xs = _GRIDS[family]
         cases = [(s, falling) for s in (0, 1, 2) for falling in (False, True)]
-        ref = {c: number_moment(params, xs, *c[:1], falling=c[1]).tobytes() for c in cases}
-        one = {c: scalar_moments(params, xs, c[0], falling=c[1]).tobytes() for c in cases}
+
+        def both_shapes(s, falling):
+            return (number_moment(params, xs, s, falling=falling).tobytes(),
+                    scalar_moments(params, xs, s, falling=falling).tobytes())
+
+        ref = {c: both_shapes(*c) for c in cases}
         monkeypatch.setattr(thermal, "_MOMENT_CHUNK", chunk)
-        for s, falling in cases:
-            assert number_moment(params, xs, s, falling=falling).tobytes() == ref[s, falling]
-            assert scalar_moments(params, xs, s, falling=falling).tobytes() == one[s, falling]
+        for c in cases:
+            assert both_shapes(*c) == ref[c]
 
     def test_high_orders_keep_array_and_scalar_equal(self, bessel_params):
         # n^s is taken in factors below 2^1000 here; each large row's
