@@ -197,39 +197,32 @@ def cmd_weight(cfg: RunConfig) -> int:
     return 0
 
 
-def _kernel_checks(params: FamilyParams, rule: measure.QuadratureRule, seed: int,
-                   samples: int, grid: int):
+def _kernel_checks(params: FamilyParams, rule: measure.QuadratureRule, seed: int, grid: int):
     """The reproducing-kernel checks `verify` and `kernel` share, as
     (hermiticity worst, diagonal worst, z1, z2, idempotence residuals, Gram
     minimum eigenvalue), on labels scaled by 1.5 (bessel) or 0.6 (jacobi).
 
-    The seed's first 4 samples uniforms on [-0.45 scale, 0.45 scale] are
-    `samples` pairs (re z1, im z1, re z2, im z2), each side's states one
-    `states.state_matrix` call (every label's truncation, norm and tail
-    bound judged row-wise over the side's labels at once) and each kernel
-    column one stacked `states._pair_overlap` call, so the worst
-    |conj K(z1, z2) - K(z2, z1)| and |K(z1, z1) - 1| are those of
-    `kernel.kernel` bit for bit.  The idempotence pairs are z1 = re + i im
-    on a grid x grid mesh of that square and z2 = (im - i re) / 2, whose
-    two sides are two more `state_matrix` calls; the Gram labels are the
-    next 6 draws on [-0.4 scale, 0.4 scale]^2.
+    The pairs are z1 = re + i im on a grid x grid mesh of [-0.45 scale,
+    0.45 scale]^2 and z2 = (im - i re) / 2.  Every check but the Gram
+    matrix's (on the seed's first 6 draws on [-0.4 scale, 0.4 scale]^2)
+    reads the rows of one `state_matrix` call per side: the idempotence
+    residuals, |conj K(z1, z2) - K(z2, z1)| and |K(z, z) - 1|, the latter
+    also on the Gram diagonal; each kernel value is `kernel.kernel`'s.
     """
     scale = 1.5 if params.family is Family.BESSEL else 0.6
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(-0.45 * scale, 0.45 * scale, (samples, 4)).tolist()
-    m1 = state_matrix(params, [complex(a, b) for a, b, _, _ in draws])
-    m2 = state_matrix(params, [complex(c, d) for _, _, c, d in draws])
+    mesh = np.linspace(-0.45 * scale, 0.45 * scale, grid).tolist()
+    z1 = [complex(re, im) for re in mesh for im in mesh]
+    z2 = [complex(im * 0.5, -re * 0.5) for re in mesh for im in mesh]
+    m1, m2 = state_matrix(params, z1), state_matrix(params, z2)
+    residuals = kernel._idempotence_residuals(params, m1, m2, rule)
     k12 = _pair_overlap(m1.coeffs, m1.n_max, m2.coeffs, m2.n_max).tolist()
     k21 = _pair_overlap(m2.coeffs, m2.n_max, m1.coeffs, m1.n_max).tolist()
-    k11 = _pair_overlap(m1.coeffs, m1.n_max, m1.coeffs, m1.n_max).tolist()
     herm_worst = max([0.0] + [abs(a.conjugate() - b) for a, b in zip(k12, k21)])
-    diag_worst = max([0.0] + [abs(k - 1.0) for k in k11])
-    mesh = np.linspace(-0.45 * scale, 0.45 * scale, grid).tolist()
-    z1 = np.array([complex(re, im) for re in mesh for im in mesh])
-    z2 = np.array([complex(im * 0.5, -re * 0.5) for re in mesh for im in mesh])
-    residuals = kernel.check_idempotence(params, z1, z2, rule)
-    labels = [complex(*rng.uniform(-0.4 * scale, 0.4 * scale, 2)) for _ in range(6)]
-    gram_min = float(np.linalg.eigvalsh(kernel.gram_matrix(params, labels)).min())
+    draws = np.random.default_rng(seed).uniform(-0.4 * scale, 0.4 * scale, (6, 2))
+    gram = kernel.gram_matrix(params, [complex(re, im) for re, im in draws.tolist()])
+    selves = [_pair_overlap(m.coeffs, m.n_max, m.coeffs, m.n_max) for m in (m1, m2)]
+    diag_worst = max(abs(k - 1.0) for k in np.concatenate([gram.diagonal(), *selves]).tolist())
+    gram_min = float(np.linalg.eigvalsh(gram).min())
     return herm_worst, diag_worst, z1, z2, residuals, gram_min
 
 
@@ -248,15 +241,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not cert.passed:
         failed.append(f"identity_moments ({cert.diagnosis})")
 
-    herm_worst, diag_worst, _, _, residuals, gram_min = _kernel_checks(
-        params, rule, cfg.seed, 50, 3)
+    herm_worst, diag_worst, _, _, residuals, gram_min = _kernel_checks(params, rule, cfg.seed, 3)
     idem_worst = float(np.max(residuals))
-    kernel_pass = (
-        herm_worst <= 1e-12
-        and diag_worst <= 1e-10
-        and idem_worst <= 1e-6
-        and gram_min >= -1e-9
-    )
+    kernel_pass = (herm_worst <= 1e-12 and diag_worst <= 1e-10 and idem_worst <= 1e-6
+                   and gram_min >= -1e-9)
     checks["kernel"] = {
         "passed": kernel_pass,
         "hermiticity_worst": herm_worst,
@@ -320,11 +308,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_kernel(cfg: RunConfig) -> int:
     params = cfg.params()
     rule = measure.radial_rule(params, cfg.resolved_nodes())
-    herm_worst, _, z1s, z2s, residuals, gram_min = _kernel_checks(
-        params, rule, cfg.seed, 200, 5)
+    herm_worst, _, z1s, z2s, residuals, gram_min = _kernel_checks(params, rule, cfg.seed, 5)
     samples = [
         {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag], "idempotence_residual": r}
-        for z1, z2, r in zip(z1s.tolist(), z2s.tolist(), residuals.tolist())
+        for z1, z2, r in zip(z1s, z2s, residuals.tolist())
     ]
     payload = {
         "hermiticity_worst": herm_worst,

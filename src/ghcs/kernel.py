@@ -22,6 +22,7 @@ from .states import (
     Family,
     FamilyParams,
     FockVector,
+    StateMatrix,
     overlap,
     state_matrix,
     _pair_overlap,
@@ -57,13 +58,19 @@ def check_idempotence(params: FamilyParams, z1, z2,
     z1s, z2s = np.broadcast_arrays(np.asarray(z1, dtype=complex),
                                    np.asarray(z2, dtype=complex))
     m1, m2 = (state_matrix(params, zs.ravel().tolist()) for zs in (z1s, z2s))
+    out = _idempotence_residuals(params, m1, m2, rule).reshape(z1s.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _idempotence_residuals(params: FamilyParams, m1: StateMatrix, m2: StateMatrix,
+                           rule: QuadratureRule | None = None) -> np.ndarray:
+    """`check_idempotence` of row i of m1 with row i of m2, as a 1-d array."""
     if rule is None:
         rule = radial_rule(params)
     top = max(m1.coeffs.shape[1], m2.coeffs.shape[1]) - 1
     defect = np.expm1(_log_moment_ratio(params, rule, top))
     sums = _pair_overlap(m1.coeffs, m1.n_max, m2.coeffs, m2.n_max, defect).tolist()
-    out = np.array([abs(s) for s in sums]).reshape(z1s.shape)
-    return float(out) if out.ndim == 0 else out
+    return np.array([abs(s) for s in sums])
 
 
 def analytic_repr(params: FamilyParams, fock: FockVector, z: complex) -> complex:

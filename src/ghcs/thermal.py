@@ -194,10 +194,15 @@ def cs_thermal_expectation(params: FamilyParams, x: float, eps: float,
     """<e^{eps N}> in the state with |z|^2 = x: equals N(x e^eps) / N(x).
 
     The argument x e^eps must stay inside the family domain; for the
-    jacobi family that bounds eps above by -ln x.
+    jacobi family that bounds eps above by -ln x.  An N past the float
+    range raises OverflowError naming x, and eps if only N(x e^eps) is.
     """
-    scaled = x * math.exp(eps)
-    return normalization(params, scaled, ctl) / normalization(params, x, ctl)
+    norm = normalization(params, x, ctl)
+    try:
+        return normalization(params, x * math.exp(eps), ctl) / norm
+    except OverflowError:
+        raise OverflowError(f"the {params.family.value} normalization passes the float "
+                            f"range at x e^eps, x = {x!r}, eps = {eps!r}") from None
 
 
 # The number-moment series is summed in numpy chunks: the first holds this
@@ -225,16 +230,17 @@ def number_moment(params: FamilyParams, x, s: int,
     into [1/2, 1); the scaling is exact and cancels in the ratio, so the
     large-x bessel series, whose terms pass the float range, keep the
     loop's values.  A chunk whose sums leave the float range before that
-    rescale is summed again at half its length.  As the carried values are
-    only ever scaled by exact powers of two, and n^s is taken in factors
-    that do not depend on the chunk, where a chunk starts or ends changes
-    no bit.  An array of x is summed in one pass over the chunks
-    (`_moment_ratios`): the x still summing are the rows of each chunk's
-    matrices, on one chunk schedule, each with its own carried term, sums,
-    scaling and flag, leaving once it stops, so every element is the
-    scalar call's value bit for bit.  A scalar x keeps the one-row routine
-    (`_moment_ratio`): on one row the matrix bookkeeping cost the in-state
-    moment workload about a tenth of its throughput.
+    rescale is summed again at half its length, which the next chunk keeps
+    (no doubling back into the overflow).  As the carried values are only
+    ever scaled by exact powers of two, and n^s is taken in factors that do
+    not depend on the chunk, where a chunk starts or ends changes no bit.
+    An array of x is summed in one pass over the chunks (`_moment_ratios`):
+    the x still summing are the rows of each chunk's matrices, on one chunk
+    schedule, each with its own carried term, sums, scaling and flag,
+    leaving once it stops, so every element is the scalar call's value bit
+    for bit.  A scalar x keeps the one-row routine (`_moment_ratio`): on
+    one row the matrix bookkeeping cost the in-state moment workload about
+    a tenth of its throughput.
 
     Stopping rule and budget: the summation ends after two consecutive
     contributions n^s t_n <= ctl.rel_tol * max(numerator sum,
@@ -334,7 +340,7 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     den += term * xp  # t_p
     # the index-p contribution
     num = (_falling_power(float(p), p - 1.0, s) if falling else 0.0**s) * term
-    small = False
+    small = retried = False
     start, size = p, _MOMENT_CHUNK
     # overflow is caught below by the finiteness check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -360,7 +366,7 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
             if not (math.isfinite(dens[-1]) and math.isfinite(nums[-1])):
                 if stop - start == 1:
                     raise _overflow(s, falling, x)
-                size = (stop - start) // 2  # sum it again; the next rescale comes sooner
+                size, retried = (stop - start) // 2, True  # sum it again, rescale sooner
                 continue
             # small[i + 1]: contribution i is small; small[0] is carried over
             small = np.concatenate(
@@ -372,7 +378,7 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                 return float(nums[k] / dens[k])
             small = bool(small[-1])
             term, den, num = float(terms[-1]), float(dens[-1]), float(nums[-1])
-            start, size = stop, 2 * (stop - start)
+            start, size, retried = stop, (stop - start) * (1 if retried else 2), False
     raise ConvergenceError("number_moment series did not converge")
 
 
@@ -406,7 +412,7 @@ def _moment_ratios(params: FamilyParams, xs: np.ndarray, s: int, falling: bool,
         den = den + term * xps  # t_p
         # the index-p contribution
         num = (_falling_power(float(p), p - 1.0, s) if falling else 0.0**s) * term
-        start, size = p, _MOMENT_CHUNK
+        start, size, retried = p, _MOMENT_CHUNK, False
         while live.size and start < ctl.max_terms:
             e = np.frexp(den)[1]
             e[e <= 1] = 0
@@ -429,7 +435,7 @@ def _moment_ratios(params: FamilyParams, xs: np.ndarray, s: int, falling: bool,
             bad = ~(np.isfinite(dens[:, -1]) & np.isfinite(nums[:, -1]))
             if bad.any():
                 if stop - start > 1:
-                    size = (stop - start) // 2  # sum it again; the next rescale comes sooner
+                    size, retried = (stop - start) // 2, True  # sum it again, rescale sooner
                     continue
                 over[live[bad]] = True
             # tiny[:, j + 1]: contribution j is small; tiny[:, 0] is carried over
@@ -441,7 +447,7 @@ def _moment_ratios(params: FamilyParams, xs: np.ndarray, s: int, falling: bool,
             left = ~(done | bad)
             live = live[left]
             term, den, num, small = terms[left, -1], dens[left, -1], nums[left, -1], tiny[left, -1]
-            start, size = stop, 2 * (stop - start)
+            start, size, retried = stop, (stop - start) * (1 if retried else 2), False
     if over.any() or live.size:  # rows still live ran out of budget
         i = min(np.flatnonzero(over)[:1].tolist() + live[:1].tolist())
         raise (_overflow(s, falling, xs[i]) if over[i]

@@ -242,12 +242,13 @@ class TestFloatRange:
         assert capsys.readouterr().err.startswith("float range exceeded: ")
 
     @pytest.mark.parametrize("cmd, lines, x", [
-        ("verify", "x=2e5\n", "200020.00100003334"),
+        ("verify", "x=2e5\n", "200000.0"),
         ("weight", "x_min=1e5\nx_max=1e6\nx_count=3\n", "550000.0"),
     ])
     def test_normalization_past_the_float_range(self, tmp_path, capsys, cmd, lines, x):
         # bessel N(x) passes the float range near x = 1.3e5: exit 3 naming
-        # the family and the first such x, not a NaN in the artifact
+        # the family and the first configured x that does, not a NaN in the
+        # artifact nor verify's finite-difference argument x e^h
         cfg_file = tmp_path / "n.cfg"
         cfg_file.write_text(lines)
         with warnings.catch_warnings():
@@ -438,6 +439,23 @@ class TestVerify:
             f"config rejected: beta_count must be at least 2 for verify, got {count}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    def test_kernel_block_on_the_mesh(self, tmp_path, family):
+        # hermiticity and the diagonal are read from the idempotence mesh's
+        # rows and the Gram diagonal: the same products either way round,
+        # and each state divided by its own norm
+        out = tmp_path / "v.json"
+        for m in range(4):
+            for nu in (0.1, 0.61, 2.3):
+                assert run(["verify", "--family", family, "--m", str(m), "--nu", str(nu),
+                            "--out", str(out)]) == 0
+                block = json.loads(out.read_text())["results"]["checks"]["kernel"]
+                assert set(block) == {"passed", "hermiticity_worst", "diagonal_worst",
+                                      "idempotence_worst", "gram_min_eigenvalue"}
+                assert block["passed"] is True
+                assert block["hermiticity_worst"] == 0.0
+                assert block["diagonal_worst"] <= 1e-15
+
     def test_discrepancies_are_not_failures(self, tmp_path):
         # the closed-form deviation for the jacobi family is informational
         out = tmp_path / "v.json"
@@ -518,14 +536,16 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("cmd, pairs", [("verify", 9), ("kernel", 25)])
     def test_one_idempotence_call_per_run(self, tmp_path, monkeypatch, cmd, pairs):
+        # the residuals of the whole mesh come from one call of the formula
+        # that `kernel.check_idempotence` also reads
         calls = []
-        inner = ghcs.kernel.check_idempotence
+        inner = ghcs.kernel._idempotence_residuals
 
-        def counted(params, z1, z2, rule=None):
-            calls.append(np.size(z1))
-            return inner(params, z1, z2, rule)
+        def counted(params, m1, m2, rule=None):
+            calls.append(len(m1.n_max))
+            return inner(params, m1, m2, rule)
 
-        monkeypatch.setattr(ghcs.kernel, "check_idempotence", counted)
+        monkeypatch.setattr(ghcs.kernel, "_idempotence_residuals", counted)
         assert run([cmd, "--out", str(tmp_path / "out.json")]) == 0
         assert calls == [pairs]
 
@@ -547,18 +567,16 @@ class TestWorkCounts:
 
         monkeypatch.setattr(ghcs.states, "_build_rows", counted)
         ghcs.measure._cached_rule.cache_clear()
-        for cmd, batches in (("verify", [50, 50, 9, 9]), ("kernel", [200, 200, 25, 25]),
-                             ("quantize", [])):
+        for cmd, batches in (("verify", [9, 9]), ("kernel", [25, 25]), ("quantize", [])):
             built.clear()
             ghcs.states._cached_state.cache_clear()
             argv = [cmd, "--family", family, "--m", "2", "--nu", "0.61", *nodes]
             assert run([*argv, "--out", str(tmp_path / f"{cmd}.json")]) == 0
-            # the sampler builds its two label lists in two calls and the
-            # idempotence check its pairs' two sides in two more, every
-            # other label is one state-cache miss, no build holds a label
-            # twice, and no cache miss rebuilds a label already built (at a
-            # second truncation or in a batch); the idempotence grid's two
-            # sides share a few labels, each built once per side
+            # the kernel checks build their mesh pairs' two sides in two
+            # calls, every other label is one state-cache miss, no build
+            # holds a label twice, and no cache miss rebuilds a label
+            # already built (at a second truncation or in a batch); the
+            # mesh's two sides share a few labels, each built once per side
             assert [len(b) for b in built if len(b) > 1] == batches
             singles = [b[0] for b in built if len(b) == 1]
             assert len(singles) == ghcs.states._cached_state.cache_info().misses
@@ -568,6 +586,24 @@ class TestWorkCounts:
         # verify, kernel and quantize share one rule
         assert ghcs.measure._cached_rule.cache_info().misses == 1
         assert ghcs.measure._cached_rule.cache_info().hits == 2
+
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    def test_kernel_checks_build_only_the_mesh_and_gram_labels(self, tmp_path, monkeypatch,
+                                                               family):
+        # the two mesh sides (3 x 3 or 5 x 5 pairs) and the 6 Gram labels
+        built = []
+        build = ghcs.states._build_rows
+
+        def counted(params, zs, n_max):
+            built.append(len(zs))
+            return build(params, zs, n_max)
+
+        monkeypatch.setattr(ghcs.states, "_build_rows", counted)
+        for cmd, labels in (("verify", 24), ("kernel", 56)):
+            built.clear()
+            ghcs.states._cached_state.cache_clear()
+            assert run([cmd, "--family", family, "--out", str(tmp_path / "out.json")]) == 0
+            assert sum(built) == labels
 
 
 class TestVariantFlag:

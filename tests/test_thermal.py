@@ -216,6 +216,17 @@ class TestInStateExpectations:
         fd2 = (f(h) - 2.0 * f(0.0) + f(-h)) / (h * h)
         assert rel_err(fd2, number_moment(bessel_params, x, 2)) < 1e-5
 
+    def test_float_range_error_names_x_and_eps(self, bessel_params):
+        # N(x) is finite just below the edge (x = 131439.07...) and N(x e^eps)
+        # is not; past the edge N(x) itself fails, naming x
+        x = 131439.0
+        with pytest.raises(OverflowError) as exc:
+            cs_thermal_expectation(bessel_params, x, 1e-4)
+        assert str(exc.value) == ("the bessel normalization passes the float range "
+                                  "at x e^eps, x = 131439.0, eps = 0.0001")
+        with pytest.raises(OverflowError, match=r"at x = 200000.0$"):
+            cs_thermal_expectation(bessel_params, 2e5, -1e-4)
+
     def test_jacobi_domain_exit(self, jacobi_params):
         with pytest.raises(ValueError):
             cs_thermal_expectation(jacobi_params, 0.9, 0.2)  # 0.9 e^0.2 > 1
@@ -697,6 +708,24 @@ class TestMomentArrays:
         monkeypatch.setattr(thermal, "_MOMENT_CHUNK", chunk)
         for c in cases:
             assert both_shapes(*c) == ref[c]
+
+    def test_a_retried_chunk_length_is_held_for_the_next_chunk(self, monkeypatch,
+                                                               bessel_params):
+        # each chunk attempt weighs its terms once; a chunk that overflowed
+        # is summed again at half its length, and the next one keeps that
+        # length rather than doubling back into the overflow (75 attempts)
+        attempts = []
+        weighted = thermal._weighted
+
+        def counted(terms, *args):
+            attempts.append(terms.shape[-1])
+            return weighted(terms, *args)
+
+        monkeypatch.setattr(thermal, "_weighted", counted)
+        for x in (1e8, np.array([1e8])):
+            attempts.clear()
+            number_moment(bessel_params, x, 1)
+            assert len(attempts) == 61
 
     def test_high_orders_keep_array_and_scalar_equal(self, bessel_params):
         # n^s is taken in factors below 2^1000 here; each large row's
