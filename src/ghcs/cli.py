@@ -72,8 +72,9 @@ class RunConfig:
             raise ValueError("g2-convention must be as_written or conventional")
         if not (self.beta_min > 0.0 and self.beta_max > 0.0):
             raise ValueError("beta_min and beta_max must be positive")
-        if self.x_count < 0:
-            raise ValueError(f"x_count must be non-negative, got {self.x_count}")
+        for name in ("x_count", "beta_count", "t_count", "r_count", "theta_count"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.x_min > self.x_max:
             raise ValueError(f"x_min = {self.x_min!r} is above x_max = {self.x_max!r}")
 
@@ -126,18 +127,22 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 # Deterministic writers
 # ---------------------------------------------------------------------------
 
+# the one float cell format: 17 significant digits, scientific notation
+_FLOAT = "%.16e"
+
+
 def _row_template(row) -> str:
     """The %-template of every row of one CSV, picked from the cell types
-    of its first row: floats in 17-significant-digit scientific notation
-    ("%.16e"), integers in decimal ("%d"), anything else through str
-    ("%s").  Each conversion writes what the str.format spec "{:.16e}",
-    "{:d}" or "{}" writes, nan, +-inf, numpy scalars and an int in a float
-    column included, at about two thirds of the cost.  An integer column
-    must hold integers: "%d" would truncate a float where "{:d}" raised."""
+    of its first row: floats through `_FLOAT`, integers in decimal ("%d"),
+    anything else through str ("%s").  Each conversion writes what the
+    str.format spec "{:.16e}", "{:d}" or "{}" writes, nan, +-inf, numpy
+    scalars and an int in a float column included, at about two thirds of
+    the cost.  An integer column must hold integers: "%d" would truncate a
+    float where "{:d}" raised."""
     specs = []
     for value in row:
         if isinstance(value, (float, np.floating)):
-            specs.append("%.16e")
+            specs.append(_FLOAT)
         elif isinstance(value, (int, np.integer)):
             specs.append("%d")
         else:
@@ -145,55 +150,66 @@ def _row_template(row) -> str:
     return ",".join(specs)
 
 
-def _config_preamble(cfg: RunConfig) -> list[str]:
-    echo = cfg.as_echo()
-    return [f"# {key}={echo[key]}" for key in sorted(echo)]
+def _float_cells(values) -> list[str]:
+    return [_FLOAT % value for value in values]
 
 
-def _write_csv(path: str, cfg: RunConfig, header: str, rows) -> None:
-    lines = _config_preamble(cfg) + [header]
-    if rows:
-        template = _row_template(rows[0])
-        lines.extend(template % tuple(row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _emit(path: str, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv_lines(path: str, cfg: RunConfig, header: str, lines: list[str]) -> None:
+    """The configuration echo as "# key=value" lines, the header, then the
+    formatted data lines."""
+    echo = cfg.as_echo()
+    preamble = [f"# {key}={echo[key]}" for key in sorted(echo)]
+    _emit(path, "\n".join([*preamble, header, *lines]) + "\n")
+
+
+def _write_csv(path: str, cfg: RunConfig, header: str, rows) -> None:
+    template = _row_template(rows[0]) if rows else ""
+    _write_csv_lines(path, cfg, header, [template % tuple(row) for row in rows])
 
 
 def _write_json(path: str, cfg: RunConfig, payload: dict) -> None:
     doc = {"config": cfg.as_echo(), "results": payload}
-    text = json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_weight(cfg: RunConfig) -> int:
-    """Weight-function curves for the three caption regimes.
+def _weight_curves(family: Family) -> list[measure.WeightCurve]:
+    """The published-parameter (literal-n) curves, where the regime that
+    varies n actually varies, then the canonical (n-free) curve for each
+    distinct (m, nu)."""
+    curves = measure.default_figure_curves(family)
+    canonical = {c.params: measure.WeightCurve(c.params, "canonical") for c in curves}
+    return curves + list(canonical.values())
 
-    Emits the published-parameter (literal-n) curves, where the regime
-    that varies n actually varies, together with the canonical (n-free)
-    curve for each distinct (m, nu).
-    """
-    family = cfg.params().family
-    curves = list(measure.default_figure_curves(family))
-    seen = set()
-    for c in list(curves):
-        key = (c.params.m, c.params.nu)
-        if key not in seen:
-            seen.add(key)
-            curves.append(measure.WeightCurve(c.params, "canonical"))
-    rows = measure.figure1_scan(curves, np.linspace(cfg.x_min, cfg.x_max, cfg.x_count))
-    _write_csv(cfg.out, cfg, "x,W,m,nu,variant", rows)
+
+def cmd_weight(cfg: RunConfig) -> int:
+    """Weight-function curves for the three caption regimes, the rows of
+    `measure.figure1_scan` as `_write_csv` writes them.  Each x cell is
+    formatted once per grid point, each distinct W column once (bessel
+    literal curves share their canonical curve's), and the m, nu, variant
+    tail once per curve."""
+    grid = np.linspace(cfg.x_min, cfg.x_max, cfg.x_count)
+    x_list, columns = measure._figure1_columns(_weight_curves(cfg.params().family), grid)
+    x_cells = [cell + "," for cell in _float_cells(x_list)]
+    w_cells: dict[int, list[str]] = {}  # by id of the shared W list
+    lines: list[str] = []
+    for curve, w_list in columns:
+        if id(w_list) not in w_cells:
+            w_cells[id(w_list)] = _float_cells(w_list)
+        tail = f",{curve.params.m:d},{_FLOAT % curve.params.nu},{curve.variant_tag}"
+        lines.extend(x + w + tail for x, w in zip(x_cells, w_cells[id(w_list)]))
+    _write_csv_lines(cfg.out, cfg, "x,W,m,nu,variant", lines)
     return 0
 
 
@@ -365,9 +381,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
         raise ValueError("evolve uses the bessel-family closed form")
     if cfg.r_count < 1:
         raise ValueError("r_count must be positive")
+    if cfg.r_max <= 0.0:
+        raise ValueError("r_max must be positive")
     z0 = complex(cfg.z0_re, cfg.z0_im)
     t_max = cfg.t_max or 2.0 * math.pi / dynamics.rotation_frequency(params)
-    t_values = np.linspace(0.0, t_max, max(cfg.t_count, 1))
+    t_values = np.linspace(0.0, t_max, cfg.t_count)
     r_values = np.linspace(cfg.r_max / cfg.r_count, cfg.r_max, cfg.r_count)
     theta_values = np.linspace(0.0, 2.0 * math.pi, cfg.theta_count, endpoint=False)
     rows = dynamics.polar_density_rows(params, z0, t_values, r_values, theta_values)

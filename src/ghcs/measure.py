@@ -477,10 +477,23 @@ def _weights(params: FamilyParams, literal_n: int | None, xs: np.ndarray,
 
 
 def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
-    """Rows (x, W, m, nu, variant_tag) in deterministic curve-major order.
+    """Rows (x, W, m, nu, variant_tag) in deterministic curve-major order,
+    the flattened `_figure1_columns`."""
+    x_list, columns = _figure1_columns(curves, x_grid)
+    rows = []
+    for curve, w_list in columns:
+        m, nu, tag = curve.params.m, curve.params.nu, curve.variant_tag
+        rows.extend((x, w, m, nu, tag) for x, w in zip(x_list, w_list))
+    return rows
 
-    W(x) = N(x) omega(x) is evaluated on the whole grid, and each distinct
-    value once: one array `density` call per distinct params, and one
+
+def _figure1_columns(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
+    """(x_list, [(curve, w_list)]): the grid as floats, and each curve's
+    W(x) = N(x) omega(x) on it, in the order of `curves`.  Curves with the
+    same (params, N) share one w_list object.
+
+    W is evaluated on the whole grid, and each distinct value once: one
+    array `density` call per distinct params, and one
     array `normalization` (or, for literal jacobi curves, `specfun.hyp_2f1`)
     call per distinct (params, N), on the points where omega is finite and
     x lies in the support.  N is the literal n's 2F1 for a literal jacobi
@@ -494,10 +507,9 @@ def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
     xs = np.asarray(x_grid, dtype=float).ravel()
     if curves and np.any(xs < 0.0):
         raise ValueError("weight argument must be non-negative")
-    x_list = xs.tolist()
     omegas: dict[FamilyParams, np.ndarray] = {}
     values: dict[tuple, list[float]] = {}
-    rows = []
+    columns = []
     for curve in curves:
         p = curve.params
         literal = curve.variant == "literal" and p.family is Family.JACOBI
@@ -506,9 +518,8 @@ def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
             if p not in omegas:
                 omegas[p] = density(p, xs)
             values[key] = _weights(*key, xs, omegas[p]).tolist()
-        m, nu, tag = p.m, p.nu, curve.variant_tag
-        rows.extend((x, w, m, nu, tag) for x, w in zip(x_list, values[key]))
-    return rows
+        columns.append((curve, values[key]))
+    return xs.tolist(), columns
 
 
 def default_figure_curves(family: Family = Family.JACOBI) -> list[WeightCurve]:

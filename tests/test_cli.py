@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 import ghcs
+import ghcs.cli
 import ghcs.kernel
 import ghcs.measure
 import ghcs.states
 import ghcs.thermal
 from ghcs.cli import RunConfig, main, resolve_config, _build_parser, _write_csv
+from ghcs.states import Family, FamilyParams
 
 SRC = os.path.dirname(os.path.dirname(ghcs.__file__))
 
@@ -195,6 +197,63 @@ class TestWeight:
         assert header == "x,W,m,nu,variant"
         assert rows == []
 
+    @staticmethod
+    def _scan_oracle(tmp_path, family, grid_text):
+        """Write `weight` on the grid; return its bytes and those `_write_csv`
+        writes from the `figure1_scan` rows (`_row_template` per row)."""
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text(grid_text)
+        argv = ["weight", "--family", family, "--config", str(cfg_file)]
+        out, expected = tmp_path / "w.csv", tmp_path / "expected.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        cfg = resolve_config(_build_parser().parse_args(argv))
+        rows = ghcs.measure.figure1_scan(ghcs.cli._weight_curves(Family(family)),
+                                         np.linspace(cfg.x_min, cfg.x_max, cfg.x_count))
+        _write_csv(str(expected), cfg, "x,W,m,nu,variant", rows)
+        return out.read_bytes(), expected.read_bytes(), rows
+
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    @pytest.mark.parametrize("grid_text, count", [
+        ("", 49),  # the defaults
+        ("x_min=0\nx_max=1.25\nx_count=26\n", 26),  # x = 0, and jacobi x = 1 and beyond
+        ("x_min=0.013\nx_max=0.987\nx_count=66\n", 66),
+        ("x_min=0.5\nx_max=0.5\nx_count=1\n", 1),
+        ("x_count=0\n", 0),
+    ])
+    def test_bytes_are_the_row_template_of_the_scan(self, tmp_path, family, grid_text, count):
+        got, expected, rows = self._scan_oracle(tmp_path, family, grid_text)
+        assert got == expected
+        assert len(rows) == 19 * count
+        if "x_max=1.25" in grid_text and family == "jacobi":
+            assert all(row[1] == 0.0 for row in rows if row[0] >= 1.0)
+            assert b"\n1.0000000000000000e+00,0.0000000000000000e+00," in got
+
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    def test_inf_cells_at_the_origin_for_b_at_most_one(self, tmp_path, monkeypatch, family):
+        # the figure's curves all have b = 2m + 2nu > 1; add b = 0.6 and b = 1
+        fam = Family(family)
+        extra = [ghcs.measure.WeightCurve(FamilyParams(0, nu, fam), variant, 2)
+                 for nu in (0.3, 0.5) for variant in ("literal", "canonical")]
+        default = ghcs.cli._weight_curves
+        monkeypatch.setattr(ghcs.cli, "_weight_curves", lambda f: default(f) + extra)
+        got, expected, rows = self._scan_oracle(tmp_path, family, "x_min=0\nx_max=0.5\nx_count=3\n")
+        assert got == expected
+        assert [row[1] for row in rows if row[0] == 0.0][-4:] == [math.inf] * 4
+        assert b"\n0.0000000000000000e+00,inf,0," in got
+
+    @pytest.mark.parametrize("family, distinct", [("bessel", 7), ("jacobi", 17)])
+    def test_each_distinct_column_formatted_once(self, tmp_path, monkeypatch, family, distinct):
+        # 19 curves share 7 (bessel) or 17 (jacobi) W lists: one call for
+        # the x cells, then one per distinct W list
+        calls = []
+        cells = ghcs.cli._float_cells
+        monkeypatch.setattr(ghcs.cli, "_float_cells",
+                            lambda values: calls.append(values) or cells(values))
+        assert run(["weight", "--family", family, "--out", str(tmp_path / "w.csv")]) == 0
+        assert len(calls) == 1 + distinct
+        assert len({id(values) for values in calls}) == 1 + distinct
+        assert calls[0] == np.linspace(0.02, 0.98, 49).tolist()
+        assert all(len(values) == 49 for values in calls)
 
     def test_series_budget_exit_code(self, tmp_path):
         # the canonical jacobi N(x) needs more than the 20000-term budget at
@@ -500,6 +559,40 @@ class TestOtherCommands:
         _, header, rows = read_data_rows(out)
         assert header == "r,theta,t,rho_formula,rho_raw"
         assert rows == []
+
+    def test_evolve_no_time_slices_gives_header_only(self, tmp_path):
+        # t_count = 0 was raised to one slice while the echo read t_count=0
+        cfg_file = tmp_path / "t0.cfg"
+        cfg_file.write_text("t_count=0\n")
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--config", str(cfg_file), "--out", str(out)]) == 0
+        preamble, header, rows = read_data_rows(out)
+        assert "# t_count=0" in preamble
+        assert header == "r,theta,t,rho_formula,rho_raw"
+        assert rows == []
+
+    @pytest.mark.parametrize("cmd, field", [
+        ("weight", "x_count"), ("thermal", "beta_count"), ("verify", "beta_count"),
+        ("evolve", "t_count"), ("evolve", "r_count"), ("evolve", "theta_count"),
+    ])
+    def test_negative_count_rejected_by_name(self, tmp_path, capsys, cmd, field):
+        cfg_file = tmp_path / "neg.cfg"
+        cfg_file.write_text(f"{field}=-1\n")
+        out = tmp_path / "out"
+        assert run([cmd, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config rejected: {field} must be non-negative, got -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r_max", ["0", "-1"])
+    def test_evolve_nonpositive_radius_rejected(self, tmp_path, capsys, r_max):
+        # r_max = -1 wrote radii -0.25 ... -1, and r_max = 0 all zero
+        cfg_file = tmp_path / "r.cfg"
+        cfg_file.write_text(f"r_max={r_max}\n")
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config rejected: r_max must be positive\n"
+        assert not out.exists()
 
     def test_thermal_header(self, tmp_path):
         out = tmp_path / "t.csv"
