@@ -72,7 +72,7 @@ class RunConfig:
             raise ValueError("g2-convention must be as_written or conventional")
         if not (self.beta_min > 0.0 and self.beta_max > 0.0):
             raise ValueError("beta_min and beta_max must be positive")
-        for name in ("x_count", "beta_count", "t_count", "r_count", "theta_count"):
+        for name in ("x_count", "beta_count", "t_count", "r_count", "theta_count", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.x_min > self.x_max:
@@ -80,9 +80,6 @@ class RunConfig:
 
     def params(self) -> FamilyParams:
         return FamilyParams(self.m, self.nu, Family(self.family))
-
-    def resolved_nodes(self) -> int | None:
-        return self.nodes or None
 
     def as_echo(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -251,7 +248,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     n_check = cfg.n_check or (20 if params.family is Family.BESSEL else 12)
     tol = cfg.tol or measure.IDENTITY_TOL
-    rule = measure.radial_rule(params, cfg.resolved_nodes())
+    rule = measure.radial_rule(params, cfg.nodes)
     cert = measure.verify_identity(params, n_check, tol, rule)
     checks["identity_moments"] = cert.as_dict()
     if not cert.passed:
@@ -323,7 +320,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_kernel(cfg: RunConfig) -> int:
     params = cfg.params()
-    rule = measure.radial_rule(params, cfg.resolved_nodes())
+    rule = measure.radial_rule(params, cfg.nodes)
     herm_worst, _, z1s, z2s, residuals, gram_min = _kernel_checks(params, rule, cfg.seed, 5)
     samples = [
         {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag], "idempotence_residual": r}
@@ -340,15 +337,9 @@ def cmd_kernel(cfg: RunConfig) -> int:
 
 def cmd_quantize(cfg: RunConfig) -> int:
     params = cfg.params()
-    rule = measure.radial_rule(params, cfg.resolved_nodes())
-    matrices = [
-        quantize.quantize_symbol(params, sym, cfg.n_max, rule).to_json_dict()
-        for sym in (quantize.Symbol.z(), quantize.Symbol.zbar(), quantize.Symbol.absz2())
-    ]
-    payload = {
-        "matrices": matrices,
-        "discrepancy": quantize.discrepancy_report(params, cfg.n_max, rule),
-    }
+    rule = measure.radial_rule(params, cfg.nodes)
+    ops, report = quantize._ladder_report(params, cfg.n_max, rule)
+    payload = {"matrices": [op.to_json_dict() for op in ops], "discrepancy": report}
     _write_json(cfg.out, cfg, payload)
     return 0
 

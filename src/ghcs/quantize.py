@@ -18,7 +18,7 @@ diag((-1)^n) and cancels from every modulus).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -86,35 +86,32 @@ class Symbol:
 
 @dataclass
 class OperatorMatrix:
-    """Banded truncated operator with provenance metadata.
+    """Truncated one-band operator with provenance metadata.
 
-    bands maps a diagonal offset o to the entries M[n, n+o] for
-    n = max(0, -o) .. n_max - max(0, o), in increasing n.
+    values holds the entries M[n, n+offset] for n = max(0, -offset) ..
+    n_max - max(0, offset), in increasing n; every other entry is zero.
     """
 
     n_max: int
-    bands: dict[int, np.ndarray]
+    offset: int
+    values: np.ndarray
     provenance: Provenance
     symbol_tag: str
     params: FamilyParams
     boundary_flagged: bool = False
     truncation_note: str = ""
-    _dense_cache: np.ndarray | None = field(default=None, repr=False)
 
     def to_dense(self) -> np.ndarray:
-        if self._dense_cache is None:
-            d = np.zeros((self.n_max + 1, self.n_max + 1))
-            for o, vals in self.bands.items():
-                rows = np.arange(len(vals)) + max(0, -o)
-                d[rows, rows + o] = vals
-            self._dense_cache = d
-        return self._dense_cache
+        d = np.zeros((self.n_max + 1, self.n_max + 1))
+        rows = np.arange(len(self.values)) + max(0, -self.offset)
+        d[rows, rows + self.offset] = self.values
+        return d
 
     def adjoint(self) -> "OperatorMatrix":
-        bands = {-o: vals.copy() for o, vals in self.bands.items()}
         return OperatorMatrix(
             n_max=self.n_max,
-            bands=bands,
+            offset=-self.offset,
+            values=self.values.copy(),
             provenance=self.provenance,
             symbol_tag=f"adjoint({self.symbol_tag})",
             params=self.params,
@@ -122,12 +119,12 @@ class OperatorMatrix:
         )
 
     def band(self, offset: int) -> np.ndarray:
-        length = self.n_max + 1 - abs(offset)
-        return self.bands.get(offset, np.zeros(max(length, 0)))
+        if offset == self.offset:
+            return self.values
+        return np.zeros(max(self.n_max + 1 - abs(offset), 0))
 
     def max_abs(self) -> float:
-        return max((float(np.max(np.abs(v))) for v in self.bands.values() if len(v)),
-                   default=0.0)
+        return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,10 +134,7 @@ class OperatorMatrix:
             "nu": self.params.nu,
             "n_max": self.n_max,
             "provenance": self.provenance.value,
-            "bands": [
-                {"offset": int(o), "values": [float(v) for v in vals]}
-                for o, vals in sorted(self.bands.items())
-            ],
+            "bands": [{"offset": int(self.offset), "values": [float(v) for v in self.values]}],
         }
 
 
@@ -170,7 +164,8 @@ def quantize_symbol(params: FamilyParams, symbol: Symbol, n_max: int,
     vals = np.exp(log_mu - log_h[rows] - log_h[rows + p])
     op = OperatorMatrix(
         n_max=n_max,
-        bands={p: vals},
+        offset=p,
+        values=vals,
         provenance=Provenance.QUADRATURE,
         symbol_tag=symbol.tag,
         params=params,
@@ -191,6 +186,9 @@ class LadderKind(str, Enum):
     A_ABSZ2 = "absz2"
 
 
+_LADDER_OFFSET = {LadderKind.A_Z: 1, LadderKind.A_ZBAR: -1, LadderKind.A_ABSZ2: 0}
+
+
 def ladder_closed_form(params: FamilyParams, which: LadderKind | str, n_max: int,
                        source: Provenance = Provenance.H_RATIO) -> OperatorMatrix:
     """Closed-form ladder matrices.
@@ -203,42 +201,28 @@ def ladder_closed_form(params: FamilyParams, which: LadderKind | str, n_max: int
     which = LadderKind(which)
     if source not in (Provenance.H_RATIO, Provenance.LITERATURE):
         raise ValueError("source must be H_RATIO or LITERATURE")
-    a, b = params.a, params.b
-    n = np.arange(n_max, dtype=float)
-    root_up = np.sqrt((n + 1.0) * (b + n))  # sqrt((n+1)(2m+2nu+n)) at row n
-    if source is Provenance.H_RATIO:
-        if params.family is Family.JACOBI:
-            up = root_up / (params.coeff_shift + n)
-        else:
-            up = root_up
-        if which is LadderKind.A_Z:
-            bands = {1: up}
-        elif which is LadderKind.A_ZBAR:
-            bands = {-1: up.copy()}
-        else:
-            # diagonal entry at n is (h_{n+1}/h_n)^2
-            nn = np.arange(n_max + 1, dtype=float)
-            diag = (nn + 1.0) * (b + nn)
-            if params.family is Family.JACOBI:
-                diag = diag / (params.coeff_shift + nn) ** 2
-            bands = {0: diag}
-    else:
-        # Published forms: the ladder factors -(m+nu+n+1) multiplying the
-        # square root belong to the general (jacobi) construction; in the
-        # c=1 (bessel) case the published coefficients carry no Pochhammer
-        # factor and the ladder reduces to the plain square root.
-        factor = -(a + n + 1.0) if params.family is Family.JACOBI else 1.0
-        if which is LadderKind.A_Z:
-            bands = {1: factor * root_up}
-        elif which is LadderKind.A_ZBAR:
-            # published subdiagonal at row n+1: (-m-(n+1)-nu) sqrt((n+1)(b+n))
-            bands = {-1: factor * root_up}
-        else:
-            nn = np.arange(n_max + 1, dtype=float)
-            bands = {0: (nn + 1.0) * (b + nn)}
+    offset = _LADDER_OFFSET[which]
+    # row n of the band: the z band's superdiagonal entry at (n, n+1), the
+    # zbar band's subdiagonal entry at (n+1, n), the |z|^2 diagonal at (n, n)
+    n = np.arange(n_max + 1 - abs(offset), dtype=float)
+    vals = (n + 1.0) * (params.b + n)  # (n+1)(2m+2nu+n)
+    if offset:
+        vals = np.sqrt(vals)
+    if params.family is Family.JACOBI:
+        if source is Provenance.H_RATIO:
+            # h_{n+1}/h_n, and its square on the diagonal
+            shift = params.coeff_shift + n
+            vals = vals / shift if offset else vals / shift ** 2
+        elif offset:
+            # Published forms: the ladder factors -(m+nu+n+1) multiplying
+            # the square root belong to the general (jacobi) construction;
+            # in the c=1 (bessel) case the published coefficients carry no
+            # Pochhammer factor and the ladder reduces to the plain root.
+            vals = -(params.a + n + 1.0) * vals
     return OperatorMatrix(
         n_max=n_max,
-        bands=bands,
+        offset=offset,
+        values=vals,
         provenance=source,
         symbol_tag=which.value,
         params=params,
@@ -246,7 +230,8 @@ def ladder_closed_form(params: FamilyParams, which: LadderKind | str, n_max: int
 
 
 def commutator(op_a: OperatorMatrix, op_b: OperatorMatrix) -> OperatorMatrix:
-    """[A, B] = AB - BA on the common truncation.
+    """[A, B] = AB - BA on the common truncation: one band, at the sum of
+    the two offsets (empty when that passes n_max).
 
     Entries whose products reach past the truncation edge are wrong in
     any finite matrix representation; the rows/columns within one band
@@ -254,21 +239,13 @@ def commutator(op_a: OperatorMatrix, op_b: OperatorMatrix) -> OperatorMatrix:
     """
     if op_a.n_max != op_b.n_max:
         raise ValueError("operator truncations do not match")
-    n_max = op_a.n_max
     da, db = op_a.to_dense(), op_b.to_dense()
-    dense = da @ db - db @ da
-    bands: dict[int, np.ndarray] = {}
-    for oa in op_a.bands:
-        for ob in op_b.bands:
-            o = oa + ob
-            if abs(o) <= n_max and o not in bands:
-                bands[o] = np.diagonal(dense, offset=o).copy()
-    width = max(
-        (abs(o) for o in list(op_a.bands) + list(op_b.bands)), default=0
-    )
+    offset = op_a.offset + op_b.offset
+    width = max(abs(op_a.offset), abs(op_b.offset))
     return OperatorMatrix(
-        n_max=n_max,
-        bands=bands,
+        n_max=op_a.n_max,
+        offset=offset,
+        values=np.diagonal(da @ db - db @ da, offset=offset).copy(),
         provenance=op_a.provenance,
         symbol_tag=f"[{op_a.symbol_tag},{op_b.symbol_tag}]",
         params=op_a.params,
@@ -281,11 +258,10 @@ def commutator(op_a: OperatorMatrix, op_b: OperatorMatrix) -> OperatorMatrix:
 
 
 def _band_diff(x: OperatorMatrix, y: OperatorMatrix) -> tuple[float, float]:
-    """(max abs diff, max rel diff) over the union of bands."""
-    offsets = set(x.bands) | set(y.bands)
+    """(max abs diff, max rel diff) over the bands of both operators."""
     worst_abs = 0.0
     worst_rel = 0.0
-    for o in offsets:
+    for o in {x.offset, y.offset}:
         vx = x.band(o)
         vy = y.band(o)
         n = min(len(vx), len(vy))
@@ -308,6 +284,13 @@ def discrepancy_report(params: FamilyParams, n_max: int = 16,
     """
     if rule is None:
         rule = radial_rule(params)
+    return _ladder_report(params, n_max, rule)[1]
+
+
+def _ladder_report(params: FamilyParams, n_max: int,
+                   rule: QuadratureRule) -> tuple[list[OperatorMatrix], dict]:
+    """The quadrature z, zbar and |z|^2 operators, each built once, and
+    `discrepancy_report`'s report on them."""
     report: dict = {
         "family": params.family.value,
         "m": params.m,
@@ -316,29 +299,22 @@ def discrepancy_report(params: FamilyParams, n_max: int = 16,
         "n_nodes": rule.n_nodes,
         "symbols": {},
     }
-    cases = [
-        (Symbol.z(), LadderKind.A_Z),
-        (Symbol.zbar(), LadderKind.A_ZBAR),
-        (Symbol.absz2(), LadderKind.A_ABSZ2),
-    ]
+    # in LadderKind's order
+    quads = [quantize_symbol(params, symbol, n_max, rule)
+             for symbol in (Symbol.z(), Symbol.zbar(), Symbol.absz2())]
     agree_all = True
-    for symbol, ladder in cases:
-        quad = quantize_symbol(params, symbol, n_max, rule)
+    for quad, ladder in zip(quads, LadderKind):
         hr = ladder_closed_form(params, ladder, n_max, Provenance.H_RATIO)
         lit = ladder_closed_form(params, ladder, n_max, Provenance.LITERATURE)
         abs_qh, rel_qh = _band_diff(quad, hr)
         abs_ql, rel_ql = _band_diff(quad, lit)
-        offset = symbol.harmonic
         ratio = None
-        vq = quad.band(offset)
-        vl = lit.band(offset)
-        n = min(len(vq), len(vl))
-        if n:
+        if len(quad.values):  # lit has the same band and length
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = [float(r) for r in (vl[:n] / vq[:n])[: min(n, 6)]]
+                ratio = [float(r) for r in (lit.values / quad.values)[:6]]
         lit_agrees = rel_ql <= 1e-7
         agree_all = agree_all and lit_agrees
-        report["symbols"][symbol.tag] = {
+        report["symbols"][quad.symbol_tag] = {
             "max_abs_quadrature_vs_h_ratio": abs_qh,
             "max_rel_quadrature_vs_h_ratio": rel_qh,
             "max_abs_quadrature_vs_literature": abs_ql,
@@ -347,4 +323,4 @@ def discrepancy_report(params: FamilyParams, n_max: int = 16,
             "literature_over_quadrature_leading": ratio,
         }
     report["all_provenances_agree"] = agree_all
-    return report
+    return quads, report

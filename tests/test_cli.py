@@ -17,6 +17,7 @@ import ghcs
 import ghcs.cli
 import ghcs.kernel
 import ghcs.measure
+import ghcs.quantize
 import ghcs.states
 import ghcs.thermal
 from ghcs.cli import RunConfig, main, resolve_config, _build_parser, _write_csv
@@ -94,6 +95,16 @@ class TestConfig:
         cfg_file.write_text("m=1.5\n")
         assert run(["verify", "--config", str(cfg_file)]) == 2
         assert "config rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["kernel", "verify"])
+    def test_negative_seed_rejected_by_name(self, tmp_path, capsys, cmd):
+        # checked before the kernel mesh draw, whose numpy error names no field
+        cfg_file = tmp_path / "seed.cfg"
+        cfg_file.write_text("seed=-1\n")
+        out = tmp_path / "out.json"
+        assert run([cmd, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config rejected: seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     def test_invalid_nu_rejected_before_compute(self, capsys):
         assert run(["verify", "--nu", "-0.5"]) == 2
@@ -679,6 +690,16 @@ class TestWorkCounts:
         # verify, kernel and quantize share one rule
         assert ghcs.measure._cached_rule.cache_info().misses == 1
         assert ghcs.measure._cached_rule.cache_info().hits == 2
+
+    def test_quantize_builds_each_operator_once(self, tmp_path, monkeypatch):
+        # the matrices and the discrepancy report read one set of z, zbar
+        # and |z|^2 operators
+        calls = []
+        inner = ghcs.quantize.quantize_symbol
+        monkeypatch.setattr(ghcs.quantize, "quantize_symbol",
+                            lambda *a: calls.append(a[1].tag) or inner(*a))
+        assert run(["quantize", "--out", str(tmp_path / "q.json")]) == 0
+        assert calls == ["z", "zbar", "absz2"]
 
     @pytest.mark.parametrize("family", ["bessel", "jacobi"])
     def test_kernel_checks_build_only_the_mesh_and_gram_labels(self, tmp_path, monkeypatch,

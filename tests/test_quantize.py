@@ -68,7 +68,7 @@ class TestQuantizeSymbol:
     def test_angular_harmonic_general(self, jacobi_params, jacobi_rule):
         op = quantize_symbol(jacobi_params, Symbol.angular_harmonic(2, 3.0), 10,
                              jacobi_rule)
-        assert set(op.bands) == {2}
+        assert op.offset == 2
         assert np.all(np.asarray(op.band(2)) > 0.0)
 
     def test_harmonic_exceeding_truncation(self, bessel_params, bessel_rule):
@@ -220,4 +220,68 @@ class TestJsonExport:
 
     def test_adjoint_flips_band(self, bessel_params, bessel_rule):
         op = quantize_symbol(bessel_params, Symbol.z(), 6, bessel_rule)
-        assert set(op.adjoint().bands) == {-1}
+        assert op.adjoint().offset == -1
+
+
+def _assert_one_band(op, offset):
+    # to_dense() is nonzero only on `offset`, and band(o) is zeros elsewhere
+    assert op.offset == offset
+    size = op.n_max + 1
+    assert len(op.values) == max(size - abs(offset), 0)
+    expected = np.diag(op.values, offset) if abs(offset) < size else np.zeros((size, size))
+    assert np.array_equal(op.to_dense(), expected)
+    assert np.array_equal(op.band(offset), op.values)
+    for o in range(-size - 1, size + 2):
+        if o != offset:
+            assert np.array_equal(op.band(o), np.zeros(max(size - abs(o), 0)))
+
+
+class TestOneBand:
+    N_MAX = 7
+
+    @pytest.fixture(params=[Family.BESSEL, Family.JACOBI], ids=lambda f: f.value)
+    def params_rule(self, request):
+        params = FamilyParams(2, 0.61, request.param)
+        return params, radial_rule(params)
+
+    @pytest.mark.parametrize("symbol", [Symbol.z(), Symbol.zbar(), Symbol.absz2(),
+                                        Symbol.radial(3.0), Symbol.angular_harmonic(2, 3.0),
+                                        Symbol.angular_harmonic(-3, 4.0)],
+                             ids=lambda s: s.tag)
+    def test_quantize_symbol_and_its_adjoint(self, params_rule, symbol):
+        params, rule = params_rule
+        op = quantize_symbol(params, symbol, self.N_MAX, rule)
+        _assert_one_band(op, symbol.harmonic)
+        assert np.all(op.values > 0.0)
+        adj = op.adjoint()
+        _assert_one_band(adj, -symbol.harmonic)
+        assert np.array_equal(adj.to_dense(), op.to_dense().T)
+
+    @pytest.mark.parametrize("source", [Provenance.H_RATIO, Provenance.LITERATURE])
+    @pytest.mark.parametrize("kind, offset", [("z", 1), ("zbar", -1), ("absz2", 0)])
+    def test_ladder_closed_form_and_its_adjoint(self, params_rule, source, kind, offset):
+        params, _ = params_rule
+        op = ladder_closed_form(params, kind, self.N_MAX, source)
+        _assert_one_band(op, offset)
+        assert np.all(op.values != 0.0)
+        _assert_one_band(op.adjoint(), -offset)
+
+    @pytest.mark.parametrize("first, second, offset", [
+        (Symbol.z(), Symbol.zbar(), 0),
+        (Symbol.z(), Symbol.absz2(), 1),
+        (Symbol.zbar(), Symbol.angular_harmonic(-2, 2.0), -3),
+        (Symbol.angular_harmonic(5, 5.0), Symbol.angular_harmonic(4, 4.0), 9),
+    ], ids=["diagonal", "up", "down", "past_n_max"])
+    def test_commutator(self, params_rule, first, second, offset):
+        params, rule = params_rule
+        a = quantize_symbol(params, first, self.N_MAX, rule)
+        b = quantize_symbol(params, second, self.N_MAX, rule)
+        c = commutator(a, b)
+        _assert_one_band(c, offset)
+        if abs(offset) <= self.N_MAX:
+            assert np.any(c.values != 0.0)
+            ref = a.to_dense() @ b.to_dense() - b.to_dense() @ a.to_dense()
+            assert np.array_equal(c.to_dense(), ref)
+        else:
+            assert len(c.values) == 0 and c.max_abs() == 0.0
+        assert f"within {max(abs(first.harmonic), abs(second.harmonic))} " in c.truncation_note
