@@ -173,8 +173,10 @@ def _write_csv(path: str, cfg: RunConfig, header: str, rows) -> None:
 
 
 def _write_json(path: str, cfg: RunConfig, payload: dict) -> None:
+    """The configuration echo and the payload as one line of strict JSON,
+    keys sorted.  With no indent, `json.dumps` runs its C encoder."""
     doc = {"config": cfg.as_echo(), "results": payload}
-    _emit(path, json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n")
+    _emit(path, json.dumps(doc, sort_keys=True, default=float, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gamma, hyp2f1, kv, kve, rgamma
+from scipy.special import gamma, hyp2f1, ive, kv, kve, rgamma
 
 from . import specfun
 from .states import Family, FamilyParams, _grown, _log_h_array, normalization
@@ -53,6 +53,11 @@ _MOMENT_ROWS = 256  # exponents per log_moments block: 0.49 MB arrays at 240 nod
 # tanh-sinh window |t| <= T with pi sinh T = -log(smallest normal float), so
 # that x and 1 - x at the window's ends stay normal floats
 _TANH_SINH_T = math.asinh(-math.log(np.finfo(float).tiny) / math.pi)
+_TINY = np.finfo(float).tiny
+# above this x the jacobi weight figure takes the canonical N from the
+# series: scipy's hyp2f1 on the Euler form holds 2.2e-14 up to here, but
+# errs 7.6e-4 at m = 2, nu = 1.9, x = 0.999
+_EULER_CUT = 0.99
 
 
 @dataclass(frozen=True)
@@ -438,8 +443,9 @@ class WeightCurve:
 
     variant "canonical" uses the family normalization; variant "literal"
     keeps the extra index n that the published G-function parameters carry
-    and replaces N by 2F1(-(m+n+nu), -(m+n+nu); b; x), which is how the
-    figure caption's n enters.
+    and, for the jacobi family, replaces N by 2F1(-(m+n+nu), -(m+n+nu); b; x),
+    which is how the figure caption's n enters.  A bessel curve is
+    2 I_{b-1}(2 sqrt x) K_{b-1}(2 sqrt x) in either variant.
     """
 
     params: FamilyParams
@@ -458,27 +464,69 @@ class WeightCurve:
 
 
 def _weights(params: FamilyParams, literal_n: int | None, xs: np.ndarray,
-             om: np.ndarray) -> np.ndarray:
-    # W = N omega on a float array, from the density values om at xs: one
-    # N call on the points where omega is finite and x in the support
-    w = np.full(xs.shape, math.inf)
-    finite = np.isfinite(om)
-    if params.family is Family.JACOBI:
-        w[xs >= 1.0] = 0.0
-        finite &= xs < 1.0
-    x = xs[finite]
+             om: np.ndarray | None) -> np.ndarray:
+    # W = N omega of one (params, N) on a float array; om is the jacobi
+    # density at xs (bessel W needs no density)
+    if params.family is Family.BESSEL:
+        return _bessel_weights(params.b, xs)
+    w = np.zeros(xs.shape)  # zero past the support x >= 1
+    inside = xs < 1.0
+    x = xs[inside]
+    a, b = params.a, params.b
     if literal_n is None:
-        nval = normalization(params, x)
+        # Euler's transformation (DLMF 15.8.1) with b = 2a: c - a - b is 2
+        nval = hyp2f1(a - 1.0, a - 1.0, b, x) / np.square(1.0 - x)
+        near = x > _EULER_CUT
+        if near.any():
+            nval[near] = normalization(params, x[near])
     else:
-        c = params.a + literal_n  # = m + n + nu
-        nval = specfun.hyp_2f1(-c, -c, params.b, x)
-    w[finite] = nval * om[finite]
+        c = a + literal_n  # = m + n + nu
+        nval = hyp2f1(-c, -c, b, x)
+    # N >= 1 is finite, so W is inf where omega is (x = 0 for b <= 1)
+    w[inside] = nval * om[inside]
     return w
+
+
+def _bessel_weights(b: float, xs: np.ndarray) -> np.ndarray:
+    # W = 0F1(b; x) omega(x) = 2 I_nu(t) K_nu(t), nu = b - 1, t = 2 sqrt x
+    # (DLMF 10.39.9), from the exponentially scaled functions, whose factors
+    # e^{-t} and e^{t} cancel; the x = 0 limit is 1 / nu, or inf for nu <= 0
+    nu = b - 1.0
+    w = np.full(xs.shape, 1.0 / nu if nu > 0.0 else math.inf)
+    pos = xs > 0.0
+    x = xs[pos]
+    t = 2.0 * np.sqrt(x)
+    i = ive(nu, t)
+    # where I_nu leaves the normal floats, K_nu passes the float range and
+    # the product is 0 inf or lost to subnormal rounding
+    ok = i >= _TINY
+    wp = np.empty_like(t)
+    wp[ok] = 2.0 * i[ok] * kve(nu, t[ok])
+    if not ok.all():
+        wp[~ok] = _bessel_weights_by_ratios(nu, x[~ok], t[~ok])
+    w[pos] = wp
+    return w
+
+
+def _bessel_weights_by_ratios(nu: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # 2 I_nu K_nu from the Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/t
+    # (DLMF 10.28.2) as 2 / (t (s + r)), with the ratios s = K_{nu+1} / K_nu
+    # and r = I_{nu+1} / I_nu, which stay in range where I_nu and K_nu do
+    # not.  s is the forward recurrence s_mu = 2 mu / t + 1 / s_{mu-1}
+    # (DLMF 10.29.1; all terms positive) from mu0 - 1 = nu - floor(nu) - 1,
+    # where s = K_{mu0} / K_{1-mu0}; r is the ratio of two 0F1 series.
+    mu0 = nu - math.floor(nu)
+    s = kve(mu0, t) / kve(1.0 - mu0, t)
+    for k in range(math.floor(nu) + 1):
+        s = 2.0 * (mu0 + k) / t + 1.0 / s
+    r = (np.sqrt(x) / (nu + 1.0)) * specfun.hyp_0f1(nu + 2.0, x) / specfun.hyp_0f1(nu + 1.0, x)
+    return 2.0 / (t * (s + r))
 
 
 def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
     """Rows (x, W, m, nu, variant_tag) in deterministic curve-major order,
-    the flattened `_figure1_columns`."""
+    the flattened `_figure1_columns`: W in closed form, within 2e-13 of
+    mpmath for bessel x up to 1e12 and jacobi N within 1e-13 up to x = 0.99."""
     x_list, columns = _figure1_columns(curves, x_grid)
     rows = []
     for curve, w_list in columns:
@@ -492,22 +540,30 @@ def _figure1_columns(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
     W(x) = N(x) omega(x) on it, in the order of `curves`.  Curves with the
     same (params, N) share one w_list object.
 
-    W is evaluated on the whole grid, and each distinct value once: one
-    array `density` call per distinct params, and one
-    array `normalization` (or, for literal jacobi curves, `specfun.hyp_2f1`)
-    call per distinct (params, N), on the points where omega is finite and
-    x lies in the support.  N is the literal n's 2F1 for a literal jacobi
-    curve and the canonical N otherwise, so a bessel literal curve shares
-    its canonical curve's values.  The series are summed in numpy chunks
-    with the term-by-term values and stopping rule, so every W is the
-    per-point value bit for bit.  W is zero for jacobi x >= 1 and inf
-    where omega is not finite; x < 0 raises ValueError, and a series that
-    exhausts its budget raises ConvergenceError naming the first x.
+    W is evaluated on the whole grid in closed form, once per distinct
+    (params, N): N is the literal n's 2F1 for a literal jacobi curve and
+    the canonical N otherwise, so a bessel literal curve shares its
+    canonical curve's values.
+    - bessel: W = 2 ive(b-1, 2 sqrt x) kve(b-1, 2 sqrt x), with neither
+      the density nor N, so W stays finite past x = 1.3e5, where N leaves
+      the float range.  Where ive underflows (x near 1e-300 for b >= 3) W
+      comes from the Wronskian of I and K instead.  Against mpmath it holds
+      to 2e-13 for x from 1e-300 to 1e12.
+    - jacobi: one array `density` call per distinct params, times N from
+      scipy's `hyp2f1`: the canonical N as (1-x)^{-2} 2F1(a-1, a-1; b; x)
+      (Euler's transformation) up to x = 0.99 and `states.normalization`
+      above, where scipy's Euler form errs; the literal N as
+      2F1(-c, -c; b; x), c = m + n + nu.
+    Every W of a one-point grid is its value on a longer grid bit for bit.
+    W is zero for jacobi x >= 1 and inf where omega is not finite (x = 0 at
+    b <= 1); x < 0 raises ValueError, and the jacobi normalization series
+    above x = 0.99 raises ConvergenceError naming the first x when it
+    exhausts its budget (from x = 0.999 at m = 1, nu = 0.5).
     """
     xs = np.asarray(x_grid, dtype=float).ravel()
     if curves and np.any(xs < 0.0):
         raise ValueError("weight argument must be non-negative")
-    omegas: dict[FamilyParams, np.ndarray] = {}
+    omegas: dict[FamilyParams, np.ndarray] = {}  # jacobi densities
     values: dict[tuple, list[float]] = {}
     columns = []
     for curve in curves:
@@ -515,9 +571,9 @@ def _figure1_columns(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
         literal = curve.variant == "literal" and p.family is Family.JACOBI
         key = (p, curve.literal_n if literal else None)
         if key not in values:
-            if p not in omegas:
+            if p.family is Family.JACOBI and p not in omegas:
                 omegas[p] = density(p, xs)
-            values[key] = _weights(*key, xs, omegas[p]).tolist()
+            values[key] = _weights(*key, xs, omegas.get(p)).tolist()
         columns.append((curve, values[key]))
     return xs.tolist(), columns
 

@@ -8,8 +8,9 @@ array summation (`_sum_ratio_array`) that reproduces the term-by-term
 recurrence's values and stopping rule element by element.  0F1 is the
 bessel normalization; complex 0F1 arguments (the phase-space density) go
 through the modified Bessel closed form in `dynamics`, or through the same
-series (`_hyp_0f1_series`) where that form underflows.  The figure-caption
-weights use 2F1.  Log-gamma, the modified Bessel functions and the jacobi
+series (`_hyp_0f1_series`) where that form underflows.  2F1 is the
+certified series the tests hold scipy's Gauss function to, which the
+figure-caption weights use.  Log-gamma, the modified Bessel functions and the jacobi
 weight density's Gauss-function form come from `math` and
 `scipy.special`.  All functions are pure and safe to call concurrently.
 """

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -172,6 +173,24 @@ class TestCsvWriter:
         assert out.read_text().splitlines()[-1] == "a,b"
 
 
+class TestJsonWriter:
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    @pytest.mark.parametrize("cmd", ["verify", "kernel", "quantize"])
+    def test_one_line_parses_to_the_indented_document(self, tmp_path, monkeypatch, cmd, family):
+        # each JSON artifact is one line from json's C encoder; it differs
+        # from the indent=2 text of the same document only in whitespace,
+        # and parses to the same document
+        dumps, docs = json.dumps, []
+        monkeypatch.setattr(json, "dumps", lambda doc, **kw: docs.append(doc) or dumps(doc, **kw))
+        out = tmp_path / "a.json"
+        assert run([cmd, "--family", family, "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        indented = dumps(docs[0], indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert "".join(text.split()) == "".join(indented.split())
+        assert json.loads(text) == json.loads(indented)
+
+
 class TestWeight:
     def test_deterministic_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -283,6 +302,18 @@ class TestWeight:
             "within 20000 terms at x = 0.999\n"
         )
 
+    def test_series_budget_exit_code_past_the_euler_cut(self, tmp_path, capsys):
+        # above x = 0.99 the canonical jacobi N is the series again, so it
+        # still runs out of budget at x = 0.9995
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("x_min=0.9995\nx_max=0.9995\nx_count=1\n")
+        assert run(["weight", "--family", "jacobi", "--config", str(cfg_file),
+                    "--out", str(tmp_path / "w.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "series budget ran out: jacobi normalization series did not converge "
+            "within 20000 terms at x = 0.9995\n"
+        )
+
 
 class TestFloatRange:
     def test_float_range_exit_code(self, tmp_path):
@@ -313,12 +344,11 @@ class TestFloatRange:
 
     @pytest.mark.parametrize("cmd, lines, x", [
         ("verify", "x=2e5\n", "200000.0"),
-        ("weight", "x_min=1e5\nx_max=1e6\nx_count=3\n", "550000.0"),
     ])
     def test_normalization_past_the_float_range(self, tmp_path, capsys, cmd, lines, x):
         # bessel N(x) passes the float range near x = 1.3e5: exit 3 naming
-        # the family and the first configured x that does, not a NaN in the
-        # artifact nor verify's finite-difference argument x e^h
+        # the family and the first configured x that does, not verify's
+        # finite-difference argument x e^h
         cfg_file = tmp_path / "n.cfg"
         cfg_file.write_text(lines)
         with warnings.catch_warnings():
@@ -327,6 +357,27 @@ class TestFloatRange:
                         "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == (
             f"float range exceeded: the bessel normalization passes the float range at x = {x}\n")
+
+    def test_bessel_weight_past_the_float_range_of_n(self, tmp_path, capsys):
+        # W = 2 I K stays finite where N passes the float range (x = 1.3e5),
+        # matches mpmath and tends to 1 / (2 sqrt x)
+        cfg_file = tmp_path / "n.cfg"
+        cfg_file.write_text("x_min=1e5\nx_max=1e12\nx_count=8\n")
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["weight", "--family", "bessel", "--config", str(cfg_file),
+                        "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_data_rows(out)
+        assert len(rows) == 19 * 8
+        with mp.workdps(20):
+            for row in rows:
+                x, w, m, nu = (float(cell) for cell in row.split(",")[:4])
+                t, order = 2 * mp.sqrt(x), 2 * m + 2 * mp.mpf(nu) - 1
+                assert math.isfinite(w)
+                assert abs(w / (2 * mp.besseli(order, t) * mp.besselk(order, t)) - 1) <= 2e-13
+                assert abs(w * 2.0 * math.sqrt(x) - 1.0) <= 1e-4
 
     def test_identity_rows_past_the_float_range_pass_verify(self, tmp_path, capsys):
         # h_n^2 overflows from n = 98: with every warning an error, verify

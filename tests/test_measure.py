@@ -7,7 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, hyp2f1
 
 from ghcs import measure, specfun
 from ghcs.kernel import check_idempotence
@@ -24,9 +24,9 @@ from ghcs.measure import (
     target_moments,
     verify_identity,
 )
-from ghcs.states import Family, FamilyParams, _log_h_array
+from ghcs.states import Family, FamilyParams, _log_h_array, normalization
 
-from conftest import _sum_ratio_series, rel_err
+from conftest import rel_err
 
 mp.mp.dps = 40
 
@@ -396,27 +396,37 @@ class TestFigureScan:
             assert rel_err(t[n], gamma_product_moment(bessel_params, n)) < 1e-12
 
 
-def _frozen_weight(curve, x):
-    """The per-point W(x) loop that figure1_scan replaced, kept as its
-    oracle: a scalar density call and the term-by-term series."""
-    p = curve.params
-    if p.family is Family.JACOBI and x >= 1.0:
-        return 0.0
-    om = density(p, x)
-    if not math.isfinite(om):
-        return math.inf
-    if x == 0.0:
-        return 1.0 * om
-    b = p.b
-    if curve.variant == "literal" and p.family is Family.JACOBI:
-        c = p.a + curve.literal_n
-        ratio = lambda k: (-c + k) * (-c + k) * x / ((b + k) * (k + 1.0))  # noqa: E731
-    elif p.family is Family.BESSEL:
-        ratio = lambda k: x / ((k + 1.0) * (b + k))  # noqa: E731
+def _mp_bessel_weight(b, x):
+    """W = 2 I_{b-1}(2 sqrt x) K_{b-1}(2 sqrt x) in mpmath, the bessel
+    N(x) omega(x), with its x = 0 limit 1/(b-1) (inf for b <= 1)."""
+    b, x = mp.mpf(b), mp.mpf(x)
+    if x == 0:
+        return 1 / (b - 1) if b > 1 else mp.inf
+    t, nu = 2 * mp.sqrt(x), b - 1
+    if nu == mp.floor(nu) or t > 100:
+        k = mp.besselk(nu, t)
     else:
-        shift = p.coeff_shift
-        ratio = lambda k: x * ((shift + k) * (shift + k)) / ((k + 1.0) * (b + k))  # noqa: E731
-    return _sum_ratio_series(1.0, ratio, specfun.DEFAULT_SERIES) * om
+        # K from I_{-nu} - I_nu (DLMF 10.27.4), which cancels as e^{-2t}:
+        # several times faster than mpmath's own K at these orders
+        with mp.extradps(int(t) + 10):
+            k = mp.pi / (2 * mp.sin(nu * mp.pi)) * (mp.besseli(-nu, t) - mp.besseli(nu, t))
+    return 2 * mp.besseli(nu, t) * k
+
+
+def _mp_jacobi_n(params, literal_n, x):
+    """The jacobi curve's N(x) in mpmath: 2F1(a+1, a+1; b; x), or the
+    literal 2F1(-c, -c; b; x) with c = m + n + nu."""
+    a = params.m + mp.mpf(params.nu)
+    if literal_n is None:
+        return mp.hyp2f1(a + 1, a + 1, 2 * a, x)
+    c = a + literal_n
+    return mp.hyp2f1(-c, -c, 2 * a, x)
+
+
+def _n_of(params, literal_n, xs):
+    # with omega = 1, `_weights` returns the N of a jacobi curve
+    xs = np.asarray(xs, dtype=float)
+    return measure._weights(params, literal_n, xs, np.ones_like(xs))
 
 
 def _cli_curves(family):
@@ -429,10 +439,10 @@ def _cli_curves(family):
 
 
 class TestFigureScanOracle:
-    """figure1_scan on whole grids against the frozen per-point loop."""
+    """figure1_scan on whole grids against mpmath."""
 
     @pytest.mark.parametrize("family", [Family.JACOBI, Family.BESSEL])
-    def test_bit_identical_to_per_point_loop(self, family):
+    def test_whole_grids_match_mpmath(self, family):
         curves = _cli_curves(family)
         # bessel curves are canonical and literal alike (no 2F1 there)
         curves += [WeightCurve(FamilyParams(m, nu, family), "literal", n)
@@ -445,45 +455,73 @@ class TestFigureScanOracle:
             grid = np.concatenate((np.linspace(0.0, 50.0, 101), [1e-9, 0.99, 1.0, 1.2]))
         rows = figure1_scan(curves, grid)
         assert len(rows) == len(curves) * len(grid)
-        got = np.array([r[1] for r in rows])
-        ref = np.array([_frozen_weight(c, float(x)) for c in curves for x in grid])
-        assert np.array_equal(got, ref)
+        assert [r[0] for r in rows[: len(grid)]] == grid.tolist()
+        got = np.array([r[1] for r in rows]).reshape(len(curves), len(grid))
+        refs: dict = {}  # mpmath values by (params, N)
+        with mp.workdps(20):
+            for curve, w in zip(curves, got):
+                p = curve.params
+                if family is Family.BESSEL:
+                    if p not in refs:
+                        refs[p] = [_mp_bessel_weight(p.b, x) for x in grid]
+                    ref = refs[p]
+                    bound = np.full(len(grid), 2e-13)
+                else:
+                    # the change is in N: the oracle is the mpmath N times the
+                    # library's density, which is checked against mpmath above
+                    n = None if curve.variant == "canonical" else curve.literal_n
+                    if (p, n) not in refs:
+                        refs[p, n] = [_mp_jacobi_n(p, n, x) if x < 1.0 else 0 for x in grid]
+                    ref = [float(v) * om for v, om in zip(refs[p, n], density(p, grid))]
+                    # N: Euler's form to x = 0.99 and the series above, or the literal 2F1
+                    bound = np.where((n is None) & (grid <= 0.99), 1e-13, 5e-13)
+                for x, value, r, tol in zip(grid, w, ref, bound):
+                    if r == 0 or mp.isinf(r):
+                        assert value == r, (curve, x)
+                    else:
+                        assert abs(value / r - 1) <= tol, (curve, x, value)
         # the grid reaches the singular x = 0 branch (b < 1) and, for
         # jacobi, the zero past the support
-        assert np.isinf(ref).any()
-        assert (ref == 0.0).any() == (family is Family.JACOBI)
-        assert [r[0] for r in rows[: len(grid)]] == grid.tolist()
+        assert np.isinf(got).any()
+        assert (got == 0.0).any() == (family is Family.JACOBI)
 
-    @pytest.mark.parametrize("family, series", [(Family.JACOBI, 17), (Family.BESSEL, 7)])
-    def test_each_distinct_density_and_series_once(self, family, series, monkeypatch):
+    @pytest.mark.parametrize("family, evaluations", [(Family.JACOBI, 17), (Family.BESSEL, 7)])
+    def test_each_distinct_weight_evaluated_once(self, family, evaluations, monkeypatch):
         # the 19 curves of `ghcs weight` hold 7 distinct params; jacobi adds
-        # 10 distinct literal n's to the 7 canonical N, while a bessel
-        # literal curve is its canonical curve
-        calls = {"density": [], "series": []}
+        # 10 distinct literal n's to the 7 canonical N and reads one density
+        # per params, while a bessel literal curve is its canonical curve
+        # and bessel W needs no density
+        calls = {"density": [], "weights": []}
 
         def counted(name, fn):
             def call(params, *args):
-                calls[name].append(params)
+                calls[name].append((params, *args[:1]) if name == "weights" else params)
                 return fn(params, *args)
             return call
 
         monkeypatch.setattr(measure, "density", counted("density", measure.density))
-        monkeypatch.setattr(measure, "normalization", counted("series", measure.normalization))
-        monkeypatch.setattr(specfun, "hyp_2f1", counted("series", specfun.hyp_2f1))
+        monkeypatch.setattr(measure, "_weights", counted("weights", measure._weights))
         curves = _cli_curves(family)
         rows = figure1_scan(curves, np.linspace(0.02, 0.98, 9))
         assert len(curves) == 19 and len(rows) == 19 * 9
-        assert len(calls["density"]) == len(set(calls["density"])) == 7
-        assert len(calls["series"]) == series
+        assert len(calls["weights"]) == len(set(calls["weights"])) == evaluations
+        densities = 7 if family is Family.JACOBI else 0
+        assert len(calls["density"]) == len(set(calls["density"])) == densities
 
     def test_one_point_scans_are_the_grid_values(self):
-        grid = [0.0, 1e-9, 0.37, 0.99, 1.0, 1.2]
-        for curve in _cli_curves(Family.JACOBI):
-            on_grid = [row[1] for row in figure1_scan([curve], grid)]
-            for x, w in zip(grid, on_grid):
-                one = figure1_scan([curve], [x])[0][1]
-                assert type(one) is float
-                assert one == w == _frozen_weight(curve, x)
+        grids = {
+            Family.JACOBI: [0.0, 1e-9, 0.37, 0.99, 0.995, 1.0, 1.2],
+            # the bessel grid reaches the Wronskian branch (b = 7.4 at
+            # 1e-300) and past x = 1.3e5, where N leaves the float range
+            Family.BESSEL: [0.0, 5e-324, 1e-300, 1e-9, 0.37, 1e5, 1e12],
+        }
+        for family, grid in grids.items():
+            for curve in _cli_curves(family):
+                on_grid = [row[1] for row in figure1_scan([curve], grid)]
+                for x, w in zip(grid, on_grid):
+                    one = figure1_scan([curve], [x])[0][1]
+                    assert type(one) is float
+                    assert one == w
 
     def test_row_types_and_empty_grid(self):
         curves = default_figure_curves()
@@ -512,6 +550,95 @@ class TestFigureScanOracle:
         curve = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI))
         with pytest.raises(specfun.ConvergenceError, match="at x = 0.999$"):
             figure1_scan([curve], [0.5, 0.999, 0.9995])
+
+
+# (m, nu) for b = 0.1, 0.6, 1, 1.4, 3, 7.4 and 10.9
+_SMALL_X_PARAMS = [(0, 0.05), (0, 0.3), (0, 0.5), (0, 0.7), (1, 0.5), (3, 0.7), (5, 0.45)]
+
+
+class TestWeightClosedForms:
+    """The figure's W in closed form against mpmath: bessel 2 I K, and the
+    jacobi N from scipy's Gauss function."""
+
+    @pytest.mark.parametrize("m, nu", [(0, 0.05), (0, 0.3), (0, 0.7), (1, 0.5), (3, 0.7),
+                                       (5, 0.45)])  # b = 0.1, 0.6, 1.4, 3, 7.4, 10.9
+    def test_bessel_weight_from_1e_300_to_1e12(self, m, nu):
+        xs = np.logspace(-300, 12, 53)
+        curve = WeightCurve(FamilyParams(m, nu, Family.BESSEL))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [row[1] for row in figure1_scan([curve], xs)]
+        with mp.workdps(20):
+            for x, w in zip(xs, got):
+                assert abs(w / _mp_bessel_weight(curve.params.b, x) - 1) <= 2e-13, x
+
+    def test_jacobi_canonical_n_to_x_099(self):
+        xs = np.concatenate((np.logspace(-12, -2, 6), np.linspace(0.05, 0.99, 14)))
+        params = [(m, nu) for m in range(4) for nu in np.linspace(0.1, 2.5, 13).tolist()]
+        worst = 0.0
+        with mp.workdps(20):
+            for m, nu in params + [(0, 0.05), (3, 2.45)]:
+                p = FamilyParams(m, nu, Family.JACOBI)
+                for x, n in zip(xs, _n_of(p, None, xs)):
+                    worst = max(worst, abs(n / _mp_jacobi_n(p, None, x) - 1))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_jacobi_literal_n_to_one_minus_1e_12(self, m):
+        xs = np.concatenate((np.linspace(0.0, 0.99, 7), 1.0 - np.logspace(-3, -12, 6)))
+        worst = 0.0
+        with mp.workdps(20):
+            for nu in (0.1, 0.7, 1.3, 1.9, 2.5):
+                p = FamilyParams(m, nu, Family.JACOBI)
+                for n in range(4):
+                    for x, value in zip(xs, _n_of(p, n, xs)):
+                        worst = max(worst, abs(value / _mp_jacobi_n(p, n, x) - 1))
+        assert worst <= 5e-13
+
+    @pytest.mark.parametrize("family", [Family.BESSEL, Family.JACOBI])
+    def test_small_x_has_no_nan_and_no_warning(self, family):
+        # at b >= 3 ive underflows where kve overflows near x = 1e-300: the
+        # bessel W comes from the Wronskian there, never 0 * inf
+        xs = [5e-324, 1e-300, 1e-200, 1e-60]
+        curves = [WeightCurve(FamilyParams(m, nu, family), variant, 2)
+                  for m, nu in _SMALL_X_PARAMS for variant in ("canonical", "literal")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = figure1_scan(curves, xs)
+        assert not any(math.isnan(row[1]) for row in rows)
+        infinite = set()
+        with mp.workdps(50):
+            for (x, w, m, nu, tag), curve in zip(rows, [c for c in curves for _ in xs]):
+                p = curve.params
+                if not math.isfinite(w):
+                    infinite.add(p.b)
+                    continue
+                if family is Family.BESSEL:
+                    ref = _mp_bessel_weight(p.b, x)
+                else:
+                    a = p.m + mp.mpf(p.nu)
+                    omega = (mp.gamma(a + 1) ** 2 / mp.gamma(2 * a)
+                             * mp.meijerg([[], [a, a]], [[0, 2 * a - 1], []], mp.mpf(x)))
+                    n = None if curve.variant == "canonical" else curve.literal_n
+                    ref = _mp_jacobi_n(p, n, mp.mpf(x)) * omega
+                assert abs(w / ref - 1) <= 2e-13, (curve, x)
+        # every true W here is finite; only the jacobi density at b = 1 is
+        # not, where 1 - x rounds to 1 at its logarithmic end
+        assert infinite == (set() if family is Family.BESSEL else {1.0})
+
+    def test_jacobi_canonical_takes_the_series_above_x_099(self):
+        # scipy's Euler form errs from about x = 0.998, so above 0.99 the
+        # canonical N is the normalization series, bit for bit; at and below
+        # 0.99 it is the Euler form
+        above = np.concatenate(([np.nextafter(0.99, 1.0)], np.linspace(0.991, 0.998, 8)))
+        below = np.array([0.5, 0.98, 0.99])
+        for curve in _cli_curves(Family.JACOBI)[12:]:
+            p = curve.params
+            w = [row[1] for row in figure1_scan([curve], np.concatenate((above, below)))]
+            series = density(p, above) * normalization(p, above)
+            euler = density(p, below) * (hyp2f1(p.a - 1.0, p.a - 1.0, p.b, below)
+                                         / np.square(1.0 - below))
+            assert w == [*series.tolist(), *euler.tolist()]
 
 
 class TestDensityEndpoint:
