@@ -53,7 +53,6 @@ _MOMENT_ROWS = 256  # exponents per log_moments block: 0.49 MB arrays at 240 nod
 # tanh-sinh window |t| <= T with pi sinh T = -log(smallest normal float), so
 # that x and 1 - x at the window's ends stay normal floats
 _TANH_SINH_T = math.asinh(-math.log(np.finfo(float).tiny) / math.pi)
-_TINY = np.finfo(float).tiny
 # above this x the jacobi weight figure takes the canonical N from the
 # series: scipy's hyp2f1 on the Euler form holds 2.2e-14 up to here, but
 # errs 7.6e-4 at m = 2, nu = 1.9, x = 0.999
@@ -499,7 +498,7 @@ def _bessel_weights(b: float, xs: np.ndarray) -> np.ndarray:
     i = ive(nu, t)
     # where I_nu leaves the normal floats, K_nu passes the float range and
     # the product is 0 inf or lost to subnormal rounding
-    ok = i >= _TINY
+    ok = i >= np.finfo(float).tiny
     wp = np.empty_like(t)
     wp[ok] = 2.0 * i[ok] * kve(nu, t[ok])
     if not ok.all():

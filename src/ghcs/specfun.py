@@ -10,8 +10,8 @@ bessel normalization; complex 0F1 arguments (the phase-space density) go
 through the modified Bessel closed form in `dynamics`, or through the same
 series (`_hyp_0f1_series`) where that form underflows.  2F1 is the
 certified series the tests hold scipy's Gauss function to, which the
-figure-caption weights use.  Log-gamma, the modified Bessel functions and the jacobi
-weight density's Gauss-function form come from `math` and
+figure-caption weights use.  Log-gamma, the modified Bessel functions and
+the jacobi weight density's Gauss-function form come from `math` and
 `scipy.special`.  All functions are pure and safe to call concurrently.
 """
 
