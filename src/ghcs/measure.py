@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gamma, hyp2f1, ive, kv, kve, rgamma
+from scipy.special import ellipkm1, gamma, hyp2f1, ive, kv, kve, rgamma
 
 from . import specfun
 from .states import Family, FamilyParams, _grown, _log_h_array, normalization
@@ -53,10 +53,14 @@ _MOMENT_ROWS = 256  # exponents per log_moments block: 0.49 MB arrays at 240 nod
 # tanh-sinh window |t| <= T with pi sinh T = -log(smallest normal float), so
 # that x and 1 - x at the window's ends stay normal floats
 _TANH_SINH_T = math.asinh(-math.log(np.finfo(float).tiny) / math.pi)
-# above this x the jacobi weight figure takes the canonical N from the
-# series: scipy's hyp2f1 on the Euler form holds 2.2e-14 up to here, but
-# errs 7.6e-4 at m = 2, nu = 1.9, x = 0.999
+# scipy's hyp2f1 on the Euler form of the jacobi N and its first two
+# derivatives (`_euler_gauss`) is trusted for x up to _EULER_CUT and
+# a = m + nu up to _EULER_A_MAX: against mpmath it holds 2.2e-14 for N up to
+# x = 0.99, but errs 7.6e-4 at m = 2, nu = 1.9, x = 0.999; and the moments
+# D^k N / N, k <= 2, hold 4.3e-14 over x <= 0.99 up to a = 6.5, but err
+# 1.9e-13 at a = 7, 6.2e-10 at m = 6, nu = 7.3 and 4.3e-4 at m = 20, nu = 5
 _EULER_CUT = 0.99
+_EULER_A_MAX = 6.0
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,11 @@ def _jacobi_density(params: FamilyParams, x: np.ndarray, y: np.ndarray) -> np.nd
     # finite for every nu > 0
     a, b = params.a, params.b
     const = math.exp(2.0 * math.lgamma(a + 1.0) - math.lgamma(b))
+    if b == 1.0:
+        # 2F1(1/2, 1/2; 1; 1 - x) = (2/pi) K(1 - x) (DLMF 19.5.1), which
+        # ellipkm1 takes from x itself: finite down to x = 5e-324, where
+        # scipy's hyp2f1 at 1 - x is inf for x <= 1e-14
+        return const * (2.0 / math.pi) * ellipkm1(x)
     near = (x < 0.5) & (b < 1.0)
     out = np.empty_like(x)
     out[~near] = hyp2f1(1.0 - a, 1.0 - a, 1.0, y[~near])
@@ -189,10 +198,11 @@ def density(params: FamilyParams, x):
     The jacobi density is 2F1(1-a, 1-a; 1; 1-x), except for b < 1 and
     x < 1/2, where it is the connection formula's two Gauss functions of
     x itself (DLMF 15.8.4): against mpmath it holds to 1.9e-14 relative
-    down to x = 1e-300 (m = 0, nu = 0.05).  For b >= 1 forming 1 - x
-    still rounds away the digits of x below 1.1e-16 (at x = 1e-12: 4.4e-11
-    relative for m = 0, nu = 0.7, and 7.3e-7 at b = 1); the radial rule
-    passes its exact 1 - x instead.
+    down to x = 1e-300 (m = 0, nu = 0.05); and at b = 1, where it is the
+    complete elliptic integral (2/pi) K(1 - x) of x itself, within 2.2e-16
+    from x = 1e-15 to 1 - 1e-12.  For b > 1 forming 1 - x still rounds
+    away the digits of x below 1.1e-16 (at x = 1e-12: 4.4e-11 relative for
+    m = 0, nu = 0.7); the radial rule passes its exact 1 - x instead.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
@@ -320,10 +330,7 @@ def _cached_rule(params: FamilyParams, n: int) -> QuadratureRule:
     b = params.b
     if params.family is Family.JACOBI:
         x, y, w = _tanh_sinh(n)
-        v = w * _jacobi_density(params, x, y)
-        # at b = 1 the density's log end is infinite where y rounds to 1
-        keep = np.isfinite(v)
-        return QuadratureRule(nodes=x[keep], weights=v[keep])
+        return QuadratureRule(nodes=x, weights=w * _jacobi_density(params, x, y))
     logc = (1.0 - b) * math.log(2.0) - math.lgamma(b)
     if b > 1.5:
         # t^b K_{b-1}(t) ~ t x analytic(t^2) at the origin, so a single
@@ -473,17 +480,34 @@ def _weights(params: FamilyParams, literal_n: int | None, xs: np.ndarray,
     x = xs[inside]
     a, b = params.a, params.b
     if literal_n is None:
-        # Euler's transformation (DLMF 15.8.1) with b = 2a: c - a - b is 2
-        nval = hyp2f1(a - 1.0, a - 1.0, b, x) / np.square(1.0 - x)
-        near = x > _EULER_CUT
-        if near.any():
-            nval[near] = normalization(params, x[near])
+        euler = _euler_trusted(params, x)
+        nval = np.empty_like(x)
+        nval[euler] = _euler_gauss(params, x[euler]) / np.square(1.0 - x[euler])
+        if not euler.all():
+            nval[~euler] = normalization(params, x[~euler])
     else:
         c = a + literal_n  # = m + n + nu
         nval = hyp2f1(-c, -c, b, x)
     # N >= 1 is finite, so W is inf where omega is (x = 0 for b <= 1)
     w[inside] = nval * om[inside]
     return w
+
+
+def _euler_trusted(params: FamilyParams, x):
+    """Where `_euler_gauss` is trusted for k <= 2: jacobi, 0 <= x <=
+    _EULER_CUT and a <= _EULER_A_MAX; a bool, or a bool array for an array
+    x.  Elsewhere the jacobi N and its moments are the series'."""
+    return (x <= _EULER_CUT) & (params.family is Family.JACOBI and params.a <= _EULER_A_MAX)
+
+
+def _euler_gauss(params: FamilyParams, x, k: int = 0):
+    """2F1(a-1, a-1; b+k; x) by scipy's hyp2f1, with a = m + nu, b = 2a.
+    As (d/dx)^k 2F1(a+1, a+1; b; x) = ((a+1)_k)^2 / (b)_k 2F1(a+1+k,
+    a+1+k; b+k; x) (DLMF 15.5.2), Euler's transformation (DLMF 15.8.1)
+    gives the k-th derivative of the jacobi N as ((a+1)_k)^2 / (b)_k
+    (1-x)^{-2-k} times this, whose c - a - b is k + 2 (`_euler_trusted`
+    says where scipy holds it)."""
+    return hyp2f1(params.a - 1.0, params.a - 1.0, params.b + k, x)
 
 
 def _bessel_weights(b: float, xs: np.ndarray) -> np.ndarray:
@@ -550,9 +574,10 @@ def _figure1_columns(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
       to 2e-13 for x from 1e-300 to 1e12.
     - jacobi: one array `density` call per distinct params, times N from
       scipy's `hyp2f1`: the canonical N as (1-x)^{-2} 2F1(a-1, a-1; b; x)
-      (Euler's transformation) up to x = 0.99 and `states.normalization`
-      above, where scipy's Euler form errs; the literal N as
-      2F1(-c, -c; b; x), c = m + n + nu.
+      (Euler's transformation) up to x = 0.99 for a = m + nu <= 6
+      (`_euler_trusted`) and `states.normalization` elsewhere, where
+      scipy's Euler form errs; the literal N as 2F1(-c, -c; b; x),
+      c = m + n + nu.
     Every W of a one-point grid is its value on a longer grid bit for bit.
     W is zero for jacobi x >= 1 and inf where omega is not finite (x = 0 at
     b <= 1); x < 0 raises ValueError, and the jacobi normalization series

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .measure import MomentReport, QuadratureRule, _moment_rows, density, radial_rule
+from .measure import (MomentReport, QuadratureRule, _euler_gauss, _euler_trusted, _moment_rows,
+                      density, radial_rule)
 from .specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 from .states import Family, FamilyParams, _norm_arg, normalization
 
@@ -214,8 +215,18 @@ _MOMENT_CHUNK = 64
 def number_moment(params: FamilyParams, x, s: int,
                   ctl: SeriesControl = DEFAULT_SERIES, *, falling: bool = False):
     """<N^s> = sum_n n^s t_n / sum_n t_n in the state with |z|^2 = x, where
-    t_n = x^n / h_n^2 is summed through its ratio recurrence; scalar x in,
-    float out; array in, array of the same shape out.
+    t_n = x^n / h_n^2; scalar x in, float out; array in, array of the same
+    shape out.
+
+    Which x takes which path, element by element:
+    - jacobi s = 1 and 2 (plain and `falling`) at 0 <= x <= 0.99 with
+      a = m + nu <= 6 (`measure._euler_trusted`): in closed form from
+      scipy's Gauss functions (`_closed_moments`), within 5e-14 of mpmath.
+      A scalar x goes through the same array expression, so an array's
+      elements are the scalar calls' values bit for bit;
+    - every other x (jacobi x > 0.99, a > 6 or s = 0 or s >= 3, and all of
+      bessel): t_n summed through its ratio recurrence, as below.  `ctl`
+      governs this series only.
 
     The series is summed in numpy chunks of 64, 128, 256, ... terms, never
     past `ctl.max_terms`.  Within a chunk the ratios are formed elementwise
@@ -265,10 +276,13 @@ def number_moment(params: FamilyParams, x, s: int,
     """
     if not isinstance(s, (int, np.integer)) or s < 0:
         raise ValueError("s must be a non-negative integer")
+    closed = s in (1, 2)
     if isinstance(x, float) or np.ndim(x) == 0:
         x = _norm_arg(params, float(x))
         if x == 0.0 and not falling:
             return 1.0 if s == 0 else 0.0
+        if closed and _euler_trusted(params, x):
+            return float(_closed_moments(params, np.array([x]), s, falling)[0])
         return _moment_ratio(params, x, s, falling, ctl)
     xs = np.asarray(x, dtype=float)
     bad = ~((xs >= 0.0) & (xs < params.radius**2))
@@ -277,8 +291,34 @@ def number_moment(params: FamilyParams, x, s: int,
     # at x = 0 every term after t_0 vanishes, so <N^s> is 1 (s = 0) or 0
     out = np.full(xs.shape, 1.0 if s == 0 else 0.0)
     summed = (xs > 0.0) | falling
-    out[summed] = _moment_ratios(params, xs[summed], s, falling, ctl)
+    if closed:
+        euler = summed & _euler_trusted(params, xs)
+        out[euler] = _closed_moments(params, xs[euler], s, falling)
+        summed &= ~euler
+    if summed.any():
+        out[summed] = _moment_ratios(params, xs[summed], s, falling, ctl)
     return out
+
+
+def _closed_moments(params: FamilyParams, xs: np.ndarray, s: int,
+                    falling: bool) -> np.ndarray:
+    """The jacobi `number_moment` for s = 1 or 2 on a 1-d array where
+    `measure._euler_trusted` holds: `falling` gives D^s N / N, and plain
+    <N> = x D1, <N^2> = x D1 + x^2 D2, sums of positive terms."""
+    f0 = _euler_gauss(params, xs)
+    if falling:
+        return _derivative_ratio(params, xs, f0, s)
+    n1 = xs * _derivative_ratio(params, xs, f0, 1)
+    return n1 if s == 1 else n1 + xs * xs * _derivative_ratio(params, xs, f0, 2)
+
+
+def _derivative_ratio(params: FamilyParams, xs: np.ndarray, f0: np.ndarray,
+                      k: int) -> np.ndarray:
+    # D^k N / N = ((a+1)_k)^2 / (b)_k (1-x)^{-k} F_k / F_0 for k = 1, 2, with
+    # F_k = 2F1(a-1, a-1; b+k; x) (`measure._euler_gauss`; b = 2a)
+    a, b = params.a, params.b
+    c = (a + 1.0) ** 2 / b if k == 1 else ((a + 1.0) * (a + 2.0)) ** 2 / (b * (b + 1.0))
+    return c / (1.0 - xs) ** k * _euler_gauss(params, xs, k) / f0
 
 
 def _weighted(terms, n1, n, s: int, falling: bool, max_terms: int):

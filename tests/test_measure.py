@@ -197,7 +197,7 @@ class TestTanhSinhRule:
     """One tanh-sinh rule for both singular origins: the jacobi rule for
     every b and the bessel b <= 1.5 branch."""
 
-    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.486])  # b = 0.1, 0.6, 0.972
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.486, 0.5])  # b = 0.1, 0.6, 0.972, 1
     def test_jacobi_density_near_the_origin_against_mpmath(self, nu):
         params = FamilyParams(0, nu, Family.JACOBI)
         xs = [1e-300, 1e-12, 1e-6, 0.3, 0.7]
@@ -208,6 +208,17 @@ class TestTanhSinhRule:
             for x, value in zip(xs, got):
                 ref = const * mp.meijerg([[], [a, a]], [[0, b - 1], []], mp.mpf(x))
                 assert abs(value / ref - 1) <= 1e-13, x
+
+    def test_jacobi_rules_keep_every_node(self):
+        # every weight is finite and positive, at b = 1 too, where the
+        # density's logarithmic end is taken from x itself
+        x, y, w = _tanh_sinh(240)
+        for m in range(4):
+            for nu in [*np.linspace(0.1, 2.5, 13).tolist(), 0.5]:
+                params = FamilyParams(m, nu, Family.JACOBI)
+                v = w * measure._jacobi_density(params, x, y)
+                assert np.all(np.isfinite(v) & (v > 0.0)), (m, nu)
+                assert radial_rule(params).n_nodes == 240
 
     def test_jacobi_rule_moments_against_gamma_products(self):
         worst = max(rule_moment_error(FamilyParams(m, nu, Family.JACOBI), 600).max()
@@ -622,9 +633,16 @@ class TestWeightClosedForms:
                     n = None if curve.variant == "canonical" else curve.literal_n
                     ref = _mp_jacobi_n(p, n, mp.mpf(x)) * omega
                 assert abs(w / ref - 1) <= 2e-13, (curve, x)
-        # every true W here is finite; only the jacobi density at b = 1 is
-        # not, where 1 - x rounds to 1 at its logarithmic end
-        assert infinite == (set() if family is Family.BESSEL else {1.0})
+        # every true W here is finite, the jacobi density at b = 1 too: it is
+        # taken from x itself, not from 1 - x, which rounds to 1 at its
+        # logarithmic end
+        assert infinite == set()
+
+    def test_jacobi_canonical_takes_the_series_past_the_largest_a(self):
+        # scipy's Euler form is trusted up to a = m + nu = 6
+        p = FamilyParams(3, 3.1, Family.JACOBI)
+        xs = np.array([1e-8, 0.3, 0.9, 0.99])
+        assert _n_of(p, None, xs).tolist() == normalization(p, xs).tolist()
 
     def test_jacobi_canonical_takes_the_series_above_x_099(self):
         # scipy's Euler form errs from about x = 0.998, so above 0.99 the

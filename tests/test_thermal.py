@@ -6,8 +6,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghcs import cli, thermal
+from ghcs import cli, measure, thermal
 from ghcs.measure import density, radial_rule
 from ghcs.specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 from ghcs.states import Family, FamilyParams, coeff_h
@@ -336,7 +338,9 @@ def mp_series_moment(b, x, s):
 
 
 class TestNumberMomentSeries:
-    """The chunked summation against the scalar loop it replaced."""
+    """The chunked summation against the scalar loop it replaced.  The
+    jacobi s = 1, 2 cases at x <= 0.99 call the series routine itself, as
+    `number_moment` takes the closed form there."""
 
     @pytest.mark.parametrize("family, xs", [
         (Family.JACOBI, (1e-3, 0.3, 0.7, 0.95, 0.99, 0.997)),
@@ -350,7 +354,8 @@ class TestNumberMomentSeries:
                 for x in xs:
                     for s in (1, 2, 3):
                         ref, _ = loop_number_moment(params, x, s)
-                        worst = max(worst, rel_err(number_moment(params, x, s), ref))
+                        got = thermal._moment_ratio(params, x, s, False, DEFAULT_SERIES)
+                        worst = max(worst, rel_err(got, ref))
         assert worst <= 1e-15
 
     def test_zeroth_moment_is_one(self, bessel_params, jacobi_params):
@@ -369,7 +374,7 @@ class TestNumberMomentSeries:
         value, n = loop_number_moment(jacobi_params, x, 1)
         assert n == last
         ctl = SeriesControl(max_terms=last + 1)
-        assert rel_err(number_moment(jacobi_params, x, 1, ctl), value) <= 1e-15
+        assert rel_err(thermal._moment_ratio(jacobi_params, x, 1, False, ctl), value) <= 1e-15
 
     @pytest.mark.parametrize("max_terms", [1, 2, 63, 64, 65, 66, 191, 192, 193, 194])
     def test_budget_at_chunk_boundaries(self, jacobi_params, max_terms):
@@ -380,14 +385,15 @@ class TestNumberMomentSeries:
                     ref, _ = loop_number_moment(jacobi_params, x, s, ctl)
                 except ConvergenceError:
                     with pytest.raises(ConvergenceError):
-                        number_moment(jacobi_params, x, s, ctl)
+                        thermal._moment_ratio(jacobi_params, x, s, False, ctl)
                 else:
-                    assert rel_err(number_moment(jacobi_params, x, s, ctl), ref) <= 1e-15
+                    got = thermal._moment_ratio(jacobi_params, x, s, False, ctl)
+                    assert rel_err(got, ref) <= 1e-15
 
     def test_budget_error_text(self, jacobi_params):
         # matched verbatim by the benchmark's known-defect rule
         with pytest.raises(ConvergenceError) as exc:
-            number_moment(jacobi_params, 0.9, 1, SeriesControl(max_terms=100))
+            thermal._moment_ratio(jacobi_params, 0.9, 1, False, SeriesControl(max_terms=100))
         assert str(exc.value) == "number_moment series did not converge"
         with pytest.raises(ConvergenceError) as exc:
             number_moment(jacobi_params, 0.9995, 1)
@@ -626,7 +632,8 @@ class TestMomentArrays:
     @pytest.mark.parametrize("max_terms", [63, 64, 65, 191, 192, 193, 194])
     def test_budget_at_chunk_boundaries(self, jacobi_params, max_terms):
         # rows stop, carry their flag over a boundary or run out of budget
-        # at different chunks of the same pass
+        # at different chunks of the same pass (the series routines
+        # themselves: `number_moment` takes these x in closed form)
         ctl = SeriesControl(max_terms=max_terms)
         xs = np.array([0.05, 0.5253376688344171, 0.7, 0.813431715857929, 0.3])
         for s in (1, 2):
@@ -634,17 +641,17 @@ class TestMomentArrays:
                 refs = []
                 for x in xs:
                     try:
-                        refs.append(number_moment(jacobi_params, x, s, ctl, falling=falling))
+                        refs.append(thermal._moment_ratio(jacobi_params, x, s, falling, ctl))
                     except ConvergenceError:
                         refs.append(None)
                 for part in (xs, xs[::-1], xs[[refs[i] is not None for i in range(len(xs))]]):
                     expect = [refs[list(xs).index(x)] for x in part]
                     if None in expect:
                         with pytest.raises(ConvergenceError) as exc:
-                            number_moment(jacobi_params, part, s, ctl, falling=falling)
+                            thermal._moment_ratios(jacobi_params, part, s, falling, ctl)
                         assert str(exc.value) == "number_moment series did not converge"
                     else:
-                        got = number_moment(jacobi_params, part, s, ctl, falling=falling)
+                        got = thermal._moment_ratios(jacobi_params, part, s, falling, ctl)
                         assert got.tolist() == expect
 
     def test_budget_error_text(self, jacobi_params):
@@ -740,6 +747,124 @@ class TestMomentArrays:
             number_moment(jacobi_params, np.array([0.5, 1.5, 2.0]), 1)
         with pytest.raises(ValueError, match="must be >= 0"):
             number_moment(jacobi_params, np.array([0.5, -1.0, 2.0]), 1)
+
+
+def mp_closed_form_columns(params, x):
+    """(D1, D2, <N>, <N^2>, g2 as written, g2 conventional, Q as written,
+    Q conventional) at 40 digits, where D^k N / N is the k-th derivative of
+    the jacobi N = 2F1(a+1, a+1; b; x) over N."""
+    with mp.workdps(40):
+        x, a = mp.mpf(x), mp.mpf(params.a)
+        f0, f1, f2 = (mp.rf(a + 1, k) ** 2 / mp.rf(2 * a, k)
+                      * mp.hyp2f1(a + 1 + k, a + 1 + k, 2 * a + k, x) for k in range(3))
+        d1, d2 = f1 / f0, f2 / f0
+        n1, n2 = x * d1, x * d1 + x * x * d2
+        g2w, g2c = x * x * d2 / n2, d2 / d1**2
+        return [float(v) for v in (d1, d2, n1, n2, g2w, g2c, n1 * (g2w - 1), n1 * (g2c - 1))]
+
+
+def closed_form_columns(params, xs):
+    """The columns of `mp_closed_form_columns` as the library gives them."""
+    w = thermal.in_state_stats(params, xs, "as_written")
+    c = thermal.in_state_stats(params, xs, "conventional")
+    return np.array([number_moment(params, xs, 1, falling=True),
+                     number_moment(params, xs, 2, falling=True),
+                     number_moment(params, xs, 1), number_moment(params, xs, 2),
+                     w[2], c[2], w[3], c[3]])
+
+
+_SERIES_CASES = [(s, falling) for s in (1, 2) for falling in (False, True)]
+
+
+class TestClosedFormMoments:
+    """jacobi s = 1, 2 at x <= 0.99 and a = m + nu <= 6 in closed form from
+    scipy's Gauss functions; every other case is the series, bit for bit."""
+
+    _XS = np.concatenate(([1e-300, 1e-150, 1e-20, 1e-8, 1e-3], np.linspace(0.01, 0.99, 50)))
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_against_mpmath(self, m):
+        # D1, D2, <N>, <N^2> and the as-written g2 within 5e-14; the
+        # conventional g2 = D2 / D1^2 and the as-written Q = -x D1^2 /
+        # (D1 + x D2) carry D1's error twice (5.1e-14 at m = 3, nu = 2.5,
+        # x = 0.91), and the conventional Q = <N> (g2 - 1) cancels where g2
+        # is near 1, so it is held relative to <N> g2, its scale
+        for nu in np.linspace(0.1, 2.5, 7).tolist():
+            params = FamilyParams(m, nu, Family.JACOBI)
+            got = closed_form_columns(params, self._XS)
+            ref = np.array([mp_closed_form_columns(params, x) for x in self._XS]).T
+            err = np.abs(got - ref) / np.abs(ref)
+            assert err[:5].max() <= 5e-14, (m, nu)
+            assert err[[5, 6]].max() <= 1e-13, (m, nu)
+            assert (np.abs(got[7] - ref[7]) / (ref[2] * ref[5])).max() <= 1e-13, (m, nu)
+
+    @pytest.mark.parametrize("m, nu", [(3, 2.7), (5, 1.0)])  # a = 5.7, 6 = the largest a
+    def test_against_mpmath_up_to_the_largest_a(self, m, nu):
+        # from a = 5.4 scipy's Gauss functions err up to 8.1e-14 near
+        # x = 0.91, still below the series' 1e-13 there
+        params = FamilyParams(m, nu, Family.JACOBI)
+        got = closed_form_columns(params, self._XS)[:4]
+        ref = np.array([mp_closed_form_columns(params, x)[:4] for x in self._XS]).T
+        assert (np.abs(got - ref) / ref).max() <= 1e-13
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(m=st.integers(0, 3), nu=st.floats(0.1, 2.5),
+           x=st.floats(0.0, 0.99, exclude_min=True), case=st.sampled_from(_SERIES_CASES))
+    def test_agrees_with_the_series(self, m, nu, x, case):
+        s, falling = case
+        params = FamilyParams(m, nu, Family.JACOBI)
+        series = thermal._moment_ratio(params, x, s, falling, DEFAULT_SERIES)
+        assert rel_err(number_moment(params, x, s, falling=falling), series) <= 2e-13
+
+    @pytest.mark.parametrize("m, nu, xs", [
+        (1, 0.5, [np.nextafter(0.99, 1.0), *np.linspace(0.991, 0.998, 8)]),  # past the cut
+        (3, 3.1, [1e-8, 0.3, 0.9, 0.99]),  # a = 6.1, past the largest a
+    ])
+    def test_outside_the_region_is_the_series_bit_for_bit(self, m, nu, xs):
+        params, xs = FamilyParams(m, nu, Family.JACOBI), np.array(xs)
+        for s, falling in _SERIES_CASES:
+            ref = [thermal._moment_ratio(params, x, s, falling, DEFAULT_SERIES) for x in xs]
+            assert [number_moment(params, x, s, falling=falling) for x in xs] == ref
+            assert number_moment(params, xs, s, falling=falling).tolist() == ref
+            assert thermal._moment_ratios(params, xs, s, falling, DEFAULT_SERIES).tolist() == ref
+
+    def test_other_orders_and_bessel_are_the_series_bit_for_bit(self):
+        xs = np.array([1e-8, 0.3, 0.9, 0.99])
+        for family, orders in ((Family.JACOBI, (0, 3)), (Family.BESSEL, (0, 1, 2, 3))):
+            params = FamilyParams(1, 0.5, family)
+            for s in orders:
+                for falling in (False, True):
+                    ref = [thermal._moment_ratio(params, x, s, falling, DEFAULT_SERIES)
+                           for x in xs]
+                    assert number_moment(params, xs, s, falling=falling).tolist() == ref
+
+    def test_the_region_ends_are_the_closed_form(self):
+        # x = 0.99 and a = 6 are inside; a mixed array splits element by element
+        for m, nu in ((1, 0.5), (5, 1.0)):
+            params = FamilyParams(m, nu, Family.JACOBI)
+            xs = np.array([0.99, 0.995, 0.5])
+            for s, falling in _SERIES_CASES:
+                closed = thermal._closed_moments(params, xs[[0, 2]], s, falling)
+                got = number_moment(params, xs, s, falling=falling)
+                assert got[[0, 2]].tolist() == closed.tolist()
+                assert got[1] == thermal._moment_ratio(params, 0.995, s, falling,
+                                                       DEFAULT_SERIES)
+                assert number_moment(params, 0.99, s, falling=falling) == closed[0]
+
+    def test_budget_error_past_the_cut(self, jacobi_params):
+        # matched verbatim by the benchmark's known-defect rule
+        for arg in (0.9995, np.array([0.3, 0.9995, 0.5])):
+            for s, falling in _SERIES_CASES:
+                with pytest.raises(ConvergenceError) as exc:
+                    number_moment(jacobi_params, arg, s, falling=falling)
+                assert str(exc.value) == "number_moment series did not converge"
+
+    def test_ctl_governs_the_series_only(self, jacobi_params):
+        # a one-term budget cannot sum the series, but the closed form needs none
+        ctl = SeriesControl(max_terms=1)
+        assert number_moment(jacobi_params, 0.5, 1, ctl) == number_moment(jacobi_params, 0.5, 1)
+        with pytest.raises(ConvergenceError):
+            number_moment(jacobi_params, 0.995, 1, ctl)
 
 
 class TestPFunction:
