@@ -57,8 +57,9 @@ _TANH_SINH_T = math.asinh(-math.log(np.finfo(float).tiny) / math.pi)
 # derivatives (`_euler_gauss`) is trusted for x up to _EULER_CUT and
 # a = m + nu up to _EULER_A_MAX: against mpmath it holds 2.2e-14 for N up to
 # x = 0.99, but errs 7.6e-4 at m = 2, nu = 1.9, x = 0.999; and the moments
-# D^k N / N, k <= 2, hold 4.3e-14 over x <= 0.99 up to a = 6.5, but err
-# 1.9e-13 at a = 7, 6.2e-10 at m = 6, nu = 7.3 and 4.3e-4 at m = 20, nu = 5
+# D^k N / N, k <= 2, hold 3.5e-14 over x <= 0.99 up to a = 5.3 and 8.1e-14
+# up to a = 6, below the series' 1e-13, but err 1.0e-13 at a = 6.2, 1.9e-13
+# at a = 7, 6.2e-10 at m = 6, nu = 7.3 and 4.3e-4 at m = 20, nu = 5
 _EULER_CUT = 0.99
 _EULER_A_MAX = 6.0
 

@@ -221,7 +221,8 @@ def number_moment(params: FamilyParams, x, s: int,
     Which x takes which path, element by element:
     - jacobi s = 1 and 2 (plain and `falling`) at 0 <= x <= 0.99 with
       a = m + nu <= 6 (`measure._euler_trusted`): in closed form from
-      scipy's Gauss functions (`_closed_moments`), within 5e-14 of mpmath.
+      scipy's Gauss functions (`_closed_moments`), within 5e-14 of mpmath
+      for m <= 3, nu <= 2.5, and 8.1e-14 up to a = 6.
       A scalar x goes through the same array expression, so an array's
       elements are the scalar calls' values bit for bit;
     - every other x (jacobi x > 0.99, a > 6 or s = 0 or s >= 3, and all of
@@ -497,9 +498,12 @@ def _moment_ratios(params: FamilyParams, xs: np.ndarray, s: int, falling: bool,
 
 def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     """(<N>, <N^2>, g2, Q) in the state with |z|^2 = x from <N>/x and the
-    factorial moment <N(N-1)>/x^2, each summed at order 1 however small x
-    is, through `_number_stats`: nothing cancels.  Scalar x in, four floats
-    out; array in, four arrays out, each moment summed over the whole
+    factorial moment <N(N-1)>/x^2, each of order 1 however small x is,
+    through `_number_stats`: nothing cancels.  Both are `number_moment`'s
+    `falling` moments: jacobi x <= 0.99 with a = m + nu <= 6 in closed
+    form, D1 and D2 from scipy's Gauss functions; every other x (jacobi
+    x > 0.99 or a > 6, and all of bessel) summed as series.  Scalar x in,
+    four floats out; array in, four arrays out, each moment over the whole
     array in one `number_moment` call (the values are the per-x calls').
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
     if (x == 0.0) if isinstance(x, float) else (np.asarray(x) == 0.0).any():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcs import cli, measure, thermal
+from ghcs import cli, thermal
 from ghcs.measure import density, radial_rule
 from ghcs.specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 from ghcs.states import Family, FamilyParams, coeff_h
