@@ -346,21 +346,22 @@ def cmd_quantize(cfg: RunConfig) -> int:
     return 0
 
 
-# jacobi `expect` grids stop here, short of the x -> 1 end where the
-# moment series outgrow their budget
-_JACOBI_EXPECT_CAP = 0.98
-
-
 def cmd_expect(cfg: RunConfig) -> int:
     """In-state (<N>, <N^2>, g2, Q) over the x grid, each moment summed
-    over the whole grid in one `thermal.in_state_stats` call."""
+    over the whole grid in one `thermal.in_state_stats` call.  A jacobi
+    grid stops at `measure._EULER_CUT`, the end of the closed-form moments,
+    short of the x -> 1 end where the moment series outgrow their budget;
+    an x_max above it is clamped there, with one stderr line."""
     params = cfg.params()
     x_max = cfg.x_max
     if params.family is Family.JACOBI:
-        if cfg.x_min > _JACOBI_EXPECT_CAP:
-            raise ValueError(f"x_min = {cfg.x_min!r} is above the jacobi expect cap "
-                             f"x <= {_JACOBI_EXPECT_CAP}")
-        x_max = min(x_max, _JACOBI_EXPECT_CAP)
+        cap = measure._EULER_CUT
+        if cfg.x_min > cap:
+            raise ValueError(f"x_min = {cfg.x_min!r} is above the jacobi expect cap x <= {cap}")
+        if x_max > cap:
+            print(f"expect: jacobi x_max = {x_max!r} clamped to the cap x <= {cap}",
+                  file=sys.stderr)
+            x_max = cap
     grid = np.linspace(cfg.x_min, x_max, cfg.x_count)
     stats = thermal.in_state_stats(params, grid, cfg.g2_convention)
     rows = list(zip(grid.tolist(), *(column.tolist() for column in stats)))

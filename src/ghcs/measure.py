@@ -55,12 +55,21 @@ _MOMENT_ROWS = 256  # exponents per log_moments block: 0.49 MB arrays at 240 nod
 _TANH_SINH_T = math.asinh(-math.log(np.finfo(float).tiny) / math.pi)
 # scipy's hyp2f1 on the Euler form of the jacobi N and its first two
 # derivatives (`_euler_gauss`) is trusted for x up to _EULER_CUT and
-# a = m + nu up to _EULER_A_MAX: against mpmath it holds 2.2e-14 for N up to
-# x = 0.99, but errs 7.6e-4 at m = 2, nu = 1.9, x = 0.999; and the moments
-# D^k N / N, k <= 2, hold 3.5e-14 over x <= 0.99 up to a = 5.3 and 8.1e-14
-# up to a = 6, below the series' 1e-13, but err 1.0e-13 at a = 6.2, 1.9e-13
-# at a = 7, 6.2e-10 at m = 6, nu = 7.3 and 4.3e-4 at m = 20, nu = 5
-_EULER_CUT = 0.99
+# a = m + nu up to _EULER_A_MAX.  Against mpmath at 40 digits:
+# - F_k = 2F1(a-1, a-1; b+k; x), k = 0, 1, 2, hold 5.2e-14 at x = 0.998
+#   over a = 0.1, 0.12, ..., 6, and F_0 holds 6.0e-14 at x = 0.9984; scipy
+#   switches to another method near x = 0.99842, where F_0 errs 2.1e-3 (and
+#   7.6e-4 at x = 0.999), so the cut keeps a margin of 4e-4 below it;
+# - N holds 2.2e-14 up to x = 0.99 and 5.0e-14 on (0.99, 0.998] for m <= 3,
+#   nu in [0.05, 2.5];
+# - the moments D^k N / N, k <= 2, hold 3.5e-14 over x <= 0.99 up to a = 5.3
+#   and 8.1e-14 up to a = 6, and 4.9e-14 on (0.99, 0.998] up to a = 6 (the
+#   series errs up to 5.9e-13 there for m <= 3); they err 1.0e-13 at
+#   a = 6.2, 1.9e-13 at a = 7, 6.2e-10 at m = 6, nu = 7.3 and 4.3e-4 at
+#   m = 20, nu = 5.
+# Above the cut the series take over, and the number-moment series runs out
+# of its budget from x = 0.99818.
+_EULER_CUT = 0.998
 _EULER_A_MAX = 6.0
 
 
@@ -550,7 +559,7 @@ def _bessel_weights_by_ratios(nu: float, x: np.ndarray, t: np.ndarray) -> np.nda
 def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
     """Rows (x, W, m, nu, variant_tag) in deterministic curve-major order,
     the flattened `_figure1_columns`: W in closed form, within 2e-13 of
-    mpmath for bessel x up to 1e12 and jacobi N within 1e-13 up to x = 0.99."""
+    mpmath for bessel x up to 1e12 and jacobi N within 1e-13 up to x = 0.998."""
     x_list, columns = _figure1_columns(curves, x_grid)
     rows = []
     for curve, w_list in columns:
@@ -575,15 +584,15 @@ def _figure1_columns(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
       to 2e-13 for x from 1e-300 to 1e12.
     - jacobi: one array `density` call per distinct params, times N from
       scipy's `hyp2f1`: the canonical N as (1-x)^{-2} 2F1(a-1, a-1; b; x)
-      (Euler's transformation) up to x = 0.99 for a = m + nu <= 6
+      (Euler's transformation) up to x = 0.998 for a = m + nu <= 6
       (`_euler_trusted`) and `states.normalization` elsewhere, where
       scipy's Euler form errs; the literal N as 2F1(-c, -c; b; x),
       c = m + n + nu.
     Every W of a one-point grid is its value on a longer grid bit for bit.
     W is zero for jacobi x >= 1 and inf where omega is not finite (x = 0 at
     b <= 1); x < 0 raises ValueError, and the jacobi normalization series
-    above x = 0.99 raises ConvergenceError naming the first x when it
-    exhausts its budget (from x = 0.999 at m = 1, nu = 0.5).
+    above x = 0.998 raises ConvergenceError naming the first x when it
+    exhausts its budget (from x = 0.9985 at m = 1, nu = 0.5).
     """
     xs = np.asarray(x_grid, dtype=float).ravel()
     if curves and np.any(xs < 0.0):

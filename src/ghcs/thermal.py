@@ -219,13 +219,13 @@ def number_moment(params: FamilyParams, x, s: int,
     shape out.
 
     Which x takes which path, element by element:
-    - jacobi s = 1 and 2 (plain and `falling`) at 0 <= x <= 0.99 with
+    - jacobi s = 1 and 2 (plain and `falling`) at 0 <= x <= 0.998 with
       a = m + nu <= 6 (`measure._euler_trusted`): in closed form from
       scipy's Gauss functions (`_closed_moments`), within 5e-14 of mpmath
       for m <= 3, nu <= 2.5, and 8.1e-14 up to a = 6.
       A scalar x goes through the same array expression, so an array's
       elements are the scalar calls' values bit for bit;
-    - every other x (jacobi x > 0.99, a > 6 or s = 0 or s >= 3, and all of
+    - every other x (jacobi x > 0.998, a > 6 or s = 0 or s >= 3, and all of
       bessel): t_n summed through its ratio recurrence, as below.  `ctl`
       governs this series only.
 
@@ -304,8 +304,10 @@ def number_moment(params: FamilyParams, x, s: int,
 def _closed_moments(params: FamilyParams, xs: np.ndarray, s: int,
                     falling: bool) -> np.ndarray:
     """The jacobi `number_moment` for s = 1 or 2 on a 1-d array where
-    `measure._euler_trusted` holds: `falling` gives D^s N / N, and plain
-    <N> = x D1, <N^2> = x D1 + x^2 D2, sums of positive terms."""
+    `measure._euler_trusted` holds (x <= 0.998, a <= 6): `falling` gives
+    D^s N / N, and plain <N> = x D1, <N^2> = x D1 + x^2 D2, sums of
+    positive terms.  Within 5e-14 of mpmath on (0.99, 0.998], where the
+    series errs up to 5.9e-13."""
     f0 = _euler_gauss(params, xs)
     if falling:
         return _derivative_ratio(params, xs, f0, s)
@@ -500,11 +502,12 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     """(<N>, <N^2>, g2, Q) in the state with |z|^2 = x from <N>/x and the
     factorial moment <N(N-1)>/x^2, each of order 1 however small x is,
     through `_number_stats`: nothing cancels.  Both are `number_moment`'s
-    `falling` moments: jacobi x <= 0.99 with a = m + nu <= 6 in closed
+    `falling` moments: jacobi x <= 0.998 with a = m + nu <= 6 in closed
     form, D1 and D2 from scipy's Gauss functions; every other x (jacobi
-    x > 0.99 or a > 6, and all of bessel) summed as series.  Scalar x in,
-    four floats out; array in, four arrays out, each moment over the whole
-    array in one `number_moment` call (the values are the per-x calls').
+    x > 0.998 or a > 6, and all of bessel) summed as series, whose jacobi
+    budget runs out from x = 0.99818.  Scalar x in, four floats out; array
+    in, four arrays out, each moment over the whole array in one
+    `number_moment` call (the values are the per-x calls').
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
     if (x == 0.0) if isinstance(x, float) else (np.asarray(x) == 0.0).any():
         raise ValueError("g2 is undefined in the vacuum state (x = 0), "

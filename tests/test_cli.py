@@ -303,7 +303,7 @@ class TestWeight:
         )
 
     def test_series_budget_exit_code_past_the_euler_cut(self, tmp_path, capsys):
-        # above x = 0.99 the canonical jacobi N is the series again, so it
+        # above x = 0.998 the canonical jacobi N is the series again, so it
         # still runs out of budget at x = 0.9995
         cfg_file = tmp_path / "g.cfg"
         cfg_file.write_text("x_min=0.9995\nx_max=0.9995\nx_count=1\n")
@@ -435,19 +435,51 @@ class TestExpect:
             assert row == ",".join("%.16e" % v for v in ref)
 
     def test_jacobi_grid_above_the_cap_rejected(self, tmp_path, capsys):
-        # the 0.98 cap would turn x_min = 0.99, x_max = 0.995 into a
+        # the 0.998 cap would turn x_min = 0.999, x_max = 0.9995 into a
         # descending grid past the cap
         cfg_file = tmp_path / "e.cfg"
-        cfg_file.write_text("x_min=0.99\nx_max=0.995\n")
+        cfg_file.write_text("x_min=0.999\nx_max=0.9995\n")
         out = tmp_path / "e.csv"
         assert run(["expect", "--family", "jacobi", "--config", str(cfg_file),
                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config rejected: x_min = 0.99 is above the jacobi expect cap")
-        assert "0.98" in err and not out.exists()
+        assert err.startswith("config rejected: x_min = 0.999 is above the jacobi expect cap")
+        assert "0.998" in err and not out.exists()
         # bessel has no cap
         assert run(["expect", "--family", "bessel", "--config", str(cfg_file),
                     "--out", str(out)]) == 0
+
+    def test_jacobi_x_max_above_the_cap_is_clamped_with_a_note(self, tmp_path, capsys):
+        # the grid stops at the cap, the echo keeps the configured x_max,
+        # and one stderr line names both
+        outs = {}
+        for x_max in ("0.9995", "0.998"):
+            cfg_file = tmp_path / f"{x_max}.cfg"
+            cfg_file.write_text(f"x_min=0.99\nx_max={x_max}\nx_count=5\n")
+            outs[x_max] = tmp_path / f"{x_max}.csv"
+            assert run(["expect", "--family", "jacobi", "--config", str(cfg_file),
+                        "--out", str(outs[x_max])]) == 0
+            assert capsys.readouterr().err == (
+                "expect: jacobi x_max = 0.9995 clamped to the cap x <= 0.998\n"
+                if x_max == "0.9995" else "")
+        clamped, capped = (read_data_rows(outs[k]) for k in ("0.9995", "0.998"))
+        assert "# x_max=0.9995" in clamped[0]
+        assert clamped[1:] == capped[1:]
+        assert len(clamped[2]) == 5 and clamped[2][-1].startswith("9.98000000")
+
+    @pytest.mark.parametrize("m, nu", [(0, 0.02), (3, 2.5), (12, 5.0)])  # a = 17: the series
+    def test_jacobi_grid_to_the_cap(self, tmp_path, m, nu):
+        # every row finite up to the cap, on both sides of the largest
+        # closed-form a = m + nu = 6
+        cfg_file = tmp_path / "e.cfg"
+        cfg_file.write_text("x_min=0.9\nx_max=0.998\nx_count=64\n")
+        out = tmp_path / "e.csv"
+        assert run(["expect", "--family", "jacobi", "--m", str(m), "--nu", str(nu),
+                    "--config", str(cfg_file), "--out", str(out)]) == 0
+        _, _, rows = read_data_rows(out)
+        cells = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert cells.shape == (64, 5) and np.isfinite(cells).all()
+        assert cells[-1, 0] == 0.998
 
 
 class TestGridValidation:

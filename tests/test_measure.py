@@ -484,8 +484,8 @@ class TestFigureScanOracle:
                     if (p, n) not in refs:
                         refs[p, n] = [_mp_jacobi_n(p, n, x) if x < 1.0 else 0 for x in grid]
                     ref = [float(v) * om for v, om in zip(refs[p, n], density(p, grid))]
-                    # N: Euler's form to x = 0.99 and the series above, or the literal 2F1
-                    bound = np.where((n is None) & (grid <= 0.99), 1e-13, 5e-13)
+                    # N: Euler's form to x = 0.998 and the series above, or the literal 2F1
+                    bound = np.where((n is None) & (grid <= measure._EULER_CUT), 1e-13, 5e-13)
                 for x, value, r, tol in zip(grid, w, ref, bound):
                     if r == 0 or mp.isinf(r):
                         assert value == r, (curve, x)
@@ -644,12 +644,12 @@ class TestWeightClosedForms:
         xs = np.array([1e-8, 0.3, 0.9, 0.99])
         assert _n_of(p, None, xs).tolist() == normalization(p, xs).tolist()
 
-    def test_jacobi_canonical_takes_the_series_above_x_099(self):
-        # scipy's Euler form errs from about x = 0.998, so above 0.99 the
-        # canonical N is the normalization series, bit for bit; at and below
-        # 0.99 it is the Euler form
-        above = np.concatenate(([np.nextafter(0.99, 1.0)], np.linspace(0.991, 0.998, 8)))
-        below = np.array([0.5, 0.98, 0.99])
+    def test_jacobi_canonical_takes_the_series_above_the_euler_cut(self):
+        # scipy's Euler form errs from about x = 0.99842, so above the cut
+        # x = 0.998 the canonical N is the normalization series, bit for bit;
+        # at and below 0.998 it is the Euler form
+        above = np.array([np.nextafter(0.998, 1.0), 0.9981, 0.9982, 0.9983, 0.9984])
+        below = np.array([0.5, 0.99, 0.995, 0.998])
         for curve in _cli_curves(Family.JACOBI)[12:]:
             p = curve.params
             w = [row[1] for row in figure1_scan([curve], np.concatenate((above, below)))]
@@ -657,6 +657,36 @@ class TestWeightClosedForms:
             euler = density(p, below) * (hyp2f1(p.a - 1.0, p.a - 1.0, p.b, below)
                                          / np.square(1.0 - below))
             assert w == [*series.tolist(), *euler.tolist()]
+
+    def test_euler_gauss_functions_at_the_cut(self):
+        # F_k = 2F1(a-1, a-1; b+k; x), k = 0, 1, 2, at x = _EULER_CUT on a
+        # dense a grid (5.2e-14 at worst): a cut moved past scipy's switch
+        # near x = 0.99842, where F_0 errs 2e-3, fails here
+        x = measure._EULER_CUT
+        worst = 0.0
+        with mp.workdps(20):
+            for a in np.linspace(0.1, 6.0, 296).tolist():
+                p = FamilyParams(0, a, Family.JACOBI)
+                for k in range(3):
+                    ref = mp.hyp2f1(a - 1, a - 1, 2 * a + k, x)
+                    worst = max(worst, abs(measure._euler_gauss(p, x, k) / ref - 1))
+        assert worst <= 1e-13
+
+    def test_jacobi_canonical_weight_between_099_and_the_cut(self):
+        # the canonical W = N omega against mpmath's N times its Gauss
+        # reduction of the density, 2F1(1-a, 1-a; 1; 1-x) (5.0e-14 at worst)
+        xs = np.linspace(0.99, measure._EULER_CUT, 9)[1:]
+        worst = 0.0
+        with mp.workdps(20):
+            for m in range(4):
+                for nu in (0.05, 0.1, 0.7, 1.3, 1.9, 2.5):
+                    p = FamilyParams(m, nu, Family.JACOBI)
+                    a = m + mp.mpf(nu)
+                    const = mp.gamma(a + 1) ** 2 / mp.gamma(2 * a)
+                    for x, w, *_ in figure1_scan([WeightCurve(p)], xs):
+                        omega = const * mp.hyp2f1(1 - a, 1 - a, 1, 1 - mp.mpf(x))
+                        worst = max(worst, abs(w / (_mp_jacobi_n(p, None, x) * omega) - 1))
+        assert worst <= 1e-13
 
 
 class TestDensityEndpoint:
