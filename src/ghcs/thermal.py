@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -275,20 +276,20 @@ def number_moment(params: FamilyParams, x, s: int,
     Every x must lie in the normalization domain [0, radius^2) and s must
     be a non-negative integer; otherwise ValueError, before any summing.
     """
-    if not isinstance(s, (int, np.integer)) or s < 0:
-        raise ValueError("s must be a non-negative integer")
+    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 0:
+        raise ValueError(f"s must be a non-negative integer, not {s!r}")
+    if not isinstance(ctl, SeriesControl):
+        raise TypeError(f"ctl must be a SeriesControl, not {type(ctl).__name__} "
+                        "(falling is keyword-only)")
     closed = s in (1, 2)
     if isinstance(x, float) or np.ndim(x) == 0:
         x = _norm_arg(params, float(x))
         if x == 0.0 and not falling:
             return 1.0 if s == 0 else 0.0
         if closed and _euler_trusted(params, x):
-            return float(_closed_moments(params, np.array([x]), s, falling)[0])
+            return float(_closed_moments(params, x, s, falling))
         return _moment_ratio(params, x, s, falling, ctl)
-    xs = np.asarray(x, dtype=float)
-    bad = ~((xs >= 0.0) & (xs < params.radius**2))
-    if bad.any():
-        _norm_arg(params, xs[bad][0])  # raises, naming the value
+    xs = _norm_args(params, x)
     # at x = 0 every term after t_0 vanishes, so <N^s> is 1 (s = 0) or 0
     out = np.full(xs.shape, 1.0 if s == 0 else 0.0)
     summed = (xs > 0.0) | falling
@@ -301,13 +302,24 @@ def number_moment(params: FamilyParams, x, s: int,
     return out
 
 
-def _closed_moments(params: FamilyParams, xs: np.ndarray, s: int,
-                    falling: bool) -> np.ndarray:
-    """The jacobi `number_moment` for s = 1 or 2 on a 1-d array where
-    `measure._euler_trusted` holds (x <= 0.998, a <= 6): `falling` gives
-    D^s N / N, and plain <N> = x D1, <N^2> = x D1 + x^2 D2, sums of
+def _norm_args(params: FamilyParams, x) -> np.ndarray:
+    """x as a float array, every element in the normalization domain
+    [0, radius^2); else the ValueError of `_norm_arg` for the first that
+    is not."""
+    xs = np.asarray(x, dtype=float)
+    bad = ~((xs >= 0.0) & (xs < params.radius**2))
+    if bad.any():
+        _norm_arg(params, xs[bad][0])  # raises, naming the value
+    return xs
+
+
+def _closed_moments(params: FamilyParams, xs, s: int, falling: bool):
+    """The jacobi `number_moment` for s = 1 or 2 on a float or a 1-d array
+    where `measure._euler_trusted` holds (x <= 0.998, a <= 6): `falling`
+    gives D^s N / N, and plain <N> = x D1, <N^2> = x D1 + x^2 D2, sums of
     positive terms.  Within 5e-14 of mpmath on (0.99, 0.998], where the
-    series errs up to 5.9e-13."""
+    series errs up to 5.9e-13.  One expression for both shapes: a float
+    gives an array element's value bit for bit."""
     f0 = _euler_gauss(params, xs)
     if falling:
         return _derivative_ratio(params, xs, f0, s)
@@ -315,13 +327,15 @@ def _closed_moments(params: FamilyParams, xs: np.ndarray, s: int,
     return n1 if s == 1 else n1 + xs * xs * _derivative_ratio(params, xs, f0, 2)
 
 
-def _derivative_ratio(params: FamilyParams, xs: np.ndarray, f0: np.ndarray,
-                      k: int) -> np.ndarray:
+def _derivative_ratio(params: FamilyParams, xs, f0, k: int):
     # D^k N / N = ((a+1)_k)^2 / (b)_k (1-x)^{-k} F_k / F_0 for k = 1, 2, with
-    # F_k = 2F1(a-1, a-1; b+k; x) (`measure._euler_gauss`; b = 2a)
+    # F_k = 2F1(a-1, a-1; b+k; x) (`measure._euler_gauss`; b = 2a); (1-x)^2
+    # is a product, as numpy squares an array where a float's `**` is libm
+    # `pow`, which differs in the last bit for about one value in a thousand
     a, b = params.a, params.b
     c = (a + 1.0) ** 2 / b if k == 1 else ((a + 1.0) * (a + 2.0)) ** 2 / (b * (b + 1.0))
-    return c / (1.0 - xs) ** k * _euler_gauss(params, xs, k) / f0
+    d = 1.0 - xs
+    return c / (d if k == 1 else d * d) * _euler_gauss(params, xs, k) / f0
 
 
 def _weighted(terms, n1, n, s: int, falling: bool, max_terms: int):
@@ -330,7 +344,9 @@ def _weighted(terms, n1, n, s: int, falling: bool, max_terms: int):
     the float range where n1^s t_n1 does not, so it multiplies in as
     factors n1^k, k the largest with n1^k < 2^1000 at every index within
     the budget; each contribution is then the same whichever chunk holds
-    it.  Below k, n1^s is one factor."""
+    it.  Below k, n1^s is one factor.  s = 1 (either kind) is n1 itself."""
+    if s == 1:
+        return terms * n1
     if falling:
         return _falling_power(n1, n, s) * terms
     k = int(1000.0 // math.log2(max_terms + 1.0))
@@ -348,6 +364,15 @@ def _falling_power(k, k_less_1, s: int):
     for j in range(2, s):
         out = out * (k - j)
     return out
+
+
+@lru_cache(maxsize=16)
+def _index_row(n_max: int) -> np.ndarray:
+    # [0.0, 1.0, ..., n_max], shared read-only: a chunk reads its n and
+    # n + 1 as slices of the row for the power of two above its stop
+    n = np.arange(n_max + 1, dtype=float)
+    n.flags.writeable = False
+    return n
 
 
 def _overflow(s: int, falling: bool, x: float) -> OverflowError:
@@ -392,8 +417,8 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
             if e > 1:
                 term, den, num = (math.ldexp(v, -e) for v in (term, den, num))
             stop = min(start + size, ctl.max_terms)
-            n = np.arange(start, stop, dtype=float)
-            n1 = np.arange(start + 1, stop + 1, dtype=float)
+            row = _index_row(1 << stop.bit_length())
+            n, n1 = row[start:stop], row[start + 1:stop + 1]
             ratio = x / (n1 * (b + n))
             if jacobi:
                 ratio *= (shift + n) ** 2
@@ -411,15 +436,16 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                     raise _overflow(s, falling, x)
                 size, retried = (stop - start) // 2, True  # sum it again, rescale sooner
                 continue
-            # small[i + 1]: contribution i is small; small[0] is carried over
-            small = np.concatenate(
-                ([small], contrib <= ctl.rel_tol * np.maximum(nums, ctl.abs_floor))
-            )
-            pairs = small[1:] & small[:-1]
-            k = int(pairs.argmax())
-            if pairs[k]:
+            # tiny[i]: contribution i is small; the stopping pair may be the
+            # carried flag and the first contribution
+            tiny = contrib <= ctl.rel_tol * np.maximum(nums, ctl.abs_floor)
+            if small and tiny[0]:
+                return float(nums[0] / dens[0])
+            pairs = tiny[1:] & tiny[:-1]
+            if pairs.any():
+                k = int(pairs.argmax()) + 1
                 return float(nums[k] / dens[k])
-            small = bool(small[-1])
+            small = bool(tiny[-1])
             term, den, num = float(terms[-1]), float(dens[-1]), float(nums[-1])
             start, size, retried = stop, (stop - start) * (1 if retried else 2), False
     raise ConvergenceError("number_moment series did not converge")
@@ -461,8 +487,8 @@ def _moment_ratios(params: FamilyParams, xs: np.ndarray, s: int, falling: bool,
             e[e <= 1] = 0
             term, den, num = (np.ldexp(v, -e) for v in (term, den, num))
             stop = min(start + size, ctl.max_terms)
-            n = np.arange(start, stop, dtype=float)
-            n1 = np.arange(start + 1, stop + 1, dtype=float)
+            row = _index_row(1 << stop.bit_length())
+            n, n1 = row[start:stop], row[start + 1:stop + 1]
             ratio = xs[live, None] / (n1 * (b + n))
             if jacobi:
                 ratio *= (shift + n) ** 2
@@ -502,20 +528,42 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     """(<N>, <N^2>, g2, Q) in the state with |z|^2 = x from <N>/x and the
     factorial moment <N(N-1)>/x^2, each of order 1 however small x is,
     through `_number_stats`: nothing cancels.  Both are `number_moment`'s
-    `falling` moments: jacobi x <= 0.998 with a = m + nu <= 6 in closed
-    form, D1 and D2 from scipy's Gauss functions; every other x (jacobi
-    x > 0.998 or a > 6, and all of bessel) summed as series, whose jacobi
-    budget runs out from x = 0.99818.  Scalar x in, four floats out; array
-    in, four arrays out, each moment over the whole array in one
-    `number_moment` call (the values are the per-x calls').
+    `falling` moments, bit for bit: jacobi x <= 0.998 with a = m + nu <= 6
+    in closed form, D1 and D2 from one evaluation of scipy's Gauss
+    functions (F_0 read once); every other x (jacobi x > 0.998 or a > 6,
+    and all of bessel) summed as series, whose jacobi budget runs out from
+    x = 0.99818.  Scalar x in, four floats out; array in, four arrays out,
+    the series x of each moment in one `number_moment` call.
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
     if (x == 0.0) if isinstance(x, float) else (np.asarray(x) == 0.0).any():
         raise ValueError("g2 is undefined in the vacuum state (x = 0), "
                          "where <N> = <N^2> = 0")
-    mean = number_moment(params, x, 1, falling=True)  # <N> / x; checks the domain
-    fact = number_moment(params, x, 2, falling=True)  # <N(N-1)> / x^2
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = _norm_arg(params, float(x))
+        moments = _closed_falling if _euler_trusted(params, x) else _series_falling
+        mean, fact = (float(v) for v in moments(params, x))
+    else:
+        x = _norm_args(params, x)
+        euler = _euler_trusted(params, x)
+        mean, fact = np.empty(x.shape), np.empty(x.shape)
+        for part, moments in ((euler, _closed_falling), (~euler, _series_falling)):
+            if part.any():
+                mean[part], fact[part] = moments(params, x[part])
     n1 = x * mean
     return (n1, *_number_stats(n1, x * fact / mean, fact / mean / mean, g2_convention))
+
+
+def _closed_falling(params: FamilyParams, xs):
+    # (D1, D2) = (<N>/x, <N(N-1)>/x^2) where `measure._euler_trusted` holds,
+    # from one F_0: `_closed_moments`' falling values bit for bit
+    f0 = _euler_gauss(params, xs)
+    return _derivative_ratio(params, xs, f0, 1), _derivative_ratio(params, xs, f0, 2)
+
+
+def _series_falling(params: FamilyParams, xs):
+    # (D1, D2) elsewhere, one `number_moment` series call each
+    return (number_moment(params, xs, 1, falling=True),
+            number_moment(params, xs, 2, falling=True))
 
 
 def g2_in_state(params: FamilyParams, x, g2_convention: str = "as_written"):

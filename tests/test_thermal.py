@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcs import cli, thermal
+from ghcs import cli, measure, thermal
 from ghcs.measure import density, radial_rule
 from ghcs.specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 from ghcs.states import Family, FamilyParams, coeff_h
@@ -262,23 +262,31 @@ class TestInStateExpectations:
                 mandel_q_in_state(params, 0.0, convention)
 
 
-def loop_number_moment(params, x, s, ctl=DEFAULT_SERIES):
-    """Reference: the term-by-term loop `number_moment` used to be, as
-    (<N^s>, index of the last summed term).  Its s = 0 numerator leaves
-    out the n = 0 term, so it is compared for s >= 1 only."""
+def loop_number_moment(params, x, s, ctl=DEFAULT_SERIES, falling=False):
+    """Reference: the term-by-term loop `number_moment` sums, as
+    (<N^s>, index of the last summed term), or with `falling` as
+    (<N (N-1) ... (N-s+1)> / x^s, that index).  The falling recurrence
+    carries t_n / x^min(n, s), its first s steps taken without their
+    factor x, and sums from n = s on."""
     b = params.b
     shift = params.coeff_shift
-    term = 1.0
-    den = term
-    num = 0.0
+    jacobi = params.family is Family.JACOBI
+    p = s if falling else 0
+    term, den = 1.0, 0.0
+    for k in range(p):
+        den += term * x**k
+        term *= ((shift + k) ** 2 if jacobi else 1.0) / ((k + 1.0) * (b + k))
+    xp = x**p
+    den += term * xp
+    num = (math.perm(p, s) if falling else 0.0**s) * term  # the index-p contribution
     small = 0
-    for n in range(ctl.max_terms):
+    for n in range(p, ctl.max_terms):
         ratio = x / ((n + 1.0) * (b + n))
-        if params.family is Family.JACOBI:
+        if jacobi:
             ratio *= (shift + n) ** 2
         term *= ratio
-        den += term
-        contrib = float(n + 1) ** s * term
+        den += term * xp
+        contrib = (math.perm(n + 1, s) if falling else float(n + 1) ** s) * term
         num += contrib
         if contrib <= ctl.rel_tol * max(num, ctl.abs_floor):
             small += 1
@@ -352,11 +360,50 @@ class TestNumberMomentSeries:
             for nu in (0.1, 0.5, 1.3, 2.5):
                 params = FamilyParams(m, nu, family)
                 for x in xs:
-                    for s in (1, 2, 3):
-                        ref, _ = loop_number_moment(params, x, s)
-                        got = thermal._moment_ratio(params, x, s, False, DEFAULT_SERIES)
-                        worst = max(worst, rel_err(got, ref))
+                    for s in (0, 1, 2, 3):
+                        for falling in (False, True):
+                            ref, _ = loop_number_moment(params, x, s, falling=falling)
+                            got = thermal._moment_ratio(params, x, s, falling, DEFAULT_SERIES)
+                            worst = max(worst, rel_err(got, ref))
         assert worst <= 1e-15
+
+    @pytest.mark.parametrize("family, x, s, falling, last", [
+        # the loop's last summed index is a chunk's first element (chunks
+        # start at s with `falling`, else at 0, and hold 64, 128, ... terms)
+        (Family.JACOBI, 0.5545383652279291, 0, False, 64),
+        (Family.JACOBI, 0.826825715959185, 0, False, 192),
+        (Family.JACOBI, 0.5010081815743476, 2, False, 64),
+        (Family.JACOBI, 0.7896236593017728, 3, False, 192),
+        (Family.JACOBI, 0.5303707541066701, 1, True, 65),
+        (Family.JACOBI, 0.8138530090499401, 1, True, 193),
+        (Family.JACOBI, 0.509770780995872, 2, True, 66),
+        (Family.JACOBI, 0.802332896464048, 2, True, 194),
+        (Family.BESSEL, 836.6595399610563, 0, False, 64),
+        (Family.BESSEL, 798.2779722020048, 2, False, 64),
+        (Family.BESSEL, 855.2114358682228, 1, True, 65),
+        (Family.BESSEL, 873.7833297112786, 2, True, 66),
+    ])
+    def test_stop_on_a_chunk_first_element(self, family, x, s, falling, last):
+        # the stopping pair is the carried flag and a chunk's first
+        # contribution; with a budget of last + 1 that chunk holds one term
+        # (no pair inside it), and with last no stop is reached; nor is it
+        # in that one-term chunk for a larger x, whose series is longer
+        params = FamilyParams(1, 0.5, family)
+        value, n = loop_number_moment(params, x, s, falling=falling)
+        assert n == last
+        edge = SeriesControl(max_terms=last + 1)
+        for ctl in (DEFAULT_SERIES, edge):
+            got = thermal._moment_ratio(params, x, s, falling, ctl)
+            assert rel_err(got, value) <= 1e-15
+            assert thermal._moment_ratios(params, np.array([x, x]), s, falling,
+                                          ctl).tolist() == [got, got]
+        longer = math.sqrt(x) if family is Family.JACOBI else 2.0 * x
+        assert loop_number_moment(params, longer, s, falling=falling)[1] > last + 1
+        for xx, ctl in ((x, SeriesControl(max_terms=last)), (longer, edge)):
+            with pytest.raises(ConvergenceError):
+                thermal._moment_ratio(params, xx, s, falling, ctl)
+            with pytest.raises(ConvergenceError):
+                thermal._moment_ratios(params, np.array([x, xx]), s, falling, ctl)
 
     def test_zeroth_moment_is_one(self, bessel_params, jacobi_params):
         # the scalar loop left the n = 0 term out of the s = 0 numerator
@@ -413,6 +460,21 @@ class TestNumberMomentSeries:
     def test_order_must_be_a_nonnegative_integer(self, jacobi_params, s):
         with pytest.raises(ValueError, match="non-negative integer"):
             number_moment(jacobi_params, 0.5, s)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_bool_order_and_positional_falling_are_rejected_by_name(self, family):
+        # a `falling` flag passed positionally lands in `ctl`; each is
+        # rejected before any work, an x outside the domain included
+        params = FamilyParams(1, 0.5, family)
+        for x in (0.5, 0.999, 1.5, np.array([0.5, 0.999])):
+            for flag in (True, False):
+                with pytest.raises(TypeError, match="ctl must be a SeriesControl, not bool"):
+                    number_moment(params, x, 1, flag)
+            with pytest.raises(TypeError, match="ctl must be a SeriesControl, not dict"):
+                number_moment(params, x, 2, {"max_terms": 100})
+            for s in (True, False):
+                with pytest.raises(ValueError, match="s must be a non-negative integer"):
+                    number_moment(params, x, s)
 
     @pytest.mark.parametrize("x", [1.5e5, 1e6, 1e8])
     def test_large_bessel_argument_matches_mpmath(self, bessel_params, x):
@@ -863,6 +925,46 @@ class TestClosedFormMoments:
                 with pytest.raises(ConvergenceError) as exc:
                     number_moment(jacobi_params, arg, s, falling=falling)
                 assert str(exc.value) == "number_moment series did not converge"
+
+    _EDGES = [1e-300, np.nextafter(measure._EULER_CUT, 0.0), measure._EULER_CUT,
+              np.nextafter(measure._EULER_CUT, 1.0), 0.9981]
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("m, nu", [(1, 0.5), (5, 1.0), (3, 3.1)])  # a = 1.5, 6, 6.1
+    @pytest.mark.parametrize("convention", ["as_written", "conventional"])
+    def test_in_state_stats_are_the_falling_moments_bit_for_bit(self, family, m, nu,
+                                                                convention):
+        # in_state_stats reads D1 and D2 from one evaluation where the closed
+        # form holds; every value is that of the two falling moments, on
+        # both sides of the cut and of the largest a, for both shapes
+        params = FamilyParams(m, nu, family)
+        xs = np.array(self._EDGES)
+        for arg in [*xs.tolist(), xs]:
+            mean = number_moment(params, arg, 1, falling=True)
+            fact = number_moment(params, arg, 2, falling=True)
+            n1 = arg * mean
+            ref = (n1, *thermal._number_stats(n1, arg * fact / mean, fact / mean / mean,
+                                              convention))
+            got = thermal.in_state_stats(params, arg, convention)
+            for g, r in zip(got, ref):
+                assert type(g) is type(r)
+                assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+
+    @pytest.mark.parametrize("m, nu", [(1, 0.5), (0, 0.3), (5, 1.0)])
+    def test_a_float_is_an_array_element_bit_for_bit(self, m, nu):
+        # the closed form runs one expression on a float and on an array;
+        # a float's (1-x)^2 through libm `pow` would differ from numpy's
+        # square in the last bit for about one x in a thousand
+        params = FamilyParams(m, nu, Family.JACOBI)
+        xs = np.concatenate((self._EDGES[:3], np.linspace(1e-3, measure._EULER_CUT, 3001)))
+        for s, falling in _SERIES_CASES:
+            array = thermal._closed_moments(params, xs, s, falling)
+            floats = [float(thermal._closed_moments(params, x, s, falling)) for x in xs.tolist()]
+            assert array.tolist() == floats
+            assert [number_moment(params, x, s, falling=falling) for x in xs.tolist()] == floats
+        mean, fact = thermal._closed_falling(params, xs)
+        assert mean.tolist() == [thermal._closed_falling(params, x)[0] for x in xs.tolist()]
+        assert fact.tolist() == [thermal._closed_falling(params, x)[1] for x in xs.tolist()]
 
     def test_ctl_governs_the_series_only(self, jacobi_params):
         # a one-term budget cannot sum the series, but the closed form needs none
