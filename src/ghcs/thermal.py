@@ -437,14 +437,15 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                 size, retried = (stop - start) // 2, True  # sum it again, rescale sooner
                 continue
             # tiny[i]: contribution i is small; the stopping pair may be the
-            # carried flag and the first contribution
+            # carried flag and the first contribution (a one-term chunk has
+            # no other pair)
             tiny = contrib <= ctl.rel_tol * np.maximum(nums, ctl.abs_floor)
             if small and tiny[0]:
                 return float(nums[0] / dens[0])
             pairs = tiny[1:] & tiny[:-1]
-            if pairs.any():
-                k = int(pairs.argmax()) + 1
-                return float(nums[k] / dens[k])
+            k = int(pairs.argmax()) if pairs.size else 0
+            if pairs.size and pairs[k]:
+                return float(nums[k + 1] / dens[k + 1])
             small = bool(tiny[-1])
             term, den, num = float(terms[-1]), float(dens[-1]), float(nums[-1])
             start, size, retried = stop, (stop - start) * (1 if retried else 2), False
@@ -533,7 +534,8 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     functions (F_0 read once); every other x (jacobi x > 0.998 or a > 6,
     and all of bessel) summed as series, whose jacobi budget runs out from
     x = 0.99818.  Scalar x in, four floats out; array in, four arrays out,
-    the series x of each moment in one `number_moment` call.
+    the closed-form x in one evaluation and the others (none, perhaps) in
+    one `number_moment` call per moment.
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
     if (x == 0.0) if isinstance(x, float) else (np.asarray(x) == 0.0).any():
         raise ValueError("g2 is undefined in the vacuum state (x = 0), "
@@ -546,9 +548,8 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
         x = _norm_args(params, x)
         euler = _euler_trusted(params, x)
         mean, fact = np.empty(x.shape), np.empty(x.shape)
-        for part, moments in ((euler, _closed_falling), (~euler, _series_falling)):
-            if part.any():
-                mean[part], fact[part] = moments(params, x[part])
+        mean[euler], fact[euler] = _closed_falling(params, x[euler])
+        mean[~euler], fact[~euler] = _series_falling(params, x[~euler])
     n1 = x * mean
     return (n1, *_number_stats(n1, x * fact / mean, fact / mean / mean, g2_convention))
 
