@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +25,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .measure import (MomentReport, QuadratureRule, _euler_gauss, _euler_trusted, _moment_rows,
                       density, radial_rule)
 from .specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
-from .states import Family, FamilyParams, _norm_arg, normalization
+from .states import Family, FamilyParams, _index_row, _norm_arg, normalization
 
 __all__ = [
     "ThermalState",
@@ -224,8 +223,9 @@ def number_moment(params: FamilyParams, x, s: int,
       a = m + nu <= 6 (`measure._euler_trusted`): in closed form from
       scipy's Gauss functions (`_closed_moments`), within 5e-14 of mpmath
       for m <= 3, nu <= 2.5, and 8.1e-14 up to a = 6.
-      A scalar x goes through the same array expression, so an array's
-      elements are the scalar calls' values bit for bit;
+      A scalar x takes the same expression as a float, not as a
+      one-element array, and an array's elements are the scalar calls'
+      values bit for bit;
     - every other x (jacobi x > 0.998, a > 6 or s = 0 or s >= 3, and all of
       bessel): t_n summed through its ratio recurrence, as below.  `ctl`
       governs this series only.
@@ -258,7 +258,8 @@ def number_moment(params: FamilyParams, x, s: int,
     Stopping rule and budget: the summation ends after two consecutive
     contributions n^s t_n <= ctl.rel_tol * max(numerator sum,
     ctl.abs_floor), the "previous one was small" state carried across
-    chunk boundaries, and raises ConvergenceError("number_moment series
+    chunk boundaries (tested against the next chunk's first contribution),
+    and raises ConvergenceError("number_moment series
     did not converge") when ctl.max_terms terms did not reach it.  A series
     whose sums still leave the float range in a one-term chunk (n^s t_n
     does for large s, and with `falling` x^s past the float range) raises
@@ -274,7 +275,9 @@ def number_moment(params: FamilyParams, x, s: int,
     The same chunks, stopping rule and budget apply, from n = s.
 
     Every x must lie in the normalization domain [0, radius^2) and s must
-    be a non-negative integer; otherwise ValueError, before any summing.
+    be a non-negative integer, not a bool; otherwise ValueError.  A `ctl`
+    that is not a `SeriesControl` (a `falling` flag passed positionally
+    lands there) is a TypeError.  Both are raised before any work.
     """
     if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 0:
         raise ValueError(f"s must be a non-negative integer, not {s!r}")
@@ -366,15 +369,6 @@ def _falling_power(k, k_less_1, s: int):
     return out
 
 
-@lru_cache(maxsize=16)
-def _index_row(n_max: int) -> np.ndarray:
-    # [0.0, 1.0, ..., n_max], shared read-only: a chunk reads its n and
-    # n + 1 as slices of the row for the power of two above its stop
-    n = np.arange(n_max + 1, dtype=float)
-    n.flags.writeable = False
-    return n
-
-
 def _overflow(s: int, falling: bool, x: float) -> OverflowError:
     what = f"<N^({s})> / x^{s}" if falling else f"<N^{s}>"
     return OverflowError(f"number_moment: the {what} series at x = {x:g} "
@@ -417,15 +411,18 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
             if e > 1:
                 term, den, num = (math.ldexp(v, -e) for v in (term, den, num))
             stop = min(start + size, ctl.max_terms)
+            # n and n + 1 as slices of the shared index row, keyed on the
+            # power of two above stop (the state builds' own lengths)
             row = _index_row(1 << stop.bit_length())
-            n, n1 = row[start:stop], row[start + 1:stop + 1]
+            n, n1 = row[0, start:stop], row[0, start + 1:stop + 1]
             ratio = x / (n1 * (b + n))
             if jacobi:
                 ratio *= (shift + n) ** 2
             ratio[0] *= term
             terms = np.multiply.accumulate(ratio, out=ratio)
             contrib = _weighted(terms, n1, n, s, falling, ctl.max_terms)
-            dens = terms * xp if p else terms.copy()
+            last = terms[-1]  # with p = 0 the denominator sums overwrite terms
+            dens = terms * xp if p else terms
             dens[0] += den
             np.add.accumulate(dens, out=dens)
             nums = contrib.copy()
@@ -436,18 +433,20 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                     raise _overflow(s, falling, x)
                 size, retried = (stop - start) // 2, True  # sum it again, rescale sooner
                 continue
-            # tiny[i]: contribution i is small; the stopping pair may be the
-            # carried flag and the first contribution (a one-term chunk has
-            # no other pair)
-            tiny = contrib <= ctl.rel_tol * np.maximum(nums, ctl.abs_floor)
+            # tiny[i]: contribution i is small.  The partial sums never fall
+            # (no contribution is negative), so once the first reaches
+            # abs_floor they are their own max with it
+            lim = nums if nums[0] >= ctl.abs_floor else np.maximum(nums, ctl.abs_floor)
+            tiny = contrib <= ctl.rel_tol * lim
+            # the stopping pair may be the carried flag and the first
+            # contribution, the only pair of a one-term chunk
             if small and tiny[0]:
                 return float(nums[0] / dens[0])
             pairs = tiny[1:] & tiny[:-1]
-            k = int(pairs.argmax()) if pairs.size else 0
-            if pairs.size and pairs[k]:
+            if pairs.size and pairs[k := int(pairs.argmax())]:
                 return float(nums[k + 1] / dens[k + 1])
             small = bool(tiny[-1])
-            term, den, num = float(terms[-1]), float(dens[-1]), float(nums[-1])
+            term, den, num = float(last), float(dens[-1]), float(nums[-1])
             start, size, retried = stop, (stop - start) * (1 if retried else 2), False
     raise ConvergenceError("number_moment series did not converge")
 
@@ -489,7 +488,7 @@ def _moment_ratios(params: FamilyParams, xs: np.ndarray, s: int, falling: bool,
             term, den, num = (np.ldexp(v, -e) for v in (term, den, num))
             stop = min(start + size, ctl.max_terms)
             row = _index_row(1 << stop.bit_length())
-            n, n1 = row[start:stop], row[start + 1:stop + 1]
+            n, n1 = row[0, start:stop], row[0, start + 1:stop + 1]
             ratio = xs[live, None] / (n1 * (b + n))
             if jacobi:
                 ratio *= (shift + n) ** 2
