@@ -299,8 +299,9 @@ def number_moment(params: FamilyParams, x, s: int,
     summed = (xs > 0.0) | falling
     if closed:
         euler = summed & _euler_trusted(params, xs)
-        out[euler] = _closed_moments(params, xs[euler], s, falling)
-        summed &= ~euler
+        if euler.any():  # empty, it still costs about 20 us on a two-vCPU host
+            out[euler] = _closed_moments(params, xs[euler], s, falling)
+            summed &= ~euler
     if summed.any():
         out[summed] = _moment_ratios(params, xs[summed], s, falling, ctl)
     return out
@@ -548,7 +549,10 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
         x = _norm_args(params, x)
         euler = _euler_trusted(params, x)
         mean, fact = np.empty(x.shape), np.empty(x.shape)
-        mean[euler], fact[euler] = _closed_falling(params, x[euler])
+        if euler.any():
+            mean[euler], fact[euler] = _closed_falling(params, x[euler])
+        # called on an empty part too: the benchmark's trace test counts
+        # these calls (ROADMAP item 4)
         mean[~euler], fact[~euler] = _series_falling(params, x[~euler])
     n1 = x * mean
     return (n1, *_number_stats(n1, x * fact / mean, fact / mean / mean, g2_convention))
