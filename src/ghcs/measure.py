@@ -547,12 +547,13 @@ def _bessel_weights_by_ratios(nu: float, x: np.ndarray, t: np.ndarray) -> np.nda
     # and r = I_{nu+1} / I_nu, which stay in range where I_nu and K_nu do
     # not.  s is the forward recurrence s_mu = 2 mu / t + 1 / s_{mu-1}
     # (DLMF 10.29.1; all terms positive) from mu0 - 1 = nu - floor(nu) - 1,
-    # where s = K_{mu0} / K_{1-mu0}; r is the ratio of two 0F1 series.
+    # where s = K_{mu0} / K_{1-mu0}; r = sqrt(x) / (nu+1) rho_{nu+1}(x), with
+    # rho_c = 0F1(; c+1; x) / 0F1(; c; x) from the certified ratio recurrence.
     mu0 = nu - math.floor(nu)
     s = kve(mu0, t) / kve(1.0 - mu0, t)
     for k in range(math.floor(nu) + 1):
         s = 2.0 * (mu0 + k) / t + 1.0 / s
-    r = (np.sqrt(x) / (nu + 1.0)) * specfun.hyp_0f1(nu + 2.0, x) / specfun.hyp_0f1(nu + 1.0, x)
+    r = np.sqrt(x) / (nu + 1.0) * specfun._hyp_0f1_ratios(nu + 1.0, x)[0]
     return 2.0 / (t * (s + r))
 
 

@@ -8,7 +8,10 @@ array summation (`_sum_ratio_array`) that reproduces the term-by-term
 recurrence's values and stopping rule element by element.  0F1 is the
 bessel normalization; complex 0F1 arguments (the phase-space density) go
 through the modified Bessel closed form in `dynamics`, or through the same
-series (`_hyp_0f1_series`) where that form underflows.  2F1 is the
+series (`_hyp_0f1_series`) where that form underflows.  The ratios
+0F1(; c+1; x) / 0F1(; c; x) behind the bessel in-state moments and weight
+come from a bracketed backward recurrence (`_hyp_0f1_ratios`) that never
+forms 0F1 itself, under the same budget.  2F1 is the
 certified series the tests hold scipy's Gauss function to, which the
 figure-caption weights use.  Log-gamma, the modified Bessel functions and
 the jacobi weight density's Gauss-function form come from `math` and
@@ -175,6 +178,112 @@ def _hyp_0f1_series(b: float, x, ctl: SeriesControl = DEFAULT_SERIES):
     """The 0F1 series of `hyp_0f1` without its domain checks, so x may be
     complex; it cancels unless |x| stays well below b^2 / 4."""
     return _sum_ratio_array(f"0F1({b!r}; x)", x, lambda k, w: w / ((k + 1.0) * (b + k)), ctl)
+
+
+# The ratio recurrence starts this many levels above c = b + floor(sqrt x):
+# below c ~ sqrt x a step barely narrows the bracket, above it each step
+# narrows it several-fold (Amos 1974).
+_RATIO_MARGIN = 40
+
+
+def _hyp_0f1_ratios(b: float, x, ctl: SeriesControl = DEFAULT_SERIES):
+    """(rho_b, rho_{b+1}) with rho_c(x) = 0F1(; c+1; x) / 0F1(; c; x), for
+    b > 0 and x >= 0 a float (floats out) or a float array (two arrays of
+    its shape out).  Neither 0F1 is formed, so nothing under- or overflows.
+
+    From the contiguous relation 0F1(; c; x) - 0F1(; c+1; x) =
+    x / (c (c+1)) 0F1(; c+2; x), rho_c = 1 / (1 + q_c rho_{c+1}) with
+    q_c = x / (c (c+1)) (DLMF 10.33.1 via 10.39.9), and rho lies in (0, 1].
+    The recurrence is swept backward as s_c = 1 / rho_c = 1 + q_c / s_{c+1}
+    from level c = b + K, K = floor(sqrt x) + 40, twice: from rho = 0
+    (s = inf) and from rho = 1 (s = 1).  Each step is decreasing in its
+    input and so is every float operation in it, so the two sweeps bracket
+    the true rho_{b+1}, and any sweep started deeper lands inside the
+    bracket at every level.  The result is accepted when the two agree bit
+    for bit at rho_{b+1} (then also at rho_b, one more shared step); so it
+    is the same bits at every depth that accepts.  Otherwise K doubles; a
+    K past `ctl.max_terms` raises ConvergenceError naming x and the budget
+    (the first such x of an array), and `ctl`'s other fields do not apply.
+
+    A float runs a pure-Python loop (`_ratio_brackets`); an array runs one
+    numpy sweep over all its elements (`_ratio_brackets_array`), each on
+    its own K schedule, forming every value with the float's operations,
+    so each element is the float call's value bit for bit.
+    """
+    if np.ndim(x) == 0:
+        x = float(x)
+        depth = math.floor(math.sqrt(x)) + _RATIO_MARGIN
+        while depth <= ctl.max_terms:
+            lo, hi = _ratio_brackets(b, x, depth)
+            if lo == hi:
+                return 1.0 / (1.0 + x / (b * (b + 1.0)) / lo), 1.0 / lo
+            depth *= 2
+        raise _ratio_error(b, x, ctl)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    depth = np.floor(np.sqrt(flat)) + _RATIO_MARGIN
+    s1, met = np.empty(flat.shape), np.zeros(flat.shape, dtype=bool)
+    todo = np.flatnonzero(depth <= ctl.max_terms)
+    while todo.size:
+        lo, hi = _ratio_brackets_array(b, flat[todo], depth[todo].astype(np.int64))
+        same = lo == hi
+        s1[todo[same]], met[todo[same]] = lo[same], True
+        todo = todo[~same]
+        depth[todo] *= 2
+        todo = todo[depth[todo] <= ctl.max_terms]
+    if not met.all():
+        raise _ratio_error(b, flat[np.argmin(met)].item(), ctl)
+    s0 = 1.0 + flat / (b * (b + 1.0)) / s1
+    return (1.0 / s0).reshape(xs.shape), (1.0 / s1).reshape(xs.shape)
+
+
+def _ratio_error(b: float, x: float, ctl: SeriesControl) -> ConvergenceError:
+    return ConvergenceError(f"0F1({b!r}; x) ratios did not converge within "
+                            f"{ctl.max_terms} steps at x = {x!r}")
+
+
+def _ratio_brackets(b: float, x: float, depth: int) -> tuple[float, float]:
+    """(s from rho = 0, s from rho = 1) at level b + 1 of the sweep from
+    level b + depth, s = 1 / rho_{b+1} (`_hyp_0f1_ratios`)."""
+    lo, hi = math.inf, 1.0
+    for k in range(depth - 1, 0, -1):
+        c = b + k
+        q = x / (c * (c + 1.0))
+        lo = 1.0 + q / lo
+        hi = 1.0 + q / hi
+    return lo, hi
+
+
+def _ratio_brackets_array(b: float, xs: np.ndarray, depths: np.ndarray):
+    """`_ratio_brackets` for every x of the 1-d array `xs` at its own depth
+    (an int array), as two arrays, each element that call's pair bit for bit.
+
+    The elements are ordered deepest first, so the ones a level updates are
+    a prefix, and the two brackets of each sit side by side in one flat row,
+    so that prefix is contiguous.  Over each run of levels with the same
+    prefix, q = x / (c (c+1)) is formed for as many levels as fit 2^16
+    values by one division, and each level then costs one division and one
+    addition in place."""
+    order = np.argsort(-depths, kind="stable")
+    d = depths[order]
+    x2 = np.repeat(xs[order], 2)
+    s = np.tile([math.inf, 1.0], xs.size)
+    # run g updates the deepest 2 m_g entries, from the current level down
+    # to the depth of the next group of elements, which then joins
+    starts = np.flatnonzero(np.diff(d)) + 1
+    k = int(d[0]) - 1
+    for m, low in zip((2 * starts).tolist() + [2 * xs.size], d[starts].tolist() + [1]):
+        xm, sm, rows = x2[:m], s[:m], max(1, (1 << 16) // m)
+        while k >= low:
+            stop = max(k - rows, low - 1)
+            c = b + np.arange(float(k), float(stop), -1.0)
+            for q in xm / (c * (c + 1.0))[:, None]:
+                np.divide(q, sm, out=sm)
+                np.add(sm, 1.0, out=sm)
+            k = stop
+    out = np.empty((xs.size, 2))
+    out[order] = s.reshape(-1, 2)
+    return out[:, 0], out[:, 1]
 
 
 def hyp_2f1(a: float, b: float, c: float, x, ctl: SeriesControl = DEFAULT_SERIES):

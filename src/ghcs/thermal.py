@@ -24,7 +24,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .measure import (MomentReport, QuadratureRule, _euler_gauss, _euler_trusted, _moment_rows,
                       density, radial_rule)
-from .specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
+from .specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl, _hyp_0f1_ratios
 from .states import Family, FamilyParams, _index_row, _norm_arg, normalization
 
 __all__ = [
@@ -219,16 +219,25 @@ def number_moment(params: FamilyParams, x, s: int,
     shape out.
 
     Which x takes which path, element by element:
+    - bessel s = 1 and 2 (plain and `falling`), every x: from D1 = N'/N =
+      rho_b / b and D2 = N''/N = rho_b rho_{b+1} / (b (b+1)), where
+      rho_c = 0F1(; c+1; x) / 0F1(; c; x) comes from the backward ratio
+      recurrence `specfun._hyp_0f1_ratios`, certified by two sweeps that
+      bracket it and agree bit for bit; D1 and D2 within 1.6e-15 of mpmath
+      for b in [0.02, 200], x in [0, 1e8].  `ctl.max_terms` bounds the
+      recurrence's depth, about sqrt(x) + 40 levels, so by default it
+      raises ConvergenceError naming x and the budget from x = 3.98e8;
     - jacobi s = 1 and 2 (plain and `falling`) at 0 <= x <= 0.998 with
       a = m + nu <= 6 (`measure._euler_trusted`): in closed form from
-      scipy's Gauss functions (`_closed_moments`), within 5e-14 of mpmath
-      for m <= 3, nu <= 2.5, and 8.1e-14 up to a = 6.
-      A scalar x takes the same expression as a float, not as a
-      one-element array, and an array's elements are the scalar calls'
-      values bit for bit;
-    - every other x (jacobi x > 0.998, a > 6 or s = 0 or s >= 3, and all of
-      bessel): t_n summed through its ratio recurrence, as below.  `ctl`
-      governs this series only.
+      scipy's Gauss functions, within 5e-14 of mpmath for m <= 3,
+      nu <= 2.5, and 8.1e-14 up to a = 6.
+      On both of these paths (`_closed_moments`) <N> = x D1 and <N^2> =
+      x D1 + x^2 D2 are sums of positive terms, a scalar x takes the same
+      expression as a float, not as a one-element array, and an array's
+      elements are the scalar calls' values bit for bit;
+    - every other x (s = 0 or s >= 3, and jacobi x > 0.998 or a > 6): t_n
+      summed through its ratio recurrence, as below; here `ctl` governs
+      this series.
 
     The series is summed in numpy chunks of 64, 128, 256, ... terms, never
     past `ctl.max_terms`.  Within a chunk the ratios are formed elementwise
@@ -290,18 +299,18 @@ def number_moment(params: FamilyParams, x, s: int,
         x = _norm_arg(params, float(x))
         if x == 0.0 and not falling:
             return 1.0 if s == 0 else 0.0
-        if closed and _euler_trusted(params, x):
-            return float(_closed_moments(params, x, s, falling))
+        if closed and _closed_form(params, x):
+            return float(_closed_moments(params, x, s, falling, ctl))
         return _moment_ratio(params, x, s, falling, ctl)
     xs = _norm_args(params, x)
     # at x = 0 every term after t_0 vanishes, so <N^s> is 1 (s = 0) or 0
     out = np.full(xs.shape, 1.0 if s == 0 else 0.0)
     summed = (xs > 0.0) | falling
     if closed:
-        euler = summed & _euler_trusted(params, xs)
-        if euler.any():  # empty, it still costs about 20 us on a two-vCPU host
-            out[euler] = _closed_moments(params, xs[euler], s, falling)
-            summed &= ~euler
+        part = summed & _closed_form(params, xs)
+        if part.any():  # empty, it still costs about 20 us on a two-vCPU host
+            out[part] = _closed_moments(params, xs[part], s, falling, ctl)
+            summed &= ~part
     if summed.any():
         out[summed] = _moment_ratios(params, xs[summed], s, falling, ctl)
     return out
@@ -318,18 +327,44 @@ def _norm_args(params: FamilyParams, x) -> np.ndarray:
     return xs
 
 
-def _closed_moments(params: FamilyParams, xs, s: int, falling: bool):
-    """The jacobi `number_moment` for s = 1 or 2 on a float or a 1-d array
-    where `measure._euler_trusted` holds (x <= 0.998, a <= 6): `falling`
-    gives D^s N / N, and plain <N> = x D1, <N^2> = x D1 + x^2 D2, sums of
-    positive terms.  Within 5e-14 of mpmath on (0.99, 0.998], where the
-    series errs up to 5.9e-13.  One expression for both shapes: a float
-    gives an array element's value bit for bit."""
-    f0 = _euler_gauss(params, xs)
+def _closed_form(params: FamilyParams, x):
+    """Where `number_moment` s = 1, 2 and `in_state_stats` take D1 = N'/N
+    and D2 = N''/N in closed form: all of bessel, and jacobi where
+    `measure._euler_trusted` holds; a bool, or a bool array for an array x
+    when jacobi."""
+    return params.family is Family.BESSEL or _euler_trusted(params, x)
+
+
+def _closed_moments(params: FamilyParams, xs, s: int, falling: bool,
+                    ctl: SeriesControl = DEFAULT_SERIES):
+    """`number_moment` for s = 1 or 2 on a float or a 1-d array where
+    `_closed_form` holds: `falling` gives D^s N / N, and plain <N> = x D1,
+    <N^2> = x D1 + x^2 D2, sums of positive terms.  jacobi D^k N / N come
+    from scipy's Gauss functions (`_derivative_ratio`), within 5e-14 of
+    mpmath on (0.99, 0.998], where the series errs up to 5.9e-13; bessel
+    D1 and D2 from the certified 0F1 ratios (`_bessel_falling`, whose
+    budget is `ctl`).  One expression for both shapes: a float gives an
+    array element's value bit for bit."""
+    if params.family is Family.BESSEL:
+        d1, d2 = _bessel_falling(params, xs, ctl)
+    else:  # only the F_k this moment reads
+        f0 = _euler_gauss(params, xs)
+        d1 = None if falling and s == 2 else _derivative_ratio(params, xs, f0, 1)
+        d2 = _derivative_ratio(params, xs, f0, 2) if s == 2 else None
     if falling:
-        return _derivative_ratio(params, xs, f0, s)
-    n1 = xs * _derivative_ratio(params, xs, f0, 1)
-    return n1 if s == 1 else n1 + xs * xs * _derivative_ratio(params, xs, f0, 2)
+        return d1 if s == 1 else d2
+    n1 = xs * d1
+    return n1 if s == 1 else n1 + xs * xs * d2
+
+
+def _bessel_falling(params: FamilyParams, xs, ctl: SeriesControl = DEFAULT_SERIES):
+    # (D1, D2) = (N'/N, N''/N) of the bessel N = 0F1(; b; x): with the ratios
+    # rho_c = 0F1(; c+1; x) / 0F1(; c; x), D1 = rho_b / b and
+    # D2 = rho_b rho_{b+1} / (b (b+1)); within 1.6e-15 of mpmath for
+    # b in [0.02, 200], x in [0, 1e8]
+    b = params.b
+    r0, r1 = _hyp_0f1_ratios(b, xs, ctl)
+    return r0 / b, r0 * r1 / (b * (b + 1.0))
 
 
 def _derivative_ratio(params: FamilyParams, xs, f0, k: int):
@@ -530,21 +565,27 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     """(<N>, <N^2>, g2, Q) in the state with |z|^2 = x from <N>/x and the
     factorial moment <N(N-1)>/x^2, each of order 1 however small x is,
     through `_number_stats`: nothing cancels.  Both are `number_moment`'s
-    `falling` moments, bit for bit: jacobi x <= 0.998 with a = m + nu <= 6
-    in closed form, D1 and D2 from one evaluation of scipy's Gauss
-    functions (F_0 read once); every other x (jacobi x > 0.998 or a > 6,
-    and all of bessel) summed as series, whose jacobi budget runs out from
-    x = 0.99818.  Scalar x in, four floats out; array in, four arrays out,
-    the closed-form x in one evaluation and the others (none, perhaps) in
-    one `number_moment` call per moment.
+    `falling` moments, bit for bit.  bessel: D1 and D2 from one certified
+    sweep of the 0F1 ratio recurrence (`specfun._hyp_0f1_ratios`), within
+    1.6e-15 of mpmath up to x = 1e8, with ConvergenceError naming x and the
+    budget from x = 3.98e8.  jacobi x <= 0.998 with a = m + nu <= 6: in
+    closed form, D1 and D2 from one evaluation of scipy's Gauss functions
+    (F_0 read once); every other jacobi x (x > 0.998 or a > 6) summed as
+    series, whose budget runs out from x = 0.99818.  Scalar x in, four
+    floats out; array in, four arrays out, bessel in one sweep, jacobi's
+    closed-form x in one evaluation and the others (none, perhaps) in one
+    `number_moment` call per moment.
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
     if (x == 0.0) if isinstance(x, float) else (np.asarray(x) == 0.0).any():
         raise ValueError("g2 is undefined in the vacuum state (x = 0), "
                          "where <N> = <N^2> = 0")
     if isinstance(x, float) or np.ndim(x) == 0:
         x = _norm_arg(params, float(x))
-        moments = _closed_falling if _euler_trusted(params, x) else _series_falling
+        moments = _closed_falling if _closed_form(params, x) else _series_falling
         mean, fact = (float(v) for v in moments(params, x))
+    elif params.family is Family.BESSEL:
+        x = _norm_args(params, x)
+        mean, fact = _closed_falling(params, x)
     else:
         x = _norm_args(params, x)
         euler = _euler_trusted(params, x)
@@ -559,8 +600,10 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
 
 
 def _closed_falling(params: FamilyParams, xs):
-    # (D1, D2) = (<N>/x, <N(N-1)>/x^2) where `measure._euler_trusted` holds,
+    # (D1, D2) = (<N>/x, <N(N-1)>/x^2) where `_closed_form` holds, jacobi
     # from one F_0: `_closed_moments`' falling values bit for bit
+    if params.family is Family.BESSEL:
+        return _bessel_falling(params, xs)
     f0 = _euler_gauss(params, xs)
     return _derivative_ratio(params, xs, f0, 1), _derivative_ratio(params, xs, f0, 2)
 

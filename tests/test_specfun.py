@@ -265,6 +265,74 @@ class TestArraySeries:
             hyp_2f1(-3.5, -3.5, 3.0, 0.9, SeriesControl(max_terms=5))
 
 
+_RATIO_BS = [0.02, 0.1, 0.7, 2.0, 3.0, 10.6, 21.0, 119.4, 200.0]
+_RATIO_XS = np.geomspace(1e-300, 1e8, 31).tolist() + [0.1, 0.98, 3.7, 50.0, 1e3, 4.4e4, 3.3e7]
+
+
+def _ratio_falling(b, x, ctl=specfun.DEFAULT_SERIES):
+    # (D1, D2) = (N'/N, N''/N) of N = 0F1(; b; x), as the bessel moments form them
+    r0, r1 = specfun._hyp_0f1_ratios(b, x, ctl)
+    return r0 / b, r0 * r1 / (b * (b + 1.0))
+
+
+class TestHypRatios:
+    """rho_c = 0F1(; c+1; x) / 0F1(; c; x) from the bracketed backward
+    recurrence, against mpmath at 40 digits."""
+
+    @pytest.mark.parametrize("b", _RATIO_BS)
+    def test_falling_moments_against_mpmath(self, b):
+        for x in _RATIO_XS:
+            d1, d2 = _ratio_falling(b, x)
+            f = [mp.hyp0f1(b + k, x) / mp.rf(b, k) for k in range(3)]
+            assert rel_err(d1, f[1] / f[0]) <= 4e-15, x
+            assert rel_err(d2, f[2] / f[0]) <= 4e-15, x
+
+    @pytest.mark.parametrize("b", _RATIO_BS)
+    def test_both_brackets_are_the_returned_value(self, b):
+        # the sweeps from rho = 0 and rho = 1 meet at the first depth
+        for x in _RATIO_XS:
+            lo, hi = specfun._ratio_brackets(b, x, math.floor(math.sqrt(x)) + 40)
+            assert lo == hi
+            assert 1.0 / lo == specfun._hyp_0f1_ratios(b, x)[1]
+
+    def test_zero_gives_the_first_coefficients(self):
+        for b in _RATIO_BS:
+            assert _ratio_falling(b, 0.0) == (1.0 / b, 1.0 / (b * (b + 1.0)))
+
+    def test_every_accepting_depth_gives_the_same_bits(self, monkeypatch):
+        # a sweep started deeper lies inside the bracket at every level: with
+        # a 1-level margin most x need a doubled depth, and land on the bits
+        # of the default one; an array element is the float call's value
+        xs = np.array([0.0, 1e-300, 0.5, 7.0, 300.0, 1e4, 2.5e6])
+        for b in (0.3, 3.0, 60.0):
+            ref = [specfun._hyp_0f1_ratios(b, x) for x in xs.tolist()]
+            monkeypatch.setattr(specfun, "_RATIO_MARGIN", 1)
+            assert [specfun._hyp_0f1_ratios(b, x) for x in xs.tolist()] == ref
+            got = specfun._hyp_0f1_ratios(b, xs)
+            assert [got[0].tolist(), got[1].tolist()] == [list(r) for r in zip(*ref)]
+            monkeypatch.undo()
+
+    def test_arrays_keep_their_shape(self):
+        xs = np.geomspace(1e-3, 1e5, 6).reshape(2, 3)
+        r0, r1 = specfun._hyp_0f1_ratios(1.5, xs)
+        assert r0.shape == r1.shape == (2, 3)
+        assert list(zip(r0.ravel().tolist(), r1.ravel().tolist())) == [
+            specfun._hyp_0f1_ratios(1.5, x) for x in xs.ravel().tolist()]
+        assert specfun._hyp_0f1_ratios(1.5, np.array([]))[0].shape == (0,)
+        assert all(type(r) is float for r in specfun._hyp_0f1_ratios(1.5, np.float64(2.0)))
+
+    def test_budget_error_names_x_and_budget(self):
+        # x = 1e5 needs 356 levels; a depth past max_terms is never swept
+        ctl = SeriesControl(max_terms=300)
+        for x in (1e5, np.array([2.0, 1e5, 1e6])):
+            with pytest.raises(specfun.ConvergenceError) as exc:
+                specfun._hyp_0f1_ratios(3.0, x, ctl)
+            assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 300 "
+                                      "steps at x = 100000.0")
+        assert specfun._hyp_0f1_ratios(3.0, 1e5, SeriesControl(max_terms=356)) == (
+            specfun._hyp_0f1_ratios(3.0, 1e5))
+
+
 class TestLogGamma:
     """Log-gamma as the library uses it: math.lgamma sums in the log h_n table."""
 

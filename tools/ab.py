@@ -9,8 +9,9 @@ Each revision is exported with `git archive` into a temporary directory,
 so both run their own `bench/run.py` and `src/` from the committed files
 (uncommitted edits are not measured), and nothing is registered in the
 repository.  For every seed and workload the two revisions run
-`bench/run.py --trace 0` back to back, A first in even-numbered pairs and
-B first in odd ones, so a drift of the host's speed falls on both sides.
+`bench/run.py --trace 0` back to back, A first in the even-numbered pairs
+of each workload and B first in its odd ones, so a drift of the host's
+speed falls on both sides.
 
 Per workload it prints, for every end-to-end metric of B's BENCHMARK.json,
 each side's median and quartiles, the median of the per-pair ratios B/A,
@@ -115,11 +116,10 @@ def main(argv: list[str] | None = None) -> int:
         workloads = a.workloads or [w["name"] for w in doc["workloads"]]
         out = os.path.join(tmp, "bench_out")
         results: dict[str, list] = {w: [] for w in workloads}
-        k = 0
         for seed in a.seeds:
             for workload in workloads:
-                order = ("A", "B") if k % 2 == 0 else ("B", "A")
-                k += 1
+                # each workload counts its own pairs
+                order = ("A", "B") if len(results[workload]) % 2 == 0 else ("B", "A")
                 got = {}
                 for side in order:
                     print(f"  {workload} seed {seed} {side}", file=sys.stderr, flush=True)
