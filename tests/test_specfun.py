@@ -20,6 +20,7 @@ from ghcs.states import (
     normalization,
     state,
 )
+from ghcs.thermal import number_moment
 
 from conftest import _sum_ratio_series, rel_err
 
@@ -269,10 +270,11 @@ _RATIO_BS = [0.02, 0.1, 0.7, 2.0, 3.0, 10.6, 21.0, 119.4, 200.0]
 _RATIO_XS = np.geomspace(1e-300, 1e8, 31).tolist() + [0.1, 0.98, 3.7, 50.0, 1e3, 4.4e4, 3.3e7]
 
 
-def _ratio_falling(b, x, ctl=specfun.DEFAULT_SERIES):
-    # (D1, D2) = (N'/N, N''/N) of N = 0F1(; b; x), as the bessel moments form them
-    r0, r1 = specfun._hyp_0f1_ratios(b, x, ctl)
-    return r0 / b, r0 * r1 / (b * (b + 1.0))
+def _ratio_falling(b, x):
+    # (D1, D2) = (N'/N, N''/N) of N = 0F1(; b; x): the bessel falling
+    # moments at m = 0, nu = b / 2, which read them from the ratios
+    params = FamilyParams(0, b / 2.0, Family.BESSEL)
+    return tuple(number_moment(params, x, s, falling=True) for s in (1, 2))
 
 
 class TestHypRatios:
