@@ -180,7 +180,7 @@ def _hyp_0f1_series(b: float, x, ctl: SeriesControl = DEFAULT_SERIES):
     return _sum_ratio_array(f"0F1({b!r}; x)", x, lambda k, w: w / ((k + 1.0) * (b + k)), ctl)
 
 
-# The ratio recurrence starts this many levels above c = b + floor(sqrt x):
+# The ratio recurrence starts this many levels above c = max(b + sqrt x, b):
 # below c ~ sqrt x a step barely narrows the bracket, above it each step
 # narrows it several-fold (Amos 1974).
 _RATIO_MARGIN = 40
@@ -195,42 +195,48 @@ def _hyp_0f1_ratios(b: float, x, ctl: SeriesControl = DEFAULT_SERIES):
     x / (c (c+1)) 0F1(; c+2; x), rho_c = 1 / (1 + q_c rho_{c+1}) with
     q_c = x / (c (c+1)) (DLMF 10.33.1 via 10.39.9), and rho lies in (0, 1].
     The recurrence is swept backward as s_c = 1 / rho_c = 1 + q_c / s_{c+1}
-    from level c = b + K, K = floor(sqrt x) + 40, twice: from rho = 0
-    (s = inf) and from rho = 1 (s = 1).  Each step is decreasing in its
-    input and so is every float operation in it, so the two sweeps bracket
-    the true rho_{b+1}, and any sweep started deeper lands inside the
-    bracket at every level.  The result is accepted when the two agree bit
-    for bit at rho_{b+1} (then also at rho_b, one more shared step); so it
-    is the same bits at every depth that accepts.  Otherwise K doubles; a
-    K past `ctl.max_terms` raises ConvergenceError naming x and the budget
-    (the first such x of an array), and `ctl`'s other fields do not apply.
+    from level c = b + K, K = floor(max(sqrt x - b, 0)) + 40 (40 levels
+    above where q_c falls below 1), twice: from rho = 0 (s = inf) and from
+    rho = 1 (s = 1).  Each step is decreasing in its input and so is every
+    float operation in it, so the two sweeps bracket the true rho_{b+1},
+    and any sweep started deeper lands inside the bracket at every level.
+    The result is accepted when the two agree bit for bit at rho_{b+1}
+    (then also at rho_b, one more shared step); so it is the same bits at
+    every depth that accepts.  Otherwise K doubles, and its last try is
+    `ctl.max_terms` itself, so an x is accepted exactly when its first K
+    is within `ctl.max_terms` and the bracket from `ctl.max_terms` levels
+    meets.  Else ConvergenceError names x (the first such x of an array)
+    and the budget; `ctl`'s other fields do not apply.
 
     A float runs a pure-Python loop (`_ratio_brackets`); an array runs one
-    numpy sweep over all its elements (`_ratio_brackets_array`), each on
-    its own K schedule, forming every value with the float's operations,
-    so each element is the float call's value bit for bit.
+    numpy sweep of all its elements from the largest first K among them
+    (`_ratio_brackets_array`), with the float's operations, so each
+    element is the float call's value bit for bit and fails where it does.
     """
     if np.ndim(x) == 0:
         x = float(x)
-        depth = math.floor(math.sqrt(x)) + _RATIO_MARGIN
+        depth = math.floor(max(math.sqrt(x) - b, 0.0)) + _RATIO_MARGIN
         while depth <= ctl.max_terms:
             lo, hi = _ratio_brackets(b, x, depth)
             if lo == hi:
                 return 1.0 / (1.0 + x / (b * (b + 1.0)) / lo), 1.0 / lo
-            depth *= 2
+            if depth == ctl.max_terms:
+                break
+            depth = min(2 * depth, ctl.max_terms)
         raise _ratio_error(b, x, ctl)
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    depth = np.floor(np.sqrt(flat)) + _RATIO_MARGIN
+    inside = np.floor(np.maximum(np.sqrt(flat) - b, 0.0)) + _RATIO_MARGIN <= ctl.max_terms
     s1, met = np.empty(flat.shape), np.zeros(flat.shape, dtype=bool)
-    todo = np.flatnonzero(depth <= ctl.max_terms)
-    while todo.size:
-        lo, hi = _ratio_brackets_array(b, flat[todo], depth[todo].astype(np.int64))
-        same = lo == hi
-        s1[todo[same]], met[todo[same]] = lo[same], True
-        todo = todo[~same]
-        depth[todo] *= 2
-        todo = todo[depth[todo] <= ctl.max_terms]
+    if inside.any():
+        part = flat[inside]
+        depth = int(np.floor(np.maximum(np.sqrt(part.max()) - b, 0.0))) + _RATIO_MARGIN
+        while True:
+            lo, hi = _ratio_brackets_array(b, part, depth)
+            if (lo == hi).all() or depth == ctl.max_terms:
+                break
+            depth = min(2 * depth, ctl.max_terms)
+        s1[inside], met[inside] = lo, lo == hi
     if not met.all():
         raise _ratio_error(b, flat[np.argmin(met)].item(), ctl)
     s0 = 1.0 + flat / (b * (b + 1.0)) / s1
@@ -254,36 +260,26 @@ def _ratio_brackets(b: float, x: float, depth: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _ratio_brackets_array(b: float, xs: np.ndarray, depths: np.ndarray):
-    """`_ratio_brackets` for every x of the 1-d array `xs` at its own depth
-    (an int array), as two arrays, each element that call's pair bit for bit.
+def _ratio_brackets_array(b: float, xs: np.ndarray, depth: int):
+    """`_ratio_brackets` for every x of the 1-d array `xs` from the same
+    depth, as two arrays, each element that call's pair bit for bit.
 
-    The elements are ordered deepest first, so the ones a level updates are
-    a prefix, and the two brackets of each sit side by side in one flat row,
-    so that prefix is contiguous.  Over each run of levels with the same
-    prefix, q = x / (c (c+1)) is formed for as many levels as fit 2^16
-    values by one division, and each level then costs one division and one
-    addition in place."""
-    order = np.argsort(-depths, kind="stable")
-    d = depths[order]
-    x2 = np.repeat(xs[order], 2)
-    s = np.tile([math.inf, 1.0], xs.size)
-    # run g updates the deepest 2 m_g entries, from the current level down
-    # to the depth of the next group of elements, which then joins
-    starts = np.flatnonzero(np.diff(d)) + 1
-    k = int(d[0]) - 1
-    for m, low in zip((2 * starts).tolist() + [2 * xs.size], d[starts].tolist() + [1]):
-        xm, sm, rows = x2[:m], s[:m], max(1, (1 << 16) // m)
-        while k >= low:
-            stop = max(k - rows, low - 1)
-            c = b + np.arange(float(k), float(stop), -1.0)
-            for q in xm / (c * (c + 1.0))[:, None]:
-                np.divide(q, sm, out=sm)
-                np.add(sm, 1.0, out=sm)
-            k = stop
-    out = np.empty((xs.size, 2))
-    out[order] = s.reshape(-1, 2)
-    return out[:, 0], out[:, 1]
+    Both brackets are swept as one flat row, the sweeps from rho = 0 first
+    (a flat row costs less per numpy call than a broadcast (2, n) array).
+    q = x / (c (c+1)) is formed for as many levels as fit 2^16 values by
+    one division, and each level then costs one division and one addition
+    in place."""
+    n = xs.size
+    x2 = np.concatenate((xs, xs))
+    s = np.empty(2 * n)
+    s[:n], s[n:] = math.inf, 1.0
+    rows = max(1, (1 << 16) // max(2 * n, 1))
+    for k in range(depth - 1, 0, -rows):
+        c = b + np.arange(float(k), float(max(k - rows, 0)), -1.0)
+        for q in x2 / (c * (c + 1.0))[:, None]:
+            np.divide(q, s, out=s)
+            np.add(s, 1.0, out=s)
+    return s[:n], s[n:]
 
 
 def hyp_2f1(a: float, b: float, c: float, x, ctl: SeriesControl = DEFAULT_SERIES):

@@ -225,8 +225,9 @@ def number_moment(params: FamilyParams, x, s: int,
       recurrence `specfun._hyp_0f1_ratios`, certified by two sweeps that
       bracket it and agree bit for bit; D1 and D2 within 1.6e-15 of mpmath
       for b in [0.02, 200], x in [0, 1e8].  `ctl.max_terms` bounds the
-      recurrence's depth, about sqrt(x) + 40 levels, so by default it
-      raises ConvergenceError naming x and the budget from x = 3.98e8;
+      recurrence's depth, max(sqrt x - b, 0) + 40 levels, so by default it
+      raises ConvergenceError naming x and the budget from
+      x = (b + 19961)^2, about 3.98e8 at small b;
     - jacobi s = 1 and 2 (plain and `falling`) at 0 <= x <= 0.998 with
       a = m + nu <= 6 (`measure._euler_trusted`): in closed form from
       scipy's Gauss functions, within 5e-14 of mpmath for m <= 3,
@@ -568,10 +569,11 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     `falling` moments, bit for bit.  bessel: D1 and D2 from one certified
     sweep of the 0F1 ratio recurrence (`specfun._hyp_0f1_ratios`), within
     1.6e-15 of mpmath up to x = 1e8, with ConvergenceError naming x and the
-    budget from x = 3.98e8.  jacobi x <= 0.998 with a = m + nu <= 6: in
-    closed form, D1 and D2 from one evaluation of scipy's Gauss functions
-    (F_0 read once); every other jacobi x (x > 0.998 or a > 6) summed as
-    series, whose budget runs out from x = 0.99818.  Scalar x in, four
+    budget from x = (b + 19961)^2, about 3.98e8 at small b.  jacobi
+    x <= 0.998 with a = m + nu <= 6: in closed form, D1 and D2 from one
+    evaluation of scipy's Gauss functions (F_0 read once); every other
+    jacobi x (x > 0.998 or a > 6) summed as series, whose budget runs out
+    from x = 0.99818.  Scalar x in, four
     floats out; array in, four arrays out, bessel in one sweep, jacobi's
     closed-form x in one evaluation and the others (none, perhaps) in one
     `number_moment` call per moment.

@@ -293,9 +293,25 @@ class TestHypRatios:
     def test_both_brackets_are_the_returned_value(self, b):
         # the sweeps from rho = 0 and rho = 1 meet at the first depth
         for x in _RATIO_XS:
-            lo, hi = specfun._ratio_brackets(b, x, math.floor(math.sqrt(x)) + 40)
+            depth = math.floor(max(math.sqrt(x) - b, 0.0)) + 40
+            lo, hi = specfun._ratio_brackets(b, x, depth)
             assert lo == hi
             assert 1.0 / lo == specfun._hyp_0f1_ratios(b, x)[1]
+
+    def test_large_b_counts_its_depth_from_q_below_one(self):
+        # at b = 4000 the step contracts from c = b on, so x = 4e8 takes
+        # 20000 - 4000 + 40 levels, within the default budget
+        b, x = 4000.0, 4e8
+        d1, d2 = _ratio_falling(b, x)
+        f = [mp.hyp0f1(b + k, x, maxterms=10**6) / mp.rf(b, k) for k in range(3)]
+        assert rel_err(d1, f[1] / f[0]) <= 4e-15
+        assert rel_err(d2, f[2] / f[0]) <= 4e-15
+        lo, hi = specfun._ratio_brackets(b, x, 16040)
+        assert lo == hi == 1.0 / specfun._hyp_0f1_ratios(b, x)[1]
+        # counted from c = b, sqrt x + 40 = 2040 levels would not fit a
+        # budget of 2000; counted from c = sqrt x, 1640 do
+        ctl = SeriesControl(max_terms=2000)
+        assert specfun._hyp_0f1_ratios(400.0, 4e6, ctl) == specfun._hyp_0f1_ratios(400.0, 4e6)
 
     def test_zero_gives_the_first_coefficients(self):
         for b in _RATIO_BS:
@@ -314,6 +330,19 @@ class TestHypRatios:
             assert [got[0].tolist(), got[1].tolist()] == [list(r) for r in zip(*ref)]
             monkeypatch.undo()
 
+    def test_the_last_depth_tried_is_the_budget(self, monkeypatch):
+        # with a 1-level margin, b = 60 and x = 1e4 start at 41 levels and
+        # first meet at 49: a budget of 60 is tried after 41, not skipped
+        # for 82, and a budget of 48 raises; floats and arrays alike
+        ref = specfun._hyp_0f1_ratios(60.0, 1e4)
+        monkeypatch.setattr(specfun, "_RATIO_MARGIN", 1)
+        assert specfun._hyp_0f1_ratios(60.0, 1e4, SeriesControl(max_terms=60)) == ref
+        got = specfun._hyp_0f1_ratios(60.0, np.array([0.5, 1e4]), SeriesControl(max_terms=60))
+        assert (got[0][1], got[1][1]) == ref
+        for x in (1e4, np.array([0.5, 1e4])):
+            with pytest.raises(specfun.ConvergenceError, match=r"within 48 steps at x = 10000.0$"):
+                specfun._hyp_0f1_ratios(60.0, x, SeriesControl(max_terms=48))
+
     def test_arrays_keep_their_shape(self):
         xs = np.geomspace(1e-3, 1e5, 6).reshape(2, 3)
         r0, r1 = specfun._hyp_0f1_ratios(1.5, xs)
@@ -324,14 +353,14 @@ class TestHypRatios:
         assert all(type(r) is float for r in specfun._hyp_0f1_ratios(1.5, np.float64(2.0)))
 
     def test_budget_error_names_x_and_budget(self):
-        # x = 1e5 needs 356 levels; a depth past max_terms is never swept
+        # x = 1e5 at b = 3 needs 353 levels; a depth past max_terms is never swept
         ctl = SeriesControl(max_terms=300)
         for x in (1e5, np.array([2.0, 1e5, 1e6])):
             with pytest.raises(specfun.ConvergenceError) as exc:
                 specfun._hyp_0f1_ratios(3.0, x, ctl)
             assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 300 "
                                       "steps at x = 100000.0")
-        assert specfun._hyp_0f1_ratios(3.0, 1e5, SeriesControl(max_terms=356)) == (
+        assert specfun._hyp_0f1_ratios(3.0, 1e5, SeriesControl(max_terms=353)) == (
             specfun._hyp_0f1_ratios(3.0, 1e5))
 
 

@@ -118,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
         results: dict[str, list] = {w: [] for w in workloads}
         for seed in a.seeds:
             for workload in workloads:
-                # each workload counts its own pairs
                 order = ("A", "B") if len(results[workload]) % 2 == 0 else ("B", "A")
                 got = {}
                 for side in order:
