@@ -6,8 +6,9 @@ timestamps, fixed 17-significant-digit scientific notation, LF endings).
 
 Exit codes separate failure classes: 0 when every oracle-level check
 passes, 1 when one fails (the failing check is named), 2 for a rejected
-configuration, 3 when a series budget ran out or a value left the float
-range (the error is printed as one line).  Disagreement between the
+configuration, 3 when a budget ran out (a series' terms, a recurrence's
+depth or a state's truncation; the line names which) or a value left the
+float range (the error is printed as one line).  Disagreement between the
 weighted-integral results and the closed forms quoted in the literature
 is reported as data, never as a failure.
 """
@@ -464,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
-        print(f"series budget ran out: {exc}", file=sys.stderr)
+        print(f"budget ran out: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:
         print(f"float range exceeded: {exc}", file=sys.stderr)

@@ -30,16 +30,14 @@ from ghcs.quantize import (
     ladder_closed_form,
     quantize_symbol,
 )
+from ghcs.pfunction import moment_matched_candidate, p_function_passes, verify_p_function
 from ghcs.states import Family, FamilyParams, overlap, state
 from ghcs.thermal import (
     boltzmann_moment,
     closed_form_thermal_stats,
     cs_thermal_expectation,
-    moment_matched_candidate,
     number_moment,
-    p_function_passes,
     thermal_state,
-    verify_p_function,
 )
 
 

@@ -39,6 +39,34 @@ def read_data_rows(path):
     return preamble, body[0], body[1:]
 
 
+class TestImport:
+    # a fresh `import ghcs.cli` leaves out what no command runs: scipy.linalg
+    # and the P-representation module.  numpy.polynomial is loaded anyway
+    # by scipy.special (its array-API layer clones numpy's namespace), so
+    # for it the check is that no ghcs module the CLI loads refers to it.
+    CODE = """if True:
+        import json, sys, types
+        import ghcs.cli
+        def source(v):
+            if isinstance(v, types.ModuleType):
+                return v.__name__
+            return getattr(v, "__module__", None) or ""
+        refs = sorted(f"{name}.{key}" for name, mod in list(sys.modules.items())
+                      if name.startswith("ghcs") for key, v in vars(mod).items()
+                      if source(v).startswith(("numpy.polynomial", "scipy.linalg")))
+        print(json.dumps({"modules": sorted(sys.modules), "refs": refs}))
+    """
+
+    def test_cli_loads_no_eigensolver_and_no_p_representation(self):
+        proc = subprocess.run([sys.executable, "-c", self.CODE], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, check=True)
+        got = json.loads(proc.stdout)
+        assert "scipy.linalg" not in got["modules"]
+        assert "ghcs.pfunction" not in got["modules"]
+        assert {"ghcs.cli", "ghcs.thermal", "ghcs.measure"} <= set(got["modules"])
+        assert got["refs"] == []
+
+
 class TestConfig:
     def test_defaults(self):
         ns = _build_parser().parse_args(["verify"])
@@ -298,7 +326,7 @@ class TestWeight:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "series budget ran out: jacobi normalization series did not converge "
+            "budget ran out: jacobi normalization series did not converge "
             "within 20000 terms at x = 0.999\n"
         )
 
@@ -310,8 +338,22 @@ class TestWeight:
         assert run(["weight", "--family", "jacobi", "--config", str(cfg_file),
                     "--out", str(tmp_path / "w.csv")]) == 3
         assert capsys.readouterr().err == (
-            "series budget ran out: jacobi normalization series did not converge "
+            "budget ran out: jacobi normalization series did not converge "
             "within 20000 terms at x = 0.9995\n"
+        )
+
+
+    def test_ratio_recurrence_budget_exit_code(self, tmp_path, capsys):
+        # bessel expect at x = 4e8 needs the 0F1 ratio recurrence deeper
+        # than its 20000-step budget: the line names the recurrence, not a
+        # series
+        cfg_file = tmp_path / "e.cfg"
+        cfg_file.write_text("x_min=4e8\nx_max=4e8\nx_count=1\n")
+        assert run(["expect", "--family", "bessel", "--config", str(cfg_file),
+                    "--out", str(tmp_path / "e.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "budget ran out: 0F1(3.0; x) ratios did not converge within 20000 steps "
+            "at x = 400000000.0\n"
         )
 
 

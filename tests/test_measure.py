@@ -118,6 +118,21 @@ class TestRule:
         assert np.array_equal(rule._log_mu[:600], ref)
 
 
+class TestGaussLaguerreNodes:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [2, 8, 131, 240, 392, 1000])
+    def test_nodes_equal_the_tridiagonal_solver(self, n, alpha):
+        # numpy's dense eigvalsh of the Jacobi matrix gives scipy's
+        # tridiagonal eigenvalues bit for bit, so every rule is unchanged;
+        # scipy.linalg is imported here only as the oracle
+        from scipy.linalg import eigh_tridiagonal
+
+        k = np.arange(n, dtype=float)
+        ref = eigh_tridiagonal(2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)),
+                               eigvals_only=True)
+        assert np.array_equal(_gauss_genlaguerre(n, alpha)[0], ref)
+
+
 class TestRuleCache:
     @pytest.mark.parametrize("family, default", [(Family.BESSEL, 240), (Family.JACOBI, 240)])
     def test_default_nodes_resolve_to_one_rule(self, family, default):

@@ -13,22 +13,24 @@ from ghcs import cli, measure, thermal
 from ghcs.measure import density, radial_rule
 from ghcs.specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 from ghcs.states import Family, FamilyParams, coeff_h
-from ghcs.thermal import (
+from ghcs.pfunction import (
     PFunctionCandidate,
+    derivative_series_candidate,
+    moment_matched_candidate,
+    p_function_passes,
+    verify_p_function,
+)
+from ghcs.thermal import (
     boltzmann_moment,
     closed_form_thermal_stats,
     cs_thermal_expectation,
-    derivative_series_candidate,
     g2_in_state,
     mandel_q_in_state,
-    moment_matched_candidate,
     number_moment,
     oracle_thermal_stats,
-    p_function_passes,
     partition,
     thermal_scan_rows,
     thermal_state,
-    verify_p_function,
 )
 
 from conftest import rel_err
