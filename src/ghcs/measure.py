@@ -252,8 +252,8 @@ def _gauss_genlaguerre(n: int, alpha: float):
     matrix (Golub-Welsch 1969), taken by numpy's dense `eigvalsh`, so no
     command loads `scipy.linalg`.  They equal scipy's `eigh_tridiagonal`
     bit for bit at both alpha the rules use (0 and 1) for every n from 2
-    to 399 and at 480, 600, 1000, 2000 and 4000.  The dense solve costs
-    more, once per (n, alpha) per process as the rule is cached
+    to 399 and at 480, 600, 1000 and 2000.  The dense solve costs more,
+    once per (n, alpha) per process as the table is cached
     (eigensolve alone, 2-core Intel Xeon, best of 7):
 
         n                     240   392   600   1000
