@@ -44,28 +44,29 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Stopping rule for the infinite series used throughout.
+    """Budget of the infinite series and recurrences used throughout.
 
-    max_terms:  hard budget of summed terms.
-    rel_tol:    target relative size of the final terms.
-    abs_floor:  guard used in place of the partial sum when the latter
-                passes through zero (alternating series).
+    max_terms:  hard budget of summed terms (of recurrence levels for the
+                0F1 ratios).
+
+    Every series stops on the same rule: two consecutive terms at most
+    `_REL_TOL` times the partial sum, or `_ABS_FLOOR` where the partial
+    sum passes through zero (alternating series).
     """
 
     max_terms: int = 20000
-    rel_tol: float = 1e-15
-    abs_floor: float = 1e-300
 
     def __post_init__(self) -> None:
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError("rel_tol must lie strictly between 0 and 1")
-        if self.abs_floor <= 0.0:
-            raise ValueError("abs_floor must be positive")
 
 
 DEFAULT_SERIES = SeriesControl()
+
+# The series' stopping rule: the relative size of the final terms, and the
+# guard used in place of a partial sum that passes through zero.
+_REL_TOL = 1e-15
+_ABS_FLOOR = 1e-300
 
 
 # The array series are summed in numpy chunks: the first holds this many
@@ -90,7 +91,7 @@ def _sum_ratio_array(name: str, x, ratio: Callable[[np.ndarray, np.ndarray], np.
     (for complex x up to the last bit of numpy's complex division).
 
     Stopping rule, per element and unchanged from the loop: an element is
-    done after two consecutive |t| <= rel_tol * max(|sum|, abs_floor), the
+    done after two consecutive |t| <= _REL_TOL * max(|sum|, _ABS_FLOOR), the
     "previous term was small" flag carried across chunks, and done
     elements leave the live set.  At x = 0 the sum is 1 without summing.
     If an element exhausts the budget, ConvergenceError names the series,
@@ -122,7 +123,7 @@ def _sum_ratio_array(name: str, x, ratio: Callable[[np.ndarray, np.ndarray], np.
             tiny[:, 0] = small
             np.less_equal(
                 np.abs(terms),
-                ctl.rel_tol * np.maximum(np.abs(sums[:, 1:]), ctl.abs_floor),
+                _REL_TOL * np.maximum(np.abs(sums[:, 1:]), _ABS_FLOOR),
                 out=tiny[:, 1:],
             )
             pairs = tiny[:, 1:] & tiny[:, :-1]
@@ -206,7 +207,7 @@ def _hyp_0f1_ratios(b: float, x, ctl: SeriesControl = DEFAULT_SERIES):
     `ctl.max_terms` itself, so an x is accepted exactly when its first K
     is within `ctl.max_terms` and the bracket from `ctl.max_terms` levels
     meets.  Else ConvergenceError names x (the first such x of an array)
-    and the budget; `ctl`'s other fields do not apply.
+    and the budget.
 
     A float runs a pure-Python loop (`_ratio_brackets`); an array runs one
     numpy sweep of all its elements from the largest first K among them

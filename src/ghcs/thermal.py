@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .measure import _euler_gauss, _euler_trusted
-from .specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl, _hyp_0f1_ratios
+from .specfun import (_ABS_FLOOR, _REL_TOL, DEFAULT_SERIES, ConvergenceError, SeriesControl,
+                      _hyp_0f1_ratios)
 from .states import Family, FamilyParams, _index_row, _norm_arg, normalization
 
 __all__ = [
@@ -134,8 +135,8 @@ def partition(beta: float, mu: float) -> float:
 
 def boltzmann_moment(beta: float, mu: float, s: int) -> float:
     """<N^s> = sum_n n^s exp(-beta E_n) / Z for s = 0, 1 or 2, the orders
-    the thermal layer reads; ValueError for any other s."""
-    if not isinstance(s, (int, np.integer)) or s not in (0, 1, 2):
+    the thermal layer reads; ValueError for any other s, a bool included."""
+    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s not in (0, 1, 2):
         raise ValueError("s must be 0, 1 or 2")
     o = oracle_thermal_stats(beta, mu)
     return (1.0, o["N_mean"], o["N2_mean"])[s]
@@ -225,9 +226,10 @@ def number_moment(params: FamilyParams, x, s: int,
       x D1 + x^2 D2 are sums of positive terms, a scalar x takes the same
       expression as a float, not as a one-element array, and an array's
       elements are the scalar calls' values bit for bit;
-    - every other x (s = 0 or s >= 3, and jacobi x > 0.998 or a > 6): t_n
-      summed through its ratio recurrence, as below; here `ctl` governs
-      this series.
+    - s = 0, every x: exactly 1.0 (one sum over itself), without summing;
+    - every other x (s >= 3, and jacobi x > 0.998 or a > 6): t_n summed
+      through its ratio recurrence, as below; here `ctl` governs this
+      series.
 
     The series is summed in numpy chunks of 64, 128, 256, ... terms, never
     past `ctl.max_terms`.  Within a chunk the ratios are formed elementwise
@@ -246,20 +248,21 @@ def number_moment(params: FamilyParams, x, s: int,
     (no doubling back into the overflow).  As the carried values are only
     ever scaled by exact powers of two, and n^s is taken in factors that do
     not depend on the chunk, where a chunk starts or ends changes no bit.
-    An array of x is summed in one pass over the chunks (`_moment_ratios`):
-    the x still summing are the rows of each chunk's matrices, on one chunk
-    schedule, each with its own carried term, sums, scaling and flag,
-    leaving once it stops, so every element is the scalar call's value bit
-    for bit.  A scalar x keeps the one-row routine (`_moment_ratio`): a
-    series through `_moment_ratios` on one row costs 1.8-4.1x as much,
-    and the in-state moment benchmark (moment-scan, seeds 1-4, 10 s, a
-    shared two-vCPU host) ran at 0.45x its ops/s with it.
+    An array's elements that reach the series are summed one x at a time
+    by the same float routine (`_moment_ratio`), so each is the scalar
+    call's value bit for bit.  No workload sums an array of x here, while
+    the in-state moment benchmark (moment-scan) spends about half its op
+    time in one-x series near x = 1; a routine summing many x as the rows
+    of each chunk's matrices cost twice the float routine's time on one
+    row at x = 0.9981 (1212 against 608 us, best of 15 on a shared
+    two-vCPU host) and four times at x = 0.5 (102 against 25 us), so the
+    float routine is the one kept.
 
     Stopping rule and budget: the summation ends after two consecutive
-    contributions n^s t_n <= ctl.rel_tol * max(numerator sum,
-    ctl.abs_floor), the "previous one was small" state carried across
-    chunk boundaries (tested against the next chunk's first contribution),
-    and raises ConvergenceError("number_moment series
+    contributions n^s t_n <= `specfun._REL_TOL` * max(numerator sum,
+    `specfun._ABS_FLOOR`), the "previous one was small" state carried
+    across chunk boundaries (tested against the next chunk's first
+    contribution), and raises ConvergenceError("number_moment series
     did not converge") when ctl.max_terms terms did not reach it.  A series
     whose sums still leave the float range in a one-term chunk (n^s t_n
     does for large s, and with `falling` x^s past the float range) raises
@@ -287,22 +290,25 @@ def number_moment(params: FamilyParams, x, s: int,
     closed = s in (1, 2)
     if isinstance(x, float) or np.ndim(x) == 0:
         x = _norm_arg(params, float(x))
+        if s == 0:
+            return 1.0
         if x == 0.0 and not falling:
-            return 1.0 if s == 0 else 0.0
+            return 0.0
         if closed and _closed_form(params, x):
             return float(_closed_moments(params, x, s, falling, ctl))
         return _moment_ratio(params, x, s, falling, ctl)
     xs = _norm_args(params, x)
-    # at x = 0 every term after t_0 vanishes, so <N^s> is 1 (s = 0) or 0
-    out = np.full(xs.shape, 1.0 if s == 0 else 0.0)
+    if s == 0:
+        return np.ones(xs.shape)
+    # at x = 0 every term after t_0 vanishes, so <N^s> is 0
+    out = np.zeros(xs.shape)
     summed = (xs > 0.0) | falling
     if closed:
         part = summed & _closed_form(params, xs)
         if part.any():  # empty, it still costs about 20 us on a two-vCPU host
             out[part] = _closed_moments(params, xs[part], s, falling, ctl)
             summed &= ~part
-    if summed.any():
-        out[summed] = _moment_ratios(params, xs[summed], s, falling, ctl)
+    out[summed] = [_moment_ratio(params, v, s, falling, ctl) for v in xs[summed].tolist()]
     return out
 
 
@@ -462,9 +468,9 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                 continue
             # tiny[i]: contribution i is small.  The partial sums never fall
             # (no contribution is negative), so once the first reaches
-            # abs_floor they are their own max with it
-            lim = nums if nums[0] >= ctl.abs_floor else np.maximum(nums, ctl.abs_floor)
-            tiny = contrib <= ctl.rel_tol * lim
+            # _ABS_FLOOR they are their own max with it
+            lim = nums if nums[0] >= _ABS_FLOOR else np.maximum(nums, _ABS_FLOOR)
+            tiny = contrib <= _REL_TOL * lim
             # the stopping pair may be the carried flag and the first
             # contribution, the only pair of a one-term chunk
             if small and tiny[0]:
@@ -476,79 +482,6 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
             term, den, num = float(last), float(dens[-1]), float(nums[-1])
             start, size, retried = stop, (stop - start) * (1 if retried else 2), False
     raise ConvergenceError("number_moment series did not converge")
-
-
-def _moment_ratios(params: FamilyParams, xs: np.ndarray, s: int, falling: bool,
-                   ctl: SeriesControl) -> np.ndarray:
-    """`_moment_ratio` for every x in the 1-d array `xs` at once: each
-    element is the scalar routine's value bit for bit, and once every x is
-    summed the error of the first x whose series failed is raised.
-
-    The x still summing are the live rows of each chunk's matrices, all
-    on one chunk schedule: the same ratios, accumulates, rescaling,
-    stopping rule, retry and budget as the scalar routine, each row
-    carrying its own term, sums, power-of-two scaling and "previous was
-    small" flag, and leaving once it stops or overflows in a one-term
-    chunk.  x^k is libm `pow` (`np.float_power`), as the scalar routine's
-    `x**k`; numpy's `**` would square, which differs in the last bit for
-    about one value in a thousand.
-    """
-    b, shift = params.b, params.coeff_shift
-    jacobi = params.family is Family.JACOBI
-    p = s if falling else 0
-    live, out = np.arange(len(xs)), np.empty(len(xs))
-    over, small = np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
-    # overflow is caught below by the finiteness check
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xps = np.float_power(xs, p)
-        term, den = 1.0, 0.0  # u_0, and the sum of t_n below p
-        for k in range(p):
-            den = den + term * np.float_power(xs, k)
-            term *= ((shift + k) ** 2 if jacobi else 1.0) / ((k + 1.0) * (b + k))
-        den = den + term * xps  # t_p
-        # the index-p contribution
-        num = (_falling_power(float(p), p - 1.0, s) if falling else 0.0**s) * term
-        start, size, retried = p, _MOMENT_CHUNK, False
-        while live.size and start < ctl.max_terms:
-            e = np.frexp(den)[1]
-            e[e <= 1] = 0
-            term, den, num = (np.ldexp(v, -e) for v in (term, den, num))
-            stop = min(start + size, ctl.max_terms)
-            row = _index_row(1 << stop.bit_length())
-            n, n1 = row[0, start:stop], row[0, start + 1:stop + 1]
-            ratio = xs[live, None] / (n1 * (b + n))
-            if jacobi:
-                ratio *= (shift + n) ** 2
-            ratio[:, 0] *= term
-            terms = np.multiply.accumulate(ratio, axis=1, out=ratio)
-            contrib = _weighted(terms, n1, n, s, falling, ctl.max_terms)
-            dens = terms * xps[live, None] if p else terms.copy()
-            dens[:, 0] += den
-            np.add.accumulate(dens, axis=1, out=dens)
-            nums = contrib.copy()
-            nums[:, 0] += num
-            np.add.accumulate(nums, axis=1, out=nums)
-            bad = ~(np.isfinite(dens[:, -1]) & np.isfinite(nums[:, -1]))
-            if bad.any():
-                if stop - start > 1:
-                    size, retried = (stop - start) // 2, True  # sum it again, rescale sooner
-                    continue
-                over[live[bad]] = True
-            # tiny[:, j + 1]: contribution j is small; tiny[:, 0] is carried over
-            tiny = np.column_stack(
-                (small, contrib <= ctl.rel_tol * np.maximum(nums, ctl.abs_floor)))
-            pairs = tiny[:, 1:] & tiny[:, :-1]
-            first, done = pairs.argmax(axis=1), pairs.any(axis=1) & ~bad
-            out[live[done]] = nums[done, first[done]] / dens[done, first[done]]
-            left = ~(done | bad)
-            live = live[left]
-            term, den, num, small = terms[left, -1], dens[left, -1], nums[left, -1], tiny[left, -1]
-            start, size, retried = stop, (stop - start) * (1 if retried else 2), False
-    if over.any() or live.size:  # rows still live ran out of budget
-        i = min(np.flatnonzero(over)[:1].tolist() + live[:1].tolist())
-        raise (_overflow(s, falling, xs[i]) if over[i]
-               else ConvergenceError("number_moment series did not converge"))
-    return out
 
 
 def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
@@ -563,9 +496,12 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     evaluation of scipy's Gauss functions (F_0 read once); every other
     jacobi x (x > 0.998 or a > 6) summed as series, whose budget runs out
     from x = 0.99818.  Scalar x in, four
-    floats out; array in, four arrays out, bessel in one sweep, jacobi's
-    closed-form x in one evaluation and the others (none, perhaps) in one
-    `number_moment` call per moment.
+    floats out; array in, four arrays out, bessel in one sweep and jacobi's
+    closed-form x in one evaluation.  The other jacobi x (none, perhaps)
+    take one `number_moment` call per moment, which sums them one x at a
+    time by the float series routine: on one x it costs half or less of a
+    pass with a matrix row per x, and the in-state moment benchmark sums
+    one x per op.
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
     if (x == 0.0) if isinstance(x, float) else (np.asarray(x) == 0.0).any():
         raise ValueError("g2 is undefined in the vacuum state (x = 0), "

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ghcs.measure import radial_rule
-from ghcs.specfun import ConvergenceError, SeriesControl
+from ghcs.specfun import _ABS_FLOOR, _REL_TOL, ConvergenceError, SeriesControl
 from ghcs.states import Family, FamilyParams
 
 
@@ -15,7 +15,7 @@ def rel_err(got, ref, floor=1e-300):
 def _sum_ratio_series(first_term, ratio, ctl: SeriesControl):
     """Sum t0 + t1 + ... where t_{k+1} = t_k * ratio(k).
 
-    Stops only after two consecutive terms fall below rel_tol relative
+    Stops only after two consecutive terms fall below _REL_TOL relative
     to the running sum, so an accidental zero of an alternating term
     cannot end the summation early.
     """
@@ -25,7 +25,7 @@ def _sum_ratio_series(first_term, ratio, ctl: SeriesControl):
     for k in range(ctl.max_terms):
         term = term * ratio(k)
         total += term
-        if abs(term) <= ctl.rel_tol * max(abs(total), ctl.abs_floor):
+        if abs(term) <= _REL_TOL * max(abs(total), _ABS_FLOOR):
             small += 1
             if small >= 2:
                 return total

@@ -68,7 +68,7 @@ class TestHypSeries:
 
     def test_0f1_nonconvergence(self):
         with pytest.raises(specfun.ConvergenceError):
-            hyp_0f1(2.0, 50.0, SeriesControl(max_terms=3, rel_tol=1e-15))
+            hyp_0f1(2.0, 50.0, SeriesControl(max_terms=3))
 
     def test_2f1_at_zero(self):
         assert hyp_2f1(1.3, 0.4, 2.0, 0.0) == 1.0
