@@ -406,8 +406,8 @@ class TestNumberMomentSeries:
     def test_zeroth_moment_is_one(self, bessel_params, jacobi_params):
         # the scalar loop left the n = 0 term out of the s = 0 numerator
         # and returned 1 - 1/N(x).  s = 0 takes no series, so it is
-        # exactly 1 also where every series runs out of budget: jacobi
-        # x = 0.9995, and bessel x = 1e155, past the ratio recurrence's
+        # exactly 1 also where the series runs out of budget: jacobi
+        # x = 0.9995 and bessel x = 1e155
         for params, x in ((bessel_params, 3.0), (jacobi_params, 0.5),
                           (jacobi_params, 0.99), (jacobi_params, 0.9995),
                           (bessel_params, 1e155)):
