@@ -697,6 +697,43 @@ class TestMomentArrays:
         with pytest.raises(ValueError, match="vacuum"):
             thermal.in_state_stats(bessel_params, np.array([0.5, 0.0]))
 
+    @pytest.mark.parametrize("max_terms", [63, 64, 65, 191, 192, 193, 194])
+    def test_budget_at_chunk_boundaries(self, max_terms):
+        # x stop, carry their flag over a boundary or run out of budget at
+        # different chunks (the plain series at 0.468... and 0.792... end
+        # at index 64 and 192); a = 13.3 takes every x through the series
+        params = FamilyParams(6, 7.3, Family.JACOBI)
+        ctl = SeriesControl(max_terms=max_terms)
+        xs = np.array([0.05, 0.4680258563027752, 0.7, 0.7926352660880547, 0.3])
+        outcomes = set()
+        for s in (1, 2):
+            for falling in (False, True):
+                refs = []
+                for x in xs.tolist():
+                    try:
+                        ref = loop_number_moment(params, x, s, ctl, falling)[0]
+                    except ConvergenceError:
+                        ref = None
+                        with pytest.raises(ConvergenceError):
+                            number_moment(params, x, s, ctl, falling=falling)
+                    else:
+                        got = number_moment(params, x, s, ctl, falling=falling)
+                        assert rel_err(got, ref) <= 1e-15
+                        ref = got
+                    refs.append(ref)
+                ok = np.array([r is not None for r in refs])
+                outcomes.update(ok.tolist())
+                for idx in (np.arange(len(xs)), np.arange(len(xs))[::-1], np.flatnonzero(ok)):
+                    expect = [refs[i] for i in idx]
+                    if None in expect:
+                        with pytest.raises(ConvergenceError) as exc:
+                            number_moment(params, xs[idx], s, ctl, falling=falling)
+                        assert str(exc.value) == "number_moment series did not converge"
+                    else:
+                        got = number_moment(params, xs[idx], s, ctl, falling=falling)
+                        assert got.tolist() == expect
+        assert outcomes == {False, True}  # every budget stops some x and not others
+
     def test_budget_error_text(self, jacobi_params):
         # matched verbatim by the benchmark's known-defect rule
         with pytest.raises(ConvergenceError) as exc:
