@@ -263,7 +263,14 @@ def number_moment(params: FamilyParams, x, s: int,
     `specfun._ABS_FLOOR`), the "previous one was small" state carried
     across chunk boundaries (tested against the next chunk's first
     contribution), and raises ConvergenceError("number_moment series
-    did not converge") when ctl.max_terms terms did not reach it.  A series
+    did not converge") when ctl.max_terms terms did not reach it.  For
+    jacobi s = 1 and 2 (plain and `falling`) the budget is decided before
+    summing: where a closed-form bound on the terms (`_budget_runs_out`)
+    proves that no stopping pair falls within ctl.max_terms, that error is
+    raised at once, in microseconds, not after the whole budget's terms.
+    At the default budget the bound fires from within 4e-5 of the x where
+    the series starts failing (x = 0.99827 for s = 1, 0.99814 for s = 2 at
+    a <= 25) up to about x = 1 - 2e-7; every other x sums.  A series
     whose sums still leave the float range in a one-term chunk (n^s t_n
     does for large s, and with `falling` x^s past the float range) raises
     OverflowError naming x.  An array raises the error of its first
@@ -392,10 +399,8 @@ def _weighted(terms, n1, n, s: int, falling: bool, max_terms: int):
 
 
 def _falling_power(k, k_less_1, s: int):
-    # k (k - 1) ... (k - s + 1); k - 1 is passed in, as the chunks have it,
-    # so s = 2 costs one multiply
-    if s == 0:
-        return 1.0
+    # k (k - 1) ... (k - s + 1) for s >= 1; k - 1 is passed in, as the
+    # chunks have it, so s = 2 costs one multiply
     out = k if s == 1 else k * k_less_1
     for j in range(2, s):
         out = out * (k - j)
@@ -408,18 +413,76 @@ def _overflow(s: int, falling: bool, x: float) -> OverflowError:
                          "overflows the float range")
 
 
+def _jacobi_log_bounds(a: float, x: float, s: int, falling: bool, n: int):
+    """(log L, log B) for the jacobi series of `_moment_ratio` at 0 < x < 1,
+    with L and B over P_inf = Gamma(2a) / Gamma(a+1)^2: P_inf L is at most
+    the contribution w(n) t_n / x^p at index n >= p + 1, and P_inf B at
+    least every numerator partial sum, however long.
+
+    The terms are t_n = x^n ((a+1)_n)^2 / (n! (2a)_n) = (n+1) P_n x^n, with
+    P_0 = 1 and P_{k+1} / P_k = 1 + (a-1)^2 / ((k+2)(2a+k)) >= 1; so
+    P_n <= P_inf, and as log(1 + u) <= u and (k+2)(2a+k) >= (k+c)^2 with
+    c = min(2, 2a), P_n / P_inf >= exp(-(a-1)^2 / (n - 1 + c)).  That gives
+    L.  For B, (n+1) n^s <= (n+1)(n+2)...(n+s+1) and
+    sum_n C(n+s+1, s+1) x^n = (1-x)^{-s-2} bound the plain numerator by
+    (s+1)! / (1-x)^{s+2}; with `falling`, the same sum over j = n - s is
+    its bound exactly.
+    """
+    p = s if falling else 0
+    w = _falling_power(float(n), n - 1.0, s) if falling else float(n) ** s
+    low = (math.log(w * (n + 1.0)) + (n - p) * math.log(x)
+           - (a - 1.0) * (a - 1.0) / (n - 1.0 + min(2.0, 2.0 * a)))
+    return low, math.lgamma(s + 2.0) - (s + 2.0) * math.log1p(-x)
+
+
+def _budget_runs_out(params: FamilyParams, x: float, s: int, falling: bool,
+                     max_terms: int) -> bool:
+    """True where the jacobi s = 1, 2 series of `_moment_ratio`, plain or
+    `falling`, is proved to reach no stopping pair within max_terms = N
+    terms; False wherever that is not proved (bessel, s >= 3, x < 1/2,
+    N > 1e12, and every x whose series may stop).
+
+    The series tests the contributions at indices p + 1 ... N, and a pair
+    ending within the budget needs a small one at an index up to N - 1.
+    The contributions' ratios fall with n (each factor of them does), so
+    they rise to one peak and then fall.  Past the peak each one up to
+    index N - 1 is at least the one at N - 1; where that exceeds
+    2 `_REL_TOL` times every partial sum's bound (`_jacobi_log_bounds`),
+    none is small.  Before the peak each is at least every one before it,
+    so it is small only after 1/`_REL_TOL` = 1e15 terms.  At x >= 1/2 every
+    tested partial sum is at least half the denominator sum, which the
+    series keeps at 1/2 or more, so `_ABS_FLOOR` never decides.  The
+    factor 2 covers the series' float
+    rounding: its N chained products drift by a few N eps, 2e-12 relative
+    at N = 20000 and under 1e-3 for N <= 1e12.  P_inf cancels, so the test
+    costs a few `math.log` calls.
+    """
+    n = max_terms - 1
+    if (params.family is not Family.JACOBI or s not in (1, 2) or not 0.5 <= x
+            or not (s if falling else 0) < n < 1e12):
+        return False
+    low, high = _jacobi_log_bounds(params.a, x, s, falling, n)
+    return low - high > math.log(2.0 * _REL_TOL)
+
+
 def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                   ctl: SeriesControl) -> float:
-    """sum_n w(n) t_n / x^p over sum_n t_n, t_n = x^n / h_n^2, summed in
-    chunks as `number_moment` describes: w(n) = n^s and p = 0, or with
-    `falling` w(n) = n (n-1) ... (n-s+1) and p = s.
+    """sum_n w(n) t_n / x^p over sum_n t_n, t_n = x^n / h_n^2, s >= 1,
+    summed in chunks as `number_moment` describes: w(n) = n^s and p = 0,
+    or with `falling` w(n) = n (n-1) ... (n-s+1) and p = s.
 
     The recurrence carries u_n = t_n / x^min(n, p): the first p steps, whose
     ratios lack their factor x, are taken before the chunks (w vanishes
     there), so the numerator is summed at order 1 however small x is, and
     each denominator term is u_n x^min(n, p).  With p = 0 that is t_n
     itself and every value is the term-by-term loop's.
+
+    A jacobi s = 1, 2 series that `_budget_runs_out` proves cannot stop
+    within `ctl.max_terms` raises the budget's ConvergenceError at once,
+    without summing.
     """
+    if _budget_runs_out(params, x, s, falling, ctl.max_terms):
+        raise ConvergenceError("number_moment series did not converge")
     b = params.b
     jacobi = params.family is Family.JACOBI
     shift = params.coeff_shift
@@ -433,8 +496,8 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     except OverflowError:  # x^p passes the float range: so does every chunk
         xp = den = math.inf
     den += term * xp  # t_p
-    # the index-p contribution
-    num = (_falling_power(float(p), p - 1.0, s) if falling else 0.0**s) * term
+    # the index-p contribution: s! u_s, or 0^s = 0
+    num = _falling_power(float(p), p - 1.0, s) * term if falling else 0.0
     small = retried = False
     start, size = p, _MOMENT_CHUNK
     # overflow is caught below by the finiteness check
@@ -495,7 +558,9 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     x <= 0.998 with a = m + nu <= 6: in closed form, D1 and D2 from one
     evaluation of scipy's Gauss functions (F_0 read once); every other
     jacobi x (x > 0.998 or a > 6) summed as series, whose budget runs out
-    from x = 0.99818.  Scalar x in, four
+    from x = 0.99814; from within 4e-5 of there the budget is decided
+    before summing (`number_moment`), so those x raise ConvergenceError in
+    microseconds.  Scalar x in, four
     floats out; array in, four arrays out, bessel in one sweep and jacobi's
     closed-form x in one evaluation.  The other jacobi x (none, perhaps)
     take one `number_moment` call per moment, which sums them one x at a

@@ -264,12 +264,14 @@ class TestInStateExpectations:
                 mandel_q_in_state(params, 0.0, convention)
 
 
-def loop_number_moment(params, x, s, ctl=DEFAULT_SERIES, falling=False):
+def loop_number_moment(params, x, s, ctl=DEFAULT_SERIES, falling=False, record=None):
     """Reference: the term-by-term loop `number_moment` sums, as
     (<N^s>, index of the last summed term), or with `falling` as
     (<N (N-1) ... (N-s+1)> / x^s, that index).  The falling recurrence
     carries t_n / x^min(n, s), its first s steps taken without their
-    factor x, and sums from n = s on."""
+    factor x, and sums from n = s on.  A list `record` gets the pair
+    (contribution, numerator partial sum) of each index from n = s + 1
+    (`falling`) or 1 on, as the loop tests them."""
     b = params.b
     shift = params.coeff_shift
     jacobi = params.family is Family.JACOBI
@@ -290,6 +292,8 @@ def loop_number_moment(params, x, s, ctl=DEFAULT_SERIES, falling=False):
         den += term * xp
         contrib = (math.perm(n + 1, s) if falling else float(n + 1) ** s) * term
         num += contrib
+        if record is not None:
+            record.append((contrib, num))
         if contrib <= _REL_TOL * max(num, _ABS_FLOOR):
             small += 1
             if small >= 2:
@@ -362,7 +366,7 @@ class TestNumberMomentSeries:
             for nu in (0.1, 0.5, 1.3, 2.5):
                 params = FamilyParams(m, nu, family)
                 for x in xs:
-                    for s in (0, 1, 2, 3):
+                    for s in (1, 2, 3):
                         for falling in (False, True):
                             ref, _ = loop_number_moment(params, x, s, falling=falling)
                             got = thermal._moment_ratio(params, x, s, falling, DEFAULT_SERIES)
@@ -372,15 +376,12 @@ class TestNumberMomentSeries:
     @pytest.mark.parametrize("family, x, s, falling, last", [
         # the loop's last summed index is a chunk's first element (chunks
         # start at s with `falling`, else at 0, and hold 64, 128, ... terms)
-        (Family.JACOBI, 0.5545383652279291, 0, False, 64),
-        (Family.JACOBI, 0.826825715959185, 0, False, 192),
         (Family.JACOBI, 0.5010081815743476, 2, False, 64),
         (Family.JACOBI, 0.7896236593017728, 3, False, 192),
         (Family.JACOBI, 0.5303707541066701, 1, True, 65),
         (Family.JACOBI, 0.8138530090499401, 1, True, 193),
         (Family.JACOBI, 0.509770780995872, 2, True, 66),
         (Family.JACOBI, 0.802332896464048, 2, True, 194),
-        (Family.BESSEL, 836.6595399610563, 0, False, 64),
         (Family.BESSEL, 798.2779722020048, 2, False, 64),
         (Family.BESSEL, 855.2114358682228, 1, True, 65),
         (Family.BESSEL, 873.7833297112786, 2, True, 66),
@@ -517,6 +518,110 @@ class TestNumberMomentSeries:
         assert cli.main(["expect", "--config", str(cfg), "--out", str(out)]) == 0
         # one array sweep for the whole grid
         assert (calls, sweeps) == ([], [3])
+
+
+def _straddle(turns):
+    """The x on both sides of every change of a predicate on [1/2, 1): each
+    change between neighbours of the grid 1 - 2^-k, k = 1 ... 53,
+    bracketed to 1e-12."""
+    grid = [1.0 - 2.0**-k for k in range(1, 54)]
+    values = [turns(x) for x in grid]
+    out = []
+    for lo, hi, at_lo, at_hi in zip(grid, grid[1:], values, values[1:]):
+        if at_lo != at_hi:
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if turns(mid) == at_hi else (mid, hi)
+            out += [lo, hi]
+    return out
+
+
+def _loop_fails(params, s, falling, ctl):
+    def fails(x):
+        try:
+            loop_number_moment(params, x, s, ctl, falling)
+        except ConvergenceError:
+            return True
+        return False
+    return fails
+
+
+class TestBudgetDecidedUpFront:
+    """The jacobi s = 1, 2 series that cannot stop within its budget raise
+    before summing (`thermal._budget_runs_out`), exactly where the
+    term-by-term loop runs out of that budget."""
+
+    @pytest.mark.parametrize("m, nu", [(0, 0.1), (1, 0.5), (3, 2.5), (6, 7.3), (20, 5),
+                                       (150, 150)])
+    def test_raises_exactly_where_the_loop_does(self, m, nu):
+        # x straddles the loop's own failure edge and both ends of the x
+        # interval where the check fires (its bound on the partial sums
+        # grows like (1 - x)^-(s+2), so it stops firing near x = 1), for
+        # every budget; the check must fire on some of them, else this
+        # would test the series alone
+        params = FamilyParams(m, nu, Family.JACOBI)
+        fired = 0
+        for max_terms in (2, 3, 63, 64, 65, 194, 1000):
+            ctl = SeriesControl(max_terms=max_terms)
+            for s in (1, 2):
+                for falling in (False, True):
+                    edges = (_straddle(_loop_fails(params, s, falling, ctl))
+                             + _straddle(lambda x: thermal._budget_runs_out(
+                                 params, x, s, falling, max_terms)))
+                    for x in edges:
+                        fired += thermal._budget_runs_out(params, x, s, falling, max_terms)
+                        try:
+                            ref, _ = loop_number_moment(params, x, s, ctl, falling)
+                        except ConvergenceError:
+                            with pytest.raises(ConvergenceError) as exc:
+                                thermal._moment_ratio(params, x, s, falling, ctl)
+                            assert str(exc.value) == "number_moment series did not converge"
+                        else:
+                            got = thermal._moment_ratio(params, x, s, falling, ctl)
+                            assert rel_err(got, ref) <= 1e-15, (max_terms, s, falling, x)
+        assert fired > 0 or m == 150
+
+    def test_decided_before_any_chunk(self, monkeypatch, jacobi_params):
+        # at x = 0.9995 no chunk is summed: the shared index row that every
+        # chunk slices is never read
+        def no_chunk(n_max):
+            raise AssertionError("a chunk was summed")
+
+        monkeypatch.setattr(thermal, "_index_row", no_chunk)
+        for x in (0.9995, np.array([0.9995]), np.array([0.5, 0.9995])):
+            for s in (1, 2):
+                for falling in (False, True):
+                    with pytest.raises(ConvergenceError) as exc:
+                        number_moment(jacobi_params, x, s, falling=falling)
+                    # matched verbatim by the benchmark's known-defect rule
+                    assert str(exc.value) == "number_moment series did not converge"
+            with pytest.raises(ConvergenceError, match="^number_moment series did not converge$"):
+                thermal.in_state_stats(jacobi_params, x)
+
+    @pytest.mark.parametrize("m, nu", [(0, 0.1), (1, 0.5), (6, 7.3), (20, 5)])
+    def test_bounds_hold_against_the_loop(self, m, nu):
+        # P_inf B is at or above every partial sum of the loop's numerator,
+        # and P_inf L(n) at or below its contribution at each index n (up
+        # to the loop's rounding, a few 1e-13 over 3000 terms)
+        params = FamilyParams(m, nu, Family.JACOBI)
+        a = params.a
+        log_p_inf = math.lgamma(2.0 * a) - 2.0 * math.lgamma(a + 1.0)
+        ctl = SeriesControl(max_terms=3000)
+        for x in (0.5, 0.9, 0.99, 0.999, 0.9999):
+            for s in (1, 2):
+                for falling in (False, True):
+                    record = []
+                    try:
+                        loop_number_moment(params, x, s, ctl, falling, record)
+                    except ConvergenceError:
+                        assert len(record) == 3000 - (s if falling else 0)
+                    first = (s if falling else 0) + 1
+                    _, high = thermal._jacobi_log_bounds(a, x, s, falling, first)
+                    bound = math.exp(log_p_inf + high)
+                    assert max(num for _, num in record) <= bound * (1.0 + 1e-12)
+                    for n, (contrib, _) in enumerate(record, first):
+                        low, _ = thermal._jacobi_log_bounds(a, x, s, falling, n)
+                        assert math.exp(log_p_inf + low) <= contrib * (1.0 + 1e-12), n
 
 
 def mp_state_g2(params, x, convention):
@@ -786,7 +891,8 @@ class TestMomentArrays:
         # the carried term and sums are only scaled by exact powers of two,
         # so where a chunk starts or ends, or is summed again after an
         # overflow (bessel x from about 1.3e5 at 1000), changes no value;
-        # bessel s = 1, 2 take the ratio recurrence, s = 0, 3 the series
+        # bessel s = 1, 2 take the ratio recurrence, s = 3 the series and
+        # s = 0 none
         params = FamilyParams(1, 0.5, family)
         xs = _GRIDS[family]
         cases = [(s, falling) for s in (0, 1, 2, 3) for falling in (False, True)]
@@ -918,14 +1024,13 @@ class TestClosedFormMoments:
             assert number_moment(params, xs, s, falling=falling).tolist() == ref
 
     def test_other_orders_and_bessel_are_the_series_bit_for_bit(self):
+        # s = 0 takes no series (`TestNumberMomentSeries::test_zeroth_moment_is_one`)
         xs = np.array([1e-8, 0.3, 0.9, 0.99])
-        for family, orders in ((Family.JACOBI, (0, 3)), (Family.BESSEL, (0, 3))):
+        for family in Family:
             params = FamilyParams(1, 0.5, family)
-            for s in orders:
-                for falling in (False, True):
-                    ref = [thermal._moment_ratio(params, x, s, falling, DEFAULT_SERIES)
-                           for x in xs]
-                    assert number_moment(params, xs, s, falling=falling).tolist() == ref
+            for falling in (False, True):
+                ref = [thermal._moment_ratio(params, x, 3, falling, DEFAULT_SERIES) for x in xs]
+                assert number_moment(params, xs, 3, falling=falling).tolist() == ref
 
     def test_the_region_ends_are_the_closed_form(self):
         # x = 0.998 and a = 6 are inside; a mixed array splits element by element
