@@ -67,7 +67,7 @@ _TANH_SINH_T = math.asinh(-math.log(np.finfo(float).tiny) / math.pi)
 #   a = 6.2, 1.9e-13 at a = 7, 6.2e-10 at m = 6, nu = 7.3 and 4.3e-4 at
 #   m = 20, nu = 5.
 # Above the cut the series take over, and the number-moment series runs out
-# of its budget from x = 0.99818.
+# of its budget from x = 0.99814 (s = 2; 0.99827 for s = 1).
 _EULER_CUT = 0.998
 _EULER_A_MAX = 6.0
 

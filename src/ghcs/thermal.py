@@ -268,9 +268,9 @@ def number_moment(params: FamilyParams, x, s: int,
     summing: where a closed-form bound on the terms (`_budget_runs_out`)
     proves that no stopping pair falls within ctl.max_terms, that error is
     raised at once, in microseconds, not after the whole budget's terms.
-    At the default budget the bound fires from within 4e-5 of the x where
-    the series starts failing (x = 0.99827 for s = 1, 0.99814 for s = 2 at
-    a <= 25) up to about x = 1 - 2e-7; every other x sums.  A series
+    At the default budget and a <= 25 the bound fires from within 4e-5 of
+    the x where the series starts failing (x = 0.99827 for s = 1, 0.99814
+    for s = 2) up to about x = 1 - 2e-7; every other x sums.  A series
     whose sums still leave the float range in a one-term chunk (n^s t_n
     does for large s, and with `falling` x^s past the float range) raises
     OverflowError naming x.  An array raises the error of its first
@@ -452,10 +452,9 @@ def _budget_runs_out(params: FamilyParams, x: float, s: int, falling: bool,
     so it is small only after 1/`_REL_TOL` = 1e15 terms.  At x >= 1/2 every
     tested partial sum is at least half the denominator sum, which the
     series keeps at 1/2 or more, so `_ABS_FLOOR` never decides.  The
-    factor 2 covers the series' float
-    rounding: its N chained products drift by a few N eps, 2e-12 relative
-    at N = 20000 and under 1e-3 for N <= 1e12.  P_inf cancels, so the test
-    costs a few `math.log` calls.
+    factor 2 covers the series' float rounding: its N chained products
+    drift by a few N eps, 2e-12 relative at N = 20000 and under 1e-3 for
+    N <= 1e12.  P_inf cancels, so the test costs a few `math.log` calls.
     """
     n = max_terms - 1
     if (params.family is not Family.JACOBI or s not in (1, 2) or not 0.5 <= x

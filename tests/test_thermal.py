@@ -558,7 +558,8 @@ class TestBudgetDecidedUpFront:
         # interval where the check fires (its bound on the partial sums
         # grows like (1 - x)^-(s+2), so it stops firing near x = 1), for
         # every budget; the check must fire on some of them, else this
-        # would test the series alone
+        # would test the series alone (not at a = 300, where its factor
+        # e^{-(a-1)^2 / N} is e^-89 at N = 1000)
         params = FamilyParams(m, nu, Family.JACOBI)
         fired = 0
         for max_terms in (2, 3, 63, 64, 65, 194, 1000):
