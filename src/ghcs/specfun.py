@@ -1,21 +1,20 @@
 """Certified hypergeometric series: what scipy does not provide.
 
-The 0F1 and 2F1 ascending series are summed under an explicit
-`SeriesControl` budget and raise `ConvergenceError` when it runs out,
-instead of returning an uncertified value.  Both take a real scalar or a
-whole float array and, like the jacobi normalization, are summed by one
-array summation (`_sum_ratio_array`) that reproduces the term-by-term
+The 0F1 ascending series is summed under an explicit `SeriesControl`
+budget and raises `ConvergenceError` when it runs out, instead of
+returning an uncertified value.  It takes a real scalar or a whole float
+array and, like the jacobi normalization, is summed by one array
+summation (`_sum_ratio_array`) that reproduces the term-by-term
 recurrence's values and stopping rule element by element.  0F1 is the
 bessel normalization; complex 0F1 arguments (the phase-space density) go
 through the modified Bessel closed form in `dynamics`, or through the same
 series (`_hyp_0f1_series`) where that form underflows.  The ratios
 0F1(; c+1; x) / 0F1(; c; x) behind the bessel in-state moments and weight
 come from a bracketed backward recurrence (`_hyp_0f1_ratios`) that never
-forms 0F1 itself, under the same budget.  2F1 is the
-certified series the tests hold scipy's Gauss function to, which the
-figure-caption weights use.  Log-gamma, the modified Bessel functions and
-the jacobi weight density's Gauss-function form come from `math` and
-`scipy.special`.  All functions are pure and safe to call concurrently.
+forms 0F1 itself, under the same budget.  Log-gamma, the modified
+Bessel functions and the jacobi weight density's Gauss-function form come
+from `math` and `scipy.special`.  All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "SeriesControl",
     "ConvergenceError",
     "hyp_0f1",
-    "hyp_2f1",
 ]
 
 
@@ -282,21 +280,3 @@ def _ratio_brackets_array(b: float, xs: np.ndarray, depth: int):
             np.add(s, 1.0, out=s)
     return s[:n], s[n:]
 
-
-def hyp_2f1(a: float, b: float, c: float, x, ctl: SeriesControl = DEFAULT_SERIES):
-    """Gauss series 2F1(a, b; c; x) on |x| < 1, for a real scalar or a
-    float array x (scalar in, float out; array in, array out).
-
-    Summed by `_sum_ratio_array` with the ratio
-    ((a+k)(b+k)) x / ((c+k)(k+1)): the term-by-term values, stopping rule
-    and `ctl` budget, per element.
-    """
-    _check_not_nonpositive_int(c, "2F1 parameter c")
-    xs = np.asarray(x, dtype=float)
-    bad = ~(np.abs(xs) < 1.0)
-    if bad.any():
-        raise ValueError(f"hyp_2f1 series requires |x| < 1 (got {xs[bad].flat[0]})")
-    return _sum_ratio_array(
-        f"2F1({a!r}, {b!r}; {c!r}; x)", xs,
-        lambda k, w: (a + k) * (b + k) * w / ((c + k) * (k + 1.0)), ctl,
-    )

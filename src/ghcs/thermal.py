@@ -205,8 +205,9 @@ _MOMENT_CHUNK = 64
 def number_moment(params: FamilyParams, x, s: int,
                   ctl: SeriesControl = DEFAULT_SERIES, *, falling: bool = False):
     """<N^s> = sum_n n^s t_n / sum_n t_n in the state with |z|^2 = x, where
-    t_n = x^n / h_n^2; scalar x in, float out; array in, array of the same
-    shape out.
+    t_n = x^n / h_n^2, for s = 0, 1 or 2: the orders the thermal layer
+    reads (<N>, <N^2>, g2 and Q), as for `boltzmann_moment`.  Scalar x in,
+    float out; array in, array of the same shape out.
 
     Which x takes which path, element by element:
     - bessel s = 1 and 2 (plain and `falling`), every x: from D1 = N'/N =
@@ -227,9 +228,8 @@ def number_moment(params: FamilyParams, x, s: int,
       expression as a float, not as a one-element array, and an array's
       elements are the scalar calls' values bit for bit;
     - s = 0, every x: exactly 1.0 (one sum over itself), without summing;
-    - every other x (s >= 3, and jacobi x > 0.998 or a > 6): t_n summed
-      through its ratio recurrence, as below; here `ctl` governs this
-      series.
+    - every other jacobi x (x > 0.998 or a > 6): t_n summed through its
+      ratio recurrence, as below; here `ctl` governs this series.
 
     The series is summed in numpy chunks of 64, 128, 256, ... terms, never
     past `ctl.max_terms`.  Within a chunk the ratios are formed elementwise
@@ -237,17 +237,17 @@ def number_moment(params: FamilyParams, x, s: int,
     them from the carried term, and `np.add.accumulate` builds the partial
     sums from the carried sums; both accumulates are sequential, so every
     term and partial sum is the loop's own value.  The one exception is the
-    jacobi factor (shift + n)^2, which numpy squares where Python's `**`
-    calls libm `pow`; the two differ in the last bit for about one ratio
-    in a thousand.  Between chunks, once the denominator sum reaches 2, the
+    factor (shift + n)^2, which numpy squares where Python's `**` calls
+    libm `pow`; the two differ in the last bit for about one ratio in a
+    thousand.  Between chunks, once the denominator sum reaches 2, the
     carried term and sums are scaled by the power of two that brings it
-    into [1/2, 1); the scaling is exact and cancels in the ratio, so the
-    large-x bessel series, whose terms pass the float range, keep the
+    into [1/2, 1); the scaling is exact and cancels in the ratio, so a
+    series whose terms pass the float range (a in the thousands) keeps the
     loop's values.  A chunk whose sums leave the float range before that
     rescale is summed again at half its length, which the next chunk keeps
     (no doubling back into the overflow).  As the carried values are only
-    ever scaled by exact powers of two, and n^s is taken in factors that do
-    not depend on the chunk, where a chunk starts or ends changes no bit.
+    ever scaled by exact powers of two, where a chunk starts or ends
+    changes no bit.
     An array's elements that reach the series are summed one x at a time
     by the same float routine (`_moment_ratio`), so each is the scalar
     call's value bit for bit.  No workload sums an array of x here, while
@@ -263,21 +263,19 @@ def number_moment(params: FamilyParams, x, s: int,
     `specfun._ABS_FLOOR`), the "previous one was small" state carried
     across chunk boundaries (tested against the next chunk's first
     contribution), and raises ConvergenceError("number_moment series
-    did not converge") when ctl.max_terms terms did not reach it.  For
-    jacobi s = 1 and 2 (plain and `falling`) the budget is decided before
-    summing: where a closed-form bound on the terms (`_budget_runs_out`)
-    proves that no stopping pair falls within ctl.max_terms, that error is
-    raised at once, in microseconds, not after the whole budget's terms.
-    At the default budget and a <= 25 the bound fires from within 4e-5 of
-    the x where the series starts failing (x = 0.99827 for s = 1, 0.99814
-    for s = 2) up to about x = 1 - 2e-7; every other x sums.  A series
-    whose sums still leave the float range in a one-term chunk (n^s t_n
-    does for large s, and with `falling` x^s past the float range) raises
-    OverflowError naming x.  An array raises the error of its first
-    failing x.
+    did not converge") when ctl.max_terms terms did not reach it.  The
+    budget is decided before summing: where a closed-form bound on the
+    terms (`_budget_runs_out`) proves that no stopping pair falls within
+    ctl.max_terms, that error is raised at once, in microseconds, not
+    after the whole budget's terms.  At the default budget and a <= 25
+    the bound fires from within 4e-5 of the x where the series starts
+    failing (x = 0.99827 for s = 1, 0.99814 for s = 2) up to about
+    x = 1 - 2e-7; every other x sums.  A series whose sums still leave
+    the float range in a one-term chunk raises OverflowError naming x.
+    An array raises the error of its first failing x.
 
     falling=True gives the falling factorial moment per x^s instead,
-    <N (N-1) ... (N-s+1)> / x^s = N^(s)(x) / N(x) (the s-th derivative of
+    <N>/x or <N (N-1)> / x^2 = N^(s)(x) / N(x) (the s-th derivative of
     the normalization over itself), which tends to s! / h_s^2 as x -> 0.
     The recurrence then carries t_n / x^s from n = s on, so the numerator
     terms stay of order 1 however small x is (at x = 1e-170 the moment
@@ -285,23 +283,22 @@ def number_moment(params: FamilyParams, x, s: int,
     The same chunks, stopping rule and budget apply, from n = s.
 
     Every x must lie in the normalization domain [0, radius^2) and s must
-    be a non-negative integer, not a bool; otherwise ValueError.  A `ctl`
-    that is not a `SeriesControl` (a `falling` flag passed positionally
-    lands there) is a TypeError.  Both are raised before any work.
+    be 0, 1 or 2, not a bool; otherwise ValueError.  A `ctl` that is not a
+    `SeriesControl` (a `falling` flag passed positionally lands there) is
+    a TypeError.  Both are raised before any work.
     """
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 0:
-        raise ValueError(f"s must be a non-negative integer, not {s!r}")
+    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s not in (0, 1, 2):
+        raise ValueError(f"s must be 0, 1 or 2, not {s!r}")
     if not isinstance(ctl, SeriesControl):
         raise TypeError(f"ctl must be a SeriesControl, not {type(ctl).__name__} "
                         "(falling is keyword-only)")
-    closed = s in (1, 2)
     if isinstance(x, float) or np.ndim(x) == 0:
         x = _norm_arg(params, float(x))
         if s == 0:
             return 1.0
         if x == 0.0 and not falling:
             return 0.0
-        if closed and _closed_form(params, x):
+        if _closed_form(params, x):
             return float(_closed_moments(params, x, s, falling, ctl))
         return _moment_ratio(params, x, s, falling, ctl)
     xs = _norm_args(params, x)
@@ -310,11 +307,10 @@ def number_moment(params: FamilyParams, x, s: int,
     # at x = 0 every term after t_0 vanishes, so <N^s> is 0
     out = np.zeros(xs.shape)
     summed = (xs > 0.0) | falling
-    if closed:
-        part = summed & _closed_form(params, xs)
-        if part.any():  # empty, it still costs about 20 us on a two-vCPU host
-            out[part] = _closed_moments(params, xs[part], s, falling, ctl)
-            summed &= ~part
+    part = summed & _closed_form(params, xs)
+    if part.any():  # empty, it still costs about 20 us on a two-vCPU host
+        out[part] = _closed_moments(params, xs[part], s, falling, ctl)
+        summed &= ~part
     out[summed] = [_moment_ratio(params, v, s, falling, ctl) for v in xs[summed].tolist()]
     return out
 
@@ -381,32 +377,6 @@ def _derivative_ratio(params: FamilyParams, xs, f0, k: int):
     return c / (d if k == 1 else d * d) * _euler_gauss(params, xs, k) / f0
 
 
-def _weighted(terms, n1, n, s: int, falling: bool, max_terms: int):
-    """The contributions w(n1) t_n1 of a chunk's terms at indices n1 = n + 1:
-    w is the falling power with `falling`, else n1^s.  n1^s alone may pass
-    the float range where n1^s t_n1 does not, so it multiplies in as
-    factors n1^k, k the largest with n1^k < 2^1000 at every index within
-    the budget; each contribution is then the same whichever chunk holds
-    it.  Below k, n1^s is one factor.  s = 1 (either kind) is n1 itself."""
-    if s == 1:
-        return terms * n1
-    if falling:
-        return _falling_power(n1, n, s) * terms
-    k = int(1000.0 // math.log2(max_terms + 1.0))
-    for _ in range(s // k):
-        terms = terms * n1**k
-    return terms * n1 ** (s % k)
-
-
-def _falling_power(k, k_less_1, s: int):
-    # k (k - 1) ... (k - s + 1) for s >= 1; k - 1 is passed in, as the
-    # chunks have it, so s = 2 costs one multiply
-    out = k if s == 1 else k * k_less_1
-    for j in range(2, s):
-        out = out * (k - j)
-    return out
-
-
 def _overflow(s: int, falling: bool, x: float) -> OverflowError:
     what = f"<N^({s})> / x^{s}" if falling else f"<N^{s}>"
     return OverflowError(f"number_moment: the {what} series at x = {x:g} "
@@ -414,10 +384,10 @@ def _overflow(s: int, falling: bool, x: float) -> OverflowError:
 
 
 def _jacobi_log_bounds(a: float, x: float, s: int, falling: bool, n: int):
-    """(log L, log B) for the jacobi series of `_moment_ratio` at 0 < x < 1,
-    with L and B over P_inf = Gamma(2a) / Gamma(a+1)^2: P_inf L is at most
-    the contribution w(n) t_n / x^p at index n >= p + 1, and P_inf B at
-    least every numerator partial sum, however long.
+    """(log L, log B) for the series of `_moment_ratio` at 0 < x < 1, with
+    L and B over P_inf = Gamma(2a) / Gamma(a+1)^2: P_inf L is at most the
+    contribution w(n) t_n / x^p at index n >= p + 1, and P_inf B at least
+    every numerator partial sum, however long.
 
     The terms are t_n = x^n ((a+1)_n)^2 / (n! (2a)_n) = (n+1) P_n x^n, with
     P_0 = 1 and P_{k+1} / P_k = 1 + (a-1)^2 / ((k+2)(2a+k)) >= 1; so
@@ -429,7 +399,7 @@ def _jacobi_log_bounds(a: float, x: float, s: int, falling: bool, n: int):
     its bound exactly.
     """
     p = s if falling else 0
-    w = _falling_power(float(n), n - 1.0, s) if falling else float(n) ** s
+    w = float(n) * (n - 1.0) if falling and s == 2 else float(n) ** s
     low = (math.log(w * (n + 1.0)) + (n - p) * math.log(x)
            - (a - 1.0) * (a - 1.0) / (n - 1.0 + min(2.0, 2.0 * a)))
     return low, math.lgamma(s + 2.0) - (s + 2.0) * math.log1p(-x)
@@ -437,10 +407,9 @@ def _jacobi_log_bounds(a: float, x: float, s: int, falling: bool, n: int):
 
 def _budget_runs_out(params: FamilyParams, x: float, s: int, falling: bool,
                      max_terms: int) -> bool:
-    """True where the jacobi s = 1, 2 series of `_moment_ratio`, plain or
-    `falling`, is proved to reach no stopping pair within max_terms = N
-    terms; False wherever that is not proved (bessel, s >= 3, x < 1/2,
-    N > 1e12, and every x whose series may stop).
+    """True where the series of `_moment_ratio` is proved to reach no
+    stopping pair within max_terms = N terms; False wherever that is not
+    proved (x < 1/2, N > 1e12, and every x whose series may stop).
 
     The series tests the contributions at indices p + 1 ... N, and a pair
     ending within the budget needs a small one at an index up to N - 1.
@@ -457,8 +426,7 @@ def _budget_runs_out(params: FamilyParams, x: float, s: int, falling: bool,
     N <= 1e12.  P_inf cancels, so the test costs a few `math.log` calls.
     """
     n = max_terms - 1
-    if (params.family is not Family.JACOBI or s not in (1, 2) or not 0.5 <= x
-            or not (s if falling else 0) < n < 1e12):
+    if not 0.5 <= x or not (s if falling else 0) < n < 1e12:
         return False
     low, high = _jacobi_log_bounds(params.a, x, s, falling, n)
     return low - high > math.log(2.0 * _REL_TOL)
@@ -466,9 +434,11 @@ def _budget_runs_out(params: FamilyParams, x: float, s: int, falling: bool,
 
 def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
                   ctl: SeriesControl) -> float:
-    """sum_n w(n) t_n / x^p over sum_n t_n, t_n = x^n / h_n^2, s >= 1,
-    summed in chunks as `number_moment` describes: w(n) = n^s and p = 0,
-    or with `falling` w(n) = n (n-1) ... (n-s+1) and p = s.
+    """The jacobi sum_n w(n) t_n / x^p over sum_n t_n, t_n = x^n / h_n^2,
+    for s = 1 or 2 at 0 <= x < 1, summed in chunks as `number_moment`
+    describes: w(n) = n^s and p = 0, or with `falling` w(n) = n (n-1) for
+    s = 2, n for s = 1, and p = s.  `number_moment` reaches it only where
+    `_closed_form` fails.
 
     The recurrence carries u_n = t_n / x^min(n, p): the first p steps, whose
     ratios lack their factor x, are taken before the chunks (w vanishes
@@ -476,27 +446,21 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     each denominator term is u_n x^min(n, p).  With p = 0 that is t_n
     itself and every value is the term-by-term loop's.
 
-    A jacobi s = 1, 2 series that `_budget_runs_out` proves cannot stop
-    within `ctl.max_terms` raises the budget's ConvergenceError at once,
-    without summing.
+    A series that `_budget_runs_out` proves cannot stop within
+    `ctl.max_terms` raises the budget's ConvergenceError at once, without
+    summing.
     """
     if _budget_runs_out(params, x, s, falling, ctl.max_terms):
         raise ConvergenceError("number_moment series did not converge")
-    b = params.b
-    jacobi = params.family is Family.JACOBI
-    shift = params.coeff_shift
+    b, shift = params.b, params.coeff_shift
     p = s if falling else 0
     term, den = 1.0, 0.0  # u_0, and the sum of t_n below p
-    try:
-        xp = x**p
-        for k in range(p):
-            den += term * x**k
-            term *= ((shift + k) ** 2 if jacobi else 1.0) / ((k + 1.0) * (b + k))
-    except OverflowError:  # x^p passes the float range: so does every chunk
-        xp = den = math.inf
+    for k in range(p):
+        den += term * x**k
+        term *= (shift + k) ** 2 / ((k + 1.0) * (b + k))
+    xp = x**p
     den += term * xp  # t_p
-    # the index-p contribution: s! u_s, or 0^s = 0
-    num = _falling_power(float(p), p - 1.0, s) * term if falling else 0.0
+    num = p * term  # the index-p contribution: s! u_s (s! = s), or 0^s = 0
     small = retried = False
     start, size = p, _MOMENT_CHUNK
     # overflow is caught below by the finiteness check
@@ -510,12 +474,11 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
             # power of two above stop (the state builds' own lengths)
             row = _index_row(1 << stop.bit_length())
             n, n1 = row[0, start:stop], row[0, start + 1:stop + 1]
-            ratio = x / (n1 * (b + n))
-            if jacobi:
-                ratio *= (shift + n) ** 2
+            ratio = x / (n1 * (b + n)) * (shift + n) ** 2
             ratio[0] *= term
             terms = np.multiply.accumulate(ratio, out=ratio)
-            contrib = _weighted(terms, n1, n, s, falling, ctl.max_terms)
+            # w(n1) t_n1: n1 (n1 - 1) = n1 n with `falling` s = 2
+            contrib = terms * (n1 if s == 1 else n1 * n if falling else n1**2)
             last = terms[-1]  # with p = 0 the denominator sums overwrite terms
             dens = terms * xp if p else terms
             dens[0] += den
@@ -550,22 +513,22 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     """(<N>, <N^2>, g2, Q) in the state with |z|^2 = x from <N>/x and the
     factorial moment <N(N-1)>/x^2, each of order 1 however small x is,
     through `_number_stats`: nothing cancels.  Both are `number_moment`'s
-    `falling` moments, bit for bit.  bessel: D1 and D2 from one certified
-    sweep of the 0F1 ratio recurrence (`specfun._hyp_0f1_ratios`), within
-    1.6e-15 of mpmath up to x = 1e8, with ConvergenceError naming x and the
-    budget from x = (b + 19961)^2, about 3.98e8 at small b.  jacobi
-    x <= 0.998 with a = m + nu <= 6: in closed form, D1 and D2 from one
-    evaluation of scipy's Gauss functions (F_0 read once); every other
-    jacobi x (x > 0.998 or a > 6) summed as series, whose budget runs out
-    from x = 0.99814; from within 4e-5 of there the budget is decided
-    before summing (`number_moment`), so those x raise ConvergenceError in
-    microseconds.  Scalar x in, four
-    floats out; array in, four arrays out, bessel in one sweep and jacobi's
-    closed-form x in one evaluation.  The other jacobi x (none, perhaps)
-    take one `number_moment` call per moment, which sums them one x at a
-    time by the float series routine: on one x it costs half or less of a
-    pass with a matrix row per x, and the in-state moment benchmark sums
-    one x per op.
+    `falling` moments, bit for bit.  bessel, every x: D1 and D2 from one
+    certified sweep of the 0F1 ratio recurrence (`specfun._hyp_0f1_ratios`),
+    never the series, within 1.6e-15 of mpmath up to x = 1e8, with
+    ConvergenceError naming x and the budget from x = (b + 19961)^2, about
+    3.98e8 at small b.  jacobi x <= 0.998 with a = m + nu <= 6: in closed
+    form, D1 and D2 from one evaluation of scipy's Gauss functions (F_0
+    read once); every other jacobi x (x > 0.998 or a > 6) summed as
+    series, whose budget runs out from x = 0.99814; from within 4e-5 of
+    there the budget is decided before summing (`number_moment`), so those
+    x raise ConvergenceError in microseconds.  Scalar x in, four floats
+    out; array in, four arrays out, bessel in one sweep and jacobi's
+    closed-form x in one evaluation.  The other jacobi x take one
+    `number_moment` call per moment, which sums them one x at a time by
+    the float series routine: on one x it costs half or less of a pass
+    with a matrix row per x, and the in-state moment benchmark sums one x
+    per op.
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
     if (x == 0.0) if isinstance(x, float) else (np.asarray(x) == 0.0).any():
         raise ValueError("g2 is undefined in the vacuum state (x = 0), "
