@@ -455,9 +455,12 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     b, shift = params.b, params.coeff_shift
     p = s if falling else 0
     term, den = 1.0, 0.0  # u_0, and the sum of t_n below p
-    for k in range(p):
-        den += term * x**k
-        term *= (shift + k) ** 2 / ((k + 1.0) * (b + k))
+    try:
+        for k in range(p):
+            den += term * x**k
+            term *= (shift + k) ** 2 / ((k + 1.0) * (b + k))
+    except OverflowError:  # a float's ** raises where numpy's square is inf
+        den = math.inf  # (a from about 1.3e154): the chunks raise `_overflow`
     xp = x**p
     den += term * xp  # t_p
     num = p * term  # the index-p contribution: s! u_s (s! = s), or 0^s = 0

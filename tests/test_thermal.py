@@ -843,15 +843,24 @@ class TestMomentArrays:
          "within 20000 steps at x = 1e+155"),
         (1e155, 2, True, 2, ConvergenceError, "0F1(3.0; x) ratios did not converge "
          "within 2 steps at x = 1e+155"),
+        (0.5, 1, False, 20000, OverflowError, "number_moment: the <N^1> series at "
+         "x = 0.5 overflows the float range"),
+        (0.5, 1, True, 20000, OverflowError, "number_moment: the <N^(1)> / x^1 series at "
+         "x = 0.5 overflows the float range"),
+        (0.5, 2, True, 20000, OverflowError, "number_moment: the <N^(2)> / x^2 series at "
+         "x = 0.5 overflows the float range"),
     ])
     def test_errors_are_the_same_for_both_shapes(self, bessel_params, x, s, falling,
                                                  max_terms, kind, text):
-        # s = 2 takes the ratio recurrence, whose depth at x = 1e155 is past
-        # either budget
+        # bessel s = 2 takes the ratio recurrence, whose depth at x = 1e155
+        # is past either budget; at jacobi a = 2e154 the series' (shift + n)^2
+        # passes the float range, in the chunks or, with `falling`, before
+        # them, and a one-term chunk still overflows
+        params = bessel_params if x > 1.0 else FamilyParams(2 * 10**154, 0.5, Family.JACOBI)
         ctl = SeriesControl(max_terms=max_terms)
         for arg in (x, np.array([x])):
             with pytest.raises(kind) as exc:
-                number_moment(bessel_params, arg, s, ctl, falling=falling)
+                number_moment(params, arg, s, ctl, falling=falling)
             assert str(exc.value) == text
 
     @pytest.mark.parametrize("chunk", [7, 1000])
