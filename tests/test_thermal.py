@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -312,6 +313,31 @@ def mp_number_moments(b, x):
         return float(x * f1 / f0), float((x * f1 + x * x * f2) / f0)
 
 
+def mp_jacobi_series_moments(params, x):
+    """(<N>/x, <N(N-1)>/x^2, <N>, <N^2>) for the jacobi family, each a sum
+    over t_n = x^n (shift)_n^2 / (n! (b)_n) over sum_n t_n, summed term by
+    term at 40 digits until, past the peak, n^2 t_n falls below 1e-45 of
+    its sum.  It shares neither the float series' chunks, rescaling and
+    budget nor the Gauss functions; mpmath's hyp2f1 takes 5 s at m = 1000,
+    x = 0.9 and does not converge at m = 5000."""
+    with mp.workdps(40):
+        b, shift, x = mp.mpf(params.b), mp.mpf(params.coeff_shift), mp.mpf(x)
+        term, den, s1, s2 = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        tiny = mp.mpf(10) ** -45
+        n = 0
+        while True:
+            den += term
+            s1 += n * term
+            s2 += n * n * term
+            ratio = x * (shift + n) ** 2 / ((n + 1) * (b + n))
+            term *= ratio
+            n += 1
+            if ratio < 1 and n * n * term < tiny * s2:
+                break
+        n1, n2 = s1 / den, s2 / den
+        return [float(v) for v in (n1 / x, (n2 - n1) / x**2, n1, n2)]
+
+
 def loop_derivative_series(params, beta, mu, k_max, x, fit_radius=0.4):
     """The published truncated derivative series for P at one x, the
     per-point loop `derivative_series_candidate` replaced, kept as its
@@ -446,6 +472,41 @@ class TestNumberMomentSeries:
         for x in (0.5, np.array([0.5, 0.9995])):
             with pytest.raises(ValueError, match=r"^s must be 0, 1 or 2, not "):
                 number_moment(jacobi_params, x, s)
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [10, 100, 1000, 5000])
+    def test_large_a_against_mpmath(self, m, x):
+        # a > 6 takes the series at every x.  Its sums are rescaled by
+        # powers of two between chunks: the unscaled terms would pass the
+        # float range at m = 1000, x = 0.9 and at m = 5000, x >= 0.5 (up to
+        # 1e1815), and at m = 5000, x = 0.9 a chunk is summed again at half
+        # its length; within 1.3e-14 of mpmath here (15047 terms at m = 5000,
+        # x = 0.9)
+        params = FamilyParams(m, 0.5, Family.JACOBI)
+        ref = mp_jacobi_series_moments(params, x)
+        got = [number_moment(params, x, 1, falling=True), number_moment(params, x, 2, falling=True),
+               number_moment(params, x, 1), number_moment(params, x, 2)]
+        for g, r in zip(got, ref):
+            assert rel_err(g, r) <= 5e-14
+
+    @pytest.mark.parametrize("s", [3, np.int64(3), 150])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_order_is_checked_before_any_work(self, monkeypatch, family, s):
+        # an order past 2 is named before x or ctl is read or any path is
+        # taken: here x is outside the domain, ctl is not a SeriesControl,
+        # and each of those steps raises
+        def no_work(*args):
+            raise AssertionError("an order past 2 reached the computation")
+
+        for name in ("_norm_arg", "_norm_args", "_closed_form", "_closed_moments",
+                     "_moment_ratio"):
+            monkeypatch.setattr(thermal, name, no_work)
+        params = FamilyParams(1, 0.5, family)
+        for x in (-1.0, np.array([-1.0, 0.5])):
+            for ctl in (DEFAULT_SERIES, True):
+                with pytest.raises(ValueError) as exc:
+                    number_moment(params, x, s, ctl)
+                assert str(exc.value) == f"s must be 0, 1 or 2, not {s!r}"
 
     @pytest.mark.parametrize("family", list(Family))
     def test_positional_falling_is_rejected_by_name(self, family):
@@ -736,6 +797,31 @@ class TestInStateStats:
             assert rel_err(g, r) < 1e-14
         if family == "bessel":
             assert cols[2] == pytest.approx(0.75, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [100, 1000, 5000])
+    def test_expect_where_every_x_is_the_series(self, tmp_path, m):
+        # a = m + 0.5 > 6, so every x of the grid is summed as the series
+        # (at m = 5000 with a chunk summed again at half its length); no
+        # numpy warning, and every cell is mpmath's; Q = <N> (g2 - 1)
+        # cancels as g2 nears 1, so it is held relative to <N> g2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x_min=0.1\nx_max=0.9\nx_count=9\n")
+        out = tmp_path / "expect.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["expect", "--family", "jacobi", "--m", str(m), "--nu", "0.5",
+                             "--config", str(cfg), "--out", str(out)]) == 0
+        body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert body[0] == "x,N_mean,N2_mean,g2,mandel_q" and len(body) == 10
+        params = FamilyParams(m, 0.5, Family.JACOBI)
+        for line, x_ref in zip(body[1:], np.linspace(0.1, 0.9, 9).tolist()):
+            x, n1, n2, g2, q = (float(v) for v in line.split(","))
+            assert x == x_ref
+            _, _, r1, r2 = mp_jacobi_series_moments(params, x)
+            rg2 = (r2 - r1) / r2
+            assert rel_err(n1, r1) <= 5e-14 and rel_err(n2, r2) <= 5e-14
+            assert rel_err(g2, rg2) <= 5e-14
+            assert abs(q - r1 * (rg2 - 1.0)) <= 1e-13 * r1 * rg2
 
 
 def scalar_moments(params, xs, s, ctl=DEFAULT_SERIES, falling=False):
