@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import __version__, dynamics, kernel, measure, quantize, thermal
+from . import __version__, dynamics, families, kernel, measure, quantize, thermal
 from .specfun import ConvergenceError
 from .states import Family, FamilyParams, _pair_overlap, state_matrix
 
@@ -350,13 +350,13 @@ def cmd_quantize(cfg: RunConfig) -> int:
 def cmd_expect(cfg: RunConfig) -> int:
     """In-state (<N>, <N^2>, g2, Q) over the x grid, each moment summed
     over the whole grid in one `thermal.in_state_stats` call.  A jacobi
-    grid stops at `measure._EULER_CUT`, the end of the closed-form moments,
+    grid stops at `families._EULER_CUT`, the end of the closed-form moments,
     short of the x -> 1 end where the moment series outgrow their budget;
     an x_max above it is clamped there, with one stderr line."""
     params = cfg.params()
     x_max = cfg.x_max
     if params.family is Family.JACOBI:
-        cap = measure._EULER_CUT
+        cap = families._EULER_CUT
         if cfg.x_min > cap:
             raise ValueError(f"x_min = {cfg.x_min!r} is above the jacobi expect cap x <= {cap}")
         if x_max > cap:
@@ -372,12 +372,12 @@ def cmd_expect(cfg: RunConfig) -> int:
 
 def cmd_evolve(cfg: RunConfig) -> int:
     params = cfg.params()
-    if params.family is not Family.BESSEL:
-        raise ValueError("evolve uses the bessel-family closed form")
     if cfg.r_count < 1:
         raise ValueError("r_count must be positive")
     if cfg.r_max <= 0.0:
         raise ValueError("r_max must be positive")
+    if not (cfg.t_max or dynamics.rotation_frequency(params)):
+        raise ValueError("t_max must be set where 2m + 2nu - 1, the rotation frequency, is 0")
     z0 = complex(cfg.z0_re, cfg.z0_im)
     t_max = cfg.t_max or 2.0 * math.pi / dynamics.rotation_frequency(params)
     t_values = np.linspace(0.0, t_max, cfg.t_count)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .measure import QuadratureRule, _log_moment_ratio, radial_rule
 from .states import (
-    Family,
     FamilyParams,
     FockVector,
     StateMatrix,
@@ -78,14 +77,15 @@ def analytic_repr(params: FamilyParams, fock: FockVector, z: complex) -> complex
     family's own h_n and coefficient sign s_n (the terms of `states.state`
     before normalization).
 
-    For the jacobi family the defining series only converges against the
-    measure inside the unit disc, so |z| >= 1 is flagged as divergent.
+    The defining series only converges against the measure inside the
+    label domain (the jacobi unit disc), so |z| >= radius is flagged as
+    divergent.
     """
     z = complex(z)
-    if params.family is Family.JACOBI and abs(z) >= 1.0:
+    if abs(z) >= params.radius:
         raise ValueError(
-            f"analytic representation diverges at |z| = {abs(z):g} >= 1 "
-            "for the jacobi family"
+            f"analytic representation diverges at |z| = {abs(z):g} >= {params.radius:g} "
+            f"for the {params.family.value} family"
         )
     terms = _series_terms(params, z, fock.n_max)
     return complex(np.sum(fock.coeffs * terms))

@@ -25,7 +25,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .measure import MomentReport, QuadratureRule, _moment_rows, density, radial_rule
 from .specfun import ConvergenceError
-from .states import Family, FamilyParams
+from .states import FamilyParams
 from .thermal import _energy, partition
 
 __all__ = [
@@ -48,13 +48,6 @@ class PFunctionCandidate:
     k_max: int | None = None
 
 
-def _basis_map(params: FamilyParams) -> Callable[[np.ndarray], np.ndarray]:
-    if params.family is Family.JACOBI:
-        return lambda x: 2.0 * x - 1.0
-    scale = params.b  # mean of the radial measure
-    return lambda x: 2.0 * x / (x + scale) - 1.0
-
-
 def moment_matched_candidate(params: FamilyParams, beta: float, mu: float,
                              n_check: int,
                              rule: QuadratureRule | None = None) -> PFunctionCandidate:
@@ -66,7 +59,7 @@ def moment_matched_candidate(params: FamilyParams, beta: float, mu: float,
     """
     if rule is None:
         rule = radial_rule(params)
-    u = _basis_map(params)
+    u = params.formulas.basis_map(params)
     a_mat = _moment_rows(params, rule, n_check) @ _cheb.chebvander(u(rule.nodes), n_check)
     rhs = np.exp(-beta * _energy(np.arange(n_check + 1.0), mu)) / partition(beta, mu)
     coef = np.linalg.solve(a_mat, rhs)
@@ -97,9 +90,7 @@ def derivative_series_candidate(params: FamilyParams, beta: float, mu: float,
 
     def evaluate(xx: np.ndarray) -> np.ndarray:
         xx = np.atleast_1d(np.asarray(xx, dtype=float))
-        r = np.full(xx.shape, _FIT_RADIUS)
-        if params.family is Family.JACOBI:
-            r = np.minimum(r, 0.5 * np.maximum(1e-3, -np.log(xx) - a0))
+        r = params.formulas.fit_radius(np.full(xx.shape, _FIT_RADIUS), xx, a0)
         scale = np.exp(a0 + r * cheb[:, None])  # e^a on the (fit nodes x points) grid
         om = density(params, np.vstack([xx, scale * xx]))
         ok = (om[0] > 0.0) & np.isfinite(om[0])

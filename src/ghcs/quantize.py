@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .measure import QuadratureRule, _log_moments, radial_rule
-from .states import Family, FamilyParams, _log_h_array
+from .states import FamilyParams, _log_h_array
 
 __all__ = [
     "Provenance",
@@ -197,6 +197,7 @@ def ladder_closed_form(params: FamilyParams, which: LadderKind | str, n_max: int
     squares on the diagonal for |z|^2), which is what the weighted
     integral gives exactly.  LITERATURE entries are the published
     formulas with their (m+nu+n+1) factors multiplying the square root.
+    Both are the bessel-form entries through the family's `ladder`.
     """
     which = LadderKind(which)
     if source not in (Provenance.H_RATIO, Provenance.LITERATURE):
@@ -208,21 +209,10 @@ def ladder_closed_form(params: FamilyParams, which: LadderKind | str, n_max: int
     vals = (n + 1.0) * (params.b + n)  # (n+1)(2m+2nu+n)
     if offset:
         vals = np.sqrt(vals)
-    if params.family is Family.JACOBI:
-        if source is Provenance.H_RATIO:
-            # h_{n+1}/h_n, and its square on the diagonal
-            shift = params.coeff_shift + n
-            vals = vals / shift if offset else vals / shift ** 2
-        elif offset:
-            # Published forms: the ladder factors -(m+nu+n+1) multiplying
-            # the square root belong to the general (jacobi) construction;
-            # in the c=1 (bessel) case the published coefficients carry no
-            # Pochhammer factor and the ladder reduces to the plain root.
-            vals = -(params.a + n + 1.0) * vals
     return OperatorMatrix(
         n_max=n_max,
         offset=offset,
-        values=vals,
+        values=params.formulas.ladder(params, vals, n, offset, source is Provenance.LITERATURE),
         provenance=source,
         symbol_tag=which.value,
         params=params,

@@ -1,16 +1,10 @@
 """Coherent-state families, Fock coefficients, normalization and overlaps.
 
 A family is fixed by a non-negative integer m and a real nu > 0.  Writing
-a = m + nu and b = 2m + 2nu, the number-basis coefficient denominators are
-
-    bessel:  h_n = sqrt(n! (b)_n)                    labels z in C
-    jacobi:  h_n = sqrt(n! (b)_n) / (a+1)_n          labels |z| < 1
-
-and the states are |z> = N(|z|^2)^{-1/2} sum_n s_n z^n / h_n |n>, with
-s_n = 1 (bessel) or (-1)^n (jacobi).  The alternating jacobi sign comes
-from the defining coefficient (-m-n-nu)_n = (-1)^n (a+1)_n, the one the
-weight density, kernel and quantization are derived for; it cancels in
-every modulus but is kept in the amplitudes.
+a = m + nu and b = 2m + 2nu, the states are
+|z> = N(|z|^2)^{-1/2} sum_n s_n z^n / h_n |n> with N(x) = sum_n x^n / h_n^2,
+and each family's h_n, sign s_n, N and label domain are its formulas'
+(`ghcs.families`), reached through `FamilyParams.formulas`.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import specfun
+from . import families, specfun
 from .specfun import DEFAULT_SERIES, SeriesControl
 
 __all__ = [
@@ -46,24 +40,34 @@ class Family(str, Enum):
     JACOBI = "jacobi"
 
 
+_FORMULAS = {Family.BESSEL: families.BESSEL, Family.JACOBI: families.JACOBI}
+
+
 @dataclass(frozen=True)
 class FamilyParams:
-    """Model parameters (m, nu) plus the family selector; a jacobi h_n
-    divides by (m+nu+1)_n, from the coefficient (-m-n-nu)_n."""
+    """Model parameters (m, nu) plus the family selector, whose formulas
+    every consumer reads through `formulas`; a jacobi h_n divides by
+    (m+nu+1)_n, from the coefficient (-m-n-nu)_n."""
 
     m: int
     nu: float
     family: Family = Family.BESSEL
 
     def __post_init__(self) -> None:
-        if self.m < 0 or self.m != int(self.m):
+        m = self.m  # inf and nan are not integers; 10**400 is, but its b is not finite
+        integral = isinstance(m, numbers.Integral) or math.isfinite(m) and m == int(m)
+        if not (integral and m >= 0):
             raise ValueError("m must be a non-negative integer")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", int(m))
         if not (self.nu > 0.0):
             raise ValueError("nu must be positive")
         object.__setattr__(self, "family", Family(self.family))
-        if self.b <= 0.0:
-            raise ValueError("2m + 2nu must be positive")
+        try:
+            b = self.b  # positive, as m >= 0 and nu > 0
+        except OverflowError:  # 2m past the float range
+            b = math.inf
+        if not b < math.inf:
+            raise ValueError("2m + 2nu must be finite")
         # hashed once, as every state and table cache lookup hashes the params;
         # from ints, floats and bools, whose hashes do not vary between
         # processes, so an unpickled copy keeps a valid one
@@ -71,6 +75,12 @@ class FamilyParams:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def formulas(self):
+        """The family's formulas, `families.BESSEL` or `families.JACOBI`,
+        looked up on each read (never stored: params are pickled)."""
+        return _FORMULAS[self.family]
 
     @property
     def coeff_shift(self) -> float:
@@ -95,7 +105,7 @@ class FamilyParams:
     @property
     def radius(self) -> float:
         """Label-domain radius: infinite for bessel, 1 for jacobi."""
-        return math.inf if self.family is Family.BESSEL else 1.0
+        return self.formulas.RADIUS
 
     def require_label(self, z: complex) -> complex:
         z = complex(z)
@@ -162,7 +172,7 @@ def _log_h_table(params: FamilyParams, n_max: int) -> np.ndarray:
     if len(table) <= n_max:
         def entries(start, stop):
             nonlocal carry
-            lg, carry = _log_h_entries(params, start, stop, carry)
+            lg, carry = params.formulas.log_h_entries(params, start, stop, carry)
             return lg
 
         table = _grown(table, n_max, entries)
@@ -189,73 +199,35 @@ def _log_h_store(params: FamilyParams) -> list:
     return [(lg, (0.0, 0.0))]
 
 
-def _log_h_entries(params: FamilyParams, start: int, stop: int, carry):
-    """(log h_n for n = start..stop, the carry for n = stop + 1), start >= 1.
-
-    bessel: half the log-gamma sum, by `math.lgamma` elementwise (measured
-    at least as accurate as scipy's gammaln here; the two differ in the
-    last bits).  The carry passes through.
-
-    jacobi: the squared ratio h_k^2 / h_{k-1}^2 = k (b+k-1) / (s+k-1)^2 is
-    1 + delta_k with delta_k = (k (b+1-2s) - (s-1)^2) / (s+k-1)^2, s the
-    coefficient shift, so log h_n is the running sum of log1p(delta_k) / 2.
-    These steps are O(1/k); the log-gamma form would cancel terms of up to
-    3e5 to an O(10) result (1.4e-10 off at n = 32768).  The sum is
-    compensated: `np.cumsum` continues from the carried sum, each
-    addition's rounding error is recovered exactly (Knuth's TwoSum) and
-    summed beside it from the carried compensation, so the table is about
-    as accurate as its last entry's rounding (1e-14 at |log h| = 66, where a
-    plain running sum drifts to 9e-13 by n = 32768).  Both sums are
-    sequential, so growing in pieces changes no bit.
-    """
-    n = np.arange(start, stop + 1, dtype=float)
-    if params.family is Family.BESSEL:
-        return 0.5 * (_lgamma(n + 1.0) + _lgamma(params.b + n) - math.lgamma(params.b)), carry
-    s = params.coeff_shift
-    c = s - 1.0
-    d = c + n
-    steps = 0.5 * np.log1p((n * (params.b + 1.0 - 2.0 * s) - c * c) / (d * d))
-    total, comp = carry
-    sums = np.cumsum(np.concatenate(([total], steps)))
-    prev, sums = sums[:-1], sums[1:]
-    back = sums - prev
-    errs = np.cumsum(np.concatenate(([comp], (prev - (sums - back)) + (steps - back))))[1:]
-    return sums + errs, (sums[-1], errs[-1])
-
-
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, x), dtype=float, count=len(x))
-
-
 def normalization(params: FamilyParams, x, ctl: SeriesControl = DEFAULT_SERIES):
     """N(x) = sum_n x^n / h_n^2 for real x = |z|^2 in the family domain
     [0, radius^2); scalar in, float out; array in, array out.
 
-    The bessel N is `specfun.hyp_0f1(b, x)`; the jacobi N (2F1(a+1, a+1;
-    b; x)) is summed through the h-ratio recurrence.  Both go through
-    `specfun._sum_ratio_array`: the term-by-term values, stopping rule and
-    `ctl` budget, per element.  An x outside the domain raises ValueError;
-    an N past the float range (bessel x above about 1.3e5) raises
-    OverflowError naming the family and the first such x.
+    The family's `normalization` sums it (bessel `specfun.hyp_0f1`, jacobi
+    the h-ratio recurrence), both through `specfun._sum_ratio_array`: the
+    term-by-term values, stopping rule and `ctl` budget, per element.  An x
+    outside the domain raises ValueError; an N past the float range (bessel
+    x above about 1.3e5) raises OverflowError naming the family and the
+    first such x.
     """
-    xs = np.asarray(x, dtype=float)
-    bad = ~((xs >= 0.0) & (xs < params.radius**2))
-    if bad.any():
-        _norm_arg(params, xs[bad].flat[0])  # raises, naming the value
-    b = params.b
-    if params.family is Family.BESSEL:
-        out = specfun.hyp_0f1(b, xs, ctl)
-    else:
-        shift = params.coeff_shift
-        out = specfun._sum_ratio_array(
-            "jacobi normalization", xs,
-            lambda k, w: w * np.square(shift + k) / ((k + 1.0) * (b + k)), ctl,
-        )
+    xs = _norm_args(params, x)
+    out = params.formulas.normalization(params, xs, ctl)
     inf = ~np.isfinite(out)
     if inf.any():
         raise OverflowError(f"the {params.family.value} normalization passes the float "
                             f"range at x = {float(xs[inf].flat[0])!r}")
     return out
+
+
+def _norm_args(params: FamilyParams, x) -> np.ndarray:
+    """x as a float array, every element in the normalization domain
+    [0, radius^2); else the ValueError of `_norm_arg` for the first that
+    is not."""
+    xs = np.asarray(x, dtype=float)
+    bad = ~((xs >= 0.0) & (xs < params.radius**2))
+    if bad.any():
+        _norm_arg(params, xs[bad][0])  # raises, naming the value
+    return xs
 
 
 def _norm_arg(params: FamilyParams, w: float) -> float:
@@ -459,15 +431,13 @@ def _tail_bounds(params: FamilyParams, mag, last, mass, n: int):
 
     The tail sum_{k > n} |z^k / h_k|^2 has the geometric majorant
     last^2 r^2 / (1 - r^2), with r the ratio |c_{k+1} / c_k| at k = n + 1,
-    which is decreasing in k for both families.  The share is the tail's
+    which is decreasing in k for both families (the family's `tail_ratio`).  The share is the tail's
     part of mass + tail, and the norm the square root of that sum.  A
     diverging majorant (r >= 1) certifies nothing: its tail and norm are
     inf and its share inf / inf, nan.
     """
     k = n + 1.0
-    rho = mag / math.sqrt((k + 1.0) * (params.b + k))
-    if params.family is Family.JACOBI:
-        rho = rho * (params.coeff_shift + k)
+    rho = params.formulas.tail_ratio(params, mag, k)
     r2 = rho * rho
     # last^2 by libm pow, as a single row's scalar `** 2`: numpy squares an
     # array, which differs in the last bit for about one value in a thousand;
@@ -496,11 +466,9 @@ def _terms(params: FamilyParams, mods: np.ndarray, theta: list[float],
     moduli rows and each label's arg z in `theta` (a new array)."""
     terms = _imag_index_row(n_max) * _column(theta)
     np.exp(terms, out=terms)
-    if params.family is Family.JACOBI:
-        mods = _jacobi_sign_row(n_max) * mods
-    # the moduli stay the first factor: numpy's complex multiply fuses a
-    # multiply-add, so swapping the operands flips the sign of underflowed zeros
-    return np.multiply(mods, terms, out=terms)
+    # the (signed) moduli stay the first factor: numpy's complex multiply fuses
+    # a multiply-add, so swapping the operands flips the sign of underflowed zeros
+    return np.multiply(params.formulas.signed(mods, n_max), terms, out=terms)
 
 
 def _column(values: list[float]):
@@ -530,15 +498,6 @@ def _imag_index_row(n_max: int) -> np.ndarray:
     n = 1j * _index_row(n_max)
     n.flags.writeable = False
     return n
-
-
-@lru_cache(maxsize=16)
-def _jacobi_sign_row(n_max: int) -> np.ndarray:
-    # the jacobi amplitudes' (-1)^n as a row, shared read-only
-    signs = np.ones((1, n_max + 1))
-    signs[:, 1::2] = -1.0
-    signs.flags.writeable = False
-    return signs
 
 
 def _series_terms(params: FamilyParams, z: complex, n_max: int) -> np.ndarray:

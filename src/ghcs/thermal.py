@@ -18,10 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import _euler_gauss, _euler_trusted
-from .specfun import (_ABS_FLOOR, _REL_TOL, DEFAULT_SERIES, ConvergenceError, SeriesControl,
-                      _hyp_0f1_ratios)
-from .states import Family, FamilyParams, _index_row, _norm_arg, normalization
+from .specfun import _ABS_FLOOR, _REL_TOL, DEFAULT_SERIES, ConvergenceError, SeriesControl
+from .states import FamilyParams, _index_row, _norm_arg, _norm_args, normalization
 
 __all__ = [
     "ThermalState",
@@ -210,23 +208,14 @@ def number_moment(params: FamilyParams, x, s: int,
     float out; array in, array of the same shape out.
 
     Which x takes which path, element by element:
-    - bessel s = 1 and 2 (plain and `falling`), every x: from D1 = N'/N =
-      rho_b / b and D2 = N''/N = rho_b rho_{b+1} / (b (b+1)), where
-      rho_c = 0F1(; c+1; x) / 0F1(; c; x) comes from the backward ratio
-      recurrence `specfun._hyp_0f1_ratios`, certified by two sweeps that
-      bracket it and agree bit for bit; D1 and D2 within 1.6e-15 of mpmath
-      for b in [0.02, 200], x in [0, 1e8].  `ctl.max_terms` bounds the
-      recurrence's depth, max(sqrt x - b, 0) + 40 levels, so by default it
-      raises ConvergenceError naming x and the budget from
-      x = (b + 19961)^2, about 3.98e8 at small b;
-    - jacobi s = 1 and 2 (plain and `falling`) at 0 <= x <= 0.998 with
-      a = m + nu <= 6 (`measure._euler_trusted`): in closed form from
-      scipy's Gauss functions, within 5e-14 of mpmath for m <= 3,
-      nu <= 2.5, and 8.1e-14 up to a = 6.
-      On both of these paths (`_closed_moments`) <N> = x D1 and <N^2> =
-      x D1 + x^2 D2 are sums of positive terms, a scalar x takes the same
-      expression as a float, not as a one-element array, and an array's
-      elements are the scalar calls' values bit for bit;
+    - s = 1 and 2 (plain and `falling`) where the family's `closed` holds
+      (bessel: every x; jacobi: x <= 0.998 with a = m + nu <= 6): from its
+      `derivative_ratios` D1 = N'/N and D2 = N''/N (bessel: the certified
+      0F1 ratio recurrence, whose depth `ctl.max_terms` bounds; jacobi:
+      scipy's Gauss functions), as <N> = x D1 and <N^2> = x D1 + x^2 D2,
+      sums of positive terms; a scalar x takes the same expression as a
+      float, not as a one-element array, and an array's elements are the
+      scalar calls' values bit for bit;
     - s = 0, every x: exactly 1.0 (one sum over itself), without summing;
     - every other jacobi x (x > 0.998 or a > 6): t_n summed through its
       ratio recurrence, as below; here `ctl` governs this series.
@@ -298,7 +287,7 @@ def number_moment(params: FamilyParams, x, s: int,
             return 1.0
         if x == 0.0 and not falling:
             return 0.0
-        if _closed_form(params, x):
+        if params.formulas.closed(params, x):
             return float(_closed_moments(params, x, s, falling, ctl))
         return _moment_ratio(params, x, s, falling, ctl)
     xs = _norm_args(params, x)
@@ -307,7 +296,7 @@ def number_moment(params: FamilyParams, x, s: int,
     # at x = 0 every term after t_0 vanishes, so <N^s> is 0
     out = np.zeros(xs.shape)
     summed = (xs > 0.0) | falling
-    part = summed & _closed_form(params, xs)
+    part = summed & params.formulas.closed(params, xs)
     if part.any():  # empty, it still costs about 20 us on a two-vCPU host
         out[part] = _closed_moments(params, xs[part], s, falling, ctl)
         summed &= ~part
@@ -315,66 +304,19 @@ def number_moment(params: FamilyParams, x, s: int,
     return out
 
 
-def _norm_args(params: FamilyParams, x) -> np.ndarray:
-    """x as a float array, every element in the normalization domain
-    [0, radius^2); else the ValueError of `_norm_arg` for the first that
-    is not."""
-    xs = np.asarray(x, dtype=float)
-    bad = ~((xs >= 0.0) & (xs < params.radius**2))
-    if bad.any():
-        _norm_arg(params, xs[bad][0])  # raises, naming the value
-    return xs
-
-
-def _closed_form(params: FamilyParams, x):
-    """Where `number_moment` s = 1, 2 and `in_state_stats` take D1 = N'/N
-    and D2 = N''/N in closed form: all of bessel, and jacobi where
-    `measure._euler_trusted` holds; a bool, or a bool array for an array x
-    when jacobi."""
-    return params.family is Family.BESSEL or _euler_trusted(params, x)
-
-
 def _closed_moments(params: FamilyParams, xs, s: int, falling: bool,
                     ctl: SeriesControl = DEFAULT_SERIES):
-    """`number_moment` for s = 1 or 2 on a float or a 1-d array where
-    `_closed_form` holds: `falling` gives D^s N / N, and plain <N> = x D1,
-    <N^2> = x D1 + x^2 D2, sums of positive terms.  jacobi D^k N / N come
-    from scipy's Gauss functions (`_derivative_ratio`), within 5e-14 of
-    mpmath on (0.99, 0.998], where the series errs up to 5.9e-13; bessel
-    D1 and D2 from the certified 0F1 ratios (`_bessel_falling`, whose
-    budget is `ctl`).  One expression for both shapes: a float gives an
-    array element's value bit for bit."""
-    if params.family is Family.BESSEL:
-        d1, d2 = _bessel_falling(params, xs, ctl)
-    else:  # only the F_k this moment reads
-        f0 = _euler_gauss(params, xs)
-        d1 = None if falling and s == 2 else _derivative_ratio(params, xs, f0, 1)
-        d2 = _derivative_ratio(params, xs, f0, 2) if s == 2 else None
+    """`number_moment` for s = 1 or 2 on a float or a 1-d array where the
+    family's `closed` holds, from the D1 and D2 of its `derivative_ratios`
+    that this moment reads: `falling` gives D^s N / N, and plain <N> =
+    x D1, <N^2> = x D1 + x^2 D2.  One expression for both shapes: a float
+    gives an array element's value bit for bit."""
+    d1, d2 = params.formulas.derivative_ratios(params, xs, ctl, not (falling and s == 2),
+                                               s == 2)
     if falling:
         return d1 if s == 1 else d2
     n1 = xs * d1
     return n1 if s == 1 else n1 + xs * xs * d2
-
-
-def _bessel_falling(params: FamilyParams, xs, ctl: SeriesControl = DEFAULT_SERIES):
-    # (D1, D2) = (N'/N, N''/N) of the bessel N = 0F1(; b; x): with the ratios
-    # rho_c = 0F1(; c+1; x) / 0F1(; c; x), D1 = rho_b / b and
-    # D2 = rho_b rho_{b+1} / (b (b+1)); within 1.6e-15 of mpmath for
-    # b in [0.02, 200], x in [0, 1e8]
-    b = params.b
-    r0, r1 = _hyp_0f1_ratios(b, xs, ctl)
-    return r0 / b, r0 * r1 / (b * (b + 1.0))
-
-
-def _derivative_ratio(params: FamilyParams, xs, f0, k: int):
-    # D^k N / N = ((a+1)_k)^2 / (b)_k (1-x)^{-k} F_k / F_0 for k = 1, 2, with
-    # F_k = 2F1(a-1, a-1; b+k; x) (`measure._euler_gauss`; b = 2a); (1-x)^2
-    # is a product, as numpy squares an array where a float's `**` is libm
-    # `pow`, which differs in the last bit for about one value in a thousand
-    a, b = params.a, params.b
-    c = (a + 1.0) ** 2 / b if k == 1 else ((a + 1.0) * (a + 2.0)) ** 2 / (b * (b + 1.0))
-    d = 1.0 - xs
-    return c / (d if k == 1 else d * d) * _euler_gauss(params, xs, k) / f0
 
 
 def _overflow(s: int, falling: bool, x: float) -> OverflowError:
@@ -438,7 +380,7 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     for s = 1 or 2 at 0 <= x < 1, summed in chunks as `number_moment`
     describes: w(n) = n^s and p = 0, or with `falling` w(n) = n (n-1) for
     s = 2, n for s = 1, and p = s.  `number_moment` reaches it only where
-    `_closed_form` fails.
+    `Jacobi.closed` fails.
 
     The recurrence carries u_n = t_n / x^min(n, p): the first p steps, whose
     ratios lack their factor x, are taken before the chunks (w vanishes
@@ -516,53 +458,37 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     """(<N>, <N^2>, g2, Q) in the state with |z|^2 = x from <N>/x and the
     factorial moment <N(N-1)>/x^2, each of order 1 however small x is,
     through `_number_stats`: nothing cancels.  Both are `number_moment`'s
-    `falling` moments, bit for bit.  bessel, every x: D1 and D2 from one
-    certified sweep of the 0F1 ratio recurrence (`specfun._hyp_0f1_ratios`),
-    never the series, within 1.6e-15 of mpmath up to x = 1e8, with
-    ConvergenceError naming x and the budget from x = (b + 19961)^2, about
-    3.98e8 at small b.  jacobi x <= 0.998 with a = m + nu <= 6: in closed
-    form, D1 and D2 from one evaluation of scipy's Gauss functions (F_0
-    read once); every other jacobi x (x > 0.998 or a > 6) summed as
-    series, whose budget runs out from x = 0.99814; from within 4e-5 of
-    there the budget is decided before summing (`number_moment`), so those
-    x raise ConvergenceError in microseconds.  Scalar x in, four floats
-    out; array in, four arrays out, bessel in one sweep and jacobi's
-    closed-form x in one evaluation.  The other jacobi x take one
-    `number_moment` call per moment, which sums them one x at a time by
-    the float series routine: on one x it costs half or less of a pass
-    with a matrix row per x, and the in-state moment benchmark sums one x
-    per op.
+    `falling` moments, bit for bit: where the family's `closed` holds, D1
+    and D2 from one `derivative_ratios` call for all such x (bessel: one
+    sweep at every x, never the series; jacobi: F_0 read once); every other
+    jacobi x (x > 0.998 or a > 6) summed as series, one `number_moment` call
+    per moment, which sums them one x at a time.  The series' budget runs out from
+    x = 0.99814, and from within 4e-5 of there it is decided before
+    summing, so those x raise ConvergenceError in microseconds.  Scalar x
+    in, four floats out; array in, four arrays out.
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
     if (x == 0.0) if isinstance(x, float) else (np.asarray(x) == 0.0).any():
         raise ValueError("g2 is undefined in the vacuum state (x = 0), "
                          "where <N> = <N^2> = 0")
+    fam = params.formulas
     if isinstance(x, float) or np.ndim(x) == 0:
         x = _norm_arg(params, float(x))
-        moments = _closed_falling if _closed_form(params, x) else _series_falling
+        moments = fam.derivative_ratios if fam.closed(params, x) else _series_falling
         mean, fact = (float(v) for v in moments(params, x))
-    elif params.family is Family.BESSEL:
-        x = _norm_args(params, x)
-        mean, fact = _closed_falling(params, x)
     else:
         x = _norm_args(params, x)
-        euler = _euler_trusted(params, x)
+        closed = fam.closed(params, x)  # True (bessel) where it holds at every x
+        part = np.broadcast_to(closed, x.shape)
         mean, fact = np.empty(x.shape), np.empty(x.shape)
-        if euler.any():
-            mean[euler], fact[euler] = _closed_falling(params, x[euler])
-        # called on an empty part too: the benchmark's trace test counts
-        # these calls (ROADMAP item 4)
-        mean[~euler], fact[~euler] = _series_falling(params, x[~euler])
+        if part.any():
+            mean[part], fact[part] = fam.derivative_ratios(params, x[part])
+        # a region that depends on x leaves the rest to the series, called on
+        # an empty rest too: the benchmark's trace test counts these calls
+        # (ROADMAP item 4)
+        if np.ndim(closed):
+            mean[~part], fact[~part] = _series_falling(params, x[~part])
     n1 = x * mean
     return (n1, *_number_stats(n1, x * fact / mean, fact / mean / mean, g2_convention))
-
-
-def _closed_falling(params: FamilyParams, xs):
-    # (D1, D2) = (<N>/x, <N(N-1)>/x^2) where `_closed_form` holds, jacobi
-    # from one F_0: `_closed_moments`' falling values bit for bit
-    if params.family is Family.BESSEL:
-        return _bessel_falling(params, xs)
-    f0 = _euler_gauss(params, xs)
-    return _derivative_ratio(params, xs, f0, 1), _derivative_ratio(params, xs, f0, 2)
 
 
 def _series_falling(params: FamilyParams, xs):

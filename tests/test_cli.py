@@ -664,6 +664,34 @@ class TestOtherCommands:
     def test_evolve_family_gate(self):
         assert run(["evolve", "--family", "jacobi"]) == 2
 
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    def test_evolve_without_rotation_asks_for_t_max(self, family, capsys):
+        # m = 0, nu = 0.5: 2m + 2nu - 1 = 0, so one rotation period is infinite
+        assert run(["evolve", "--family", family, "--m", "0", "--nu", "0.5"]) == 2
+        assert capsys.readouterr().err == ("config rejected: t_max must be set where "
+                                           "2m + 2nu - 1, the rotation frequency, is 0\n")
+
+    @pytest.mark.parametrize("cmd", ["verify", "quantize", "kernel"])
+    @pytest.mark.parametrize("family, m, nu", [("jacobi", 1, 0.5), ("bessel", 0, 0.2),
+                                               ("bessel", 1, 0.5)])
+    def test_fewer_than_eight_nodes_are_rejected(self, cmd, family, m, nu, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        for nodes in ("1", "7"):
+            assert run([cmd, "--family", family, "--m", str(m), "--nu", str(nu),
+                        "--nodes", nodes, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config rejected: n_nodes must be at least 8 (or 0 for the default), "
+                f"got {nodes}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["expect", "verify", "weight", "kernel"])
+    def test_a_non_finite_b_is_rejected(self, cmd, tmp_path, capsys):
+        # nu = 1e308 is a finite float, but b = 2m + 2nu is not
+        out = tmp_path / "out"
+        assert run([cmd, "--family", "bessel", "--nu", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config rejected: 2m + 2nu must be finite\n"
+        assert not out.exists()
+
     def test_evolve_rows(self, tmp_path):
         out = tmp_path / "e.csv"
         assert run(["evolve", "--out", str(out)]) == 0

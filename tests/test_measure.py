@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, hyp2f1
 
-from ghcs import measure, specfun
+from ghcs import families, measure, specfun
+from ghcs.families import _gauss_genlaguerre, _tanh_sinh
 from ghcs.kernel import check_idempotence
 from ghcs.measure import (
     QuadratureRule,
     _cached_rule,
-    _gauss_genlaguerre,
-    _tanh_sinh,
     WeightCurve,
     default_figure_curves,
     density,
@@ -179,6 +178,18 @@ class TestRuleCache:
                 with pytest.raises(ValueError):
                     values[0] = 1.0
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("nu", [0.2, 1.5])  # bessel b <= 1.5 and b > 1.5
+    def test_fewer_than_eight_nodes_are_rejected(self, family, nu):
+        params = FamilyParams(0, nu, family)
+        for n in range(1, 8):
+            with pytest.raises(ValueError, match=f"n_nodes must be at least 8 .*got {n}$"):
+                radial_rule(params, n)
+        with pytest.raises(ValueError, match="got -3$"):
+            radial_rule(params, -3)
+        assert radial_rule(params, 8).n_nodes <= 8
+        assert radial_rule(params, 0) is radial_rule(params)
+
     def test_cache_is_bounded(self):
         params = FamilyParams(0, 0.4, Family.BESSEL)
         for n in range(60, 80):
@@ -231,7 +242,7 @@ class TestTanhSinhRule:
         for m in range(4):
             for nu in [*np.linspace(0.1, 2.5, 13).tolist(), 0.5]:
                 params = FamilyParams(m, nu, Family.JACOBI)
-                v = w * measure._jacobi_density(params, x, y)
+                v = w * families.JACOBI._density(params, x, y)
                 assert np.all(np.isfinite(v) & (v > 0.0)), (m, nu)
                 assert radial_rule(params).n_nodes == 240
 
@@ -450,9 +461,10 @@ def _mp_jacobi_n(params, literal_n, x):
 
 
 def _n_of(params, literal_n, xs):
-    # with omega = 1, `_weights` returns the N of a jacobi curve
+    # with omega = 1, `weights` returns the N of a jacobi curve
     xs = np.asarray(xs, dtype=float)
-    return measure._weights(params, literal_n, xs, np.ones_like(xs))
+    return families.JACOBI.weights(params, literal_n, xs, lambda p: np.ones_like(xs),
+                                   normalization)
 
 
 def _cli_curves(family):
@@ -500,7 +512,7 @@ class TestFigureScanOracle:
                         refs[p, n] = [_mp_jacobi_n(p, n, x) if x < 1.0 else 0 for x in grid]
                     ref = [float(v) * om for v, om in zip(refs[p, n], density(p, grid))]
                     # N: Euler's form to x = 0.998 and the series above, or the literal 2F1
-                    bound = np.where((n is None) & (grid <= measure._EULER_CUT), 1e-13, 5e-13)
+                    bound = np.where((n is None) & (grid <= families._EULER_CUT), 1e-13, 5e-13)
                 for x, value, r, tol in zip(grid, w, ref, bound):
                     if r == 0 or mp.isinf(r):
                         assert value == r, (curve, x)
@@ -526,7 +538,8 @@ class TestFigureScanOracle:
             return call
 
         monkeypatch.setattr(measure, "density", counted("density", measure.density))
-        monkeypatch.setattr(measure, "_weights", counted("weights", measure._weights))
+        for formulas in (families.BESSEL, families.JACOBI):
+            monkeypatch.setattr(formulas, "weights", counted("weights", formulas.weights))
         curves = _cli_curves(family)
         rows = figure1_scan(curves, np.linspace(0.02, 0.98, 9))
         assert len(curves) == 19 and len(rows) == 19 * 9
@@ -677,20 +690,20 @@ class TestWeightClosedForms:
         # F_k = 2F1(a-1, a-1; b+k; x), k = 0, 1, 2, at x = _EULER_CUT on a
         # dense a grid (5.2e-14 at worst): a cut moved past scipy's switch
         # near x = 0.99842, where F_0 errs 2e-3, fails here
-        x = measure._EULER_CUT
+        x = families._EULER_CUT
         worst = 0.0
         with mp.workdps(20):
             for a in np.linspace(0.1, 6.0, 296).tolist():
                 p = FamilyParams(0, a, Family.JACOBI)
                 for k in range(3):
                     ref = mp.hyp2f1(a - 1, a - 1, 2 * a + k, x)
-                    worst = max(worst, abs(measure._euler_gauss(p, x, k) / ref - 1))
+                    worst = max(worst, abs(families.JACOBI._euler_gauss(p, x, k) / ref - 1))
         assert worst <= 1e-13
 
     def test_jacobi_canonical_weight_between_099_and_the_cut(self):
         # the canonical W = N omega against mpmath's N times its Gauss
         # reduction of the density, 2F1(1-a, 1-a; 1; 1-x) (5.0e-14 at worst)
-        xs = np.linspace(0.99, measure._EULER_CUT, 9)[1:]
+        xs = np.linspace(0.99, families._EULER_CUT, 9)[1:]
         worst = 0.0
         with mp.workdps(20):
             for m in range(4):

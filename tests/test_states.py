@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from ghcs import specfun, states
+from ghcs import families, specfun, states
 from ghcs.dynamics import Spectrum
 from ghcs.kernel import gram_matrix
 from ghcs.states import (
@@ -19,7 +19,6 @@ from ghcs.states import (
     _cached_state,
     _pair_overlap,
     _log_h_array,
-    _log_h_entries,
     _log_h_store,
     _log_h_table,
     coeff_h,
@@ -43,6 +42,25 @@ class TestFamilyParams:
             FamilyParams(1, 0.0)
         with pytest.raises(ValueError):
             FamilyParams(1, -0.5)
+
+    @pytest.mark.parametrize("m, nu, message", [
+        (math.inf, 0.5, "m must be a non-negative integer"),
+        (math.nan, 0.5, "m must be a non-negative integer"),
+        (1.5, 0.5, "m must be a non-negative integer"),
+        (10**400, 0.5, "2m + 2nu must be finite"),  # an integer, but 2m leaves the floats
+        (1, math.inf, "2m + 2nu must be finite"),
+        (1, 1e308, "2m + 2nu must be finite"),
+        (0, math.nan, "nu must be positive"),
+    ])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_non_finite_parameters_are_rejected(self, m, nu, message, family):
+        with pytest.raises(ValueError) as exc:
+            FamilyParams(m, nu, family)
+        assert str(exc.value) == message
+
+    def test_a_whole_float_m_is_taken(self):
+        assert FamilyParams(2.0, 0.5).m == 2 and type(FamilyParams(2.0, 0.5).m) is int
+        assert FamilyParams(np.int64(3), 0.5).b == 7.0
 
     def test_radius(self):
         assert FamilyParams(1, 0.5, Family.BESSEL).radius == math.inf
@@ -336,8 +354,9 @@ class TestLogHCache:
         rows, entries = [], []
         monkeypatch.setattr(states, "_build_rows", lambda p, zs, n: (
             rows.append(len(zs)) or _build_rows(p, zs, n)))
-        monkeypatch.setattr(states, "_log_h_entries", lambda p, a, b, carry: (
-            entries.append((a, b)) or _log_h_entries(p, a, b, carry)))
+        log_h_entries = families.JACOBI.log_h_entries
+        monkeypatch.setattr(families.JACOBI, "log_h_entries", lambda p, a, b, carry: (
+            entries.append((a, b)) or log_h_entries(p, a, b, carry)))
         _cached_state.cache_clear()
         _log_h_store.cache_clear()
         gram_matrix(params, labels)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcs import cli, measure, thermal
+from ghcs import cli, families, specfun, thermal
 from ghcs.measure import density, radial_rule
 from ghcs.specfun import _ABS_FLOOR, _REL_TOL, DEFAULT_SERIES, ConvergenceError, SeriesControl
 from ghcs.states import Family, FamilyParams, coeff_h
@@ -498,9 +498,10 @@ class TestNumberMomentSeries:
         def no_work(*args):
             raise AssertionError("an order past 2 reached the computation")
 
-        for name in ("_norm_arg", "_norm_args", "_closed_form", "_closed_moments",
-                     "_moment_ratio"):
+        for name in ("_norm_arg", "_norm_args", "_closed_moments", "_moment_ratio"):
             monkeypatch.setattr(thermal, name, no_work)
+        for formulas in (families.BESSEL, families.JACOBI):
+            monkeypatch.setattr(formulas, "closed", no_work)
         params = FamilyParams(1, 0.5, family)
         for x in (-1.0, np.array([-1.0, 0.5])):
             for ctl in (DEFAULT_SERIES, True):
@@ -556,11 +557,11 @@ class TestNumberMomentSeries:
                                                       bessel_params):
         # the bessel D1 and D2 come from one ratio sweep, with no series call
         calls, sweeps = [], []
-        series, ratios = thermal.number_moment, thermal._hyp_0f1_ratios
+        series, ratios = thermal.number_moment, specfun._hyp_0f1_ratios
         monkeypatch.setattr(thermal, "number_moment",
                             lambda *a, **k: calls.append((a[2], np.size(a[1])))
                             or series(*a, **k))
-        monkeypatch.setattr(thermal, "_hyp_0f1_ratios",
+        monkeypatch.setattr(specfun, "_hyp_0f1_ratios",
                             lambda *a: sweeps.append(np.size(a[1])) or ratios(*a))
         thermal.mandel_q_in_state(bessel_params, 1.5)
         assert (calls, sweeps) == ([], [1])
@@ -1097,8 +1098,8 @@ class TestClosedFormMoments:
                     number_moment(jacobi_params, arg, s, falling=falling)
                 assert str(exc.value) == "number_moment series did not converge"
 
-    _EDGES = [1e-300, np.nextafter(measure._EULER_CUT, 0.0), measure._EULER_CUT,
-              np.nextafter(measure._EULER_CUT, 1.0), 0.9981]
+    _EDGES = [1e-300, np.nextafter(families._EULER_CUT, 0.0), families._EULER_CUT,
+              np.nextafter(families._EULER_CUT, 1.0), 0.9981]
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("m, nu", [(1, 0.5), (5, 1.0), (3, 3.1)])  # a = 1.5, 6, 6.1
@@ -1127,15 +1128,16 @@ class TestClosedFormMoments:
         # a float's (1-x)^2 through libm `pow` would differ from numpy's
         # square in the last bit for about one x in a thousand
         params = FamilyParams(m, nu, Family.JACOBI)
-        xs = np.concatenate((self._EDGES[:3], np.linspace(1e-3, measure._EULER_CUT, 3001)))
+        xs = np.concatenate((self._EDGES[:3], np.linspace(1e-3, families._EULER_CUT, 3001)))
         for s, falling in _SERIES_CASES:
             array = thermal._closed_moments(params, xs, s, falling)
             floats = [float(thermal._closed_moments(params, x, s, falling)) for x in xs.tolist()]
             assert array.tolist() == floats
             assert [number_moment(params, x, s, falling=falling) for x in xs.tolist()] == floats
-        mean, fact = thermal._closed_falling(params, xs)
-        assert mean.tolist() == [thermal._closed_falling(params, x)[0] for x in xs.tolist()]
-        assert fact.tolist() == [thermal._closed_falling(params, x)[1] for x in xs.tolist()]
+        ratios = families.JACOBI.derivative_ratios
+        mean, fact = ratios(params, xs)
+        assert mean.tolist() == [ratios(params, x)[0] for x in xs.tolist()]
+        assert fact.tolist() == [ratios(params, x)[1] for x in xs.tolist()]
 
     def test_ctl_governs_the_series_only(self, jacobi_params):
         # a one-term budget cannot sum the series, but the closed form needs none
