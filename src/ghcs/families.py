@@ -13,14 +13,14 @@ derivative_ratios (D1 and D2 there, None for one not asked for where that
 saves work), ladder (a ladder band from the bessel form), basis_map and
 fit_radius (the P-representation's Chebyshev variable and fit width).
 This module imports neither `states` nor `measure`, and `scipy.special`
-only inside the functions that call it, so importing `ghcs.states` loads
-no scipy.
+only when a formula first calls it (`_special`), so importing `ghcs.states`
+loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class Bessel:
         return mods  # every s_n is +1
 
     def density(self, params, xs: np.ndarray) -> np.ndarray:
-        from scipy.special import kve
+        kve = _special().kve
         b = params.b
         out = np.zeros_like(xs)
         pos = xs > 0.0
@@ -96,14 +96,14 @@ class Bessel:
         branches, t and t^{2b-1} (a log at b = 1): tanh-sinh with n // 4
         nodes (made odd) on 0 < t < 1 and a shifted Gauss-Laguerre tail with
         the rest."""
-        from scipy.special import kv, kve
+        sp = _special()
         b = params.b
         logc = (1.0 - b) * math.log(2.0) - math.lgamma(b)
         if b > 1.5:
             # t^b K_{b-1}(t) ~ t x analytic(t^2) at the origin, so a single
             # generalized Gauss-Laguerre weight t e^{-t} absorbs it.
             t, w = _gauss_genlaguerre(n, 1.0)
-            lv = logc + (b - 1.0) * np.log(t) + np.log(kve(b - 1.0, t))
+            lv = logc + (b - 1.0) * np.log(t) + np.log(sp.kve(b - 1.0, t))
             v = np.where(lv > -700.0, w * np.exp(lv), 0.0)
             return 0.25 * t * t, v
         # b <= 1.5: the origin's t and t^{2b-1} branches on tanh-sinh, the tail on Laguerre
@@ -111,10 +111,10 @@ class Bessel:
         t_de, _, w = _tanh_sinh(n_de)
         keep = 0.25 * t_de * t_de > 0.0  # t^2/4 underflows at the smallest nodes
         t_de = t_de[keep]
-        w_de = w[keep] * np.exp(logc + b * np.log(t_de)) * kv(b - 1.0, t_de)
+        w_de = w[keep] * np.exp(logc + b * np.log(t_de)) * sp.kv(b - 1.0, t_de)
         un, uw = _gauss_genlaguerre(n - n_de, 0.0)
         t_tl = 1.0 + un
-        w_tl = uw * np.exp(logc + b * np.log(t_tl) - 1.0) * kve(b - 1.0, t_tl)
+        w_tl = uw * np.exp(logc + b * np.log(t_tl) - 1.0) * sp.kve(b - 1.0, t_tl)
         t_all = np.concatenate([t_de, t_tl])
         return 0.25 * t_all * t_all, np.concatenate([w_de, w_tl])
 
@@ -127,18 +127,18 @@ class Bessel:
         comes from the Wronskian of I and K instead.  Against mpmath W holds
         to 2e-13 for x from 1e-300 to 1e12.  The x = 0 limit is 1 / nu, or
         inf for nu <= 0."""
-        from scipy.special import ive, kve
+        sp = _special()
         nu = params.b - 1.0
         w = np.full(xs.shape, 1.0 / nu if nu > 0.0 else math.inf)
         pos = xs > 0.0
         x = xs[pos]
         t = 2.0 * np.sqrt(x)
-        i = ive(nu, t)
+        i = sp.ive(nu, t)
         # where I_nu leaves the normal floats, K_nu passes the float range and
         # the product is 0 inf or lost to subnormal rounding
         ok = i >= np.finfo(float).tiny
         wp = np.empty_like(t)
-        wp[ok] = 2.0 * i[ok] * kve(nu, t[ok])
+        wp[ok] = 2.0 * i[ok] * sp.kve(nu, t[ok])
         if not ok.all():
             wp[~ok] = self._weights_by_ratios(nu, x[~ok], t[~ok])
         w[pos] = wp
@@ -178,7 +178,7 @@ class Bessel:
         # (DLMF 10.29.1; all terms positive) from mu0 - 1 = nu - floor(nu) - 1,
         # where s = K_{mu0} / K_{1-mu0}; r = sqrt(x) / (nu+1) rho_{nu+1}(x), with
         # rho_c = 0F1(; c+1; x) / 0F1(; c; x) from the certified ratio recurrence.
-        from scipy.special import kve
+        kve = _special().kve
         mu0 = nu - math.floor(nu)
         s = kve(mu0, t) / kve(1.0 - mu0, t)
         for k in range(math.floor(nu) + 1):
@@ -274,7 +274,6 @@ class Jacobi:
         otherwise the canonical N: (1-x)^{-2} 2F1(a-1, a-1; b; x) (Euler's
         transformation) where `closed` holds (within 1e-13 of mpmath up to
         x = 0.998), and norm elsewhere, where scipy's Euler form errs."""
-        from scipy.special import hyp2f1
         om = omega(params)
         w = np.zeros(xs.shape)  # zero past the support x >= 1
         inside = xs < 1.0
@@ -288,7 +287,7 @@ class Jacobi:
                 nval[~euler] = norm(params, x[~euler])
         else:
             c = a + literal_n  # = m + n + nu
-            nval = hyp2f1(-c, -c, b, x)
+            nval = _special().hyp2f1(-c, -c, b, x)
         # N >= 1 is finite, so W is inf where omega is (x = 0 for b <= 1)
         w[inside] = nval * om[inside]
         return w
@@ -325,23 +324,24 @@ class Jacobi:
         # Gamma(a+1)^2 / Gamma(b) G^{2,0}_{2,2}(x | a,a; 0,2a-1) on 0 < x < 1,
         # from x and y = 1 - x, each formed directly; the reflected constant is
         # finite for every nu > 0
-        from scipy.special import ellipkm1, gamma, hyp2f1, rgamma
+        sp = _special()
         a, b = params.a, params.b
         const = math.exp(2.0 * math.lgamma(a + 1.0) - math.lgamma(b))
         if b == 1.0:
             # 2F1(1/2, 1/2; 1; 1 - x) = (2/pi) K(1 - x) (DLMF 19.5.1), which
             # ellipkm1 takes from x itself: finite down to x = 5e-324, where
             # scipy's hyp2f1 at 1 - x is inf for x <= 1e-14
-            return const * (2.0 / math.pi) * ellipkm1(x)
+            return const * (2.0 / math.pi) * sp.ellipkm1(x)
         near = (x < 0.5) & (b < 1.0)
         out = np.empty_like(x)
-        out[~near] = hyp2f1(1.0 - a, 1.0 - a, 1.0, y[~near])
+        out[~near] = sp.hyp2f1(1.0 - a, 1.0 - a, 1.0, y[~near])
         # b < 1 near the origin: the x^{b-1} and x^0 branches in x itself
         # (DLMF 15.8.4), so the digits of x below 1.1e-16 are not rounded away
         xn = x[near]
-        out[near] = (gamma(b - 1.0) * rgamma(a) ** 2 * hyp2f1(1.0 - a, 1.0 - a, 2.0 - b, xn)
-                     + gamma(1.0 - b) * rgamma(1.0 - a) ** 2 * xn ** (b - 1.0)
-                     * hyp2f1(a, a, b, xn))
+        out[near] = (sp.gamma(b - 1.0) * sp.rgamma(a) ** 2
+                     * sp.hyp2f1(1.0 - a, 1.0 - a, 2.0 - b, xn)
+                     + sp.gamma(1.0 - b) * sp.rgamma(1.0 - a) ** 2 * xn ** (b - 1.0)
+                     * sp.hyp2f1(a, a, b, xn))
         return const * out
 
     def _derivative_ratio(self, params, xs, f0, k: int):
@@ -361,11 +361,19 @@ class Jacobi:
         gives the k-th derivative of the jacobi N as ((a+1)_k)^2 / (b)_k
         (1-x)^{-2-k} times this, whose c - a - b is k + 2 (`Jacobi.closed`
         says where scipy holds it)."""
-        from scipy.special import hyp2f1
-        return hyp2f1(params.a - 1.0, params.a - 1.0, params.b + k, x)
+        return _special().hyp2f1(params.a - 1.0, params.a - 1.0, params.b + k, x)
 
 
 BESSEL, JACOBI = Bessel(), Jacobi()
+
+
+@cache
+def _special():
+    # scipy.special, imported at the first call: importing `ghcs.states`
+    # loads no scipy, and a formula called per op (`_euler_gauss`) pays a
+    # cache lookup where a `from scipy.special import` costs 0.4 us a call
+    import scipy.special
+    return scipy.special
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
