@@ -297,9 +297,7 @@ class Jacobi:
         return (x <= _EULER_CUT) & (params.a <= _EULER_A_MAX)
 
     def derivative_ratios(self, params, x, ctl=DEFAULT_SERIES, first=True, second=True):
-        """From one F_0 and the F_k asked for (`_derivative_ratio`; ctl is
-        not read), within 5e-14 of mpmath for m <= 3, nu <= 2.5, and
-        8.1e-14 up to a = 6."""
+        """From one F_0 and the F_k asked for (ctl is not read)."""
         f0 = self._euler_gauss(params, x)
         return (self._derivative_ratio(params, x, f0, 1) if first else None,
                 self._derivative_ratio(params, x, f0, 2) if second else None)
@@ -369,9 +367,8 @@ BESSEL, JACOBI = Bessel(), Jacobi()
 
 @cache
 def _special():
-    # scipy.special, imported at the first call: importing `ghcs.states`
-    # loads no scipy, and a formula called per op (`_euler_gauss`) pays a
-    # cache lookup where a `from scipy.special import` costs 0.4 us a call
+    # scipy.special, imported at the first call; a formula called per op then
+    # pays a cache lookup where `from scipy.special import` costs 0.4 us
     import scipy.special
     return scipy.special
 
