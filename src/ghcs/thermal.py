@@ -311,8 +311,8 @@ def _closed_moments(params: FamilyParams, xs, s: int, falling: bool,
     that this moment reads: `falling` gives D^s N / N, and plain <N> =
     x D1, <N^2> = x D1 + x^2 D2.  One expression for both shapes: a float
     gives an array element's value bit for bit."""
-    d1, d2 = params.formulas.derivative_ratios(params, xs, ctl, not (falling and s == 2),
-                                               s == 2)
+    first, second = not (falling and s == 2), s == 2  # the D1 and D2 it reads
+    d1, d2 = params.formulas.derivative_ratios(params, xs, ctl, first, second)
     if falling:
         return d1 if s == 1 else d2
     n1 = xs * d1
@@ -462,10 +462,10 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     and D2 from one `derivative_ratios` call for all such x (bessel: one
     sweep at every x, never the series; jacobi: F_0 read once); every other
     jacobi x (x > 0.998 or a > 6) summed as series, one `number_moment` call
-    per moment, which sums them one x at a time.  The series' budget runs out from
-    x = 0.99814, and from within 4e-5 of there it is decided before
-    summing, so those x raise ConvergenceError in microseconds.  Scalar x
-    in, four floats out; array in, four arrays out.
+    per moment, which sums them one x at a time.  The series' budget runs
+    out from x = 0.99814, and from within 4e-5 of there it is decided
+    before summing, so those x raise ConvergenceError in microseconds.
+    Scalar x in, four floats out; array in, four arrays out.
     ValueError in the vacuum state (x = 0), where g2 is 0/0."""
     if (x == 0.0) if isinstance(x, float) else (np.asarray(x) == 0.0).any():
         raise ValueError("g2 is undefined in the vacuum state (x = 0), "
