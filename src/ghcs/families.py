@@ -13,8 +13,8 @@ derivative_ratios (D1 and D2 there, None for one not asked for where that
 saves work), ladder (a ladder band from the bessel form), basis_map and
 fit_radius (the P-representation's Chebyshev variable and fit width).
 This module imports neither `states` nor `measure`, and `scipy.special`
-only when a formula first calls it (`_special`), so importing `ghcs.states`
-loads no scipy.
+(and its `cython_special`) only when a formula first calls it (`_special`,
+`_cython_special`), so importing `ghcs.states` loads no scipy.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ _TANH_SINH_T = math.asinh(-math.log(np.finfo(float).tiny) / math.pi)
 # of its budget from x = 0.99814 (s = 2; 0.99827 for s = 1).
 _EULER_CUT = 0.998
 _EULER_A_MAX = 6.0
+# the jacobi density's x-form near the origin (`_x_form_holds`): the
+# largest b, and the distance from an integer b >= 3, where it is taken
+_X_FORM_B_MAX = 12.0
+_X_FORM_GAP = 1e-3
 
 
 class Bessel:
@@ -150,11 +154,11 @@ class Bessel:
     def derivative_ratios(self, params, x, ctl=DEFAULT_SERIES, first=True, second=True):
         """With rho_c = 0F1(; c+1; x) / 0F1(; c; x), D1 = rho_b / b and
         D2 = rho_b rho_{b+1} / (b (b+1)), both from one sweep of the
-        certified ratio recurrence `specfun._hyp_0f1_ratios`,
-        max(sqrt x - b, 0) + 40 levels deep within the budget ctl (by
-        default ConvergenceError naming x from x = (b + 19961)^2, about
-        3.98e8 at small b); within 1.6e-15 of mpmath for b in [0.02, 200],
-        x in [0, 1e8]."""
+        certified ratio recurrence `specfun._hyp_0f1_ratios`, about
+        9 x^{1/4} levels deep within the budget ctl (by default
+        ConvergenceError naming x from about x = 2.4e13 at small b);
+        within 1.6e-15 of mpmath for b in [0.02, 200], x in [0, 1e8],
+        growing as x^{1/8} past it (1.0e-14 at worst to x = 2.3e13)."""
         b = params.b
         r0, r1 = specfun._hyp_0f1_ratios(b, x, ctl)
         return r0 / b, r0 * r1 / (b * (b + 1.0))
@@ -244,15 +248,17 @@ class Jacobi:
         return _jacobi_sign_row(n_max) * mods
 
     def density(self, params, xs: np.ndarray) -> np.ndarray:
-        """2F1(1-a, 1-a; 1; 1-x) inside (0, 1), except for b < 1 and x < 1/2,
-        where it is the connection formula's two Gauss functions of x itself
-        (DLMF 15.8.4): against mpmath it holds to 1.9e-14 relative down to
-        x = 1e-300 (m = 0, nu = 0.05); and at b = 1, where it is the
-        complete elliptic integral (2/pi) K(1 - x) of x itself, within
-        2.2e-16 from x = 1e-15 to 1 - 1e-12.  For b > 1 forming 1 - x still
-        rounds away the digits of x below 1.1e-16 (at x = 1e-12: 4.4e-11
-        relative for m = 0, nu = 0.7); the radial rule passes its exact
-        1 - x instead."""
+        """2F1(1-a, 1-a; 1; 1-x) inside (0, 1), except on x < 1/2 for b < 1
+        and for non-integer b up to 12 (`_x_form_holds`), where it is the
+        connection formula's two Gauss functions of x itself (DLMF 15.8.4):
+        against mpmath it holds to 1.9e-14 relative down to x = 1e-300
+        (m = 0, nu = 0.05) and to 1e-13 for b in (1, 12]; and at b = 1,
+        where it is the complete elliptic integral (2/pi) K(1 - x) of x
+        itself, within 2.2e-16 from x = 1e-15 to 1 - 1e-12.  The rest
+        (integer b >= 2, b near an integer from 3 up, b > 12) has b >= 2,
+        where the x^{b-1} branch is of order x, so rounding 1 - x costs
+        little (9.7e-15 at b = 3.0005 and 7.8e-14 at b = 13.4, at
+        x = 2.78e-14); the radial rule passes its exact 1 - x anyway."""
         out = np.zeros_like(xs)
         inside = (xs > 0.0) & (xs < 1.0)
         out[inside] = self._density(params, xs[inside], 1.0 - xs[inside])
@@ -330,11 +336,11 @@ class Jacobi:
             # ellipkm1 takes from x itself: finite down to x = 5e-324, where
             # scipy's hyp2f1 at 1 - x is inf for x <= 1e-14
             return const * (2.0 / math.pi) * sp.ellipkm1(x)
-        near = (x < 0.5) & (b < 1.0)
+        near = (x < 0.5) & _x_form_holds(b)
         out = np.empty_like(x)
         out[~near] = sp.hyp2f1(1.0 - a, 1.0 - a, 1.0, y[~near])
-        # b < 1 near the origin: the x^{b-1} and x^0 branches in x itself
-        # (DLMF 15.8.4), so the digits of x below 1.1e-16 are not rounded away
+        # near the origin: the x^{b-1} and x^0 branches in x itself (DLMF
+        # 15.8.4), so the digits of x below 1.1e-16 are not rounded away
         xn = x[near]
         out[near] = (sp.gamma(b - 1.0) * sp.rgamma(a) ** 2
                      * sp.hyp2f1(1.0 - a, 1.0 - a, 2.0 - b, xn)
@@ -358,11 +364,34 @@ class Jacobi:
         a+1+k; b+k; x) (DLMF 15.5.2), Euler's transformation (DLMF 15.8.1)
         gives the k-th derivative of the jacobi N as ((a+1)_k)^2 / (b)_k
         (1-x)^{-2-k} times this, whose c - a - b is k + 2 (`Jacobi.closed`
-        says where scipy holds it)."""
-        return _special().hyp2f1(params.a - 1.0, params.a - 1.0, params.b + k, x)
+        says where scipy holds it).  A float x takes the C-level
+        `cython_special.hyp2f1`, a float out without the ufunc's dispatch
+        (1.0 against 2.3 us a call); an array takes the ufunc.  The two
+        are the same routine and give the same bits."""
+        a1, c = params.a - 1.0, params.b + k
+        if isinstance(x, float):
+            return _cython_special().hyp2f1(a1, a1, c, x)
+        return _special().hyp2f1(a1, a1, c, x)
 
 
 BESSEL, JACOBI = Bessel(), Jacobi()
+
+
+def _x_form_holds(b: float) -> bool:
+    """Whether the jacobi density takes the x-form of DLMF 15.8.4 on x < 1/2
+    (`Jacobi._density`): for every b < 1, and for b in (1, _X_FORM_B_MAX]
+    that is not an integer and not within _X_FORM_GAP of one from 3 up.
+
+    At an integer b the form's Gamma factors have poles (b = 1 takes
+    ellipkm1, b >= 2 scipy's y-form).  Near b = 3, 6, 8 and 12 its Gauss
+    functions cancel: against mpmath at 60 digits over x in [1e-300, 1/2)
+    it errs 1.4e-13 at b = 2.9999, 1.9e-14 at 5.9999 and 5.5e-13 at
+    11.9999, but 1.0e-14 at 3.001 and 7.4e-16 at 12.001.  Near b = 1 and 2
+    it holds (3.6e-14 at 1.01, 5.6e-16 at 1.9999 and 2.0001), where
+    scipy's y-form errs 2.5 at b = 1.01 and 4.5e-13 at 2.0001.  Past
+    b = 12 its error grows with b (2.9e-13 at 21.001, 2.9e-6 at 100.3)."""
+    n = round(b)
+    return b < 1.0 or (b != n and b <= _X_FORM_B_MAX and (n < 3 or abs(b - n) >= _X_FORM_GAP))
 
 
 @cache
@@ -371,6 +400,14 @@ def _special():
     # pays a cache lookup where `from scipy.special import` costs 0.4 us
     import scipy.special
     return scipy.special
+
+
+@cache
+def _cython_special():
+    # scipy.special.cython_special, imported at the first float Gauss
+    # function (3 ms and 1 MB past scipy.special), cached as `_special`
+    from scipy.special import cython_special
+    return cython_special
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:

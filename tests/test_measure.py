@@ -235,6 +235,26 @@ class TestTanhSinhRule:
                 ref = const * mp.meijerg([[], [a, a]], [[0, b - 1], []], mp.mpf(x))
                 assert abs(value / ref - 1) <= 1e-13, x
 
+    def test_jacobi_density_from_x_above_b_one_against_mpmath(self):
+        # the x-form of DLMF 15.8.4 for non-integer b in (1, 12], and within
+        # 1e-3 of an integer from 3 up scipy's 2F1 in 1 - x, where the
+        # x-form cancels (1.4e-13 at b = 2.9999); 2.78e-14 is a tanh-sinh
+        # node at which scipy's 2F1 in 1 - x errs 3.5e-2 at b = 1.1
+        bs = [1.01, 1.1, 1.2, 1.4, 1.7, 1.9999, 2.0, 2.0001, 2.5, 2.9999, 3.0, 3.0001,
+              3.4, 3.7, 3.9999, 4.0, 4.0001, 5.3, 6.6, 7.9, 9.2, 10.5, 11.5, 12.0]
+        xs = [1e-300, 1e-100, 1e-30, 1e-15, 2.78e-14, 1e-12, 1e-8, 1e-4, 1e-2, 0.1,
+              0.3, 0.49, 0.4999]
+        worst = 0.0
+        with mp.workdps(60):
+            for b in bs:
+                p = FamilyParams(0, b / 2.0, Family.JACOBI)
+                a, bm = mp.mpf(p.a), mp.mpf(p.b)
+                const = mp.gamma(a + 1) ** 2 / mp.gamma(bm)
+                for x, value in zip(xs, density(p, np.array(xs))):
+                    ref = const * mp.meijerg([[], [a, a]], [[0, bm - 1], []], mp.mpf(x))
+                    worst = max(worst, abs(value / ref - 1))
+        assert worst <= 1e-13
+
     def test_jacobi_rules_keep_every_node(self):
         # every weight is finite and positive, at b = 1 too, where the
         # density's logarithmic end is taken from x itself
@@ -699,6 +719,19 @@ class TestWeightClosedForms:
                     ref = mp.hyp2f1(a - 1, a - 1, 2 * a + k, x)
                     worst = max(worst, abs(families.JACOBI._euler_gauss(p, x, k) / ref - 1))
         assert worst <= 1e-13
+
+    def test_euler_gauss_of_a_float_is_the_arrays_bits(self):
+        # a float x takes cython_special's hyp2f1 and an array the ufunc: F_0,
+        # F_1 and F_2 agree bit for bit over the region `Jacobi.closed` admits
+        rng = np.random.default_rng(0)
+        xs = np.concatenate(([0.0, 1e-300, 1e-12, 0.5, 0.99, families._EULER_CUT],
+                             rng.uniform(0.0, families._EULER_CUT, 60)))
+        for a in np.linspace(0.02, families._EULER_A_MAX, 60).tolist():
+            p = FamilyParams(0, a, Family.JACOBI)
+            for k in range(3):
+                got = [families.JACOBI._euler_gauss(p, x, k) for x in xs.tolist()]
+                assert all(type(v) is float for v in got)
+                assert got == families.JACOBI._euler_gauss(p, xs, k).tolist(), (a, k)
 
     def test_jacobi_canonical_weight_between_099_and_the_cut(self):
         # the canonical W = N omega against mpmath's N times its Gauss

@@ -225,7 +225,17 @@ class TestArraySeries:
 
 
 _RATIO_BS = [0.02, 0.1, 0.7, 2.0, 3.0, 10.6, 21.0, 119.4, 200.0]
-_RATIO_XS = np.geomspace(1e-300, 1e8, 31).tolist() + [0.1, 0.98, 3.7, 50.0, 1e3, 4.4e4, 3.3e7]
+_RATIO_XS = (np.geomspace(1e-300, 1e8, 31).tolist() + [0.1, 0.98, 3.7, 50.0, 1e3, 4.4e4, 3.3e7]
+             + np.geomspace(1e8, 1e13, 6)[1:].tolist())
+
+
+def _ratio_bound(x):
+    # 4e-15 up to x = 1e8; past it the x^{1/4} levels through which a
+    # rounding error is carried almost undamped (with alternating sign) add
+    # up as a random walk, so the bound grows as x^{1/8}: 6.4e-15 at
+    # b = 0.02, x = 1e13 (1.0e-14 at worst over 60 random b in [0.02, 200]
+    # and x in [1e12, 2.3e13])
+    return 4e-15 * max(1.0, (x / 1e8) ** 0.125)
 
 
 def _ratio_falling(b, x):
@@ -243,57 +253,63 @@ class TestHypRatios:
     def test_falling_moments_against_mpmath(self, b):
         for x in _RATIO_XS:
             d1, d2 = _ratio_falling(b, x)
-            f = [mp.hyp0f1(b + k, x) / mp.rf(b, k) for k in range(3)]
-            assert rel_err(d1, f[1] / f[0]) <= 4e-15, x
-            assert rel_err(d2, f[2] / f[0]) <= 4e-15, x
+            # b + k in mpmath, as a float sum may round off b's last bit
+            f = [mp.hyp0f1(mp.mpf(b) + k, x) / mp.rf(b, k) for k in range(3)]
+            assert rel_err(d1, f[1] / f[0]) <= _ratio_bound(x), x
+            assert rel_err(d2, f[2] / f[0]) <= _ratio_bound(x), x
 
     @pytest.mark.parametrize("b", _RATIO_BS)
     def test_both_brackets_are_the_returned_value(self, b):
-        # the sweeps from rho = 0 and rho = 1 meet at the first depth
+        # the sweeps from rho = 0 and rho = 1 meet at the start depth, or
+        # (b = 119.4, x = 1e12) at its double, the routine's next try
         for x in _RATIO_XS:
-            depth = math.floor(max(math.sqrt(x) - b, 0.0)) + 40
+            depth = specfun._ratio_depth(x)
             lo, hi = specfun._ratio_brackets(b, x, depth)
+            if lo != hi:
+                lo, hi = specfun._ratio_brackets(b, x, 2 * depth)
             assert lo == hi
             assert 1.0 / lo == specfun._hyp_0f1_ratios(b, x)[1]
 
-    def test_large_b_counts_its_depth_from_q_below_one(self):
-        # at b = 4000 the step contracts from c = b on, so x = 4e8 takes
-        # 20000 - 4000 + 40 levels, within the default budget
+    def test_large_b_meets_within_the_start_depth(self):
+        # the start depth does not grow with b: at b = 4000 the step
+        # contracts from c = b on, so x = 4e8 meets within the 1280 levels
+        # of its start depth, far short of sqrt x - b = 16000
         b, x = 4000.0, 4e8
         d1, d2 = _ratio_falling(b, x)
         f = [mp.hyp0f1(b + k, x, maxterms=10**6) / mp.rf(b, k) for k in range(3)]
         assert rel_err(d1, f[1] / f[0]) <= 4e-15
         assert rel_err(d2, f[2] / f[0]) <= 4e-15
-        lo, hi = specfun._ratio_brackets(b, x, 16040)
+        assert specfun._ratio_depth(x) == 1280
+        lo, hi = specfun._ratio_brackets(b, x, 1280)
         assert lo == hi == 1.0 / specfun._hyp_0f1_ratios(b, x)[1]
-        # counted from c = b, sqrt x + 40 = 2040 levels would not fit a
-        # budget of 2000; counted from c = sqrt x, 1640 do
-        ctl = SeriesControl(max_terms=2000)
-        assert specfun._hyp_0f1_ratios(400.0, 4e6, ctl) == specfun._hyp_0f1_ratios(400.0, 4e6)
+        assert specfun._ratio_brackets(b, x, 16040) == (lo, hi)
+        ctl = SeriesControl(max_terms=1280)
+        assert specfun._hyp_0f1_ratios(b, x, ctl) == specfun._hyp_0f1_ratios(b, x)
 
     def test_zero_gives_the_first_coefficients(self):
         for b in _RATIO_BS:
             assert _ratio_falling(b, 0.0) == (1.0 / b, 1.0 / (b * (b + 1.0)))
 
     def test_every_accepting_depth_gives_the_same_bits(self, monkeypatch):
-        # a sweep started deeper lies inside the bracket at every level: with
-        # a 1-level margin most x need a doubled depth, and land on the bits
-        # of the default one; an array element is the float call's value
+        # a sweep started deeper lies inside the bracket at every level: from
+        # a start depth of 1 every x needs doubled depths, meets at a power
+        # of two, and lands on the bits of the default start; an array
+        # element is the float call's value
         xs = np.array([0.0, 1e-300, 0.5, 7.0, 300.0, 1e4, 2.5e6])
         for b in (0.3, 3.0, 60.0):
             ref = [specfun._hyp_0f1_ratios(b, x) for x in xs.tolist()]
-            monkeypatch.setattr(specfun, "_RATIO_MARGIN", 1)
+            monkeypatch.setattr(specfun, "_ratio_depth", lambda x: 1)
             assert [specfun._hyp_0f1_ratios(b, x) for x in xs.tolist()] == ref
             got = specfun._hyp_0f1_ratios(b, xs)
             assert [got[0].tolist(), got[1].tolist()] == [list(r) for r in zip(*ref)]
             monkeypatch.undo()
 
     def test_the_last_depth_tried_is_the_budget(self, monkeypatch):
-        # with a 1-level margin, b = 60 and x = 1e4 start at 41 levels and
-        # first meet at 49: a budget of 60 is tried after 41, not skipped
-        # for 82, and a budget of 48 raises; floats and arrays alike
+        # from a start depth of 41, b = 60 and x = 1e4 first meet at 49: a
+        # budget of 60 is tried after 41, not skipped for 82, and a budget
+        # of 48 raises; floats and arrays alike
         ref = specfun._hyp_0f1_ratios(60.0, 1e4)
-        monkeypatch.setattr(specfun, "_RATIO_MARGIN", 1)
+        monkeypatch.setattr(specfun, "_ratio_depth", lambda x: 41)
         assert specfun._hyp_0f1_ratios(60.0, 1e4, SeriesControl(max_terms=60)) == ref
         got = specfun._hyp_0f1_ratios(60.0, np.array([0.5, 1e4]), SeriesControl(max_terms=60))
         assert (got[0][1], got[1][1]) == ref
@@ -311,15 +327,16 @@ class TestHypRatios:
         assert all(type(r) is float for r in specfun._hyp_0f1_ratios(1.5, np.float64(2.0)))
 
     def test_budget_error_names_x_and_budget(self):
-        # x = 1e5 at b = 3 needs 353 levels; a depth past max_terms is never swept
+        # x = 1e7 at b = 3 first meets at 478 levels, so a budget of 300
+        # raises; a budget of its start depth, 514, gives the default value
         ctl = SeriesControl(max_terms=300)
-        for x in (1e5, np.array([2.0, 1e5, 1e6])):
+        for x in (1e7, np.array([2.0, 1e7, 1e8])):
             with pytest.raises(specfun.ConvergenceError) as exc:
                 specfun._hyp_0f1_ratios(3.0, x, ctl)
             assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 300 "
-                                      "steps at x = 100000.0")
-        assert specfun._hyp_0f1_ratios(3.0, 1e5, SeriesControl(max_terms=353)) == (
-            specfun._hyp_0f1_ratios(3.0, 1e5))
+                                      "steps at x = 10000000.0")
+        assert specfun._hyp_0f1_ratios(3.0, 1e7, SeriesControl(max_terms=514)) == (
+            specfun._hyp_0f1_ratios(3.0, 1e7))
 
 
 class TestLogGamma:
