@@ -386,10 +386,12 @@ def _x_form_holds(b: float) -> bool:
     ellipkm1, b >= 2 scipy's y-form).  Near b = 3, 6, 8 and 12 its Gauss
     functions cancel: against mpmath at 60 digits over x in [1e-300, 1/2)
     it errs 1.4e-13 at b = 2.9999, 1.9e-14 at 5.9999 and 5.5e-13 at
-    11.9999, but 1.0e-14 at 3.001 and 7.4e-16 at 12.001.  Near b = 1 and 2
-    it holds (3.6e-14 at 1.01, 5.6e-16 at 1.9999 and 2.0001), where
-    scipy's y-form errs 2.5 at b = 1.01 and 4.5e-13 at 2.0001.  Past
-    b = 12 its error grows with b (2.9e-13 at 21.001, 2.9e-6 at 100.3)."""
+    11.9999, but 1.0e-14 at 3.001 and 7.4e-16 at 12.001.  Near b = 2 it
+    holds (5.6e-16 at 1.9999 and 2.0001, where scipy's y-form errs
+    4.5e-13), and toward b = 1 it degrades far less than the y-form
+    (3.6e-14, 3.0e-13 and 3.3e-12 at b = 1.01, 1.001 and 1.0001, where
+    the y-form errs 2.5, 29 and 300).  Past b = 12 its error grows with b
+    (2.9e-13 at 21.001, 2.9e-6 at 100.3)."""
     n = round(b)
     return b < 1.0 or (b != n and b <= _X_FORM_B_MAX and (n < 3 or abs(b - n) >= _X_FORM_GAP))
 
