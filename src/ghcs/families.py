@@ -155,10 +155,10 @@ class Bessel:
         """With rho_c = 0F1(; c+1; x) / 0F1(; c; x), D1 = rho_b / b and
         D2 = rho_b rho_{b+1} / (b (b+1)), both from one sweep of the
         certified ratio recurrence `specfun._hyp_0f1_ratios`, about
-        9 x^{1/4} levels deep within the budget ctl (by default
-        ConvergenceError naming x from about x = 2.4e13 at small b);
-        within 1.6e-15 of mpmath for b in [0.02, 200], x in [0, 1e8],
-        growing as x^{1/8} past it (1.0e-14 at worst to x = 2.3e13)."""
+        9 x^{1/4} levels deep within the budget ctl and at most 1600
+        levels (ConvergenceError naming x from about x = 1.2e9 at small
+        b); within 1.6e-15 of mpmath for b in [0.02, 200], x in [0, 1e8],
+        and 2.9e-15 to the 1600-level edge."""
         b = params.b
         r0, r1 = specfun._hyp_0f1_ratios(b, x, ctl)
         return r0 / b, r0 * r1 / (b * (b + 1.0))

@@ -185,11 +185,21 @@ def _ratio_depth(x: float) -> int:
     Below c ~ sqrt x a step s_c = 1 + q_c / s_{c+1} narrows the bracket by
     about 1 - c / sqrt x, so after K levels from c ~ 0 its width has
     shrunk by about exp(-K^2 / (2 sqrt x)), and the brackets meet after
-    about 8.5 x^{1/4} levels (measured: 16, 27, 47, 86, 153, 847 and 15430
-    levels at b = 3 and x = 10, 1e2, ..., 1e5, 1e8, 1e13).  A larger b
-    only narrows it sooner.  An estimate that falls short costs a doubled
+    about 8.5 x^{1/4} levels (measured: 16, 27, 47, 86, 153 and 847
+    levels at b = 3 and x = 10, 1e2, ..., 1e5, 1e8).  A larger b only
+    narrows it sooner.  An estimate that falls short costs a doubled
     sweep, never a different value."""
     return math.floor(9.0 * math.sqrt(math.sqrt(x))) + 8
+
+
+# The most levels `_hyp_0f1_ratios` sweeps, whatever the budget.  The same
+# nearly undamped levels that the brackets need carry each step's rounding
+# on, with alternating sign, so the error of D1 and D2 grows as the square
+# root of the depth at which they meet.  Against mpmath (b in [0.02, 200]
+# drawn log-uniformly, x in [1e6, 1e11]) the 1035 draws that met within
+# 1600 levels held 2.9e-15, and 6 of the 665 that needed 1609 to 5000
+# levels passed 4e-15 (5.9e-15 at worst).
+_RATIO_MAX_LEVELS = 1600
 
 
 def _hyp_0f1_ratios(b: float, x, ctl: SeriesControl = DEFAULT_SERIES):
@@ -201,53 +211,55 @@ def _hyp_0f1_ratios(b: float, x, ctl: SeriesControl = DEFAULT_SERIES):
     x / (c (c+1)) 0F1(; c+2; x), rho_c = 1 / (1 + q_c rho_{c+1}) with
     q_c = x / (c (c+1)) (DLMF 10.33.1 via 10.39.9), and rho lies in (0, 1].
     The recurrence is swept backward as s_c = 1 / rho_c = 1 + q_c / s_{c+1}
-    from level c = b + K, K = `_ratio_depth`(x) capped at `ctl.max_terms`,
-    twice: from rho = 0 (s = inf) and from rho = 1 (s = 1).  Each step is
-    decreasing in its input and so is every float operation in it, so the
-    two sweeps bracket the true rho_{b+1}, and any sweep started deeper
-    lands inside the bracket at every level.  The result is accepted when
-    the two agree bit for bit at rho_{b+1} (then also at rho_b, one more
-    shared step); so it is the same bits at every depth that accepts.
-    Otherwise K doubles, and its last try is `ctl.max_terms` itself, so an
-    x is accepted exactly when the bracket from `ctl.max_terms` levels
-    meets: at the default 20000, up to about x = 3e13 at small b (at
-    b = 3 the first x refused is near 2.36e13, and some x past it still
-    meet, as 3e13 does).  Else ConvergenceError names x (the first such x
-    of an array) and the budget.
+    from level c = b + K, K = `_ratio_depth`(x) capped at the budget
+    min(`ctl.max_terms`, `_RATIO_MAX_LEVELS`), twice: from rho = 0
+    (s = inf) and from rho = 1 (s = 1).  Each step is decreasing in its
+    input and so is every float operation in it, so the two sweeps bracket
+    the true rho_{b+1}, and any sweep started deeper lands inside the
+    bracket at every level.  The result is accepted when the two agree bit
+    for bit at rho_{b+1} (then also at rho_b, one more shared step); so it
+    is the same bits at every depth that accepts.  Otherwise K doubles,
+    and its last try is the budget itself, so an x is accepted exactly
+    when the bracket from the budget's levels meets: at the default
+    budget of 1600 levels, up to about x = 1.2e9 at small b (later at
+    large b, which meets sooner: 1431 levels at b = 200, x = 1.2e9).
+    Else ConvergenceError names x (the first such x of an array) and the
+    budget.
 
     A float runs a pure-Python loop (`_ratio_brackets`); an array runs one
     numpy sweep of all its elements from the K of its largest element
     (`_ratio_brackets_array`), with the float's operations, so each
     element is the float call's value bit for bit and fails where it does.
     """
+    budget = min(ctl.max_terms, _RATIO_MAX_LEVELS)
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
-        depth = min(_ratio_depth(x), ctl.max_terms)
+        depth = min(_ratio_depth(x), budget)
         while True:
             lo, hi = _ratio_brackets(b, x, depth)
             if lo == hi:
                 return 1.0 / (1.0 + x / (b * (b + 1.0)) / lo), 1.0 / lo
-            if depth == ctl.max_terms:
-                raise _ratio_error(b, x, ctl)
-            depth = min(2 * depth, ctl.max_terms)
+            if depth == budget:
+                raise _ratio_error(b, x, budget)
+            depth = min(2 * depth, budget)
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    depth = min(_ratio_depth(flat.max(initial=0.0)), ctl.max_terms)
+    depth = min(_ratio_depth(flat.max(initial=0.0)), budget)
     while True:
         lo, hi = _ratio_brackets_array(b, flat, depth)
         met = lo == hi
-        if met.all() or depth == ctl.max_terms:
+        if met.all() or depth == budget:
             break
-        depth = min(2 * depth, ctl.max_terms)
+        depth = min(2 * depth, budget)
     if not met.all():
-        raise _ratio_error(b, flat[np.argmin(met)].item(), ctl)
+        raise _ratio_error(b, flat[np.argmin(met)].item(), budget)
     s0 = 1.0 + flat / (b * (b + 1.0)) / lo
     return (1.0 / s0).reshape(xs.shape), (1.0 / lo).reshape(xs.shape)
 
 
-def _ratio_error(b: float, x: float, ctl: SeriesControl) -> ConvergenceError:
+def _ratio_error(b: float, x: float, budget: int) -> ConvergenceError:
     return ConvergenceError(f"0F1({b!r}; x) ratios did not converge within "
-                            f"{ctl.max_terms} steps at x = {x!r}")
+                            f"{budget} steps at x = {x!r}")
 
 
 def _ratio_brackets(b: float, x: float, depth: int) -> tuple[float, float]:

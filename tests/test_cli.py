@@ -344,16 +344,16 @@ class TestWeight:
 
 
     def test_ratio_recurrence_budget_exit_code(self, tmp_path, capsys):
-        # bessel expect at x = 1e14 needs the 0F1 ratio recurrence deeper
-        # than its 20000-step budget: the line names the recurrence, not a
+        # bessel expect at x = 2e9 needs the 0F1 ratio recurrence deeper
+        # than its 1600-level budget: the line names the recurrence, not a
         # series
         cfg_file = tmp_path / "e.cfg"
-        cfg_file.write_text("x_min=1e14\nx_max=1e14\nx_count=1\n")
+        cfg_file.write_text("x_min=2e9\nx_max=2e9\nx_count=1\n")
         assert run(["expect", "--family", "bessel", "--config", str(cfg_file),
                     "--out", str(tmp_path / "e.csv")]) == 3
         assert capsys.readouterr().err == (
-            "budget ran out: 0F1(3.0; x) ratios did not converge within 20000 steps "
-            "at x = 100000000000000.0\n"
+            "budget ran out: 0F1(3.0; x) ratios did not converge within 1600 steps "
+            "at x = 2000000000.0\n"
         )
 
 

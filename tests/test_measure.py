@@ -239,8 +239,10 @@ class TestTanhSinhRule:
         # the x-form of DLMF 15.8.4 for non-integer b in (1, 12], and within
         # 1e-3 of an integer from 3 up scipy's 2F1 in 1 - x, where the
         # x-form cancels (1.4e-13 at b = 2.9999); 2.78e-14 is a tanh-sinh
-        # node at which scipy's 2F1 in 1 - x errs 3.5e-2 at b = 1.1
-        bs = [1.01, 1.1, 1.2, 1.4, 1.7, 1.9999, 2.0, 2.0001, 2.5, 2.9999, 3.0, 3.0001,
+        # node at which scipy's 2F1 in 1 - x errs 3.5e-2 at b = 1.1; next to
+        # b = 2, where the x-form's third parameter 2 - b is a few ulp from 0
+        bs = [1.01, 1.1, 1.2, 1.4, 1.7, 1.9999, 2.0 - 1e-14, math.nextafter(2.0, 1.0), 2.0,
+              math.nextafter(2.0, 3.0), 2.0 + 1e-14, 2.0001, 2.5, 2.9999, 3.0, 3.0001,
               3.4, 3.7, 3.9999, 4.0, 4.0001, 5.3, 6.6, 7.9, 9.2, 10.5, 11.5, 12.0]
         xs = [1e-300, 1e-100, 1e-30, 1e-15, 2.78e-14, 1e-12, 1e-8, 1e-4, 1e-2, 0.1,
               0.3, 0.49, 0.4999]

@@ -226,16 +226,7 @@ class TestArraySeries:
 
 _RATIO_BS = [0.02, 0.1, 0.7, 2.0, 3.0, 10.6, 21.0, 119.4, 200.0]
 _RATIO_XS = (np.geomspace(1e-300, 1e8, 31).tolist() + [0.1, 0.98, 3.7, 50.0, 1e3, 4.4e4, 3.3e7]
-             + np.geomspace(1e8, 1e13, 6)[1:].tolist())
-
-
-def _ratio_bound(x):
-    # 4e-15 up to x = 1e8; past it the x^{1/4} levels through which a
-    # rounding error is carried almost undamped (with alternating sign) add
-    # up as a random walk, so the bound grows as x^{1/8}: 6.4e-15 at
-    # b = 0.02, x = 1e13 (1.0e-14 at worst over 60 random b in [0.02, 200]
-    # and x in [1e12, 2.3e13])
-    return 4e-15 * max(1.0, (x / 1e8) ** 0.125)
+             + np.geomspace(1e8, 1e9, 4)[1:].tolist())
 
 
 def _ratio_falling(b, x):
@@ -255,18 +246,19 @@ class TestHypRatios:
             d1, d2 = _ratio_falling(b, x)
             # b + k in mpmath, as a float sum may round off b's last bit
             f = [mp.hyp0f1(mp.mpf(b) + k, x) / mp.rf(b, k) for k in range(3)]
-            assert rel_err(d1, f[1] / f[0]) <= _ratio_bound(x), x
-            assert rel_err(d2, f[2] / f[0]) <= _ratio_bound(x), x
+            assert rel_err(d1, f[1] / f[0]) <= 4e-15, x
+            assert rel_err(d2, f[2] / f[0]) <= 4e-15, x
 
     @pytest.mark.parametrize("b", _RATIO_BS)
     def test_both_brackets_are_the_returned_value(self, b):
-        # the sweeps from rho = 0 and rho = 1 meet at the start depth, or
-        # (b = 119.4, x = 1e12) at its double, the routine's next try
+        # the sweeps from rho = 0 and rho = 1 meet at the first depth, but
+        # for b = 10.6 at x = 4.6e8: that needs 1337 levels, 8 past its start
+        # depth, and meets at the routine's next try, the 1600-level budget
         for x in _RATIO_XS:
-            depth = specfun._ratio_depth(x)
+            depth = min(specfun._ratio_depth(x), specfun._RATIO_MAX_LEVELS)
+            if (b, x) == (10.6, _RATIO_XS[-2]):
+                depth = specfun._RATIO_MAX_LEVELS
             lo, hi = specfun._ratio_brackets(b, x, depth)
-            if lo != hi:
-                lo, hi = specfun._ratio_brackets(b, x, 2 * depth)
             assert lo == hi
             assert 1.0 / lo == specfun._hyp_0f1_ratios(b, x)[1]
 
@@ -337,6 +329,19 @@ class TestHypRatios:
                                       "steps at x = 10000000.0")
         assert specfun._hyp_0f1_ratios(3.0, 1e7, SeriesControl(max_terms=514)) == (
             specfun._hyp_0f1_ratios(3.0, 1e7))
+
+    def test_no_budget_sweeps_past_the_level_cap(self):
+        # x = 2e9 at b = 3 first meets at 1826 levels, past the 1600 beyond
+        # which D1 and D2 leave 4e-15, so it is refused at any larger
+        # budget; b = 200 meets sooner and is taken at 1.2e9 (1431 levels)
+        for ctl in (specfun.DEFAULT_SERIES, SeriesControl(max_terms=10**6)):
+            for x in (2e9, np.array([2.0, 2e9])):
+                with pytest.raises(specfun.ConvergenceError) as exc:
+                    specfun._hyp_0f1_ratios(3.0, x, ctl)
+                assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 1600 "
+                                          "steps at x = 2000000000.0")
+        lo, hi = specfun._ratio_brackets(200.0, 1.2e9, 1600)
+        assert lo == hi == 1.0 / specfun._hyp_0f1_ratios(200.0, 1.2e9)[1]
 
 
 class TestLogGamma:
