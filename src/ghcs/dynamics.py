@@ -109,20 +109,23 @@ def density_evolved(params: FamilyParams, z0: complex, z, t):
     basis; rho_raw is |<z| e^{-iHt} |z0>|^2 with the full phases, whose
     extra exp(-i n^2 t) factors the rotated basis absorbs.  The two agree
     at t = 0 and generally differ for t != 0.  z0's state (`states.state`)
-    is evolved once per t, and the grid's states come from one
-    `states.state_matrix` call, which keeps them out of the state cache.
+    is evolved to every t as one row each (`evolve`'s phases), the grid's
+    states come from one `states.state_matrix` call, which keeps them out
+    of the state cache, and every (t, label) pair is summed by one
+    `states._pair_overlap` call.
     """
     _require_bessel(params, "density_evolved")
     zs, ts = _labels(params, z), np.asarray(t, dtype=float)
     shape, v = ts.shape + zs.shape, state(params, z0)
     z0_t = complex(z0) * np.exp(-1j * rotation_frequency(params) * ts)
     rho_formula = density_static(params, z0_t.reshape(ts.shape + (1,) * zs.ndim), zs)
-    v0s = [evolve(params, v, tk) for tk in ts.ravel().tolist()]
+    levels = Spectrum(params).levels(v.n_max)
+    v0s = v.coeffs * np.exp(-1j * levels * ts.reshape(-1, 1))
     grid = state_matrix(params, zs.ravel().tolist())
-    rho_raw = np.array([
-        [abs(_pair_overlap(c, n, v0.coeffs, v0.n_max)) ** 2 for v0 in v0s]
-        for c, n in zip(grid.coeffs, grid.n_max.tolist())
-    ]).reshape(zs.size, ts.size).T.reshape(shape)
+    # one row per (t, label) pair, t outermost as in the result
+    overlaps = _pair_overlap(np.tile(grid.coeffs, (ts.size, 1)), np.tile(grid.n_max, ts.size),
+                             np.repeat(v0s, zs.size, axis=0), v.n_max)
+    rho_raw = np.array([abs(w) ** 2 for w in overlaps.tolist()]).reshape(shape)
     return (rho_formula, rho_raw) if shape else (float(rho_formula), float(rho_raw))
 
 

@@ -25,7 +25,6 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import specfun
-from .specfun import DEFAULT_SERIES, SeriesControl
 
 # tanh-sinh window |t| <= T with pi sinh T = -log(smallest normal float), so
 # that x and 1 - x at the window's ends stay normal floats
@@ -69,8 +68,8 @@ class Bessel:
         n = np.arange(start, stop + 1, dtype=float)
         return 0.5 * (_lgamma(n + 1.0) + _lgamma(params.b + n) - math.lgamma(params.b)), carry
 
-    def normalization(self, params, xs: np.ndarray, ctl: SeriesControl) -> np.ndarray:
-        return specfun.hyp_0f1(params.b, xs, ctl)
+    def normalization(self, params, xs: np.ndarray) -> np.ndarray:
+        return specfun.hyp_0f1(params.b, xs)
 
     def tail_ratio(self, params, mag, k: float):
         return mag / math.sqrt((k + 1.0) * (params.b + k))
@@ -151,16 +150,15 @@ class Bessel:
     def closed(self, params, x) -> bool:
         return True  # at every x
 
-    def derivative_ratios(self, params, x, ctl=DEFAULT_SERIES, first=True, second=True):
+    def derivative_ratios(self, params, x, first=True, second=True):
         """With rho_c = 0F1(; c+1; x) / 0F1(; c; x), D1 = rho_b / b and
         D2 = rho_b rho_{b+1} / (b (b+1)), both from one sweep of the
         certified ratio recurrence `specfun._hyp_0f1_ratios`, about
-        9 x^{1/4} levels deep within the budget ctl and at most 1600
-        levels (ConvergenceError naming x from about x = 1.2e9 at small
-        b); within 1.6e-15 of mpmath for b in [0.02, 200], x in [0, 1e8],
+        9 x^{1/4} levels deep and at most 1600 levels (ConvergenceError
+        naming x from about x = 1.2e9 at small b); within 1.6e-15 of mpmath for b in [0.02, 200], x in [0, 1e8],
         and 2.9e-15 to the 1600-level edge."""
         b = params.b
-        r0, r1 = specfun._hyp_0f1_ratios(b, x, ctl)
+        r0, r1 = specfun._hyp_0f1_ratios(b, x)
         return r0 / b, r0 * r1 / (b * (b + 1.0))
 
     def ladder(self, params, vals: np.ndarray, n: np.ndarray, offset: int, literature: bool):
@@ -232,13 +230,13 @@ class Jacobi:
         errs = np.cumsum(np.concatenate(([comp], (prev - (sums - back)) + (steps - back))))[1:]
         return sums + errs, (sums[-1], errs[-1])
 
-    def normalization(self, params, xs: np.ndarray, ctl: SeriesControl) -> np.ndarray:
+    def normalization(self, params, xs: np.ndarray) -> np.ndarray:
         # summed through the h-ratio recurrence
         b = params.b
         shift = params.coeff_shift
         return specfun._sum_ratio_array(
             "jacobi normalization", xs,
-            lambda k, w: w * np.square(shift + k) / ((k + 1.0) * (b + k)), ctl,
+            lambda k, w: w * np.square(shift + k) / ((k + 1.0) * (b + k)),
         )
 
     def tail_ratio(self, params, mag, k: float):
@@ -302,8 +300,8 @@ class Jacobi:
         # where scipy's Gauss functions are trusted; elsewhere the series
         return (x <= _EULER_CUT) & (params.a <= _EULER_A_MAX)
 
-    def derivative_ratios(self, params, x, ctl=DEFAULT_SERIES, first=True, second=True):
-        """From one F_0 and the F_k asked for (ctl is not read)."""
+    def derivative_ratios(self, params, x, first=True, second=True):
+        """From one F_0 and the F_k asked for."""
         f0 = self._euler_gauss(params, x)
         return (self._derivative_ratio(params, x, f0, 1) if first else None,
                 self._derivative_ratio(params, x, f0, 2) if second else None)
@@ -434,8 +432,10 @@ def _gauss_genlaguerre(n: int, alpha: float):
         eigvalsh (ms)           4    11    28     90
         eigh_tridiagonal (ms)   1.5   3.5   8     21
 
-    240 nodes is the default rule and 392 its refinement after a failed
-    certificate.
+    240 nodes is the default rule.  A failed certificate is checked on a
+    rule of int(1.6 n) + 8 nodes, n the nodes the first rule kept
+    (`measure.verify_identity`): 392 for jacobi, and 374 or 385 for
+    bessel, which keeps 229 or 236 of its 240.
     """
     # Weights from Christoffel sums w_i = 1 / sum_k p_k(t_i)^2 over the
     # orthonormal recurrence, which keeps relative accuracy even for the

@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import families, specfun
-from .specfun import DEFAULT_SERIES, SeriesControl
 
 __all__ = [
     "Family",
@@ -199,19 +198,19 @@ def _log_h_store(params: FamilyParams) -> list:
     return [(lg, (0.0, 0.0))]
 
 
-def normalization(params: FamilyParams, x, ctl: SeriesControl = DEFAULT_SERIES):
+def normalization(params: FamilyParams, x):
     """N(x) = sum_n x^n / h_n^2 for real x = |z|^2 in the family domain
     [0, radius^2); scalar in, float out; array in, array out.
 
     The family's `normalization` sums it (bessel `specfun.hyp_0f1`, jacobi
     the h-ratio recurrence), both through `specfun._sum_ratio_array`: the
-    term-by-term values, stopping rule and `ctl` budget, per element.  An x
+    term-by-term values, stopping rule and budget, per element.  An x
     outside the domain raises ValueError; an N past the float range (bessel
     x above about 1.3e5) raises OverflowError naming the family and the
     first such x.
     """
     xs = _norm_args(params, x)
-    out = params.formulas.normalization(params, xs, ctl)
+    out = params.formulas.normalization(params, xs)
     inf = ~np.isfinite(out)
     if inf.any():
         raise OverflowError(f"the {params.family.value} normalization passes the float "

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import _ABS_FLOOR, _REL_TOL, DEFAULT_SERIES, ConvergenceError, SeriesControl
+from . import specfun
+from .specfun import _ABS_FLOOR, _REL_TOL, ConvergenceError
 from .states import FamilyParams, _index_row, _norm_arg, _norm_args, normalization
 
 __all__ = [
@@ -178,17 +179,16 @@ def thermal_scan_rows(beta_grid: Sequence[float], mu: float,
 # In-state expectations (coherent-state level)
 # ---------------------------------------------------------------------------
 
-def cs_thermal_expectation(params: FamilyParams, x: float, eps: float,
-                           ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def cs_thermal_expectation(params: FamilyParams, x: float, eps: float) -> float:
     """<e^{eps N}> in the state with |z|^2 = x: equals N(x e^eps) / N(x).
 
     The argument x e^eps must stay inside the family domain; for the
     jacobi family that bounds eps above by -ln x.  An N past the float
     range raises OverflowError naming x, and eps if only N(x e^eps) is.
     """
-    norm = normalization(params, x, ctl)
+    norm = normalization(params, x)
     try:
-        return normalization(params, x * math.exp(eps), ctl) / norm
+        return normalization(params, x * math.exp(eps)) / norm
     except OverflowError:
         raise OverflowError(f"the {params.family.value} normalization passes the float "
                             f"range at x e^eps, x = {x!r}, eps = {eps!r}") from None
@@ -200,8 +200,7 @@ def cs_thermal_expectation(params: FamilyParams, x: float, eps: float,
 _MOMENT_CHUNK = 64
 
 
-def number_moment(params: FamilyParams, x, s: int,
-                  ctl: SeriesControl = DEFAULT_SERIES, *, falling: bool = False):
+def number_moment(params: FamilyParams, x, s: int, *, falling: bool = False):
     """<N^s> = sum_n n^s t_n / sum_n t_n in the state with |z|^2 = x, where
     t_n = x^n / h_n^2, for s = 0, 1 or 2: the orders the thermal layer
     reads (<N>, <N^2>, g2 and Q), as for `boltzmann_moment`.  Scalar x in,
@@ -211,21 +210,22 @@ def number_moment(params: FamilyParams, x, s: int,
     - s = 1 and 2 (plain and `falling`) where the family's `closed` holds
       (bessel: every x; jacobi: x <= 0.998 with a = m + nu <= 6): from its
       `derivative_ratios` D1 = N'/N and D2 = N''/N (bessel: the certified
-      0F1 ratio recurrence, whose depth `ctl.max_terms` bounds; jacobi:
-      scipy's Gauss functions), as <N> = x D1 and <N^2> = x D1 + x^2 D2,
-      sums of positive terms; a scalar x takes the same expression as a
-      float, not as a one-element array, and an array's elements are the
-      scalar calls' values bit for bit;
+      0F1 ratio recurrence, at most `specfun._RATIO_MAX_LEVELS` deep;
+      jacobi: scipy's Gauss functions), as <N> = x D1 and
+      <N^2> = x D1 + x^2 D2, sums of positive terms; a scalar x takes the
+      same expression as a float, not as a one-element array, and an
+      array's elements are the scalar calls' values bit for bit;
     - s = 0, every x: exactly 1.0 (one sum over itself), without summing;
     - every other jacobi x (x > 0.998 or a > 6): t_n summed through its
-      ratio recurrence, as below; here `ctl` governs this series.
+      ratio recurrence, as below, within `specfun._MAX_TERMS` terms.
 
     The series is summed in numpy chunks of 64, 128, 256, ... terms, never
-    past `ctl.max_terms`.  Within a chunk the ratios are formed elementwise
-    as a term-by-term loop would form them, `np.multiply.accumulate` chains
-    them from the carried term, and `np.add.accumulate` builds the partial
-    sums from the carried sums; both accumulates are sequential, so every
-    term and partial sum is the loop's own value.  The one exception is the
+    past `specfun._MAX_TERMS`.  Within a chunk the ratios are formed
+    elementwise as a term-by-term loop would form them,
+    `np.multiply.accumulate` chains them from the carried term, and
+    `np.add.accumulate` builds the partial sums from the carried sums;
+    both accumulates are sequential, so every term and partial sum is the
+    loop's own value.  The one exception is the
     factor (shift + n)^2, which numpy squares where Python's `**` calls
     libm `pow`; the two differ in the last bit for about one ratio in a
     thousand.  Between chunks, once the denominator sum reaches 2, the
@@ -240,23 +240,24 @@ def number_moment(params: FamilyParams, x, s: int,
     An array's elements that reach the series are summed one x at a time
     by the same float routine (`_moment_ratio`), so each is the scalar
     call's value bit for bit.  No workload sums an array of x here, while
-    the in-state moment benchmark (moment-scan) spends about half its op
-    time in one-x series near x = 1; a routine summing many x as the rows
-    of each chunk's matrices cost twice the float routine's time on one
-    row at x = 0.9981 (1212 against 608 us, best of 15 on a shared
-    two-vCPU host) and four times at x = 0.5 (102 against 25 us), so the
-    float routine is the one kept.
+    the in-state moment benchmark (moment-scan) spends about 30 % of its
+    op time in one-x series near x = 1 (timed around each call over seed
+    1's 2624 ops); a routine summing many x as the rows of each chunk's
+    matrices cost twice the float routine's time on one row at
+    x = 0.9981 (1212 against 608 us, best of 15 on a shared two-vCPU
+    host) and four times at x = 0.5 (102 against 25 us), so the float
+    routine is the one kept.
 
     Stopping rule and budget: the summation ends after two consecutive
     contributions n^s t_n <= `specfun._REL_TOL` * max(numerator sum,
     `specfun._ABS_FLOOR`), the "previous one was small" state carried
     across chunk boundaries (tested against the next chunk's first
     contribution), and raises ConvergenceError("number_moment series
-    did not converge") when ctl.max_terms terms did not reach it.  The
-    budget is decided before summing: where a closed-form bound on the
-    terms (`_budget_runs_out`) proves that no stopping pair falls within
-    ctl.max_terms, that error is raised at once, in microseconds, not
-    after the whole budget's terms.  At the default budget and a <= 25
+    did not converge") when `specfun._MAX_TERMS` terms did not reach it.
+    The budget is decided before summing: where a closed-form bound on
+    the terms (`_budget_runs_out`) proves that no stopping pair falls
+    within the budget, that error is raised at once, in microseconds, not
+    after the whole budget's terms.  At its 20000 terms and a <= 25
     the bound fires from within 4e-5 of the x where the series starts
     failing (x = 0.99827 for s = 1, 0.99814 for s = 2) up to about
     x = 1 - 2e-7; every other x sums.  A series whose sums still leave
@@ -272,15 +273,11 @@ def number_moment(params: FamilyParams, x, s: int,
     The same chunks, stopping rule and budget apply, from n = s.
 
     Every x must lie in the normalization domain [0, radius^2) and s must
-    be 0, 1 or 2, not a bool; otherwise ValueError.  A `ctl` that is not a
-    `SeriesControl` (a `falling` flag passed positionally lands there) is
-    a TypeError.  Both are raised before any work.
+    be 0, 1 or 2, not a bool; otherwise ValueError, raised before any
+    work.  `falling` is keyword-only.
     """
     if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s not in (0, 1, 2):
         raise ValueError(f"s must be 0, 1 or 2, not {s!r}")
-    if not isinstance(ctl, SeriesControl):
-        raise TypeError(f"ctl must be a SeriesControl, not {type(ctl).__name__} "
-                        "(falling is keyword-only)")
     if isinstance(x, float) or np.ndim(x) == 0:
         x = _norm_arg(params, float(x))
         if s == 0:
@@ -288,8 +285,8 @@ def number_moment(params: FamilyParams, x, s: int,
         if x == 0.0 and not falling:
             return 0.0
         if params.formulas.closed(params, x):
-            return float(_closed_moments(params, x, s, falling, ctl))
-        return _moment_ratio(params, x, s, falling, ctl)
+            return float(_closed_moments(params, x, s, falling))
+        return _moment_ratio(params, x, s, falling)
     xs = _norm_args(params, x)
     if s == 0:
         return np.ones(xs.shape)
@@ -298,21 +295,20 @@ def number_moment(params: FamilyParams, x, s: int,
     summed = (xs > 0.0) | falling
     part = summed & params.formulas.closed(params, xs)
     if part.any():  # empty, it still costs about 20 us on a two-vCPU host
-        out[part] = _closed_moments(params, xs[part], s, falling, ctl)
+        out[part] = _closed_moments(params, xs[part], s, falling)
         summed &= ~part
-    out[summed] = [_moment_ratio(params, v, s, falling, ctl) for v in xs[summed].tolist()]
+    out[summed] = [_moment_ratio(params, v, s, falling) for v in xs[summed].tolist()]
     return out
 
 
-def _closed_moments(params: FamilyParams, xs, s: int, falling: bool,
-                    ctl: SeriesControl = DEFAULT_SERIES):
+def _closed_moments(params: FamilyParams, xs, s: int, falling: bool):
     """`number_moment` for s = 1 or 2 on a float or a 1-d array where the
     family's `closed` holds, from the D1 and D2 of its `derivative_ratios`
     that this moment reads: `falling` gives D^s N / N, and plain <N> =
     x D1, <N^2> = x D1 + x^2 D2.  One expression for both shapes: a float
     gives an array element's value bit for bit."""
     first, second = not (falling and s == 2), s == 2  # the D1 and D2 it reads
-    d1, d2 = params.formulas.derivative_ratios(params, xs, ctl, first, second)
+    d1, d2 = params.formulas.derivative_ratios(params, xs, first, second)
     if falling:
         return d1 if s == 1 else d2
     n1 = xs * d1
@@ -374,8 +370,7 @@ def _budget_runs_out(params: FamilyParams, x: float, s: int, falling: bool,
     return low - high > math.log(2.0 * _REL_TOL)
 
 
-def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
-                  ctl: SeriesControl) -> float:
+def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool) -> float:
     """The jacobi sum_n w(n) t_n / x^p over sum_n t_n, t_n = x^n / h_n^2,
     for s = 1 or 2 at 0 <= x < 1, summed in chunks as `number_moment`
     describes: w(n) = n^s and p = 0, or with `falling` w(n) = n (n-1) for
@@ -389,10 +384,11 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     itself and every value is the term-by-term loop's.
 
     A series that `_budget_runs_out` proves cannot stop within
-    `ctl.max_terms` raises the budget's ConvergenceError at once, without
-    summing.
+    `specfun._MAX_TERMS` raises the budget's ConvergenceError at once,
+    without summing.
     """
-    if _budget_runs_out(params, x, s, falling, ctl.max_terms):
+    max_terms = specfun._MAX_TERMS
+    if _budget_runs_out(params, x, s, falling, max_terms):
         raise ConvergenceError("number_moment series did not converge")
     b, shift = params.b, params.coeff_shift
     p = s if falling else 0
@@ -410,11 +406,11 @@ def _moment_ratio(params: FamilyParams, x: float, s: int, falling: bool,
     start, size = p, _MOMENT_CHUNK
     # overflow is caught below by the finiteness check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while start < ctl.max_terms:
+        while start < max_terms:
             e = math.frexp(den)[1]
             if e > 1:
                 term, den, num = (math.ldexp(v, -e) for v in (term, den, num))
-            stop = min(start + size, ctl.max_terms)
+            stop = min(start + size, max_terms)
             # n and n + 1 as slices of the shared index row, keyed on the
             # power of two above stop (the state builds' own lengths)
             row = _index_row(1 << stop.bit_length())

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ghcs.measure import radial_rule
-from ghcs.specfun import _ABS_FLOOR, _REL_TOL, ConvergenceError, SeriesControl
+from ghcs import specfun
+from ghcs.specfun import _ABS_FLOOR, _REL_TOL, ConvergenceError
 from ghcs.states import Family, FamilyParams
 
 
@@ -12,8 +13,9 @@ def rel_err(got, ref, floor=1e-300):
 
 # The term-by-term reference for `specfun._sum_ratio_array`: the array
 # summation reproduces this loop's values and stopping rule bit for bit.
-def _sum_ratio_series(first_term, ratio, ctl: SeriesControl):
-    """Sum t0 + t1 + ... where t_{k+1} = t_k * ratio(k).
+def _sum_ratio_series(first_term, ratio):
+    """Sum t0 + t1 + ... where t_{k+1} = t_k * ratio(k), within the
+    budget `specfun._MAX_TERMS` as it reads at the call.
 
     Stops only after two consecutive terms fall below _REL_TOL relative
     to the running sum, so an accidental zero of an alternating term
@@ -22,7 +24,8 @@ def _sum_ratio_series(first_term, ratio, ctl: SeriesControl):
     term = first_term
     total = term
     small = 0
-    for k in range(ctl.max_terms):
+    max_terms = specfun._MAX_TERMS
+    for k in range(max_terms):
         term = term * ratio(k)
         total += term
         if abs(term) <= _REL_TOL * max(abs(total), _ABS_FLOOR):
@@ -32,7 +35,7 @@ def _sum_ratio_series(first_term, ratio, ctl: SeriesControl):
         else:
             small = 0
     raise ConvergenceError(
-        f"series did not converge within {ctl.max_terms} terms "
+        f"series did not converge within {max_terms} terms "
         f"(last |term| = {abs(term):.3e})"
     )
 

@@ -11,7 +11,7 @@ from scipy.special import iv
 
 from ghcs import specfun
 from ghcs.measure import density
-from ghcs.specfun import SeriesControl, hyp_0f1
+from ghcs.specfun import hyp_0f1
 from ghcs.states import (
     Family,
     FamilyParams,
@@ -66,26 +66,38 @@ class TestHypSeries:
             with pytest.raises(ValueError, match="real"):
                 hyp_0f1(2.0, x)
 
-    def test_0f1_nonconvergence(self):
+    def test_0f1_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(specfun.ConvergenceError):
-            hyp_0f1(2.0, 50.0, SeriesControl(max_terms=3))
+            hyp_0f1(2.0, 50.0)
+
+    def test_real_0f1_needs_no_budget(self, monkeypatch):
+        # every positive term makes the real series end quickly: within 1500
+        # terms from x = 0 to 1e15 at b up to 1000, the sum turning inf past
+        # the float range, so the budget never refuses a real x there
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 1500)
+        xs = np.concatenate([[0.0], np.geomspace(1e-300, 1e15, 316)])
+        for b in (0.02, 0.5, 1.0, 3.0, 17.3, 81.0, 200.0, 1000.0):
+            got = hyp_0f1(b, xs)
+            assert not np.isnan(got).any() and (got >= 1.0).all(), b
+            assert [hyp_0f1(b, x) for x in xs.tolist()] == got.tolist(), b
 
 
 
 # Term-by-term references for the array summation: `_sum_ratio_series` on
 # Python floats, with the ratios in the same association.
-def _loop_norm(params, x, ctl=specfun.DEFAULT_SERIES):
+def _loop_norm(params, x):
     b = params.b
     if params.family is Family.BESSEL:
         ratio = lambda k: x / ((k + 1.0) * (b + k))  # noqa: E731
     else:
         shift = params.coeff_shift
         ratio = lambda k: x * ((shift + k) * (shift + k)) / ((k + 1.0) * (b + k))  # noqa: E731
-    return _sum_ratio_series(1.0, ratio, ctl)
+    return _sum_ratio_series(1.0, ratio)
 
 
-def _loop_0f1(b, x, ctl=specfun.DEFAULT_SERIES):
-    return _sum_ratio_series(1.0, lambda k: x / ((k + 1.0) * (b + k)), ctl)
+def _loop_0f1(b, x):
+    return _sum_ratio_series(1.0, lambda k: x / ((k + 1.0) * (b + k)))
 
 
 _NORM_PARAMS = [
@@ -136,14 +148,14 @@ class TestArraySeries:
         assert type(specfun._hyp_0f1_series(b, 0.5 - 2.0j)) is complex
 
     @pytest.mark.parametrize("max_terms", [1, 63, 64, 65, 191, 192, 193])
-    def test_budget_matches_loop(self, max_terms):
-        ctl = SeriesControl(max_terms=max_terms)
+    def test_budget_matches_loop(self, monkeypatch, max_terms):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
         cases = [
-            (lambda x: normalization(FamilyParams(1, 0.5, Family.JACOBI), x, ctl),
-             lambda x: _loop_norm(FamilyParams(1, 0.5, Family.JACOBI), x, ctl),
+            (lambda x: normalization(FamilyParams(1, 0.5, Family.JACOBI), x),
+             lambda x: _loop_norm(FamilyParams(1, 0.5, Family.JACOBI), x),
              np.linspace(0.05, 0.95, 37)),
-            (lambda x: normalization(FamilyParams(0, 0.3, Family.BESSEL), x, ctl),
-             lambda x: _loop_norm(FamilyParams(0, 0.3, Family.BESSEL), x, ctl),
+            (lambda x: normalization(FamilyParams(0, 0.3, Family.BESSEL), x),
+             lambda x: _loop_norm(FamilyParams(0, 0.3, Family.BESSEL), x),
              np.geomspace(1e-3, 3e4, 37)),
         ]
         for array_fn, loop_fn, xs in cases:
@@ -168,25 +180,25 @@ class TestArraySeries:
             else:
                 assert np.array_equal(array_fn(xs), np.array(refs))
 
-    def test_budget_cases_cover_both_outcomes(self):
+    def test_budget_cases_cover_both_outcomes(self, monkeypatch):
         # the budget test above sees converging and exhausted series at the
         # chunk boundaries, not only one of the two
-        ctl = SeriesControl(max_terms=64)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 64)
         xs = np.linspace(0.05, 0.95, 37)
         p = FamilyParams(1, 0.5, Family.JACOBI)
         outcomes = set()
         for x in xs.tolist():
             try:
-                _loop_norm(p, x, ctl)
+                _loop_norm(p, x)
                 outcomes.add("value")
             except specfun.ConvergenceError:
                 outcomes.add("raise")
         assert outcomes == {"value", "raise"}
 
-    def test_zero_is_one_without_summing(self):
-        ctl = SeriesControl(max_terms=1)
-        assert hyp_0f1(2.0, 0.0, ctl) == 1.0
-        assert normalization(FamilyParams(1, 0.5, Family.JACOBI), 0.0, ctl) == 1.0
+    def test_zero_is_one_without_summing(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 1)
+        assert hyp_0f1(2.0, 0.0) == 1.0
+        assert normalization(FamilyParams(1, 0.5, Family.JACOBI), 0.0) == 1.0
 
     def test_scalar_and_array_contract(self):
         p = FamilyParams(1, 0.5, Family.JACOBI)
@@ -211,7 +223,7 @@ class TestArraySeries:
         with pytest.raises(ValueError, match="normalization domain"):
             normalization(pj, np.array([np.nan]))
 
-    def test_budget_error_names_series_x_and_budget(self):
+    def test_budget_error_names_series_x_and_budget(self, monkeypatch):
         p = FamilyParams(1, 0.5, Family.JACOBI)
         with pytest.raises(specfun.ConvergenceError) as exc:
             normalization(p, np.array([0.2, 0.999, 0.9995]))
@@ -219,9 +231,10 @@ class TestArraySeries:
             "jacobi normalization series did not converge within 20000 terms "
             "at x = 0.999"
         )
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(specfun.ConvergenceError, match=r"^0F1\(2.0; x\) series did not "
                            r"converge within 3 terms at x = 50.0$"):
-            hyp_0f1(2.0, np.array([0.0, 50.0]), SeriesControl(max_terms=3))
+            hyp_0f1(2.0, np.array([0.0, 50.0]))
 
 
 _RATIO_BS = [0.02, 0.1, 0.7, 2.0, 3.0, 10.6, 21.0, 119.4, 200.0]
@@ -262,7 +275,7 @@ class TestHypRatios:
             assert lo == hi
             assert 1.0 / lo == specfun._hyp_0f1_ratios(b, x)[1]
 
-    def test_large_b_meets_within_the_start_depth(self):
+    def test_large_b_meets_within_the_start_depth(self, monkeypatch):
         # the start depth does not grow with b: at b = 4000 the step
         # contracts from c = b on, so x = 4e8 meets within the 1280 levels
         # of its start depth, far short of sqrt x - b = 16000
@@ -275,8 +288,9 @@ class TestHypRatios:
         lo, hi = specfun._ratio_brackets(b, x, 1280)
         assert lo == hi == 1.0 / specfun._hyp_0f1_ratios(b, x)[1]
         assert specfun._ratio_brackets(b, x, 16040) == (lo, hi)
-        ctl = SeriesControl(max_terms=1280)
-        assert specfun._hyp_0f1_ratios(b, x, ctl) == specfun._hyp_0f1_ratios(b, x)
+        ref = specfun._hyp_0f1_ratios(b, x)
+        monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", 1280)
+        assert specfun._hyp_0f1_ratios(b, x) == ref
 
     def test_zero_gives_the_first_coefficients(self):
         for b in _RATIO_BS:
@@ -302,12 +316,14 @@ class TestHypRatios:
         # of 48 raises; floats and arrays alike
         ref = specfun._hyp_0f1_ratios(60.0, 1e4)
         monkeypatch.setattr(specfun, "_ratio_depth", lambda x: 41)
-        assert specfun._hyp_0f1_ratios(60.0, 1e4, SeriesControl(max_terms=60)) == ref
-        got = specfun._hyp_0f1_ratios(60.0, np.array([0.5, 1e4]), SeriesControl(max_terms=60))
+        monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", 60)
+        assert specfun._hyp_0f1_ratios(60.0, 1e4) == ref
+        got = specfun._hyp_0f1_ratios(60.0, np.array([0.5, 1e4]))
         assert (got[0][1], got[1][1]) == ref
+        monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", 48)
         for x in (1e4, np.array([0.5, 1e4])):
             with pytest.raises(specfun.ConvergenceError, match=r"within 48 steps at x = 10000.0$"):
-                specfun._hyp_0f1_ratios(60.0, x, SeriesControl(max_terms=48))
+                specfun._hyp_0f1_ratios(60.0, x)
 
     def test_arrays_keep_their_shape(self):
         xs = np.geomspace(1e-3, 1e5, 6).reshape(2, 3)
@@ -318,28 +334,28 @@ class TestHypRatios:
         assert specfun._hyp_0f1_ratios(1.5, np.array([]))[0].shape == (0,)
         assert all(type(r) is float for r in specfun._hyp_0f1_ratios(1.5, np.float64(2.0)))
 
-    def test_budget_error_names_x_and_budget(self):
+    def test_budget_error_names_x_and_budget(self, monkeypatch):
         # x = 1e7 at b = 3 first meets at 478 levels, so a budget of 300
         # raises; a budget of its start depth, 514, gives the default value
-        ctl = SeriesControl(max_terms=300)
+        ref = specfun._hyp_0f1_ratios(3.0, 1e7)
+        monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", 300)
         for x in (1e7, np.array([2.0, 1e7, 1e8])):
             with pytest.raises(specfun.ConvergenceError) as exc:
-                specfun._hyp_0f1_ratios(3.0, x, ctl)
+                specfun._hyp_0f1_ratios(3.0, x)
             assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 300 "
                                       "steps at x = 10000000.0")
-        assert specfun._hyp_0f1_ratios(3.0, 1e7, SeriesControl(max_terms=514)) == (
-            specfun._hyp_0f1_ratios(3.0, 1e7))
+        monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", 514)
+        assert specfun._hyp_0f1_ratios(3.0, 1e7) == ref
 
     def test_no_budget_sweeps_past_the_level_cap(self):
         # x = 2e9 at b = 3 first meets at 1826 levels, past the 1600 beyond
-        # which D1 and D2 leave 4e-15, so it is refused at any larger
-        # budget; b = 200 meets sooner and is taken at 1.2e9 (1431 levels)
-        for ctl in (specfun.DEFAULT_SERIES, SeriesControl(max_terms=10**6)):
-            for x in (2e9, np.array([2.0, 2e9])):
-                with pytest.raises(specfun.ConvergenceError) as exc:
-                    specfun._hyp_0f1_ratios(3.0, x, ctl)
-                assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 1600 "
-                                          "steps at x = 2000000000.0")
+        # which D1 and D2 leave 4e-15, so it is refused; b = 200 meets
+        # sooner and is taken at 1.2e9 (1431 levels)
+        for x in (2e9, np.array([2.0, 2e9])):
+            with pytest.raises(specfun.ConvergenceError) as exc:
+                specfun._hyp_0f1_ratios(3.0, x)
+            assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 1600 "
+                                      "steps at x = 2000000000.0")
         lo, hi = specfun._ratio_brackets(200.0, 1.2e9, 1600)
         assert lo == hi == 1.0 / specfun._hyp_0f1_ratios(200.0, 1.2e9)[1]
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ghcs import cli, families, specfun, thermal
 from ghcs.measure import density, radial_rule
-from ghcs.specfun import _ABS_FLOOR, _REL_TOL, DEFAULT_SERIES, ConvergenceError, SeriesControl
+from ghcs.specfun import _ABS_FLOOR, _REL_TOL, ConvergenceError
 from ghcs.states import Family, FamilyParams, coeff_h
 from ghcs.pfunction import (
     PFunctionCandidate,
@@ -265,9 +265,10 @@ class TestInStateExpectations:
                 mandel_q_in_state(params, 0.0, convention)
 
 
-def loop_number_moment(params, x, s, ctl=DEFAULT_SERIES, falling=False, record=None):
+def loop_number_moment(params, x, s, falling=False, record=None):
     """Reference: the term-by-term loop `number_moment` sums for the jacobi
-    family, as (<N^s>, index of the last summed term), or with `falling` as
+    family within `specfun._MAX_TERMS` terms as it reads at the call, as
+    (<N^s>, index of the last summed term), or with `falling` as
     (<N (N-1) ... (N-s+1)> / x^s, that index).  The falling recurrence
     carries t_n / x^min(n, s), its first s steps taken without their
     factor x, and sums from n = s on.  A list `record` gets the pair
@@ -284,7 +285,7 @@ def loop_number_moment(params, x, s, ctl=DEFAULT_SERIES, falling=False, record=N
     den += term * xp
     num = (math.perm(p, s) if falling else 0.0**s) * term  # the index-p contribution
     small = 0
-    for n in range(p, ctl.max_terms):
+    for n in range(p, specfun._MAX_TERMS):
         ratio = x / ((n + 1.0) * (b + n))
         ratio *= (shift + n) ** 2
         term *= ratio
@@ -376,7 +377,7 @@ class TestNumberMomentSeries:
                     for s in (1, 2):
                         for falling in (False, True):
                             ref, _ = loop_number_moment(params, x, s, falling=falling)
-                            got = thermal._moment_ratio(params, x, s, falling, DEFAULT_SERIES)
+                            got = thermal._moment_ratio(params, x, s, falling)
                             worst = max(worst, rel_err(got, ref))
         assert worst <= 1e-15
 
@@ -390,7 +391,7 @@ class TestNumberMomentSeries:
         (0.509770780995872, 2, True, 66),
         (0.802332896464048, 2, True, 194),
     ])
-    def test_stop_on_a_chunk_first_element(self, x, s, falling, last):
+    def test_stop_on_a_chunk_first_element(self, monkeypatch, x, s, falling, last):
         # the stopping pair is the carried flag and a chunk's first
         # contribution; with a budget of last + 1 that chunk holds one term
         # (no pair inside it), and with last no stop is reached; nor is it
@@ -398,15 +399,16 @@ class TestNumberMomentSeries:
         params = FamilyParams(1, 0.5, Family.JACOBI)
         value, n = loop_number_moment(params, x, s, falling=falling)
         assert n == last
-        edge = SeriesControl(max_terms=last + 1)
-        for ctl in (DEFAULT_SERIES, edge):
-            got = thermal._moment_ratio(params, x, s, falling, ctl)
-            assert rel_err(got, value) <= 1e-15
         longer = math.sqrt(x)
         assert loop_number_moment(params, longer, s, falling=falling)[1] > last + 1
-        for xx, ctl in ((x, SeriesControl(max_terms=last)), (longer, edge)):
+        for budget in (specfun._MAX_TERMS, last + 1):
+            monkeypatch.setattr(specfun, "_MAX_TERMS", budget)
+            got = thermal._moment_ratio(params, x, s, falling)
+            assert rel_err(got, value) <= 1e-15
+        for xx, budget in ((x, last), (longer, last + 1)):
+            monkeypatch.setattr(specfun, "_MAX_TERMS", budget)
             with pytest.raises(ConvergenceError):
-                thermal._moment_ratio(params, xx, s, falling, ctl)
+                thermal._moment_ratio(params, xx, s, falling)
 
     def test_zeroth_moment_is_one(self, bessel_params, jacobi_params):
         # the scalar loop left the n = 0 term out of the s = 0 numerator
@@ -424,34 +426,36 @@ class TestNumberMomentSeries:
 
     @pytest.mark.parametrize("x, last",
                              [(0.5253376688344171, 64), (0.813431715857929, 192)])
-    def test_stop_straddling_a_chunk_boundary(self, jacobi_params, x, last):
+    def test_stop_straddling_a_chunk_boundary(self, monkeypatch, jacobi_params, x, last):
         # the loop's last two small contributions sit on either side of a
         # chunk boundary; with no term to spare, the chunked sum stops in
         # budget only through the flag it carries across the boundary
         value, n = loop_number_moment(jacobi_params, x, 1)
         assert n == last
-        ctl = SeriesControl(max_terms=last + 1)
-        assert rel_err(thermal._moment_ratio(jacobi_params, x, 1, False, ctl), value) <= 1e-15
+        monkeypatch.setattr(specfun, "_MAX_TERMS", last + 1)
+        assert rel_err(thermal._moment_ratio(jacobi_params, x, 1, False), value) <= 1e-15
 
     @pytest.mark.parametrize("max_terms", [1, 2, 63, 64, 65, 66, 191, 192, 193, 194])
-    def test_budget_at_chunk_boundaries(self, jacobi_params, max_terms):
-        ctl = SeriesControl(max_terms=max_terms)
+    def test_budget_at_chunk_boundaries(self, monkeypatch, jacobi_params, max_terms):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
         for x in (0.05, 0.5253376688344171, 0.7, 0.813431715857929):
             for s in (1, 2):
                 try:
-                    ref, _ = loop_number_moment(jacobi_params, x, s, ctl)
+                    ref, _ = loop_number_moment(jacobi_params, x, s)
                 except ConvergenceError:
                     with pytest.raises(ConvergenceError):
-                        thermal._moment_ratio(jacobi_params, x, s, False, ctl)
+                        thermal._moment_ratio(jacobi_params, x, s, False)
                 else:
-                    got = thermal._moment_ratio(jacobi_params, x, s, False, ctl)
+                    got = thermal._moment_ratio(jacobi_params, x, s, False)
                     assert rel_err(got, ref) <= 1e-15
 
-    def test_budget_error_text(self, jacobi_params):
+    def test_budget_error_text(self, monkeypatch, jacobi_params):
         # matched verbatim by the benchmark's known-defect rule
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
         with pytest.raises(ConvergenceError) as exc:
-            thermal._moment_ratio(jacobi_params, 0.9, 1, False, SeriesControl(max_terms=100))
+            thermal._moment_ratio(jacobi_params, 0.9, 1, False)
         assert str(exc.value) == "number_moment series did not converge"
+        monkeypatch.undo()
         with pytest.raises(ConvergenceError) as exc:
             number_moment(jacobi_params, 0.9995, 1)
         assert str(exc.value) == "number_moment series did not converge"
@@ -492,9 +496,8 @@ class TestNumberMomentSeries:
     @pytest.mark.parametrize("s", [3, np.int64(3), 150])
     @pytest.mark.parametrize("family", list(Family))
     def test_order_is_checked_before_any_work(self, monkeypatch, family, s):
-        # an order past 2 is named before x or ctl is read or any path is
-        # taken: here x is outside the domain, ctl is not a SeriesControl,
-        # and each of those steps raises
+        # an order past 2 is named before x is read or any path is taken:
+        # here x is outside the domain, and each of those steps raises
         def no_work(*args):
             raise AssertionError("an order past 2 reached the computation")
 
@@ -504,21 +507,22 @@ class TestNumberMomentSeries:
             monkeypatch.setattr(formulas, "closed", no_work)
         params = FamilyParams(1, 0.5, family)
         for x in (-1.0, np.array([-1.0, 0.5])):
-            for ctl in (DEFAULT_SERIES, True):
-                with pytest.raises(ValueError) as exc:
-                    number_moment(params, x, s, ctl)
-                assert str(exc.value) == f"s must be 0, 1 or 2, not {s!r}"
+            with pytest.raises(ValueError) as exc:
+                number_moment(params, x, s)
+            assert str(exc.value) == f"s must be 0, 1 or 2, not {s!r}"
 
     @pytest.mark.parametrize("family", list(Family))
     def test_positional_falling_is_rejected_by_name(self, family):
-        # a `falling` flag passed positionally lands in `ctl`: rejected
-        # before any work, an x outside the domain included
+        # `falling` is keyword-only, so a flag passed positionally (or any
+        # fourth argument) is Python's TypeError, before any work, an x
+        # outside the domain included
         params = FamilyParams(1, 0.5, family)
+        positional = "takes 3 positional arguments but 4 were given"
         for x in (0.5, 0.999, 1.5, np.array([0.5, 0.999])):
             for flag in (True, False):
-                with pytest.raises(TypeError, match="ctl must be a SeriesControl, not bool"):
+                with pytest.raises(TypeError, match=positional):
                     number_moment(params, x, 1, flag)
-            with pytest.raises(TypeError, match="ctl must be a SeriesControl, not dict"):
+            with pytest.raises(TypeError, match=positional):
                 number_moment(params, x, 2, {"max_terms": 100})
 
     @pytest.mark.parametrize("x", [1.5e5, 1e6, 1e8])
@@ -590,10 +594,10 @@ def _straddle(turns):
     return out
 
 
-def _loop_fails(params, s, falling, ctl):
+def _loop_fails(params, s, falling):
     def fails(x):
         try:
-            loop_number_moment(params, x, s, ctl, falling)
+            loop_number_moment(params, x, s, falling)
         except ConvergenceError:
             return True
         return False
@@ -607,7 +611,7 @@ class TestBudgetDecidedUpFront:
 
     @pytest.mark.parametrize("m, nu", [(0, 0.1), (1, 0.5), (3, 2.5), (6, 7.3), (20, 5),
                                        (150, 150)])
-    def test_raises_exactly_where_the_loop_does(self, m, nu):
+    def test_raises_exactly_where_the_loop_does(self, monkeypatch, m, nu):
         # x straddles the loop's own failure edge and both ends of the x
         # interval where the check fires (its bound on the partial sums
         # grows like (1 - x)^-(s+2), so it stops firing near x = 1), for
@@ -617,22 +621,22 @@ class TestBudgetDecidedUpFront:
         params = FamilyParams(m, nu, Family.JACOBI)
         fired = 0
         for max_terms in (2, 3, 63, 64, 65, 194, 1000):
-            ctl = SeriesControl(max_terms=max_terms)
+            monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
             for s in (1, 2):
                 for falling in (False, True):
-                    edges = (_straddle(_loop_fails(params, s, falling, ctl))
+                    edges = (_straddle(_loop_fails(params, s, falling))
                              + _straddle(lambda x: thermal._budget_runs_out(
                                  params, x, s, falling, max_terms)))
                     for x in edges:
                         fired += thermal._budget_runs_out(params, x, s, falling, max_terms)
                         try:
-                            ref, _ = loop_number_moment(params, x, s, ctl, falling)
+                            ref, _ = loop_number_moment(params, x, s, falling)
                         except ConvergenceError:
                             with pytest.raises(ConvergenceError) as exc:
-                                thermal._moment_ratio(params, x, s, falling, ctl)
+                                thermal._moment_ratio(params, x, s, falling)
                             assert str(exc.value) == "number_moment series did not converge"
                         else:
-                            got = thermal._moment_ratio(params, x, s, falling, ctl)
+                            got = thermal._moment_ratio(params, x, s, falling)
                             assert rel_err(got, ref) <= 1e-15, (max_terms, s, falling, x)
         assert fired > 0 or m == 150
 
@@ -654,20 +658,20 @@ class TestBudgetDecidedUpFront:
                 thermal.in_state_stats(jacobi_params, x)
 
     @pytest.mark.parametrize("m, nu", [(0, 0.1), (1, 0.5), (6, 7.3), (20, 5)])
-    def test_bounds_hold_against_the_loop(self, m, nu):
+    def test_bounds_hold_against_the_loop(self, monkeypatch, m, nu):
         # P_inf B is at or above every partial sum of the loop's numerator,
         # and P_inf L(n) at or below its contribution at each index n (up
         # to the loop's rounding, a few 1e-13 over 3000 terms)
         params = FamilyParams(m, nu, Family.JACOBI)
         a = params.a
         log_p_inf = math.lgamma(2.0 * a) - 2.0 * math.lgamma(a + 1.0)
-        ctl = SeriesControl(max_terms=3000)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3000)
         for x in (0.5, 0.9, 0.99, 0.999, 0.9999):
             for s in (1, 2):
                 for falling in (False, True):
                     record = []
                     try:
-                        loop_number_moment(params, x, s, ctl, falling, record)
+                        loop_number_moment(params, x, s, falling, record)
                     except ConvergenceError:
                         assert len(record) == 3000 - (s if falling else 0)
                     first = (s if falling else 0) + 1
@@ -825,9 +829,9 @@ class TestInStateStats:
             assert abs(q - r1 * (rg2 - 1.0)) <= 1e-13 * r1 * rg2
 
 
-def scalar_moments(params, xs, s, ctl=DEFAULT_SERIES, falling=False):
+def scalar_moments(params, xs, s, falling=False):
     """Reference: `number_moment` one x at a time."""
-    return np.array([number_moment(params, float(x), s, ctl, falling=falling) for x in xs])
+    return np.array([number_moment(params, float(x), s, falling=falling) for x in xs])
 
 
 _GRIDS = {
@@ -883,12 +887,12 @@ class TestMomentArrays:
             thermal.in_state_stats(bessel_params, np.array([0.5, 0.0]))
 
     @pytest.mark.parametrize("max_terms", [63, 64, 65, 191, 192, 193, 194])
-    def test_budget_at_chunk_boundaries(self, max_terms):
+    def test_budget_at_chunk_boundaries(self, monkeypatch, max_terms):
         # x stop, carry their flag over a boundary or run out of budget at
         # different chunks (the plain series at 0.468... and 0.792... end
         # at index 64 and 192); a = 13.3 takes every x through the series
         params = FamilyParams(6, 7.3, Family.JACOBI)
-        ctl = SeriesControl(max_terms=max_terms)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
         xs = np.array([0.05, 0.4680258563027752, 0.7, 0.7926352660880547, 0.3])
         outcomes = set()
         for s in (1, 2):
@@ -896,13 +900,13 @@ class TestMomentArrays:
                 refs = []
                 for x in xs.tolist():
                     try:
-                        ref = loop_number_moment(params, x, s, ctl, falling)[0]
+                        ref = loop_number_moment(params, x, s, falling)[0]
                     except ConvergenceError:
                         ref = None
                         with pytest.raises(ConvergenceError):
-                            number_moment(params, x, s, ctl, falling=falling)
+                            number_moment(params, x, s, falling=falling)
                     else:
-                        got = number_moment(params, x, s, ctl, falling=falling)
+                        got = number_moment(params, x, s, falling=falling)
                         assert rel_err(got, ref) <= 1e-15
                         ref = got
                     refs.append(ref)
@@ -912,10 +916,10 @@ class TestMomentArrays:
                     expect = [refs[i] for i in idx]
                     if None in expect:
                         with pytest.raises(ConvergenceError) as exc:
-                            number_moment(params, xs[idx], s, ctl, falling=falling)
+                            number_moment(params, xs[idx], s, falling=falling)
                         assert str(exc.value) == "number_moment series did not converge"
                     else:
-                        got = number_moment(params, xs[idx], s, ctl, falling=falling)
+                        got = number_moment(params, xs[idx], s, falling=falling)
                         assert got.tolist() == expect
         assert outcomes == {False, True}  # every budget stops some x and not others
 
@@ -937,18 +941,20 @@ class TestMomentArrays:
         (0.5, 2, True, 20000, OverflowError, "number_moment: the <N^(2)> / x^2 series at "
          "x = 0.5 overflows the float range"),
     ])
-    def test_errors_are_the_same_for_both_shapes(self, bessel_params, x, s, falling,
-                                                 max_terms, kind, text):
+    def test_errors_are_the_same_for_both_shapes(self, monkeypatch, bessel_params, x, s,
+                                                 falling, max_terms, kind, text):
         # bessel s = 2 takes the ratio recurrence, whose depth at x = 1e155
-        # is past either budget (the recurrence's own is at most 1600
-        # levels, and its message names that); at jacobi a = 2e154 the series' (shift + n)^2
+        # is past either budget (each budget is at most max_terms, the
+        # recurrence's at most 1600 levels, and its message names the one
+        # it used); at jacobi a = 2e154 the series' (shift + n)^2
         # passes the float range, in the chunks or, with `falling`, before
         # them, and a one-term chunk still overflows
         params = bessel_params if x > 1.0 else FamilyParams(2 * 10**154, 0.5, Family.JACOBI)
-        ctl = SeriesControl(max_terms=max_terms)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
+        monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", min(max_terms, 1600))
         for arg in (x, np.array([x])):
             with pytest.raises(kind) as exc:
-                number_moment(params, arg, s, ctl, falling=falling)
+                number_moment(params, arg, s, falling=falling)
             assert str(exc.value) == text
 
     @pytest.mark.parametrize("chunk", [7, 1000])
@@ -1062,7 +1068,7 @@ class TestClosedFormMoments:
         # 5.9e-13, where the closed form holds 5e-14 (`test_against_mpmath`)
         s, falling = case
         params = FamilyParams(m, nu, Family.JACOBI)
-        series = thermal._moment_ratio(params, x, s, falling, DEFAULT_SERIES)
+        series = thermal._moment_ratio(params, x, s, falling)
         bound = 2e-13 if x <= 0.99 else 1e-12
         assert rel_err(number_moment(params, x, s, falling=falling), series) <= bound
 
@@ -1074,7 +1080,7 @@ class TestClosedFormMoments:
     def test_outside_the_region_is_the_series_bit_for_bit(self, m, nu, xs):
         params, xs = FamilyParams(m, nu, Family.JACOBI), np.array(xs)
         for s, falling in _SERIES_CASES:
-            ref = [thermal._moment_ratio(params, x, s, falling, DEFAULT_SERIES) for x in xs]
+            ref = [thermal._moment_ratio(params, x, s, falling) for x in xs]
             assert [number_moment(params, x, s, falling=falling) for x in xs] == ref
             assert number_moment(params, xs, s, falling=falling).tolist() == ref
 
@@ -1087,8 +1093,7 @@ class TestClosedFormMoments:
                 closed = thermal._closed_moments(params, xs[[0, 2]], s, falling)
                 got = number_moment(params, xs, s, falling=falling)
                 assert got[[0, 2]].tolist() == closed.tolist()
-                assert got[1] == thermal._moment_ratio(params, 0.9981, s, falling,
-                                                       DEFAULT_SERIES)
+                assert got[1] == thermal._moment_ratio(params, 0.9981, s, falling)
                 assert number_moment(params, 0.998, s, falling=falling) == closed[0]
 
     def test_budget_error_past_the_cut(self, jacobi_params):
@@ -1140,13 +1145,13 @@ class TestClosedFormMoments:
         assert mean.tolist() == [ratios(params, x)[0] for x in xs.tolist()]
         assert fact.tolist() == [ratios(params, x)[1] for x in xs.tolist()]
 
-    def test_ctl_governs_the_series_only(self, jacobi_params):
+    def test_the_budget_governs_the_series_only(self, monkeypatch, jacobi_params):
         # a one-term budget cannot sum the series, but the closed form needs none
-        ctl = SeriesControl(max_terms=1)
-        for x in (0.5, 0.998):
-            assert number_moment(jacobi_params, x, 1, ctl) == number_moment(jacobi_params, x, 1)
+        ref = [number_moment(jacobi_params, x, 1) for x in (0.5, 0.998)]
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 1)
+        assert [number_moment(jacobi_params, x, 1) for x in (0.5, 0.998)] == ref
         with pytest.raises(ConvergenceError):
-            number_moment(jacobi_params, 0.9981, 1, ctl)
+            number_moment(jacobi_params, 0.9981, 1)
 
 
 class TestPFunction:

@@ -1,7 +1,8 @@
 """Write every CLI artifact at default settings and print its SHA-256.
 
-Runs each command for each family it accepts (`evolve` is bessel only),
-writes the artifacts into a directory and prints one line per artifact:
+Runs each command of the CLI's command table (`cli._COMMANDS`, in its
+order) for each family it accepts (`evolve` is bessel only), writes the
+artifacts into a directory and prints one line per artifact:
 
     command family sha256
 
@@ -28,7 +29,6 @@ import sys
 
 from ghcs import cli
 
-COMMANDS = ("weight", "verify", "kernel", "quantize", "expect", "evolve", "thermal")
 FAMILIES = ("bessel", "jacobi")
 EXTENSION = {"weight": "csv", "expect": "csv", "evolve": "csv", "thermal": "csv"}
 
@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     os.makedirs(ns.outdir, exist_ok=True)
     worst = 0
-    for cmd in COMMANDS:
+    for cmd in cli._COMMANDS:
         for family in FAMILIES:
             if cmd == "evolve" and family != "bessel":
                 continue
