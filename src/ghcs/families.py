@@ -155,8 +155,9 @@ class Bessel:
         D2 = rho_b rho_{b+1} / (b (b+1)), both from one sweep of the
         certified ratio recurrence `specfun._hyp_0f1_ratios`, about
         9 x^{1/4} levels deep and at most 1600 levels (ConvergenceError
-        naming x from about x = 1.2e9 at small b); within 1.6e-15 of mpmath for b in [0.02, 200], x in [0, 1e8],
-        and 2.9e-15 to the 1600-level edge."""
+        naming x from about x = 1.2e9 at small b); within 1.6e-15 of
+        mpmath for b in [0.02, 200], x in [0, 1e8], and 2.9e-15 to the
+        1600-level edge."""
         b = params.b
         r0, r1 = specfun._hyp_0f1_ratios(b, x)
         return r0 / b, r0 * r1 / (b * (b + 1.0))
