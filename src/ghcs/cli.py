@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import __version__, dynamics, families, kernel, measure, quantize, thermal
+from . import __version__, dynamics, kernel, measure, quantize, thermal
 from .specfun import ConvergenceError
 from .states import Family, FamilyParams, _pair_overlap, state_matrix
 
@@ -216,7 +216,8 @@ def cmd_weight(cfg: RunConfig) -> int:
 def _kernel_checks(params: FamilyParams, rule: measure.QuadratureRule, seed: int, grid: int):
     """The reproducing-kernel checks `verify` and `kernel` share, as
     (hermiticity worst, diagonal worst, z1, z2, idempotence residuals, Gram
-    minimum eigenvalue), on labels scaled by 1.5 (bessel) or 0.6 (jacobi).
+    minimum eigenvalue), on labels scaled by the family's KERNEL_SCALE
+    (bessel 1.5, jacobi 0.6).
 
     The pairs are z1 = re + i im on a grid x grid mesh of [-0.45 scale,
     0.45 scale]^2 and z2 = (im - i re) / 2.  Every check but the Gram
@@ -225,7 +226,7 @@ def _kernel_checks(params: FamilyParams, rule: measure.QuadratureRule, seed: int
     residuals, |conj K(z1, z2) - K(z2, z1)| and |K(z, z) - 1|, the latter
     also on the Gram diagonal; each kernel value is `kernel.kernel`'s.
     """
-    scale = 1.5 if params.family is Family.BESSEL else 0.6
+    scale = params.formulas.KERNEL_SCALE
     mesh = np.linspace(-0.45 * scale, 0.45 * scale, grid).tolist()
     z1 = [complex(re, im) for re in mesh for im in mesh]
     z2 = [complex(im * 0.5, -re * 0.5) for re in mesh for im in mesh]
@@ -249,7 +250,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks: dict = {}
     failed: list[str] = []
 
-    n_check = cfg.n_check or (20 if params.family is Family.BESSEL else 12)
+    n_check = cfg.n_check or params.formulas.N_CHECK
     tol = cfg.tol or measure.IDENTITY_TOL
     rule = measure.radial_rule(params, cfg.nodes)
     cert = measure.verify_identity(params, n_check, tol, rule)
@@ -287,7 +288,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     variance_ok = bool(np.all(sq - means * means >= -1e-12))
     rising = means[np.argsort(betas, kind="stable")]  # <N> in order of increasing beta
     monotone_ok = bool(np.all(rising[1:] <= rising[:-1] + 1e-12))
-    x = cfg.x if params.family is Family.BESSEL else min(cfg.x, 0.8)
+    x = min(cfg.x, params.formulas.VERIFY_X_MAX)
     h = 1e-4
     fd = (
         thermal.cs_thermal_expectation(params, x, h)
@@ -348,21 +349,19 @@ def cmd_quantize(cfg: RunConfig) -> int:
 
 
 def cmd_expect(cfg: RunConfig) -> int:
-    """In-state (<N>, <N^2>, g2, Q) over the x grid, each moment summed
-    over the whole grid in one `thermal.in_state_stats` call.  A jacobi
-    grid stops at `families._EULER_CUT`, the end of the closed-form moments,
-    short of the x -> 1 end where the moment series outgrow their budget;
-    an x_max above it is clamped there, with one stderr line."""
+    """In-state (<N>, <N^2>, g2, Q) over the x grid, all of it in one
+    `thermal.in_state_stats` call.  The grid stops at the family's
+    EXPECT_X_MAX: for jacobi x = 0.998, the end of the closed-form moments,
+    short of the x -> 1 end where the moment series outgrow their budget
+    (bessel has no cap); an x_max above it is clamped there, with one
+    stderr line."""
     params = cfg.params()
-    x_max = cfg.x_max
-    if params.family is Family.JACOBI:
-        cap = families._EULER_CUT
-        if cfg.x_min > cap:
-            raise ValueError(f"x_min = {cfg.x_min!r} is above the jacobi expect cap x <= {cap}")
-        if x_max > cap:
-            print(f"expect: jacobi x_max = {x_max!r} clamped to the cap x <= {cap}",
-                  file=sys.stderr)
-            x_max = cap
+    x_max, cap, name = cfg.x_max, params.formulas.EXPECT_X_MAX, params.family.value
+    if cfg.x_min > cap:
+        raise ValueError(f"x_min = {cfg.x_min!r} is above the {name} expect cap x <= {cap}")
+    if x_max > cap:
+        print(f"expect: {name} x_max = {x_max!r} clamped to the cap x <= {cap}", file=sys.stderr)
+        x_max = cap
     grid = np.linspace(cfg.x_min, x_max, cfg.x_count)
     stats = thermal.in_state_stats(params, grid, cfg.g2_convention)
     rows = list(zip(grid.tolist(), *(column.tolist() for column in stats)))

@@ -3,7 +3,10 @@
 `FamilyParams.formulas` is the params' family object, `BESSEL` or
 `JACOBI`, through which every consumer reads them.  Both have RADIUS (of
 the label domain), LITERAL_N (whether a literal weight curve's W reads its
-n) and the same methods: log_h_entries (log h_n for n = start..stop >= 1
+n), the CLI's per-family defaults KERNEL_SCALE (of the kernel checks'
+label mesh), N_CHECK (`verify`'s moment orders), VERIFY_X_MAX (the cap on
+`verify`'s thermal x) and EXPECT_X_MAX (`expect`'s grid cap), and the
+same methods: log_h_entries (log h_n for n = start..stop >= 1
 and the carry for stop + 1), normalization (N), tail_ratio
 (|c_{k+1} / c_k|), signed (the moduli |z|^n / h_n times the signs s_n),
 density (omega on x >= 0), rule (the n-point nodes and weights), weights
@@ -60,6 +63,10 @@ class Bessel:
 
     RADIUS = math.inf
     LITERAL_N = False  # W = 2 I K reads no N, so a literal curve is the canonical one
+    KERNEL_SCALE = 1.5
+    N_CHECK = 20
+    VERIFY_X_MAX = math.inf
+    EXPECT_X_MAX = math.inf
 
     def log_h_entries(self, params, start: int, stop: int, carry):
         # half the log-gamma sum, by `math.lgamma` elementwise (measured at
@@ -204,6 +211,10 @@ class Jacobi:
 
     RADIUS = 1.0
     LITERAL_N = True  # a literal weight curve's N is the 2F1 of its own n
+    KERNEL_SCALE = 0.6
+    N_CHECK = 12
+    VERIFY_X_MAX = 0.8
+    EXPECT_X_MAX = _EULER_CUT  # the end of the closed-form moments
 
     def log_h_entries(self, params, start: int, stop: int, carry):
         """The squared ratio h_k^2 / h_{k-1}^2 = k (b+k-1) / (s+k-1)^2 is

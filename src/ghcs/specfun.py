@@ -203,38 +203,31 @@ def _hyp_0f1_ratios(b: float, x):
     when the bracket from the budget's levels meets: at its 1600
     levels, up to about x = 1.2e9 at small b (later at
     large b, which meets sooner: 1431 levels at b = 200, x = 1.2e9).
-    Else ConvergenceError names x (the first such x of an array) and the
-    budget.
+    Else ConvergenceError names x and the budget.
 
-    A float runs a pure-Python loop (`_ratio_brackets`); an array runs one
-    numpy sweep of all its elements from the K of its largest element
-    (`_ratio_brackets_array`), with the float's operations, so each
-    element is the float call's value bit for bit and fails where it does.
+    A float is one call of the per-x routine `_ratio_pair`; an array maps
+    it over its elements in order, each from its own start depth, so each
+    element is the float call's value bit for bit and the first refused
+    element is the one named.
     """
-    budget = _RATIO_MAX_LEVELS
     if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
-        depth = min(_ratio_depth(x), budget)
-        while True:
-            lo, hi = _ratio_brackets(b, x, depth)
-            if lo == hi:
-                return 1.0 / (1.0 + x / (b * (b + 1.0)) / lo), 1.0 / lo
-            if depth == budget:
-                raise _ratio_error(b, x, budget)
-            depth = min(2 * depth, budget)
+        return _ratio_pair(b, float(x))
     xs = np.asarray(x, dtype=float)
-    flat = xs.ravel()
-    depth = min(_ratio_depth(flat.max(initial=0.0)), budget)
+    pairs = np.array([_ratio_pair(b, v) for v in xs.ravel().tolist()]).reshape(-1, 2)
+    return pairs[:, 0].reshape(xs.shape), pairs[:, 1].reshape(xs.shape)
+
+
+def _ratio_pair(b: float, x: float) -> tuple[float, float]:
+    # `_hyp_0f1_ratios` at one float x: sweeps from K, 2K, ... up to the budget
+    budget = _RATIO_MAX_LEVELS
+    depth = min(_ratio_depth(x), budget)
     while True:
-        lo, hi = _ratio_brackets_array(b, flat, depth)
-        met = lo == hi
-        if met.all() or depth == budget:
-            break
+        lo, hi = _ratio_brackets(b, x, depth)
+        if lo == hi:
+            return 1.0 / (1.0 + x / (b * (b + 1.0)) / lo), 1.0 / lo
+        if depth == budget:
+            raise _ratio_error(b, x, budget)
         depth = min(2 * depth, budget)
-    if not met.all():
-        raise _ratio_error(b, flat[np.argmin(met)].item(), budget)
-    s0 = 1.0 + flat / (b * (b + 1.0)) / lo
-    return (1.0 / s0).reshape(xs.shape), (1.0 / lo).reshape(xs.shape)
 
 
 def _ratio_error(b: float, x: float, budget: int) -> ConvergenceError:
@@ -252,26 +245,4 @@ def _ratio_brackets(b: float, x: float, depth: int) -> tuple[float, float]:
         lo = 1.0 + q / lo
         hi = 1.0 + q / hi
     return lo, hi
-
-
-def _ratio_brackets_array(b: float, xs: np.ndarray, depth: int):
-    """`_ratio_brackets` for every x of the 1-d array `xs` from the same
-    depth, as two arrays, each element that call's pair bit for bit.
-
-    Both brackets are swept as one flat row, the sweeps from rho = 0 first
-    (a flat row costs less per numpy call than a broadcast (2, n) array).
-    q = x / (c (c+1)) is formed for as many levels as fit 2^16 values by
-    one division, and each level then costs one division and one addition
-    in place."""
-    n = xs.size
-    x2 = np.concatenate((xs, xs))
-    s = np.empty(2 * n)
-    s[:n], s[n:] = math.inf, 1.0
-    rows = max(1, (1 << 16) // max(2 * n, 1))
-    for k in range(depth - 1, 0, -rows):
-        c = b + np.arange(float(k), float(max(k - rows, 0)), -1.0)
-        for q in x2 / (c * (c + 1.0))[:, None]:
-            np.divide(q, s, out=s)
-            np.add(s, 1.0, out=s)
-    return s[:n], s[n:]
 

@@ -206,18 +206,19 @@ def number_moment(params: FamilyParams, x, s: int, *, falling: bool = False):
     reads (<N>, <N^2>, g2 and Q), as for `boltzmann_moment`.  Scalar x in,
     float out; array in, array of the same shape out.
 
-    Which x takes which path, element by element:
+    Which x takes which path:
     - s = 1 and 2 (plain and `falling`) where the family's `closed` holds
       (bessel: every x; jacobi: x <= 0.998 with a = m + nu <= 6): from its
       `derivative_ratios` D1 = N'/N and D2 = N''/N (bessel: the certified
       0F1 ratio recurrence, at most `specfun._RATIO_MAX_LEVELS` deep;
       jacobi: scipy's Gauss functions), as <N> = x D1 and
-      <N^2> = x D1 + x^2 D2, sums of positive terms; a scalar x takes the
-      same expression as a float, not as a one-element array, and an
-      array's elements are the scalar calls' values bit for bit;
+      <N^2> = x D1 + x^2 D2, sums of positive terms (`_closed_moments`);
     - s = 0, every x: exactly 1.0 (one sum over itself), without summing;
     - every other jacobi x (x > 0.998 or a > 6): t_n summed through its
       ratio recurrence, as below, within `specfun._MAX_TERMS` terms.
+    An array is its elements' float calls, in order, once every element
+    is checked against the domain: each element is the float call's value
+    bit for bit, and the first failing x raises its error.
 
     The series is summed in numpy chunks of 64, 128, 256, ... terms, never
     past `specfun._MAX_TERMS`.  Within a chunk the ratios are formed
@@ -237,16 +238,13 @@ def number_moment(params: FamilyParams, x, s: int, *, falling: bool = False):
     (no doubling back into the overflow).  As the carried values are only
     ever scaled by exact powers of two, where a chunk starts or ends
     changes no bit.
-    An array's elements that reach the series are summed one x at a time
-    by the same float routine (`_moment_ratio`), so each is the scalar
-    call's value bit for bit.  No workload sums an array of x here, while
-    the in-state moment benchmark (moment-scan) spends about 30 % of its
-    op time in one-x series near x = 1 (timed around each call over seed
-    1's 2624 ops); a routine summing many x as the rows of each chunk's
-    matrices cost twice the float routine's time on one row at
-    x = 0.9981 (1212 against 608 us, best of 15 on a shared two-vCPU
-    host) and four times at x = 0.5 (102 against 25 us), so the float
-    routine is the one kept.
+    No workload sums an array of x here, while the in-state moment
+    benchmark (moment-scan) spends about 30 % of its op time in one-x
+    series near x = 1 (timed around each call over seed 1's 2624 ops); a
+    routine summing many x as the rows of each chunk's matrices cost twice
+    the float routine's time on one row at x = 0.9981 (1212 against
+    608 us, best of 15 on a shared two-vCPU host) and four times at
+    x = 0.5 (102 against 25 us), so the float routine is the one kept.
 
     Stopping rule and budget: the summation ends after two consecutive
     contributions n^s t_n <= `specfun._REL_TOL` * max(numerator sum,
@@ -262,7 +260,6 @@ def number_moment(params: FamilyParams, x, s: int, *, falling: bool = False):
     failing (x = 0.99827 for s = 1, 0.99814 for s = 2) up to about
     x = 1 - 2e-7; every other x sums.  A series whose sums still leave
     the float range in a one-term chunk raises OverflowError naming x.
-    An array raises the error of its first failing x.
 
     falling=True gives the falling factorial moment per x^s instead,
     <N>/x or <N (N-1)> / x^2 = N^(s)(x) / N(x) (the s-th derivative of
@@ -279,40 +276,35 @@ def number_moment(params: FamilyParams, x, s: int, *, falling: bool = False):
     if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s not in (0, 1, 2):
         raise ValueError(f"s must be 0, 1 or 2, not {s!r}")
     if isinstance(x, float) or np.ndim(x) == 0:
-        x = _norm_arg(params, float(x))
-        if s == 0:
-            return 1.0
-        if x == 0.0 and not falling:
-            return 0.0
-        if params.formulas.closed(params, x):
-            return float(_closed_moments(params, x, s, falling))
-        return _moment_ratio(params, x, s, falling)
+        return _moment(params, _norm_arg(params, float(x)), s, falling)
     xs = _norm_args(params, x)
+    out = [_moment(params, v, s, falling) for v in xs.ravel().tolist()]
+    return np.array(out, dtype=float).reshape(xs.shape)
+
+
+def _moment(params: FamilyParams, x: float, s: int, falling: bool) -> float:
+    # `number_moment` at one float x of the domain
     if s == 0:
-        return np.ones(xs.shape)
-    # at x = 0 every term after t_0 vanishes, so <N^s> is 0
-    out = np.zeros(xs.shape)
-    summed = (xs > 0.0) | falling
-    part = summed & params.formulas.closed(params, xs)
-    if part.any():  # empty, it still costs about 20 us on a two-vCPU host
-        out[part] = _closed_moments(params, xs[part], s, falling)
-        summed &= ~part
-    out[summed] = [_moment_ratio(params, v, s, falling) for v in xs[summed].tolist()]
-    return out
+        return 1.0
+    if x == 0.0 and not falling:
+        return 0.0  # every term after t_0 vanishes
+    if params.formulas.closed(params, x):
+        return float(_closed_moments(params, x, s, falling))
+    return _moment_ratio(params, x, s, falling)
 
 
-def _closed_moments(params: FamilyParams, xs, s: int, falling: bool):
-    """`number_moment` for s = 1 or 2 on a float or a 1-d array where the
-    family's `closed` holds, from the D1 and D2 of its `derivative_ratios`
-    that this moment reads: `falling` gives D^s N / N, and plain <N> =
-    x D1, <N^2> = x D1 + x^2 D2.  One expression for both shapes: a float
-    gives an array element's value bit for bit."""
+def _closed_moments(params: FamilyParams, x: float, s: int, falling: bool):
+    """`number_moment` for s = 1 or 2 at a float x where the family's
+    `closed` holds, from the D1 and D2 of its `derivative_ratios` that
+    this moment reads: `falling` gives D^s N / N, and plain <N> = x D1,
+    <N^2> = x D1 + x^2 D2.  The same expression on a float array gives
+    each element the float's value bit for bit."""
     first, second = not (falling and s == 2), s == 2  # the D1 and D2 it reads
-    d1, d2 = params.formulas.derivative_ratios(params, xs, first, second)
+    d1, d2 = params.formulas.derivative_ratios(params, x, first, second)
     if falling:
         return d1 if s == 1 else d2
-    n1 = xs * d1
-    return n1 if s == 1 else n1 + xs * xs * d2
+    n1 = x * d1
+    return n1 if s == 1 else n1 + x * x * d2
 
 
 def _overflow(s: int, falling: bool, x: float) -> OverflowError:

@@ -11,11 +11,9 @@ import ghcs
 SRC = pathlib.Path(ghcs.__file__).parent
 
 # (module, outermost enclosing definition) allowed to compare a family with
-# Family.BESSEL or Family.JACOBI: the family code, the params, the bessel
-# guard of the dynamics and the CLI's per-family defaults (mesh scale,
-# n_check, x clamp, expect cap)
-ALLOWED = {("families", None), ("states", "FamilyParams"), ("dynamics", "_require_bessel"),
-           ("cli", "_kernel_checks"), ("cli", "cmd_verify"), ("cli", "cmd_expect")}
+# Family.BESSEL or Family.JACOBI: the family code, the params and the bessel
+# guard of the dynamics
+ALLOWED = {("families", None), ("states", "FamilyParams"), ("dynamics", "_require_bessel")}
 
 
 def _family_tests(tree):

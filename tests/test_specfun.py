@@ -359,6 +359,26 @@ class TestHypRatios:
         lo, hi = specfun._ratio_brackets(200.0, 1.2e9, 1600)
         assert lo == hi == 1.0 / specfun._hyp_0f1_ratios(200.0, 1.2e9)[1]
 
+    @pytest.mark.parametrize("xs, sweeps", [
+        (np.linspace(2e9, 2e10, 16), 1),  # refused at its first element
+        (np.array([1e9, 2e9, 3e9]), 2),   # 1e9 meets within the cap, 2e9 does not
+    ])
+    def test_an_array_is_refused_at_its_first_refused_element(self, monkeypatch, xs, sweeps):
+        # each element is swept from its own start depth, in order, so the
+        # elements after the first refused one cost no sweep
+        calls = []
+        brackets = specfun._ratio_brackets
+
+        def counted(*args):
+            calls.append(args)
+            return brackets(*args)
+
+        monkeypatch.setattr(specfun, "_ratio_brackets", counted)
+        with pytest.raises(specfun.ConvergenceError) as exc:
+            specfun._hyp_0f1_ratios(3.0, xs)
+        assert str(exc.value).endswith("within 1600 steps at x = 2000000000.0")
+        assert len(calls) == sweeps
+
 
 class TestLogGamma:
     """Log-gamma as the library uses it: math.lgamma sums in the log h_n table."""
