@@ -226,13 +226,9 @@ def _ratio_pair(b: float, x: float) -> tuple[float, float]:
         if lo == hi:
             return 1.0 / (1.0 + x / (b * (b + 1.0)) / lo), 1.0 / lo
         if depth == budget:
-            raise _ratio_error(b, x, budget)
+            raise ConvergenceError(f"0F1({b!r}; x) ratios did not converge within "
+                                   f"{budget} steps at x = {x!r}")
         depth = min(2 * depth, budget)
-
-
-def _ratio_error(b: float, x: float, budget: int) -> ConvergenceError:
-    return ConvergenceError(f"0F1({b!r}; x) ratios did not converge within "
-                            f"{budget} steps at x = {x!r}")
 
 
 def _ratio_brackets(b: float, x: float, depth: int) -> tuple[float, float]:
@@ -245,4 +241,3 @@ def _ratio_brackets(b: float, x: float, depth: int) -> tuple[float, float]:
         lo = 1.0 + q / lo
         hi = 1.0 + q / hi
     return lo, hi
-
