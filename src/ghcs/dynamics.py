@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .states import Family, FamilyParams, FockVector, _pair_overlap, state, state_matrix
+from .states import Family, FamilyParams, FockVector, _block_overlaps, state, state_matrix
 
 __all__ = [
     "Spectrum",
@@ -110,9 +110,9 @@ def density_evolved(params: FamilyParams, z0: complex, z, t):
     extra exp(-i n^2 t) factors the rotated basis absorbs.  The two agree
     at t = 0 and generally differ for t != 0.  z0's state (`states.state`)
     is evolved to every t as one row each (`evolve`'s phases), the grid's
-    states come from one `states.state_matrix` call, which keeps them out
-    of the state cache, and every (t, label) pair is summed by one
-    `states._pair_overlap` call.
+    states come from one `states.state_matrix` call, and every (label, t)
+    pair is summed by one grouped block sum (`states._block_overlaps`) of
+    the grid's rows against the evolved rows.
     """
     _require_bessel(params, "density_evolved")
     zs, ts = _labels(params, z), np.asarray(t, dtype=float)
@@ -122,10 +122,10 @@ def density_evolved(params: FamilyParams, z0: complex, z, t):
     levels = Spectrum(params).levels(v.n_max)
     v0s = v.coeffs * np.exp(-1j * levels * ts.reshape(-1, 1))
     grid = state_matrix(params, zs.ravel().tolist())
-    # one row per (t, label) pair, t outermost as in the result
-    overlaps = _pair_overlap(np.tile(grid.coeffs, (ts.size, 1)), np.tile(grid.n_max, ts.size),
-                             np.repeat(v0s, zs.size, axis=0), v.n_max)
-    rho_raw = np.array([abs(w) ** 2 for w in overlaps.tolist()]).reshape(shape)
+    rows = [c[: n + 1] for c, n in zip(grid.coeffs, grid.n_max.tolist())]
+    overlaps = _block_overlaps(rows, list(v0s))
+    # t outermost, as in the result
+    rho_raw = np.array([abs(w) ** 2 for w in overlaps.T.ravel().tolist()]).reshape(shape)
     return (rho_formula, rho_raw) if shape else (float(rho_formula), float(rho_raw))
 
 

@@ -37,8 +37,9 @@ __all__ = [
 ]
 
 
-def kernel(params: FamilyParams, z1: complex, z2: complex) -> complex:
-    """K(z1, z2) = <z1 | z2>; hermitian, K(z, z) = 1."""
+def kernel(params: FamilyParams, z1, z2):
+    """K(z1, z2) = <z1 | z2>; hermitian, K(z, z) = 1.  Label arrays or lists
+    give the matrix K(z1[i], z2[j]) of shape shape(z1) + shape(z2)."""
     return overlap(params, z1, z2)
 
 
@@ -105,12 +106,10 @@ def inner_product_integral(params: FamilyParams, fock1: FockVector,
 
 
 def gram_matrix(params: FamilyParams, labels) -> np.ndarray:
-    """Hermitian Gram matrix of kernel values at the given labels."""
-    k = len(labels)
-    g = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(i, k):
-            v = kernel(params, labels[i], labels[j])
-            g[i, j] = v
-            g[j, i] = v.conjugate()
+    """Hermitian Gram matrix of kernel values at the given labels, from one
+    `kernel` call on the list: K(labels[i], labels[j]) for j >= i, and
+    g[j, i] = conj(g[i, j]), the diagonal's conjugate included."""
+    g = kernel(params, labels, labels)
+    lower = np.tril_indices(len(g))
+    g[lower] = g.T[lower].conj()
     return g

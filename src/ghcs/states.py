@@ -67,7 +67,7 @@ class FamilyParams:
             b = math.inf
         if not b < math.inf:
             raise ValueError("2m + 2nu must be finite")
-        # hashed once, as every state and table cache lookup hashes the params;
+        # hashed once, as every table cache lookup hashes the params;
         # from ints, floats and bools, whose hashes do not vary between
         # processes, so an unpickled copy keeps a valid one
         object.__setattr__(self, "_hash", hash((self.m, self.nu, self.family is Family.JACOBI)))
@@ -249,9 +249,6 @@ _TAIL_TARGET = 1e-12
 _TAIL_REQUIRED = 1e-10
 
 
-_STATE_CACHE_SIZE = 32
-
-
 class StateMatrix(NamedTuple):
     """Coherent states as the rows of one array: row i holds label i's
     state in its first n_max[i] + 1 entries and zeros after them, and
@@ -263,56 +260,25 @@ class StateMatrix(NamedTuple):
     tail_bound: np.ndarray
 
 
-def _require_n_max(n_max) -> int | None:
-    if n_max is not None and not (isinstance(n_max, numbers.Integral) and n_max >= 0):
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
-    return None if n_max is None else int(n_max)
-
-
 def state(params: FamilyParams, z: complex, n_max: int | None = None) -> FockVector:
-    """Normalized truncated coherent state at label z: the one-label case
-    of `state_matrix`.
+    """Normalized truncated coherent state at label z: row 0 of
+    `state_matrix(params, [z], n_max)`.
 
     With n_max omitted the truncation is the first of 128, 256, ... at
     which the discarded l2 mass is certified below 1e-12.  An explicit
     n_max that leaves more than 1e-10 in the tail raises, reporting the
     order that would have sufficed.  An explicit n_max must be a
-    non-negative integer.
-
-    The 32 most recently used states are kept, so a label is built once
-    however many overlaps read it (readers of many labels at once use
-    `state_matrix`, which bypasses the cache).  The cache key is the exact
-    bits of the label: (params, z.real, z.imag, the sign of each part,
-    n_max), so -0.0 and 0.0, which compare equal but give atan2 phases of
-    -pi and pi, are different keys.  The returned coeffs are read-only and
-    shared between callers.  Errors are not cached.  At the n_max cap of
-    32768 the cache holds at most 32 x 32769 x 16 B, about 17 MB.
+    non-negative integer.  Every call builds the state (nothing is
+    cached); the returned coeffs are read-only.
     """
-    if n_max is not None:
-        n_max = _require_n_max(n_max)
-    z = params.require_label(z)
-    return _cached_state(
-        params, z.real, z.imag, math.copysign(1.0, z.real),
-        math.copysign(1.0, z.imag), n_max,
-    )
-
-
-@lru_cache(maxsize=_STATE_CACHE_SIZE)
-def _cached_state(params: FamilyParams, re: float, im: float, re_sign: float,
-                  im_sign: float, n_max: int | None) -> FockVector:
-    # re_sign and im_sign only split the keys of -0.0 and 0.0; the parts
-    # themselves carry their signs into z
-    z = complex(re, im)
-    coeffs, sizes, tails = _build_rows(params, [z], n_max)
-    if n_max is not None:
-        _require_tail(params, [z], tails)
-    return FockVector(coeffs=coeffs[0], n_max=sizes[0], tail_bound=tails[0])
+    rows = state_matrix(params, [z], n_max)
+    return FockVector(rows.coeffs[0], int(rows.n_max[0]), float(rows.tail_bound[0]))
 
 
 def state_matrix(params: FamilyParams, labels, n_max: int | None = None) -> StateMatrix:
     """The states of many labels, each built once: row i equals
     `state(params, labels[i], n_max)` bit for bit, with the same n_max and
-    tail_bound.  Nothing is cached.
+    tail_bound.
 
     With n_max omitted each label's truncation is picked before any
     coefficient or phase is formed: the moduli |z|^n / h_n are extended
@@ -326,7 +292,9 @@ def state_matrix(params: FamilyParams, labels, n_max: int | None = None) -> Stat
     the family, m, nu and |z|.  An explicit n_max applies to every row, with
     `state`'s tail check.
     """
-    n_max = _require_n_max(n_max)
+    if n_max is not None and not (isinstance(n_max, numbers.Integral) and n_max >= 0):
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    n_max = None if n_max is None else int(n_max)
     zs = [params.require_label(z) for z in labels]
     coeffs, sizes, tails = _build_rows(params, zs, n_max)
     if n_max is not None:
@@ -513,8 +481,8 @@ def _series_terms(params: FamilyParams, z: complex, n_max: int) -> np.ndarray:
 def _pair_overlap(c1: np.ndarray, n1, c2: np.ndarray, n2,
                   weights: np.ndarray | None = None):
     """sum_n conj(c1_n) c2_n w_n over the pair's common truncation
-    n <= min(n1, n2); w_n = 1 when `weights` is None.  Every reader of two
-    truncated states sums them here.
+    n <= min(n1, n2); w_n = 1 when `weights` is None: the pairwise and
+    weighted sums (every row against every row is `_block_overlaps`).
 
     One pair (1-D c1, c2 and int n1, n2) is one `np.vdot`, and the result
     stays a numpy scalar.  Two stacks of rows (2-D c1, c2 and per-row
@@ -540,10 +508,42 @@ def _pair_overlap(c1: np.ndarray, n1, c2: np.ndarray, n2,
     return out
 
 
-def overlap(params: FamilyParams, z1: complex, z2: complex,
-            n_max: int | None = None) -> complex:
-    """<z1 | z2> by the coefficient series."""
-    v1 = state(params, z1, n_max)
-    v2 = state(params, z2, n_max)
-    return complex(_pair_overlap(v1.coeffs, v1.n_max, v2.coeffs, v2.n_max))
+def _block_overlaps(rows1: list, rows2: list) -> np.ndarray:
+    """The matrix vdot(a[:n], b[:n]) of every row a of rows1 with every row
+    b of rows2 (1-D coefficient arrays, each n_max + 1 long) over the pair's
+    common truncation n = min(len(a), len(b)).  Each side's rows are
+    stacked by truncation, and each pair of stacks is one `np.vecdot` over
+    views, which equals the pair's `np.vdot` bit for bit."""
+    sides = []
+    for rows in (rows1, rows2):
+        at = {}
+        for i, c in enumerate(rows):
+            at.setdefault(len(c), []).append(i)
+        sides.append([(idx, np.stack([rows[i] for i in idx])) for idx in at.values()])
+    out = np.empty((len(rows1), len(rows2)), dtype=complex)
+    for at1, a in sides[0]:
+        for at2, b in sides[1]:
+            n = min(a.shape[1], b.shape[1])
+            out[np.ix_(at1, at2)] = np.vecdot(a[:, None, :n], b[None, :, :n])
+    return out
 
+
+def overlap(params: FamilyParams, z1, z2, n_max: int | None = None):
+    """<z1 | z2> by the coefficient series, over the pair's common
+    truncation: two labels give one complex, label arrays or lists the
+    matrix <z1[i] | z2[j]> of shape shape(z1) + shape(z2), summed by
+    `_block_overlaps`.  Each distinct label is built once by `state`, in
+    order of first appearance (z1 first); -0.0 and 0.0, which compare equal
+    but give atan2 phases of -pi and pi, are different labels."""
+    z1s, z2s = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    built = {}  # label bits -> its coefficients
+
+    def coeffs(z: complex) -> np.ndarray:
+        key = (z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+        if key not in built:
+            built[key] = state(params, z, n_max).coeffs
+        return built[key]
+
+    rows = [[coeffs(z) for z in zs.ravel().tolist()] for zs in (z1s, z2s)]
+    out = _block_overlaps(*rows).reshape(z1s.shape + z2s.shape)
+    return complex(out) if out.ndim == 0 else out

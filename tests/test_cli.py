@@ -824,19 +824,19 @@ class TestWorkCounts:
 
         monkeypatch.setattr(ghcs.states, "_build_rows", counted)
         ghcs.measure._cached_rule.cache_clear()
-        for cmd, batches in (("verify", [9, 9]), ("kernel", [25, 25]), ("quantize", [])):
+        for cmd, batches, grams in (("verify", [9, 9], 6), ("kernel", [25, 25], 6),
+                                    ("quantize", [], 0)):
             built.clear()
-            ghcs.states._cached_state.cache_clear()
             argv = [cmd, "--family", family, "--m", "2", "--nu", "0.61", *nodes]
             assert run([*argv, "--out", str(tmp_path / f"{cmd}.json")]) == 0
             # the kernel checks build their mesh pairs' two sides in two
-            # calls, every other label is one state-cache miss, no build
-            # holds a label twice, and no cache miss rebuilds a label
-            # already built (at a second truncation or in a batch); the
-            # mesh's two sides share a few labels, each built once per side
+            # calls and each Gram label once on its own, no build holds a
+            # label twice, and no label built on its own is built again (at
+            # a second truncation or in a batch); the mesh's two sides
+            # share a few labels, each built once per side
             assert [len(b) for b in built if len(b) > 1] == batches
             singles = [b[0] for b in built if len(b) == 1]
-            assert len(singles) == ghcs.states._cached_state.cache_info().misses
+            assert len(singles) == grams
             assert all(len(set(b)) == len(b) for b in built)
             batched = {key for b in built if len(b) > 1 for key in b}
             assert len(set(singles)) == len(singles) and batched.isdisjoint(singles)
@@ -868,7 +868,6 @@ class TestWorkCounts:
         monkeypatch.setattr(ghcs.states, "_build_rows", counted)
         for cmd, labels in (("verify", 24), ("kernel", 56)):
             built.clear()
-            ghcs.states._cached_state.cache_clear()
             assert run([cmd, "--family", family, "--out", str(tmp_path / "out.json")]) == 0
             assert sum(built) == labels
 

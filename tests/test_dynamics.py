@@ -19,7 +19,7 @@ from ghcs.dynamics import (
     rotation_property,
 )
 from ghcs.states import (
-    Family, FamilyParams, _cached_state, normalization, overlap, state,
+    Family, FamilyParams, normalization, overlap, state,
 )
 
 from conftest import rel_err
@@ -169,13 +169,11 @@ class TestDensityStatic:
 
 
 class TestDensityEvolved:
-    def test_raw_density_bypasses_the_state_cache(self, bessel_params):
-        # a 40-label grid read through the 32-entry cache would evict z0;
-        # the states built for it are the cached ones, to the bit
+    def test_raw_density_of_a_large_grid_is_the_per_label_vdot(self, bessel_params):
+        # the grid's states, built in one batch, are the single-label ones
+        # to the bit
         z = 3.0 * np.exp(1j * np.linspace(0.0, 6.0, 40))
-        _cached_state.cache_clear()
         _, rho_raw = density_evolved(bessel_params, 0.5 - 1j, z, 0.7)
-        assert _cached_state.cache_info().currsize == 1
         v0 = evolve(bessel_params, state(bessel_params, 0.5 - 1j), 0.7)
         for w, raw in zip(z, rho_raw):
             v = state(bessel_params, w)
@@ -226,9 +224,8 @@ class TestDensityEvolved:
         monkeypatch.setattr(states, "_build_rows",
                             lambda p, zs, n: built.append(list(zs)) or build(p, zs, n))
         z = np.array([0.3j, -1.5 + 0.2j, 4.0])
-        _cached_state.cache_clear()
         density_evolved(bessel_params, 0.5, z, np.linspace(0.0, 1.0, 4))
-        # z0 once, through the state cache, and the grid in one batch
+        # z0 once, through `state`, and the grid in one batch
         assert built == [[0.5], z.tolist()]
 
     def test_t0_equals_static(self, bessel_params):

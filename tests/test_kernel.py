@@ -177,7 +177,52 @@ class TestIdempotenceBatches:
         assert differ == [family is Family.JACOBI] * 2 + [True] * (len(z1) - 2)
 
 
+def _gram_reference(params, labels):
+    """The per-pair definition: K(labels[i], labels[j]) for j >= i, each a
+    pair's own np.vdot, with its conjugate at (j, i)."""
+    k = len(labels)
+    g = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(i, k):
+            v1, v2 = state(params, labels[i]), state(params, labels[j])
+            n = min(v1.n_max, v2.n_max) + 1
+            v = complex(np.vdot(v1.coeffs[:n], v2.coeffs[:n]))
+            g[i, j] = v
+            g[j, i] = v.conjugate()
+    return g
+
+
+# labels on several truncations, the vacuum and a signed-zero pair
+_GRAM_LABELS = {
+    Family.BESSEL: [0.0, 0.3 - 0.2j, complex(-1.2, 0.0), complex(-1.2, -0.0),
+                    30.0 * np.exp(1.0j), 100.0 * np.exp(2.0j), 200.0j],
+    Family.JACOBI: [0.0, complex(-0.5, 0.0), complex(-0.5, -0.0), 0.3j,
+                    0.9 * np.exp(1.0j), 0.95 * np.exp(-2.0j), 0.99 * np.exp(3.0j)],
+}
+
+
 class TestGram:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_bit_identical_to_the_per_pair_loop(self, family):
+        params = FamilyParams(1, 0.5, family)
+        labels = _GRAM_LABELS[family]
+        for case in (labels, labels[::-1], labels[4:5], []):
+            got = gram_matrix(params, case)
+            ref = _gram_reference(params, case)
+            assert got.shape == ref.shape == (len(case), len(case))
+            assert got.dtype == complex and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_kernel_on_lists_is_the_pair_matrix(self, family):
+        params = FamilyParams(1, 0.5, family)
+        labels = _GRAM_LABELS[family]
+        z1, z2 = np.reshape(labels[:6], (2, 3)), labels[3:]
+        got = kernel(params, z1, z2)
+        assert got.shape == (2, 3, len(z2))
+        ref = np.array([[kernel(params, a, b) for b in z2] for a in z1.ravel().tolist()])
+        assert got.reshape(6, len(z2)).tobytes() == ref.tobytes()
+        assert type(kernel(params, labels[1], labels[2])) is complex
+
     def test_min_eigenvalue(self, rng):
         for params, scale in (
             (FamilyParams(1, 0.5, Family.BESSEL), 1.2),

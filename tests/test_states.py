@@ -16,7 +16,6 @@ from ghcs.states import (
     FamilyParams,
     FockVector,
     _build_rows,
-    _cached_state,
     _pair_overlap,
     _log_h_array,
     _log_h_store,
@@ -231,6 +230,67 @@ class TestOverlap:
                 assert abs(overlap(params, z1, z2)) <= 1.0 + 1e-12
 
 
+# labels on several truncations (bessel 128, 256 and 512; jacobi 128 to
+# 2048), the vacuum, and a signed-zero pair on the negative real axis
+_OVERLAP_LABELS = {
+    "bessel": (FamilyParams(1, 0.5, Family.BESSEL), 600, [
+        0.0, 0.3 - 0.2j, complex(-1.2, 0.0), complex(-1.2, -0.0),
+        30.0 * np.exp(1.0j), 100.0 * np.exp(2.0j), 200.0j,
+    ]),
+    "jacobi": (FamilyParams(1, 0.5, Family.JACOBI), 4096, [
+        0.0, complex(-0.5, 0.0), complex(-0.5, -0.0), 0.3j,
+        0.9 * np.exp(1.0j), 0.95 * np.exp(-2.0j), 0.99 * np.exp(3.0j),
+    ]),
+}
+
+
+def _vdot_overlap(params, z1, z2, n_max=None):
+    """Reference: one pair's np.vdot over its common truncation."""
+    v1, v2 = state(params, z1, n_max), state(params, z2, n_max)
+    n = min(v1.n_max, v2.n_max) + 1
+    return complex(np.vdot(v1.coeffs[:n], v2.coeffs[:n]))
+
+
+class TestOverlapMatrix:
+    """`overlap` on label lists against one call per pair."""
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["auto", "explicit-n_max"])
+    @pytest.mark.parametrize("family", ["bessel", "jacobi"])
+    def test_bit_identical_to_the_scalar_calls(self, family, explicit):
+        params, n_max, labels = _OVERLAP_LABELS[family]
+        n_max = n_max if explicit else None
+        if not explicit:
+            assert len({state(params, z).n_max for z in labels}) >= 3
+        others = labels[::-1] + labels[:2]
+        got = overlap(params, labels, others, n_max)
+        scalar = np.array([[overlap(params, a, b, n_max) for b in others] for a in labels])
+        ref = np.array([[_vdot_overlap(params, a, b, n_max) for b in others] for a in labels])
+        assert got.shape == (len(labels), len(others)) and got.dtype == complex
+        assert got.tobytes() == scalar.tobytes() == ref.tobytes()
+        # the signed-zero labels are built apart: their rows differ
+        assert got[2].tobytes() != got[3].tobytes()
+        assert type(overlap(params, labels[1], labels[3], n_max)) is complex
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4,)), ((), (5,)), ((5,), ()), ((0,), (3,)),
+                                        ((2, 0), (0, 2)), ((1, 1), (2, 1, 2))])
+    def test_shape_is_both_label_shapes(self, jacobi_params, shapes):
+        rng = np.random.default_rng(3)
+        z1, z2 = (0.8 * (rng.uniform(-0.7, 0.7, s) + 1j * rng.uniform(-0.7, 0.7, s))
+                  for s in shapes)
+        got = overlap(jacobi_params, z1, z2)
+        assert np.shape(got) == shapes[0] + shapes[1]
+        ref = [[overlap(jacobi_params, a, b) for b in np.ravel(z2).tolist()]
+               for a in np.ravel(z1).tolist()]
+        assert np.array_equal(np.reshape(got, (np.size(z1), np.size(z2))),
+                              np.reshape(ref, (np.size(z1), np.size(z2))))
+
+    def test_errors_name_the_first_bad_label(self, jacobi_params):
+        with pytest.raises(ValueError, match="1.2"):
+            overlap(jacobi_params, [0.1, 1.2, 1.5], [0.2])
+        with pytest.raises(ValueError, match="larger n_max"):
+            overlap(jacobi_params, [0.1], [0.2, 0.9], n_max=20)
+
+
 class TestStackedPairOverlap:
     """`_pair_overlap` on two stacks of rows against one `np.vdot` per pair."""
 
@@ -357,7 +417,6 @@ class TestLogHCache:
         log_h_entries = families.JACOBI.log_h_entries
         monkeypatch.setattr(families.JACOBI, "log_h_entries", lambda p, a, b, carry: (
             entries.append((a, b)) or log_h_entries(p, a, b, carry)))
-        _cached_state.cache_clear()
         _log_h_store.cache_clear()
         gram_matrix(params, labels)
         # one coefficient build per label, with no rebuild at a larger size
@@ -369,8 +428,9 @@ class TestLogHCache:
         assert sum(b - a + 1 for a, b in entries) == top
 
 
-def _uncached_state(params, z, n_max=None):
-    """Reference: `state` as it was before the cache, building every time."""
+def _reference_state(params, z, n_max=None):
+    """Reference: the state built at n_max, or at 128, 256, ... until the
+    tail is below 1e-12, one single-label `_build_rows` call per size."""
     z = complex(z)
 
     def build(n):
@@ -391,16 +451,15 @@ _BESSEL = FamilyParams(1, 0.5, Family.BESSEL)
 _JACOBI = FamilyParams(1, 0.5, Family.JACOBI)
 
 
-class TestStateCache:
+class TestStateBuilds:
     @pytest.mark.parametrize("params", [_BESSEL, _JACOBI], ids=["bessel", "jacobi"])
     @pytest.mark.parametrize("z", [
         complex(-0.7, 0.0), complex(-0.7, -0.0), complex(0.0, -0.7),
         complex(-0.0, -0.7), 0.0, 0.9 * np.exp(2.0j), 0.99 * np.exp(-1.0j),
     ])
-    def test_bit_identical_to_uncached_build(self, params, z):
-        _cached_state.cache_clear()
-        ref = _uncached_state(params, z)
-        for _ in range(2):  # the miss, then the hit
+    def test_bit_identical_to_the_reference_build(self, params, z):
+        ref = _reference_state(params, z)
+        for _ in range(2):  # every call builds again, to the same bits
             got = state(params, z)
             assert got.n_max == ref.n_max
             assert got.tail_bound == ref.tail_bound
@@ -411,30 +470,34 @@ class TestStateCache:
         (complex(-0.7, 0.0), complex(-0.7, -0.0)),
         (complex(0.0, -0.7), complex(-0.0, -0.7)),
     ], ids=["real-axis", "imaginary-axis"])
-    def test_signed_zeros_are_separate_keys(self, params, pair):
+    def test_signed_zeros_are_separate_labels(self, params, pair, monkeypatch):
         # the labels compare equal, but atan2 gives them different phases;
-        # each must get its own build whichever is asked for first
+        # an overlap builds each, whichever comes first
+        built = []
+        monkeypatch.setattr(states, "_build_rows", lambda p, zs, n: (
+            built.append(len(zs)) or _build_rows(p, zs, n)))
         for order in (pair, pair[::-1]):
-            _cached_state.cache_clear()
+            built.clear()
+            got = overlap(params, list(order), list(order))
+            assert built == [1, 1]
             for z in order:
                 assert np.array_equal(state(params, z).coeffs,
-                                      _uncached_state(params, z).coeffs)
-            assert _cached_state.cache_info().misses == 2
+                                      _reference_state(params, z).coeffs)
+            assert got.tolist() == [[overlap(params, a, b) for b in order] for a in order]
 
     def test_signed_zero_states_differ(self):
-        # the case the bit-exact key exists for
+        # the case the bit-exact label key exists for
         a = state(_BESSEL, complex(-0.7, 0.0)).coeffs
         b = state(_BESSEL, complex(-0.7, -0.0)).coeffs
         assert not np.array_equal(a, b)
 
-    def test_explicit_n_max_is_its_own_key(self):
-        _cached_state.cache_clear()
+    def test_explicit_n_max(self):
         z = 0.8 + 0.1j
         for n_max in (60, 200):
             got = state(_JACOBI, z, n_max=n_max)
             assert got.n_max == n_max
-            assert np.array_equal(got.coeffs, _uncached_state(_JACOBI, z, n_max).coeffs)
-        assert state(_JACOBI, z).n_max == _uncached_state(_JACOBI, z).n_max
+            assert np.array_equal(got.coeffs, _reference_state(_JACOBI, z, n_max).coeffs)
+        assert state(_JACOBI, z).n_max == _reference_state(_JACOBI, z).n_max
 
     def test_coeffs_are_read_only(self):
         for z in (0.0, 0.3 + 0.2j):
@@ -442,27 +505,22 @@ class TestStateCache:
             with pytest.raises(ValueError):
                 v.coeffs[0] = 2.0
 
-    def test_errors_are_not_cached(self):
+    def test_errors_raise_on_every_call(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="larger n_max"):
                 state(_BESSEL, 3.0, n_max=4)
             with pytest.raises(ValueError):
                 state(_JACOBI, 1.2)
 
-    def test_cache_is_bounded(self):
-        _cached_state.cache_clear()
-        for k in range(100):
-            state(_BESSEL, 0.01 * k + 0.5j)
-        assert _cached_state.cache_info().currsize <= 32
-
-    def test_gram_matrix_builds_each_label_once(self):
+    def test_gram_matrix_builds_each_label_once(self, monkeypatch):
         labels = [0.9 * r * np.exp(1j * t)
                   for r, t in zip(np.linspace(0.1, 1.0, 16), np.linspace(0, 6, 16))]
-        _cached_state.cache_clear()
+        built = []
+        monkeypatch.setattr(states, "_build_rows", lambda p, zs, n: (
+            built.append(list(zs)) or _build_rows(p, zs, n)))
         gram_matrix(_JACOBI, labels)
-        info = _cached_state.cache_info()
-        assert info.misses == 16
-        assert info.hits == 2 * 16 * 17 // 2 - 16
+        # 16 single-label builds, in label order, none of a label twice
+        assert built == [[complex(z)] for z in labels]
 
 
 class TestResolvedStateConsistency:
@@ -545,7 +603,6 @@ class TestStateMatrix:
         mat = state_matrix(params, labels)
         assert mat.coeffs.shape == (len(labels), int(mat.n_max.max()) + 1)
         assert not mat.coeffs.flags.writeable
-        _cached_state.cache_clear()
         for i, z in enumerate(labels):
             v = state(params, z)
             n = v.n_max
