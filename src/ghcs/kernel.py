@@ -1,7 +1,8 @@
 """Reproducing-kernel checks and the analytic representation.
 
 The kernel is the overlap K(z1, z2) = <z1 | z2> of the certified states
-that `states` builds, c_n(z) = s_n z^n / (h_n sqrt N(|z|^2)).  Its
+that `states` builds, c_n(z) = s_n z^n / (h_n sqrt N(|z|^2)); on label
+lists it is the matrix of every pair, and a Gram matrix is one call.  Its
 idempotence under the weighted label integral reduces, after the angular
 integral kills every off-diagonal mode, to the radial moments: with mu_n
 the rule's n-th moment and n* the pair's common truncation, the residual
@@ -110,6 +111,5 @@ def gram_matrix(params: FamilyParams, labels) -> np.ndarray:
     `kernel` call on the list: K(labels[i], labels[j]) for j >= i, and
     g[j, i] = conj(g[i, j]), the diagonal's conjugate included."""
     g = kernel(params, labels, labels)
-    lower = np.tril_indices(len(g))
-    g[lower] = g.T[lower].conj()
+    np.copyto(g, g.T.conj(), where=np.tri(len(g), dtype=bool))
     return g
