@@ -916,6 +916,23 @@ class TestArtifactHashes:
         assert capsys.readouterr().out.splitlines() == lines
 
 
+class TestOpHashes:
+    def test_one_line_per_op_and_exact_bits(self, capsys):
+        tool = _load_tool("op_hashes")
+        assert tool.main(["1", "--seconds", "0.01"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # one whole block of each workload: 32 label-batch and 64 moment-scan ops
+        keys = [tuple(line.split()[:3]) for line in lines]
+        assert keys == ([("label-batch", "1", str(i)) for i in range(32)]
+                        + [("moment-scan", "1", str(i)) for i in range(64)])
+        assert tool.main(["1", "--seconds", "0.01"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        # signed zeros and errors hash apart
+        ok, err = tool.ops.Outcome(value=(0.0, [-0.0])), tool.ops.Outcome(error="E: x")
+        assert tool.op_hash(ok) != tool.op_hash(tool.ops.Outcome(value=(0.0, [0.0])))
+        assert tool.op_hash(err) != tool.op_hash(tool.ops.Outcome(error="E: y"))
+
+
 class TestArtifactDiff:
     def test_counts_numbers_and_lists_other_changes(self, tmp_path, capsys):
         tool = _load_tool("artifact_diff")
