@@ -175,9 +175,36 @@ def _write_csv(path: str, cfg: RunConfig, header: str, rows) -> None:
 
 def _write_json(path: str, cfg: RunConfig, payload: dict) -> None:
     """The configuration echo and the payload as one line of strict JSON,
-    keys sorted.  With no indent, `json.dumps` runs its C encoder."""
+    keys sorted.  With no indent, `json.dumps` runs its C encoder.  A
+    float that is not finite writes nothing and raises OverflowError
+    naming the first such key, so `main` reports a value that left the
+    float range (exit 3), not a rejected configuration."""
     doc = {"config": cfg.as_echo(), "results": payload}
-    _emit(path, json.dumps(doc, sort_keys=True, default=float, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, default=float, allow_nan=False)
+    except ValueError:
+        found = _non_finite(doc, "")
+        if found is None:
+            raise
+        raise OverflowError("%s = %r is not a finite float" % found) from None
+    _emit(path, text + "\n")
+
+
+def _non_finite(node, path: str):
+    # (key path, value) of the first float under node that is not finite,
+    # in the order `_write_json` writes them, or None
+    if isinstance(node, dict):
+        items = [(f"{path}.{key}" if path else key, node[key]) for key in sorted(node)]
+    elif isinstance(node, (list, tuple)):
+        items = [(f"{path}[{i}]", value) for i, value in enumerate(node)]
+    else:
+        finite = not isinstance(node, (float, np.floating)) or math.isfinite(node)
+        return None if finite else (path, float(node))
+    for key, value in items:
+        found = _non_finite(value, key)
+        if found is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,12 @@ _EULER_A_MAX = 6.0
 # largest b, and the distance from an integer b >= 3, where it is taken
 _X_FORM_B_MAX = 12.0
 _X_FORM_GAP = 1e-3
+# scipy's `ive` is D. E. Amos, "Algorithm 644", ACM TOMS 12 (1986).  Its
+# large-argument expansion needs t >= RL = 1.2 * 52 log10(2) + 3 (ZBESI's
+# digit count: 53 mantissa bits less one), and it returns NaN for
+# t > (2^31 - 1) / 2, its bound on |z| from the largest int
+_AMOS_RL = 1.2 * (math.log10(2.0) * 52.0) + 3.0
+_IVE_T_MAX = 0.5 * (2.0**31 - 1.0)
 
 
 class Bessel:
@@ -150,7 +156,7 @@ class Bessel:
         wp = np.empty_like(t)
         wp[ok] = 2.0 * i[ok] * sp.kve(nu, t[ok])
         if not ok.all():
-            wp[~ok] = self._weights_by_ratios(nu, x[~ok], t[~ok])
+            wp[~ok] = self._weights_by_ratios(params, x[~ok], t[~ok])
         w[pos] = wp
         return w
 
@@ -158,16 +164,71 @@ class Bessel:
         return True  # at every x
 
     def derivative_ratios(self, params, x, first=True, second=True):
-        """With rho_c = 0F1(; c+1; x) / 0F1(; c; x), D1 = rho_b / b and
-        D2 = rho_b rho_{b+1} / (b (b+1)), both from one sweep of the
-        certified ratio recurrence `specfun._hyp_0f1_ratios`, about
-        9 x^{1/4} levels deep and at most 1600 levels (ConvergenceError
-        naming x from about x = 1.2e9 at small b); within 1.6e-15 of
-        mpmath for b in [0.02, 200], x in [0, 1e8], and 2.9e-15 to the
-        1600-level edge."""
+        """(D1, D2) = (N'/N, N''/N) for x >= 0 a float (floats out; None
+        for one not asked for where that saves work) or a float array (two
+        arrays of its shape out).
+
+        By DLMF 10.39.9, D1 = I_b(t) / (sqrt x I_{b-1}(t)) and
+        D2 = I_{b+1}(t) / (x I_{b-1}(t)) with t = 2 sqrt x.  Where
+        `_ive_regime` holds, x >= max(118.64, (b+1)^4 / 16), scipy's `ive`
+        takes Amos's large-argument expansion for all three orders, and the
+        quotients of its values hold to 8.8e-16 (D1) and 5.3e-16 (D2) of
+        mpmath at 40 digits over 300 draws with b in [0.02, 1000] and x up
+        to 2.8e17.  A float there calls `cython_special.ive` for I_{b-1} and
+        the I_b or I_{b+1} asked for; an array calls the `ive` ufunc, which
+        gave the same bits in every one of those draws, so an array element
+        is the float call's value.  Past `_IVE_T_MAX` (2 sqrt x >
+        (2^31 - 1) / 2, x > 2.8823e17) `ive` returns NaN, and
+        ConvergenceError names x and that edge.
+
+        Below the regime (x < 118.64, and x < (b+1)^4 / 16 at large b) both
+        come from one call of the certified ratio recurrence
+        `specfun._hyp_0f1_ratios` for all such x, with
+        rho_c = 0F1(; c+1; x) / 0F1(; c; x), D1 = rho_b / b and
+        D2 = rho_b rho_{b+1} / (b (b+1)): about 9 x^{1/4} levels deep,
+        within 1.6e-15 of mpmath for b in [0.02, 200], x in [0, 1e8].  Its
+        1600-level budget refuses x from about 1.2e9 on at b = 3 and from
+        about 2.5e9 on at b = 400.  The regime starts before that for b up
+        to about 430; for larger b the x between are refused, naming x and
+        the budget (from about 2.6e9 to the regime's start 3.9e9 at
+        b = 500).  An array element past ive's edge raises after the sweep
+        of the elements before it, so, as element by element, the first
+        failing element is the one named.
+        """
         b = params.b
-        r0, r1 = specfun._hyp_0f1_ratios(b, x)
-        return r0 / b, r0 * r1 / (b * (b + 1.0))
+        if isinstance(x, float) or np.ndim(x) == 0:
+            x = float(x)
+            t = 2.0 * math.sqrt(x)
+            if not _ive_regime(b, t):
+                r0, r1 = specfun._hyp_0f1_ratios(b, x)
+                return r0 / b, r0 * r1 / (b * (b + 1.0))
+            if t > _IVE_T_MAX:
+                raise _past_ive_edge(b, x)
+            ive = _cython_special().ive
+            i0 = ive(b - 1.0, t)
+            return (ive(b, t) / (math.sqrt(x) * i0) if first else None,
+                    ive(b + 1.0, t) / (x * i0) if second else None)
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel()
+        t = 2.0 * np.sqrt(flat)
+        amos = _ive_regime(b, t)
+        sweep = ~amos
+        past = np.flatnonzero(amos & (t > _IVE_T_MAX))
+        if past.size:
+            sweep[past[0]:] = False  # no element after the first refused one
+        d1, d2 = np.empty(flat.shape), np.empty(flat.shape)
+        if sweep.any():
+            r0, r1 = specfun._hyp_0f1_ratios(b, flat[sweep])
+            d1[sweep], d2[sweep] = r0 / b, r0 * r1 / (b * (b + 1.0))
+        if past.size:
+            raise _past_ive_edge(b, flat[past[0]].item())
+        if amos.any():
+            ive = _special().ive
+            ta, xa = t[amos], flat[amos]
+            i0 = ive(b - 1.0, ta)
+            d1[amos] = ive(b, ta) / (np.sqrt(xa) * i0)
+            d2[amos] = ive(b + 1.0, ta) / (xa * i0)
+        return d1.reshape(xs.shape), d2.reshape(xs.shape)
 
     def ladder(self, params, vals: np.ndarray, n: np.ndarray, offset: int, literature: bool):
         # the published c = 1 coefficients carry no Pochhammer factor either
@@ -180,20 +241,20 @@ class Bessel:
     def fit_radius(self, r: np.ndarray, x: np.ndarray, a0: float) -> np.ndarray:
         return r  # the support is unbounded
 
-    def _weights_by_ratios(self, nu: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def _weights_by_ratios(self, params, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         # 2 I_nu K_nu from the Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/t
         # (DLMF 10.28.2) as 2 / (t (s + r)), with the ratios s = K_{nu+1} / K_nu
         # and r = I_{nu+1} / I_nu, which stay in range where I_nu and K_nu do
         # not.  s is the forward recurrence s_mu = 2 mu / t + 1 / s_{mu-1}
         # (DLMF 10.29.1; all terms positive) from mu0 - 1 = nu - floor(nu) - 1,
-        # where s = K_{mu0} / K_{1-mu0}; r = sqrt(x) / (nu+1) rho_{nu+1}(x), with
-        # rho_c = 0F1(; c+1; x) / 0F1(; c; x) from the certified ratio recurrence.
+        # where s = K_{mu0} / K_{1-mu0}; r = sqrt(x) D1 (`derivative_ratios`).
         kve = _special().kve
+        nu = params.b - 1.0
         mu0 = nu - math.floor(nu)
         s = kve(mu0, t) / kve(1.0 - mu0, t)
         for k in range(math.floor(nu) + 1):
             s = 2.0 * (mu0 + k) / t + 1.0 / s
-        r = np.sqrt(x) / (nu + 1.0) * specfun._hyp_0f1_ratios(nu + 1.0, x)[0]
+        r = np.sqrt(x) * self.derivative_ratios(params, x)[0]
         return 2.0 / (t * (s + r))
 
 
@@ -387,6 +448,19 @@ class Jacobi:
 BESSEL, JACOBI = Bessel(), Jacobi()
 
 
+def _ive_regime(b: float, t):
+    """Where scipy's `ive` takes Amos's large-argument expansion (DLMF
+    10.40.1) for every order up to b + 1 at t = 2 sqrt x: t >= `_AMOS_RL`
+    and 2 t >= (b+1)^2, the tests of Amos's ZBINU.  A float or array t."""
+    return (t >= _AMOS_RL) & (t + t >= (b + 1.0) * (b + 1.0))
+
+
+def _past_ive_edge(b: float, x: float) -> specfun.ConvergenceError:
+    return specfun.ConvergenceError(
+        f"0F1({b!r}; x) ratios need scipy's ive past its edge "
+        f"2 sqrt x = {_IVE_T_MAX!r} at x = {x!r}")
+
+
 def _x_form_holds(b: float) -> bool:
     """Whether the jacobi density takes the x-form of DLMF 15.8.4 on x < 1/2
     (`Jacobi._density`): for every b < 1, and for b in (1, _X_FORM_B_MAX]
@@ -417,7 +491,8 @@ def _special():
 @cache
 def _cython_special():
     # scipy.special.cython_special, imported at the first float Gauss
-    # function (3 ms and 1 MB past scipy.special), cached as `_special`
+    # function or bessel ive (3 ms and 1 MB past scipy.special), cached as
+    # `_special`
     from scipy.special import cython_special
     return cython_special
 

@@ -300,8 +300,10 @@ def _ladder_report(params: FamilyParams, n_max: int,
         abs_ql, rel_ql = _band_diff(quad, lit)
         ratio = None
         if len(quad.values):  # lit has the same band and length
+            # the leading 6 only: further along the band the quotient can
+            # pass the float range (bessel n_max = 1000)
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = [float(r) for r in (lit.values / quad.values)[:6]]
+                ratio = [float(r) for r in lit.values[:6] / quad.values[:6]]
         lit_agrees = rel_ql <= 1e-7
         agree_all = agree_all and lit_agrees
         report["symbols"][quad.symbol_tag] = {

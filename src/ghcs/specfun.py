@@ -11,9 +11,12 @@ Bessel closed form in `dynamics`, or through the same series
 (`_hyp_0f1_series`) where that form underflows.  The ratios
 0F1(; c+1; x) / 0F1(; c; x) behind the bessel in-state moments and weight
 come from a bracketed backward recurrence (`_hyp_0f1_ratios`) that never
-forms 0F1 itself, within `_RATIO_MAX_LEVELS` levels.  This module needs
-only `math` and numpy: log-gamma, the modified Bessel functions and the
-Gauss functions are read from `math` and `scipy.special` in `families`.
+forms 0F1 itself, within `_RATIO_MAX_LEVELS` levels, below the
+large-argument regime of scipy's `ive` (x >= max(118.64, (b+1)^4 / 16)),
+inside which `families.Bessel.derivative_ratios` takes them from `ive`.
+This module needs only `math` and numpy: log-gamma, the modified Bessel
+functions and the Gauss functions are read from `math` and
+`scipy.special` in `families`.
 All functions are pure and safe to call concurrently.
 """
 

@@ -209,9 +209,11 @@ def number_moment(params: FamilyParams, x, s: int, *, falling: bool = False):
     Which x takes which path:
     - s = 1 and 2 (plain and `falling`) where the family's `closed` holds
       (bessel: every x; jacobi: x <= 0.998 with a = m + nu <= 6): from its
-      `derivative_ratios` D1 = N'/N and D2 = N''/N (bessel: the certified
-      0F1 ratio recurrence, at most `specfun._RATIO_MAX_LEVELS` deep;
-      jacobi: scipy's Gauss functions), as <N> = x D1 and
+      `derivative_ratios` D1 = N'/N and D2 = N''/N (bessel: quotients of
+      scipy's `ive` where x >= max(118.64, (b+1)^4 / 16), up to ive's edge
+      at x = 2.88e17, and the certified 0F1 ratio recurrence, at most
+      `specfun._RATIO_MAX_LEVELS` deep, below; jacobi: scipy's Gauss
+      functions), as <N> = x D1 and
       <N^2> = x D1 + x^2 D2, sums of positive terms (`_closed_moments`);
     - s = 0, every x: exactly 1.0 (one sum over itself), without summing;
     - every other jacobi x (x > 0.998 or a > 6): t_n summed through its
@@ -447,8 +449,9 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     factorial moment <N(N-1)>/x^2, each of order 1 however small x is,
     through `_number_stats`: nothing cancels.  Both are `number_moment`'s
     `falling` moments, bit for bit: where the family's `closed` holds, D1
-    and D2 from one `derivative_ratios` call for all such x (bessel: one
-    sweep at every x, never the series; jacobi: F_0 read once); every other
+    and D2 from one `derivative_ratios` call for all such x (bessel: never
+    the series; scipy's `ive` from x = max(118.64, (b+1)^4 / 16) on, one
+    ratio recurrence call for the x below; jacobi: F_0 read once); every other
     jacobi x (x > 0.998 or a > 6) summed as series, one `number_moment` call
     per moment, which sums them one x at a time.  The series' budget runs
     out from x = 0.99814, and from within 4e-5 of there it is decided

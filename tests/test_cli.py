@@ -344,16 +344,17 @@ class TestWeight:
 
 
     def test_ratio_recurrence_budget_exit_code(self, tmp_path, capsys):
-        # bessel expect at x = 2e9 needs the 0F1 ratio recurrence deeper
-        # than its 1600-level budget: the line names the recurrence, not a
-        # series
+        # bessel expect at b = 500, x = 3.7e9 lies below scipy ive's
+        # large-argument regime (from x = 501^4 / 16 = 3.9e9) and needs the
+        # 0F1 ratio recurrence deeper than its 1600-level budget: the line
+        # names the recurrence, not a series
         cfg_file = tmp_path / "e.cfg"
-        cfg_file.write_text("x_min=2e9\nx_max=2e9\nx_count=1\n")
+        cfg_file.write_text("m=0\nnu=250\nx_min=3.7e9\nx_max=3.7e9\nx_count=1\n")
         assert run(["expect", "--family", "bessel", "--config", str(cfg_file),
                     "--out", str(tmp_path / "e.csv")]) == 3
         assert capsys.readouterr().err == (
-            "budget ran out: 0F1(3.0; x) ratios did not converge within 1600 steps "
-            "at x = 2000000000.0\n"
+            "budget ran out: 0F1(500.0; x) ratios did not converge within 1600 steps "
+            "at x = 3700000000.0\n"
         )
 
 
@@ -444,6 +445,43 @@ class TestFloatRange:
         past = [r["order"] for r in cert["moments"] if r["target"] is None]
         assert past == list(range(98, 201))
         assert all(r["computed"] is None for r in cert["moments"] if r["order"] in past)
+
+
+    def test_a_non_finite_payload_value_is_a_float_range_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a NaN or inf from the library is not the configuration's fault:
+        # the JSON writer names the first one in the written order (absz2
+        # before zbar) and exits 3, writing nothing
+        ladder_report = ghcs.quantize._ladder_report
+
+        def poisoned(*args):
+            quads, report = ladder_report(*args)
+            report["symbols"]["zbar"]["max_abs_quadrature_vs_h_ratio"] = math.nan
+            report["symbols"]["absz2"]["max_rel_quadrature_vs_literature"] = -math.inf
+            return quads, report
+
+        monkeypatch.setattr(ghcs.quantize, "_ladder_report", poisoned)
+        out = tmp_path / "q.json"
+        assert run(["quantize", "--family", "bessel", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "float range exceeded: results.discrepancy.symbols.absz2."
+            "max_rel_quadrature_vs_literature = -inf is not a finite float\n")
+        assert not out.exists()
+
+    def test_bessel_quantize_to_n_max_1000_warns_nothing(self, tmp_path, capsys):
+        # the literature-over-quadrature quotient is formed for the 6
+        # leading entries it reports: further along the band it passes the
+        # float range, which warned (an error under -W error)
+        out = tmp_path / "q.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["quantize", "--family", "bessel", "--nmax", "1000",
+                        "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())["results"]["discrepancy"]
+        for entry in report["symbols"].values():
+            ratios = entry["literature_over_quadrature_leading"]
+            assert len(ratios) == 6 and all(math.isfinite(r) for r in ratios)
 
 
 class TestExpect:

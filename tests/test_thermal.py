@@ -930,10 +930,10 @@ class TestMomentArrays:
         assert str(exc.value) == "number_moment series did not converge"
 
     @pytest.mark.parametrize("x, s, falling, max_terms, kind, text", [
-        (1e155, 2, True, 20000, ConvergenceError, "0F1(3.0; x) ratios did not converge "
-         "within 1600 steps at x = 1e+155"),
-        (1e155, 2, True, 2, ConvergenceError, "0F1(3.0; x) ratios did not converge "
-         "within 2 steps at x = 1e+155"),
+        (1e155, 2, True, 20000, ConvergenceError, "0F1(3.0; x) ratios need scipy's ive "
+         "past its edge 2 sqrt x = 1073741823.5 at x = 1e+155"),
+        (1e155, 2, True, 2, ConvergenceError, "0F1(3.0; x) ratios need scipy's ive "
+         "past its edge 2 sqrt x = 1073741823.5 at x = 1e+155"),
         (0.5, 1, False, 20000, OverflowError, "number_moment: the <N^1> series at "
          "x = 0.5 overflows the float range"),
         (0.5, 1, True, 20000, OverflowError, "number_moment: the <N^(1)> / x^1 series at "
@@ -943,12 +943,12 @@ class TestMomentArrays:
     ])
     def test_errors_are_the_same_for_both_shapes(self, monkeypatch, bessel_params, x, s,
                                                  falling, max_terms, kind, text):
-        # bessel s = 2 takes the ratio recurrence, whose depth at x = 1e155
-        # is past either budget (each budget is at most max_terms, the
-        # recurrence's at most 1600 levels, and its message names the one
-        # it used); at jacobi a = 2e154 the series' (shift + n)^2
-        # passes the float range, in the chunks or, with `falling`, before
-        # them, and a one-term chunk still overflows
+        # bessel s = 2 at x = 1e155 lies in scipy ive's large-argument
+        # regime past its edge, which no budget moves (each budget is at
+        # most max_terms, the ratio recurrence's at most 1600 levels); at
+        # jacobi a = 2e154 the series' (shift + n)^2 passes the float range,
+        # in the chunks or, with `falling`, before them, and a one-term chunk
+        # still overflows
         params = bessel_params if x > 1.0 else FamilyParams(2 * 10**154, 0.5, Family.JACOBI)
         monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
         monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", min(max_terms, 1600))
@@ -999,6 +999,120 @@ class TestMomentArrays:
             number_moment(jacobi_params, np.array([0.5, 1.5, 2.0]), 1)
         with pytest.raises(ValueError, match="must be >= 0"):
             number_moment(jacobi_params, np.array([0.5, -1.0, 2.0]), 1)
+
+
+def _regime_start(b):
+    """The least float x at which scipy's ive regime of the bessel D1 and
+    D2 holds (`families._ive_regime`), from its x-form
+    max(118.64, (b+1)^4 / 16)."""
+    holds = lambda x: bool(families._ive_regime(b, 2.0 * math.sqrt(x)))
+    x = max((0.5 * families._AMOS_RL) ** 2, (b + 1.0) ** 4 / 16.0)
+    while holds(x):
+        x = math.nextafter(x, 0.0)
+    while not holds(x):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# the bessel b of the ive regime's tests: m = 0, nu = b / 2
+_IVE_BS = (0.02, 0.3, 1.0, 2.5, 3.0, 7.7, 40.0, 200.0, 600.0, 1000.0)
+# scipy's ive returns NaN past 2 sqrt x = (2^31 - 1) / 2, at this x
+_IVE_X_EDGE = 2.8823037588327632e17
+
+
+def _ive_params(b):
+    return FamilyParams(0, b / 2.0, Family.BESSEL)
+
+
+class TestIveRegime:
+    """Bessel D1 and D2 from scipy's ive where Amos's large-argument
+    expansion holds, x >= max(118.64, (b+1)^4 / 16), up to ive's edge."""
+
+    def test_against_mpmath(self):
+        # 6 x per b from the regime's start to 2.8e17, at 40 digits
+        for b in _IVE_BS:
+            params = _ive_params(b)
+            for x in np.geomspace(_regime_start(b), 2.8e17, 6).tolist():
+                with mp.workdps(40):
+                    t = 2 * mp.sqrt(mp.mpf(x))
+                    i0 = mp.besseli(mp.mpf(b) - 1, t)
+                    ref1 = mp.besseli(b, t) / (mp.sqrt(x) * i0)
+                    ref2 = mp.besseli(mp.mpf(b) + 1, t) / (x * i0)
+                d1, d2 = families.BESSEL.derivative_ratios(params, x)
+                assert rel_err(d1, ref1) <= 1e-15, (b, x)
+                assert rel_err(d2, ref2) <= 1e-15, (b, x)
+
+    def test_floats_are_array_elements_bit_for_bit(self):
+        # a mixed array straddles the regime's start (the sweep below, ive
+        # from it on; at b = 200 from x = 1.0e8) and ends at ive's edge
+        for b in (0.02, 3.0, 200.0):
+            params, x0 = _ive_params(b), _regime_start(b)
+            xs = np.array(sorted({0.0, 1e-300, 0.5, 100.0, math.nextafter(x0, 0.0), x0,
+                                  math.nextafter(x0, math.inf), 2.0 * x0, 1e4, 1e9,
+                                  1e15, _IVE_X_EDGE}))
+            d1, d2 = families.BESSEL.derivative_ratios(params, xs)
+            for k, x in enumerate(xs.tolist()):
+                assert families.BESSEL.derivative_ratios(params, x) == (d1[k], d2[k])
+                assert families.BESSEL.derivative_ratios(params, x, True, False)[0] == d1[k]
+                assert families.BESSEL.derivative_ratios(params, x, False, True)[1] == d2[k]
+            for convention in ("as_written", "conventional"):
+                got = thermal.in_state_stats(params, xs[1:], convention)
+                ref = [thermal.in_state_stats(params, x, convention) for x in xs[1:].tolist()]
+                assert np.array(got).T.tobytes() == np.array(ref).tobytes()
+            shaped = families.BESSEL.derivative_ratios(params, xs[:10].reshape(2, 5))
+            assert shaped[0].shape == (2, 5) and shaped[0].ravel().tolist() == d1[:10].tolist()
+
+    def test_the_regime_makes_no_sweep(self, monkeypatch, tmp_path, bessel_params):
+        # counted as in test_in_state_statistics_sum_each_moment_once: an x
+        # in the regime calls neither the series nor the ratio recurrence,
+        # and an array sweeps only its elements below the regime
+        calls, sweeps = [], []
+        series, ratios = thermal.number_moment, specfun._hyp_0f1_ratios
+        monkeypatch.setattr(thermal, "number_moment",
+                            lambda *a, **k: calls.append((a[2], np.size(a[1])))
+                            or series(*a, **k))
+        monkeypatch.setattr(specfun, "_hyp_0f1_ratios",
+                            lambda *a: sweeps.append(np.size(a[1])) or ratios(*a))
+        thermal.mandel_q_in_state(bessel_params, 1e4)
+        thermal.in_state_stats(bessel_params, np.array([200.0, 1e6, 1e12]))
+        assert (calls, sweeps) == ([], [])
+        thermal.in_state_stats(bessel_params, np.array([0.5, 1e4, 2.0, 1e6]))
+        assert (calls, sweeps) == ([], [2])
+        sweeps.clear()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x_min=1e3\nx_max=1e9\nx_count=5\n")
+        out = tmp_path / "expect.csv"
+        assert cli.main(["expect", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (calls, sweeps) == ([], [])
+
+    def test_past_the_edge_is_a_typed_error(self):
+        # at b = 3 every x past ive's edge is in its regime; at b = 500 an
+        # array names its first failing element, the recurrence's refusal
+        # at 3.7e9 or the edge, whichever comes first
+        params = _ive_params(3.0)
+        assert families.BESSEL.derivative_ratios(params, _IVE_X_EDGE)[0] > 0.0
+        past = math.nextafter(_IVE_X_EDGE, math.inf)
+        text = ("0F1(3.0; x) ratios need scipy's ive past its edge "
+                f"2 sqrt x = 1073741823.5 at x = {past!r}")
+        for x in (past, np.array([past]), np.array([0.5, 1e4, past, 1e300])):
+            with pytest.raises(ConvergenceError) as exc:
+                families.BESSEL.derivative_ratios(params, x)
+            assert str(exc.value) == text
+            for s in (1, 2):
+                with pytest.raises(ConvergenceError) as exc:
+                    number_moment(params, x, s)
+                assert str(exc.value) == text
+            with pytest.raises(ConvergenceError) as exc:
+                thermal.in_state_stats(params, x)
+            assert str(exc.value) == text
+        params = _ive_params(500.0)
+        for xs, named in (([1e3, 3.7e9, 3e17], "ratios did not converge within 1600 steps "
+                           "at x = 3700000000.0"),
+                          ([1e3, 3e17, 3.7e9], "ratios need scipy's ive past its edge "
+                           "2 sqrt x = 1073741823.5 at x = 3e+17")):
+            with pytest.raises(ConvergenceError) as exc:
+                families.BESSEL.derivative_ratios(params, np.array(xs))
+            assert str(exc.value) == f"0F1(500.0; x) {named}"
 
 
 def mp_closed_form_columns(params, x):
