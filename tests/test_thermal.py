@@ -1003,15 +1003,18 @@ class TestMomentArrays:
 
 def _regime_start(b):
     """The least float x at which scipy's ive regime of the bessel D1 and
-    D2 holds (`families._ive_regime`), from its x-form
+    D2 holds (`families._ive_regime`), within 4 ulps of its x-form
     max(118.64, (b+1)^4 / 16)."""
     holds = lambda x: bool(families._ive_regime(b, 2.0 * math.sqrt(x)))
     x = max((0.5 * families._AMOS_RL) ** 2, (b + 1.0) ** 4 / 16.0)
-    while holds(x):
+    for _ in range(4):
         x = math.nextafter(x, 0.0)
-    while not holds(x):
+    assert not holds(x), b
+    for _ in range(8):
         x = math.nextafter(x, math.inf)
-    return x
+        if holds(x):
+            return x
+    raise AssertionError(f"no regime within 4 ulps above the x-form at b = {b}")
 
 
 # the bessel b of the ive regime's tests: m = 0, nu = b / 2
@@ -1092,6 +1095,9 @@ class TestIveRegime:
         params = _ive_params(3.0)
         assert families.BESSEL.derivative_ratios(params, _IVE_X_EDGE)[0] > 0.0
         past = math.nextafter(_IVE_X_EDGE, math.inf)
+        ive = families._special().ive
+        assert not math.isnan(ive(4.0, 2.0 * math.sqrt(_IVE_X_EDGE)))
+        assert math.isnan(ive(4.0, 2.0 * math.sqrt(past)))
         text = ("0F1(3.0; x) ratios need scipy's ive past its edge "
                 f"2 sqrt x = 1073741823.5 at x = {past!r}")
         for x in (past, np.array([past]), np.array([0.5, 1e4, past, 1e300])):
