@@ -174,61 +174,43 @@ class Bessel:
         takes Amos's large-argument expansion for all three orders, and the
         quotients of its values hold to 8.8e-16 (D1) and 5.3e-16 (D2) of
         mpmath at 40 digits over 300 draws with b in [0.02, 1000] and x up
-        to 2.8e17.  A float there calls `cython_special.ive` for I_{b-1} and
-        the I_b or I_{b+1} asked for; an array calls the `ive` ufunc, which
-        gave the same bits in every one of those draws, so an array element
-        is the float call's value.  Past `_IVE_T_MAX` (2 sqrt x >
+        to 2.8e17.  There `cython_special.ive` is called for I_{b-1} and
+        the I_b or I_{b+1} asked for.  Past `_IVE_T_MAX` (2 sqrt x >
         (2^31 - 1) / 2, x > 2.8823e17) `ive` returns NaN, and
         ConvergenceError names x and that edge.
 
         Below the regime (x < 118.64, and x < (b+1)^4 / 16 at large b) both
-        come from one call of the certified ratio recurrence
-        `specfun._hyp_0f1_ratios` for all such x, with
-        rho_c = 0F1(; c+1; x) / 0F1(; c; x), D1 = rho_b / b and
+        come from the certified ratio recurrence `specfun._hyp_0f1_ratios`,
+        with rho_c = 0F1(; c+1; x) / 0F1(; c; x), D1 = rho_b / b and
         D2 = rho_b rho_{b+1} / (b (b+1)): about 9 x^{1/4} levels deep,
         within 1.6e-15 of mpmath for b in [0.02, 200], x in [0, 1e8].  Its
         1600-level budget refuses x from about 1.2e9 on at b = 3 and from
-        about 2.5e9 on at b = 400.  The regime starts before that for b up
-        to about 430; for larger b the x between are refused, naming x and
-        the budget (from about 2.6e9 to the regime's start 3.9e9 at
-        b = 500).  An array element past ive's edge raises after the sweep
-        of the elements before it, so, as element by element, the first
-        failing element is the one named.
+        about 2.5e9 on at b = 400, naming x and the budget.  The regime
+        starts before that for b up to about 430.  For larger b a gap is
+        left below the regime's start (3.9e9 at b = 500), and refusal near
+        the cap is not monotone in x: the brackets meet there by chance,
+        so at b = 500 refused and taken x are mixed from 2.6e9 to 3.35e9.
+
+        An array maps the float call over its elements in C order, so each
+        element is the float call's value and the first failing element
+        raises.
         """
-        b = params.b
-        if isinstance(x, float) or np.ndim(x) == 0:
-            x = float(x)
-            t = 2.0 * math.sqrt(x)
-            if not _ive_regime(b, t):
-                r0, r1 = specfun._hyp_0f1_ratios(b, x)
-                return r0 / b, r0 * r1 / (b * (b + 1.0))
-            if t > _IVE_T_MAX:
-                raise _past_ive_edge(b, x)
-            ive = _cython_special().ive
-            i0 = ive(b - 1.0, t)
-            return (ive(b, t) / (math.sqrt(x) * i0) if first else None,
-                    ive(b + 1.0, t) / (x * i0) if second else None)
-        xs = np.asarray(x, dtype=float)
-        flat = xs.ravel()
-        t = 2.0 * np.sqrt(flat)
-        amos = _ive_regime(b, t)
-        sweep = ~amos
-        past = np.flatnonzero(amos & (t > _IVE_T_MAX))
-        if past.size:
-            sweep[past[0]:] = False  # no element after the first refused one
-        d1, d2 = np.empty(flat.shape), np.empty(flat.shape)
-        if sweep.any():
-            r0, r1 = specfun._hyp_0f1_ratios(b, flat[sweep])
-            d1[sweep], d2[sweep] = r0 / b, r0 * r1 / (b * (b + 1.0))
-        if past.size:
-            raise _past_ive_edge(b, flat[past[0]].item())
-        if amos.any():
-            ive = _special().ive
-            ta, xa = t[amos], flat[amos]
-            i0 = ive(b - 1.0, ta)
-            d1[amos] = ive(b, ta) / (np.sqrt(xa) * i0)
-            d2[amos] = ive(b + 1.0, ta) / (xa * i0)
-        return d1.reshape(xs.shape), d2.reshape(xs.shape)
+        if not (isinstance(x, float) or np.ndim(x) == 0):
+            xs = np.asarray(x, dtype=float)
+            pairs = [self.derivative_ratios(params, v) for v in xs.ravel().tolist()]
+            pairs = np.array(pairs).reshape(-1, 2)
+            return pairs[:, 0].reshape(xs.shape), pairs[:, 1].reshape(xs.shape)
+        b, x = params.b, float(x)
+        t = 2.0 * math.sqrt(x)
+        if not _ive_regime(b, t):
+            r0, r1 = specfun._hyp_0f1_ratios(b, x)
+            return r0 / b, r0 * r1 / (b * (b + 1.0))
+        if t > _IVE_T_MAX:
+            raise _past_ive_edge(b, x)
+        ive = _cython_special().ive
+        i0 = ive(b - 1.0, t)
+        return (ive(b, t) / (math.sqrt(x) * i0) if first else None,
+                ive(b + 1.0, t) / (x * i0) if second else None)
 
     def ladder(self, params, vals: np.ndarray, n: np.ndarray, offset: int, literature: bool):
         # the published c = 1 coefficients carry no Pochhammer factor either
@@ -451,8 +433,8 @@ BESSEL, JACOBI = Bessel(), Jacobi()
 def _ive_regime(b: float, t):
     """Where scipy's `ive` takes Amos's large-argument expansion (DLMF
     10.40.1) for every order up to b + 1 at t = 2 sqrt x: t >= `_AMOS_RL`
-    and 2 t >= (b+1)^2, the tests of Amos's ZBINU.  A float or array t."""
-    return (t >= _AMOS_RL) & (t + t >= (b + 1.0) * (b + 1.0))
+    and 2 t >= (b+1)^2, the tests of Amos's ZBINU."""
+    return t >= _AMOS_RL and t + t >= (b + 1.0) * (b + 1.0)
 
 
 def _past_ive_edge(b: float, x: float) -> specfun.ConvergenceError:

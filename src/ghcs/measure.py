@@ -165,7 +165,9 @@ def density(params: FamilyParams, x):
 def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureRule:
     """Quadrature rule for integrals against the family density, with
     n_nodes nodes (omitted or 0: 240; fewer than 8 is a ValueError) before
-    the nodes whose weight underflows or is not finite are dropped.
+    the nodes whose weight underflows to zero are dropped.  A weight that
+    is not finite (inf or NaN, from m = 43 on for bessel at nu = 0.5) is
+    an OverflowError naming the family, m, nu and the node count.
 
     The 8 most recently used rules are kept, keyed on (params, n_nodes)
     after the default is resolved, so omitting n_nodes and passing the
@@ -188,6 +190,9 @@ def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureR
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _cached_rule(params: FamilyParams, n: int) -> QuadratureRule:
     nodes, weights = params.formulas.rule(params, n)
+    if not np.isfinite(weights).all():
+        raise OverflowError(f"the {params.family.value} rule at m = {params.m}, "
+                            f"nu = {params.nu!r} on {n} nodes has a weight that is not finite")
     return QuadratureRule(nodes=nodes, weights=weights)
 
 

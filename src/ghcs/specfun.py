@@ -185,10 +185,10 @@ def _ratio_depth(x: float) -> int:
 _RATIO_MAX_LEVELS = 1600
 
 
-def _hyp_0f1_ratios(b: float, x):
+def _hyp_0f1_ratios(b: float, x: float) -> tuple[float, float]:
     """(rho_b, rho_{b+1}) with rho_c(x) = 0F1(; c+1; x) / 0F1(; c; x), for
-    b > 0 and x >= 0 a float (floats out) or a float array (two arrays of
-    its shape out).  Neither 0F1 is formed, so nothing under- or overflows.
+    b > 0 and a float x >= 0 (Python floats out, also for an np.float64).
+    Neither 0F1 is formed, so nothing under- or overflows.
 
     From the contiguous relation 0F1(; c; x) - 0F1(; c+1; x) =
     x / (c (c+1)) 0F1(; c+2; x), rho_c = 1 / (1 + q_c rho_{c+1}) with
@@ -207,21 +207,8 @@ def _hyp_0f1_ratios(b: float, x):
     levels, up to about x = 1.2e9 at small b (later at
     large b, which meets sooner: 1431 levels at b = 200, x = 1.2e9).
     Else ConvergenceError names x and the budget.
-
-    A float is one call of the per-x routine `_ratio_pair`; an array maps
-    it over its elements in order, each from its own start depth, so each
-    element is the float call's value bit for bit and the first refused
-    element is the one named.
     """
-    if isinstance(x, float) or np.ndim(x) == 0:
-        return _ratio_pair(b, float(x))
-    xs = np.asarray(x, dtype=float)
-    pairs = np.array([_ratio_pair(b, v) for v in xs.ravel().tolist()]).reshape(-1, 2)
-    return pairs[:, 0].reshape(xs.shape), pairs[:, 1].reshape(xs.shape)
-
-
-def _ratio_pair(b: float, x: float) -> tuple[float, float]:
-    # `_hyp_0f1_ratios` at one float x: sweeps from K, 2K, ... up to the budget
+    x = float(x)
     budget = _RATIO_MAX_LEVELS
     depth = min(_ratio_depth(x), budget)
     while True:

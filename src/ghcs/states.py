@@ -24,7 +24,6 @@ __all__ = [
     "Family",
     "FamilyParams",
     "FockVector",
-    "coeff_h",
     "log_coeff_h",
     "normalization",
     "state",
@@ -143,14 +142,6 @@ def log_coeff_h(params: FamilyParams, n: int) -> float:
     if n < 0:
         raise ValueError("n must be non-negative")
     return float(_log_h_array(params, n)[n])
-
-
-def coeff_h(params: FamilyParams, n: int) -> float:
-    """Positive coefficient denominator h_n."""
-    lg = log_coeff_h(params, n)
-    if lg > 700.0:
-        raise OverflowError(f"h_{n} exceeds the double range (log h = {lg:.1f})")
-    return math.exp(lg)
 
 
 def _log_h_array(params: FamilyParams, n_max: int) -> np.ndarray:

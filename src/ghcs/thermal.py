@@ -33,7 +33,6 @@ __all__ = [
     "number_moment",
     "in_state_stats",
     "g2_in_state",
-    "mandel_q_in_state",
     "thermal_scan_rows",
 ]
 
@@ -450,8 +449,9 @@ def in_state_stats(params: FamilyParams, x, g2_convention: str = "as_written"):
     through `_number_stats`: nothing cancels.  Both are `number_moment`'s
     `falling` moments, bit for bit: where the family's `closed` holds, D1
     and D2 from one `derivative_ratios` call for all such x (bessel: never
-    the series; scipy's `ive` from x = max(118.64, (b+1)^4 / 16) on, one
-    ratio recurrence call for the x below; jacobi: F_0 read once); every other
+    the series; each x is its float call, scipy's `ive` from
+    x = max(118.64, (b+1)^4 / 16) on and the ratio recurrence below;
+    jacobi: F_0 read once); every other
     jacobi x (x > 0.998 or a > 6) summed as series, one `number_moment` call
     per moment, which sums them one x at a time.  The series' budget runs
     out from x = 0.99814, and from within 4e-5 of there it is decided
@@ -492,9 +492,3 @@ def g2_in_state(params: FamilyParams, x, g2_convention: str = "as_written"):
     """Second-order correlation in the state with |z|^2 = x, as
     `in_state_stats` gives it; ValueError at x = 0, where it is 0/0."""
     return in_state_stats(params, x, g2_convention)[2]
-
-
-def mandel_q_in_state(params: FamilyParams, x, g2_convention: str = "as_written"):
-    """Mandel Q = <N> (g2 - 1) in the state with |z|^2 = x, as
-    `in_state_stats` gives it."""
-    return in_state_stats(params, x, g2_convention)[3]

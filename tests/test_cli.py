@@ -385,6 +385,19 @@ class TestFloatRange:
                         "--out", str(tmp_path / "e.csv")]) == 3
         assert capsys.readouterr().err.startswith("float range exceeded: ")
 
+    @pytest.mark.parametrize("cmd", ["verify", "kernel", "quantize"])
+    def test_an_infinite_rule_weight_exits_3(self, tmp_path, capsys, cmd):
+        # bessel m = 43, nu = 0.5: the rule's inf weight is refused where the
+        # rule is built, before any numpy warning or NaN downstream
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([cmd, "--family", "bessel", "--m", "43", "--nu", "0.5",
+                        "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "float range exceeded: the bessel rule at m = 43, nu = 0.5 on 240 nodes "
+            "has a weight that is not finite\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cmd, lines, x", [
         ("verify", "x=2e5\n", "200000.0"),
     ])

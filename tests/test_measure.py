@@ -87,6 +87,32 @@ class TestRule:
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.array([1.0]), weights=np.array([-1.0]))
 
+    @pytest.mark.parametrize("family, m", [
+        (Family.BESSEL, 43), (Family.BESSEL, 400), (Family.JACOBI, 86),
+    ])
+    def test_an_infinite_weight_is_an_overflow_error(self, family, m):
+        # at nu = 0.5 the bessel rule forms an inf weight from m = 43 on and
+        # the jacobi rule at m = 86, without a numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as exc:
+                radial_rule(FamilyParams(m, 0.5, family))
+        assert str(exc.value) == (f"the {family.value} rule at m = {m}, nu = 0.5 on 240 "
+                                  "nodes has a weight that is not finite")
+
+    def test_a_nan_weight_is_not_dropped(self, monkeypatch):
+        rule = families.BESSEL.rule
+
+        def with_nan(params, n):
+            nodes, weights = rule(params, n)
+            weights = weights.copy()
+            weights[3] = math.nan
+            return nodes, weights
+
+        monkeypatch.setattr(families.BESSEL, "rule", with_nan)
+        with pytest.raises(OverflowError, match=r"^the bessel rule at m = 2, nu = 0.35 on 48 "):
+            radial_rule(FamilyParams(2, 0.35, Family.BESSEL), 48)
+
     def test_log_moment_large_order(self, bessel_params, bessel_rule):
         # moments that overflow as plain powers stay finite in log space
         got = bessel_rule.log_moments([64.0])[0]

@@ -15,7 +15,6 @@ from ghcs.specfun import hyp_0f1
 from ghcs.states import (
     Family,
     FamilyParams,
-    coeff_h,
     log_coeff_h,
     normalization,
     state,
@@ -299,51 +298,40 @@ class TestHypRatios:
     def test_every_accepting_depth_gives_the_same_bits(self, monkeypatch):
         # a sweep started deeper lies inside the bracket at every level: from
         # a start depth of 1 every x needs doubled depths, meets at a power
-        # of two, and lands on the bits of the default start; an array
-        # element is the float call's value
-        xs = np.array([0.0, 1e-300, 0.5, 7.0, 300.0, 1e4, 2.5e6])
+        # of two, and lands on the bits of the default start
+        xs = [0.0, 1e-300, 0.5, 7.0, 300.0, 1e4, 2.5e6]
         for b in (0.3, 3.0, 60.0):
-            ref = [specfun._hyp_0f1_ratios(b, x) for x in xs.tolist()]
+            ref = [specfun._hyp_0f1_ratios(b, x) for x in xs]
             monkeypatch.setattr(specfun, "_ratio_depth", lambda x: 1)
-            assert [specfun._hyp_0f1_ratios(b, x) for x in xs.tolist()] == ref
-            got = specfun._hyp_0f1_ratios(b, xs)
-            assert [got[0].tolist(), got[1].tolist()] == [list(r) for r in zip(*ref)]
+            assert [specfun._hyp_0f1_ratios(b, x) for x in xs] == ref
             monkeypatch.undo()
 
     def test_the_last_depth_tried_is_the_budget(self, monkeypatch):
         # from a start depth of 41, b = 60 and x = 1e4 first meet at 49: a
         # budget of 60 is tried after 41, not skipped for 82, and a budget
-        # of 48 raises; floats and arrays alike
+        # of 48 raises
         ref = specfun._hyp_0f1_ratios(60.0, 1e4)
         monkeypatch.setattr(specfun, "_ratio_depth", lambda x: 41)
         monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", 60)
         assert specfun._hyp_0f1_ratios(60.0, 1e4) == ref
-        got = specfun._hyp_0f1_ratios(60.0, np.array([0.5, 1e4]))
-        assert (got[0][1], got[1][1]) == ref
         monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", 48)
-        for x in (1e4, np.array([0.5, 1e4])):
-            with pytest.raises(specfun.ConvergenceError, match=r"within 48 steps at x = 10000.0$"):
-                specfun._hyp_0f1_ratios(60.0, x)
+        with pytest.raises(specfun.ConvergenceError, match=r"within 48 steps at x = 10000.0$"):
+            specfun._hyp_0f1_ratios(60.0, 1e4)
 
-    def test_arrays_keep_their_shape(self):
-        xs = np.geomspace(1e-3, 1e5, 6).reshape(2, 3)
-        r0, r1 = specfun._hyp_0f1_ratios(1.5, xs)
-        assert r0.shape == r1.shape == (2, 3)
-        assert list(zip(r0.ravel().tolist(), r1.ravel().tolist())) == [
-            specfun._hyp_0f1_ratios(1.5, x) for x in xs.ravel().tolist()]
-        assert specfun._hyp_0f1_ratios(1.5, np.array([]))[0].shape == (0,)
-        assert all(type(r) is float for r in specfun._hyp_0f1_ratios(1.5, np.float64(2.0)))
+    def test_a_numpy_float_gives_python_floats(self):
+        got = specfun._hyp_0f1_ratios(1.5, np.float64(2.0))
+        assert all(type(r) is float for r in got)
+        assert got == specfun._hyp_0f1_ratios(1.5, 2.0)
 
     def test_budget_error_names_x_and_budget(self, monkeypatch):
         # x = 1e7 at b = 3 first meets at 478 levels, so a budget of 300
         # raises; a budget of its start depth, 514, gives the default value
         ref = specfun._hyp_0f1_ratios(3.0, 1e7)
         monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", 300)
-        for x in (1e7, np.array([2.0, 1e7, 1e8])):
-            with pytest.raises(specfun.ConvergenceError) as exc:
-                specfun._hyp_0f1_ratios(3.0, x)
-            assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 300 "
-                                      "steps at x = 10000000.0")
+        with pytest.raises(specfun.ConvergenceError) as exc:
+            specfun._hyp_0f1_ratios(3.0, 1e7)
+        assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 300 "
+                                  "steps at x = 10000000.0")
         monkeypatch.setattr(specfun, "_RATIO_MAX_LEVELS", 514)
         assert specfun._hyp_0f1_ratios(3.0, 1e7) == ref
 
@@ -351,33 +339,12 @@ class TestHypRatios:
         # x = 2e9 at b = 3 first meets at 1826 levels, past the 1600 beyond
         # which D1 and D2 leave 4e-15, so it is refused; b = 200 meets
         # sooner and is taken at 1.2e9 (1431 levels)
-        for x in (2e9, np.array([2.0, 2e9])):
-            with pytest.raises(specfun.ConvergenceError) as exc:
-                specfun._hyp_0f1_ratios(3.0, x)
-            assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 1600 "
-                                      "steps at x = 2000000000.0")
+        with pytest.raises(specfun.ConvergenceError) as exc:
+            specfun._hyp_0f1_ratios(3.0, 2e9)
+        assert str(exc.value) == ("0F1(3.0; x) ratios did not converge within 1600 "
+                                  "steps at x = 2000000000.0")
         lo, hi = specfun._ratio_brackets(200.0, 1.2e9, 1600)
         assert lo == hi == 1.0 / specfun._hyp_0f1_ratios(200.0, 1.2e9)[1]
-
-    @pytest.mark.parametrize("xs, sweeps", [
-        (np.linspace(2e9, 2e10, 16), 1),  # refused at its first element
-        (np.array([1e9, 2e9, 3e9]), 2),   # 1e9 meets within the cap, 2e9 does not
-    ])
-    def test_an_array_is_refused_at_its_first_refused_element(self, monkeypatch, xs, sweeps):
-        # each element is swept from its own start depth, in order, so the
-        # elements after the first refused one cost no sweep
-        calls = []
-        brackets = specfun._ratio_brackets
-
-        def counted(*args):
-            calls.append(args)
-            return brackets(*args)
-
-        monkeypatch.setattr(specfun, "_ratio_brackets", counted)
-        with pytest.raises(specfun.ConvergenceError) as exc:
-            specfun._hyp_0f1_ratios(3.0, xs)
-        assert str(exc.value).endswith("within 1600 steps at x = 2000000000.0")
-        assert len(calls) == sweeps
 
 
 class TestLogGamma:
@@ -412,7 +379,8 @@ class TestPochhammer:
                     lhs = mp.rf(-m - n - mp.mpf(nu), n)
                     # the amplitude at a positive real label has the sign of lhs
                     assert np.sign(state(p, 0.5).coeffs[n].real) == mp.sign(lhs)
-                    rhs = mp.sqrt(mp.factorial(n) * mp.rf(2 * m + 2 * mp.mpf(nu), n)) / coeff_h(p, n)
+                    h = math.exp(log_coeff_h(p, n))
+                    rhs = mp.sqrt(mp.factorial(n) * mp.rf(2 * m + 2 * mp.mpf(nu), n)) / h
                     assert rel_err(float(abs(lhs)), float(rhs)) < 1e-13
 
     def test_rejects_negative_order(self):

@@ -20,7 +20,6 @@ from ghcs.states import (
     _log_h_array,
     _log_h_store,
     _log_h_table,
-    coeff_h,
     log_coeff_h,
     normalization,
     overlap,
@@ -83,20 +82,16 @@ class TestFamilyParams:
 
 class TestCoefficients:
     def test_h0(self, bessel_params, jacobi_params):
-        assert coeff_h(bessel_params, 0) == 1.0
-        assert coeff_h(jacobi_params, 0) == 1.0
+        assert math.exp(log_coeff_h(bessel_params, 0)) == 1.0
+        assert math.exp(log_coeff_h(jacobi_params, 0)) == 1.0
 
     def test_bessel_example(self, bessel_params):
         # sqrt(2! (3)_2) = sqrt(24)
-        assert rel_err(coeff_h(bessel_params, 2), math.sqrt(24.0)) < 1e-14
+        assert rel_err(math.exp(log_coeff_h(bessel_params, 2)), math.sqrt(24.0)) < 1e-14
 
     def test_jacobi_example(self, jacobi_params):
         # divide by (2.5)_2 = 8.75
-        assert rel_err(coeff_h(jacobi_params, 2), math.sqrt(24.0) / 8.75) < 1e-14
-
-    def test_overflow_signalled(self, bessel_params):
-        with pytest.raises(OverflowError):
-            coeff_h(bessel_params, 200)
+        assert rel_err(math.exp(log_coeff_h(jacobi_params, 2)), math.sqrt(24.0) / 8.75) < 1e-14
 
     def test_signs(self, bessel_params, jacobi_params):
         # the amplitudes at a positive real label carry the family sign s_n
@@ -112,7 +107,7 @@ class TestCoefficients:
             assert lv[n] == n * (n + 2)  # b = 3
             product = math.prod(lv[1 : n + 1])
             assert product == math.factorial(n) * math.factorial(n + 2) / 2
-            assert coeff_h(p, n) ** 2 == pytest.approx(product, rel=1e-14)
+            assert math.exp(log_coeff_h(p, n)) ** 2 == pytest.approx(product, rel=1e-14)
 
     def test_levels_increasing(self):
         p = FamilyParams(0, 0.6)  # 2m+2nu = 1.2 > 1
@@ -172,7 +167,7 @@ class TestState:
             for n in range(6):
                 got = v.coeffs[n + 1] / v.coeffs[n]
                 sign = -1.0 if params.family is Family.JACOBI else 1.0  # s_{n+1} / s_n
-                ref = sign * z * coeff_h(params, n) / coeff_h(params, n + 1)
+                ref = sign * z * math.exp(log_coeff_h(params, n) - log_coeff_h(params, n + 1))
                 assert abs(got - ref) < 1e-12
 
     def test_jacobi_signs_in_amplitudes(self, jacobi_params):

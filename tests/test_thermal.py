@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ghcs import cli, families, specfun, thermal
 from ghcs.measure import density, radial_rule
 from ghcs.specfun import _ABS_FLOOR, _REL_TOL, ConvergenceError
-from ghcs.states import Family, FamilyParams, coeff_h
+from ghcs.states import Family, FamilyParams, log_coeff_h
 from ghcs.pfunction import (
     PFunctionCandidate,
     derivative_series_candidate,
@@ -26,7 +26,6 @@ from ghcs.thermal import (
     closed_form_thermal_stats,
     cs_thermal_expectation,
     g2_in_state,
-    mandel_q_in_state,
     number_moment,
     oracle_thermal_stats,
     partition,
@@ -252,7 +251,7 @@ class TestInStateExpectations:
         n1 = number_moment(bessel_params, x, 1)
         n2 = number_moment(bessel_params, x, 2)
         assert g2_in_state(bessel_params, x) == pytest.approx((n2 - n1) / n2)
-        q = mandel_q_in_state(bessel_params, x)
+        q = thermal.in_state_stats(bessel_params, x)[3]
         assert q == pytest.approx(n1 * ((n2 - n1) / n2 - 1.0))
 
     @pytest.mark.parametrize("convention", ["as_written", "conventional"])
@@ -262,7 +261,7 @@ class TestInStateExpectations:
             with pytest.raises(ValueError, match="vacuum"):
                 g2_in_state(params, 0.0, convention)
             with pytest.raises(ValueError, match="vacuum"):
-                mandel_q_in_state(params, 0.0, convention)
+                thermal.in_state_stats(params, 0.0, convention)
 
 
 def loop_number_moment(params, x, s, falling=False, record=None):
@@ -559,23 +558,26 @@ class TestNumberMomentSeries:
 
     def test_in_state_statistics_sum_each_moment_once(self, monkeypatch, tmp_path,
                                                       bessel_params):
-        # the bessel D1 and D2 come from one ratio sweep, with no series call
-        calls, sweeps = [], []
+        # the bessel D1 and D2 come from one ratio sweep per x, with no
+        # series call
+        calls, swept = [], []
         series, ratios = thermal.number_moment, specfun._hyp_0f1_ratios
         monkeypatch.setattr(thermal, "number_moment",
                             lambda *a, **k: calls.append((a[2], np.size(a[1])))
                             or series(*a, **k))
         monkeypatch.setattr(specfun, "_hyp_0f1_ratios",
-                            lambda *a: sweeps.append(np.size(a[1])) or ratios(*a))
-        thermal.mandel_q_in_state(bessel_params, 1.5)
-        assert (calls, sweeps) == ([], [1])
-        sweeps.clear()
+                            lambda *a: swept.extend(np.ravel(a[1]).tolist()) or ratios(*a))
+        thermal.in_state_stats(bessel_params, 1.5)
+        assert (calls, swept) == ([], [1.5])
+        swept.clear()
         cfg = tmp_path / "run.cfg"
         cfg.write_text("x_count=3\n")
         out = tmp_path / "expect.csv"
         assert cli.main(["expect", "--config", str(cfg), "--out", str(out)]) == 0
-        # one array sweep for the whole grid
-        assert (calls, sweeps) == ([], [3])
+        # each x of the grid is swept once, in order
+        defaults = cli.RunConfig()
+        grid = np.linspace(defaults.x_min, defaults.x_max, 3).tolist()
+        assert (calls, swept) == ([], grid)
 
 
 def _straddle(turns):
@@ -715,7 +717,7 @@ class TestStateG2:
             for x in 10.0 ** -np.arange(10, 171, 10):
                 n1, g2 = mp_state_g2(params, x, convention)
                 assert rel_err(g2_in_state(params, x, convention), g2) < 1e-13
-                q = mandel_q_in_state(params, x, convention)
+                q = thermal.in_state_stats(params, x, convention)[3]
                 assert rel_err(q, n1 * (g2 - 1.0)) < 1e-13
 
     def test_conventional_limit(self, bessel_params):
@@ -734,13 +736,14 @@ class TestStateG2:
             for x in xs:
                 n1, g2 = mp_state_g2(params, x, convention)
                 assert rel_err(g2_in_state(params, x, convention), g2) < 1e-12
-                assert rel_err(mandel_q_in_state(params, x, convention), n1 * (g2 - 1.0)) < 1e-11
+                q = thermal.in_state_stats(params, x, convention)[3]
+                assert rel_err(q, n1 * (g2 - 1.0)) < 1e-11
 
     def test_falling_moments_at_zero(self, bessel_params, jacobi_params):
         # <N(N-1)...(N-s+1)> / x^s -> s! / h_s^2
         for params in (bessel_params, jacobi_params):
             for s in range(3):
-                ref = math.factorial(s) / coeff_h(params, s) ** 2
+                ref = math.factorial(s) / math.exp(log_coeff_h(params, s)) ** 2
                 assert rel_err(number_moment(params, 0.0, s, falling=True), ref) < 1e-14
 
     def test_bad_convention(self, bessel_params):
@@ -781,7 +784,6 @@ class TestInStateStats:
                 for g, r, tol in zip(got, ref, (1e-13, 1e-13, 1e-12, 1e-11)):
                     assert rel_err(g, r) < tol, (m, nu, x)
                 assert got[2] == g2_in_state(params, x, convention)
-                assert got[3] == mandel_q_in_state(params, x, convention)
 
     @pytest.mark.parametrize("family", ["bessel", "jacobi"])
     def test_expect_at_tiny_x(self, tmp_path, family):
@@ -880,7 +882,6 @@ class TestMomentArrays:
             for k in range(4):
                 assert got[k].tobytes() == ref[:, k].tobytes()
             assert g2_in_state(params, xs, convention).tobytes() == ref[:, 2].tobytes()
-            assert mandel_q_in_state(params, xs, convention).tobytes() == ref[:, 3].tobytes()
 
     def test_vacuum_entry_rejected(self, bessel_params):
         with pytest.raises(ValueError, match="vacuum"):
@@ -1069,24 +1070,24 @@ class TestIveRegime:
         # counted as in test_in_state_statistics_sum_each_moment_once: an x
         # in the regime calls neither the series nor the ratio recurrence,
         # and an array sweeps only its elements below the regime
-        calls, sweeps = [], []
+        calls, swept = [], []
         series, ratios = thermal.number_moment, specfun._hyp_0f1_ratios
         monkeypatch.setattr(thermal, "number_moment",
                             lambda *a, **k: calls.append((a[2], np.size(a[1])))
                             or series(*a, **k))
         monkeypatch.setattr(specfun, "_hyp_0f1_ratios",
-                            lambda *a: sweeps.append(np.size(a[1])) or ratios(*a))
-        thermal.mandel_q_in_state(bessel_params, 1e4)
+                            lambda *a: swept.extend(np.ravel(a[1]).tolist()) or ratios(*a))
+        thermal.in_state_stats(bessel_params, 1e4)
         thermal.in_state_stats(bessel_params, np.array([200.0, 1e6, 1e12]))
-        assert (calls, sweeps) == ([], [])
+        assert (calls, swept) == ([], [])
         thermal.in_state_stats(bessel_params, np.array([0.5, 1e4, 2.0, 1e6]))
-        assert (calls, sweeps) == ([], [2])
-        sweeps.clear()
+        assert (calls, swept) == ([], [0.5, 2.0])
+        swept.clear()
         cfg = tmp_path / "run.cfg"
         cfg.write_text("x_min=1e3\nx_max=1e9\nx_count=5\n")
         out = tmp_path / "expect.csv"
         assert cli.main(["expect", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (calls, sweeps) == ([], [])
+        assert (calls, swept) == ([], [])
 
     def test_past_the_edge_is_a_typed_error(self):
         # at b = 3 every x past ive's edge is in its regime; at b = 500 an
@@ -1119,6 +1120,43 @@ class TestIveRegime:
             with pytest.raises(ConvergenceError) as exc:
                 families.BESSEL.derivative_ratios(params, np.array(xs))
             assert str(exc.value) == f"0F1(500.0; x) {named}"
+
+
+class TestBesselDerivativeRatios:
+    """An array of x maps the float `derivative_ratios` over its elements in
+    C order."""
+
+    def test_arrays_keep_their_shape(self):
+        params = _ive_params(1.5)
+        xs = np.geomspace(1e-3, 1e5, 10).reshape(2, 5)
+        d1, d2 = families.BESSEL.derivative_ratios(params, xs)
+        assert d1.shape == d2.shape == (2, 5)
+        assert list(zip(d1.ravel().tolist(), d2.ravel().tolist())) == [
+            families.BESSEL.derivative_ratios(params, x) for x in xs.ravel().tolist()]
+        for d in families.BESSEL.derivative_ratios(params, np.array([])):
+            assert d.shape == (0,) and d.dtype == float
+
+    @pytest.mark.parametrize("xs, sweeps", [
+        (np.linspace(1e10, 6e10, 16), 1),    # refused at its first element
+        (np.array([1e9, 3e10, 5.9e10]), 2),  # 1e9 meets within the cap, 3e10 does not
+    ])
+    def test_an_array_is_refused_at_its_first_refused_element(self, monkeypatch, xs, sweeps):
+        # at b = 1000 each x below the regime's start (6.3e10) is swept from
+        # its own start depth, the 1600-level cap, in order, so the elements
+        # after the first refused one cost no sweep
+        calls = []
+        brackets = specfun._ratio_brackets
+
+        def counted(*args):
+            calls.append(args)
+            return brackets(*args)
+
+        monkeypatch.setattr(specfun, "_ratio_brackets", counted)
+        with pytest.raises(ConvergenceError) as exc:
+            families.BESSEL.derivative_ratios(_ive_params(1000.0), xs)
+        assert str(exc.value) == ("0F1(1000.0; x) ratios did not converge within 1600 "
+                                  f"steps at x = {xs[sweeps - 1].item()!r}")
+        assert [c[1] for c in calls] == xs[:sweeps].tolist()
 
 
 def mp_closed_form_columns(params, x):
