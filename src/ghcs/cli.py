@@ -216,18 +216,18 @@ def _weight_curves(family: Family) -> list[measure.WeightCurve]:
     varies n actually varies, then the canonical (n-free) curve for each
     distinct (m, nu)."""
     curves = measure.default_figure_curves(family)
-    canonical = {c.params: measure.WeightCurve(c.params, "canonical") for c in curves}
+    canonical = {c.params: measure.WeightCurve(c.params) for c in curves}
     return curves + list(canonical.values())
 
 
 def cmd_weight(cfg: RunConfig) -> int:
-    """Weight-function curves for the three caption regimes, the rows of
-    `measure.figure1_scan` as `_write_csv` writes them.  Each x cell is
-    formatted once per grid point, each distinct W column once (bessel
-    literal curves share their canonical curve's), and the m, nu, variant
-    tail once per curve."""
+    """Weight-function curves for the three caption regimes, the columns of
+    `measure.figure1_columns` as `_write_csv` writes their rows.  Each x
+    cell is formatted once per grid point, each distinct W column once
+    (bessel literal curves share their canonical curve's), and the m, nu,
+    variant tail once per curve."""
     grid = np.linspace(cfg.x_min, cfg.x_max, cfg.x_count)
-    x_list, columns = measure._figure1_columns(_weight_curves(cfg.params().family), grid)
+    x_list, columns = measure.figure1_columns(_weight_curves(cfg.params().family), grid)
     x_cells = [cell + "," for cell in _float_cells(x_list)]
     w_cells: dict[int, list[str]] = {}  # by id of the shared W list
     lines: list[str] = []

@@ -136,7 +136,7 @@ class Bessel:
 
     def weights(self, params, literal_n: int | None, xs: np.ndarray, omega, norm):
         """W = 0F1(b; x) omega(x) = 2 I_nu(t) K_nu(t), nu = b - 1, t = 2 sqrt x
-        (DLMF 10.39.9), in either variant, from the exponentially scaled
+        (DLMF 10.39.9), for every curve, from the exponentially scaled
         functions, whose factors e^{-t} and e^{t} cancel: neither N nor the
         density is formed, so W stays finite past x = 1.3e5, where N leaves
         the float range.  Where ive underflows (x near 1e-300 for b >= 3) W
@@ -392,13 +392,16 @@ class Jacobi:
         near = (x < 0.5) & _x_form_holds(b)
         out = np.empty_like(x)
         out[~near] = sp.hyp2f1(1.0 - a, 1.0 - a, 1.0, y[~near])
-        # near the origin: the x^{b-1} and x^0 branches in x itself (DLMF
-        # 15.8.4), so the digits of x below 1.1e-16 are not rounded away
-        xn = x[near]
-        out[near] = (sp.gamma(b - 1.0) * sp.rgamma(a) ** 2
-                     * sp.hyp2f1(1.0 - a, 1.0 - a, 2.0 - b, xn)
-                     + sp.gamma(1.0 - b) * sp.rgamma(1.0 - a) ** 2 * xn ** (b - 1.0)
-                     * sp.hyp2f1(a, a, b, xn))
+        if near.any():
+            # near the origin: the x^{b-1} and x^0 branches in x itself (DLMF
+            # 15.8.4), so the digits of x below 1.1e-16 are not rounded away;
+            # formed only where some x takes it, as no b > 12 does and its
+            # Gamma product is inf from b = 173 and inf * 0 = NaN from 206
+            xn = x[near]
+            out[near] = (sp.gamma(b - 1.0) * sp.rgamma(a) ** 2
+                         * sp.hyp2f1(1.0 - a, 1.0 - a, 2.0 - b, xn)
+                         + sp.gamma(1.0 - b) * sp.rgamma(1.0 - a) ** 2 * xn ** (b - 1.0)
+                         * sp.hyp2f1(a, a, b, xn))
         return const * out
 
     def _derivative_ratio(self, params, xs, f0, k: int):

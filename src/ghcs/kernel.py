@@ -102,8 +102,8 @@ def inner_product_integral(params: FamilyParams, fock1: FockVector,
         rule = radial_rule(params)
     # s_n^2 mu_n / h_n^2 = 1 exactly; quadrature supplies mu_hat instead
     weights = np.exp(_log_moment_ratio(params, rule, max(fock1.n_max, fock2.n_max)))
-    return complex(_pair_overlap(fock1.coeffs, fock1.n_max, fock2.coeffs, fock2.n_max,
-                                 weights))
+    return complex(_pair_overlap(fock1.coeffs[None], [fock1.n_max],
+                                 fock2.coeffs[None], [fock2.n_max], weights)[0])
 
 
 def gram_matrix(params: FamilyParams, labels) -> np.ndarray:

@@ -32,7 +32,7 @@ __all__ = [
     "density",
     "radial_rule",
     "verify_identity",
-    "figure1_scan",
+    "figure1_columns",
     "default_figure_curves",
 ]
 
@@ -291,40 +291,25 @@ def verify_identity(params: FamilyParams, n_check: int = 20,
 class WeightCurve:
     """One weight-function curve W(x) = N(x) omega(x).
 
-    variant "canonical" uses the family normalization; variant "literal"
-    keeps the extra index n that the published G-function parameters carry
-    and, for the jacobi family, replaces N by 2F1(-(m+n+nu), -(m+n+nu); b; x),
-    which is how the figure caption's n enters.  A bessel curve is
-    2 I_{b-1}(2 sqrt x) K_{b-1}(2 sqrt x) in either variant.
+    literal_n None is the canonical curve, with the family normalization;
+    an integer literal_n keeps the extra index n that the published
+    G-function parameters carry and, for the jacobi family, replaces N by
+    2F1(-(m+n+nu), -(m+n+nu); b; x), which is how the figure caption's n
+    enters.  A bessel curve is 2 I_{b-1}(2 sqrt x) K_{b-1}(2 sqrt x)
+    either way.
     """
 
     params: FamilyParams
-    variant: str = "canonical"
-    literal_n: int = 0
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("canonical", "literal"):
-            raise ValueError("variant must be 'canonical' or 'literal'")
+    literal_n: int | None = None
 
     @property
     def variant_tag(self) -> str:
-        if self.variant == "literal":
-            return f"literal-n{self.literal_n}"
-        return "canonical"
+        if self.literal_n is None:
+            return "canonical"
+        return f"literal-n{self.literal_n}"
 
 
-def figure1_scan(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
-    """Rows (x, W, m, nu, variant_tag) in deterministic curve-major order,
-    the flattened `_figure1_columns`."""
-    x_list, columns = _figure1_columns(curves, x_grid)
-    rows = []
-    for curve, w_list in columns:
-        m, nu, tag = curve.params.m, curve.params.nu, curve.variant_tag
-        rows.extend((x, w, m, nu, tag) for x, w in zip(x_list, w_list))
-    return rows
-
-
-def _figure1_columns(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
+def figure1_columns(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
     """(x_list, [(curve, w_list)]): the grid as floats, and each curve's
     W(x) = N(x) omega(x) on it, in the order of `curves`.  Curves with the
     same (params, N) share one w_list object.
@@ -348,8 +333,7 @@ def _figure1_columns(curves: Sequence[WeightCurve], x_grid: Sequence[float]):
     columns = []
     for curve in curves:
         p = curve.params
-        literal = curve.variant == "literal" and p.formulas.LITERAL_N
-        key = (p, curve.literal_n if literal else None)
+        key = (p, curve.literal_n if p.formulas.LITERAL_N else None)
         if key not in values:
             values[key] = p.formulas.weights(*key, xs, omega, normalization).tolist()
         columns.append((curve, values[key]))
@@ -361,9 +345,9 @@ def default_figure_curves(family: Family = Family.JACOBI) -> list[WeightCurve]:
     (m=2, nu=0.7); vary m at (n=2, nu=0.7)."""
     curves: list[WeightCurve] = []
     for nu in (0.3, 0.5, 0.7, 1.2):
-        curves.append(WeightCurve(FamilyParams(1, nu, family), "literal", 2))
+        curves.append(WeightCurve(FamilyParams(1, nu, family), 2))
     for n in (0, 1, 2, 3):
-        curves.append(WeightCurve(FamilyParams(2, 0.7, family), "literal", n))
+        curves.append(WeightCurve(FamilyParams(2, 0.7, family), n))
     for m in (0, 1, 2, 3):
-        curves.append(WeightCurve(FamilyParams(m, 0.7, family), "literal", 2))
+        curves.append(WeightCurve(FamilyParams(m, 0.7, family), 2))
     return curves

@@ -470,24 +470,19 @@ def _series_terms(params: FamilyParams, z: complex, n_max: int) -> np.ndarray:
 
 
 def _pair_overlap(c1: np.ndarray, n1, c2: np.ndarray, n2,
-                  weights: np.ndarray | None = None):
-    """sum_n conj(c1_n) c2_n w_n over the pair's common truncation
+                  weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_n conj(c1_n) c2_n w_n over each row pair's common truncation
     n <= min(n1, n2); w_n = 1 when `weights` is None: the pairwise and
-    weighted sums (every row against every row is `_block_overlaps`).
-
-    One pair (1-D c1, c2 and int n1, n2) is one `np.vdot`, and the result
-    stays a numpy scalar.  Two stacks of rows (2-D c1, c2 and per-row
-    truncations n1, n2) give one numpy complex per row pair: the rows that
-    share a common truncation are summed by one `np.vecdot`, which equals
-    the per-row `np.vdot` bit for bit and, unlike a stacked `matmul`, needs
-    no conjugated copy; when every row shares it, the rows are read in
-    place.  Take moduli with the scalar `abs` on each element
-    (`.tolist()`): numpy's array `abs` differs from it in the last bit for
-    about a third of the values.
+    weighted sums of two stacks of rows (2-D c1, c2 and per-row
+    truncations n1, n2; every row against every row is `_block_overlaps`),
+    one numpy complex per row pair.  The rows that share a common
+    truncation are summed by one `np.vecdot`, which equals the per-row
+    `np.vdot` bit for bit and, unlike a stacked `matmul`, needs no
+    conjugated copy; when every row shares it, the rows are read in place.
+    Take moduli with the scalar `abs` on each element (`.tolist()`):
+    numpy's array `abs` differs from it in the last bit for about a third
+    of the values.
     """
-    if c1.ndim == 1:
-        n = min(n1, n2) + 1
-        return np.vdot(c1[:n], c2[:n] if weights is None else c2[:n] * weights[:n])
     common = np.minimum(n1, n2) + 1
     out = np.empty(len(common), dtype=complex)
     for n in np.unique(common).tolist():
@@ -519,7 +514,7 @@ def _block_overlaps(rows1: list, rows2: list) -> np.ndarray:
     return out
 
 
-def overlap(params: FamilyParams, z1, z2, n_max: int | None = None):
+def overlap(params: FamilyParams, z1, z2):
     """<z1 | z2> by the coefficient series, over the pair's common
     truncation: two labels give one complex, label arrays or lists the
     matrix <z1[i] | z2[j]> of shape shape(z1) + shape(z2), summed by
@@ -532,7 +527,7 @@ def overlap(params: FamilyParams, z1, z2, n_max: int | None = None):
     def coeffs(z: complex) -> np.ndarray:
         key = (z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
         if key not in built:
-            built[key] = state(params, z, n_max).coeffs
+            built[key] = state(params, z).coeffs
         return built[key]
 
     rows = [[coeffs(z) for z in zs.ravel().tolist()] for zs in (z1s, z2s)]

@@ -258,15 +258,19 @@ class TestWeight:
     @staticmethod
     def _scan_oracle(tmp_path, family, grid_text):
         """Write `weight` on the grid; return its bytes and those `_write_csv`
-        writes from the `figure1_scan` rows (`_row_template` per row)."""
+        writes from the `figure1_columns` flattened to (x, W, m, nu, variant)
+        rows (`_row_template` per row), and those rows."""
         cfg_file = tmp_path / "g.cfg"
         cfg_file.write_text(grid_text)
         argv = ["weight", "--family", family, "--config", str(cfg_file)]
         out, expected = tmp_path / "w.csv", tmp_path / "expected.csv"
         assert run(argv + ["--out", str(out)]) == 0
         cfg = resolve_config(_build_parser().parse_args(argv))
-        rows = ghcs.measure.figure1_scan(ghcs.cli._weight_curves(Family(family)),
-                                         np.linspace(cfg.x_min, cfg.x_max, cfg.x_count))
+        x_list, columns = ghcs.measure.figure1_columns(
+            ghcs.cli._weight_curves(Family(family)),
+            np.linspace(cfg.x_min, cfg.x_max, cfg.x_count))
+        rows = [(x, w, curve.params.m, curve.params.nu, curve.variant_tag)
+                for curve, w_list in columns for x, w in zip(x_list, w_list)]
         _write_csv(str(expected), cfg, "x,W,m,nu,variant", rows)
         return out.read_bytes(), expected.read_bytes(), rows
 
@@ -290,8 +294,8 @@ class TestWeight:
     def test_inf_cells_at_the_origin_for_b_at_most_one(self, tmp_path, monkeypatch, family):
         # the figure's curves all have b = 2m + 2nu > 1; add b = 0.6 and b = 1
         fam = Family(family)
-        extra = [ghcs.measure.WeightCurve(FamilyParams(0, nu, fam), variant, 2)
-                 for nu in (0.3, 0.5) for variant in ("literal", "canonical")]
+        extra = [ghcs.measure.WeightCurve(FamilyParams(0, nu, fam), n)
+                 for nu in (0.3, 0.5) for n in (2, None)]
         default = ghcs.cli._weight_curves
         monkeypatch.setattr(ghcs.cli, "_weight_curves", lambda f: default(f) + extra)
         got, expected, rows = self._scan_oracle(tmp_path, family, "x_min=0\nx_max=0.5\nx_count=3\n")
@@ -395,6 +399,20 @@ class TestFloatRange:
                         "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == (
             "float range exceeded: the bessel rule at m = 43, nu = 0.5 on 240 nodes "
+            "has a weight that is not finite\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["verify", "kernel", "quantize"])
+    def test_an_infinite_jacobi_rule_weight_exits_3(self, tmp_path, capsys, cmd):
+        # jacobi m = 400, nu = 0.5 (b = 801): the density's x-form, whose
+        # Gamma product is inf * 0 there, is not formed where no node takes
+        # it, so the rule's inf weight is refused with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([cmd, "--family", "jacobi", "--m", "400", "--nu", "0.5",
+                        "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "float range exceeded: the jacobi rule at m = 400, nu = 0.5 on 240 nodes "
             "has a weight that is not finite\n")
         assert not (tmp_path / "out").exists()
 

@@ -13,7 +13,7 @@ from ghcs.kernel import (
     inner_product_integral,
     kernel,
 )
-from ghcs.measure import QuadratureRule, radial_rule
+from ghcs.measure import QuadratureRule, _log_moment_ratio, radial_rule
 from ghcs.states import (
     Family,
     FamilyParams,
@@ -324,3 +324,23 @@ class TestInnerProduct:
             direct = complex(np.vdot(f1.coeffs, f2.coeffs))
             integ = inner_product_integral(params, f1, f2, rule)
             assert abs(direct - integ) < 1e-8
+
+    def test_bit_identical_to_vdot_over_the_common_truncation(self, rng, bessel_rule,
+                                                             jacobi_rule):
+        # the quadrature-weighted sum is one `np.vdot` over min(n1, n2) + 1
+        # terms, on states of different truncations and short random vectors
+        for params, rule, labels in (
+            (FamilyParams(1, 0.5, Family.BESSEL), bessel_rule, (0.3 - 0.2j, 100.0, 200.0j)),
+            (FamilyParams(1, 0.5, Family.JACOBI), jacobi_rule, (0.3j, -0.9, 0.95 + 0.1j)),
+        ):
+            vectors = [state(params, z) for z in labels]
+            vectors += [random_fock(rng, 7), random_fock(rng, 12)]
+            assert len({v.n_max for v in vectors}) == 5
+            for f1 in vectors:
+                for f2 in vectors:
+                    n = min(f1.n_max, f2.n_max) + 1
+                    w = np.exp(_log_moment_ratio(params, rule, max(f1.n_max, f2.n_max)))
+                    ref = complex(np.vdot(f1.coeffs[:n], f2.coeffs[:n] * w[:n]))
+                    got = inner_product_integral(params, f1, f2, rule)
+                    assert type(got) is complex
+                    assert (got.real, got.imag) == (ref.real, ref.imag)

@@ -18,7 +18,7 @@ from ghcs.measure import (
     WeightCurve,
     default_figure_curves,
     density,
-    figure1_scan,
+    figure1_columns,
     radial_rule,
     target_moments,
     verify_identity,
@@ -435,45 +435,50 @@ class TestSupport:
         assert mass <= 1e-8
 
 
+def _w(curve, xs):
+    """One curve's W column, as `figure1_columns` gives it."""
+    return figure1_columns([curve], xs)[1][0][1]
+
+
 class TestFigureScan:
     def test_rows_positive(self):
-        rows = figure1_scan(default_figure_curves(), np.linspace(0.02, 0.98, 25))
-        assert len(rows) == 12 * 25
-        assert all(r[1] >= -1e-12 for r in rows)
+        x_list, columns = figure1_columns(default_figure_curves(), np.linspace(0.02, 0.98, 25))
+        assert len(x_list) == 25 and len(columns) == 12
+        assert all(len(ws) == 25 and min(ws) >= -1e-12 for _, ws in columns)
 
     def test_deterministic_ordering(self):
         grid = np.linspace(0.02, 0.98, 7)
-        a = figure1_scan(default_figure_curves(), grid)
-        b = figure1_scan(default_figure_curves(), grid)
+        a = figure1_columns(default_figure_curves(), grid)
+        b = figure1_columns(default_figure_curves(), grid)
         assert a == b
+        assert [curve for curve, _ in a[1]] == default_figure_curves()
 
     def test_bessel_weight_decays_past_mode(self):
         curve = WeightCurve(FamilyParams(2, 0.7, Family.BESSEL))
         xs = np.linspace(0.5, 60.0, 120)
-        w = [row[1] for row in figure1_scan([curve], xs)]
+        w = _w(curve, xs)
         peak = int(np.argmax(w))
         tail = np.array(w[peak:])
         assert np.all(np.diff(tail) <= 1e-12)
 
     def test_variant_tags(self):
-        c = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI), "literal", 2)
-        assert c.variant_tag == "literal-n2"
-        with pytest.raises(ValueError):
-            WeightCurve(FamilyParams(1, 0.5), "other")
+        p = FamilyParams(1, 0.5, Family.JACOBI)
+        assert WeightCurve(p, 2).variant_tag == "literal-n2"
+        assert WeightCurve(p, 0).variant_tag == "literal-n0"
+        assert WeightCurve(p).variant_tag == "canonical"
 
     def test_literal_variant_uses_the_extra_index(self, jacobi_params):
         # 2F1(-(m+n+nu), -(m+n+nu); b; x) times the density
         x = 0.4
-        c = WeightCurve(jacobi_params, "literal", 2)
+        c = WeightCurve(jacobi_params, 2)
         ref = float(mp.hyp2f1(-3.5, -3.5, 3.0, x)) * density(jacobi_params, x)
-        assert rel_err(figure1_scan([c], [x])[0][1], ref) < 1e-12
+        assert rel_err(_w(c, [x])[0], ref) < 1e-12
 
     def test_zero_at_and_past_support_edge(self, jacobi_params):
-        c = WeightCurve(jacobi_params, "canonical")
-        assert [row[1] for row in figure1_scan([c], [1.0, 1.7])] == [0.0, 0.0]
+        assert _w(WeightCurve(jacobi_params), [1.0, 1.7]) == [0.0, 0.0]
 
     def test_small_x_column_finite_for_b_above_one(self, jacobi_params):
-        assert math.isfinite(figure1_scan([WeightCurve(jacobi_params)], [1e-4])[0][1])
+        assert math.isfinite(_w(WeightCurve(jacobi_params), [1e-4])[0])
 
     def test_target_moments_match_h(self, bessel_params):
         t = target_moments(bessel_params, 5)
@@ -525,13 +530,13 @@ def _cli_curves(family):
 
 
 class TestFigureScanOracle:
-    """figure1_scan on whole grids against mpmath."""
+    """figure1_columns on whole grids against mpmath."""
 
     @pytest.mark.parametrize("family", [Family.JACOBI, Family.BESSEL])
     def test_whole_grids_match_mpmath(self, family):
         curves = _cli_curves(family)
         # bessel curves are canonical and literal alike (no 2F1 there)
-        curves += [WeightCurve(FamilyParams(m, nu, family), "literal", n)
+        curves += [WeightCurve(FamilyParams(m, nu, family), n)
                    for m, nu, n in ((0, 0.05, 0), (0, 0.3, 1), (3, 2.45, 3))]
         curves += [WeightCurve(FamilyParams(m, nu, family))
                    for m, nu in ((0, 0.05), (0, 0.3), (3, 2.45))]
@@ -539,10 +544,10 @@ class TestFigureScanOracle:
             grid = np.concatenate((np.linspace(0.0, 1.2, 121), [1e-9, 0.99, 0.995]))
         else:
             grid = np.concatenate((np.linspace(0.0, 50.0, 101), [1e-9, 0.99, 1.0, 1.2]))
-        rows = figure1_scan(curves, grid)
-        assert len(rows) == len(curves) * len(grid)
-        assert [r[0] for r in rows[: len(grid)]] == grid.tolist()
-        got = np.array([r[1] for r in rows]).reshape(len(curves), len(grid))
+        x_list, columns = figure1_columns(curves, grid)
+        assert x_list == grid.tolist()
+        assert [curve for curve, _ in columns] == curves
+        got = np.array([ws for _, ws in columns])
         refs: dict = {}  # mpmath values by (params, N)
         with mp.workdps(20):
             for curve, w in zip(curves, got):
@@ -555,7 +560,7 @@ class TestFigureScanOracle:
                 else:
                     # the change is in N: the oracle is the mpmath N times the
                     # library's density, which is checked against mpmath above
-                    n = None if curve.variant == "canonical" else curve.literal_n
+                    n = curve.literal_n
                     if (p, n) not in refs:
                         refs[p, n] = [_mp_jacobi_n(p, n, x) if x < 1.0 else 0 for x in grid]
                     ref = [float(v) * om for v, om in zip(refs[p, n], density(p, grid))]
@@ -589,8 +594,8 @@ class TestFigureScanOracle:
         for formulas in (families.BESSEL, families.JACOBI):
             monkeypatch.setattr(formulas, "weights", counted("weights", formulas.weights))
         curves = _cli_curves(family)
-        rows = figure1_scan(curves, np.linspace(0.02, 0.98, 9))
-        assert len(curves) == 19 and len(rows) == 19 * 9
+        _, columns = figure1_columns(curves, np.linspace(0.02, 0.98, 9))
+        assert len(curves) == len(columns) == 19
         assert len(calls["weights"]) == len(set(calls["weights"])) == evaluations
         densities = 7 if family is Family.JACOBI else 0
         assert len(calls["density"]) == len(set(calls["density"])) == densities
@@ -604,39 +609,39 @@ class TestFigureScanOracle:
         }
         for family, grid in grids.items():
             for curve in _cli_curves(family):
-                on_grid = [row[1] for row in figure1_scan([curve], grid)]
+                on_grid = _w(curve, grid)
                 for x, w in zip(grid, on_grid):
-                    one = figure1_scan([curve], [x])[0][1]
+                    (one,) = _w(curve, [x])
                     assert type(one) is float
                     assert one == w
 
     def test_row_types_and_empty_grid(self):
         curves = default_figure_curves()
-        assert figure1_scan(curves, []) == []
-        assert figure1_scan(curves, np.array([])) == []
-        x, w, m, nu, tag = figure1_scan(curves[:1], np.array([0.5]))[0]
+        empty = ([], [(curve, []) for curve in curves])
+        assert figure1_columns(curves, []) == empty
+        assert figure1_columns(curves, np.array([])) == empty
+        [x], [(curve, [w])] = figure1_columns(curves[:1], np.array([0.5]))
         assert type(x) is float and type(w) is float
-        assert (m, nu, tag) == (1, 0.3, "literal-n2")
+        assert (curve.params.m, curve.params.nu, curve.variant_tag) == (1, 0.3, "literal-n2")
 
     def test_semantics_at_the_edges(self):
         jac = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI))
         # N = 1 at x = 0, so W is the density's limit there
-        assert [row[1] for row in figure1_scan([jac], [1.0, 7.0, 0.0])] == [
-            0.0, 0.0, density(jac.params, 0.0)]
+        assert _w(jac, [1.0, 7.0, 0.0]) == [0.0, 0.0, density(jac.params, 0.0)]
         singular = WeightCurve(FamilyParams(0, 0.3, Family.BESSEL))
-        assert figure1_scan([singular], [0.0])[0][1] == math.inf
+        assert _w(singular, [0.0]) == [math.inf]
 
     def test_negative_x_rejected(self):
         curve = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI))
         with pytest.raises(ValueError):
-            figure1_scan([curve], [-0.1])
+            figure1_columns([curve], [-0.1])
         with pytest.raises(ValueError):
-            figure1_scan([curve], [0.2, -1e-12])
+            figure1_columns([curve], [0.2, -1e-12])
 
     def test_budget_error_names_first_x(self):
         curve = WeightCurve(FamilyParams(1, 0.5, Family.JACOBI))
         with pytest.raises(specfun.ConvergenceError, match="at x = 0.999$"):
-            figure1_scan([curve], [0.5, 0.999, 0.9995])
+            figure1_columns([curve], [0.5, 0.999, 0.9995])
 
 
 # (m, nu) for b = 0.1, 0.6, 1, 1.4, 3, 7.4 and 10.9
@@ -654,7 +659,7 @@ class TestWeightClosedForms:
         curve = WeightCurve(FamilyParams(m, nu, Family.BESSEL))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [row[1] for row in figure1_scan([curve], xs)]
+            got = _w(curve, xs)
         with mp.workdps(20):
             for x, w in zip(xs, got):
                 assert abs(w / _mp_bessel_weight(curve.params.b, x) - 1) <= 2e-13, x
@@ -687,15 +692,15 @@ class TestWeightClosedForms:
         # at b >= 3 ive underflows where kve overflows near x = 1e-300: the
         # bessel W comes from the Wronskian there, never 0 * inf
         xs = [5e-324, 1e-300, 1e-200, 1e-60]
-        curves = [WeightCurve(FamilyParams(m, nu, family), variant, 2)
-                  for m, nu in _SMALL_X_PARAMS for variant in ("canonical", "literal")]
+        curves = [WeightCurve(FamilyParams(m, nu, family), n)
+                  for m, nu in _SMALL_X_PARAMS for n in (None, 2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = figure1_scan(curves, xs)
-        assert not any(math.isnan(row[1]) for row in rows)
+            _, columns = figure1_columns(curves, xs)
+        assert not any(math.isnan(w) for _, ws in columns for w in ws)
         infinite = set()
         with mp.workdps(50):
-            for (x, w, m, nu, tag), curve in zip(rows, [c for c in curves for _ in xs]):
+            for curve, x, w in ((c, x, w) for c, ws in columns for x, w in zip(xs, ws)):
                 p = curve.params
                 if not math.isfinite(w):
                     infinite.add(p.b)
@@ -706,8 +711,7 @@ class TestWeightClosedForms:
                     a = p.m + mp.mpf(p.nu)
                     omega = (mp.gamma(a + 1) ** 2 / mp.gamma(2 * a)
                              * mp.meijerg([[], [a, a]], [[0, 2 * a - 1], []], mp.mpf(x)))
-                    n = None if curve.variant == "canonical" else curve.literal_n
-                    ref = _mp_jacobi_n(p, n, mp.mpf(x)) * omega
+                    ref = _mp_jacobi_n(p, curve.literal_n, mp.mpf(x)) * omega
                 assert abs(w / ref - 1) <= 2e-13, (curve, x)
         # every true W here is finite, the jacobi density at b = 1 too: it is
         # taken from x itself, not from 1 - x, which rounds to 1 at its
@@ -728,7 +732,7 @@ class TestWeightClosedForms:
         below = np.array([0.5, 0.99, 0.995, 0.998])
         for curve in _cli_curves(Family.JACOBI)[12:]:
             p = curve.params
-            w = [row[1] for row in figure1_scan([curve], np.concatenate((above, below)))]
+            w = _w(curve, np.concatenate((above, below)))
             series = density(p, above) * normalization(p, above)
             euler = density(p, below) * (hyp2f1(p.a - 1.0, p.a - 1.0, p.b, below)
                                          / np.square(1.0 - below))
@@ -772,7 +776,7 @@ class TestWeightClosedForms:
                     p = FamilyParams(m, nu, Family.JACOBI)
                     a = m + mp.mpf(nu)
                     const = mp.gamma(a + 1) ** 2 / mp.gamma(2 * a)
-                    for x, w, *_ in figure1_scan([WeightCurve(p)], xs):
+                    for x, w in zip(xs, _w(WeightCurve(p), xs)):
                         omega = const * mp.hyp2f1(1 - a, 1 - a, 1, 1 - mp.mpf(x))
                         worst = max(worst, abs(w / (_mp_jacobi_n(p, None, x) * omega) - 1))
         assert worst <= 1e-13
