@@ -16,6 +16,7 @@ main path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Sequence
@@ -42,28 +43,30 @@ _RULE_CACHE_SIZE = 8
 _MOMENT_ROWS = 256  # exponents per log_moments block: 0.49 MB arrays at 240 nodes
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights approximating integrals against omega(x) dx.
+    """Nodes and log weights approximating integrals against omega(x) dx.
 
-    Weights are non-negative (underflowed tail weights are dropped at
-    construction), which lets the high moments be accumulated in log
-    space where x^n alone would overflow.
+    The weights stay logs from the family formula to the moment sum, so
+    the high moments are accumulated in log space where x^n alone would
+    overflow, and no weight is lost to the float range.  A -inf log weight
+    (a zero weight) drops its node at construction; a NaN or +inf one is a
+    ValueError.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
+    log_weights: np.ndarray
     # log mu_n for n = 0, 1, ..., grown by `_integer_log_moments`
     _log_mu: np.ndarray = field(default_factory=lambda: np.empty(0), init=False,
                                 repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must have equal shape")
-        if np.any(weights < 0.0):
-            raise ValueError("rule weights must be non-negative")
-        keep = weights > 0.0
-        for name, values in (("nodes", nodes[keep]), ("weights", weights[keep])):
+        log_weights = np.asarray(self.log_weights, dtype=float)
+        if nodes.shape != log_weights.shape:
+            raise ValueError("nodes and log_weights must have equal shape")
+        if not np.all(log_weights < math.inf):
+            raise ValueError("rule log weights must not be NaN or +inf")
+        keep = log_weights > -math.inf
+        for name, values in (("nodes", nodes[keep]), ("log_weights", log_weights[keep])):
             values.flags.writeable = False  # rules are shared by the rule cache
             object.__setattr__(self, name, values)
 
@@ -78,7 +81,7 @@ class QuadratureRule:
         e = np.asarray(exponents, dtype=float)
         out = np.empty(len(e))
         for i in range(0, len(e), _MOMENT_ROWS):
-            g = e[i:i + _MOMENT_ROWS, None] * np.log(self.nodes) + np.log(self.weights)
+            g = e[i:i + _MOMENT_ROWS, None] * np.log(self.nodes) + self.log_weights
             top = np.max(g, axis=1)
             out[i:i + _MOMENT_ROWS] = top + np.log(np.sum(np.exp(g - top[:, None]), axis=1))
         return out
@@ -164,10 +167,12 @@ def density(params: FamilyParams, x):
 
 def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureRule:
     """Quadrature rule for integrals against the family density, with
-    n_nodes nodes (omitted or 0: 240; fewer than 8 is a ValueError) before
-    the nodes whose weight underflows to zero are dropped.  A weight that
-    is not finite (inf or NaN, from m = 43 on for bessel at nu = 0.5) is
-    an OverflowError naming the family, m, nu and the node count.
+    n_nodes nodes (omitted or 0: 240; fewer than 8, or not an integer, is
+    a ValueError) before the nodes whose weight is zero are dropped (none
+    for bessel; from m = 40 on for jacobi at nu = 0.5, where the density
+    underflows at the ends).  A log weight that is +inf or NaN (from m = 43
+    on for bessel at nu = 0.5, where kve overflows at the smallest node)
+    is an OverflowError naming the family, m, nu and the node count.
 
     The 8 most recently used rules are kept, keyed on (params, n_nodes)
     after the default is resolved, so omitting n_nodes and passing the
@@ -177,11 +182,14 @@ def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureR
     default of 240, plus each rule's integer log-moment table (at most
     256 kB, grown by the orders its readers ask for).
 
-    The nodes and weights are the family's `rule`, over parameter-free
-    base rules kept apart (`families._gauss_genlaguerre`, `_tanh_sinh`), so
-    a new (params, n_nodes) costs only its density factors.
+    The nodes and log weights are the family's `rule`, over
+    parameter-free base rules kept apart (`families._gauss_genlaguerre`,
+    `_tanh_sinh`), so a new (params, n_nodes) costs only its density
+    factors.
     """
-    n = n_nodes or _DEFAULT_NODES
+    if n_nodes is not None and not isinstance(n_nodes, numbers.Integral):
+        raise ValueError(f"n_nodes must be an integer, got {n_nodes!r}")
+    n = int(n_nodes or _DEFAULT_NODES)
     if n < 8:  # one floor for both families' rules
         raise ValueError(f"n_nodes must be at least 8 (or 0 for the default), got {n_nodes!r}")
     return _cached_rule(params, n)
@@ -189,11 +197,11 @@ def radial_rule(params: FamilyParams, n_nodes: int | None = None) -> QuadratureR
 
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _cached_rule(params: FamilyParams, n: int) -> QuadratureRule:
-    nodes, weights = params.formulas.rule(params, n)
-    if not np.isfinite(weights).all():
+    nodes, log_weights = params.formulas.rule(params, n)
+    if not np.all(log_weights < math.inf):
         raise OverflowError(f"the {params.family.value} rule at m = {params.m}, "
                             f"nu = {params.nu!r} on {n} nodes has a weight that is not finite")
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, log_weights=log_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +234,7 @@ def _moment_rows(params: FamilyParams, rule: QuadratureRule, n_max: int) -> np.n
     exp(n log x_i + log w_i - 2 log h_n) so that it stays finite where x^n
     or h_n^2 alone overflow."""
     n = np.arange(n_max + 1, dtype=float)[:, None]
-    return np.exp(n * np.log(rule.nodes) + np.log(rule.weights)
+    return np.exp(n * np.log(rule.nodes) + rule.log_weights
                   - 2.0 * _log_h_array(params, n_max)[:, None])
 
 
@@ -243,6 +251,8 @@ def verify_identity(params: FamilyParams, n_check: int = 20,
     A row whose relative error is not finite fails the certificate as its
     worst row, with diagnosis "float_overflow" and no refinement.
     """
+    if not isinstance(n_check, numbers.Integral):
+        raise ValueError(f"n_check must be an integer, got {n_check!r}")
     if n_check < 8:
         raise ValueError("n_check must be at least 8")
     if rule is None:

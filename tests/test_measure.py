@@ -77,15 +77,69 @@ class TestDensity:
         with pytest.raises(ValueError):
             density(bessel_params, -0.5)
 
+    @pytest.mark.parametrize("b, tol", [
+        (0.2, 5e-13), (1.5, 5e-13), (3.0, 5e-13), (5.0, 5e-13), (6.6, 5e-13), (40.2, 5e-12),
+    ])
+    def test_bessel_density_against_mpmath(self, b, tol):
+        # down to x = 1e-300, where kve overflows from b = 5 on and log K
+        # comes from its small-argument series; the error grows as eps b |log t|
+        params = FamilyParams(0, b / 2.0, Family.BESSEL)
+        xs = np.logspace(-300.0, 5.0, 62)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = density(params, xs)
+        bm = mp.mpf(params.b)
+        for x, value in zip(xs.tolist(), got):
+            xm = mp.mpf(x)
+            ref = 2 * xm ** ((bm - 1) / 2) * mp.besselk(bm - 1, 2 * mp.sqrt(xm)) / mp.gamma(bm)
+            assert abs(value / ref - 1) <= tol, x
+
+    def test_bessel_density_past_the_float_range_is_an_overflow_error(self):
+        # at b = 81 kve overflows for x below about 2.1e-5, and the series is
+        # taken only from x = 1.1e-6 down (its next term below 1e-16), so the
+        # band between raises, naming b and its first x; x = 1e-6 is finite
+        params = FamilyParams(0, 40.5, Family.BESSEL)
+        x = mp.mpf(1e-6)
+        ref = 2 * x ** 40 * mp.besselk(80, 2 * mp.sqrt(x)) / mp.gamma(81)
+        assert abs(density(params, 1e-6) / ref - 1) <= 5e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"^the bessel density at b = 81\.0 "
+                                                    r"passes the float range at x = 1e-05$"):
+                density(params, np.array([1e-3, 1e-6, 1e-5, 2e-5]))
+
 
 class TestRule:
     def test_weights_nonnegative(self, bessel_rule, jacobi_rule):
-        assert np.all(bessel_rule.weights >= 0.0)
-        assert np.all(jacobi_rule.weights >= 0.0)
+        # every kept log weight is finite: a weight that is positive
+        assert np.all(np.isfinite(bessel_rule.log_weights))
+        assert np.all(np.isfinite(jacobi_rule.log_weights))
 
-    def test_positive_weight_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([1.0]), weights=np.array([-1.0]))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_positive_weight_validation(self, bad):
+        with pytest.raises(ValueError, match="NaN or [+]inf"):
+            QuadratureRule(nodes=np.array([1.0, 2.0]), log_weights=np.array([0.0, bad]))
+
+    def test_a_zero_weight_drops_its_node(self):
+        rule = QuadratureRule(nodes=np.array([1.0, 2.0, 3.0]),
+                              log_weights=np.array([0.0, -math.inf, -1.0]))
+        assert rule.nodes.tolist() == [1.0, 3.0]
+        assert rule.log_weights.tolist() == [0.0, -1.0]
+
+    @pytest.mark.parametrize("arg", [240.0, 20.5, "240"])
+    @pytest.mark.parametrize("call, name", [
+        (lambda p, v: radial_rule(p, v), "n_nodes"),
+        (lambda p, v: verify_identity(p, v), "n_check"),
+    ], ids=["radial_rule", "verify_identity"])
+    def test_a_non_integer_count_is_a_value_error(self, bessel_params, call, name, arg):
+        # named up front, not a TypeError from inside numpy
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {arg!r}$"):
+            call(bessel_params, arg)
+
+    @pytest.mark.parametrize("count", [np.int64(240), np.int32(240), np.uint16(240)])
+    def test_numpy_integer_counts_are_accepted(self, bessel_params, count):
+        assert radial_rule(bessel_params, count) is radial_rule(bessel_params)
+        assert verify_identity(bessel_params, count // 12).passed
 
     @pytest.mark.parametrize("family, m", [
         (Family.BESSEL, 43), (Family.BESSEL, 400), (Family.JACOBI, 86),
@@ -125,7 +179,7 @@ class TestRule:
         # across the 256-order block boundaries
         for rule in (bessel_rule, jacobi_rule):
             e = np.concatenate((np.arange(600.0), [0.5, 1e4]))
-            g = e[:, None] * np.log(rule.nodes)[None, :] + np.log(rule.weights)[None, :]
+            g = e[:, None] * np.log(rule.nodes)[None, :] + rule.log_weights[None, :]
             top = np.max(g, axis=1)
             ref = top + np.log(np.sum(np.exp(g - top[:, None]), axis=1))
             assert np.array_equal(rule.log_moments(e), ref)
@@ -184,7 +238,7 @@ class TestRuleCache:
         fresh = radial_rule(params, 90)
         assert fresh is not cached
         assert np.array_equal(fresh.nodes, cached.nodes)
-        assert np.array_equal(fresh.weights, cached.weights)
+        assert np.array_equal(fresh.log_weights, cached.log_weights)
 
     def test_base_tables_are_shared_and_read_only(self):
         for build in (lambda: _gauss_genlaguerre(70, 1.0), lambda: _gauss_genlaguerre(70, 0.0),
@@ -200,7 +254,7 @@ class TestRuleCache:
 
     def test_arrays_are_read_only(self, bessel_rule, jacobi_rule):
         for rule in (bessel_rule, jacobi_rule):
-            for values in (rule.nodes, rule.weights):
+            for values in (rule.nodes, rule.log_weights):
                 with pytest.raises(ValueError):
                     values[0] = 1.0
 
@@ -294,6 +348,23 @@ class TestTanhSinhRule:
                 assert np.all(np.isfinite(v) & (v > 0.0)), (m, nu)
                 assert radial_rule(params).n_nodes == 240
 
+    def test_bessel_rules_keep_every_node(self):
+        # the Laguerre log weights keep the far-tail nodes whose linear
+        # weights underflow (the exponentiated weights kept 229 of 240)
+        for m in range(4):
+            for nu in np.linspace(0.1, 2.5, 13).tolist():
+                params = FamilyParams(m, nu, Family.BESSEL)
+                if params.b > 1.5:
+                    assert radial_rule(params).n_nodes == 240, (m, nu)
+
+    @pytest.mark.parametrize("m, kept", [(40, 239), (60, 238), (85, 237)])
+    def test_a_zero_jacobi_weight_drops_its_node(self, m, kept):
+        # where the density underflows to 0 the log weight is -inf: the node
+        # is dropped, without a numpy warning, and is no OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert radial_rule(FamilyParams(m, 0.5, Family.JACOBI)).n_nodes == kept
+
     def test_jacobi_rule_moments_against_gamma_products(self):
         worst = max(rule_moment_error(FamilyParams(m, nu, Family.JACOBI), 600).max()
                     for m in range(4) for nu in RULE_NU_GRID)
@@ -362,6 +433,34 @@ class TestVerifyIdentity:
         )
         assert not cert.passed
         assert cert.diagnosis == "quadrature_insufficient"
+
+
+class TestHighOrders:
+    """Orders past 300 on the bessel rule, which keeps every node's weight
+    as a log: the moments against the gamma products h_n^2."""
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 40])
+    def test_order_330_on_240_nodes(self, m):
+        params = FamilyParams(m, 0.5, Family.BESSEL)
+        cert = verify_identity(params, 330)
+        assert cert.passed and cert.n_nodes == 240
+        assert cert.worst.rel_error <= 1e-11
+        assert rule_moment_error(params, 330).max() <= 1e-11
+
+    def test_order_400_on_600_nodes(self, bessel_params):
+        rule = radial_rule(bessel_params, 600)
+        cert = verify_identity(bessel_params, 400, rule=rule)
+        assert cert.passed and cert.worst.rel_error <= 1e-11
+        oracle = gamma_product_log_moments(bessel_params, 400)
+        assert np.abs(np.expm1(rule._integer_log_moments(400) - oracle)).max() <= 1e-11
+
+    def test_order_400_on_240_nodes_indicts_the_quadrature(self, bessel_params):
+        cert = verify_identity(bessel_params, 400)
+        assert not cert.passed and cert.n_nodes == 240
+        assert cert.diagnosis == "quadrature_insufficient"
+
+    def test_idempotence_at_radius_300(self, bessel_params):
+        assert check_idempotence(bessel_params, 300.0, 300.0) <= 1e-12
 
 
 class TestVerifyIdentityOverflow:

@@ -51,6 +51,13 @@ class TestQuantizeSymbol:
         for n in range(13):
             assert rel_err(diag[n], (n + 1.0) * (3.0 + n)) < 1e-8
 
+    def test_absz2_band_to_row_350_at_n_max_400(self, bessel_params, bessel_rule):
+        # the rule keeps every node's log weight, so the moments hold to
+        # order 350 at 240 nodes
+        op = quantize_symbol(bessel_params, Symbol.absz2(), 400, bessel_rule)
+        ref = ladder_closed_form(bessel_params, "absz2", 400, Provenance.H_RATIO)
+        assert np.abs(op.band(0)[:351] / ref.band(0)[:351] - 1.0).max() <= 1e-11
+
     def test_z_superdiagonal_is_h_ratio(self, bessel_params, bessel_rule):
         # moment-ratio oracle: mu_{n+1} / (h_n h_{n+1}) = h_{n+1} / h_n
         op = quantize_symbol(bessel_params, Symbol.z(), 10, bessel_rule)
