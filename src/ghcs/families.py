@@ -228,9 +228,9 @@ class Bessel:
         + nu log(2/t) + log1p((t/2)^2 / (1-nu)) (DLMF 10.30.2, 10.31.1),
         wherever the next term (t/2)^4 / (2 (nu-1) (nu-2)) is below 1e-16;
         elsewhere it stays +inf.  Against mpmath at 40 digits the density
-        holds 2.9e-13 for b <= 6.6 and 1.9e-12 at b = 40.2 over x in
-        [1e-300, 1e5]; the error grows as eps b |log t|, the size of the
-        terms that cancel at small t.
+        holds 2.9e-13 at b = 0.2, 1.5, 3, 5 and 6.6 and 1.9e-12 at
+        b = 40.2 over x in [1e-300, 1e5]; the error grows as eps b |log t|,
+        the size of the terms that cancel at small t.
         """
         b = params.b
         lk = np.log(_special().kve(b - 1.0, t))

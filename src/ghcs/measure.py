@@ -151,6 +151,8 @@ def density(params: FamilyParams, x):
 
     Scalar in, scalar out; array in, array out; the family's `density`.
     Outside the support the jacobi-family density is identically zero.
+    Where the bessel density's log passes the float range (a band of small
+    x from b about 70 on) it is an OverflowError naming b and x.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
